@@ -5,15 +5,9 @@ non-Hermitian two-level systems: closed-form nonunitary propagators,
 coherence trajectories with periods / stable values / backflow
 counting, Bloch trajectories, waveplate-sequence inverse design,
 noisy-tomography reconstruction, and the two-qubit product extension.
-
-Numerical backends: hot kernels are JIT-compiled when numba is
-available; set the environment variable ``PTCOHERENCE_BACKEND`` to
-``numpy`` or ``numba`` to pick explicitly (see
-:func:`ptcoherence.available_backends`).
 """
 from __future__ import annotations
 
-from ._backend import available_backends, backend_name
 from .bloch import BlochPoint, bloch_vector, trajectory
 from .coherence import (
     BackflowReport,
@@ -94,9 +88,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # backends
-    "available_backends",
-    "backend_name",
     # linalg
     "mat_mul",
     "mat_exp_oracle",

@@ -1,11 +1,7 @@
-"""Grid kernels: coherence series over time grids, in two backends.
+"""Grid kernels: propagators and coherence series over time grids.
 
-Each public kernel exists twice with identical semantics:
-
-* ``*_numpy``  — vectorized pure-numpy implementation;
-* ``*_numba``  — JIT-compiled explicit loops (falls back to plain
-  Python execution when numba is unavailable, in which case only the
-  numpy names should be used; see :mod:`ptcoherence._backend`).
+Every kernel evaluates a whole time grid in array operations; none
+loops over time points in Python.
 
 Kernels work in the *scaled* propagator representation: in the broken
 regime the scalars (A, B, C) grow like ``exp(w s t)``, but every
@@ -14,45 +10,27 @@ positive rescaling of (A, B, C), so the factor ``exp(-w s t)`` is
 pulled out once the hyperbolic argument exceeds ``_SCALE_SWITCH``.
 This keeps all intermediates finite for arbitrarily large times.
 
-Conventions: ``kind_code`` is ``KIND_PT`` (0) or ``KIND_APT`` (1);
-``times`` is a float64 array; single-qubit states enter as
-``(alpha, beta, phi)`` with ``alpha^2 + beta^2 = 1``.
+Conventions: ``times`` is a float64 array of any real values (negative
+entries evaluate the analytic continuation); single-qubit states enter
+as ``(alpha, beta, phi)`` with ``alpha^2 + beta^2 = 1``.
 """
 from __future__ import annotations
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(func):
-            return func
-
-        return wrap
-
+from .hamiltonian import HamiltonianParams, SymmetryClass
 
 __all__ = [
-    "KIND_PT",
-    "KIND_APT",
-    "NUMBA_AVAILABLE",
+    "matmul2",
+    "propagator_grid",
     "coherence_series_numpy",
-    "coherence_series_numba",
     "two_qubit_coherence_series_numpy",
-    "two_qubit_coherence_series_numba",
 ]
-
-KIND_PT = 0
-KIND_APT = 1
 
 #: Hyperbolic argument above which the scaled representation is used.
 #: 150 keeps even fourth powers of the scaled-out factor far from the
 #: double-precision overflow threshold (exp(4 * 150) >> 1e308 would not
-#: be, so scaling must kick in before two-qubit conjugations square the
+#: be, so scaling must kick in before two-qubit products square the
 #: squared entries).
 _SCALE_SWITCH = 150.0
 #: Below this argument the sin(x)/x and sinh(x)/x ratios use series.
@@ -60,18 +38,39 @@ _SERIES_SWITCH = 1e-4
 
 
 # ---------------------------------------------------------------------------
-# scaled (A, B, C) grids
+# 2x2 stacks
 # ---------------------------------------------------------------------------
 
-def _abc_grid_numpy(kind_code: int, s: float, a: float, times: np.ndarray):
+def matmul2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` for (stacks of) 2x2 matrices, broadcasting like ``@``.
+
+    Written out entry by entry: on ``(n, 2, 2)`` stacks numpy's batched
+    matmul is about ten times slower than these elementwise products.
+    """
+    x00, x01, x10, x11 = x[..., 0, 0], x[..., 0, 1], x[..., 1, 0], x[..., 1, 1]
+    y00, y01, y10, y11 = y[..., 0, 0], y[..., 0, 1], y[..., 1, 0], y[..., 1, 1]
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.result_type(x, y))
+    out[..., 0, 0] = x00 * y00 + x01 * y10
+    out[..., 0, 1] = x00 * y01 + x01 * y11
+    out[..., 1, 0] = x10 * y00 + x11 * y10
+    out[..., 1, 1] = x10 * y01 + x11 * y11
+    return out
+
+
+# ---------------------------------------------------------------------------
+# scaled (A, B, C) and propagator grids
+# ---------------------------------------------------------------------------
+
+def _abc_grid_numpy(p: HamiltonianParams, times: np.ndarray):
     """Scaled propagator scalars (A, B, C) over a time grid.
 
     Returns arrays proportional to the true scalars by a common
     positive per-time factor (irrelevant to every ratio computed from
     them).
     """
+    s, a = p.s, p.a
     st = s * np.asarray(times, dtype=np.float64)
-    d = 1.0 - a * a if kind_code == KIND_PT else a * a - 1.0
+    d = 1.0 - a * a if p.kind is SymmetryClass.PT else a * a - 1.0
     if d > 0.0:
         w = np.sqrt(d)
         x = w * st
@@ -99,47 +98,33 @@ def _abc_grid_numpy(kind_code: int, s: float, a: float, times: np.ndarray):
     return A, -a * g, g
 
 
-@njit(cache=True)
-def _abc_scalar_numba(kind_code: int, s: float, a: float, t: float):
-    st = s * t
-    d = 1.0 - a * a if kind_code == KIND_PT else a * a - 1.0
-    if d > 0.0:
-        w = np.sqrt(d)
-        x = w * st
-        A = np.cos(x)
-        if abs(x) < _SERIES_SWITCH:
-            x2 = x * x
-            g = st * (1.0 - x2 / 6.0 + x2 * x2 / 120.0)
-        else:
-            g = st * np.sin(x) / x
-    elif d < 0.0:
-        w = np.sqrt(-d)
-        x = w * st
-        if abs(x) > _SCALE_SWITCH:
-            q = np.exp(-2.0 * abs(x))
-            A = 0.5 * (1.0 + q)
-            g = (0.5 * (1.0 - q) / w) if st >= 0.0 else (-0.5 * (1.0 - q) / w)
-        elif abs(x) < _SERIES_SWITCH:
-            x2 = x * x
-            A = np.cosh(x)
-            g = st * (1.0 + x2 / 6.0 + x2 * x2 / 120.0)
-        else:
-            A = np.cosh(x)
-            g = st * np.sinh(x) / x
+def propagator_grid(p: HamiltonianParams, times: np.ndarray) -> np.ndarray:
+    """Scaled propagators ``U_hat(t)`` over a time grid, shape ``(n, 2, 2)``.
+
+    Each matrix equals the true propagator up to a positive per-time
+    factor, so every renormalized quantity built from it is exact.
+    """
+    A, B, C = _abc_grid_numpy(p, times)
+    u = np.empty(A.shape + (2, 2), dtype=complex)
+    if p.kind is SymmetryClass.PT:
+        u[:, 0, 0] = A - B
+        u[:, 0, 1] = -1j * C
+        u[:, 1, 0] = -1j * C
+        u[:, 1, 1] = A + B
     else:
-        A = 1.0
-        g = st
-    return A, -a * g, g
+        u[:, 0, 0] = A + 1j * B
+        u[:, 0, 1] = C
+        u[:, 1, 0] = C
+        u[:, 1, 1] = A - 1j * B
+    return u
 
 
 # ---------------------------------------------------------------------------
-# single-qubit coherence series
+# coherence series
 # ---------------------------------------------------------------------------
 
 def coherence_series_numpy(
-    kind_code: int,
-    s: float,
-    a: float,
+    p: HamiltonianParams,
     alpha: float,
     beta: float,
     phi: float,
@@ -151,11 +136,11 @@ def coherence_series_numpy(
     y = |<V|psi(t)>|^2 (up to common scale) and
     ``C = 2 sqrt(x y) / (x + y)``.
     """
-    A, B, C = _abc_grid_numpy(kind_code, s, a, np.asarray(times, dtype=np.float64))
+    A, B, C = _abc_grid_numpy(p, np.asarray(times, dtype=np.float64))
     sphi = np.sin(phi)
     cphi = np.cos(phi)
     ab = alpha * beta
-    if kind_code == KIND_PT:
+    if p.kind is SymmetryClass.PT:
         pm = A - B
         pp = A + B
         x = alpha * alpha * pm * pm + C * C * beta * beta + 2.0 * ab * C * pm * sphi
@@ -172,149 +157,21 @@ def coherence_series_numpy(
     return 2.0 * np.sqrt(x) * np.sqrt(y) / (x + y)
 
 
-@njit(cache=True)
-def _coherence_series_numba_impl(kind_code, s, a, alpha, beta, phi, times):
-    n = times.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    sphi = np.sin(phi)
-    cphi = np.cos(phi)
-    ab = alpha * beta
-    for i in range(n):
-        A, B, C = _abc_scalar_numba(kind_code, s, a, times[i])
-        if kind_code == KIND_PT:
-            pm = A - B
-            pp = A + B
-            x = alpha * alpha * pm * pm + C * C * beta * beta + 2.0 * ab * C * pm * sphi
-            y = beta * beta * pp * pp + C * C * alpha * alpha - 2.0 * ab * C * pp * sphi
-        else:
-            r2 = A * A + B * B
-            cross = 2.0 * ab * C * (A * cphi + B * sphi)
-            x = alpha * alpha * r2 + C * C * beta * beta + cross
-            y = beta * beta * r2 + C * C * alpha * alpha + cross
-        if x < 0.0:
-            x = 0.0
-        if y < 0.0:
-            y = 0.0
-        out[i] = 2.0 * np.sqrt(x) * np.sqrt(y) / (x + y)
-    return out
-
-
-def coherence_series_numba(
-    kind_code: int,
-    s: float,
-    a: float,
-    alpha: float,
-    beta: float,
-    phi: float,
-    times: np.ndarray,
-) -> np.ndarray:
-    """JIT-compiled twin of :func:`coherence_series_numpy`."""
-    return _coherence_series_numba_impl(
-        int(kind_code),
-        float(s),
-        float(a),
-        float(alpha),
-        float(beta),
-        float(phi),
-        np.ascontiguousarray(times, dtype=np.float64),
-    )
-
-
-# ---------------------------------------------------------------------------
-# two-qubit coherence series
-# ---------------------------------------------------------------------------
-
 def two_qubit_coherence_series_numpy(
-    kind_code: int,
-    s: float,
-    a: float,
-    rho4: np.ndarray,
+    p: HamiltonianParams,
+    psi: np.ndarray,
     times: np.ndarray,
 ) -> np.ndarray:
-    """l1 coherence of ``(U ⊗ U) rho4 (U ⊗ U)^dag`` (normalized) over ``times``."""
-    rho = np.asarray(rho4, dtype=complex)
-    A, B, C = _abc_grid_numpy(kind_code, s, a, np.asarray(times, dtype=np.float64))
-    n = A.shape[0]
-    u = np.empty((n, 2, 2), dtype=complex)
-    if kind_code == KIND_PT:
-        u[:, 0, 0] = A - B
-        u[:, 0, 1] = -1j * C
-        u[:, 1, 0] = -1j * C
-        u[:, 1, 1] = A + B
-    else:
-        u[:, 0, 0] = A + 1j * B
-        u[:, 0, 1] = C
-        u[:, 1, 0] = C
-        u[:, 1, 1] = A - 1j * B
-    u4 = np.einsum("nik,njl->nijkl", u, u).reshape(n, 4, 4)
-    sig = u4 @ rho @ u4.conj().transpose(0, 2, 1)
-    tr = np.trace(sig, axis1=1, axis2=2).real
-    absum = np.abs(sig).sum(axis=(1, 2))
-    diag = np.abs(np.diagonal(sig, axis1=1, axis2=2)).sum(axis=1)
-    return (absum - diag) / tr
+    """l1 coherence of the normalized pure state ``(U ⊗ U) psi`` over ``times``.
 
-
-@njit(cache=True)
-def _two_qubit_series_numba_impl(kind_code, s, a, rho4, times):
-    n = times.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    u = np.empty((2, 2), dtype=np.complex128)
-    u4 = np.empty((4, 4), dtype=np.complex128)
-    tmp = np.empty((4, 4), dtype=np.complex128)
-    sig = np.empty((4, 4), dtype=np.complex128)
-    for k in range(n):
-        A, B, C = _abc_scalar_numba(kind_code, s, a, times[k])
-        if kind_code == KIND_PT:
-            u[0, 0] = A - B
-            u[0, 1] = -1j * C
-            u[1, 0] = -1j * C
-            u[1, 1] = A + B
-        else:
-            u[0, 0] = A + 1j * B
-            u[0, 1] = C
-            u[1, 0] = C
-            u[1, 1] = A - 1j * B
-        for i in range(2):
-            for j in range(2):
-                for r in range(2):
-                    for c in range(2):
-                        u4[2 * i + j, 2 * r + c] = u[i, r] * u[j, c]
-        for i in range(4):
-            for j in range(4):
-                acc = 0.0 + 0.0j
-                for m in range(4):
-                    acc += u4[i, m] * rho4[m, j]
-                tmp[i, j] = acc
-        for i in range(4):
-            for j in range(4):
-                acc = 0.0 + 0.0j
-                for m in range(4):
-                    acc += tmp[i, m] * np.conj(u4[j, m])
-                sig[i, j] = acc
-        tr = 0.0
-        for i in range(4):
-            tr += sig[i, i].real
-        coh = 0.0
-        for i in range(4):
-            for j in range(4):
-                if i != j:
-                    coh += np.abs(sig[i, j])
-        out[k] = coh / tr
-    return out
-
-
-def two_qubit_coherence_series_numba(
-    kind_code: int,
-    s: float,
-    a: float,
-    rho4: np.ndarray,
-    times: np.ndarray,
-) -> np.ndarray:
-    """JIT-compiled twin of :func:`two_qubit_coherence_series_numpy`."""
-    return _two_qubit_series_numba_impl(
-        int(kind_code),
-        float(s),
-        float(a),
-        np.ascontiguousarray(rho4, dtype=np.complex128),
-        np.ascontiguousarray(times, dtype=np.float64),
-    )
+    With ``Psi = psi`` reshaped to 2x2 (row index: first qubit),
+    ``(U ⊗ U) psi = vec(U Psi U^T)``.  For the pure state ``v`` the
+    off-diagonal magnitudes of ``|v><v|`` sum to
+    ``(sum |v_i|)^2 - sum |v_i|^2`` and its trace is ``sum |v_i|^2``.
+    """
+    u = propagator_grid(p, np.asarray(times, dtype=np.float64))
+    psi2 = np.asarray(psi, dtype=complex).reshape(2, 2)
+    mags = np.abs(matmul2(matmul2(u, psi2), u.transpose(0, 2, 1)).reshape(-1, 4))
+    l1 = mags.sum(axis=1)
+    norm2 = (mags * mags).sum(axis=1)
+    return (l1 * l1 - norm2) / norm2

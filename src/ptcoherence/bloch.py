@@ -19,10 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .evolution import DensityMatrix, PureState, evolve_pure
+from .evolution import DensityMatrix, PureState, evolve_pure_grid
 from .hamiltonian import HamiltonianParams
 
-__all__ = ["BlochPoint", "bloch_vector", "trajectory"]
+__all__ = ["BlochPoint", "bloch_vector", "trajectory", "trajectory_array"]
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,29 @@ def bloch_vector(rho: DensityMatrix, t: float = 0.0) -> BlochPoint:
     )
 
 
+def trajectory_array(
+    st: PureState,
+    p: HamiltonianParams,
+    grid: Sequence[float],
+) -> np.ndarray:
+    """Bloch trajectory as an ``(n, 4)`` array of rows ``(t, x, y, z)``.
+
+    Same arguments and checks as :func:`trajectory`; the whole grid is
+    evolved in one batch.
+    """
+    ts = np.asarray(grid, dtype=float)
+    if ts.ndim != 1 or len(ts) == 0:
+        raise ValueError("grid must be a nonempty 1-D sequence of times")
+    if np.any(np.diff(ts) < 0):
+        raise ValueError("grid times must be sorted ascending")
+    if ts[0] < 0:
+        raise ValueError("grid times must be nonnegative")
+    v = evolve_pure_grid(st, p, ts)
+    rho01 = v[:, 0] * np.conj(v[:, 1])
+    pops = np.abs(v) ** 2
+    return np.column_stack([ts, 2.0 * rho01.real, -2.0 * rho01.imag, pops[:, 0] - pops[:, 1]])
+
+
 def trajectory(
     st: PureState,
     p: HamiltonianParams,
@@ -73,23 +96,4 @@ def trajectory(
         One point per grid time; pure-state evolution keeps the radius
         at 1 to within numerical tolerance.
     """
-    ts = np.asarray(grid, dtype=float)
-    if ts.ndim != 1 or len(ts) == 0:
-        raise ValueError("grid must be a nonempty 1-D sequence of times")
-    if np.any(np.diff(ts) < 0):
-        raise ValueError("grid times must be sorted ascending")
-    if ts[0] < 0:
-        raise ValueError("grid times must be nonnegative")
-    points = []
-    for t in ts:
-        v = evolve_pure(st, p, float(t))
-        rho01 = v[0] * np.conj(v[1])
-        points.append(
-            BlochPoint(
-                t=float(t),
-                x=float(2.0 * rho01.real),
-                y=float(-2.0 * rho01.imag),
-                z=float((abs(v[0]) ** 2 - abs(v[1]) ** 2)),
-            )
-        )
-    return points
+    return [BlochPoint(*row) for row in trajectory_array(st, p, grid).tolist()]

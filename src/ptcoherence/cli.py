@@ -11,18 +11,16 @@ tomography  JSON true vs reconstructed state with bootstrap error bar
 bloch       CSV Bloch trajectory t, x, y, z
 two-qubit   CSV two-qubit coherence of the three reference states
 
-Determinism: identical invocations (flags + config + seed, same kernel
-backend) produce byte-identical output.  No timestamps are emitted,
-JSON keys are sorted, and every float is formatted to 12 significant
-digits (``%.12g``; values round-trip since they are re-parsed as the
-shortest representation at that precision).
+Determinism: identical invocations (flags + config + seed) produce
+byte-identical output.  No timestamps are emitted, JSON keys are
+sorted, and every float is formatted to 12 significant digits
+(``%.12g``; values round-trip since they are re-parsed as the shortest
+representation at that precision).
 
 Config precedence: command-line flags override an optional ``--config``
 file of ``key=value`` lines (``#`` comments allowed), which overrides
 built-in defaults.  Environment variables are deliberately not
-consulted, except that the kernel-backend selector honored by the
-library (``PTCOHERENCE_BACKEND``) affects only floating-point timing,
-not results.
+consulted.
 
 Exit codes: 0 success; 2 validation error (the message names the
 violated precondition); 3 solver failure (no optical decomposition);
@@ -38,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bloch import trajectory
+from .bloch import trajectory_array
 from .coherence import (
     classify_backflow,
     coherence_series,
@@ -47,7 +45,7 @@ from .coherence import (
     theoretical_period,
     asymptotic_value,
 )
-from .evolution import PureState, evolve_density
+from .evolution import PureState, evolve_density, evolve_density_grid
 from .hamiltonian import HamiltonianParams, SymmetryClass, regime
 from .optics import NoDecompositionError, sequence_to_dict, solve_angles, verify_state_action
 from .tomography import bootstrap_errorbar, reconstruct, simulate_counts, trace_distance
@@ -241,6 +239,12 @@ def _resolve_state(merged: dict, layer: dict) -> tuple[PureState, str]:
     return st, "custom"
 
 
+def _require_finite(**values: float) -> None:
+    for key, value in values.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{key.replace('_', '-')} must be finite, got {value}")
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     sub = args.subcommand
     merged = dict(_DEFAULTS)
@@ -281,6 +285,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     t_min, t_max = float(merged["t_min"]), float(merged["t_max"])
     points = int(merged["points"])
     if sub in ("trace", "asymptote", "bloch", "two-qubit"):
+        _require_finite(t_min=t_min, t_max=t_max)
         if not (t_max > t_min):
             raise ValueError(f"t-max must exceed t-min, got ({t_min}, {t_max})")
         if t_min < 0:
@@ -288,8 +293,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if points < 2:
             raise ValueError("points must be >= 2")
     t_single = float(merged["t"])
-    if sub in ("angles", "tomography") and t_single < 0:
-        raise ValueError("t must be nonnegative")
+    if sub in ("angles", "tomography"):
+        _require_finite(t=t_single)
+        if t_single < 0:
+            raise ValueError("t must be nonnegative")
     exposure = float(merged["exposure"])
     if sub == "tomography" and exposure <= 0:
         raise ValueError("exposure must be positive")
@@ -354,9 +361,11 @@ def _csv_text(meta: list[tuple[str, object]], columns: Sequence[str],
         text = _fmt(value) if isinstance(value, float) else str(value)
         lines.append(f"# {key}: {text}")
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    # one %-format pass over the whole body, byte-identical to joining
+    # _fmt per value; adding 0.0 turns -0.0 into 0.0 (never print "-0")
+    values = (np.asarray(rows, dtype=float) + 0.0).ravel().tolist()
+    row_fmt = ",".join(["%.12g"] * len(columns)) + "\n"
+    return "\n".join(lines) + "\n" + (row_fmt * len(rows)) % tuple(values)
 
 
 def _tabular_text(cfg: RunConfig, meta: list[tuple[str, object]],
@@ -429,8 +438,8 @@ def cmd_trace(cfg: RunConfig) -> str:
     p = cfg.params
     ts = _grid(cfg)
     closed = coherence_series(cfg.state, p, ts)
-    rho0 = cfg.state.density()
-    matrix_path = np.array([l1_coherence(evolve_density(rho0, p, float(t))) for t in ts])
+    rhos = evolve_density_grid(cfg.state.density(), p, ts)
+    matrix_path = 2.0 * np.abs(rhos[:, 0, 1])  # l1 coherence of a Hermitian 2x2
     rows = np.column_stack([ts, closed, matrix_path])
     meta = _base_meta(cfg) + _state_meta(cfg)
     return _tabular_text(cfg, meta, ("t", "C_closed_form", "C_matrix_path"), rows)
@@ -529,8 +538,7 @@ def cmd_tomography(cfg: RunConfig) -> str:
 def cmd_bloch(cfg: RunConfig) -> str:
     """CSV Bloch trajectory of the evolved (renormalized) state."""
     assert cfg.state is not None
-    points = trajectory(cfg.state, cfg.params, _grid(cfg))
-    rows = np.array([[pt.t, pt.x, pt.y, pt.z] for pt in points])
+    rows = trajectory_array(cfg.state, cfg.params, _grid(cfg))
     meta = _base_meta(cfg) + _state_meta(cfg)
     return _tabular_text(cfg, meta, ("t", "x", "y", "z"), rows)
 

@@ -48,8 +48,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ._backend import get_kernels
-from ._kernels import KIND_APT, KIND_PT
+from ._kernels import coherence_series_numpy
 from .evolution import DensityMatrix, PureState
 from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime
 from .tolerances import DEFAULT_TOLS
@@ -188,10 +187,6 @@ def l1_coherence(rho) -> float:
     return float(mags.sum() - np.trace(mags))
 
 
-def _kind_code(p: HamiltonianParams) -> int:
-    return KIND_PT if p.kind is SymmetryClass.PT else KIND_APT
-
-
 def coherence_series(st: PureState, p: HamiltonianParams, times: np.ndarray) -> np.ndarray:
     """Closed-form l1 coherence of the evolved state over a time grid.
 
@@ -199,10 +194,8 @@ def coherence_series(st: PureState, p: HamiltonianParams, times: np.ndarray) -> 
     analytic continuation (used internally for one-sided derivative
     probes at window boundaries).
     """
-    kern = get_kernels()
-    return kern.coherence_series(
-        _kind_code(p), p.s, p.a, st.alpha, st.beta, st.phi,
-        np.asarray(times, dtype=np.float64),
+    return coherence_series_numpy(
+        p, st.alpha, st.beta, st.phi, np.asarray(times, dtype=np.float64)
     )
 
 

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import matmul2, propagator_grid
 from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime
 from .tolerances import DEFAULT_TOLS
 
@@ -53,6 +54,8 @@ __all__ = [
     "propagator_scaled",
     "evolve_pure",
     "evolve_density",
+    "evolve_pure_grid",
+    "evolve_density_grid",
 ]
 
 #: Hyperbolic argument above which the scaled representation is used.
@@ -137,13 +140,42 @@ class PureState:
         return DensityMatrix(np.outer(v, v.conj()))
 
 
+def _check_densities(arr: np.ndarray) -> None:
+    """Validate a stack of single-qubit density matrices, shape ``(n, 2, 2)``.
+
+    Every matrix must be finite, Hermitian and of unit trace to 1e-10,
+    with eigenvalues >= -1e-10.  The first violation raises
+    ``ValueError``; a trace or eigenvalue message quotes the offending
+    value of the first matrix that fails it.
+    """
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("density matrix contains non-finite entries")
+    tol = DEFAULT_TOLS.density
+    dagger = arr.conj().transpose(0, 2, 1)
+    drift = np.abs(arr - dagger)
+    if np.any(np.sqrt((drift * drift).sum(axis=(1, 2))) > tol):
+        raise ValueError("density matrix is not Hermitian to tolerance")
+    tr = arr[:, 0, 0] + arr[:, 1, 1]
+    bad = np.abs(tr - 1.0) > tol
+    if np.any(bad):
+        raise ValueError(f"density matrix trace {tr[bad][0]} is not 1 to tolerance")
+    # smaller eigenvalue of the Hermitian part [[h00, h01], [h01*, h11]]
+    h00, h11 = arr[:, 0, 0].real, arr[:, 1, 1].real
+    h01 = (arr[:, 0, 1] + dagger[:, 0, 1]) / 2.0
+    low = (h00 + h11) / 2.0 - np.hypot((h00 - h11) / 2.0, np.abs(h01))
+    bad = low < -DEFAULT_TOLS.positivity
+    if np.any(bad):
+        raise ValueError(f"density matrix has negative eigenvalue {low[bad][0]}")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Validated single-qubit density matrix in the {|H>, |V>} basis.
 
     The constructor enforces Hermiticity and unit trace to 1e-10 and
-    eigenvalues >= -1e-10; the stored array is a defensive copy marked
-    read-only.
+    eigenvalues >= -1e-10 (the checks :func:`evolve_density_grid`
+    applies to every matrix of a grid); the stored array is a defensive
+    copy marked read-only.
     """
 
     rho: np.ndarray = field(repr=False)
@@ -152,16 +184,7 @@ class DensityMatrix:
         arr = np.array(self.rho, dtype=complex)
         if arr.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got {arr.shape}")
-        if not np.all(np.isfinite(arr.view(float))):
-            raise ValueError("density matrix contains non-finite entries")
-        tol = DEFAULT_TOLS.density
-        if np.linalg.norm(arr - arr.conj().T) > tol:
-            raise ValueError("density matrix is not Hermitian to tolerance")
-        if abs(np.trace(arr) - 1.0) > tol:
-            raise ValueError(f"density matrix trace {np.trace(arr)} is not 1 to tolerance")
-        eigs = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)
-        if eigs.min() < -DEFAULT_TOLS.positivity:
-            raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
+        _check_densities(arr[np.newaxis])
         arr.setflags(write=False)
         object.__setattr__(self, "rho", arr)
 
@@ -340,3 +363,44 @@ def evolve_density(rho: DensityMatrix, p: HamiltonianParams, t: float) -> Densit
     out = out / tr
     out = (out + out.conj().T) / 2.0  # remove floating-point Hermiticity drift
     return DensityMatrix(out)
+
+
+def _propagators(p: HamiltonianParams, times) -> np.ndarray:
+    """Scaled propagators over a grid of finite, nonnegative times."""
+    ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError("evolution times must be a 1-D grid")
+    if not np.all(np.isfinite(ts) & (ts >= 0)):
+        raise ValueError("evolution time must be finite and nonnegative")
+    return propagator_grid(p, ts)
+
+
+def evolve_pure_grid(st: PureState, p: HamiltonianParams, times) -> np.ndarray:
+    """:func:`evolve_pure` over a time grid: unit-norm rows, shape ``(n, 2)``."""
+    v = _propagators(p, times) @ st.vector()
+    norms = np.sqrt((v.real * v.real).sum(axis=1) + (v.imag * v.imag).sum(axis=1))
+    if np.any(norms < 1e-300):
+        raise DegenerateEvolutionError(
+            "evolved state norm underflowed; the closed-form propagator "
+            "should be invertible, so this indicates an internal bug"
+        )
+    return v / norms[:, np.newaxis]
+
+
+def evolve_density_grid(rho: DensityMatrix, p: HamiltonianParams, times) -> np.ndarray:
+    """:func:`evolve_density` over a time grid, shape ``(n, 2, 2)``.
+
+    Every evolved matrix passes the same checks as a
+    :class:`DensityMatrix`; the first failure raises ``ValueError``.
+    """
+    u = _propagators(p, times)
+    out = matmul2(matmul2(u, rho.rho), u.conj().transpose(0, 2, 1))
+    tr = (out[:, 0, 0] + out[:, 1, 1]).real
+    if np.any(tr < 1e-300):
+        raise DegenerateEvolutionError(
+            "evolved density matrix trace underflowed; this indicates an internal bug"
+        )
+    out /= tr[:, np.newaxis, np.newaxis]
+    out = (out + out.conj().transpose(0, 2, 1)) / 2.0  # remove Hermiticity drift
+    _check_densities(out)
+    return out

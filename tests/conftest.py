@@ -1,23 +1,9 @@
-"""Shared fixtures: JIT warmup and seeded random-state helpers."""
+"""Shared seeded random-state helpers."""
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 import ptcoherence as pc
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the JIT kernels once, so timed tests measure numerics only."""
-    ts = np.linspace(0.0, 1.0, 8)
-    st = pc.PureState.preset("D")
-    psi = pc.TwoQubitState.psi_1()
-    for kind in (pc.SymmetryClass.PT, pc.SymmetryClass.APT):
-        for a in (0.5, 1.0, 1.5):
-            p = pc.HamiltonianParams(kind=kind, s=1.0, a=a)
-            pc.coherence_series(st, p, ts)
-            pc.two_qubit_series(psi, p, ts)
 
 
 def random_states(seed: int, n: int, lo: float = 0.05, hi: float = 0.95):

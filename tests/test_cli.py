@@ -7,9 +7,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptcoherence as pc
-from ptcoherence.cli import main
+from ptcoherence.cli import _csv_text, _fmt, main
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -227,6 +229,22 @@ def test_preset_and_amplitudes_together_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, field", [
+    (("trace", "--kind", "pt", "--a", "0.5", "--t-min", "nan"), "t-min"),
+    (("trace", "--kind", "pt", "--a", "0.5", "--t-max", "inf"), "t-max"),
+    (("angles", "--kind", "pt", "--a", "0.5", "--t", "inf"), "t"),
+    (("trace", "--kind", "pt", "--a", "0.5", "--s", "inf"), "s"),
+    (("trace", "--kind", "pt", "--a", "nan"), "a"),
+], ids=["t_min", "t_max", "t", "s", "a"])
+def test_non_finite_input_exits_2(capsys, argv, field):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f" {field} must be" in captured.err
+
+
 def test_csv_format_rejected_for_reports(capsys):
     code, _ = run(capsys, "period", "--kind", "pt", "--a", "0.5", "--format", "csv")
     assert code == 2
@@ -250,6 +268,48 @@ def test_solver_failure_exits_3(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
+
+def _boundary_values() -> list[float]:
+    """Values next to a 12-significant-digit rounding boundary."""
+    out = []
+    for b in (1.0000000000005, 9.9999999999995, 0.1234567890125, 999999999999.5,
+              1.2345678901245e-7, 4.4444444444445e200):
+        for v in (b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)):
+            out += [float(v), -float(v)]
+    return out
+
+
+_SPECIAL_VALUES = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300,
+    1.0, -7.0, 123456789012.0, 1234567890123.0, 2.0 ** 53, -1e16,
+    np.inf, -np.inf, np.nan,
+] + _boundary_values()
+
+_TABLES = st.integers(1, 5).flatmap(lambda width: st.tuples(
+    st.just(width),
+    st.lists(st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL_VALUES)),
+                      min_size=width, max_size=width), max_size=12),
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TABLES)
+def test_bulk_csv_matches_per_value_format(table):
+    width, values = table
+    columns = [f"c{i}" for i in range(width)]
+    rows = np.array(values, dtype=float).reshape(-1, width)
+    meta = [("command", "trace"), ("a", 0.47)]
+    per_value = "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    expected = "# schema: 1\n# command: trace\n# a: 0.47\n" + ",".join(columns) + "\n"
+    assert _csv_text(meta, columns, rows) == expected + per_value
+
+
+def test_bulk_csv_covers_every_special_value():
+    rows = np.array(_SPECIAL_VALUES, dtype=float).reshape(-1, 1)
+    text = _csv_text([], ["v"], rows)
+    assert text == "# schema: 1\nv\n" + "".join(_fmt(v) + "\n" for v in rows[:, 0])
+    assert "\n-0\n" not in text and "\n0\n" in text
+
 
 def test_repeat_runs_are_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
