@@ -1,14 +1,14 @@
-"""Grid kernels: propagators and coherence series over time grids.
+"""The propagator core and the grid kernels built on it.
 
-Every kernel evaluates a whole time grid in array operations; none
-loops over time points in Python.
-
-Kernels work in the *scaled* propagator representation: in the broken
-regime the scalars (A, B, C) grow like ``exp(w s t)``, but every
-quantity computed here is a ratio that is invariant under a common
-positive rescaling of (A, B, C), so the factor ``exp(-w s t)`` is
-pulled out once the hyperbolic argument exceeds ``_SCALE_SWITCH``.
-This keeps all intermediates finite for arbitrarily large times.
+:func:`abc_scaled` is the package's one evaluator of the propagator
+scalars (A, B, C), in the dimensionless time ``theta = s t`` through
+which every observable depends on ``s`` and ``t``.  In the broken
+regime the scalars grow like ``exp(w theta)``, but every quantity
+computed from them is a ratio invariant under a common positive
+rescaling, so the factor ``exp(-w |theta|)`` is pulled out (and
+returned as ``log_scale``) once the hyperbolic argument exceeds the one
+switch ``_SCALE_SWITCH``.  This keeps all intermediates finite for
+arbitrarily large times.  No kernel loops over time points in Python.
 
 Conventions: ``times`` is a float64 array of any real values (negative
 entries evaluate the analytic continuation); single-qubit states enter
@@ -22,16 +22,17 @@ from .hamiltonian import HamiltonianParams, SymmetryClass
 
 __all__ = [
     "matmul2",
+    "abc_scaled",
+    "abc_matrices",
     "propagator_grid",
     "coherence_series_numpy",
     "two_qubit_coherence_series_numpy",
 ]
 
 #: Hyperbolic argument above which the scaled representation is used.
-#: 150 keeps even fourth powers of the scaled-out factor far from the
-#: double-precision overflow threshold (exp(4 * 150) >> 1e308 would not
-#: be, so scaling must kick in before two-qubit products square the
-#: squared entries).
+#: At 150 even fourth powers of an unscaled entry (e^600 ~ 4e260, as in
+#: squared magnitudes of two-qubit products) stay below the
+#: double-precision overflow threshold (~e^709).
 _SCALE_SWITCH = 150.0
 #: Below this argument the sin(x)/x and sinh(x)/x ratios use series.
 _SERIES_SWITCH = 1e-4
@@ -58,44 +59,67 @@ def matmul2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scaled (A, B, C) and propagator grids
+# scaled (A, B, C) and propagator stacks
 # ---------------------------------------------------------------------------
 
-def _abc_grid_numpy(p: HamiltonianParams, times: np.ndarray):
-    """Scaled propagator scalars (A, B, C) over a time grid.
+def abc_scaled(kind: SymmetryClass, a: float, theta):
+    """Scaled propagator scalars ``(A, B, C, log_scale)`` at ``theta = s t``.
 
-    Returns arrays proportional to the true scalars by a common
-    positive per-time factor (irrelevant to every ratio computed from
-    them).
+    The true scalars are ``exp(log_scale)`` times the returned (A, B, C);
+    ``log_scale`` is zero except where the hyperbolic argument
+    ``|w theta|`` exceeds ``_SCALE_SWITCH``.  ``theta`` is any real array
+    (or scalar); all four outputs are float64 arrays of its shape.
     """
-    s, a = p.s, p.a
-    st = s * np.asarray(times, dtype=np.float64)
-    d = 1.0 - a * a if p.kind is SymmetryClass.PT else a * a - 1.0
+    th = np.asarray(theta, dtype=np.float64)
+    d = 1.0 - a * a if kind is SymmetryClass.PT else a * a - 1.0
+    log_scale = np.zeros_like(th)
     if d > 0.0:
         w = np.sqrt(d)
-        x = w * st
+        x = w * th
         A = np.cos(x)
         tiny = np.abs(x) < _SERIES_SWITCH
         xs = np.where(tiny, 1.0, x)
-        x2 = x * x
-        g = st * np.where(tiny, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, np.sin(xs) / xs)
+        x2 = np.where(tiny, x, 0.0) ** 2  # only the series needs it: never overflows
+        g = th * np.where(tiny, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, np.sin(xs) / xs)
     elif d < 0.0:
         w = np.sqrt(-d)
-        x = w * st
-        xa = np.abs(x)  # cosh even, sinh odd: branch on |x|, restore sign via st
+        x = w * th
+        xa = np.abs(x)  # cosh even, sinh odd: branch on |x|, restore sign via theta
         big = xa > _SCALE_SWITCH
         tiny = xa < _SERIES_SWITCH
         xc = np.where(big, 0.0, x)  # safe argument for cosh/sinh
         xs = np.where(tiny | big, 1.0, x)  # safe denominator
-        x2 = x * x
+        x2 = np.where(tiny, x, 0.0) ** 2  # only the series needs it: never overflows
         q = np.exp(-2.0 * xa)  # underflows harmlessly to 0 for large |x|
+        # cosh(x) = e^|x| (1 + e^{-2|x|})/2, sinh(x) = sign(x) e^|x| (1 - e^{-2|x|})/2
         A = np.where(big, 0.5 * (1.0 + q), np.cosh(xc))
         sinhc = np.where(tiny, 1.0 + x2 / 6.0 + x2 * x2 / 120.0, np.sinh(xc) / xs)
-        g = np.where(big, np.sign(st) * 0.5 * (1.0 - q) / w, st * sinhc)
+        g = np.where(big, np.sign(th) * 0.5 * (1.0 - q) / w, th * sinhc)
+        log_scale = np.where(big, xa, log_scale)
     else:
-        A = np.ones_like(st)
-        g = st.copy()
-    return A, -a * g, g
+        A = np.ones_like(th)
+        g = th.copy()
+    return A, -a * g, g, log_scale
+
+
+def abc_matrices(kind: SymmetryClass, A, B, C) -> np.ndarray:
+    """Propagator matrices from (arrays of) scalars, shape ``A.shape + (2, 2)``.
+
+    PT: ``[[A - B, -i C], [-i C, A + B]]``; APT: ``[[A + i B, C], [C, A - i B]]``.
+    """
+    A, B, C = np.broadcast_arrays(A, B, C)
+    u = np.empty(A.shape + (2, 2), dtype=complex)
+    if kind is SymmetryClass.PT:
+        u[..., 0, 0] = A - B
+        u[..., 0, 1] = -1j * C
+        u[..., 1, 0] = -1j * C
+        u[..., 1, 1] = A + B
+    else:
+        u[..., 0, 0] = A + 1j * B
+        u[..., 0, 1] = C
+        u[..., 1, 0] = C
+        u[..., 1, 1] = A - 1j * B
+    return u
 
 
 def propagator_grid(p: HamiltonianParams, times: np.ndarray) -> np.ndarray:
@@ -104,19 +128,8 @@ def propagator_grid(p: HamiltonianParams, times: np.ndarray) -> np.ndarray:
     Each matrix equals the true propagator up to a positive per-time
     factor, so every renormalized quantity built from it is exact.
     """
-    A, B, C = _abc_grid_numpy(p, times)
-    u = np.empty(A.shape + (2, 2), dtype=complex)
-    if p.kind is SymmetryClass.PT:
-        u[:, 0, 0] = A - B
-        u[:, 0, 1] = -1j * C
-        u[:, 1, 0] = -1j * C
-        u[:, 1, 1] = A + B
-    else:
-        u[:, 0, 0] = A + 1j * B
-        u[:, 0, 1] = C
-        u[:, 1, 0] = C
-        u[:, 1, 1] = A - 1j * B
-    return u
+    A, B, C, _ = abc_scaled(p.kind, p.a, p.s * np.asarray(times, dtype=np.float64))
+    return abc_matrices(p.kind, A, B, C)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +149,7 @@ def coherence_series_numpy(
     y = |<V|psi(t)>|^2 (up to common scale) and
     ``C = 2 sqrt(x y) / (x + y)``.
     """
-    A, B, C = _abc_grid_numpy(p, np.asarray(times, dtype=np.float64))
+    A, B, C, _ = abc_scaled(p.kind, p.a, p.s * np.asarray(times, dtype=np.float64))
     sphi = np.sin(phi)
     cphi = np.cos(phi)
     ab = alpha * beta

@@ -46,7 +46,7 @@ from .coherence import (
     asymptotic_value,
 )
 from .evolution import PureState, evolve_density, evolve_density_grid
-from .hamiltonian import HamiltonianParams, SymmetryClass, regime
+from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime
 from .optics import NoDecompositionError, sequence_to_dict, solve_angles, verify_state_action
 from .tomography import bootstrap_errorbar, reconstruct, simulate_counts, trace_distance
 from .twoqubit import TwoQubitState, two_qubit_series
@@ -59,6 +59,8 @@ _EXIT_SOLVER = 3
 _EXIT_IO = 4
 
 _CSV_COMMANDS = ("trace", "bloch", "two-qubit")
+_GRID_COMMANDS = ("trace", "asymptote", "bloch", "two-qubit")
+_SINGLE_TIME_COMMANDS = ("angles", "tomography")
 _JSON_COMMANDS = ("period", "asymptote", "backflow", "angles", "tomography")
 
 #: Keys accepted from flags and config files, with their parsers.
@@ -245,6 +247,18 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{key.replace('_', '-')} must be finite, got {value}")
 
 
+def _require_resolved_phase(p: HamiltonianParams, key: str, t: float) -> None:
+    """Outside the broken regime C oscillates with phase ``w s |t|`` (``s |t|``
+    at the EP); past 2**52 a double no longer resolves one radian of it.  In the
+    broken regime C saturates instead, so every finite time is accepted."""
+    phase_regime = regime(p)
+    if phase_regime is not Regime.BROKEN:
+        w = 1.0 if phase_regime is Regime.EXCEPTIONAL_POINT else np.sqrt(abs(1.0 - p.a ** 2))
+        if w * p.s * abs(t) > 2.0 ** 52:
+            raise ValueError(f"{key} = {t} gives phase w*s*|t| = {w * p.s * abs(t):.6g} above "
+                             "2**52, where a double no longer resolves one radian")
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     sub = args.subcommand
     merged = dict(_DEFAULTS)
@@ -284,7 +298,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
     t_min, t_max = float(merged["t_min"]), float(merged["t_max"])
     points = int(merged["points"])
-    if sub in ("trace", "asymptote", "bloch", "two-qubit"):
+    if sub in _GRID_COMMANDS:
         _require_finite(t_min=t_min, t_max=t_max)
         if not (t_max > t_min):
             raise ValueError(f"t-max must exceed t-min, got ({t_min}, {t_max})")
@@ -293,7 +307,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if points < 2:
             raise ValueError("points must be >= 2")
     t_single = float(merged["t"])
-    if sub in ("angles", "tomography"):
+    if sub in _SINGLE_TIME_COMMANDS:
         _require_finite(t=t_single)
         if t_single < 0:
             raise ValueError("t must be nonnegative")
@@ -325,7 +339,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         format=fmt,
         output=merged["output"],
     )
-    cfg.params  # validates s > 0, a > 0 at parse time
+    p = cfg.params  # validates s > 0, a > 0 at parse time
+    if sub in _GRID_COMMANDS:
+        _require_resolved_phase(p, "t-max", t_max)
+    elif sub in _SINGLE_TIME_COMMANDS:
+        _require_resolved_phase(p, "t", t_single)
     return cfg
 
 

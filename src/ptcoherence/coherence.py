@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -51,7 +51,6 @@ import numpy as np
 from ._kernels import coherence_series_numpy
 from .evolution import DensityMatrix, PureState
 from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime
-from .tolerances import DEFAULT_TOLS
 
 __all__ = [
     "Classification",
@@ -108,15 +107,15 @@ class CoherenceTrace:
     times, values:
         The sampling grid (sorted, half-open window) and C values.
     extrema:
-        Stationary points located to time tolerance 1e-8, sorted by
-        time.
+        Stationary points sorted by time, located to tolerance 1e-8 in
+        ``theta = s t`` (time tolerance ``1e-8 / s``).
     period_estimate:
         Fundamental period recovered from the extremum spacing and
         validated by folding the trace onto itself; None when the
         window contains too few repetitions.
     asymptote_estimate:
         Mean of the final 10% of the window when the trace has
-        converged there (|slope| below 1e-6 per unit time); None
+        converged there (|slope| below 1e-6 per unit theta); None
         otherwise.
     warning:
         Set when the window is too short to resolve the requested
@@ -265,8 +264,9 @@ def find_extrema(
     """Locate stationary points of C(t) on the half-open window [t0, t1).
 
     Dense sampling of the closed form, sign changes of the
-    central-difference derivative refined by bisection to time
-    tolerance 1e-8.  The left boundary t0 is itself counted as a
+    central-difference derivative refined by bisection, all in
+    ``theta = s t``: time tolerance ``1e-8 / s``, and counts do not
+    depend on ``s``.  The left boundary t0 is itself counted as a
     stationary point when the derivative there is negligible compared
     to the derivative scale of the trace (so a window aligned with a
     period boundary reports the boundary extremum exactly once).
@@ -277,8 +277,32 @@ def find_extrema(
         With extrema sorted by time, plus period and asymptote
         estimates where the window supports them.
     """
-    return find_extrema_of_series(
-        lambda ts: coherence_series(st, p, ts), window, samples
+    return _scan_in_theta(lambda q, th: coherence_series(st, q, th), p, window, samples)
+
+
+def _scan_in_theta(
+    series: Callable[[HamiltonianParams, np.ndarray], np.ndarray],
+    p: HamiltonianParams,
+    window: tuple[float, float],
+    samples: int,
+) -> CoherenceTrace:
+    """:func:`find_extrema_of_series` in ``theta = s t``, mapped back to t.
+
+    ``series(q, times)`` evaluates the trace; it gets ``q = p`` at
+    ``s = 1``, whose times are theta.  Grid, extremum times and period
+    are divided by ``s``.
+    """
+    unit = replace(p, s=1.0)
+    scan = find_extrema_of_series(
+        lambda th: series(unit, th), (p.s * window[0], p.s * window[1]), samples
+    )
+    return CoherenceTrace(
+        times=scan.times / p.s,
+        values=scan.values,
+        extrema=tuple(Extremum(e.time / p.s, e.value, e.kind) for e in scan.extrema),
+        period_estimate=None if scan.period_estimate is None else scan.period_estimate / p.s,
+        asymptote_estimate=scan.asymptote_estimate,
+        warning=scan.warning,
     )
 
 
@@ -289,12 +313,14 @@ def find_extrema_of_series(
 ) -> CoherenceTrace:
     """Generic stationary-point scan over any smooth vectorized series.
 
-    ``series`` must accept an array of times and tolerate probes
-    slightly outside the window (central differences and the pre-point
-    slope check evaluate at t ± 2e-6).  Behaviour and tolerances match
-    :func:`find_extrema`, which delegates here.
+    Tolerances are absolute in the series' argument (extrema to 1e-8,
+    derivative step 1e-6, asymptote |slope| below 1e-6 per unit), so
+    :func:`find_extrema` scans in ``theta = s t``.  ``series`` must
+    accept an array and tolerate probes up to 3e-6 outside the window.
     """
     t0, t1 = float(window[0]), float(window[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"window must be finite, got ({t0}, {t1})")
     if not (t1 > t0):
         raise ValueError(f"window must satisfy t1 > t0, got ({t0}, {t1})")
     if samples < 64:
@@ -439,7 +465,6 @@ def verify_extrema_conditions(st: PureState, p: HamiltonianParams) -> PredictedE
     sphi = math.sin(phi)
     a, s = p.a, p.s
     w = math.sqrt(abs(1.0 - a * a))
-    T = math.pi / (s * w)
     k = alpha * beta * sphi
     inside = (0.0 < alpha < 1.0) and (0.0 < beta < 1.0) and sphi >= -1e-15
     note = None
@@ -482,15 +507,16 @@ def verify_extrema_conditions(st: PureState, p: HamiltonianParams) -> PredictedE
             1.0 - 2.0 * a * alpha * beta * sphi,
         )
 
-    times = sorted(th / (w * s) for th in thetas)
+    # deduplicate in s t, where the tolerances hold at every energy scale
     deduped: list[float] = []
-    for t in times:
-        if deduped and t - deduped[-1] <= 1e-9:
+    for u in sorted(th / w for th in thetas):
+        if deduped and u - deduped[-1] <= 1e-9:
             continue
-        if t >= T - 1e-12:
+        if u >= math.pi / w - 1e-12:
             continue
-        deduped.append(t)
-    return PredictedExtrema(times=tuple(deduped), outside_hypotheses=not inside, note=note)
+        deduped.append(u)
+    times = tuple(u / s for u in deduped)
+    return PredictedExtrema(times=times, outside_hypotheses=not inside, note=note)
 
 
 # ---------------------------------------------------------------------------

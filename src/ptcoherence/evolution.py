@@ -18,31 +18,33 @@ real arithmetic because the generators are traceless.
 
 Numerical notes
 ---------------
-* ``g`` is evaluated as ``s t * sinc_like(w s t)`` with a short series
-  for tiny arguments, so the formula remains accurate through the
-  exceptional point; the exact degenerate branch is used only at
+* (A, B, C) come from :func:`ptcoherence._kernels.abc_scaled`, the one
+  evaluator shared with every grid kernel.  It works in ``theta = s t``
+  and evaluates ``g`` as ``theta * sinc_like(w theta)`` with a short
+  series for tiny arguments, so the formula remains accurate through
+  the exceptional point; the exact degenerate branch is used only at
   ``a == 1.0`` where the generic expression is literally 0/0.  This
   keeps the propagator within ~1e-13 relative Frobenius distance of a
   matrix-exponential oracle arbitrarily close to the EP.
 * In the broken regime the entries grow like ``exp(w s t)``.  Evolution
   and coherence only ever need the propagator up to a positive scale
-  (states are renormalized), so the internal scaled form
+  (states are renormalized), so the scaled form
   ``U = exp(log_scale) * U_hat`` is used, with ``U_hat`` kept order
-  unity.  Rescaling by ``exp(-w s t)`` is exact for the *ratios* that
-  all observables reduce to.
+  unity once ``w s t`` exceeds the core's one switch (150).  Rescaling
+  by ``exp(-w s t)`` is exact for the *ratios* that all observables
+  reduce to.
 
 All functions are pure; every returned array is freshly allocated.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import matmul2, propagator_grid
-from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime
+from ._kernels import abc_matrices, abc_scaled, matmul2, propagator_grid
+from .hamiltonian import HamiltonianParams, Regime, regime
 from .tolerances import DEFAULT_TOLS
 
 __all__ = [
@@ -57,12 +59,6 @@ __all__ = [
     "evolve_pure_grid",
     "evolve_density_grid",
 ]
-
-#: Hyperbolic argument above which the scaled representation is used.
-_SCALE_SWITCH = 300.0
-#: Below this argument magnitude the sinc-like ratios use their series.
-_SERIES_SWITCH = 1e-4
-
 
 class DegenerateEvolutionError(RuntimeError):
     """Raised when an evolved state's norm underflows to (near) zero.
@@ -221,63 +217,15 @@ class Propagator:
 
 
 # ---------------------------------------------------------------------------
-# scalar A, B, C evaluation
+# single-time propagators
 # ---------------------------------------------------------------------------
 
-def _sinc_like(x: float) -> float:
-    """sin(x)/x with a series escape for tiny |x|."""
-    if abs(x) < _SERIES_SWITCH:
-        x2 = x * x
-        return 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-    return math.sin(x) / x
-
-
-def _sinhc_like(x: float) -> float:
-    """sinh(x)/x with a series escape for tiny |x|."""
-    if abs(x) < _SERIES_SWITCH:
-        x2 = x * x
-        return 1.0 + x2 / 6.0 + x2 * x2 / 120.0
-    return math.sinh(x) / x
-
-
-def _abc_scaled(p: HamiltonianParams, t: float) -> tuple[float, float, float, float]:
-    """Scaled decomposition ``(A_hat, B_hat, C_hat, log_scale)``.
-
-    The true scalars are ``exp(log_scale)`` times the returned hatted
-    values; ``log_scale`` is zero except deep in the broken regime
-    where the hyperbolic functions would overflow.
-    """
-    st = p.s * t
-    d = 1.0 - p.a * p.a if p.kind is SymmetryClass.PT else p.a * p.a - 1.0
-    if d > 0.0:
-        w = math.sqrt(d)
-        A = math.cos(w * st)
-        g = st * _sinc_like(w * st)
-        log_scale = 0.0
-    elif d < 0.0:
-        w = math.sqrt(-d)
-        x = w * st
-        if x <= _SCALE_SWITCH:
-            A = math.cosh(x)
-            g = st * _sinhc_like(x)
-            log_scale = 0.0
-        else:
-            # cosh(x) = e^x (1 + e^{-2x})/2, sinh(x) = e^x (1 - e^{-2x})/2
-            q = math.exp(-2.0 * x)
-            A = 0.5 * (1.0 + q)
-            g = 0.5 * (1.0 - q) / w
-            log_scale = x
-    else:
-        A = 1.0
-        g = st
-        log_scale = 0.0
-    return A, -p.a * g, g, log_scale
-
-
-def _matrix_from_abc(kind: SymmetryClass, A: float, B: float, C: float) -> np.ndarray:
-    if kind is SymmetryClass.PT:
-        return np.array([[A - B, -1j * C], [-1j * C, A + B]], dtype=complex)
-    return np.array([[A + 1j * B, C], [C, A - 1j * B]], dtype=complex)
+def _abc_at(p: HamiltonianParams, t: float):
+    """``abc_scaled`` at the single time ``t`` (finite, nonnegative)."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("evolution time must be finite and nonnegative")
+    A, B, C, log_scale = abc_scaled(p.kind, p.a, p.s * float(t))
+    return float(A), float(B), float(C), float(log_scale)
 
 
 def propagator_scaled(p: HamiltonianParams, t: float) -> tuple[np.ndarray, float]:
@@ -293,10 +241,8 @@ def propagator_scaled(p: HamiltonianParams, t: float) -> tuple[np.ndarray, float
         Matrix with entries of order unity and the logarithm of the
         factored-out positive scale.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError("evolution time must be finite and nonnegative")
-    A, B, C, log_scale = _abc_scaled(p, t)
-    return _matrix_from_abc(p.kind, A, B, C), log_scale
+    A, B, C, log_scale = _abc_at(p, t)
+    return abc_matrices(p.kind, A, B, C), log_scale
 
 
 def propagator_analytic(p: HamiltonianParams, t: float) -> Propagator:
@@ -311,19 +257,16 @@ def propagator_analytic(p: HamiltonianParams, t: float) -> Propagator:
     ValueError
         If ``t`` is negative or not finite.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError("evolution time must be finite and nonnegative")
-    A, B, C, log_scale = _abc_scaled(p, t)
-    if log_scale != 0.0:
-        scale = math.exp(log_scale) if log_scale < 709.0 else math.inf
-        A, B, C = A * scale, B * scale, C * scale
-        if not (math.isfinite(A) and math.isfinite(B) and math.isfinite(C)):
-            raise OverflowError(
-                "propagator entries exceed the double-precision range; "
-                "use propagator_scaled for renormalized workflows"
-            )
+    A, B, C, log_scale = _abc_at(p, t)
+    scale = math.exp(log_scale) if log_scale < 709.0 else math.inf
+    A, B, C = A * scale, B * scale, C * scale
+    if not (math.isfinite(A) and math.isfinite(B) and math.isfinite(C)):
+        raise OverflowError(
+            "propagator entries exceed the double-precision range; "
+            "use propagator_scaled for renormalized workflows"
+        )
     return Propagator(
-        matrix=_matrix_from_abc(p.kind, A, B, C),
+        matrix=abc_matrices(p.kind, A, B, C),
         abc=(A, B, C),
         regime=regime(p),
         t=float(t),

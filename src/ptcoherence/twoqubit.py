@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import two_qubit_coherence_series_numpy
-from .coherence import _asymptote_estimate, find_extrema_of_series
-from .coherence import CoherenceTrace
+from .coherence import CoherenceTrace, _asymptote_estimate, _scan_in_theta
 from .evolution import propagator_analytic, propagator_scaled
 from .hamiltonian import HamiltonianParams, build_hamiltonian
 from .linalg import mat_exp_oracle
@@ -125,9 +124,9 @@ def evolve_two_qubit(
         raise ValueError("t must be nonnegative")
     if p_second is None or p_second == p:
         u_hat, _ = propagator_scaled(p, t)
-        # U_hat is unscaled up to w s t = 300, but the squared norm of
-        # the Kronecker product overflows from w s t ~ 177: bring the
-        # entries to order one first (the scale cancels on renormalizing)
+        # U_hat is unscaled up to the core's switch (w s t = 150); bring
+        # its entries to order one so the squared norm of the Kronecker
+        # product (which overflows from w s t ~ 177) stays finite
         u_hat = u_hat / np.abs(u_hat).max()
         v = np.kron(u_hat, u_hat) @ state.vector
     else:
@@ -160,9 +159,9 @@ def two_qubit_coherence_trace(
     ``times`` must be sorted, nonnegative, and hold at least two points.
     The returned trace carries the caller's grid in ``times``/``values``;
     extremum times/values and the period estimate come from the scan
-    (bisection-refined, as in the single-qubit
+    (bisection-refined in ``theta = s t``, as in the single-qubit
     :func:`~ptcoherence.coherence.find_extrema`), and the asymptote
-    estimate from the tail of the caller's grid.
+    estimate from the tail of the caller's grid, flat per unit theta.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size < 2:
@@ -170,15 +169,15 @@ def two_qubit_coherence_trace(
     if ts[0] < 0 or np.any(np.diff(ts) <= 0):
         raise ValueError("times must be strictly increasing and nonnegative")
     values = two_qubit_series(state, p, ts)
-    series = lambda grid: two_qubit_series(state, p, grid)
-    scan = find_extrema_of_series(
-        series, (float(ts[0]), float(ts[-1])), samples=max(2048, 4 * ts.size)
+    scan = _scan_in_theta(
+        lambda q, grid: two_qubit_series(state, q, grid),
+        p, (float(ts[0]), float(ts[-1])), samples=max(2048, 4 * ts.size),
     )
     return CoherenceTrace(
         times=ts,
         values=values,
         extrema=scan.extrema,
         period_estimate=scan.period_estimate,
-        asymptote_estimate=_asymptote_estimate(ts, values),
+        asymptote_estimate=_asymptote_estimate(p.s * ts, values),
         warning=scan.warning,
     )

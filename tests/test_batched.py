@@ -5,8 +5,8 @@ The matrix path (``evolve_density_grid``), the Bloch rows
 array operations.  Here they are compared with the per-point
 ``evolve_density``, ``evolve_pure``, ``evolve_two_qubit`` plus
 ``two_qubit_coherence``, and the dense ``mat_exp_oracle``, on grids
-whose phases ``w s t`` cross both scale switches (150 in the grid
-kernels, 300 in the per-point propagator).
+whose phases ``w s t`` cross the propagator core's scale switch (150)
+and reach deep into the broken regime.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from ptcoherence.evolution import _check_densities, evolve_density_grid, evolve_
 KINDS = (pc.SymmetryClass.PT, pc.SymmetryClass.APT)
 #: Unbroken, EP, and broken detuning ratios (PT is broken above 1, APT below).
 A_PANEL = (0.47, 1.0, 1.5, 2.8)
-#: Phases w s t: the series switch, ordinary values, both sides of each
+#: Phases w s t: the series switch, ordinary values, both sides of the
 #: scale switch, and deep in the broken regime.
 PHASES = (0.0, 3e-5, 0.4, 2.0, 7.7, 149.5, 150.5, 170.0, 250.0, 299.5, 300.5, 420.0)
 S = 1.3

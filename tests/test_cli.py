@@ -115,6 +115,21 @@ def test_backflow_report(capsys):
     assert payload["classification"] == "DoubleTouch"
 
 
+@pytest.mark.parametrize("argv", [
+    ("period", "--kind", "apt", "--a", "1.5", "--state", "h-sqrt3v", "--s", "0.01"),
+    ("backflow", "--kind", "pt", "--a", "0.47", "--state", "h-sqrt3v", "--s", "1e6"),
+], ids=["period-small-s", "backflow-large-s"])
+def test_scan_reports_hold_away_from_unit_scale(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    if argv[0] == "period":
+        assert payload["period_estimate"] == pytest.approx(
+            payload["period_theoretical"], rel=1e-6)
+    else:
+        assert (payload["zeros_per_period"], payload["classification"]) == (4, "DoubleTouch")
+
+
 def test_angles_report(capsys):
     code, out = run(capsys, "angles", "--kind", "pt", "--a", "0.47", "--t", "1.2")
     assert code == 0
@@ -243,6 +258,30 @@ def test_non_finite_input_exits_2(capsys, argv, field):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and f" {field} must be" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, field", [
+    (("trace", "--kind", "pt", "--a", "0.47", "--t-min", "1e300", "--t-max", "2e300"), "t-max"),
+    (("bloch", "--kind", "apt", "--a", "1.5", "--s", "1e10", "--t-max", "1e6"), "t-max"),
+    (("trace", "--kind", "pt", "--a", "1.0", "--t-max", "1e16"), "t-max"),
+    (("tomography", "--kind", "apt", "--a", "1.5", "--t", "1e16"), "t"),
+], ids=["pt-unbroken", "apt-unbroken-large-s", "exceptional-point", "single-time"])
+def test_unresolved_phase_exits_2(capsys, argv, field):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} = ") and "2**52" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_broken_regime_saturates_at_huge_times(capsys):
+    code, out = run(capsys, "trace", "--kind", "pt", "--a", "2.8", "--state", "D",
+                    "--t-min", "1e300", "--t-max", "2e300", "--points", "3")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert rows[:, 1:] == pytest.approx(1 / 2.8, abs=1e-12)
 
 
 def test_csv_format_rejected_for_reports(capsys):

@@ -18,6 +18,7 @@ from ptcoherence import (
     HamiltonianParams,
     PureState,
     SymmetryClass,
+    TwoQubitState,
     asymptotic_value,
     classify_backflow,
     coherence_closed_form,
@@ -26,6 +27,7 @@ from ptcoherence import (
     find_extrema,
     l1_coherence,
     theoretical_period,
+    two_qubit_coherence_trace,
     verify_extrema_conditions,
 )
 
@@ -308,3 +310,54 @@ def test_classify_broken_single_undershoot():
     # value once and recovers: a genuine (non-periodic) backflow
     report = classify_backflow(PureState.preset("D"), _pt(1.5))
     assert report.classification is Classification.SINGLE_BACKFLOW
+
+
+# ---------------------------------------------------------------------------
+# energy-scale invariance of the scans
+# ---------------------------------------------------------------------------
+
+def _scan_summary(kind: SymmetryClass, a: float, state: str, s: float) -> tuple:
+    """Counts and periods (in units of T, or of 1/s when broken) of the
+    single-qubit scans and the two-qubit psi_3 trace at energy scale s."""
+    p = HamiltonianParams(kind=kind, s=s, a=a)
+    st_ = PureState.preset(state)
+    T = theoretical_period(p)
+    unit = T if T is not None else 1.0 / s
+    window = (0.0, 2.0 * T) if T is not None else (0.0, 10.0 / s)
+    period = find_extrema(st_, p, window).period_estimate
+    two = two_qubit_coherence_trace(TwoQubitState.psi_3(), p, np.linspace(*window, 401))
+    return (
+        classify_backflow(st_, p).zeros_per_period,
+        None if period is None else period / unit,
+        len(two.extrema),
+        None if two.period_estimate is None else two.period_estimate / unit,
+    )
+
+
+@pytest.mark.parametrize("s", [1e-4, 1e-2, 1e2, 1e4, 1e6, 1e7, 1e8])
+@pytest.mark.parametrize("kind, a, state", [
+    (SymmetryClass.PT, 0.47, "h-sqrt3v"),
+    (SymmetryClass.APT, 1.5, "h-sqrt3v"),
+    (SymmetryClass.PT, 2.8, "D"),
+], ids=["pt-unbroken", "apt-unbroken", "pt-broken"])
+def test_scans_do_not_depend_on_energy_scale(kind, a, state, s):
+    # every observable depends on s and t only through theta = s t
+    zeros, period, two_count, two_period = _scan_summary(kind, a, state, s)
+    ref_zeros, ref_period, ref_two_count, ref_two_period = _scan_summary(kind, a, state, 1.0)
+    assert zeros == ref_zeros
+    assert two_count == ref_two_count
+    for got, ref in ((period, ref_period), (two_period, ref_two_period)):
+        if ref is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(ref, rel=1e-6)
+
+
+@pytest.mark.parametrize("s", [1e-4, 1e10])
+@pytest.mark.parametrize("kind, a", [(SymmetryClass.PT, 0.47), (SymmetryClass.APT, 1.5)],
+                         ids=["pt", "apt"])
+def test_predicted_extrema_do_not_depend_on_energy_scale(kind, a, s):
+    st_ = PureState.preset("h-sqrt3v")
+    ref = verify_extrema_conditions(st_, HamiltonianParams(kind=kind, a=a))
+    got = verify_extrema_conditions(st_, HamiltonianParams(kind=kind, s=s, a=a))
+    assert [t * s for t in got] == pytest.approx(list(ref), rel=1e-12)

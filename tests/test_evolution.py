@@ -237,6 +237,15 @@ def test_propagator_scaled_consistent_with_raw():
     assert frobenius_dist(u_hat * np.exp(log_scale), propagator_analytic(p, t).matrix) < 1e-10
 
 
+def test_propagator_scaled_consistent_with_raw_past_the_switch():
+    # broken regime at w s t = 229: above the scale switch, below the raw overflow
+    p = _pt(2.5)
+    u_hat, log_scale = propagator_scaled(p, 100.0)
+    assert log_scale > 0.0
+    raw = propagator_analytic(p, 100.0).matrix
+    assert frobenius_dist(u_hat * np.exp(log_scale), raw) < 1e-12 * np.linalg.norm(raw)
+
+
 def test_propagator_scaled_matches_normalized_oracle():
     # deep in the broken regime compare direction only (scale removed)
     p = _pt(2.9)
