@@ -368,6 +368,10 @@ def _round_floats(obj):
     return obj
 
 
+#: How json.dumps spells the non-finite floats that repr() spells otherwise.
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _json_text(payload: dict) -> str:
     return json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
 
@@ -386,14 +390,28 @@ def _csv_text(meta: list[tuple[str, object]], columns: Sequence[str],
     return "\n".join(lines) + "\n" + (row_fmt * len(rows)) % tuple(values)
 
 
+def _json_grid_text(meta: list[tuple[str, object]], columns: Sequence[str],
+                    rows: np.ndarray) -> str:
+    payload = {"schema": 1, "columns": list(columns), "rows": []}
+    payload.update({key.replace(" ", "_"): value for key, value in meta})
+    # the rows block in bulk, byte-identical to _json_text on the full
+    # payload: one %.12g pass rounds every value (adding 0.0 drops "-0"),
+    # the parsed-back floats print as json.dumps prints them, and one
+    # %-pass lays them out at indent=2
+    values = np.asarray(rows, dtype=float) + 0.0
+    rounded = list(map(float, ("%.12g " * values.size % tuple(values.ravel().tolist())).split()))
+    if not np.isfinite(values).all():
+        rounded = [_JSON_NON_FINITE.get(v, v) for v in map(repr, rounded)]
+    row_fmt = "    [\n" + ",\n".join(["      %s"] * len(columns)) + "\n    ]"
+    block = ",\n".join([row_fmt] * len(rows)) % tuple(rounded)
+    return _json_text(payload).replace('\n  "rows": []', '\n  "rows": [\n' + block + "\n  ]", 1)
+
+
 def _tabular_text(cfg: RunConfig, meta: list[tuple[str, object]],
                   columns: Sequence[str], rows: np.ndarray) -> str:
     if cfg.format == "csv":
         return _csv_text(meta, columns, rows)
-    payload = {"schema": 1, "columns": list(columns),
-               "rows": [[float(v) for v in row] for row in rows]}
-    payload.update({key.replace(" ", "_"): value for key, value in meta})
-    return _json_text(payload)
+    return _json_grid_text(meta, columns, rows)
 
 
 def _emit(cfg: RunConfig, text: str) -> None:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import enum
 import math
+import statistics
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
 
@@ -409,7 +410,9 @@ def _period_estimate(
         for stride in (1, 2):
             if len(times) > stride:
                 diffs = times[stride:] - times[:-stride]
-                candidates.add(float(np.median(diffs)))
+                # statistics.median: np.median loads numpy.ma on first use,
+                # ~16 ms of every cold period/asymptote/backflow call
+                candidates.add(statistics.median(diffs.tolist()))
     fold_ts = t0 + (t1 - t0) * np.arange(256) / 512.0  # first half of the window
     base = series(fold_ts)
     tol = 1e-4 * max(value_range, 1e-6)
@@ -429,7 +432,11 @@ def _asymptote_estimate(ts: np.ndarray, values: np.ndarray) -> float | None:
     tt, vv = ts[tail], values[tail]
     if len(tt) < 2 or tt[-1] == tt[0]:
         return None
-    slope = float(np.polyfit(tt, vv, 1)[0])
+    # fit on u = (t - centre) / half in [-1, 1]: raw times near 1e300
+    # overflow polyfit's column scaling
+    half = 0.5 * (float(tt[-1]) - float(tt[0]))
+    centre = float(tt[0]) + half
+    slope = float(np.polyfit((tt - centre) / half, vv, 1)[0]) / half
     if abs(slope) >= 1e-6:
         return None
     return float(np.mean(vv))

@@ -1,4 +1,5 @@
-"""Minimal dense complex matrix helpers and a matrix-exponential oracle.
+"""Minimal dense complex matrix helpers, a matrix-exponential oracle and
+the package's only doorway to SciPy.
 
 Everything operates on small square complex arrays (2x2 vectors/matrices
 for single-qubit work, 4x4 for two-qubit work).  The matrix exponential
@@ -7,13 +8,16 @@ used throughout the package as the independent ground truth against
 which closed-form propagators are checked, so this module must never
 share code with the analytic propagator path.
 
+SciPy is imported on the first call that needs it (``mat_exp_oracle``
+and ``minimize``), never at import time: loading it costs more than
+everything the closed-form subcommands compute.
+
 All functions are pure and allocate fresh outputs; inputs are never
 mutated, which makes every operation safe to call concurrently.
 """
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as _sla
 
 __all__ = ["mat_mul", "mat_exp_oracle", "frobenius_dist"]
 
@@ -82,7 +86,9 @@ def mat_exp_oracle(m: np.ndarray, t: float = 1.0) -> np.ndarray:
     tf = float(t)
     if not np.isfinite(tf):
         raise ValueError("t must be finite")
-    result = _sla.expm(arr * tf)
+    from scipy.linalg import expm
+
+    result = expm(arr * tf)
     if not np.all(np.isfinite(result.view(float))):
         raise OverflowError(
             "matrix exponential overflowed the double-precision range; "
@@ -109,3 +115,10 @@ def frobenius_dist(a: np.ndarray, b: np.ndarray) -> float:
     if am.shape != bm.shape:
         raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
     return float(np.linalg.norm(am - bm))
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, with SciPy imported on the first call."""
+    from scipy.optimize import minimize as _minimize
+
+    return _minimize(*args, **kwargs)

@@ -44,10 +44,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .evolution import propagator_scaled
 from .hamiltonian import HamiltonianParams, SymmetryClass
+from .linalg import minimize
 from .tolerances import DEFAULT_TOLS
 
 __all__ = [

@@ -24,10 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .coherence import l1_coherence
 from .evolution import DensityMatrix
+from .linalg import minimize
 
 __all__ = [
     "BasisSet",

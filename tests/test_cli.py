@@ -7,11 +7,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ptcoherence as pc
-from ptcoherence.cli import _csv_text, _fmt, main
+from ptcoherence.cli import _csv_text, _fmt, _json_grid_text, _json_text, main
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -284,6 +284,14 @@ def test_broken_regime_saturates_at_huge_times(capsys):
     assert rows[:, 1:] == pytest.approx(1 / 2.8, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_asymptote_fit_holds_at_huge_times(capsys):
+    code, out = run(capsys, "asymptote", "--kind", "pt", "--a", "2.8",
+                    "--t-min", "1e300", "--t-max", "2e300")
+    assert code == 0
+    assert json.loads(out)["asymptote_estimate"] == pytest.approx(1 / 2.8, abs=1e-9)
+
+
 def test_csv_format_rejected_for_reports(capsys):
     code, _ = run(capsys, "period", "--kind", "pt", "--a", "0.5", "--format", "csv")
     assert code == 2
@@ -348,6 +356,44 @@ def test_bulk_csv_covers_every_special_value():
     text = _csv_text([], ["v"], rows)
     assert text == "# schema: 1\nv\n" + "".join(_fmt(v) + "\n" for v in rows[:, 0])
     assert "\n-0\n" not in text and "\n0\n" in text
+
+
+def _json_per_value(meta, columns, rows) -> str:
+    """The grid JSON as json.dumps writes it from one float per value."""
+    payload = {"schema": 1, "columns": list(columns),
+               "rows": [[float(v) for v in row] for row in rows]}
+    payload.update({key.replace(" ", "_"): value for key, value in meta})
+    return _json_text(payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TABLES)
+def test_bulk_json_matches_per_value_format(table):
+    width, values = table
+    assume(values)  # the CLI grids have at least two rows
+    columns = [f"c{i}" for i in range(width)]
+    rows = np.array(values, dtype=float).reshape(-1, width)
+    meta = [("command", "trace"), ("a", 0.47), ("state", "D")]
+    assert _json_grid_text(meta, columns, rows) == _json_per_value(meta, columns, rows)
+
+
+def test_bulk_json_covers_every_special_value():
+    rows = np.array(_SPECIAL_VALUES, dtype=float).reshape(-1, 1)
+    text = _json_grid_text([], ["v"], rows)
+    assert text == _json_per_value([], ["v"], rows)
+    assert "-0.0" not in text and "      0.0" in text
+    assert "NaN" in text and "-Infinity" in text
+
+
+def test_trace_json_is_byte_identical_to_per_value_format(capsys):
+    argv = ["trace", "--kind", "pt", "--a", "0.47", "--state", "h-sqrt3v", "--points", "50"]
+    _, csv_out = run(capsys, *argv)
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    meta, columns, rows = parse_csv(csv_out)
+    meta.pop("schema")
+    typed = [(k, v if k in ("command", "kind", "state") else float(v)) for k, v in meta.items()]
+    assert out == _json_per_value(typed, columns, rows)
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

@@ -181,6 +181,26 @@ def test_solve_angles_failure_carries_diagnostics():
     assert len(err.value.best_angles) == 6
 
 
+@pytest.mark.parametrize("early_stop", [1e-9, 0.0], ids=["early-stop", "all-restarts"])
+def test_solve_angles_minimizes_through_module_global(monkeypatch, early_stop):
+    import ptcoherence.optics as optics
+
+    real, funs = optics.minimize, []
+
+    def counting(*args, **kwargs):
+        result = real(*args, **kwargs)
+        funs.append(float(result.fun))
+        return result
+
+    monkeypatch.setattr(optics, "minimize", counting)
+    restarts = 4
+    solve_angles(_pt(0.47), 1.2, seed=3, restarts=restarts, early_stop=early_stop)
+    best = np.minimum.accumulate(funs[:restarts])
+    used = next((i + 1 for i, b in enumerate(best) if b < early_stop), restarts)
+    assert len(funs) == used + 1  # restarts used, then one polish
+    assert used < restarts if early_stop else used == restarts
+
+
 def test_solve_angles_input_validation():
     with pytest.raises(ValueError):
         solve_angles(_pt(0.47), -1.0)
