@@ -312,8 +312,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if t_single < 0:
             raise ValueError("t must be nonnegative")
     exposure = float(merged["exposure"])
-    if sub == "tomography" and exposure <= 0:
-        raise ValueError("exposure must be positive")
+    if sub == "tomography":
+        _require_finite(exposure=exposure)
+        if exposure <= 0:
+            raise ValueError("exposure must be positive")
     resamples = int(merged["resamples"])
     if sub == "tomography" and resamples < 2:
         raise ValueError("resamples must be >= 2")

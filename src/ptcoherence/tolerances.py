@@ -1,9 +1,9 @@
 """Centralized numerical tolerance constants.
 
-All comparison thresholds used across the package live in one frozen
-record so that every module (and every test) draws identical values.
-The defaults reflect double-precision arithmetic on well-conditioned
-2x2 / 4x4 problems.
+The package's comparison thresholds live in one frozen record;
+``optics_state_action`` is read from this file by the optics check in
+``perfbench/checks.py``.  The defaults reflect double-precision
+arithmetic on well-conditioned 2x2 / 4x4 problems.
 """
 from __future__ import annotations
 
@@ -12,28 +12,14 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances shared by all modules.
+    """Numerical tolerances shared across the package.
 
     Attributes
     ----------
-    algebraic:
-        Default tolerance for algebraic matrix identities
-        (products, determinants, unitarity checks).
-    oracle_propagator:
-        Allowed relative Frobenius distance between the closed-form
-        propagator and the matrix-exponential oracle.
-    closed_form_vs_matrix:
-        Allowed difference between the closed-form coherence and the
-        matrix-path coherence (evolve density, then take the l1 norm).
     density:
         Hermiticity / unit-trace tolerance for density matrices.
     positivity:
         Density-matrix eigenvalues must be >= -positivity.
-    extremum_time:
-        Bisection refinement target for extremum locations in time.
-    extrema_cross_check:
-        Agreement required between numerically found stationary times
-        and the analytic stationary-point conditions.
     optics_residual:
         Scale-invariant residual below which an optical decomposition
         counts as successful.
@@ -41,29 +27,16 @@ class Tolerances:
         Allowed per-state deviation between evolving with the target
         propagator and with the assembled optical sequence (after
         normalization).
-    tomography_round_trip:
-        Reconstruction error allowed in the noiseless (exact
-        probability) limit.
     ep_band:
         Half-width of the |a - 1| band classified as the exceptional
         point by `regime`.
-    full_touch:
-        A coherence maximum counts as a complete return ("full touch")
-        when it is within this distance of the reference level.
     """
 
-    algebraic: float = 1e-10
-    oracle_propagator: float = 1e-8
-    closed_form_vs_matrix: float = 1e-9
     density: float = 1e-10
     positivity: float = 1e-10
-    extremum_time: float = 1e-8
-    extrema_cross_check: float = 1e-6
     optics_residual: float = 1e-6
     optics_state_action: float = 1e-6
-    tomography_round_trip: float = 1e-9
     ep_band: float = 1e-9
-    full_touch: float = 1e-6
 
 
 #: Shared default tolerance record.

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import two_qubit_coherence_series_numpy
-from .coherence import CoherenceTrace, _asymptote_estimate, _scan_in_theta
+from .coherence import CoherenceTrace, _asymptote_estimate, _scan_in_theta, l1_coherence
 from .evolution import propagator_analytic, propagator_scaled
 from .hamiltonian import HamiltonianParams, build_hamiltonian
 from .linalg import mat_exp_oracle
@@ -136,9 +136,7 @@ def evolve_two_qubit(
 
 def two_qubit_coherence(state: TwoQubitState | np.ndarray) -> float:
     """l1 coherence of a two-qubit state (sum of off-diagonal magnitudes)."""
-    rho = state.rho4 if isinstance(state, TwoQubitState) else np.asarray(state, dtype=complex)
-    mags = np.abs(rho)
-    return float(mags.sum() - np.trace(mags).real)
+    return l1_coherence(state)
 
 
 def two_qubit_series(

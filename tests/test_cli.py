@@ -251,13 +251,24 @@ def test_preset_and_amplitudes_together_exit_2(capsys):
     (("angles", "--kind", "pt", "--a", "0.5", "--t", "inf"), "t"),
     (("trace", "--kind", "pt", "--a", "0.5", "--s", "inf"), "s"),
     (("trace", "--kind", "pt", "--a", "nan"), "a"),
-], ids=["t_min", "t_max", "t", "s", "a"])
+    (("tomography", "--kind", "pt", "--a", "0.5", "--exposure", "nan"), "exposure"),
+    (("tomography", "--kind", "pt", "--a", "0.5", "--exposure", "inf"), "exposure"),
+], ids=["t_min", "t_max", "t", "s", "a", "exposure_nan", "exposure_inf"])
 def test_non_finite_input_exits_2(capsys, argv, field):
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and f" {field} must be" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_exposure_beyond_poisson_sampler_exits_2(capsys):
+    code = main(["tomography", "--kind", "pt", "--a", "0.5", "--exposure", "1e30"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: cannot sample Poisson counts at exposure 1e+30\n"
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,9 +1,9 @@
-"""SciPy stays off the start-up path of every closed-form subcommand.
+"""SciPy stays off the path of every subcommand but ``angles``.
 
-Only the optics solver, the ML reconstruction, ``mat_exp_oracle`` and the
-heterogeneous two-qubit propagator need SciPy; importing the package or
-running a closed-form subcommand must not load it.  The check runs in a
-fresh interpreter because the test session itself has SciPy loaded.
+Only the optics solver, ``mat_exp_oracle`` and the heterogeneous
+two-qubit propagator need SciPy; importing the package or running any
+other subcommand, tomography included, must not load it.  The check runs
+in a fresh interpreter because the test session itself has SciPy loaded.
 """
 from __future__ import annotations
 
@@ -24,13 +24,13 @@ _SCRIPT = textwrap.dedent("""
     import ptcoherence
     from ptcoherence.cli import main
     assert not scipy_loaded(), ("import", scipy_loaded())
-    for cmd in ("trace", "period", "asymptote", "backflow", "bloch", "two-qubit"):
+    for cmd in ("trace", "period", "asymptote", "backflow", "bloch", "two-qubit",
+                "tomography"):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main([cmd, "--kind", "pt", "--a", "0.47"]) == 0, cmd
         assert not scipy_loaded(), (cmd, scipy_loaded())
-    for cmd in ("angles", "tomography"):
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main([cmd, "--kind", "pt", "--a", "0.47"]) == 0, cmd
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["angles", "--kind", "pt", "--a", "0.47"]) == 0
     assert "scipy.optimize" in sys.modules
     print("ok")
 """)

@@ -5,6 +5,8 @@ constructed projectors, independent of the module's Bloch shortcuts.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,18 @@ def test_simulate_counts_clips_at_exposure_for_saturated_basis():
         assert rec.count_h <= 200.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("exposure, message", [
+    (1e30, r"^cannot sample Poisson counts at exposure 1e\+30$"),
+    (float("inf"), r"^exposure must be positive and finite, got inf$"),
+    (float("nan"), r"^exposure must be positive and finite, got nan$"),
+    (0.0, r"^exposure must be positive and finite, got 0.0$"),
+])
+def test_simulate_counts_rejects_unusable_exposure(exposure, message):
+    with pytest.raises(ValueError, match=message):
+        simulate_counts(PureState.preset("H").density(), exposure=exposure)
+
+
 def test_count_record_validation():
     with pytest.raises(ValueError):
         CountRecord(-1.0, 0.0, 0.0, 0.0, exposure=10.0)
@@ -134,6 +148,84 @@ def test_reconstruction_requires_hv_events():
         reconstruct(CountRecord(0.0, 0.0, 3.0, 4.0, exposure=10.0))
 
 
+def _nll(r, counts, exposure: float) -> float:
+    """Poisson negative log-likelihood of Bloch vector ``r`` (constants dropped)."""
+    probs = 0.5 * np.array([1.0 + r[2], 1.0 - r[2], 1.0 - r[1], 1.0 + r[0]])
+    return sum(exposure * p - (n * math.log(p) if n > 0 else 0.0)
+               for p, n in zip(probs, counts))
+
+
+def _reference_ml(counts, exposure: float) -> np.ndarray:
+    """Constrained ML Bloch vector by scalar bisection of the KKT conditions:
+    each axis root of ``-n+/(1+u) + n-/(1-u) + c + 2 mu u`` (increasing in u),
+    then the smallest ``mu >= 0`` that puts the vector in the unit ball."""
+    def axis(n_plus, n_minus, c, mu):
+        lo, hi = -1.0, 1.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if -n_plus / (1.0 + mid) + n_minus / (1.0 - mid) + c + 2.0 * mu * mid < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return mid
+
+    n_h, n_v, n_r, n_d = counts
+    half = 0.5 * exposure
+
+    def bloch(mu):
+        return np.array([axis(n_d, 0.0, half, mu), axis(0.0, n_r, -half, mu),
+                         axis(n_h, n_v, 0.0, mu)])
+
+    free = bloch(0.0)
+    if free @ free <= 1.0:
+        return free
+    lo, hi = 0.0, float(exposure)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        r = bloch(mid)
+        if r @ r > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return bloch(hi)
+
+
+def _optimality_panel():
+    """Seeded records from pure and near-pure states, with counts forced to 0
+    or to the exposure in some bases, at exposures from 10 to 30000."""
+    rng = np.random.default_rng(2024)
+    panel = []
+    while len(panel) < 120:
+        exposure = float(rng.choice([10, 30, 100, 1000, 30000]))
+        direction = rng.normal(size=3)
+        r = direction / np.linalg.norm(direction) * (1.0 - rng.choice([0.0, 1e-6, 1e-3, 1e-2]))
+        probs = 0.5 * np.array([1 + r[2], 1 - r[2], 1 - r[1], 1 + r[0]])
+        counts = np.minimum(rng.poisson(exposure * probs).astype(float), exposure)
+        edit = rng.integers(4)
+        if len(panel) % 3 == 1:
+            counts[edit] = 0.0
+        elif len(panel) % 3 == 2:
+            counts[edit] = exposure
+        if counts[0] + counts[1] > 0:
+            panel.append((counts, exposure))
+    return panel
+
+
+def test_reconstruction_reaches_constrained_ml_optimum():
+    outside = 0
+    for counts, exposure in _optimality_panel():
+        rho = reconstruct(CountRecord(*counts, exposure=exposure)).rho
+        r = (2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real)
+        ref = _reference_ml(counts, exposure)
+        outside += bool(ref @ ref > 1.0 - 1e-12)
+        assert _nll(r, counts, exposure) <= _nll(ref, counts, exposure) + 1e-9, (counts, exposure)
+    assert outside > 60  # most records put the optimum on the ball's surface
+
+
 def test_reconstruction_accuracy_at_high_exposure():
     p = HamiltonianParams(kind=SymmetryClass.PT, s=1.0, a=0.47)
     rho = evolve_density(PureState.preset("D").density(), p, 1.3)
@@ -161,6 +253,24 @@ def test_bootstrap_brackets_truth():
     mean, sd = bootstrap_errorbar(rec, resamples=60, seed=2)
     assert sd > 0.0
     assert abs(mean - l1_coherence(rho)) < 5.0 * sd + 5e-3
+
+
+@pytest.mark.parametrize("counts, exposure", [
+    ((120.0, 80.0, 150.0, 30.0), 200.0),   # mixed state inside the ball
+    ((200.0, 0.0, 100.0, 200.0), 200.0),   # saturated bases: estimates on the surface
+    ((0.5, 0.5, 1.0, 1.5), 3.0),           # many resamples without H/V events
+], ids=["mixed", "saturated", "sparse"])
+def test_bootstrap_matches_per_resample_reconstruction(counts, exposure):
+    record = CountRecord(*counts, exposure=exposure)
+    observed = record.as_array()
+    values = []
+    for child in np.random.SeedSequence(4).spawn(50):
+        n = np.minimum(np.random.default_rng(child).poisson(observed).astype(float), exposure)
+        if n[0] + n[1] > 0:
+            values.append(l1_coherence(reconstruct(CountRecord(*n, exposure=exposure))))
+    mean, sd = bootstrap_errorbar(record, resamples=50, seed=4)
+    assert mean == pytest.approx(np.mean(values), abs=1e-12)
+    assert sd == pytest.approx(np.std(values, ddof=1), abs=1e-12)
 
 
 def test_bootstrap_validation():
