@@ -43,7 +43,6 @@ from .hamiltonian import (
     eigenvalues,
     regime,
 )
-from .linalg import frobenius_dist, mat_exp_oracle, mat_mul
 from .optics import (
     ElementKind,
     NoDecompositionError,
@@ -51,10 +50,8 @@ from .optics import (
     OpticalSequence,
     assemble,
     apt_shape,
-    apt_shape_slaved,
     loss_operator,
     pt_shape,
-    pt_shape_slaved,
     r_hwp,
     r_qwp,
     scale_invariant_residual,
@@ -88,10 +85,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # linalg
-    "mat_mul",
-    "mat_exp_oracle",
-    "frobenius_dist",
     # hamiltonian
     "SymmetryClass",
     "Regime",
@@ -137,8 +130,6 @@ __all__ = [
     "loss_operator",
     "pt_shape",
     "apt_shape",
-    "pt_shape_slaved",
-    "apt_shape_slaved",
     "assemble",
     "scale_invariant_residual",
     "solve_angles",

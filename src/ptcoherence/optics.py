@@ -8,8 +8,9 @@ polarization-dependent loss element:
     PT target:   HWP(a1) · QWP(a2) · L(x1, x2) · HWP(a3) · QWP(a4)
     APT target:  QWP(a1) · HWP(a2) · L(x1, x2) · QWP(a3) · HWP(a4)
 
-(leftmost factor applied last).  All six angles are free and found by
-derivative-free multi-start minimization of a scale-invariant residual.
+(leftmost factor applied last).  All six angles are free and found by a
+Levenberg–Marquardt least-squares solve of a scale-invariant residual,
+run on all seeded restarts at once.
 
 Why six free angles: the loss element contributes the two singular
 values, and each waveplate pair contributes the unitary factor on its
@@ -20,9 +21,6 @@ unbroken-regime propagators need two *different* singular values and
 side unitaries outside any single-parameter slice — so the solver
 treats the setting angles as fully free and determines them numerically
 for each requested time, exactly as an inverse ("reversal") design.
-Constrained variants are still constructible explicitly (see
-:func:`pt_shape_slaved` / :func:`apt_shape_slaved`) for studying that
-gap.
 
 Conventions
 -----------
@@ -34,6 +32,8 @@ Conventions
 * ``loss_operator(xi, xj) = [[0, sin 2ξi], [sin 2ξj, 0]]`` — the
   anti-diagonal transmission matrix of a two-path interferometric loss
   element; singular values |sin 2ξi|, |sin 2ξj| ≤ 1.
+* All three broadcast over arrays of angles, returning
+  ``angles.shape + (2, 2)``.
 * Setting angles are π-periodic, and are stored reduced mod π.
 """
 from __future__ import annotations
@@ -41,13 +41,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .evolution import propagator_scaled
 from .hamiltonian import HamiltonianParams, SymmetryClass
-from .linalg import minimize
 from .tolerances import DEFAULT_TOLS
 
 __all__ = [
@@ -60,8 +59,6 @@ __all__ = [
     "loss_operator",
     "pt_shape",
     "apt_shape",
-    "pt_shape_slaved",
-    "apt_shape_slaved",
     "assemble",
     "scale_invariant_residual",
     "solve_angles",
@@ -108,11 +105,7 @@ class OpticalElement:
 
     def matrix(self) -> np.ndarray:
         """Jones matrix of this element."""
-        if self.kind is ElementKind.HWP:
-            return r_hwp(self.angles[0])
-        if self.kind is ElementKind.QWP:
-            return r_qwp(self.angles[0])
-        return loss_operator(*self.angles)
+        return _JONES[self.kind](*self.angles)
 
 
 @dataclass(frozen=True)
@@ -159,78 +152,68 @@ class NoDecompositionError(RuntimeError):
 # element matrices
 # ---------------------------------------------------------------------------
 
-def r_hwp(theta: float) -> np.ndarray:
+def _jones(m00, m01, m10, m11) -> np.ndarray:
+    """Complex ``(..., 2, 2)`` matrices from four broadcastable entries."""
+    m00, m01, m10, m11 = np.broadcast_arrays(m00, m01, m10, m11)
+    out = np.empty(m00.shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = m00, m01, m10, m11
+    return out
+
+
+def r_hwp(theta) -> np.ndarray:
     """Half-wave plate Jones matrix with fast axis at ``theta``."""
-    c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
-    return np.array([[c, s], [s, -c]], dtype=complex)
+    c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    return _jones(c, s, s, -c)
 
 
-def r_qwp(theta: float) -> np.ndarray:
+def r_qwp(theta) -> np.ndarray:
     """Quarter-wave plate Jones matrix with fast axis at ``theta``."""
-    c, s = math.cos(theta), math.sin(theta)
+    c, s = np.cos(theta), np.sin(theta)
     f = np.exp(-1j * math.pi / 4.0)
-    return f * np.array(
-        [[c * c + 1j * s * s, (1.0 - 1j) * s * c],
-         [(1.0 - 1j) * s * c, s * s + 1j * c * c]]
-    )
+    off = f * ((1.0 - 1j) * s * c)
+    return _jones(f * (c * c + 1j * s * s), off, off, f * (s * s + 1j * c * c))
 
 
-def loss_operator(xi_i: float, xi_j: float) -> np.ndarray:
+def loss_operator(xi_i, xi_j) -> np.ndarray:
     """Anti-diagonal polarization-dependent loss element.
 
     ``[[0, sin 2ξi], [sin 2ξj, 0]]``: the two interferometer paths
     transmit the two polarization components with independent
     amplitudes set by intra-path half-wave-plate angles.
     """
-    return np.array(
-        [[0.0, math.sin(2.0 * xi_i)], [math.sin(2.0 * xi_j), 0.0]], dtype=complex
-    )
+    return _jones(0.0, np.sin(2.0 * xi_i), np.sin(2.0 * xi_j), 0.0)
+
+
+_JONES = {ElementKind.HWP: r_hwp, ElementKind.QWP: r_qwp, ElementKind.LOSS: loss_operator}
 
 
 # ---------------------------------------------------------------------------
 # sequence construction and assembly
 # ---------------------------------------------------------------------------
 
+def _shape(kind: SymmetryClass, angles: Sequence[float]) -> tuple[OpticalElement, ...]:
+    """The five elements of ``kind``'s shape from ``(a1, a2, x1, x2, a3, a4)``."""
+    a1, a2, x1, x2, a3, a4 = (float(v) for v in angles)
+    k = _SHAPES[kind]
+    return (
+        OpticalElement(k[0], (a1,)),
+        OpticalElement(k[1], (a2,)),
+        OpticalElement(k[2], (x1, x2)),
+        OpticalElement(k[3], (a3,)),
+        OpticalElement(k[4], (a4,)),
+    )
+
+
 def pt_shape(angles: Sequence[float]) -> tuple[OpticalElement, ...]:
     """PT-family element list ``HWP, QWP, Loss, HWP, QWP`` from 6 angles
     ``(a1, a2, x1, x2, a3, a4)``."""
-    a1, a2, x1, x2, a3, a4 = (float(v) for v in angles)
-    return (
-        OpticalElement(ElementKind.HWP, (a1,)),
-        OpticalElement(ElementKind.QWP, (a2,)),
-        OpticalElement(ElementKind.LOSS, (x1, x2)),
-        OpticalElement(ElementKind.HWP, (a3,)),
-        OpticalElement(ElementKind.QWP, (a4,)),
-    )
+    return _shape(SymmetryClass.PT, angles)
 
 
 def apt_shape(angles: Sequence[float]) -> tuple[OpticalElement, ...]:
     """APT-family element list ``QWP, HWP, Loss, QWP, HWP`` from 6 angles
     ``(a1, a2, x1, x2, a3, a4)``."""
-    a1, a2, x1, x2, a3, a4 = (float(v) for v in angles)
-    return (
-        OpticalElement(ElementKind.QWP, (a1,)),
-        OpticalElement(ElementKind.HWP, (a2,)),
-        OpticalElement(ElementKind.LOSS, (x1, x2)),
-        OpticalElement(ElementKind.QWP, (a3,)),
-        OpticalElement(ElementKind.HWP, (a4,)),
-    )
-
-
-def pt_shape_slaved(theta1: float, xi1: float, xi2: float) -> tuple[OpticalElement, ...]:
-    """Constrained PT-family variant with waveplate angles tied to ``theta1``:
-    ``HWP(θ1), QWP(2θ1), L(ξ1, ξ2), HWP(π/4 - θ1), QWP(0)``.
-
-    Kept for reference and for studying the coverage gap; the solver
-    uses the free-angle :func:`pt_shape`.
-    """
-    return pt_shape((theta1, 2.0 * theta1, xi1, xi2, math.pi / 4.0 - theta1, 0.0))
-
-
-def apt_shape_slaved(xi3: float, phi1: float, phi2: float) -> tuple[OpticalElement, ...]:
-    """Constrained APT-family variant with an equal-angle loss element:
-    ``QWP(0), HWP(π/4), L(ξ3, ξ3), QWP(φ1), HWP(φ2)``."""
-    return apt_shape((0.0, math.pi / 4.0, xi3, xi3, phi1, phi2))
+    return _shape(SymmetryClass.APT, angles)
 
 
 def assemble(seq: OpticalSequence | Iterable[OpticalElement]) -> np.ndarray:
@@ -245,9 +228,26 @@ def assemble(seq: OpticalSequence | Iterable[OpticalElement]) -> np.ndarray:
     return out
 
 
+def _assemble_angles(kind: SymmetryClass, v: np.ndarray) -> np.ndarray:
+    """:func:`assemble` of ``kind``'s shape for every angle row of ``v`` (..., 6)."""
+    k = _SHAPES[kind]
+    return (_JONES[k[0]](v[..., 0]) @ _JONES[k[1]](v[..., 1])
+            @ loss_operator(v[..., 2], v[..., 3])
+            @ _JONES[k[3]](v[..., 4]) @ _JONES[k[4]](v[..., 5]))
+
+
 # ---------------------------------------------------------------------------
 # inverse design
 # ---------------------------------------------------------------------------
+
+#: Iteration cap, forward-difference step, initial damping and the
+#: squared residual (rounding level) at which the Levenberg-Marquardt
+#: solve stops early.
+_LM_ITERATIONS = 60
+_LM_STEP = 1.5e-8
+_LM_DAMPING = 1e-3
+_LM_FLOOR = 1e-30
+
 
 def _largest_entry_normalized(m: np.ndarray) -> np.ndarray:
     n = float(np.abs(m).max())
@@ -270,22 +270,43 @@ def scale_invariant_residual(target: np.ndarray, assembled: np.ndarray) -> float
     return float(np.linalg.norm(th - lam * ah))
 
 
-def _shape_builder(kind: SymmetryClass) -> Callable[[Sequence[float]], tuple[OpticalElement, ...]]:
-    return pt_shape if kind is SymmetryClass.PT else apt_shape
+def _orthogonal_part(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Component of vec(m)/|m| orthogonal to the unit 4-vector ``tau``, as
+    8 reals per matrix; zero iff ``m`` is proportional to the target.  A
+    (numerically) zero matrix gets all-ones, far from any solution."""
+    vec = m.reshape(m.shape[:-2] + (4,))
+    norm = np.linalg.norm(vec, axis=-1, keepdims=True)
+    u = vec / np.where(norm > 1e-300, norm, 1.0)
+    r = u - tau * (u @ tau.conj())[..., None]
+    return np.where(norm > 1e-300, np.concatenate([r.real, r.imag], axis=-1), 1.0)
 
 
-def _fast_assembler(kind: SymmetryClass) -> Callable[[np.ndarray], np.ndarray]:
-    """Assembly of the 6-angle shape without OpticalElement overhead
-    (the optimizer calls this thousands of times)."""
-    if kind is SymmetryClass.PT:
-        def build(v: np.ndarray) -> np.ndarray:
-            return (r_hwp(v[0]) @ r_qwp(v[1]) @ loss_operator(v[2], v[3])
-                    @ r_hwp(v[4]) @ r_qwp(v[5]))
-    else:
-        def build(v: np.ndarray) -> np.ndarray:
-            return (r_qwp(v[0]) @ r_hwp(v[1]) @ loss_operator(v[2], v[3])
-                    @ r_qwp(v[4]) @ r_hwp(v[5]))
-    return build
+def _levenberg_marquardt(residual, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Gauss-Newton on every row of ``x`` (n, k) at once.
+
+    ``residual`` maps angle arrays (..., k) to residual vectors (..., m).
+    The Jacobian is a forward difference; each row's damping grows ×4 on
+    a rejected step and shrinks ÷3 on an accepted one.  Returns the final
+    rows and their squared residual norms.
+    """
+    eye = np.eye(x.shape[-1])
+    r = residual(x)
+    cost = np.einsum("...i,...i", r, r)
+    damping = np.full(len(x), _LM_DAMPING)
+    for _ in range(_LM_ITERATIONS):
+        jac_t = (residual(x[:, None, :] + _LM_STEP * eye) - r[:, None, :]) / _LM_STEP
+        normal = jac_t @ jac_t.transpose(0, 2, 1) + damping[:, None, None] * eye
+        x_try = x - np.linalg.solve(normal, jac_t @ r[..., None])[..., 0]
+        r_try = residual(x_try)
+        cost_try = np.einsum("...i,...i", r_try, r_try)
+        better = cost_try < cost
+        x = np.where(better[:, None], x_try, x)
+        r = np.where(better[:, None], r_try, r)
+        cost = np.where(better, cost_try, cost)
+        damping = np.where(better, damping / 3.0, damping * 4.0)
+        if cost.min() < _LM_FLOOR:
+            break
+    return x, cost
 
 
 def solve_angles(
@@ -294,18 +315,18 @@ def solve_angles(
     seed: int = 0,
     restarts: int = 32,
     success_threshold: float = DEFAULT_TOLS.optics_residual,
-    early_stop: float = 1e-9,
 ) -> OpticalSequence:
     """Find setting angles whose assembled sequence realizes ``U(t)``.
 
-    Multi-start Nelder-Mead over the box [0, π)^6 (all three element
-    matrices are π-periodic in their angles).  Restart points are drawn
-    from a seeded generator and evaluated in order; the best (residual,
-    index)-ordered result wins, so the outcome is deterministic for a
-    given seed even if restarts were evaluated concurrently.  The loop
-    exits early once a restart lands below ``early_stop`` (well inside
-    the success threshold); the final candidate is polished once more
-    before acceptance.
+    One Levenberg-Marquardt solve, batched over ``restarts`` start
+    points drawn uniformly from [0, π)^6 by a generator seeded with
+    ``seed``.  Its residual is the part of the normalized product
+    orthogonal to the normalized target, so any global complex scale of
+    the product is free.  All restarts iterate together until the cap
+    of 60 steps, or until the best one reaches rounding level; the
+    lowest residual wins, ties going to the lowest restart index, so the
+    outcome is deterministic for a given seed.  The returned residual is
+    :func:`scale_invariant_residual` of the winning sequence.
 
     Raises
     ------
@@ -320,59 +341,24 @@ def solve_angles(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     target, _ = propagator_scaled(p, t)  # scale-invariant fit: scale is irrelevant
-    th = _largest_entry_normalized(target)
-    build = _fast_assembler(p.kind)
-
-    def objective(v: np.ndarray) -> float:
-        m = build(v)
-        n = float(np.abs(m).max())
-        if n < 1e-300:
-            return 1e6
-        mh = m / n
-        lam = np.vdot(mh, th) / np.vdot(mh, mh).real
-        return float(np.linalg.norm(th - lam * mh))
-
+    tau = target.reshape(4) / np.linalg.norm(target)
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, math.pi, size=(restarts, 6))
-    best_res = math.inf
-    best_x: np.ndarray | None = None
-    for i in range(restarts):
-        r = minimize(
-            objective,
-            starts[i],
-            method="Nelder-Mead",
-            options=dict(maxiter=2400, xatol=1e-12, fatol=1e-14),
-        )
-        if r.fun < best_res:
-            best_res, best_x = float(r.fun), r.x
-        if best_res < early_stop:
-            break
-    assert best_x is not None
-    polish = minimize(
-        objective,
-        best_x,
-        method="Nelder-Mead",
-        options=dict(maxiter=2400, xatol=1e-13, fatol=1e-15),
-    )
-    if polish.fun < best_res:
-        best_res, best_x = float(polish.fun), polish.x
-
+    x, cost = _levenberg_marquardt(
+        lambda v: _orthogonal_part(_assemble_angles(p.kind, v), tau), starts)
+    elements = _shape(p.kind, x[int(np.argmin(cost))])
+    best_res = scale_invariant_residual(target, assemble(elements))
     if best_res > success_threshold:
         raise NoDecompositionError(
             best_residual=best_res,
-            best_angles=tuple(float(a) % math.pi for a in best_x),
+            best_angles=tuple(a for el in elements for a in el.angles),
             message=(
                 f"no angle set reached residual {success_threshold:g} for "
                 f"kind={p.kind.value}, a={p.a}, s={p.s}, t={t}; best residual "
                 f"{best_res:.3e} after {restarts} restarts"
             ),
         )
-    return OpticalSequence(
-        elements=_shape_builder(p.kind)(best_x),
-        target_kind=p.kind,
-        t=float(t),
-        residual=best_res,
-    )
+    return OpticalSequence(elements=elements, target_kind=p.kind, t=float(t), residual=best_res)
 
 
 def verify_state_action(

@@ -15,6 +15,8 @@ import math
 import numpy as np
 import pytest
 
+from _oracle import mat_exp_oracle
+
 import ptcoherence as pc
 from ptcoherence.bloch import trajectory_array
 from ptcoherence.evolution import _check_densities, evolve_density_grid, evolve_pure_grid
@@ -41,7 +43,7 @@ def _times(p: pc.HamiltonianParams) -> np.ndarray:
 
 
 def _oracle_propagator(p: pc.HamiltonianParams, t: float) -> np.ndarray:
-    return pc.mat_exp_oracle(-1j * pc.build_hamiltonian(p), t)
+    return mat_exp_oracle(-1j * pc.build_hamiltonian(p), t)
 
 
 STATE = pc.PureState.from_amplitudes(0.6, 0.8, 0.7)

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracle import frobenius_dist, mat_exp_oracle
+
 import ptcoherence as pc
 from ptcoherence import (
     DensityMatrix,
@@ -21,8 +23,6 @@ from ptcoherence import (
     build_hamiltonian,
     evolve_density,
     evolve_pure,
-    frobenius_dist,
-    mat_exp_oracle,
     propagator_analytic,
     propagator_scaled,
 )

@@ -1,22 +1,10 @@
-"""Matrix utilities: multiplication, exponential oracle, Frobenius distance."""
+"""The test oracle: matrix exponential and Frobenius distance."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from ptcoherence import frobenius_dist, mat_exp_oracle, mat_mul
-
-
-def test_mat_mul_matches_operator():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    assert np.allclose(mat_mul(a, b), a @ b, atol=0, rtol=1e-15)
-
-
-def test_mat_mul_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        mat_mul(np.eye(2), np.eye(3))
+from _oracle import frobenius_dist, mat_exp_oracle
 
 
 def test_exp_oracle_diagonal():

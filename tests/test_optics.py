@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from _oracle import frobenius_dist
+
 from ptcoherence import (
     ElementKind,
     HamiltonianParams,
@@ -15,11 +17,9 @@ from ptcoherence import (
     SymmetryClass,
     assemble,
     apt_shape,
-    frobenius_dist,
     loss_operator,
     propagator_scaled,
     pt_shape,
-    pt_shape_slaved,
     r_hwp,
     r_qwp,
     scale_invariant_residual,
@@ -124,9 +124,9 @@ def test_assemble_empty_is_identity():
 
 
 def test_slaved_pt_shape_at_reference_angles():
-    # theta1 = 0, full-transmission loss: the five-element product
-    # collapses to -i times the identity
-    elements = pt_shape_slaved(0.0, math.pi / 4, math.pi / 4)
+    # waveplates slaved to theta1 = 0, full-transmission loss: the
+    # five-element product collapses to -i times the identity
+    elements = pt_shape((0.0, 0.0, math.pi / 4, math.pi / 4, math.pi / 4, 0.0))
     assert frobenius_dist(assemble(elements), -1j * np.eye(2)) < 1e-14
 
 
@@ -181,24 +181,33 @@ def test_solve_angles_failure_carries_diagnostics():
     assert len(err.value.best_angles) == 6
 
 
-@pytest.mark.parametrize("early_stop", [1e-9, 0.0], ids=["early-stop", "all-restarts"])
-def test_solve_angles_minimizes_through_module_global(monkeypatch, early_stop):
-    import ptcoherence.optics as optics
+@pytest.mark.parametrize("restarts", [32, 1])
+def test_solve_angles_sweep(restarts):
+    # both kinds, both regimes and both sides of the exceptional point,
+    # from t = 0 to deep in the broken regime
+    problems = []
+    for make in (_pt, _apt):
+        for a in (0.3, 0.47, 0.9, 0.999, 1.0, 1.001, 1.5, 2.5):
+            for t in (0.0, 0.5, 1.2, 5.0, 40.0):
+                p = make(a)
+                try:
+                    seq = solve_angles(p, t, restarts=restarts)
+                except NoDecompositionError as exc:
+                    problems.append((p, t, exc.best_residual))
+                    continue
+                deviation = verify_state_action(seq, p)
+                if seq.residual > 1e-6 or deviation > 1e-6:
+                    problems.append((p, t, seq.residual, deviation))
+    assert not problems
 
-    real, funs = optics.minimize, []
 
-    def counting(*args, **kwargs):
-        result = real(*args, **kwargs)
-        funs.append(float(result.fun))
-        return result
-
-    monkeypatch.setattr(optics, "minimize", counting)
-    restarts = 4
-    solve_angles(_pt(0.47), 1.2, seed=3, restarts=restarts, early_stop=early_stop)
-    best = np.minimum.accumulate(funs[:restarts])
-    used = next((i + 1 for i, b in enumerate(best) if b < early_stop), restarts)
-    assert len(funs) == used + 1  # restarts used, then one polish
-    assert used < restarts if early_stop else used == restarts
+def test_jones_matrices_broadcast_over_angle_arrays():
+    angles = np.array([[0.0, 0.3, 1.1], [2.9, math.pi / 8, 0.7]])
+    for build in (r_hwp, r_qwp, lambda v: loss_operator(v, 0.5 - v)):
+        batch = build(angles)
+        assert batch.shape == (2, 3, 2, 2)
+        for idx in np.ndindex(angles.shape):
+            assert frobenius_dist(batch[idx], build(float(angles[idx]))) < 1e-15
 
 
 def test_solve_angles_input_validation():

@@ -9,14 +9,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _oracle import frobenius_dist, mat_exp_oracle
+
 from ptcoherence import (
     HamiltonianParams,
     SymmetryClass,
     TwoQubitState,
     build_hamiltonian,
     evolve_two_qubit,
-    frobenius_dist,
-    mat_exp_oracle,
     propagator_analytic,
     theoretical_period,
     two_qubit_coherence,
@@ -34,9 +34,9 @@ def _apt(a: float, s: float = 1.0) -> HamiltonianParams:
     return HamiltonianParams(kind=SymmetryClass.APT, s=s, a=a)
 
 
-def _oracle4(p: HamiltonianParams, t: float) -> np.ndarray:
-    h = build_hamiltonian(p)
-    h4 = np.kron(h, np.eye(2)) + np.kron(np.eye(2), h)
+def _oracle4(p: HamiltonianParams, t: float, q: HamiltonianParams | None = None) -> np.ndarray:
+    h4 = np.kron(build_hamiltonian(p), np.eye(2)) + np.kron(
+        np.eye(2), build_hamiltonian(p if q is None else q))
     return mat_exp_oracle(-1j * h4, t)
 
 
@@ -83,14 +83,15 @@ def test_joint_propagator_is_kron_square(p, t):
     assert rel < 1e-10
 
 
-def test_heterogeneous_propagator_factorizes():
-    # different detuning per qubit: exponential route vs analytic factors
-    p_a, p_b = _pt(0.6), _pt(1.4)
+@pytest.mark.parametrize("p_a,p_b", [(_pt(0.6), _pt(1.4)), (_apt(1.8), _pt(0.47)),
+                                     (_apt(0.5), _apt(1.0, s=1.3))])
+def test_heterogeneous_propagator_factorizes(p_a, p_b):
+    # different parameters per qubit: Kronecker product of the analytic
+    # factors vs the dense exponential of H_A ⊗ I + I ⊗ H_B
     t = 0.8
     u4 = two_qubit_propagator(p_a, t, p_second=p_b)
-    ua = propagator_analytic(p_a, t).matrix
-    ub = propagator_analytic(p_b, t).matrix
-    assert frobenius_dist(u4, np.kron(ua, ub)) < 1e-10
+    reference = _oracle4(p_a, t, p_b)
+    assert frobenius_dist(u4, reference) < 1e-10 * max(1.0, np.linalg.norm(reference))
 
 
 def test_evolution_matches_oracle_ray():
@@ -108,6 +109,24 @@ def test_evolution_deep_broken_time_is_safe():
     v = evolve_two_qubit(TwoQubitState.psi_1(), _pt(3.0), 400.0).vector
     assert np.all(np.isfinite(v.view(float)))
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p_a,p_b", [(_pt(3.0), _pt(1.5)), (_apt(0.2), _apt(0.6))],
+                         ids=["pt", "apt"])
+def test_heterogeneous_evolution_deep_broken_time_is_safe(p_a, p_b):
+    # w s t ~ 400 for the slower qubit: the dense exponential of the joint
+    # generator overflows, while each factor's scale cancels on
+    # renormalization and the state lands on the dominant eigenvector pair
+    w_min = min(np.sqrt(abs(1.0 - q.a**2)) * q.s for q in (p_a, p_b))
+    v = evolve_two_qubit(TwoQubitState.psi_3(), p_a, 400.0 / w_min, p_second=p_b).vector
+    assert np.all(np.isfinite(v.view(float)))
+
+    def dominant(q):
+        vals, vecs = np.linalg.eig(build_hamiltonian(q))
+        return vecs[:, np.argmax(vals.imag)]
+
+    ray = np.kron(dominant(p_a), dominant(p_b))
+    assert abs(abs(np.vdot(ray / np.linalg.norm(ray), v)) - 1.0) < 1e-9
 
 
 # ---------------------------------------------------------------------------
