@@ -20,7 +20,6 @@ from .coherence import (
     coherence_closed_form,
     coherence_series,
     find_extrema,
-    find_extrema_of_series,
     l1_coherence,
     theoretical_period,
     verify_extrema_conditions,
@@ -113,7 +112,6 @@ __all__ = [
     "theoretical_period",
     "asymptotic_value",
     "find_extrema",
-    "find_extrema_of_series",
     "verify_extrema_conditions",
     "classify_backflow",
     # bloch

@@ -26,7 +26,9 @@ __all__ = [
     "abc_matrices",
     "propagator_grid",
     "coherence_series_numpy",
+    "coherence_slope_numpy",
     "two_qubit_coherence_series_numpy",
+    "two_qubit_slope_numpy",
 ]
 
 #: Hyperbolic argument above which the scaled representation is used.
@@ -62,6 +64,11 @@ def matmul2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # scaled (A, B, C) and propagator stacks
 # ---------------------------------------------------------------------------
 
+def _discriminant(kind: SymmetryClass, a: float) -> float:
+    """``d`` with (A, C) = (cos, sin / w) of ``w theta``, ``w = sqrt(d)``."""
+    return 1.0 - a * a if kind is SymmetryClass.PT else a * a - 1.0
+
+
 def abc_scaled(kind: SymmetryClass, a: float, theta):
     """Scaled propagator scalars ``(A, B, C, log_scale)`` at ``theta = s t``.
 
@@ -71,7 +78,7 @@ def abc_scaled(kind: SymmetryClass, a: float, theta):
     (or scalar); all four outputs are float64 arrays of its shape.
     """
     th = np.asarray(theta, dtype=np.float64)
-    d = 1.0 - a * a if kind is SymmetryClass.PT else a * a - 1.0
+    d = _discriminant(kind, a)
     log_scale = np.zeros_like(th)
     if d > 0.0:
         w = np.sqrt(d)
@@ -132,6 +139,27 @@ def propagator_grid(p: HamiltonianParams, times: np.ndarray) -> np.ndarray:
     return abc_matrices(p.kind, A, B, C)
 
 
+def _propagator_slope(p: HamiltonianParams, theta: np.ndarray):
+    """``(U_hat, dU/dtheta)`` over a 1-D grid in ``theta``, each divided by
+    the largest ``|U_hat|`` entry at each time.
+
+    ``dA/dtheta = -d C``, ``dB/dtheta = -a A`` and ``dC/dtheta = A``.  A
+    per-time scale only adds a multiple of ``U`` to the derivative,
+    which no ratio of the state's entries sees.
+    """
+    A, B, C, _ = abc_scaled(p.kind, p.a, theta)
+    u = abc_matrices(p.kind, A, B, C)
+    du = abc_matrices(p.kind, -_discriminant(p.kind, p.a) * C, -p.a * A, A)
+    top = np.abs(u).max(axis=(1, 2))[:, None, None]
+    return u / top, du / top
+
+
+def _factor(plus: np.ndarray, minus: np.ndarray, den: np.ndarray):
+    """``(plus - minus) / den`` and its rounding bound."""
+    bound = 64.0 * np.finfo(np.float64).eps * (np.abs(plus) + np.abs(minus))
+    return (plus - minus) / den, bound / den
+
+
 # ---------------------------------------------------------------------------
 # coherence series
 # ---------------------------------------------------------------------------
@@ -170,6 +198,23 @@ def coherence_series_numpy(
     return 2.0 * np.sqrt(x) * np.sqrt(y) / (x + y)
 
 
+def coherence_slope_numpy(p: HamiltonianParams, psi: np.ndarray, theta: np.ndarray):
+    """Two factors of dC/dtheta and their rounding bounds, shape ``(2, n)``.
+
+    dC/dtheta = (y - x)(x' y - x y') / (sqrt(x y) (x + y)^2) with
+    v = U psi, x = |v_0|^2, y = |v_1|^2.  The factor (y - x)/(x + y)
+    vanishes at the C = 1 touches, (x' y - x y')/(x + y)^2 at the other
+    extrema (with a sign jump at the corner minima C = 0).
+    """
+    u, du = _propagator_slope(p, theta)
+    v, dv = (u * psi).sum(axis=2), (du * psi).sum(axis=2)
+    x, y = np.abs(v[:, 0]) ** 2, np.abs(v[:, 1]) ** 2
+    dx, dy = 2.0 * (v.conj() * dv).real.T
+    f1, b1 = _factor(y, x, x + y)
+    f2, b2 = _factor(dx * y, x * dy, (x + y) ** 2)
+    return np.stack([f1, f2]), np.stack([b1, b2])
+
+
 def two_qubit_coherence_series_numpy(
     p: HamiltonianParams,
     psi: np.ndarray,
@@ -188,3 +233,25 @@ def two_qubit_coherence_series_numpy(
     l1 = mags.sum(axis=1)
     norm2 = (mags * mags).sum(axis=1)
     return (l1 * l1 - norm2) / norm2
+
+
+def two_qubit_slope_numpy(p: HamiltonianParams, psi: np.ndarray, theta: np.ndarray):
+    """The sign of the two-qubit dC/dtheta and its rounding bound, shape ``(1, n)``.
+
+    With v = vec(U Psi U^T), v' = vec(U' Psi U^T + U Psi U'^T),
+    L = sum |v_i|, N = sum |v_i|^2 and C = L^2 / N - 1, that sign is the
+    sign of L' N - L sum Re(conj(v_i) v_i'), where
+    L' = sum Re(conj(v_i) v_i') / |v_i| (terms with v_i = 0 dropped).
+    """
+    u, du = _propagator_slope(p, theta)
+    psi2 = np.asarray(psi, dtype=complex).reshape(2, 2)
+    up, ut = matmul2(u, psi2), u.transpose(0, 2, 1)
+    v = matmul2(up, ut).reshape(-1, 4)
+    dv = (matmul2(matmul2(du, psi2), ut) + matmul2(up, du.transpose(0, 2, 1))).reshape(-1, 4)
+    mags, re = np.abs(v), (v.conj() * dv).real
+    ratio = np.divide(re, mags, out=np.zeros_like(re), where=mags > 0.0)
+    l1, norm2 = mags.sum(axis=1), (mags * mags).sum(axis=1)
+    f = ratio.sum(axis=1) * norm2 - l1 * re.sum(axis=1)
+    # both sums can cancel (at t = 0 for psi_2 and psi_3): bound by their terms
+    scale = np.abs(ratio).sum(axis=1) * norm2 + l1 * np.abs(re).sum(axis=1)
+    return f[None], 64.0 * np.finfo(np.float64).eps * scale[None]

@@ -22,8 +22,9 @@ Key phenomenology exposed here:
   ``alpha, beta in (0, 1)`` and ``sin phi >= 0``.
 
 The stationary points found numerically (dense sampling plus bisection
-on a finite-difference derivative) are cross-checkable against the
-analytic stationary conditions via :func:`verify_extrema_conditions`:
+on the two exact factors of dC/dt, (y - x) and (x' y - x y')) are
+cross-checkable against the analytic stationary conditions via
+:func:`verify_extrema_conditions`:
 
 * maxima (C = 1 touches, PT):  tan(2 theta) = -(alpha^2-beta^2) w / (a + 2 k)
 * minima (PT): real roots u = tan(theta) of the quadratic
@@ -49,7 +50,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ._kernels import coherence_series_numpy
+from ._kernels import coherence_series_numpy, coherence_slope_numpy
 from .evolution import DensityMatrix, PureState
 from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime
 
@@ -65,20 +66,14 @@ __all__ = [
     "theoretical_period",
     "asymptotic_value",
     "find_extrema",
-    "find_extrema_of_series",
     "verify_extrema_conditions",
     "classify_backflow",
 ]
 
-#: Central-difference step for the numerical time derivative of C.
-_DERIV_STEP = 1e-6
 #: Bisection stops when the bracket is narrower than this.
 _BISECT_WIDTH = 1e-9
 #: Value range below which a trace counts as constant.
 _CONSTANT_RANGE = 1e-10
-#: Derivative sign flips below this fraction of the derivative scale are
-#: treated as finite-difference noise (settled plateaus), not extrema.
-_FLIP_FLOOR = 1e-6
 
 
 class Classification(enum.Enum):
@@ -191,8 +186,7 @@ def coherence_series(st: PureState, p: HamiltonianParams, times: np.ndarray) -> 
     """Closed-form l1 coherence of the evolved state over a time grid.
 
     ``times`` may be any real values; negative entries evaluate the
-    analytic continuation (used internally for one-sided derivative
-    probes at window boundaries).
+    analytic continuation.
     """
     return coherence_series_numpy(
         p, st.alpha, st.beta, st.phi, np.asarray(times, dtype=np.float64)
@@ -235,27 +229,6 @@ def asymptotic_value(p: HamiltonianParams) -> float | None:
 # numerical extrema
 # ---------------------------------------------------------------------------
 
-def _derivative_series(C: Callable[[np.ndarray], np.ndarray], ts: np.ndarray) -> np.ndarray:
-    return (C(ts + _DERIV_STEP) - C(ts - _DERIV_STEP)) / (2.0 * _DERIV_STEP)
-
-
-def _bisect_sign_change(D: Callable[[float], float], lo: float, hi: float) -> float:
-    """Bisection on a sign change of D; robust to corner (jump) minima."""
-    flo = D(lo)
-    for _ in range(100):
-        if hi - lo <= _BISECT_WIDTH:
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = D(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def find_extrema(
     st: PureState,
     p: HamiltonianParams,
@@ -264,13 +237,14 @@ def find_extrema(
 ) -> CoherenceTrace:
     """Locate stationary points of C(t) on the half-open window [t0, t1).
 
-    Dense sampling of the closed form, sign changes of the
-    central-difference derivative refined by bisection, all in
-    ``theta = s t``: time tolerance ``1e-8 / s``, and counts do not
-    depend on ``s``.  The left boundary t0 is itself counted as a
-    stationary point when the derivative there is negligible compared
-    to the derivative scale of the trace (so a window aligned with a
-    period boundary reports the boundary extremum exactly once).
+    Dense sampling of the closed form, sign changes of the two exact
+    factors of dC/dtheta (see
+    :func:`~ptcoherence._kernels.coherence_slope_numpy`) refined by
+    bisection, all in ``theta = s t``: time tolerance ``1e-8 / s``, and
+    counts do not depend on ``s``.  The left boundary t0 is itself
+    counted as a stationary point when a factor there is within its
+    rounding bound (so a window aligned with a period boundary reports
+    the boundary extremum exactly once).
 
     Returns
     -------
@@ -278,48 +252,31 @@ def find_extrema(
         With extrema sorted by time, plus period and asymptote
         estimates where the window supports them.
     """
-    return _scan_in_theta(lambda q, th: coherence_series(st, q, th), p, window, samples)
+    psi = st.vector()
+    return _scan(lambda q, th: coherence_series(st, q, th),
+                 lambda q, th: coherence_slope_numpy(q, psi, th), p, window, samples)
 
 
-def _scan_in_theta(
+def _scan(
     series: Callable[[HamiltonianParams, np.ndarray], np.ndarray],
+    slope: Callable[[HamiltonianParams, np.ndarray], tuple[np.ndarray, np.ndarray]],
     p: HamiltonianParams,
     window: tuple[float, float],
     samples: int,
 ) -> CoherenceTrace:
-    """:func:`find_extrema_of_series` in ``theta = s t``, mapped back to t.
+    """Stationary points of a trace on the half-open window, in ``theta = s t``.
 
-    ``series(q, times)`` evaluates the trace; it gets ``q = p`` at
-    ``s = 1``, whose times are theta.  Grid, extremum times and period
-    are divided by ``s``.
+    ``series(q, theta)`` is the trace and ``slope(q, theta)`` gives
+    ``(f, bound)`` of shape ``(k, n)``: factors whose product has the
+    sign of the slope, with their rounding bounds; both get ``p`` at
+    ``s = 1``.  A factor's sign change on the grid or against t1 counts
+    when it clears its bound on one side, and is bisected on that
+    factor; the slope's change across the final bracket gives the kind.
+    Roots past ``2 w theta = 52 ln 2`` in the broken regime, where every
+    ratio of propagator entries equals its limit to double precision,
+    are dropped.  Times and period are divided by ``s`` on return.
     """
-    unit = replace(p, s=1.0)
-    scan = find_extrema_of_series(
-        lambda th: series(unit, th), (p.s * window[0], p.s * window[1]), samples
-    )
-    return CoherenceTrace(
-        times=scan.times / p.s,
-        values=scan.values,
-        extrema=tuple(Extremum(e.time / p.s, e.value, e.kind) for e in scan.extrema),
-        period_estimate=None if scan.period_estimate is None else scan.period_estimate / p.s,
-        asymptote_estimate=scan.asymptote_estimate,
-        warning=scan.warning,
-    )
-
-
-def find_extrema_of_series(
-    series: Callable[[np.ndarray], np.ndarray],
-    window: tuple[float, float],
-    samples: int = 2048,
-) -> CoherenceTrace:
-    """Generic stationary-point scan over any smooth vectorized series.
-
-    Tolerances are absolute in the series' argument (extrema to 1e-8,
-    derivative step 1e-6, asymptote |slope| below 1e-6 per unit), so
-    :func:`find_extrema` scans in ``theta = s t``.  ``series`` must
-    accept an array and tolerate probes up to 3e-6 outside the window.
-    """
-    t0, t1 = float(window[0]), float(window[1])
+    t0, t1 = p.s * float(window[0]), p.s * float(window[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"window must be finite, got ({t0}, {t1})")
     if not (t1 > t0):
@@ -327,69 +284,45 @@ def find_extrema_of_series(
     if samples < 64:
         raise ValueError(f"samples must be >= 64, got {samples}")
 
+    unit = replace(p, s=1.0)
     ts = t0 + (t1 - t0) * np.arange(samples) / samples  # half-open grid
-    values = series(ts)
-
-    warning = None
+    values = series(unit, ts)
     vmax, vmin = float(values.max()), float(values.min())
-    if vmax - vmin <= _CONSTANT_RANGE * max(1.0, vmax):
-        return CoherenceTrace(
-            times=ts, values=values, extrema=(),
-            period_estimate=None,
-            asymptote_estimate=_asymptote_estimate(ts, values),
-            warning=None,
-        )
-
-    D_grid = _derivative_series(series, ts)
-    D_point = lambda t: float(_derivative_series(series, np.array([t]))[0])
-    dscale = float(np.max(np.abs(D_grid)))
-    # a sign flip only counts when the derivative clears the finite-
-    # difference noise floor on at least one side: on a settled plateau
-    # (deep broken regime) the derivative is pure rounding noise and
-    # crosses zero at almost every sample
-    flip_floor = _FLIP_FLOOR * dscale
-
-    roots: list[float] = []
-    # left boundary counts when stationary relative to the trace's slope scale
-    if abs(D_grid[0]) <= 1e-8 * max(1.0, dscale):
-        roots.append(t0)
-    sign = np.sign(D_grid)
-    sign = np.where(sign == 0.0, 1.0, sign)  # exact zeros: avoid missing the flip
-    mags = np.abs(D_grid)
-    strong = np.maximum(mags[:-1], mags[1:]) > flip_floor
-    flips = np.nonzero((sign[:-1] * sign[1:] < 0) & strong)[0]
-    for i in flips:
-        roots.append(_bisect_sign_change(D_point, float(ts[i]), float(ts[i + 1])))
-    # the last subinterval [ts[-1], t1) can hide a flip against the wrap point
-    d_last = D_point(t1 - _DERIV_STEP)
-    if np.sign(D_grid[-1]) * np.sign(d_last) < 0 and max(
-        abs(D_grid[-1]), abs(d_last)
-    ) > flip_floor:
-        roots.append(_bisect_sign_change(D_point, float(ts[-1]), t1 - _DERIV_STEP))
-
-    cleaned: list[float] = []
-    for r in sorted(roots):
-        if cleaned and r - cleaned[-1] <= 1e-8:
-            continue
-        if r >= t1 - 1e-12:
-            continue
-        cleaned.append(r)
-    if len(flips) and samples < 16 * len(flips):
-        warning = "window/sampling may be too coarse for the detected oscillation"
-
-    extrema = []
-    for r in cleaned:
-        val = float(series(np.array([r]))[0])
-        left = D_point(r - 2.0 * _DERIV_STEP)  # slope just before the point
-        kind = "max" if left > 0 else "min"
-        extrema.append(Extremum(time=r, value=val, kind=kind))
-
-    period = _period_estimate(series, extrema, t0, t1, vmax - vmin)
+    extrema: list[Extremum] = []
+    period = warning = None
+    if vmax - vmin > _CONSTANT_RANGE * max(1.0, vmax):
+        grid = np.append(ts, t1)
+        f, bound = slope(unit, grid)
+        neg, strong = f < 0.0, np.abs(f) > bound
+        j, i = np.nonzero((neg[:, 1:] != neg[:, :-1]) & (strong[:, 1:] | strong[:, :-1]))
+        lo, hi, neg_lo = grid[i], grid[i + 1], neg[j, i]
+        for _ in range(100):
+            if np.all(hi - lo <= _BISECT_WIDTH):
+                break
+            mid = 0.5 * (lo + hi)
+            same = (slope(unit, mid)[0][j, np.arange(j.size)] < 0.0) == neg_lo
+            lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        roots = 0.5 * (lo + hi)
+        if not strong[:, 0].all():  # t0 is itself stationary
+            after = np.nextafter(t0 + _BISECT_WIDTH, np.inf)  # its bracket's right end
+            roots, lo, hi = np.append(t0, roots), np.append(t0, lo), np.append(after, hi)
+        is_max = np.prod(slope(unit, lo)[0], axis=0) > np.prod(slope(unit, hi)[0], axis=0)
+        keep = roots < t1 - _BISECT_WIDTH
+        if regime(p) is Regime.BROKEN:
+            keep &= np.abs(roots) <= 26.0 * math.log(2.0) / math.sqrt(abs(1.0 - p.a * p.a))
+        order = np.flatnonzero(keep)[np.argsort(roots[keep], kind="stable")]
+        for r, val, mx in zip(roots[order], series(unit, roots[order]), is_max[order]):
+            if extrema and r - extrema[-1].time <= 1e-8:
+                continue
+            extrema.append(Extremum(time=float(r), value=float(val), kind="max" if mx else "min"))
+        if i.size and samples < 16 * i.size:
+            warning = "window/sampling may be too coarse for the detected oscillation"
+        period = _period_estimate(lambda th: series(unit, th), extrema, t0, t1, vmax - vmin)
     return CoherenceTrace(
-        times=ts,
+        times=ts / p.s,
         values=values,
-        extrema=tuple(extrema),
-        period_estimate=period,
+        extrema=tuple(Extremum(e.time / p.s, e.value, e.kind) for e in extrema),
+        period_estimate=None if period is None else period / p.s,
         asymptote_estimate=_asymptote_estimate(ts, values),
         warning=warning,
     )
@@ -456,8 +389,9 @@ def verify_extrema_conditions(st: PureState, p: HamiltonianParams) -> PredictedE
     """Analytic stationary times of C(t) within one period (unbroken only).
 
     See the module docstring for the conditions.  Times are reported in
-    ``[0, T)`` sorted ascending and match :func:`find_extrema` to 1e-6
-    for states within the theorem hypotheses (``alpha, beta in (0, 1)``,
+    ``[0, T)`` sorted ascending and match :func:`find_extrema` to
+    ``1e-6 T`` (to ``6e-11 T`` in practice, also within ``1e-6`` of the
+    exceptional point) for states within the theorem hypotheses (``alpha, beta in (0, 1)``,
     ``sin phi >= 0``).  Outside those hypotheses the conditions are
     still evaluated where defined and the result is flagged.
 

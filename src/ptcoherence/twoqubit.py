@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import two_qubit_coherence_series_numpy
-from .coherence import CoherenceTrace, _asymptote_estimate, _scan_in_theta, l1_coherence
+from ._kernels import two_qubit_coherence_series_numpy, two_qubit_slope_numpy
+from .coherence import CoherenceTrace, _asymptote_estimate, _scan, l1_coherence
 from .evolution import propagator_analytic, propagator_scaled
 from .hamiltonian import HamiltonianParams
 
@@ -152,7 +152,7 @@ def two_qubit_coherence_trace(
     ``times`` must be sorted, nonnegative, and hold at least two points.
     The returned trace carries the caller's grid in ``times``/``values``;
     extremum times/values and the period estimate come from the scan
-    (bisection-refined in ``theta = s t``, as in the single-qubit
+    (bisection on the exact slope in ``theta = s t``, as in
     :func:`~ptcoherence.coherence.find_extrema`), and the asymptote
     estimate from the tail of the caller's grid, flat per unit theta.
     """
@@ -162,8 +162,9 @@ def two_qubit_coherence_trace(
     if ts[0] < 0 or np.any(np.diff(ts) <= 0):
         raise ValueError("times must be strictly increasing and nonnegative")
     values = two_qubit_series(state, p, ts)
-    scan = _scan_in_theta(
+    scan = _scan(
         lambda q, grid: two_qubit_series(state, q, grid),
+        lambda q, grid: two_qubit_slope_numpy(q, state.vector, grid),
         p, (float(ts[0]), float(ts[-1])), samples=max(2048, 4 * ts.size),
     )
     return CoherenceTrace(

@@ -115,6 +115,17 @@ def test_backflow_report(capsys):
     assert payload["classification"] == "DoubleTouch"
 
 
+@pytest.mark.parametrize("kind, a, expected", [
+    ("apt", "1.01", (2, "SingleBackflow")),  # a flat maximum C = 0.9999877
+    ("pt", "0.9999", (4, "DoubleTouch")),
+])
+def test_backflow_report_near_exceptional_point(capsys, kind, a, expected):
+    code, out = run(capsys, "backflow", "--kind", kind, "--a", a, "--state", "h-sqrt3v")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["zeros_per_period"], payload["classification"]) == expected
+
+
 @pytest.mark.parametrize("argv", [
     ("period", "--kind", "apt", "--a", "1.5", "--state", "h-sqrt3v", "--s", "0.01"),
     ("backflow", "--kind", "pt", "--a", "0.47", "--state", "h-sqrt3v", "--s", "1e6"),

@@ -28,8 +28,10 @@ from ptcoherence import (
     l1_coherence,
     theoretical_period,
     two_qubit_coherence_trace,
+    two_qubit_series,
     verify_extrema_conditions,
 )
+from ptcoherence._kernels import coherence_slope_numpy, two_qubit_slope_numpy
 
 from conftest import random_states
 
@@ -107,7 +109,7 @@ def test_closed_form_matches_matrix_route(a, t, alpha, beta, phi, kind):
 
 
 def test_series_accepts_negative_probe_times():
-    # analytic continuation keeps boundary derivative probes meaningful
+    # negative times evaluate the analytic continuation of the closed form
     values = coherence_series(PureState.preset("D"), _pt(0.5), np.array([-1e-6, 0.0, 1e-6]))
     assert np.all(np.isfinite(values))
     assert values[1] == pytest.approx(1.0, abs=1e-12)
@@ -228,6 +230,103 @@ def test_find_extrema_plateau_has_no_spurious_points():
     trace = find_extrema(PureState.preset("D"), p, (0.0, 10.0))
     assert len(trace.extrema) <= 2
     assert all(e.time < 3.0 for e in trace.extrema)
+
+
+@pytest.mark.parametrize("kind, a", [
+    (SymmetryClass.PT, 1.5), (SymmetryClass.PT, 2.8),
+    (SymmetryClass.APT, 0.47), (SymmetryClass.APT, 0.9),
+])
+def test_broken_scan_reports_nothing_on_the_plateau(kind, a):
+    # past 2 w s t = 52 ln 2 every ratio of propagator entries equals its
+    # limit to double precision: no extremum can be resolved there
+    p = HamiltonianParams(kind=kind, a=a)
+    w = np.sqrt(abs(1.0 - a * a))
+    for st_ in random_states(seed=77, n=10):
+        for window in (10.0, 1e3, 1e6):
+            trace = find_extrema(st_, p, (0.0, window))
+            assert all(w * e.time <= 20.0 for e in trace.extrema)
+
+
+def _census_states() -> list[PureState]:
+    rng = np.random.default_rng(2021)
+    alphas, phis = rng.uniform(0.05, 0.95, 50), rng.uniform(0.0, np.pi, 50)
+    return [PureState.from_amplitudes(al, np.sqrt(1.0 - al * al), ph)
+            for al, ph in zip(alphas, phis)]
+
+
+@pytest.mark.parametrize("gap", [0.1, 1e-2, 1e-3, 1e-4, 1e-6])
+@pytest.mark.parametrize("kind, side, count", [
+    (SymmetryClass.PT, -1.0, 4), (SymmetryClass.APT, 1.0, 2),
+], ids=["pt", "apt"])
+def test_extrema_census_near_exceptional_point(kind, side, count, gap):
+    # the count theorem holds at every distance from the EP, and the
+    # scanned times agree with the analytic stationary conditions
+    p = HamiltonianParams(kind=kind, a=1.0 + side * gap)
+    T = theoretical_period(p)
+    for st_ in _census_states():
+        scan = find_extrema(st_, p, (0.0, T))
+        predicted = verify_extrema_conditions(st_, p)
+        assert len(scan.extrema) == len(predicted) == count
+        assert [e.time for e in scan.extrema] == pytest.approx(list(predicted), abs=1e-6 * T)
+
+
+# ---------------------------------------------------------------------------
+# exact slopes
+# ---------------------------------------------------------------------------
+
+def _slope_checked(p, state, theta, h) -> int:
+    """Assert that the exact slope is finite and has the sign of the
+    central difference of the trace wherever that difference is well
+    above its own error; return how many points were compared."""
+    if isinstance(state, PureState):
+        f, bound = coherence_slope_numpy(p, state.vector(), theta)
+        sign, series = np.sign(f.prod(axis=0)), lambda th: coherence_series(state, p, th)
+    else:
+        f, bound = two_qubit_slope_numpy(p, state.vector, theta)
+        sign, series = np.sign(f[0]), lambda th: two_qubit_series(state, p, th)
+    assert np.all(np.isfinite(f)) and np.all(np.isfinite(bound))
+    diff = {k: (series(theta + k * h) - series(theta - k * h)) / (2 * k * h)
+            for k in (0.5, 1.0, 2.0)}
+    err = np.abs(diff[1.0] - diff[2.0]) + np.abs(diff[1.0] - diff[0.5])
+    err += 8.0 * np.finfo(float).eps * np.abs(series(theta)) / h  # rounding
+    clear = np.abs(diff[1.0]) > 10.0 * err
+    assert np.array_equal(sign[clear], np.sign(diff[1.0][clear]))
+    return int(clear.sum())
+
+
+_SLOPE_CASES = [(SymmetryClass.PT, 0.47), (SymmetryClass.APT, 1.5),  # unbroken
+                (SymmetryClass.PT, 2.8), (SymmetryClass.APT, 0.47),  # broken
+                (SymmetryClass.PT, 1.0 - 1e-4), (SymmetryClass.APT, 1.0 + 1e-4)]
+_SLOPE_STATES = pytest.mark.parametrize(
+    "state", [PureState(0.6, 0.8, 0.5), PureState.preset("h-sqrt3v"),
+              TwoQubitState.psi_1(), TwoQubitState.psi_3()],
+    ids=["q1", "h-sqrt3v", "psi1", "psi3"])
+
+
+@_SLOPE_STATES
+@pytest.mark.parametrize("kind, a", _SLOPE_CASES)
+def test_slope_sign_matches_central_difference(kind, a, state):
+    p = HamiltonianParams(kind=kind, a=a)
+    w = np.sqrt(abs(1.0 - a * a))
+    span = np.pi / w if theoretical_period(p) is not None else 10.0 / w
+    theta = span * (np.arange(400) + 0.5) / 400
+    assert _slope_checked(p, state, theta, 1e-5 * span) >= 100
+
+
+@_SLOPE_STATES
+@pytest.mark.parametrize("kind, a", _SLOPE_CASES)
+def test_slope_across_the_scale_switch(kind, a, state):
+    # w theta = 149.5 and 150.5 lie on both sides of the core's switch to
+    # the scaled representation; a broken trace there equals its limit to
+    # double precision, so its difference never clears its error
+    p = HamiltonianParams(kind=kind, a=a)
+    w = np.sqrt(abs(1.0 - a * a))
+    for phase in (149.5, 150.5):
+        theta = (phase + np.linspace(-0.5, 0.5, 101)) / w
+        compared = _slope_checked(p, state, theta, 1e-4 / w)
+        assert compared >= 20 or theoretical_period(p) is None
+    theta = np.logspace(0.0, 6.0, 25) / w  # finite up to w theta = 1e6
+    _slope_checked(p, state, theta, 1e-4 / w)
 
 
 # ---------------------------------------------------------------------------

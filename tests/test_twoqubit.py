@@ -184,6 +184,18 @@ def test_trace_object_fields():
     assert len(trace.extrema) >= 2
 
 
+@pytest.mark.parametrize("p", [_pt(0.47), _apt(1.5), _pt(2.8), _apt(0.47)],
+                         ids=["pt-unbroken", "apt-unbroken", "pt-broken", "apt-broken"])
+def test_trace_extremum_kinds_alternate(p):
+    # maxima and minima of a smooth trace alternate, also for a boundary
+    # extremum at t = 0 and on windows much longer than a period
+    for psi in (TwoQubitState.psi_1(), TwoQubitState.psi_2(), TwoQubitState.psi_3()):
+        for window in (10.0, 1e3):
+            trace = two_qubit_coherence_trace(psi, p, np.linspace(0.0, window, 401))
+            kinds = [e.kind for e in trace.extrema]
+            assert all(k != k_next for k, k_next in zip(kinds, kinds[1:]))
+
+
 def test_trace_grid_validation():
     p = _pt(0.8)
     psi = TwoQubitState.psi_1()
