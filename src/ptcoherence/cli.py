@@ -142,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(sp: argparse.ArgumentParser, *, with_state: bool, with_grid: bool,
+    def add_common(sp: argparse.ArgumentParser, *, with_state: bool, with_window: bool,
                    with_single_time: bool) -> None:
         sp.add_argument("--config", help="key=value config file (flags override it)")
         sp.add_argument("--kind", choices=["pt", "apt"], help="generator family")
@@ -156,32 +156,33 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--alpha", type=float, help="|H> amplitude (with --beta)")
             sp.add_argument("--beta", type=float, help="|V> amplitude (with --alpha)")
             sp.add_argument("--phi", type=float, help="relative phase in radians")
-        if with_grid:
+        if with_window:
             sp.add_argument("--t-min", dest="t_min", type=float, help="grid start (default 0)")
             sp.add_argument("--t-max", dest="t_max", type=float, help="grid end (default 10)")
-            sp.add_argument("--points", type=int, help="grid length (default 401)")
         if with_single_time:
             sp.add_argument("--t", type=float, help="evolution time (default 1)")
 
     add_common(sub.add_parser("trace", help="coherence trace CSV"),
-               with_state=True, with_grid=True, with_single_time=False)
+               with_state=True, with_window=True, with_single_time=False)
     add_common(sub.add_parser("period", help="oscillation-period report"),
-               with_state=True, with_grid=False, with_single_time=False)
+               with_state=True, with_window=False, with_single_time=False)
     add_common(sub.add_parser("asymptote", help="stable-value report"),
-               with_state=True, with_grid=True, with_single_time=False)
+               with_state=True, with_window=True, with_single_time=False)
     add_common(sub.add_parser("backflow", help="backflow-count report"),
-               with_state=True, with_grid=False, with_single_time=False)
+               with_state=True, with_window=False, with_single_time=False)
     ang = sub.add_parser("angles", help="optical sequence realizing U(t)")
-    add_common(ang, with_state=False, with_grid=False, with_single_time=True)
+    add_common(ang, with_state=False, with_window=False, with_single_time=True)
     ang.add_argument("--restarts", type=int, help="solver restarts (default 32)")
     tomo = sub.add_parser("tomography", help="simulated tomography round trip")
-    add_common(tomo, with_state=True, with_grid=False, with_single_time=True)
+    add_common(tomo, with_state=True, with_window=False, with_single_time=True)
     tomo.add_argument("--exposure", type=float, help="trials per basis (default 30000)")
     tomo.add_argument("--resamples", type=int, help="bootstrap resamples (default 100)")
     add_common(sub.add_parser("bloch", help="Bloch trajectory CSV"),
-               with_state=True, with_grid=True, with_single_time=False)
+               with_state=True, with_window=True, with_single_time=False)
     add_common(sub.add_parser("two-qubit", help="two-qubit coherence CSV"),
-               with_state=False, with_grid=True, with_single_time=False)
+               with_state=False, with_window=True, with_single_time=False)
+    for name in _CSV_COMMANDS:  # asymptote's scan has its own fixed sampling
+        sub.choices[name].add_argument("--points", type=int, help="grid length (default 401)")
     return parser
 
 
@@ -304,8 +305,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"t-max must exceed t-min, got ({t_min}, {t_max})")
         if t_min < 0:
             raise ValueError("t-min must be nonnegative")
-        if points < 2:
-            raise ValueError("points must be >= 2")
+    if sub in _CSV_COMMANDS and points < 2:
+        raise ValueError("points must be >= 2")
     t_single = float(merged["t"])
     if sub in _SINGLE_TIME_COMMANDS:
         _require_finite(t=t_single)

@@ -50,8 +50,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ._kernels import coherence_series_numpy, coherence_slope_numpy
-from .evolution import DensityMatrix, PureState
+from .evolution import DensityMatrix, PureState, _propagator_slope, abc_scaled
 from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime
 
 __all__ = [
@@ -186,11 +185,26 @@ def coherence_series(st: PureState, p: HamiltonianParams, times: np.ndarray) -> 
     """Closed-form l1 coherence of the evolved state over a time grid.
 
     ``times`` may be any real values; negative entries evaluate the
-    analytic continuation.
+    analytic continuation.  Uses the closed-form populations
+    x = |<H|psi(t)>|^2 and y = |<V|psi(t)>|^2 (up to common scale) and
+    ``C = 2 sqrt(x y) / (x + y)``.
     """
-    return coherence_series_numpy(
-        p, st.alpha, st.beta, st.phi, np.asarray(times, dtype=np.float64)
-    )
+    A, B, C, _ = abc_scaled(p.kind, p.a, p.s * np.asarray(times, dtype=np.float64))
+    alpha, beta, phi = st.alpha, st.beta, st.phi
+    sphi, cphi, ab = np.sin(phi), np.cos(phi), alpha * beta
+    if p.kind is SymmetryClass.PT:
+        pm, pp = A - B, A + B
+        x = alpha * alpha * pm * pm + C * C * beta * beta + 2.0 * ab * C * pm * sphi
+        y = beta * beta * pp * pp + C * C * alpha * alpha - 2.0 * ab * C * pp * sphi
+    else:
+        r2 = A * A + B * B
+        cross = 2.0 * ab * C * (A * cphi + B * sphi)
+        x = alpha * alpha * r2 + C * C * beta * beta + cross
+        y = beta * beta * r2 + C * C * alpha * alpha + cross
+    x, y = np.maximum(x, 0.0), np.maximum(y, 0.0)
+    # 2*sqrt(x)*sqrt(y) instead of sqrt(x*y): the product can overflow
+    # at large unscaled hyperbolic arguments even though the ratio is O(1)
+    return 2.0 * np.sqrt(x) * np.sqrt(y) / (x + y)
 
 
 def coherence_closed_form(st: PureState, p: HamiltonianParams, t: float) -> float:
@@ -238,8 +252,7 @@ def find_extrema(
     """Locate stationary points of C(t) on the half-open window [t0, t1).
 
     Dense sampling of the closed form, sign changes of the two exact
-    factors of dC/dtheta (see
-    :func:`~ptcoherence._kernels.coherence_slope_numpy`) refined by
+    factors of dC/dtheta (see :func:`coherence_slope`) refined by
     bisection, all in ``theta = s t``: time tolerance ``1e-8 / s``, and
     counts do not depend on ``s``.  The left boundary t0 is itself
     counted as a stationary point when a factor there is within its
@@ -254,7 +267,30 @@ def find_extrema(
     """
     psi = st.vector()
     return _scan(lambda q, th: coherence_series(st, q, th),
-                 lambda q, th: coherence_slope_numpy(q, psi, th), p, window, samples)
+                 lambda q, th: coherence_slope(q, psi, th), p, window, samples)
+
+
+def _factor(plus: np.ndarray, minus: np.ndarray, den: np.ndarray):
+    """``(plus - minus) / den`` and its rounding bound."""
+    bound = 64.0 * np.finfo(np.float64).eps * (np.abs(plus) + np.abs(minus))
+    return (plus - minus) / den, bound / den
+
+
+def coherence_slope(p: HamiltonianParams, psi: np.ndarray, theta: np.ndarray):
+    """Two factors of dC/dtheta and their rounding bounds, shape ``(2, n)``.
+
+    dC/dtheta = (y - x)(x' y - x y') / (sqrt(x y) (x + y)^2) with
+    v = U psi, x = |v_0|^2, y = |v_1|^2.  The factor (y - x)/(x + y)
+    vanishes at the C = 1 touches, (x' y - x y')/(x + y)^2 at the other
+    extrema (with a sign jump at the corner minima C = 0).
+    """
+    u, du = _propagator_slope(p, theta)
+    v, dv = (u * psi).sum(axis=2), (du * psi).sum(axis=2)
+    x, y = np.abs(v[:, 0]) ** 2, np.abs(v[:, 1]) ** 2
+    dx, dy = 2.0 * (v.conj() * dv).real.T
+    f1, b1 = _factor(y, x, x + y)
+    f2, b2 = _factor(dx * y, x * dy, (x + y) ** 2)
+    return np.stack([f1, f2]), np.stack([b1, b2])
 
 
 def _scan(
@@ -269,12 +305,14 @@ def _scan(
     ``series(q, theta)`` is the trace and ``slope(q, theta)`` gives
     ``(f, bound)`` of shape ``(k, n)``: factors whose product has the
     sign of the slope, with their rounding bounds; both get ``p`` at
-    ``s = 1``.  A factor's sign change on the grid or against t1 counts
-    when it clears its bound on one side, and is bisected on that
-    factor; the slope's change across the final bracket gives the kind.
-    Roots past ``2 w theta = 52 ln 2`` in the broken regime, where every
-    ratio of propagator entries equals its limit to double precision,
-    are dropped.  Times and period are divided by ``s`` on return.
+    ``s = 1``.  A factor's sign change between consecutive samples (t1
+    included) that clear its bound is bisected on that factor: samples
+    within the bound are skipped, and a stationary t0 contributes the
+    sign just after it.  The slope's change across the final bracket
+    gives the kind.  In the broken regime the slope is sampled only up
+    to ``2 w theta = 52 ln 2``, past which every ratio of propagator
+    entries equals its limit to double precision; roots beyond it are
+    dropped.  Times and period are divided by ``s`` on return.
     """
     t0, t1 = p.s * float(window[0]), p.s * float(window[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -290,12 +328,24 @@ def _scan(
     vmax, vmin = float(values.max()), float(values.min())
     extrema: list[Extremum] = []
     period = warning = None
-    if vmax - vmin > _CONSTANT_RANGE * max(1.0, vmax):
-        grid = np.append(ts, t1)
+    cut = math.inf
+    if regime(p) is Regime.BROKEN:
+        cut = 26.0 * math.log(2.0) / math.sqrt(abs(1.0 - p.a * p.a))
+    if vmax - vmin > _CONSTANT_RANGE * max(1.0, vmax) and t0 < cut:
+        end = min(t1, cut)
+        grid = np.append(ts, t1) if end == t1 else np.linspace(t0, end, samples + 1)
         f, bound = slope(unit, grid)
         neg, strong = f < 0.0, np.abs(f) > bound
-        j, i = np.nonzero((neg[:, 1:] != neg[:, :-1]) & (strong[:, 1:] | strong[:, :-1]))
-        lo, hi, neg_lo = grid[i], grid[i + 1], neg[j, i]
+        at_t0 = not strong[:, 0].all()  # t0 is itself stationary
+        after = np.nextafter(t0 + _BISECT_WIDTH, np.inf)  # its bracket's right end
+        if at_t0:
+            neg[:, 0], strong[:, 0] = slope(unit, np.array([after]))[0][:, 0] < 0.0, True
+        # consecutive strong samples: a weak run up to the end (the
+        # approach to the broken plateau) brackets nothing
+        j, i = np.nonzero(strong)
+        flip = (j[1:] == j[:-1]) & (neg[j[1:], i[1:]] != neg[j[:-1], i[:-1]])
+        j, i, k = j[:-1][flip], i[:-1][flip], i[1:][flip]
+        lo, hi, neg_lo = grid[i], grid[k], neg[j, i]
         for _ in range(100):
             if np.all(hi - lo <= _BISECT_WIDTH):
                 break
@@ -303,13 +353,10 @@ def _scan(
             same = (slope(unit, mid)[0][j, np.arange(j.size)] < 0.0) == neg_lo
             lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
         roots = 0.5 * (lo + hi)
-        if not strong[:, 0].all():  # t0 is itself stationary
-            after = np.nextafter(t0 + _BISECT_WIDTH, np.inf)  # its bracket's right end
+        if at_t0:
             roots, lo, hi = np.append(t0, roots), np.append(t0, lo), np.append(after, hi)
         is_max = np.prod(slope(unit, lo)[0], axis=0) > np.prod(slope(unit, hi)[0], axis=0)
-        keep = roots < t1 - _BISECT_WIDTH
-        if regime(p) is Regime.BROKEN:
-            keep &= np.abs(roots) <= 26.0 * math.log(2.0) / math.sqrt(abs(1.0 - p.a * p.a))
+        keep = (roots < t1 - _BISECT_WIDTH) & (np.abs(roots) <= cut)
         order = np.flatnonzero(keep)[np.argsort(roots[keep], kind="stable")]
         for r, val, mx in zip(roots[order], series(unit, roots[order]), is_max[order]):
             if extrema and r - extrema[-1].time <= 1e-8:

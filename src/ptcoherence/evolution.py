@@ -18,21 +18,22 @@ real arithmetic because the generators are traceless.
 
 Numerical notes
 ---------------
-* (A, B, C) come from :func:`ptcoherence._kernels.abc_scaled`, the one
-  evaluator shared with every grid kernel.  It works in ``theta = s t``
-  and evaluates ``g`` as ``theta * sinc_like(w theta)`` with a short
-  series for tiny arguments, so the formula remains accurate through
-  the exceptional point; the exact degenerate branch is used only at
-  ``a == 1.0`` where the generic expression is literally 0/0.  This
-  keeps the propagator within ~1e-13 relative Frobenius distance of a
-  matrix-exponential oracle arbitrarily close to the EP.
-* In the broken regime the entries grow like ``exp(w s t)``.  Evolution
-  and coherence only ever need the propagator up to a positive scale
-  (states are renormalized), so the scaled form
-  ``U = exp(log_scale) * U_hat`` is used, with ``U_hat`` kept order
-  unity once ``w s t`` exceeds the core's one switch (150).  Rescaling
-  by ``exp(-w s t)`` is exact for the *ratios* that all observables
-  reduce to.
+* :func:`abc_scaled` is the package's one evaluator of (A, B, C).  It
+  works in ``theta = s t`` (every observable depends on ``s`` and ``t``
+  only through it) and evaluates ``g`` as ``theta * sinc_like(w theta)``
+  with a short series for tiny arguments, so it stays accurate through
+  the exceptional point (the exact branch is used only at ``a == 1.0``,
+  where the generic expression is 0/0): within ~1e-13 relative
+  Frobenius distance of a matrix-exponential oracle.
+* In the broken regime the entries grow like ``exp(w theta)``.  States
+  are renormalized, so ``U = exp(log_scale) * U_hat`` is used, with
+  ``exp(-w |theta|)`` pulled out once ``|w theta|`` exceeds
+  ``_SCALE_SWITCH = 150``: there even fourth powers of an unscaled
+  entry (e^600 ~ 4e260, as in squared magnitudes of two-qubit
+  products) stay below the overflow threshold (~e^709).  The rescaling
+  is exact for the ratios that all observables reduce to.
+* Grid functions work on whole time grids in array operations; none
+  loops over time points in Python.
 
 All functions are pure; every returned array is freshly allocated.
 """
@@ -43,8 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import abc_matrices, abc_scaled, matmul2, propagator_grid
-from .hamiltonian import HamiltonianParams, Regime, regime
+from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime
 from .tolerances import DEFAULT_TOLS
 
 __all__ = [
@@ -217,6 +217,131 @@ class Propagator:
 
 
 # ---------------------------------------------------------------------------
+# the propagator core
+# ---------------------------------------------------------------------------
+
+#: Hyperbolic argument above which the scaled representation is used
+#: (see the module docstring for why 150).
+_SCALE_SWITCH = 150.0
+#: Below this argument the sin(x)/x and sinh(x)/x ratios use series.
+_SERIES_SWITCH = 1e-4
+
+
+def matmul2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` for (stacks of) 2x2 matrices, broadcasting like ``@``.
+
+    Written out entry by entry: on ``(n, 2, 2)`` stacks numpy's batched
+    matmul is about ten times slower than these elementwise products.
+    """
+    x00, x01, x10, x11 = x[..., 0, 0], x[..., 0, 1], x[..., 1, 0], x[..., 1, 1]
+    y00, y01, y10, y11 = y[..., 0, 0], y[..., 0, 1], y[..., 1, 0], y[..., 1, 1]
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.result_type(x, y))
+    out[..., 0, 0] = x00 * y00 + x01 * y10
+    out[..., 0, 1] = x00 * y01 + x01 * y11
+    out[..., 1, 0] = x10 * y00 + x11 * y10
+    out[..., 1, 1] = x10 * y01 + x11 * y11
+    return out
+
+
+def _discriminant(kind: SymmetryClass, a: float) -> float:
+    """``d`` with (A, C) = (cos, sin / w) of ``w theta``, ``w = sqrt(d)``."""
+    return 1.0 - a * a if kind is SymmetryClass.PT else a * a - 1.0
+
+
+def abc_scaled(kind: SymmetryClass, a: float, theta):
+    """Scaled propagator scalars ``(A, B, C, log_scale)`` at ``theta = s t``.
+
+    The true scalars are ``exp(log_scale)`` times the returned (A, B, C);
+    ``log_scale`` is zero except where the hyperbolic argument
+    ``|w theta|`` exceeds ``_SCALE_SWITCH``.  ``theta`` is any real array
+    (or scalar); all four outputs are float64 arrays of its shape.
+    """
+    th = np.asarray(theta, dtype=np.float64)
+    d = _discriminant(kind, a)
+    log_scale = np.zeros_like(th)
+    if d > 0.0:
+        w = np.sqrt(d)
+        x = w * th
+        A = np.cos(x)
+        tiny = np.abs(x) < _SERIES_SWITCH
+        xs = np.where(tiny, 1.0, x)
+        x2 = np.where(tiny, x, 0.0) ** 2  # only the series needs it: never overflows
+        g = th * np.where(tiny, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, np.sin(xs) / xs)
+    elif d < 0.0:
+        w = np.sqrt(-d)
+        x = w * th
+        xa = np.abs(x)  # cosh even, sinh odd: branch on |x|, restore sign via theta
+        big = xa > _SCALE_SWITCH
+        tiny = xa < _SERIES_SWITCH
+        xc = np.where(big, 0.0, x)  # safe argument for cosh/sinh
+        xs = np.where(tiny | big, 1.0, x)  # safe denominator
+        x2 = np.where(tiny, x, 0.0) ** 2  # only the series needs it: never overflows
+        q = np.exp(-2.0 * xa)  # underflows harmlessly to 0 for large |x|
+        # cosh(x) = e^|x| (1 + e^{-2|x|})/2, sinh(x) = sign(x) e^|x| (1 - e^{-2|x|})/2
+        A = np.where(big, 0.5 * (1.0 + q), np.cosh(xc))
+        sinhc = np.where(tiny, 1.0 + x2 / 6.0 + x2 * x2 / 120.0, np.sinh(xc) / xs)
+        g = np.where(big, np.sign(th) * 0.5 * (1.0 - q) / w, th * sinhc)
+        log_scale = np.where(big, xa, log_scale)
+    else:
+        A = np.ones_like(th)
+        g = th.copy()
+    return A, -a * g, g, log_scale
+
+
+def abc_matrices(kind: SymmetryClass, A, B, C) -> np.ndarray:
+    """Propagator matrices from (arrays of) scalars, shape ``A.shape + (2, 2)``.
+
+    PT: ``[[A - B, -i C], [-i C, A + B]]``; APT: ``[[A + i B, C], [C, A - i B]]``.
+    """
+    A, B, C = np.broadcast_arrays(A, B, C)
+    u = np.empty(A.shape + (2, 2), dtype=complex)
+    if kind is SymmetryClass.PT:
+        u[..., 0, 0] = A - B
+        u[..., 0, 1] = -1j * C
+        u[..., 1, 0] = -1j * C
+        u[..., 1, 1] = A + B
+    else:
+        u[..., 0, 0] = A + 1j * B
+        u[..., 0, 1] = C
+        u[..., 1, 0] = C
+        u[..., 1, 1] = A - 1j * B
+    return u
+
+
+def propagator_grid(p: HamiltonianParams, times) -> np.ndarray:
+    """Scaled propagators ``U_hat(t)`` over a time grid, shape ``(n, 2, 2)``.
+
+    Each matrix equals the true propagator up to a positive per-time
+    factor, so every renormalized quantity built from it is exact.
+    ``times`` may be any real values; negative entries evaluate the
+    analytic continuation.
+    """
+    A, B, C, _ = abc_scaled(p.kind, p.a, p.s * np.asarray(times, dtype=np.float64))
+    return abc_matrices(p.kind, A, B, C)
+
+
+def max_entry(u: np.ndarray) -> np.ndarray:
+    """Largest entry magnitude of each 2x2 matrix of ``u``, shaped to divide
+    it: the quotient is of order one, so products of several stay finite."""
+    return np.abs(u).max(axis=(-2, -1), keepdims=True)
+
+
+def _propagator_slope(p: HamiltonianParams, theta: np.ndarray):
+    """``(U_hat, dU/dtheta)`` over a 1-D grid in ``theta``, each divided by
+    :func:`max_entry` of ``U_hat``.
+
+    ``dA/dtheta = -d C``, ``dB/dtheta = -a A`` and ``dC/dtheta = A``.  A
+    per-time scale only adds a multiple of ``U`` to the derivative,
+    which no ratio of the state's entries sees.
+    """
+    A, B, C, _ = abc_scaled(p.kind, p.a, theta)
+    u = abc_matrices(p.kind, A, B, C)
+    du = abc_matrices(p.kind, -_discriminant(p.kind, p.a) * C, -p.a * A, A)
+    top = max_entry(u)
+    return u / top, du / top
+
+
+# ---------------------------------------------------------------------------
 # single-time propagators
 # ---------------------------------------------------------------------------
 
@@ -308,19 +433,19 @@ def evolve_density(rho: DensityMatrix, p: HamiltonianParams, t: float) -> Densit
     return DensityMatrix(out)
 
 
-def _propagators(p: HamiltonianParams, times) -> np.ndarray:
-    """Scaled propagators over a grid of finite, nonnegative times."""
+def _evolution_times(times) -> np.ndarray:
+    """``times`` as a 1-D float grid of finite, nonnegative times."""
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1:
         raise ValueError("evolution times must be a 1-D grid")
     if not np.all(np.isfinite(ts) & (ts >= 0)):
         raise ValueError("evolution time must be finite and nonnegative")
-    return propagator_grid(p, ts)
+    return ts
 
 
 def evolve_pure_grid(st: PureState, p: HamiltonianParams, times) -> np.ndarray:
     """:func:`evolve_pure` over a time grid: unit-norm rows, shape ``(n, 2)``."""
-    v = _propagators(p, times) @ st.vector()
+    v = propagator_grid(p, _evolution_times(times)) @ st.vector()
     norms = np.sqrt((v.real * v.real).sum(axis=1) + (v.imag * v.imag).sum(axis=1))
     if np.any(norms < 1e-300):
         raise DegenerateEvolutionError(
@@ -336,7 +461,7 @@ def evolve_density_grid(rho: DensityMatrix, p: HamiltonianParams, times) -> np.n
     Every evolved matrix passes the same checks as a
     :class:`DensityMatrix`; the first failure raises ``ValueError``.
     """
-    u = _propagators(p, times)
+    u = propagator_grid(p, _evolution_times(times))
     out = matmul2(matmul2(u, rho.rho), u.conj().transpose(0, 2, 1))
     tr = (out[:, 0, 0] + out[:, 1, 1]).real
     if np.any(tr < 1e-300):

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import two_qubit_coherence_series_numpy, two_qubit_slope_numpy
 from .coherence import CoherenceTrace, _asymptote_estimate, _scan, l1_coherence
-from .evolution import propagator_analytic, propagator_scaled
+from .evolution import (_propagator_slope, matmul2, max_entry, propagator_analytic,
+                        propagator_grid, propagator_scaled)
 from .hamiltonian import HamiltonianParams
 
 __all__ = [
@@ -125,7 +125,7 @@ def evolve_two_qubit(
         # U_hat is unscaled up to the core's switch (w s t = 150); bring
         # its entries to order one so the squared norm of the Kronecker
         # product (which overflows from w s t ~ 177) stays finite
-        factors.append(u_hat / np.abs(u_hat).max())
+        factors.append(u_hat / max_entry(u_hat))
     return TwoQubitState(np.kron(*factors) @ state.vector)
 
 
@@ -137,8 +137,41 @@ def two_qubit_coherence(state: TwoQubitState | np.ndarray) -> float:
 def two_qubit_series(
     state: TwoQubitState, p: HamiltonianParams, times: np.ndarray
 ) -> np.ndarray:
-    """Two-qubit l1 coherence of the evolved state over a time grid."""
-    return two_qubit_coherence_series_numpy(p, state.vector, np.asarray(times, dtype=float))
+    """Two-qubit l1 coherence of the evolved state over a time grid.
+
+    With the state vector ``psi`` reshaped to the 2x2 ``Psi`` (row
+    index: first qubit), ``(U ⊗ U) psi = vec(U Psi U^T)``.  For the pure
+    state ``v`` the off-diagonal magnitudes of ``|v><v|`` sum to
+    ``(sum |v_i|)^2 - sum |v_i|^2`` and its trace is ``sum |v_i|^2``.
+    """
+    u = propagator_grid(p, times)
+    psi2 = state.vector.reshape(2, 2)
+    mags = np.abs(matmul2(matmul2(u, psi2), u.transpose(0, 2, 1)).reshape(-1, 4))
+    l1 = mags.sum(axis=1)
+    norm2 = (mags * mags).sum(axis=1)
+    return (l1 * l1 - norm2) / norm2
+
+
+def two_qubit_slope(p: HamiltonianParams, psi: np.ndarray, theta: np.ndarray):
+    """The sign of the two-qubit dC/dtheta and its rounding bound, shape ``(1, n)``.
+
+    With v = vec(U Psi U^T), v' = vec(U' Psi U^T + U Psi U'^T),
+    L = sum |v_i|, N = sum |v_i|^2 and C = L^2 / N - 1, that sign is the
+    sign of L' N - L sum Re(conj(v_i) v_i'), where
+    L' = sum Re(conj(v_i) v_i') / |v_i| (terms with v_i = 0 dropped).
+    """
+    u, du = _propagator_slope(p, theta)
+    psi2 = np.asarray(psi, dtype=complex).reshape(2, 2)
+    up, ut = matmul2(u, psi2), u.transpose(0, 2, 1)
+    v = matmul2(up, ut).reshape(-1, 4)
+    dv = (matmul2(matmul2(du, psi2), ut) + matmul2(up, du.transpose(0, 2, 1))).reshape(-1, 4)
+    mags, re = np.abs(v), (v.conj() * dv).real
+    ratio = np.divide(re, mags, out=np.zeros_like(re), where=mags > 0.0)
+    l1, norm2 = mags.sum(axis=1), (mags * mags).sum(axis=1)
+    f = ratio.sum(axis=1) * norm2 - l1 * re.sum(axis=1)
+    # both sums can cancel (at t = 0 for psi_2 and psi_3): bound by their terms
+    scale = np.abs(ratio).sum(axis=1) * norm2 + l1 * np.abs(re).sum(axis=1)
+    return f[None], 64.0 * np.finfo(np.float64).eps * scale[None]
 
 
 def two_qubit_coherence_trace(
@@ -164,7 +197,7 @@ def two_qubit_coherence_trace(
     values = two_qubit_series(state, p, ts)
     scan = _scan(
         lambda q, grid: two_qubit_series(state, q, grid),
-        lambda q, grid: two_qubit_slope_numpy(q, state.vector, grid),
+        lambda q, grid: two_qubit_slope(q, state.vector, grid),
         p, (float(ts[0]), float(ts[-1])), samples=max(2048, 4 * ts.size),
     )
     return CoherenceTrace(

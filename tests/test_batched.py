@@ -55,6 +55,8 @@ def test_density_grid_matches_per_point(p):
     rho0 = STATE.density()
     grid = evolve_density_grid(rho0, p, ts)
     assert grid.shape == (ts.size, 2, 2)
+    # the closed form agrees with the matrix path past the scale switch
+    assert np.max(np.abs(pc.coherence_series(STATE, p, ts) - 2.0 * np.abs(grid[:, 0, 1]))) < 1e-12
     for t, rho in zip(ts, grid):
         ref = pc.evolve_density(rho0, p, float(t)).rho
         assert np.max(np.abs(rho - ref)) < 1e-12

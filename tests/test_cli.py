@@ -106,6 +106,22 @@ def test_asymptote_report(capsys):
     assert payload["asymptote_estimate"] == pytest.approx(1 / 2.8, abs=1e-3)
 
 
+def test_asymptote_has_no_points_flag(tmp_path, capsys):
+    # the asymptote scan samples its window at a fixed density, so a
+    # grid length would do nothing: the flag is refused, and a config
+    # file's points key is ignored like any other irrelevant key
+    with pytest.raises(SystemExit) as exc:
+        main(["asymptote", "--kind", "pt", "--a", "2.8", "--points", "5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    _, default = run(capsys, "asymptote", "--kind", "pt", "--a", "2.8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("points = 1\n")
+    code, out = run(capsys, "asymptote", "--config", str(cfg), "--kind", "pt", "--a", "2.8")
+    assert code == 0
+    assert out == default
+
+
 def test_backflow_report(capsys):
     code, out = run(capsys, "backflow", "--kind", "pt", "--a", "0.47",
                     "--state", "h-sqrt3v")
