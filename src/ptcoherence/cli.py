@@ -58,50 +58,45 @@ _EXIT_VALIDATION = 2
 _EXIT_SOLVER = 3
 _EXIT_IO = 4
 
-_CSV_COMMANDS = ("trace", "bloch", "two-qubit")
-_GRID_COMMANDS = ("trace", "asymptote", "bloch", "two-qubit")
-_SINGLE_TIME_COMMANDS = ("angles", "tomography")
-_JSON_COMMANDS = ("period", "asymptote", "backflow", "angles", "tomography")
-
-#: Keys accepted from flags and config files, with their parsers.
-_FIELD_PARSERS = {
-    "kind": str,
-    "s": float,
-    "a": float,
-    "state": str,
-    "alpha": float,
-    "beta": float,
-    "phi": float,
-    "t_min": float,
-    "t_max": float,
-    "points": int,
-    "t": float,
-    "seed": int,
-    "exposure": float,
-    "resamples": int,
-    "restarts": int,
-    "format": str,
-    "output": str,
+#: Every config key: its default and its flag's ``add_argument`` keywords.
+#: The flag's ``type`` (str when absent) also parses config-file values.
+_FIELDS = {
+    "kind": (None, dict(choices=["pt", "apt"], help="generator family")),
+    "s": (1.0, dict(type=float, help="coupling scale s > 0 (default 1)")),
+    "a": (None, dict(type=float, help="detuning ratio a > 0")),
+    "seed": (0, dict(type=int, help="RNG seed (default 0)")),
+    "output": (None, dict(help="output path (default: stdout)")),
+    "format": (None, dict(choices=["csv", "json"], help="output format")),
+    "state": (None, dict(help="preset initial state: H, D, or h-sqrt3v")),
+    "alpha": (None, dict(type=float, help="|H> amplitude (with --beta)")),
+    "beta": (None, dict(type=float, help="|V> amplitude (with --alpha)")),
+    "phi": (None, dict(type=float, help="relative phase in radians")),
+    "t_min": (0.0, dict(type=float, help="grid start (default 0)")),
+    "t_max": (10.0, dict(type=float, help="grid end (default 10)")),
+    "t": (1.0, dict(type=float, help="evolution time (default 1)")),
+    "restarts": (32, dict(type=int, help="solver restarts (default 32)")),
+    "exposure": (30000.0, dict(type=float, help="trials per basis (default 30000)")),
+    "resamples": (100, dict(type=int, help="bootstrap resamples (default 100)")),
+    "points": (401, dict(type=int, help="grid length (default 401)")),
 }
 
-_DEFAULTS = {
-    "kind": None,
-    "s": 1.0,
-    "a": None,
-    "state": None,
-    "alpha": None,
-    "beta": None,
-    "phi": None,
-    "t_min": 0.0,
-    "t_max": 10.0,
-    "points": 401,
-    "t": 1.0,
-    "seed": 0,
-    "exposure": 30000.0,
-    "resamples": 100,
-    "restarts": 32,
-    "format": None,
-    "output": None,
+_COMMON = ("kind", "s", "a", "seed", "output", "format")
+_STATE = ("state", "alpha", "beta", "phi")
+_WINDOW = ("t_min", "t_max")
+
+#: Each subcommand's help and the fields it takes, in flag order.  The
+#: commands with a grid length emit CSV by default, the others JSON only;
+#: asymptote's scan has its own fixed sampling, so it takes no points.
+_SUBCOMMANDS = {
+    "trace": ("coherence trace CSV", _COMMON + _STATE + _WINDOW + ("points",)),
+    "period": ("oscillation-period report", _COMMON + _STATE),
+    "asymptote": ("stable-value report", _COMMON + _STATE + _WINDOW),
+    "backflow": ("backflow-count report", _COMMON + _STATE),
+    "angles": ("optical sequence realizing U(t)", _COMMON + ("t", "restarts")),
+    "tomography": ("simulated tomography round trip",
+                   _COMMON + _STATE + ("t", "exposure", "resamples")),
+    "bloch": ("Bloch trajectory CSV", _COMMON + _STATE + _WINDOW + ("points",)),
+    "two-qubit": ("two-qubit coherence CSV", _COMMON + _WINDOW + ("points",)),
 }
 
 
@@ -141,48 +136,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Coherence dynamics of PT- and anti-PT-symmetric qubits.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(sp: argparse.ArgumentParser, *, with_state: bool, with_window: bool,
-                   with_single_time: bool) -> None:
+    for name, (help_text, fields) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="key=value config file (flags override it)")
-        sp.add_argument("--kind", choices=["pt", "apt"], help="generator family")
-        sp.add_argument("--s", type=float, help="coupling scale s > 0 (default 1)")
-        sp.add_argument("--a", type=float, help="detuning ratio a > 0")
-        sp.add_argument("--seed", type=int, help="RNG seed (default 0)")
-        sp.add_argument("--output", help="output path (default: stdout)")
-        sp.add_argument("--format", choices=["csv", "json"], help="output format")
-        if with_state:
-            sp.add_argument("--state", help="preset initial state: H, D, or h-sqrt3v")
-            sp.add_argument("--alpha", type=float, help="|H> amplitude (with --beta)")
-            sp.add_argument("--beta", type=float, help="|V> amplitude (with --alpha)")
-            sp.add_argument("--phi", type=float, help="relative phase in radians")
-        if with_window:
-            sp.add_argument("--t-min", dest="t_min", type=float, help="grid start (default 0)")
-            sp.add_argument("--t-max", dest="t_max", type=float, help="grid end (default 10)")
-        if with_single_time:
-            sp.add_argument("--t", type=float, help="evolution time (default 1)")
-
-    add_common(sub.add_parser("trace", help="coherence trace CSV"),
-               with_state=True, with_window=True, with_single_time=False)
-    add_common(sub.add_parser("period", help="oscillation-period report"),
-               with_state=True, with_window=False, with_single_time=False)
-    add_common(sub.add_parser("asymptote", help="stable-value report"),
-               with_state=True, with_window=True, with_single_time=False)
-    add_common(sub.add_parser("backflow", help="backflow-count report"),
-               with_state=True, with_window=False, with_single_time=False)
-    ang = sub.add_parser("angles", help="optical sequence realizing U(t)")
-    add_common(ang, with_state=False, with_window=False, with_single_time=True)
-    ang.add_argument("--restarts", type=int, help="solver restarts (default 32)")
-    tomo = sub.add_parser("tomography", help="simulated tomography round trip")
-    add_common(tomo, with_state=True, with_window=False, with_single_time=True)
-    tomo.add_argument("--exposure", type=float, help="trials per basis (default 30000)")
-    tomo.add_argument("--resamples", type=int, help="bootstrap resamples (default 100)")
-    add_common(sub.add_parser("bloch", help="Bloch trajectory CSV"),
-               with_state=True, with_window=True, with_single_time=False)
-    add_common(sub.add_parser("two-qubit", help="two-qubit coherence CSV"),
-               with_state=False, with_window=True, with_single_time=False)
-    for name in _CSV_COMMANDS:  # asymptote's scan has its own fixed sampling
-        sub.choices[name].add_argument("--points", type=int, help="grid length (default 401)")
+        for key in fields:
+            sp.add_argument("--" + key.replace("_", "-"), **_FIELDS[key][1])
     return parser
 
 
@@ -203,10 +161,10 @@ def _read_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in _FIELD_PARSERS:
+        if key not in _FIELDS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            out[key] = _FIELD_PARSERS[key](value)
+            out[key] = _FIELDS[key][1].get("type", str)(value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return out
@@ -262,14 +220,15 @@ def _require_resolved_phase(p: HamiltonianParams, key: str, t: float) -> None:
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     sub = args.subcommand
-    merged = dict(_DEFAULTS)
+    fields = _SUBCOMMANDS[sub][1]
+    merged = {key: default for key, (default, _) in _FIELDS.items()}
     layer = {k: 0 for k in merged}
-    if getattr(args, "config", None):
+    if args.config:
         for key, value in _read_config_file(args.config).items():
             merged[key] = value
             layer[key] = 1
-    for key in _FIELD_PARSERS:
-        value = getattr(args, key, None)
+    for key in fields:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
             layer[key] = 2
@@ -284,45 +243,33 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError("a is required (detuning ratio, a > 0)")
 
     fmt = merged["format"]
-    natural = "csv" if sub in _CSV_COMMANDS else "json"
     if fmt is None:
-        fmt = natural
-    if sub in _JSON_COMMANDS and fmt != "json":
+        fmt = "csv" if "points" in fields else "json"
+    if "points" not in fields and fmt != "json":
         raise ValueError(f"subcommand {sub!r} emits JSON only")
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
 
-    state: PureState | None = None
-    state_label = "n/a"
-    if sub not in ("angles", "two-qubit"):
-        state, state_label = _resolve_state(merged, layer)
-
-    t_min, t_max = float(merged["t_min"]), float(merged["t_max"])
-    points = int(merged["points"])
-    if sub in _GRID_COMMANDS:
+    state, state_label = _resolve_state(merged, layer) if "state" in fields else (None, "n/a")
+    t_min, t_max, t_single = float(merged["t_min"]), float(merged["t_max"]), float(merged["t"])
+    if "t_min" in fields:
         _require_finite(t_min=t_min, t_max=t_max)
         if not (t_max > t_min):
             raise ValueError(f"t-max must exceed t-min, got ({t_min}, {t_max})")
         if t_min < 0:
             raise ValueError("t-min must be nonnegative")
-    if sub in _CSV_COMMANDS and points < 2:
-        raise ValueError("points must be >= 2")
-    t_single = float(merged["t"])
-    if sub in _SINGLE_TIME_COMMANDS:
+    if "t" in fields:
         _require_finite(t=t_single)
         if t_single < 0:
             raise ValueError("t must be nonnegative")
     exposure = float(merged["exposure"])
-    if sub == "tomography":
+    if "exposure" in fields:
         _require_finite(exposure=exposure)
         if exposure <= 0:
             raise ValueError("exposure must be positive")
-    resamples = int(merged["resamples"])
-    if sub == "tomography" and resamples < 2:
-        raise ValueError("resamples must be >= 2")
-    restarts = int(merged["restarts"])
-    if sub == "angles" and restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    for key, least in (("points", 2), ("resamples", 2), ("restarts", 1)):
+        if key in fields and merged[key] < least:
+            raise ValueError(f"{key} must be >= {least}")
 
     cfg = RunConfig(
         subcommand=sub,
@@ -333,19 +280,19 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         state_label=state_label,
         t_min=t_min,
         t_max=t_max,
-        points=points,
+        points=int(merged["points"]),
         t=t_single,
         seed=int(merged["seed"]),
         exposure=exposure,
-        resamples=resamples,
-        restarts=restarts,
+        resamples=int(merged["resamples"]),
+        restarts=int(merged["restarts"]),
         format=fmt,
         output=merged["output"],
     )
     p = cfg.params  # validates s > 0, a > 0 at parse time
-    if sub in _GRID_COMMANDS:
+    if "t_min" in fields:
         _require_resolved_phase(p, "t-max", t_max)
-    elif sub in _SINGLE_TIME_COMMANDS:
+    if "t" in fields:
         _require_resolved_phase(p, "t", t_single)
     return cfg
 
@@ -491,7 +438,7 @@ def cmd_period(cfg: RunConfig) -> str:
     period = theoretical_period(p)
     estimate = None
     if period is not None:
-        scan = find_extrema(cfg.state, p, (0.0, 2.0 * period), samples=2048)
+        scan = find_extrema(cfg.state, p, (0.0, 2.0 * period))
         estimate = scan.period_estimate
     payload = _base_payload(cfg)
     payload.update({"period_theoretical": period, "period_estimate": estimate})
@@ -502,7 +449,7 @@ def cmd_asymptote(cfg: RunConfig) -> str:
     """Theoretical stable value plus a tail estimate from the trace."""
     assert cfg.state is not None
     p = cfg.params
-    scan = find_extrema(cfg.state, p, (cfg.t_min, cfg.t_max), samples=2048)
+    scan = find_extrema(cfg.state, p, (cfg.t_min, cfg.t_max))
     payload = _base_payload(cfg)
     payload.update({
         "asymptote_theoretical": asymptotic_value(p),

@@ -46,11 +46,11 @@ import enum
 import math
 import statistics
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .evolution import DensityMatrix, PureState, _propagator_slope, abc_scaled
+from .evolution import DensityMatrix, PureState, _evolution_times, _propagator_slope, abc_scaled
 from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime
 
 __all__ = [
@@ -73,6 +73,9 @@ __all__ = [
 _BISECT_WIDTH = 1e-9
 #: Value range below which a trace counts as constant.
 _CONSTANT_RANGE = 1e-10
+#: Samples per :func:`find_extrema` window; the two-qubit scan takes at
+#: least as many.
+_SCAN_SAMPLES = 2048
 
 
 class Classification(enum.Enum):
@@ -154,9 +157,6 @@ class PredictedExtrema(Sequence):
     def __getitem__(self, i):
         return self.times[i]
 
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.times)
-
 
 # ---------------------------------------------------------------------------
 # basic quantities
@@ -208,15 +208,15 @@ def coherence_series(st: PureState, p: HamiltonianParams, times: np.ndarray) -> 
 
 
 def coherence_closed_form(st: PureState, p: HamiltonianParams, t: float) -> float:
-    """Closed-form l1 coherence at a single time ``t >= 0``.
+    """Closed-form l1 coherence at a single finite time ``t >= 0``.
 
     Agrees with the matrix path (evolve the density matrix, then take
-    :func:`l1_coherence`) to 1e-9; the two routes share no code beyond
-    the parameter record.
+    :func:`l1_coherence`) to 1e-9.  Both routes start from the scaled
+    propagator scalars of :func:`~ptcoherence.evolution.abc_scaled`;
+    from there this one uses the closed-form populations and the other
+    conjugates the density matrix.
     """
-    if t < 0:
-        raise ValueError("evolution time must be nonnegative")
-    return float(coherence_series(st, p, np.array([float(t)]))[0])
+    return float(coherence_series(st, p, _evolution_times([t]))[0])
 
 
 def theoretical_period(p: HamiltonianParams) -> float | None:
@@ -247,14 +247,14 @@ def find_extrema(
     st: PureState,
     p: HamiltonianParams,
     window: tuple[float, float],
-    samples: int = 2048,
 ) -> CoherenceTrace:
     """Locate stationary points of C(t) on the half-open window [t0, t1).
 
-    Dense sampling of the closed form, sign changes of the two exact
-    factors of dC/dtheta (see :func:`coherence_slope`) refined by
-    bisection, all in ``theta = s t``: time tolerance ``1e-8 / s``, and
-    counts do not depend on ``s``.  The left boundary t0 is itself
+    Dense sampling of the closed form (``_SCAN_SAMPLES`` points), sign
+    changes of the two exact factors of dC/dtheta (see
+    :func:`coherence_slope`) refined by bisection, all in
+    ``theta = s t``: time tolerance ``1e-8 / s``, and counts do not
+    depend on ``s``.  The left boundary t0 is itself
     counted as a stationary point when a factor there is within its
     rounding bound (so a window aligned with a period boundary reports
     the boundary extremum exactly once).
@@ -267,7 +267,7 @@ def find_extrema(
     """
     psi = st.vector()
     return _scan(lambda q, th: coherence_series(st, q, th),
-                 lambda q, th: coherence_slope(q, psi, th), p, window, samples)
+                 lambda q, th: coherence_slope(q, psi, th), p, window, _SCAN_SAMPLES)
 
 
 def _factor(plus: np.ndarray, minus: np.ndarray, den: np.ndarray):
@@ -319,8 +319,6 @@ def _scan(
         raise ValueError(f"window must be finite, got ({t0}, {t1})")
     if not (t1 > t0):
         raise ValueError(f"window must satisfy t1 > t0, got ({t0}, {t1})")
-    if samples < 64:
-        raise ValueError(f"samples must be >= 64, got {samples}")
 
     unit = replace(p, s=1.0)
     ts = t0 + (t1 - t0) * np.arange(samples) / samples  # half-open grid
@@ -514,7 +512,6 @@ def verify_extrema_conditions(st: PureState, p: HamiltonianParams) -> PredictedE
 def classify_backflow(
     st: PureState,
     p: HamiltonianParams,
-    samples: int = 2048,
 ) -> BackflowReport:
     """Count stationary points per period and classify the trace shape.
 
@@ -528,7 +525,7 @@ def classify_backflow(
     """
     T = theoretical_period(p)
     window = (0.0, T) if T is not None else (0.0, 10.0 / p.s)
-    trace = find_extrema(st, p, window, samples=samples)
+    trace = find_extrema(st, p, window)
     vmax, vmin = float(trace.values.max()), float(trace.values.min())
     if vmax - vmin <= _CONSTANT_RANGE * max(1.0, vmax):
         return BackflowReport(zeros_per_period=0, classification=Classification.CONSTANT)

@@ -188,10 +188,6 @@ class DensityMatrix:
     def maximally_mixed(cls) -> "DensityMatrix":
         return cls(np.eye(2, dtype=complex) / 2.0)
 
-    @classmethod
-    def from_pure(cls, st: PureState) -> "DensityMatrix":
-        return st.density()
-
 
 @dataclass(frozen=True)
 class Propagator:

@@ -131,8 +131,8 @@ class OpticalSequence:
                 f"{self.target_kind.value} shape "
                 f"{tuple(k.value for k in _SHAPES[self.target_kind])}"
             )
-        if self.t < 0:
-            raise ValueError("t must be nonnegative")
+        if not (math.isfinite(self.t) and self.t >= 0):
+            raise ValueError("t must be finite and nonnegative")
 
 
 class NoDecompositionError(RuntimeError):

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import CoherenceTrace, _asymptote_estimate, _scan, l1_coherence
-from .evolution import (_propagator_slope, matmul2, max_entry, propagator_analytic,
-                        propagator_grid, propagator_scaled)
+from .coherence import _SCAN_SAMPLES, CoherenceTrace, _asymptote_estimate, _scan, l1_coherence
+from .evolution import (_evolution_times, _propagator_slope, matmul2, max_entry,
+                        propagator_analytic, propagator_grid, propagator_scaled)
 from .hamiltonian import HamiltonianParams
 
 __all__ = [
@@ -182,23 +182,22 @@ def two_qubit_coherence_trace(
     """Coherence trace C_AB(t) on the caller's grid, with extrema located
     by an independent dense scan of the window.
 
-    ``times`` must be sorted, nonnegative, and hold at least two points.
+    ``times`` must be finite, nonnegative, strictly increasing, and hold
+    at least two points.
     The returned trace carries the caller's grid in ``times``/``values``;
     extremum times/values and the period estimate come from the scan
     (bisection on the exact slope in ``theta = s t``, as in
     :func:`~ptcoherence.coherence.find_extrema`), and the asymptote
     estimate from the tail of the caller's grid, flat per unit theta.
     """
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size < 2:
-        raise ValueError("times must be a 1-D grid with at least two points")
-    if ts[0] < 0 or np.any(np.diff(ts) <= 0):
-        raise ValueError("times must be strictly increasing and nonnegative")
+    ts = _evolution_times(times)
+    if ts.size < 2 or np.any(np.diff(ts) <= 0):
+        raise ValueError("times must be strictly increasing, with at least two points")
     values = two_qubit_series(state, p, ts)
     scan = _scan(
         lambda q, grid: two_qubit_series(state, q, grid),
         lambda q, grid: two_qubit_slope(q, state.vector, grid),
-        p, (float(ts[0]), float(ts[-1])), samples=max(2048, 4 * ts.size),
+        p, (float(ts[0]), float(ts[-1])), samples=max(_SCAN_SAMPLES, 4 * ts.size),
     )
     return CoherenceTrace(
         times=ts,

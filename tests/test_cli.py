@@ -1,6 +1,7 @@
 """CLI surface: formats, precedence, exit codes, determinism."""
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ptcoherence as pc
+from ptcoherence import cli
 from ptcoherence.cli import _csv_text, _fmt, _json_grid_text, _json_text, main
 
 
@@ -249,6 +251,50 @@ def test_missing_config_file_is_io_error(capsys):
     code, _ = run(capsys, "trace", "--kind", "pt", "--a", "0.31",
                   "--config", "/nonexistent/path.cfg")
     assert code == 4
+
+
+# ---------------------------------------------------------------------------
+# flag surface
+# ---------------------------------------------------------------------------
+
+#: The long flags each subcommand accepts, in --help order.
+SUBCOMMAND_FLAGS = {
+    "trace": ["--config", "--kind", "--s", "--a", "--seed", "--output", "--format",
+              "--state", "--alpha", "--beta", "--phi", "--t-min", "--t-max", "--points"],
+    "period": ["--config", "--kind", "--s", "--a", "--seed", "--output", "--format",
+               "--state", "--alpha", "--beta", "--phi"],
+    "asymptote": ["--config", "--kind", "--s", "--a", "--seed", "--output", "--format",
+                  "--state", "--alpha", "--beta", "--phi", "--t-min", "--t-max"],
+    "backflow": ["--config", "--kind", "--s", "--a", "--seed", "--output", "--format",
+                 "--state", "--alpha", "--beta", "--phi"],
+    "angles": ["--config", "--kind", "--s", "--a", "--seed", "--output", "--format",
+               "--t", "--restarts"],
+    "tomography": ["--config", "--kind", "--s", "--a", "--seed", "--output", "--format",
+                   "--state", "--alpha", "--beta", "--phi", "--t", "--exposure", "--resamples"],
+    "bloch": ["--config", "--kind", "--s", "--a", "--seed", "--output", "--format",
+              "--state", "--alpha", "--beta", "--phi", "--t-min", "--t-max", "--points"],
+    "two-qubit": ["--config", "--kind", "--s", "--a", "--seed", "--output", "--format",
+                  "--t-min", "--t-max", "--points"],
+}
+
+
+def test_flag_surface(tmp_path):
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        name: [opt for action in sp._actions for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"]
+        for name, sp in subparsers.choices.items()
+    }
+    assert accepted == SUBCOMMAND_FLAGS
+    assert cli._COMMANDS.keys() == cli._SUBCOMMANDS.keys()
+    # a config file holds the same keys as the long flags
+    keys = {flag[2:].replace("-", "_") for flags in SUBCOMMAND_FLAGS.values()
+            for flag in flags} - {"config"}
+    assert keys == cli._FIELDS.keys()
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key} = 1\n" for key in sorted(keys)))
+    assert cli._read_config_file(str(cfg)).keys() == keys
 
 
 # ---------------------------------------------------------------------------

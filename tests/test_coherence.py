@@ -121,6 +121,14 @@ def test_closed_form_rejects_negative_time():
         coherence_closed_form(PureState.preset("D"), _pt(0.5), -0.1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_closed_form_rejects_non_finite_time(t):
+    # rejected before any arithmetic: no RuntimeWarning, no nan result
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        coherence_closed_form(PureState.preset("D"), _pt(0.5), t)
+
+
 # ---------------------------------------------------------------------------
 # periods and stable values
 # ---------------------------------------------------------------------------
@@ -220,8 +228,6 @@ def test_find_extrema_window_validation():
     st_ = PureState.preset("D")
     with pytest.raises(ValueError):
         find_extrema(st_, _pt(0.31), (1.0, 1.0))
-    with pytest.raises(ValueError):
-        find_extrema(st_, _pt(0.31), (0.0, 1.0), samples=8)
 
 
 def test_find_extrema_plateau_has_no_spurious_points():

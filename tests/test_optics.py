@@ -109,6 +109,13 @@ def test_sequence_shape_enforced():
         OpticalSequence(elements=elements, target_kind=SymmetryClass.APT, t=1.0, residual=0.0)
 
 
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_sequence_time_must_be_finite_and_nonnegative(t):
+    elements = pt_shape((0.1, 0.2, 0.3, 0.4, 0.5, 0.6))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        OpticalSequence(elements=elements, target_kind=SymmetryClass.PT, t=t, residual=0.0)
+
+
 def test_assemble_applies_leftmost_last():
     seq = (
         OpticalElement(ElementKind.HWP, (0.0,)),

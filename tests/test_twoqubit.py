@@ -207,6 +207,14 @@ def test_trace_grid_validation():
         two_qubit_coherence_trace(psi, p, np.array([-1.0, 0.5]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_trace_rejects_non_finite_time(t):
+    # rejected before any arithmetic: no RuntimeWarning first
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        two_qubit_coherence_trace(TwoQubitState.psi_1(), _pt(0.8), np.array([0.0, 1.0, t]))
+
+
 def test_coherence_can_exceed_single_qubit_bound():
     # the four-component balanced state reaches C = 3 in the broken limit
     tail = two_qubit_series(TwoQubitState.psi_2(), _apt(0.8), np.array([30.0]))[0]
