@@ -58,11 +58,8 @@ from .optics import (
     solve_angles,
     verify_state_action,
 )
-from .tolerances import DEFAULT_TOLS, Tolerances
 from .tomography import (
-    BasisSet,
     CountRecord,
-    DEFAULT_BASES,
     InsufficientDataError,
     bootstrap_errorbar,
     exact_count_record,
@@ -134,9 +131,7 @@ __all__ = [
     "verify_state_action",
     "sequence_to_dict",
     # tomography
-    "BasisSet",
     "CountRecord",
-    "DEFAULT_BASES",
     "InsufficientDataError",
     "ideal_probabilities",
     "exact_count_record",
@@ -151,7 +146,4 @@ __all__ = [
     "two_qubit_coherence",
     "two_qubit_series",
     "two_qubit_coherence_trace",
-    # tolerances
-    "Tolerances",
-    "DEFAULT_TOLS",
 ]

@@ -47,7 +47,8 @@ from .coherence import (
 )
 from .evolution import PureState, evolve_density, evolve_density_grid
 from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime
-from .optics import NoDecompositionError, sequence_to_dict, solve_angles, verify_state_action
+from .optics import (_N_STATES, NoDecompositionError, sequence_to_dict, solve_angles,
+                     verify_state_action)
 from .tomography import bootstrap_errorbar, reconstruct, simulate_counts, trace_distance
 from .twoqubit import TwoQubitState, two_qubit_series
 
@@ -343,7 +344,7 @@ def _csv_text(meta: list[tuple[str, object]], columns: Sequence[str],
 def _json_grid_text(meta: list[tuple[str, object]], columns: Sequence[str],
                     rows: np.ndarray) -> str:
     payload = {"schema": 1, "columns": list(columns), "rows": []}
-    payload.update({key.replace(" ", "_"): value for key, value in meta})
+    payload.update(meta)
     # the rows block in bulk, byte-identical to _json_text on the full
     # payload: one %.12g pass rounds every value (adding 0.0 drops "-0"),
     # the parsed-back floats print as json.dumps prints them, and one
@@ -475,13 +476,13 @@ def cmd_angles(cfg: RunConfig) -> str:
     """Inverse design: waveplate/loss angles realizing U(t), verified."""
     p = cfg.params
     seq = solve_angles(p, cfg.t, seed=cfg.seed, restarts=cfg.restarts)
-    deviation = verify_state_action(seq, p, n_states=10, seed=cfg.seed + 1)
+    deviation = verify_state_action(seq, p, seed=cfg.seed + 1)
     payload = _base_payload(cfg)
     payload.update(sequence_to_dict(seq, p))
     payload.update({
         "seed": cfg.seed,
         "restarts": cfg.restarts,
-        "state_action": {"n_states": 10, "max_deviation": deviation},
+        "state_action": {"n_states": _N_STATES, "max_deviation": deviation},
     })
     return _json_text(payload)
 

@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tolerances
 from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime
-from .tolerances import DEFAULT_TOLS
 
 __all__ = [
     "PureState",
@@ -72,12 +72,12 @@ class DegenerateEvolutionError(RuntimeError):
 # state containers
 # ---------------------------------------------------------------------------
 
-class _Presets:
-    """Named initial states accepted across the package and the CLI."""
-
-    H = ("H", 1.0, 0.0, 0.0)
-    D = ("D", 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0)
-    H_SQRT3_V = ("h-sqrt3v", 0.5, math.sqrt(3.0) / 2.0, 0.0)
+#: Named initial states (alpha, beta, phi) accepted across the package and the CLI.
+_PRESETS = {
+    "H": (1.0, 0.0, 0.0),
+    "D": (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0),
+    "h-sqrt3v": (0.5, math.sqrt(3.0) / 2.0, 0.0),
+}
 
 
 @dataclass(frozen=True)
@@ -113,15 +113,14 @@ class PureState:
     def preset(cls, name: str) -> "PureState":
         """Named states: ``H``, ``D`` (= (|H>+|V>)/sqrt(2)), ``h-sqrt3v``
         (= (|H>+sqrt(3)|V>)/2)."""
-        for tag, alpha, beta, phi in (_Presets.H, _Presets.D, _Presets.H_SQRT3_V):
-            if name == tag:
-                return cls(alpha, beta, phi)
-        raise ValueError(f"unknown preset {name!r}; expected one of 'H', 'D', 'h-sqrt3v'")
+        if name not in _PRESETS:
+            raise ValueError(f"unknown preset {name!r}; expected one of 'H', 'D', 'h-sqrt3v'")
+        return cls(*_PRESETS[name])
 
     @classmethod
     def from_amplitudes(cls, alpha: float, beta: float, phi: float = 0.0) -> "PureState":
         """Build a state from possibly unnormalized nonnegative amplitudes."""
-        norm = math.sqrt(alpha * alpha + beta * beta)
+        norm = math.hypot(alpha, beta)
         if norm <= 0:
             raise ValueError("amplitudes must not both vanish")
         return cls(alpha / norm, beta / norm, phi)
@@ -146,7 +145,7 @@ def _check_densities(arr: np.ndarray) -> None:
     """
     if not np.all(np.isfinite(arr)):
         raise ValueError("density matrix contains non-finite entries")
-    tol = DEFAULT_TOLS.density
+    tol = tolerances.density
     dagger = arr.conj().transpose(0, 2, 1)
     drift = np.abs(arr - dagger)
     if np.any(np.sqrt((drift * drift).sum(axis=(1, 2))) > tol):
@@ -159,7 +158,7 @@ def _check_densities(arr: np.ndarray) -> None:
     h00, h11 = arr[:, 0, 0].real, arr[:, 1, 1].real
     h01 = (arr[:, 0, 1] + dagger[:, 0, 1]) / 2.0
     low = (h00 + h11) / 2.0 - np.hypot((h00 - h11) / 2.0, np.abs(h01))
-    bad = low < -DEFAULT_TOLS.positivity
+    bad = low < -tolerances.positivity
     if np.any(bad):
         raise ValueError(f"density matrix has negative eigenvalue {low[bad][0]}")
 

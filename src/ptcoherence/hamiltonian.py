@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import DEFAULT_TOLS
+from . import tolerances
 
 __all__ = [
     "SymmetryClass",
@@ -35,6 +35,10 @@ __all__ = [
     "eigenvalues",
     "regime",
 ]
+
+
+#: Largest a whose square is finite; the (A, B, C) scalars are built from a^2.
+_A_MAX = float(np.sqrt(np.finfo(np.float64).max))
 
 
 class SymmetryClass(enum.Enum):
@@ -79,6 +83,9 @@ class HamiltonianParams:
             raise ValueError(f"energy scale s must be positive and finite, got {self.s}")
         if not (np.isfinite(self.a) and self.a > 0):
             raise ValueError(f"non-Hermiticity degree a must be positive and finite, got {self.a}")
+        if self.a > _A_MAX:
+            raise ValueError(f"non-Hermiticity degree a must be at most {_A_MAX:.6g} "
+                             f"so that a^2 is finite, got {self.a}")
 
     @property
     def gamma(self) -> float:
@@ -117,19 +124,14 @@ def eigenvalues(p: HamiltonianParams) -> tuple[complex, complex]:
     return complex(lam), complex(-lam)
 
 
-def regime(p: HamiltonianParams, eps: float = DEFAULT_TOLS.ep_band) -> Regime:
+def regime(p: HamiltonianParams) -> Regime:
     """Classify the spectral phase of ``p``.
 
-    Parameters
-    ----------
-    p:
-        Generator parameters.
-    eps:
-        Half-width of the band ``|a - 1| <= eps`` classified as the
-        exceptional point.  The degeneracy is mathematically a single
-        point, but floating-point parameter scans need a band; since
-        ``a`` is order unity near the transition, the band is applied
-        to ``|a - 1|`` directly.
+    The band ``|a - 1| <= tolerances.ep_band`` (1e-9) is the exceptional
+    point.  The degeneracy is mathematically a single point, but
+    floating-point parameter scans need a band; since ``a`` is order
+    unity near the transition, the band is applied to ``|a - 1|``
+    directly.
 
     Returns
     -------
@@ -138,9 +140,7 @@ def regime(p: HamiltonianParams, eps: float = DEFAULT_TOLS.ep_band) -> Regime:
         ``UNBROKEN`` for ``a < 1`` and ``BROKEN`` for ``a > 1``, and
         APT is the mirror image (``UNBROKEN`` for ``a > 1``).
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if abs(p.a - 1.0) <= eps:
+    if abs(p.a - 1.0) <= tolerances.ep_band:
         return Regime.EXCEPTIONAL_POINT
     below = p.a < 1.0
     if p.kind is SymmetryClass.PT:

@@ -45,9 +45,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import tolerances
 from .evolution import propagator_scaled
 from .hamiltonian import HamiltonianParams, SymmetryClass
-from .tolerances import DEFAULT_TOLS
 
 __all__ = [
     "ElementKind",
@@ -247,6 +247,8 @@ _LM_ITERATIONS = 60
 _LM_STEP = 1.5e-8
 _LM_DAMPING = 1e-3
 _LM_FLOOR = 1e-30
+#: Random pure states in the `verify_state_action` panel.
+_N_STATES = 10
 
 
 def _largest_entry_normalized(m: np.ndarray) -> np.ndarray:
@@ -314,7 +316,6 @@ def solve_angles(
     t: float,
     seed: int = 0,
     restarts: int = 32,
-    success_threshold: float = DEFAULT_TOLS.optics_residual,
 ) -> OpticalSequence:
     """Find setting angles whose assembled sequence realizes ``U(t)``.
 
@@ -331,8 +332,8 @@ def solve_angles(
     Raises
     ------
     NoDecompositionError
-        If no restart reaches ``success_threshold``; carries the best
-        residual and angles found.
+        If no restart reaches ``tolerances.optics_residual``; carries
+        the best residual and angles found.
     ValueError
         If ``t`` is negative or ``restarts < 1``.
     """
@@ -348,12 +349,13 @@ def solve_angles(
         lambda v: _orthogonal_part(_assemble_angles(p.kind, v), tau), starts)
     elements = _shape(p.kind, x[int(np.argmin(cost))])
     best_res = scale_invariant_residual(target, assemble(elements))
-    if best_res > success_threshold:
+    threshold = tolerances.optics_residual
+    if best_res > threshold:
         raise NoDecompositionError(
             best_residual=best_res,
             best_angles=tuple(a for el in elements for a in el.angles),
             message=(
-                f"no angle set reached residual {success_threshold:g} for "
+                f"no angle set reached residual {threshold:g} for "
                 f"kind={p.kind.value}, a={p.a}, s={p.s}, t={t}; best residual "
                 f"{best_res:.3e} after {restarts} restarts"
             ),
@@ -361,15 +363,10 @@ def solve_angles(
     return OpticalSequence(elements=elements, target_kind=p.kind, t=float(t), residual=best_res)
 
 
-def verify_state_action(
-    seq: OpticalSequence,
-    p: HamiltonianParams,
-    n_states: int = 10,
-    seed: int = 12345,
-) -> float:
+def verify_state_action(seq: OpticalSequence, p: HamiltonianParams, seed: int = 12345) -> float:
     """Worst-case state-action deviation between target and sequence.
 
-    Draws ``n_states`` Haar-like random pure states, evolves each with
+    Draws ``_N_STATES`` (10) Haar-like random pure states, evolves each with
     the target propagator and with the assembled sequence, renormalizes
     both, and compares them modulo global phase.  Returns the maximum
     deviation ``sqrt(2 - 2 |<u, v>|)`` across the panel.
@@ -378,7 +375,7 @@ def verify_state_action(
     mat = assemble(seq)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_states):
+    for _ in range(_N_STATES):
         raw = rng.normal(size=2) + 1j * rng.normal(size=2)
         v0 = raw / np.linalg.norm(raw)
         u = target @ v0

@@ -1,43 +1,18 @@
-"""Centralized numerical tolerance constants.
+"""Numerical tolerance constants, read at call time as ``tolerances.<name>``.
 
-The package's comparison thresholds live in one frozen record;
-``optics_state_action`` is read from this file by the optics check in
-``perfbench/checks.py``.  The defaults reflect double-precision
-arithmetic on well-conditioned 2x2 / 4x4 problems.
+``perfbench/checks.py`` reads ``optics_residual`` and ``optics_state_action``
+from this file without importing the package: it looks for annotated
+assignments by name, so those two stay lowercase ``name: float = value``
+lines.  The values suit double-precision 2x2 / 4x4 problems.
 """
-from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances shared across the package.
-
-    Attributes
-    ----------
-    density:
-        Hermiticity / unit-trace tolerance for density matrices.
-    positivity:
-        Density-matrix eigenvalues must be >= -positivity.
-    optics_residual:
-        Scale-invariant residual below which an optical decomposition
-        counts as successful.
-    optics_state_action:
-        Allowed per-state deviation between evolving with the target
-        propagator and with the assembled optical sequence (after
-        normalization).
-    ep_band:
-        Half-width of the |a - 1| band classified as the exceptional
-        point by `regime`.
-    """
-
-    density: float = 1e-10
-    positivity: float = 1e-10
-    optics_residual: float = 1e-6
-    optics_state_action: float = 1e-6
-    ep_band: float = 1e-9
-
-
-#: Shared default tolerance record.
-DEFAULT_TOLS = Tolerances()
+#: Hermiticity / unit-trace tolerance for density matrices.
+density: float = 1e-10
+#: Density-matrix eigenvalues must be >= -positivity.
+positivity: float = 1e-10
+#: Scale-invariant residual below which an optical decomposition succeeds.
+optics_residual: float = 1e-6
+#: Allowed per-state deviation between target propagator and optical sequence.
+optics_state_action: float = 1e-6
+#: Half-width of the |a - 1| band that `hamiltonian.regime` calls the EP.
+ep_band: float = 1e-9

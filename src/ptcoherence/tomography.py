@@ -29,10 +29,8 @@ import numpy as np
 from .evolution import DensityMatrix
 
 __all__ = [
-    "BasisSet",
     "CountRecord",
     "InsufficientDataError",
-    "DEFAULT_BASES",
     "ideal_probabilities",
     "exact_count_record",
     "simulate_counts",
@@ -47,44 +45,6 @@ _MAX_STEPS = 200
 
 class InsufficientDataError(ValueError):
     """Raised when a record cannot support reconstruction (no H/V events)."""
-
-
-@dataclass(frozen=True)
-class BasisSet:
-    """Named rank-1 projector family used for the four measurements."""
-
-    names: tuple[str, ...]
-    projectors: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.names) != len(self.projectors):
-            raise ValueError("names and projectors must have equal length")
-        if any(np.shape(pmat) != (2, 2) for pmat in self.projectors):
-            raise ValueError("projectors must be 2x2")
-
-
-def _ket(components) -> np.ndarray:
-    v = np.asarray(components, dtype=complex)
-    return v / np.linalg.norm(v)
-
-
-def _projector(components) -> np.ndarray:
-    v = _ket(components)
-    return np.outer(v, v.conj())
-
-
-_SQ2 = math.sqrt(2.0)
-
-#: Measurement order used by every record in this module: H, V, R, D.
-DEFAULT_BASES = BasisSet(
-    names=("H", "V", "R", "D"),
-    projectors=(
-        _projector((1.0, 0.0)),
-        _projector((0.0, 1.0)),
-        _projector((1.0 / _SQ2, -1j / _SQ2)),
-        _projector((1.0 / _SQ2, 1.0 / _SQ2)),
-    ),
-)
 
 
 @dataclass(frozen=True)
@@ -130,10 +90,12 @@ def _rho_array(rho: DensityMatrix | np.ndarray) -> np.ndarray:
 
 
 def ideal_probabilities(rho: DensityMatrix | np.ndarray) -> np.ndarray:
-    """Exact outcome probabilities ``tr(rho P_b)`` in H, V, R, D order."""
+    """Exact outcome probabilities ``tr(rho P_b)`` in H, V, R, D order:
+    ``rho00``, ``rho11``, ``tr/2 + Im rho01`` and ``tr/2 + Re rho01``."""
     arr = _rho_array(rho)
-    probs = np.array([float(np.trace(arr @ pmat).real) for pmat in DEFAULT_BASES.projectors])
-    return np.clip(probs, 0.0, 1.0)
+    p_h, p_v, rho01 = arr[0, 0].real, arr[1, 1].real, arr[0, 1]
+    half = 0.5 * (p_h + p_v)
+    return np.clip([p_h, p_v, half + rho01.imag, half + rho01.real], 0.0, 1.0)
 
 
 def exact_count_record(rho: DensityMatrix | np.ndarray, exposure: float = 1.0) -> CountRecord:

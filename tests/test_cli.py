@@ -336,6 +336,23 @@ def test_non_finite_input_exits_2(capsys, argv, field):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["pt", "apt"])
+def test_a_with_overflowing_square_exits_2(capsys, kind):
+    code = main(["bloch", "--kind", kind, "--a", "1e300"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "1.34078e+154" in captured.err
+
+
+def test_tiny_amplitudes_match_unit_amplitudes(capsys):
+    base = ("period", "--kind", "pt", "--a", "0.47")
+    code, unit = run(capsys, *base, "--alpha", "1", "--beta", "1")
+    assert code == 0
+    assert run(capsys, *base, "--alpha", "1e-200", "--beta", "1e-200") == (0, unit)
+
+
+@pytest.mark.filterwarnings("error")
 def test_exposure_beyond_poisson_sampler_exits_2(capsys):
     code = main(["tomography", "--kind", "pt", "--a", "0.5", "--exposure", "1e30"])
     captured = capsys.readouterr()

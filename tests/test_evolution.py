@@ -68,6 +68,17 @@ def test_from_amplitudes_normalizes():
     assert st_.phi == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("alpha, beta, expected", [
+    (1e-200, 1e-200, (1 / np.sqrt(2), 1 / np.sqrt(2))),
+    (1e200, 1e200, (1 / np.sqrt(2), 1 / np.sqrt(2))),
+    (3e-160, 4e-160, (0.6, 0.8)),
+])
+def test_from_amplitudes_at_extreme_scales(alpha, beta, expected):
+    # the norm must not square the amplitudes: their squares under- or overflow
+    st_ = PureState.from_amplitudes(alpha, beta)
+    assert (st_.alpha, st_.beta) == pytest.approx(expected, abs=1e-15)
+
+
 def test_pure_state_validation():
     with pytest.raises(ValueError):
         PureState(0.9, 0.9)  # not normalized

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from ptcoherence import (
     HamiltonianParams,
+    PureState,
     Regime,
     SymmetryClass,
     build_hamiltonian,
+    coherence_series,
     eigenvalues,
     regime,
 )
@@ -103,7 +105,7 @@ def test_regime_classification_apt_is_mirrored():
 def test_regime_eps_band():
     assert regime(_pt(1.0 + 1e-12)) is Regime.EXCEPTIONAL_POINT
     assert regime(_pt(1.0 - 1e-12)) is Regime.EXCEPTIONAL_POINT
-    assert regime(_pt(1.0 + 1e-6), eps=1e-7) is Regime.BROKEN
+    assert regime(_pt(1.0 + 1e-6)) is Regime.BROKEN
 
 
 def test_gamma_property():
@@ -114,6 +116,17 @@ def test_gamma_property():
 def test_invalid_a_rejected(bad):
     with pytest.raises(ValueError):
         _pt(bad)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make", [_pt, _apt])
+def test_a_square_must_be_finite(make):
+    # the (A, B, C) scalars are built from a^2, which overflows above sqrt(max float)
+    with pytest.raises(ValueError, match=r"at most 1\.34078e\+154"):
+        make(1e300)
+    p = make(1.3e154)
+    times = np.linspace(0.0, 1e-150, 7)
+    assert np.all(np.isfinite(coherence_series(PureState.preset("D"), p, times)))
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.5, np.nan])

@@ -181,9 +181,10 @@ def test_solve_angles_is_deterministic():
     assert a.residual == b.residual
 
 
-def test_solve_angles_failure_carries_diagnostics():
+def test_solve_angles_failure_carries_diagnostics(monkeypatch):
+    monkeypatch.setattr("ptcoherence.tolerances.optics_residual", 0.0)
     with pytest.raises(NoDecompositionError) as err:
-        solve_angles(_pt(0.47), 1.2, seed=3, restarts=2, success_threshold=0.0)
+        solve_angles(_pt(0.47), 1.2, seed=3, restarts=2)
     assert err.value.best_residual > 0.0
     assert len(err.value.best_angles) == 6
 

@@ -8,7 +8,9 @@ loaded for the oracle.
 """
 from __future__ import annotations
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -43,3 +45,13 @@ def test_every_subcommand_runs_without_scipy():
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
+
+
+def test_public_names_resolve():
+    modules = [ptcoherence] + [
+        importlib.import_module(f"ptcoherence.{info.name}")
+        for info in pkgutil.iter_modules(ptcoherence.__path__) if not info.name.startswith("_")]
+    assert len(modules) == 10  # the package and its nine public modules
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names missing attributes: {missing}"

@@ -12,7 +12,6 @@ import pytest
 
 from ptcoherence import (
     CountRecord,
-    DEFAULT_BASES,
     DensityMatrix,
     HamiltonianParams,
     InsufficientDataError,
@@ -37,13 +36,23 @@ def _rho(alpha: float, beta: float, phi: float) -> DensityMatrix:
 # forward model
 # ---------------------------------------------------------------------------
 
-def test_basis_set_structure():
-    assert DEFAULT_BASES.names == ("H", "V", "R", "D")
-    for proj in DEFAULT_BASES.projectors:
-        # rank-1 projectors: P^2 = P = P^dag, trace 1
-        assert np.allclose(proj @ proj, proj, atol=1e-14)
-        assert np.allclose(proj, proj.conj().T, atol=1e-14)
-        assert np.trace(proj).real == pytest.approx(1.0, abs=1e-14)
+def test_ideal_probabilities_match_projectors():
+    # tr(rho P_b) with P_b = |b><b| for |H>, |V>, |R> = (|H> - i|V>)/sqrt(2)
+    # and |D> = (|H> + |V>)/sqrt(2), against the module's entry formulas
+    kets = [np.array(k, dtype=complex) for k in
+            ((1, 0), (0, 1), (1 / math.sqrt(2), -1j / math.sqrt(2)),
+             (1 / math.sqrt(2), 1 / math.sqrt(2)))]
+    projectors = [np.outer(k, k.conj()) for k in kets]
+    pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    rng = np.random.default_rng(2024)
+    for i in range(240):
+        direction = rng.normal(size=3)
+        # even draws are pure (on the sphere), odd draws mixed (in the ball)
+        radius = 1.0 if i % 2 == 0 else rng.uniform() ** (1.0 / 3.0)
+        r = radius * direction / np.linalg.norm(direction)
+        rho = DensityMatrix(0.5 * (np.eye(2) + np.tensordot(r, pauli, axes=1)))
+        reference = [np.trace(rho.rho @ proj).real for proj in projectors]
+        assert np.max(np.abs(ideal_probabilities(rho) - reference)) <= 1e-15
 
 
 def test_ideal_probabilities_frozen():
