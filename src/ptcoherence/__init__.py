@@ -8,7 +8,7 @@ noisy-tomography reconstruction, and the two-qubit product extension.
 """
 from __future__ import annotations
 
-from .bloch import BlochPoint, bloch_vector, trajectory
+from .bloch import trajectory_array
 from .coherence import (
     BackflowReport,
     Classification,
@@ -30,9 +30,7 @@ from .evolution import (
     Propagator,
     PureState,
     evolve_density,
-    evolve_pure,
     propagator_analytic,
-    propagator_scaled,
 )
 from .hamiltonian import (
     HamiltonianParams,
@@ -48,9 +46,7 @@ from .optics import (
     OpticalElement,
     OpticalSequence,
     assemble,
-    apt_shape,
     loss_operator,
-    pt_shape,
     r_hwp,
     r_qwp,
     scale_invariant_residual,
@@ -71,9 +67,7 @@ from .tomography import (
 from .twoqubit import (
     TwoQubitState,
     evolve_two_qubit,
-    two_qubit_coherence,
     two_qubit_coherence_trace,
-    two_qubit_propagator,
     two_qubit_series,
 )
 
@@ -94,8 +88,6 @@ __all__ = [
     "DensityMatrix",
     "Propagator",
     "propagator_analytic",
-    "propagator_scaled",
-    "evolve_pure",
     "evolve_density",
     # coherence
     "Classification",
@@ -112,9 +104,7 @@ __all__ = [
     "verify_extrema_conditions",
     "classify_backflow",
     # bloch
-    "BlochPoint",
-    "bloch_vector",
-    "trajectory",
+    "trajectory_array",
     # optics
     "ElementKind",
     "OpticalElement",
@@ -123,8 +113,6 @@ __all__ = [
     "r_hwp",
     "r_qwp",
     "loss_operator",
-    "pt_shape",
-    "apt_shape",
     "assemble",
     "scale_invariant_residual",
     "solve_angles",
@@ -141,9 +129,7 @@ __all__ = [
     "trace_distance",
     # two-qubit
     "TwoQubitState",
-    "two_qubit_propagator",
     "evolve_two_qubit",
-    "two_qubit_coherence",
     "two_qubit_series",
     "two_qubit_coherence_trace",
 ]

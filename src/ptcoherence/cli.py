@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -208,15 +209,21 @@ def _require_finite(**values: float) -> None:
 
 
 def _require_resolved_phase(p: HamiltonianParams, key: str, t: float) -> None:
-    """Outside the broken regime C oscillates with phase ``w s |t|`` (``s |t|``
-    at the EP); past 2**52 a double no longer resolves one radian of it.  In the
-    broken regime C saturates instead, so every finite time is accepted."""
+    """C depends on ``t`` through the phase ``w s |t|`` (``s |t|`` at the EP),
+    which must be a finite double in every regime, as must ``s |t|``.  Outside
+    the broken regime C oscillates with that phase; past 2**52 a double no
+    longer resolves one radian of it.  In the broken regime C saturates
+    instead, so every finite phase is accepted."""
     phase_regime = regime(p)
-    if phase_regime is not Regime.BROKEN:
-        w = 1.0 if phase_regime is Regime.EXCEPTIONAL_POINT else np.sqrt(abs(1.0 - p.a ** 2))
-        if w * p.s * abs(t) > 2.0 ** 52:
-            raise ValueError(f"{key} = {t} gives phase w*s*|t| = {w * p.s * abs(t):.6g} above "
-                             "2**52, where a double no longer resolves one radian")
+    w = 1.0 if phase_regime is Regime.EXCEPTIONAL_POINT else math.sqrt(abs(1.0 - p.a ** 2))
+    theta = p.s * abs(t)
+    phase = w * theta
+    if not (math.isfinite(theta) and math.isfinite(phase)):
+        raise ValueError(f"{key} = {t} gives s*|t| = {theta:.6g} and phase w*s*|t| = "
+                         f"{phase:.6g}; both must be at most {sys.float_info.max:.6g}")
+    if phase_regime is not Regime.BROKEN and phase > 2.0 ** 52:
+        raise ValueError(f"{key} = {t} gives phase w*s*|t| = {phase:.6g} above "
+                         "2**52, where a double no longer resolves one radian")
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:

@@ -30,8 +30,9 @@ Numerical notes
   ``exp(-w |theta|)`` pulled out once ``|w theta|`` exceeds
   ``_SCALE_SWITCH = 150``: there even fourth powers of an unscaled
   entry (e^600 ~ 4e260, as in squared magnitudes of two-qubit
-  products) stay below the overflow threshold (~e^709).  The rescaling
-  is exact for the ratios that all observables reduce to.
+  products) stay below the overflow threshold (~e^709).  At the EP
+  they grow like ``|theta|``, which is pulled out past ``e^150``.  The
+  rescaling is exact for the ratios that all observables reduce to.
 * Grid functions work on whole time grids in array operations; none
   loops over time points in Python.
 
@@ -53,8 +54,6 @@ __all__ = [
     "Propagator",
     "DegenerateEvolutionError",
     "propagator_analytic",
-    "propagator_scaled",
-    "evolve_pure",
     "evolve_density",
     "evolve_pure_grid",
     "evolve_density_grid",
@@ -215,8 +214,8 @@ class Propagator:
 # the propagator core
 # ---------------------------------------------------------------------------
 
-#: Hyperbolic argument above which the scaled representation is used
-#: (see the module docstring for why 150).
+#: Hyperbolic argument (at the EP, log |theta|) above which the scaled
+#: representation is used (see the module docstring for why 150).
 _SCALE_SWITCH = 150.0
 #: Below this argument the sin(x)/x and sinh(x)/x ratios use series.
 _SERIES_SWITCH = 1e-4
@@ -248,8 +247,9 @@ def abc_scaled(kind: SymmetryClass, a: float, theta):
 
     The true scalars are ``exp(log_scale)`` times the returned (A, B, C);
     ``log_scale`` is zero except where the hyperbolic argument
-    ``|w theta|`` exceeds ``_SCALE_SWITCH``.  ``theta`` is any real array
-    (or scalar); all four outputs are float64 arrays of its shape.
+    ``|w theta|`` (at the EP, ``log |theta|``) exceeds ``_SCALE_SWITCH``.
+    ``theta`` is any real array (or scalar); all four outputs are float64
+    arrays of its shape.
     """
     th = np.asarray(theta, dtype=np.float64)
     d = _discriminant(kind, a)
@@ -278,8 +278,9 @@ def abc_scaled(kind: SymmetryClass, a: float, theta):
         g = np.where(big, np.sign(th) * 0.5 * (1.0 - q) / w, th * sinhc)
         log_scale = np.where(big, xa, log_scale)
     else:
-        A = np.ones_like(th)
-        g = th.copy()
+        f = np.abs(th)
+        f = np.where(f > math.exp(_SCALE_SWITCH), f, 1.0)
+        A, g, log_scale = 1.0 / f, np.where(f > 1.0, np.sign(th), th), np.log(f)
     return A, -a * g, g, log_scale
 
 
@@ -315,15 +316,10 @@ def propagator_grid(p: HamiltonianParams, times) -> np.ndarray:
     return abc_matrices(p.kind, A, B, C)
 
 
-def max_entry(u: np.ndarray) -> np.ndarray:
-    """Largest entry magnitude of each 2x2 matrix of ``u``, shaped to divide
-    it: the quotient is of order one, so products of several stay finite."""
-    return np.abs(u).max(axis=(-2, -1), keepdims=True)
-
-
 def _propagator_slope(p: HamiltonianParams, theta: np.ndarray):
     """``(U_hat, dU/dtheta)`` over a 1-D grid in ``theta``, each divided by
-    :func:`max_entry` of ``U_hat``.
+    the largest entry magnitude of ``U_hat``, so products of several stay
+    finite.
 
     ``dA/dtheta = -d C``, ``dB/dtheta = -a A`` and ``dC/dtheta = A``.  A
     per-time scale only adds a multiple of ``U`` to the derivative,
@@ -332,38 +328,13 @@ def _propagator_slope(p: HamiltonianParams, theta: np.ndarray):
     A, B, C, _ = abc_scaled(p.kind, p.a, theta)
     u = abc_matrices(p.kind, A, B, C)
     du = abc_matrices(p.kind, -_discriminant(p.kind, p.a) * C, -p.a * A, A)
-    top = max_entry(u)
+    top = np.abs(u).max(axis=(-2, -1), keepdims=True)
     return u / top, du / top
 
 
 # ---------------------------------------------------------------------------
-# single-time propagators
+# the single-time propagator
 # ---------------------------------------------------------------------------
-
-def _abc_at(p: HamiltonianParams, t: float):
-    """``abc_scaled`` at the single time ``t`` (finite, nonnegative)."""
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError("evolution time must be finite and nonnegative")
-    A, B, C, log_scale = abc_scaled(p.kind, p.a, p.s * float(t))
-    return float(A), float(B), float(C), float(log_scale)
-
-
-def propagator_scaled(p: HamiltonianParams, t: float) -> tuple[np.ndarray, float]:
-    """Propagator up to a known positive scale: ``U = exp(log_scale) * U_hat``.
-
-    Useful whenever the result feeds a renormalizing operation (state
-    evolution, coherence, optical-target normalization): ``U_hat`` never
-    overflows, for arbitrarily large ``t``.
-
-    Returns
-    -------
-    (U_hat, log_scale):
-        Matrix with entries of order unity and the logarithm of the
-        factored-out positive scale.
-    """
-    A, B, C, log_scale = _abc_at(p, t)
-    return abc_matrices(p.kind, A, B, C), log_scale
-
 
 def propagator_analytic(p: HamiltonianParams, t: float) -> Propagator:
     """Closed-form propagator ``exp(-i H t)`` for parameters ``p``.
@@ -373,60 +344,26 @@ def propagator_analytic(p: HamiltonianParams, t: float) -> Propagator:
     OverflowError
         If the raw entries exceed the double-precision range (broken
         regime with extremely large ``w * s * t``); use
-        :func:`propagator_scaled` in that situation.
+        :func:`propagator_grid`, whose matrices are exact up to a
+        positive factor, in that situation.
     ValueError
         If ``t`` is negative or not finite.
     """
-    A, B, C, log_scale = _abc_at(p, t)
+    t = float(_evolution_times([t])[0])
+    A, B, C, log_scale = (float(v) for v in abc_scaled(p.kind, p.a, p.s * t))
     scale = math.exp(log_scale) if log_scale < 709.0 else math.inf
     A, B, C = A * scale, B * scale, C * scale
     if not (math.isfinite(A) and math.isfinite(B) and math.isfinite(C)):
         raise OverflowError(
             "propagator entries exceed the double-precision range; "
-            "use propagator_scaled for renormalized workflows"
+            "use propagator_grid for renormalized workflows"
         )
-    return Propagator(
-        matrix=abc_matrices(p.kind, A, B, C),
-        abc=(A, B, C),
-        regime=regime(p),
-        t=float(t),
-    )
+    return Propagator(matrix=abc_matrices(p.kind, A, B, C), abc=(A, B, C), regime=regime(p), t=t)
 
 
 # ---------------------------------------------------------------------------
 # state evolution
 # ---------------------------------------------------------------------------
-
-def evolve_pure(st: PureState, p: HamiltonianParams, t: float) -> np.ndarray:
-    """Normalized evolution ``U(t)|st> / ||U(t)|st>||``.
-
-    Returns a unit-norm complex 2-vector.  The scaled propagator is
-    used internally, so arbitrarily deep broken-regime times are safe.
-    """
-    U_hat, _ = propagator_scaled(p, t)
-    v = U_hat @ st.vector()
-    n = float(np.linalg.norm(v))
-    if n < 1e-300:
-        raise DegenerateEvolutionError(
-            "evolved state norm underflowed; the closed-form propagator "
-            "should be invertible, so this indicates an internal bug"
-        )
-    return v / n
-
-
-def evolve_density(rho: DensityMatrix, p: HamiltonianParams, t: float) -> DensityMatrix:
-    """Normalized nonunitary evolution ``U rho U^dag / Tr[U rho U^dag]``."""
-    U_hat, _ = propagator_scaled(p, t)
-    out = U_hat @ rho.rho @ U_hat.conj().T
-    tr = float(np.trace(out).real)
-    if tr < 1e-300:
-        raise DegenerateEvolutionError(
-            "evolved density matrix trace underflowed; this indicates an internal bug"
-        )
-    out = out / tr
-    out = (out + out.conj().T) / 2.0  # remove floating-point Hermiticity drift
-    return DensityMatrix(out)
-
 
 def _evolution_times(times) -> np.ndarray:
     """``times`` as a 1-D float grid of finite, nonnegative times."""
@@ -439,7 +376,9 @@ def _evolution_times(times) -> np.ndarray:
 
 
 def evolve_pure_grid(st: PureState, p: HamiltonianParams, times) -> np.ndarray:
-    """:func:`evolve_pure` over a time grid: unit-norm rows, shape ``(n, 2)``."""
+    """Normalized evolution ``U(t)|st> / ||U(t)|st>||`` over a time grid:
+    unit-norm rows, shape ``(n, 2)``.  The scaled propagators of
+    :func:`propagator_grid` make arbitrarily deep broken-regime times safe."""
     v = propagator_grid(p, _evolution_times(times)) @ st.vector()
     norms = np.sqrt((v.real * v.real).sum(axis=1) + (v.imag * v.imag).sum(axis=1))
     if np.any(norms < 1e-300):
@@ -451,7 +390,8 @@ def evolve_pure_grid(st: PureState, p: HamiltonianParams, times) -> np.ndarray:
 
 
 def evolve_density_grid(rho: DensityMatrix, p: HamiltonianParams, times) -> np.ndarray:
-    """:func:`evolve_density` over a time grid, shape ``(n, 2, 2)``.
+    """Normalized nonunitary evolution ``U rho U^dag / Tr[U rho U^dag]`` over
+    a time grid, shape ``(n, 2, 2)``.
 
     Every evolved matrix passes the same checks as a
     :class:`DensityMatrix`; the first failure raises ``ValueError``.
@@ -467,3 +407,8 @@ def evolve_density_grid(rho: DensityMatrix, p: HamiltonianParams, times) -> np.n
     out = (out + out.conj().transpose(0, 2, 1)) / 2.0  # remove Hermiticity drift
     _check_densities(out)
     return out
+
+
+def evolve_density(rho: DensityMatrix, p: HamiltonianParams, t: float) -> DensityMatrix:
+    """:func:`evolve_density_grid` at the single time ``t``."""
+    return DensityMatrix(evolve_density_grid(rho, p, [t])[0])

@@ -21,6 +21,8 @@ Note the regions are swapped between the families: PT is unbroken for
 from __future__ import annotations
 
 import enum
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +88,9 @@ class HamiltonianParams:
         if self.a > _A_MAX:
             raise ValueError(f"non-Hermiticity degree a must be at most {_A_MAX:.6g} "
                              f"so that a^2 is finite, got {self.a}")
+        if not math.isfinite(float(self.a) * float(self.s)):
+            raise ValueError(f"gain/loss rate a*s must be at most {sys.float_info.max:.6g}, "
+                             f"got a={self.a}, s={self.s}")
 
     @property
     def gamma(self) -> float:

@@ -46,7 +46,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import tolerances
-from .evolution import propagator_scaled
+from .evolution import _evolution_times, propagator_grid
 from .hamiltonian import HamiltonianParams, SymmetryClass
 
 __all__ = [
@@ -57,8 +57,6 @@ __all__ = [
     "r_hwp",
     "r_qwp",
     "loss_operator",
-    "pt_shape",
-    "apt_shape",
     "assemble",
     "scale_invariant_residual",
     "solve_angles",
@@ -204,18 +202,6 @@ def _shape(kind: SymmetryClass, angles: Sequence[float]) -> tuple[OpticalElement
     )
 
 
-def pt_shape(angles: Sequence[float]) -> tuple[OpticalElement, ...]:
-    """PT-family element list ``HWP, QWP, Loss, HWP, QWP`` from 6 angles
-    ``(a1, a2, x1, x2, a3, a4)``."""
-    return _shape(SymmetryClass.PT, angles)
-
-
-def apt_shape(angles: Sequence[float]) -> tuple[OpticalElement, ...]:
-    """APT-family element list ``QWP, HWP, Loss, QWP, HWP`` from 6 angles
-    ``(a1, a2, x1, x2, a3, a4)``."""
-    return _shape(SymmetryClass.APT, angles)
-
-
 def assemble(seq: OpticalSequence | Iterable[OpticalElement]) -> np.ndarray:
     """Ordered matrix product of a sequence, leftmost element applied last.
 
@@ -335,13 +321,12 @@ def solve_angles(
         If no restart reaches ``tolerances.optics_residual``; carries
         the best residual and angles found.
     ValueError
-        If ``t`` is negative or ``restarts < 1``.
+        If ``t`` is negative or not finite, or ``restarts < 1``.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    target, _ = propagator_scaled(p, t)  # scale-invariant fit: scale is irrelevant
+    # scale-invariant fit: the grid's positive per-time factor is irrelevant
+    target = propagator_grid(p, _evolution_times([t]))[0]
     tau = target.reshape(4) / np.linalg.norm(target)
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, math.pi, size=(restarts, 6))
@@ -371,7 +356,7 @@ def verify_state_action(seq: OpticalSequence, p: HamiltonianParams, seed: int = 
     both, and compares them modulo global phase.  Returns the maximum
     deviation ``sqrt(2 - 2 |<u, v>|)`` across the panel.
     """
-    target, _ = propagator_scaled(p, seq.t)
+    target = propagator_grid(p, [seq.t])[0]  # seq.t is validated by OpticalSequence
     mat = assemble(seq)
     rng = np.random.default_rng(seed)
     worst = 0.0

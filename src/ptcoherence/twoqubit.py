@@ -18,9 +18,11 @@ Phenomenology mirrored from the single-qubit case:
   with support on all four basis vectors (``c = 1/a`` for PT,
   ``c = 1`` for APT).
 
-A heterogeneous variant (a different parameter set per qubit) is the
-product ``U_A(t) ⊗ U_B(t)`` of the two closed-form propagators, which is
-exact because ``H_A ⊗ I`` and ``I ⊗ H_B`` commute.
+A heterogeneous variant (a different parameter set per qubit) is
+``two_qubit_series(state, p, times, p_second=...)``: the product
+``U_A(t) ⊗ U_B(t)`` of the two closed-form propagators, which is exact
+because ``H_A ⊗ I`` and ``I ⊗ H_B`` commute.  Its extrema are not
+scanned: the scan runs in ``theta = s t`` of a single generator.
 """
 from __future__ import annotations
 
@@ -28,16 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import _SCAN_SAMPLES, CoherenceTrace, _asymptote_estimate, _scan, l1_coherence
-from .evolution import (_evolution_times, _propagator_slope, matmul2, max_entry,
-                        propagator_analytic, propagator_grid, propagator_scaled)
+from .coherence import _SCAN_SAMPLES, CoherenceTrace, _asymptote_estimate, _scan
+from .evolution import _evolution_times, _propagator_slope, matmul2, propagator_grid
 from .hamiltonian import HamiltonianParams
 
 __all__ = [
     "TwoQubitState",
-    "two_qubit_propagator",
     "evolve_two_qubit",
-    "two_qubit_coherence",
     "two_qubit_series",
     "two_qubit_coherence_trace",
 ]
@@ -83,70 +82,39 @@ class TwoQubitState:
         return cls(np.array([1.0, 1.0, 1.0, np.exp(1j * np.pi / 5.0)]))
 
 
-def two_qubit_propagator(
-    p: HamiltonianParams,
-    t: float,
-    p_second: HamiltonianParams | None = None,
-) -> np.ndarray:
-    """Joint propagator ``exp(-i (H_A ⊗ I + I ⊗ H_B) t)`` as a 4x4 array.
+def _joint_vectors(state: TwoQubitState, p: HamiltonianParams, times: np.ndarray,
+                   p_second: HamiltonianParams | None = None) -> np.ndarray:
+    """Unnormalized ``(U_A ⊗ U_B) psi`` over a time grid, shape ``(n, 4)``.
 
-    The two terms commute, so this is exactly the Kronecker product
-    ``U_A(t) ⊗ U_B(t)`` of the closed-form single-qubit propagators;
-    ``p_second`` (default ``p``) gives the second qubit's parameters.
-
-    Raises
-    ------
-    OverflowError
-        If either factor exceeds the double-precision range (see
-        :func:`~ptcoherence.evolution.propagator_analytic`).
+    With ``psi`` reshaped to the 2x2 ``Psi`` (row index: first qubit),
+    ``(U_A ⊗ U_B) psi = vec(U_A Psi U_B^T)``; ``p_second`` (default
+    ``p``) gives the second qubit's parameters.  Each factor is a scaled
+    propagator of :func:`~ptcoherence.evolution.propagator_grid`, whose
+    positive per-time scale cancels on renormalization.
     """
-    q = p if p_second is None else p_second
-    return np.kron(propagator_analytic(p, t).matrix, propagator_analytic(q, t).matrix)
+    u_a = propagator_grid(p, times)
+    u_b = u_a if p_second is None else propagator_grid(p_second, times)
+    psi2 = state.vector.reshape(2, 2)
+    return matmul2(matmul2(u_a, psi2), u_b.transpose(0, 2, 1)).reshape(-1, 4)
 
 
-def evolve_two_qubit(
-    state: TwoQubitState,
-    p: HamiltonianParams,
-    t: float,
-    p_second: HamiltonianParams | None = None,
-) -> TwoQubitState:
-    """Evolved, renormalized two-qubit state at time ``t``.
-
-    Applies ``U_A(t) ⊗ U_B(t)`` built from the overflow-safe scaled
-    single-qubit propagators (each factor's scale cancels on
-    renormalization), so deep broken-regime times are fine for both the
-    homogeneous and the heterogeneous (``p_second``) case.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    factors = []
-    for q in (p, p if p_second is None else p_second):
-        u_hat, _ = propagator_scaled(q, t)
-        # U_hat is unscaled up to the core's switch (w s t = 150); bring
-        # its entries to order one so the squared norm of the Kronecker
-        # product (which overflows from w s t ~ 177) stays finite
-        factors.append(u_hat / max_entry(u_hat))
-    return TwoQubitState(np.kron(*factors) @ state.vector)
+def evolve_two_qubit(state: TwoQubitState, p: HamiltonianParams, t: float,
+                     p_second: HamiltonianParams | None = None) -> TwoQubitState:
+    """Evolved, renormalized two-qubit state at time ``t`` under
+    ``U_A(t) ⊗ U_B(t)`` (``p_second`` as in :func:`two_qubit_series`)."""
+    return TwoQubitState(_joint_vectors(state, p, _evolution_times([t]), p_second)[0])
 
 
-def two_qubit_coherence(state: TwoQubitState | np.ndarray) -> float:
-    """l1 coherence of a two-qubit state (sum of off-diagonal magnitudes)."""
-    return l1_coherence(state)
-
-
-def two_qubit_series(
-    state: TwoQubitState, p: HamiltonianParams, times: np.ndarray
-) -> np.ndarray:
+def two_qubit_series(state: TwoQubitState, p: HamiltonianParams, times: np.ndarray,
+                     p_second: HamiltonianParams | None = None) -> np.ndarray:
     """Two-qubit l1 coherence of the evolved state over a time grid.
 
-    With the state vector ``psi`` reshaped to the 2x2 ``Psi`` (row
-    index: first qubit), ``(U ⊗ U) psi = vec(U Psi U^T)``.  For the pure
-    state ``v`` the off-diagonal magnitudes of ``|v><v|`` sum to
-    ``(sum |v_i|)^2 - sum |v_i|^2`` and its trace is ``sum |v_i|^2``.
+    ``p_second`` (default ``p``) gives the second qubit's parameters.
+    For the pure state ``v`` the off-diagonal magnitudes of ``|v><v|``
+    sum to ``(sum |v_i|)^2 - sum |v_i|^2`` and its trace is
+    ``sum |v_i|^2``.
     """
-    u = propagator_grid(p, times)
-    psi2 = state.vector.reshape(2, 2)
-    mags = np.abs(matmul2(matmul2(u, psi2), u.transpose(0, 2, 1)).reshape(-1, 4))
+    mags = np.abs(_joint_vectors(state, p, times, p_second))
     l1 = mags.sum(axis=1)
     norm2 = (mags * mags).sum(axis=1)
     return (l1 * l1 - norm2) / norm2
@@ -174,13 +142,11 @@ def two_qubit_slope(p: HamiltonianParams, psi: np.ndarray, theta: np.ndarray):
     return f[None], 64.0 * np.finfo(np.float64).eps * scale[None]
 
 
-def two_qubit_coherence_trace(
-    state: TwoQubitState,
-    p: HamiltonianParams,
-    times: np.ndarray,
-) -> CoherenceTrace:
+def two_qubit_coherence_trace(state: TwoQubitState, p: HamiltonianParams,
+                              times: np.ndarray) -> CoherenceTrace:
     """Coherence trace C_AB(t) on the caller's grid, with extrema located
-    by an independent dense scan of the window.
+    by an independent dense scan of the window.  Both qubits evolve
+    under ``p``, since the scan runs in ``theta = s t`` of one generator.
 
     ``times`` must be finite, nonnegative, strictly increasing, and hold
     at least two points.

@@ -1,9 +1,11 @@
-"""Independent ground truth for the tests: SciPy's matrix exponential and
-a Frobenius distance.
+"""Independent ground truth for the tests: SciPy's matrix exponential, an
+eigendecomposition propagator, and a Frobenius distance.
 
 The closed-form propagators are checked against ``scipy.linalg.expm``
 (scaling and squaring with Pade approximants), which shares no code with
-the package.  SciPy is a test dependency only.
+the package.  SciPy is a test dependency only.  Where ``expm`` overflows
+(broken-regime phases above ~700), :func:`eigen_propagator` gives the
+propagator's direction from ``numpy.linalg.eig`` instead.
 """
 from __future__ import annotations
 
@@ -54,3 +56,22 @@ def frobenius_dist(a: np.ndarray, b: np.ndarray) -> float:
     if am.shape != bm.shape:
         raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
     return float(np.linalg.norm(am - bm))
+
+
+def eigen_propagator(h: np.ndarray, t: float) -> np.ndarray:
+    """``exp(-i h t)`` of a 2x2 generator, divided by its largest entry.
+
+    A diagonalizable ``h = V diag(lam) V^-1`` gives
+    ``V diag(exp(-i lam t)) V^-1``, with the largest growth factor taken
+    out of the exponentials before they are evaluated, so every phase
+    stays finite.  A traceless ``h`` of zero determinant (the exceptional
+    point) has ``h @ h = 0`` and gives exactly ``I - i h t``.
+    """
+    h = _as_complex_square(h, "h")
+    if h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0] == 0:
+        u = np.eye(2) - 1j * h * t
+    else:
+        lam, vecs = np.linalg.eig(h)
+        expo = -1j * lam * t
+        u = vecs @ np.diag(np.exp(expo - expo.real.max())) @ np.linalg.inv(vecs)
+    return u / np.abs(u).max()

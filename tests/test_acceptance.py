@@ -142,7 +142,7 @@ def test_criterion_4_balanced_state_invariance(capsys):
         p = _apt(a)
         series = pc.coherence_series(balanced, p, grid)
         flatness = float(np.max(np.abs(series - 1.0)))
-        z_max = max(abs(point.z) for point in pc.trajectory(balanced, p, grid))
+        z_max = float(np.max(np.abs(pc.trajectory_array(balanced, p, grid)[:, 3])))
         if flatness > 1e-9:
             problems.append(f"a={a}: |C-1| up to {flatness:.2e}")
         if z_max > 1e-9:

@@ -1,12 +1,13 @@
-"""Batched grid paths against their per-point references.
+"""Batched grid paths against independent per-point references.
 
-The matrix path (``evolve_density_grid``), the Bloch rows
-(``trajectory_array``) and ``two_qubit_series`` evaluate whole grids in
-array operations.  Here they are compared with the per-point
-``evolve_density``, ``evolve_pure``, ``evolve_two_qubit`` plus
-``two_qubit_coherence``, and the dense ``mat_exp_oracle``, on grids
-whose phases ``w s t`` cross the propagator core's scale switch (150)
-and reach deep into the broken regime.
+The matrix path (``evolve_density_grid``), the state rows
+(``evolve_pure_grid``), the Bloch rows (``trajectory_array``) and
+``two_qubit_series`` evaluate whole grids in array operations.  Here
+every row is compared with the eigendecomposition propagator
+``eigen_propagator``, and rows with ``s t <= 10`` also with the dense
+``mat_exp_oracle``, on grids whose phases ``w s t`` cross the
+propagator core's scale switch (150) and reach deep into the broken
+regime.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracle import mat_exp_oracle
+from _oracle import eigen_propagator, mat_exp_oracle
 
 import ptcoherence as pc
 from ptcoherence.bloch import trajectory_array
@@ -36,14 +37,23 @@ def _panel():
             yield pc.HamiltonianParams(kind=kind, s=S, a=a)
 
 
-def _times(p: pc.HamiltonianParams) -> np.ndarray:
+def _rate(p: pc.HamiltonianParams) -> float:
+    """``w s`` (``s`` at the EP): the phase per unit time."""
     w = math.sqrt(abs(1.0 - p.a * p.a))
-    scale = p.s * (w if w > 0 else 1.0)
-    return np.array(PHASES) / scale
+    return p.s * (w if w > 0 else 1.0)
 
 
-def _oracle_propagator(p: pc.HamiltonianParams, t: float) -> np.ndarray:
-    return mat_exp_oracle(-1j * pc.build_hamiltonian(p), t)
+def _times(p: pc.HamiltonianParams) -> np.ndarray:
+    return np.array(PHASES) / _rate(p)
+
+
+def _references(p: pc.HamiltonianParams, t: float) -> list[np.ndarray]:
+    """The eigen propagator, plus the dense oracle where it stays finite."""
+    h = pc.build_hamiltonian(p)
+    refs = [eigen_propagator(h, t)]
+    if t * p.s <= 10.0:
+        refs.append(mat_exp_oracle(-1j * h, t))
+    return refs
 
 
 STATE = pc.PureState.from_amplitudes(0.6, 0.8, 0.7)
@@ -58,10 +68,7 @@ def test_density_grid_matches_per_point(p):
     # the closed form agrees with the matrix path past the scale switch
     assert np.max(np.abs(pc.coherence_series(STATE, p, ts) - 2.0 * np.abs(grid[:, 0, 1]))) < 1e-12
     for t, rho in zip(ts, grid):
-        ref = pc.evolve_density(rho0, p, float(t)).rho
-        assert np.max(np.abs(rho - ref)) < 1e-12
-        if t * p.s <= 10.0:
-            u = _oracle_propagator(p, float(t))
+        for u in _references(p, float(t)):
             sig = u @ rho0.rho @ u.conj().T
             assert np.max(np.abs(rho - sig / np.trace(sig).real)) < 1e-12
 
@@ -74,16 +81,13 @@ def test_bloch_rows_match_per_point(p):
     assert np.array_equal(rows[:, 0], ts)
     vecs = evolve_pure_grid(STATE, p, ts)
     for t, v, row in zip(ts, vecs, rows):
-        ref = pc.evolve_pure(STATE, p, float(t))
-        assert np.max(np.abs(v - ref)) < 1e-12
-        r01 = ref[0] * np.conj(ref[1])
-        xyz = (2.0 * r01.real, -2.0 * r01.imag, abs(ref[0]) ** 2 - abs(ref[1]) ** 2)
-        assert np.max(np.abs(row[1:] - xyz)) < 1e-12
-        if t * p.s <= 10.0:
-            w = _oracle_propagator(p, float(t)) @ STATE.vector()
-            assert np.max(np.abs(v - w / np.linalg.norm(w))) < 1e-12
-    points = pc.trajectory(STATE, p, ts)
-    assert [(q.t, q.x, q.y, q.z) for q in points] == [tuple(r) for r in rows.tolist()]
+        for u in _references(p, float(t)):
+            w = u @ STATE.vector()
+            w = w / np.linalg.norm(w)
+            assert np.max(np.abs(v - w)) < 1e-12
+            r01 = w[0] * np.conj(w[1])
+            xyz = (2.0 * r01.real, -2.0 * r01.imag, abs(w[0]) ** 2 - abs(w[1]) ** 2)
+            assert np.max(np.abs(row[1:] - xyz)) < 1e-12
 
 
 TWO_QUBIT_STATES = (
@@ -100,12 +104,50 @@ def test_two_qubit_series_matches_per_point(p):
     for state in TWO_QUBIT_STATES:
         series = pc.two_qubit_series(state, p, ts)
         for t, value in zip(ts, series):
-            ref = pc.two_qubit_coherence(pc.evolve_two_qubit(state, p, float(t)))
-            assert abs(value - ref) < 1e-12
-            if t * p.s <= 10.0:
-                u = _oracle_propagator(p, float(t))
+            for u in _references(p, float(t)):
                 v = np.kron(u, u) @ state.vector
-                assert abs(value - pc.two_qubit_coherence(pc.TwoQubitState(v))) < 1e-12
+                assert abs(value - pc.l1_coherence(pc.TwoQubitState(v))) < 1e-12
+
+
+#: Qubit pairs (first, second) of the heterogeneous two-qubit grid: both
+#: regimes on either side, an exceptional point, and unequal scales.
+HETEROGENEOUS_PAIRS = (
+    (pc.HamiltonianParams(kind=pc.SymmetryClass.PT, s=1.0, a=0.6),
+     pc.HamiltonianParams(kind=pc.SymmetryClass.PT, s=1.0, a=1.4)),
+    (pc.HamiltonianParams(kind=pc.SymmetryClass.APT, s=1.0, a=1.8),
+     pc.HamiltonianParams(kind=pc.SymmetryClass.PT, s=1.0, a=0.47)),
+    (pc.HamiltonianParams(kind=pc.SymmetryClass.APT, s=1.0, a=0.5),
+     pc.HamiltonianParams(kind=pc.SymmetryClass.APT, s=1.3, a=1.0)),
+)
+
+
+@pytest.mark.parametrize("p_a, p_b", HETEROGENEOUS_PAIRS, ids=str)
+def test_heterogeneous_two_qubit_series_matches_per_point(p_a, p_b):
+    # the slower qubit reaches phase w s t = 420: U_A ⊗ U_B of the two
+    # per-qubit eigen propagators, against the grid's one body
+    ts = np.array(PHASES) / min(_rate(p_a), _rate(p_b))
+    for state in TWO_QUBIT_STATES:
+        series = pc.two_qubit_series(state, p_a, ts, p_second=p_b)
+        for t, value in zip(ts, series):
+            u_a = eigen_propagator(pc.build_hamiltonian(p_a), float(t))
+            u_b = eigen_propagator(pc.build_hamiltonian(p_b), float(t))
+            v = np.kron(u_a, u_b) @ state.vector
+            assert abs(value - pc.l1_coherence(pc.TwoQubitState(v))) < 1e-12
+
+
+@pytest.mark.parametrize("p_a, p_b, plateau", [
+    (pc.HamiltonianParams(kind=pc.SymmetryClass.PT, s=1.0, a=3.0),
+     pc.HamiltonianParams(kind=pc.SymmetryClass.PT, s=1.0, a=1.5), (4 / 3) * (5 / 3) - 1.0),
+    (pc.HamiltonianParams(kind=pc.SymmetryClass.APT, s=1.0, a=0.2),
+     pc.HamiltonianParams(kind=pc.SymmetryClass.APT, s=1.0, a=0.6), 3.0),
+], ids=["pt", "apt"])
+def test_heterogeneous_broken_series_reaches_product_plateau(p_a, p_b, plateau):
+    # both qubits broken: each aligns with its dominant eigenvector, so
+    # C_AB -> (1 + c_A)(1 + c_B) - 1 with c = 1/a (PT) or 1 (APT)
+    ts = np.array([0.0, 1.0, 400.0, 1e4, 1e8]) / min(_rate(p_a), _rate(p_b))
+    values = pc.two_qubit_series(pc.TwoQubitState.psi_3(), p_a, ts, p_second=p_b)
+    assert values[0] == pytest.approx(3.0, abs=1e-12)
+    assert values[2:] == pytest.approx(plateau, abs=1e-12)
 
 
 def test_grid_evolution_rejects_bad_times():

@@ -9,13 +9,11 @@ import numpy as np
 import pytest
 
 from ptcoherence import (
-    DensityMatrix,
     HamiltonianParams,
     PureState,
     SymmetryClass,
-    bloch_vector,
     l1_coherence,
-    trajectory,
+    trajectory_array,
 )
 
 
@@ -27,23 +25,22 @@ def _apt(a: float) -> HamiltonianParams:
     return HamiltonianParams(kind=SymmetryClass.APT, s=1.0, a=a)
 
 
-def _xyz(point) -> tuple[float, float, float]:
-    return (point.x, point.y, point.z)
+def _xyz(st: PureState) -> tuple[float, float, float]:
+    """The Bloch vector of ``st`` itself: the row at t = 0."""
+    return tuple(trajectory_array(st, _pt(0.31), [0.0])[0, 1:])
+
+
+def _radii(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt((rows[:, 1:] ** 2).sum(axis=1))
 
 
 def test_cardinal_states():
-    assert _xyz(bloch_vector(PureState.preset("H").density())) == pytest.approx((0.0, 0.0, 1.0))
-    assert _xyz(bloch_vector(PureState(0.0, 1.0).density())) == pytest.approx((0.0, 0.0, -1.0))
-    assert _xyz(bloch_vector(PureState.preset("D").density())) == pytest.approx((1.0, 0.0, 0.0))
+    assert _xyz(PureState.preset("H")) == pytest.approx((0.0, 0.0, 1.0))
+    assert _xyz(PureState(0.0, 1.0)) == pytest.approx((0.0, 0.0, -1.0))
+    assert _xyz(PureState.preset("D")) == pytest.approx((1.0, 0.0, 0.0))
     # (|H> - i |V>)/sqrt(2) maps to (0, -1, 0) in this sign convention
     circ = PureState(1 / np.sqrt(2), 1 / np.sqrt(2), 3 * np.pi / 2)
-    assert _xyz(bloch_vector(circ.density())) == pytest.approx((0.0, -1.0, 0.0), abs=1e-14)
-
-
-def test_mixed_state_is_origin():
-    point = bloch_vector(DensityMatrix.maximally_mixed())
-    assert _xyz(point) == pytest.approx((0.0, 0.0, 0.0))
-    assert point.radius == 0.0
+    assert _xyz(circ) == pytest.approx((0.0, -1.0, 0.0), abs=1e-14)
 
 
 def test_pure_states_have_unit_radius():
@@ -51,42 +48,42 @@ def test_pure_states_have_unit_radius():
     for _ in range(20):
         alpha = rng.uniform(0.05, 0.95)
         st = PureState.from_amplitudes(alpha, np.sqrt(1 - alpha**2), rng.uniform(0, 2 * np.pi))
-        assert bloch_vector(st.density()).radius == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(_xyz(st)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_coherence_is_transverse_radius():
     st = PureState(0.6, 0.8, 1.2)
-    point = bloch_vector(st.density())
-    assert np.hypot(point.x, point.y) == pytest.approx(l1_coherence(st.density()), abs=1e-14)
+    x, y, _ = _xyz(st)
+    assert np.hypot(x, y) == pytest.approx(l1_coherence(st.density()), abs=1e-14)
 
 
 def test_trajectory_frozen_point():
-    pts = trajectory(PureState.preset("D"), _pt(0.31), np.array([0.0, 0.8]))
-    pt = pts[1]
-    assert pt.t == 0.8
-    assert pt.x == pytest.approx(0.908228907592013, abs=1e-12)
-    assert pt.y == pytest.approx(-0.2960357819612491, abs=1e-12)
-    assert pt.z == pytest.approx(0.2957753661358752, abs=1e-12)
+    rows = trajectory_array(PureState.preset("D"), _pt(0.31), np.array([0.0, 0.8]))
+    t, x, y, z = rows[1]
+    assert t == 0.8
+    assert x == pytest.approx(0.908228907592013, abs=1e-12)
+    assert y == pytest.approx(-0.2960357819612491, abs=1e-12)
+    assert z == pytest.approx(0.2957753661358752, abs=1e-12)
 
 
 def test_trajectory_stays_on_sphere():
     grid = np.linspace(0.0, 6.0, 40)
     for p in (_pt(0.31), _pt(1.5), _apt(0.47), _apt(2.8)):
-        for pt in trajectory(PureState(0.6, 0.8, 0.7), p, grid):
-            assert pt.radius == pytest.approx(1.0, abs=1e-12)
+        rows = trajectory_array(PureState(0.6, 0.8, 0.7), p, grid)
+        assert _radii(rows) == pytest.approx(np.ones(grid.size), abs=1e-12)
 
 
 def test_trajectory_apt_conserves_z_for_balanced_state():
     grid = np.linspace(0.0, 10.0, 64)
-    pts = trajectory(PureState.preset("D"), _apt(1.5), grid)
-    assert max(abs(pt.z) for pt in pts) < 1e-9
+    rows = trajectory_array(PureState.preset("D"), _apt(1.5), grid)
+    assert np.max(np.abs(rows[:, 3])) < 1e-9
 
 
 def test_trajectory_grid_validation():
     st = PureState.preset("D")
     with pytest.raises(ValueError):
-        trajectory(st, _pt(0.31), np.array([]))
+        trajectory_array(st, _pt(0.31), np.array([]))
     with pytest.raises(ValueError):
-        trajectory(st, _pt(0.31), np.array([0.0, -1.0]))
+        trajectory_array(st, _pt(0.31), np.array([0.0, -1.0]))
     with pytest.raises(ValueError):
-        trajectory(st, _pt(0.31), np.array([1.0, 0.5]))
+        trajectory_array(st, _pt(0.31), np.array([1.0, 0.5]))

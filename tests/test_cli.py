@@ -377,6 +377,33 @@ def test_unresolved_phase_exits_2(capsys, argv, field):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    (("trace", "--kind", "pt", "--a", "1e154", "--s", "1e300"), "a*s must be at most"),
+    (("trace", "--kind", "apt", "--a", "1e154", "--s", "1e300"), "a*s must be at most"),
+    (("period", "--kind", "apt", "--a", "1e154", "--s", "1e300"), "a*s must be at most"),
+    (("asymptote", "--kind", "pt", "--a", "2", "--s", "1e308", "--t-max", "1e10"),
+     "a*s must be at most"),
+    (("trace", "--kind", "pt", "--a", "2", "--s", "1e150", "--t-max", "1e300", "--points", "3"),
+     "t-max = 1e+300 gives s*|t| = inf"),
+    (("tomography", "--kind", "pt", "--a", "2", "--s", "1e150", "--t", "1e300"),
+     "t = 1e+300 gives s*|t| = inf"),
+    (("asymptote", "--kind", "pt", "--a", "2", "--s", "1e150", "--t-max", "1e300"),
+     "t-max = 1e+300 gives s*|t| = inf"),
+    (("trace", "--kind", "pt", "--a", "1e10", "--t-max", "1e300", "--points", "3"),
+     "phase w*s*|t| = inf"),
+], ids=["rate-pt", "rate-apt", "rate-period", "rate-asymptote", "theta-trace",
+        "theta-tomography", "theta-asymptote", "broken-phase"])
+def test_overflowing_rate_or_phase_exits_2(capsys, argv, message):
+    # rejected before any arithmetic: no numpy RuntimeWarning first
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "1.79769e+308" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
 def test_broken_regime_saturates_at_huge_times(capsys):
     code, out = run(capsys, "trace", "--kind", "pt", "--a", "2.8", "--state", "D",
                     "--t-min", "1e300", "--t-max", "2e300", "--points", "3")

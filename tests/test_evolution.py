@@ -22,10 +22,9 @@ from ptcoherence import (
     SymmetryClass,
     build_hamiltonian,
     evolve_density,
-    evolve_pure,
     propagator_analytic,
-    propagator_scaled,
 )
+from ptcoherence.evolution import abc_scaled, evolve_pure_grid, propagator_grid
 
 
 def _pt(a: float, s: float = 1.0) -> HamiltonianParams:
@@ -233,35 +232,40 @@ def test_propagator_raw_overflow_raises():
         propagator_analytic(_pt(3.0), 300.0)
 
 
-def test_propagator_scaled_survives_deep_broken_times():
+def _scaled(p: HamiltonianParams, t: float) -> tuple[np.ndarray, float]:
+    """``propagator_grid`` at one time and the log of its factored-out scale."""
+    return propagator_grid(p, [t])[0], float(abc_scaled(p.kind, p.a, p.s * t)[3])
+
+
+def test_propagator_grid_survives_deep_broken_times():
     p = _pt(3.0)
-    u_hat, log_scale = propagator_scaled(p, 300.0)
+    u_hat, log_scale = _scaled(p, 300.0)
     assert np.all(np.isfinite(u_hat.view(float)))
     assert log_scale > 500.0
     assert 0.25 <= float(np.abs(u_hat).max()) <= 4.0
 
 
-def test_propagator_scaled_consistent_with_raw():
+def test_propagator_grid_consistent_with_raw():
     p = _apt(2.5)
     t = 1.7
-    u_hat, log_scale = propagator_scaled(p, t)
+    u_hat, log_scale = _scaled(p, t)
     assert frobenius_dist(u_hat * np.exp(log_scale), propagator_analytic(p, t).matrix) < 1e-10
 
 
-def test_propagator_scaled_consistent_with_raw_past_the_switch():
+def test_propagator_grid_consistent_with_raw_past_the_switch():
     # broken regime at w s t = 229: above the scale switch, below the raw overflow
     p = _pt(2.5)
-    u_hat, log_scale = propagator_scaled(p, 100.0)
+    u_hat, log_scale = _scaled(p, 100.0)
     assert log_scale > 0.0
     raw = propagator_analytic(p, 100.0).matrix
     assert frobenius_dist(u_hat * np.exp(log_scale), raw) < 1e-12 * np.linalg.norm(raw)
 
 
-def test_propagator_scaled_matches_normalized_oracle():
+def test_propagator_grid_matches_normalized_oracle():
     # deep in the broken regime compare direction only (scale removed)
     p = _pt(2.9)
     t = 80.0  # x = s t sqrt(a^2-1) ~ 218: oracle still finite, raw huge
-    u_hat, _ = propagator_scaled(p, t)
+    u_hat = propagator_grid(p, [t])[0]
     w = _oracle(p, t)
     assert frobenius_dist(u_hat / np.abs(u_hat).max(), w / np.abs(w).max()) < 1e-9
 
@@ -277,11 +281,11 @@ def test_negative_time_rejected():
 
 @pytest.mark.parametrize("kind", [SymmetryClass.PT, SymmetryClass.APT])
 @pytest.mark.parametrize("a", [0.31, 1.0, 1.5])
-def test_evolve_pure_matches_oracle_direction(kind, a):
+def test_evolve_pure_grid_matches_oracle_direction(kind, a):
     p = HamiltonianParams(kind=kind, s=1.0, a=a)
     st_ = PureState(0.6, 0.8, 0.5)
-    for t in (0.0, 0.7, 2.3):
-        v = evolve_pure(st_, p, t)
+    ts = (0.0, 0.7, 2.3)
+    for t, v in zip(ts, evolve_pure_grid(st_, p, ts)):
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
         w = _oracle(p, t) @ st_.vector()
         w = w / np.linalg.norm(w)
@@ -292,9 +296,9 @@ def test_evolve_pure_matches_oracle_direction(kind, a):
 def test_evolve_density_consistent_with_pure_route():
     p = _apt(1.5)
     st_ = PureState.preset("h-sqrt3v")
-    for t in (0.4, 1.9):
+    ts = (0.4, 1.9)
+    for t, v in zip(ts, evolve_pure_grid(st_, p, ts)):
         rho = evolve_density(st_.density(), p, t).rho
-        v = evolve_pure(st_, p, t)
         assert frobenius_dist(rho, np.outer(v, v.conj())) < 1e-12
 
 

@@ -129,6 +129,18 @@ def test_a_square_must_be_finite(make):
     assert np.all(np.isfinite(coherence_series(PureState.preset("D"), p, times)))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make", [_pt, _apt])
+def test_gain_loss_rate_must_be_finite(make):
+    # gamma = a s overflows although a^2 and s are finite; accepted
+    # parameters keep w s <= max(1, a) s and the generator finite
+    for a, s in ((1e154, 1e300), (2.0, 1e308), (np.float64(1e10), np.float64(1e300))):
+        with pytest.raises(ValueError, match=r"a\*s must be at most 1\.79769e\+308"):
+            make(a, s=s)
+    p = make(1e8, s=1e300)
+    assert np.all(np.isfinite(build_hamiltonian(p)))
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.5, np.nan])
 def test_invalid_s_rejected(bad):
     with pytest.raises(ValueError):

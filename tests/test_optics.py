@@ -16,10 +16,7 @@ from ptcoherence import (
     OpticalSequence,
     SymmetryClass,
     assemble,
-    apt_shape,
     loss_operator,
-    propagator_scaled,
-    pt_shape,
     r_hwp,
     r_qwp,
     scale_invariant_residual,
@@ -27,6 +24,8 @@ from ptcoherence import (
     solve_angles,
     verify_state_action,
 )
+from ptcoherence.evolution import propagator_grid
+from ptcoherence.optics import _shape
 
 
 def _pt(a: float) -> HamiltonianParams:
@@ -103,7 +102,7 @@ def test_element_angle_count_enforced():
 
 
 def test_sequence_shape_enforced():
-    elements = pt_shape((0.1, 0.2, 0.3, 0.4, 0.5, 0.6))
+    elements = _shape(SymmetryClass.PT, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6))
     OpticalSequence(elements=elements, target_kind=SymmetryClass.PT, t=1.0, residual=0.0)
     with pytest.raises(ValueError):
         OpticalSequence(elements=elements, target_kind=SymmetryClass.APT, t=1.0, residual=0.0)
@@ -111,7 +110,7 @@ def test_sequence_shape_enforced():
 
 @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
 def test_sequence_time_must_be_finite_and_nonnegative(t):
-    elements = pt_shape((0.1, 0.2, 0.3, 0.4, 0.5, 0.6))
+    elements = _shape(SymmetryClass.PT, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6))
     with pytest.raises(ValueError, match="finite and nonnegative"):
         OpticalSequence(elements=elements, target_kind=SymmetryClass.PT, t=t, residual=0.0)
 
@@ -133,7 +132,7 @@ def test_assemble_empty_is_identity():
 def test_slaved_pt_shape_at_reference_angles():
     # waveplates slaved to theta1 = 0, full-transmission loss: the
     # five-element product collapses to -i times the identity
-    elements = pt_shape((0.0, 0.0, math.pi / 4, math.pi / 4, math.pi / 4, 0.0))
+    elements = _shape(SymmetryClass.PT, (0.0, 0.0, math.pi / 4, math.pi / 4, math.pi / 4, 0.0))
     assert frobenius_dist(assemble(elements), -1j * np.eye(2)) < 1e-14
 
 
@@ -160,7 +159,7 @@ def test_residual_ignores_global_complex_scale():
 def test_solve_angles_round_trip(p, t):
     seq = solve_angles(p, t, seed=3)
     assert seq.residual <= 1e-6
-    target, _ = propagator_scaled(p, t)
+    target = propagator_grid(p, [t])[0]
     assert scale_invariant_residual(target, assemble(seq)) <= 1e-6
     assert verify_state_action(seq, p) <= 1e-6
     # physical realizability: the passive sequence never amplifies

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _oracle import frobenius_dist, mat_exp_oracle
+from _oracle import mat_exp_oracle
 
 from ptcoherence import (
     HamiltonianParams,
@@ -17,11 +17,9 @@ from ptcoherence import (
     TwoQubitState,
     build_hamiltonian,
     evolve_two_qubit,
-    propagator_analytic,
+    l1_coherence,
     theoretical_period,
-    two_qubit_coherence,
     two_qubit_coherence_trace,
-    two_qubit_propagator,
     two_qubit_series,
 )
 
@@ -65,33 +63,36 @@ def test_state_normalization_and_validation():
 
 
 def test_initial_coherences():
-    assert two_qubit_coherence(TwoQubitState.psi_1()) == pytest.approx(2.0, abs=1e-12)
-    assert two_qubit_coherence(TwoQubitState.psi_2()) == pytest.approx(1.0, abs=1e-12)
-    assert two_qubit_coherence(TwoQubitState.psi_3()) == pytest.approx(3.0, abs=1e-12)
+    assert l1_coherence(TwoQubitState.psi_1()) == pytest.approx(2.0, abs=1e-12)
+    assert l1_coherence(TwoQubitState.psi_2()) == pytest.approx(1.0, abs=1e-12)
+    assert l1_coherence(TwoQubitState.psi_3()) == pytest.approx(3.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# propagator
+# evolution
 # ---------------------------------------------------------------------------
+
+def _same_ray(v: np.ndarray, w: np.ndarray) -> float:
+    """``| |<w, v>| - 1 |`` for unit ``v`` and ``w`` normalized here."""
+    return abs(abs(np.vdot(w / np.linalg.norm(w), v)) - 1.0)
+
 
 @pytest.mark.parametrize("p,t", [(_pt(0.8), 0.6), (_pt(1.0), 1.0), (_apt(1.8), 0.45)])
-def test_joint_propagator_is_kron_square(p, t):
-    u = propagator_analytic(p, t).matrix
-    u4 = two_qubit_propagator(p, t)
-    assert frobenius_dist(u4, np.kron(u, u)) == 0.0
-    rel = frobenius_dist(u4, _oracle4(p, t)) / max(1.0, np.linalg.norm(u4))
-    assert rel < 1e-10
+def test_joint_evolution_matches_oracle(p, t):
+    for psi in (TwoQubitState.psi_1(), TwoQubitState.psi_2(), TwoQubitState.psi_3()):
+        v = evolve_two_qubit(psi, p, t).vector
+        assert _same_ray(v, _oracle4(p, t) @ psi.vector) < 1e-10
 
 
 @pytest.mark.parametrize("p_a,p_b", [(_pt(0.6), _pt(1.4)), (_apt(1.8), _pt(0.47)),
                                      (_apt(0.5), _apt(1.0, s=1.3))])
-def test_heterogeneous_propagator_factorizes(p_a, p_b):
-    # different parameters per qubit: Kronecker product of the analytic
-    # factors vs the dense exponential of H_A ⊗ I + I ⊗ H_B
+def test_heterogeneous_evolution_factorizes(p_a, p_b):
+    # different parameters per qubit: the grid body's U_A ⊗ U_B vs the
+    # dense exponential of H_A ⊗ I + I ⊗ H_B
     t = 0.8
-    u4 = two_qubit_propagator(p_a, t, p_second=p_b)
-    reference = _oracle4(p_a, t, p_b)
-    assert frobenius_dist(u4, reference) < 1e-10 * max(1.0, np.linalg.norm(reference))
+    for psi in (TwoQubitState.psi_1(), TwoQubitState.psi_2(), TwoQubitState.psi_3()):
+        v = evolve_two_qubit(psi, p_a, t, p_second=p_b).vector
+        assert _same_ray(v, _oracle4(p_a, t, p_b) @ psi.vector) < 1e-10
 
 
 def test_evolution_matches_oracle_ray():
@@ -109,6 +110,22 @@ def test_evolution_deep_broken_time_is_safe():
     v = evolve_two_qubit(TwoQubitState.psi_1(), _pt(3.0), 400.0).vector
     assert np.all(np.isfinite(v.view(float)))
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [_pt(1.0), _apt(1.0)], ids=["pt", "apt"])
+def test_exceptional_point_at_huge_times_is_safe(p):
+    # at the EP the entries grow like s t; squared two-qubit magnitudes
+    # hold fourth powers, which overflowed from s t ~ 1e77
+    ts = np.array([1e70, 1e80, 1e300])
+    assert two_qubit_series(TwoQubitState.psi_3(), p, ts) == pytest.approx(3.0, abs=1e-12)
+    # the state lands on the one eigenvector pair of the defective generator
+    h = build_hamiltonian(p)
+    e = np.array([-h[0, 1], h[0, 0]])  # h @ e = 0 for a traceless h with det 0
+    ray = np.kron(e, e)
+    for t in ts:
+        v = evolve_two_qubit(TwoQubitState.psi_3(), p, float(t)).vector
+        assert abs(abs(np.vdot(ray / np.linalg.norm(ray), v)) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("p_a,p_b", [(_pt(3.0), _pt(1.5)), (_apt(0.2), _apt(0.6))],
@@ -149,7 +166,7 @@ def test_series_matches_evolution_route():
     psi = TwoQubitState.psi_1()
     ts = np.linspace(0.0, 4.0, 9)
     series = two_qubit_series(psi, p, ts)
-    direct = [two_qubit_coherence(evolve_two_qubit(psi, p, float(t))) for t in ts]
+    direct = [l1_coherence(evolve_two_qubit(psi, p, float(t))) for t in ts]
     assert np.allclose(series, direct, atol=1e-10)
 
 
