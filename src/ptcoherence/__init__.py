@@ -41,9 +41,7 @@ from .hamiltonian import (
     regime,
 )
 from .optics import (
-    ElementKind,
     NoDecompositionError,
-    OpticalElement,
     OpticalSequence,
     assemble,
     loss_operator,
@@ -106,8 +104,6 @@ __all__ = [
     # bloch
     "trajectory_array",
     # optics
-    "ElementKind",
-    "OpticalElement",
     "OpticalSequence",
     "NoDecompositionError",
     "r_hwp",

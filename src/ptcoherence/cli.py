@@ -39,6 +39,7 @@ import numpy as np
 
 from .bloch import trajectory_array
 from .coherence import (
+    _scan_window,
     classify_backflow,
     coherence_series,
     find_extrema,
@@ -444,10 +445,8 @@ def cmd_period(cfg: RunConfig) -> str:
     assert cfg.state is not None
     p = cfg.params
     period = theoretical_period(p)
-    estimate = None
-    if period is not None:
-        scan = find_extrema(cfg.state, p, (0.0, 2.0 * period))
-        estimate = scan.period_estimate
+    estimate = (None if period is None
+                else find_extrema(cfg.state, p, _scan_window(p, 2)).period_estimate)
     payload = _base_payload(cfg)
     payload.update({"period_theoretical": period, "period_estimate": estimate})
     return _json_text(payload)
@@ -481,11 +480,10 @@ def cmd_backflow(cfg: RunConfig) -> str:
 
 def cmd_angles(cfg: RunConfig) -> str:
     """Inverse design: waveplate/loss angles realizing U(t), verified."""
-    p = cfg.params
-    seq = solve_angles(p, cfg.t, seed=cfg.seed, restarts=cfg.restarts)
-    deviation = verify_state_action(seq, p, seed=cfg.seed + 1)
+    seq = solve_angles(cfg.params, cfg.t, seed=cfg.seed, restarts=cfg.restarts)
+    deviation = verify_state_action(seq, seed=cfg.seed + 1)
     payload = _base_payload(cfg)
-    payload.update(sequence_to_dict(seq, p))
+    payload.update(sequence_to_dict(seq))
     payload.update({
         "seed": cfg.seed,
         "restarts": cfg.restarts,

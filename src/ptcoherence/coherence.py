@@ -221,10 +221,25 @@ def coherence_closed_form(st: PureState, p: HamiltonianParams, t: float) -> floa
 
 def theoretical_period(p: HamiltonianParams) -> float | None:
     """Oscillation period ``pi / (s sqrt(|1 - a^2|))`` in the unbroken
-    regime; None in the broken regime and at the exceptional point."""
+    regime (inf where a tiny ``s`` overflows it); None in the broken
+    regime and at the exceptional point."""
     if regime(p) is not Regime.UNBROKEN:
         return None
-    return math.pi / (p.s * math.sqrt(abs(1.0 - p.a * p.a)))
+    sw = p.s * math.sqrt(abs(1.0 - p.a * p.a))
+    return math.pi / sw if sw > 0.0 else math.inf
+
+
+def _scan_window(p: HamiltonianParams, periods: int) -> tuple[float, float]:
+    """``(0, periods T)`` in the unbroken regime, else ``(0, 10 / s)``: a
+    fixed ``theta = s t`` over ``s``, so an ``s`` below ``theta`` over the
+    largest double is rejected with that bound."""
+    T = theoretical_period(p)
+    end = periods * T if T is not None else 10.0 / p.s
+    if not math.isfinite(end):
+        theta = periods * math.pi / math.sqrt(abs(1.0 - p.a * p.a)) if T is not None else 10.0
+        raise ValueError(f"s = {p.s} must be at least {theta / np.finfo(np.float64).max:.6g} "
+                         f"here: the scan ends at t = {theta:.6g}/s, beyond the double range")
+    return 0.0, end
 
 
 def asymptotic_value(p: HamiltonianParams) -> float | None:
@@ -522,10 +537,10 @@ def classify_backflow(
     regime and at the exceptional point a window of ``10/s`` is used
     and the trace is typically monotonic.  A flat trace (value range
     below 1e-10) classifies as constant with zero stationary points.
+    An ``s`` so small that the window's end overflows a double raises
+    ValueError.
     """
-    T = theoretical_period(p)
-    window = (0.0, T) if T is not None else (0.0, 10.0 / p.s)
-    trace = find_extrema(st, p, window)
+    trace = find_extrema(st, p, _scan_window(p, 1))
     vmax, vmin = float(trace.values.max()), float(trace.values.min())
     if vmax - vmin <= _CONSTANT_RANGE * max(1.0, vmax):
         return BackflowReport(zeros_per_period=0, classification=Classification.CONSTANT)

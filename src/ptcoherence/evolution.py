@@ -284,24 +284,22 @@ def abc_scaled(kind: SymmetryClass, a: float, theta):
     return A, -a * g, g, log_scale
 
 
+def stack2x2(m00, m01, m10, m11) -> np.ndarray:
+    """Complex ``(..., 2, 2)`` matrices from four broadcastable entries."""
+    m00, m01, m10, m11 = np.broadcast_arrays(m00, m01, m10, m11)
+    out = np.empty(m00.shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = m00, m01, m10, m11
+    return out
+
+
 def abc_matrices(kind: SymmetryClass, A, B, C) -> np.ndarray:
     """Propagator matrices from (arrays of) scalars, shape ``A.shape + (2, 2)``.
 
     PT: ``[[A - B, -i C], [-i C, A + B]]``; APT: ``[[A + i B, C], [C, A - i B]]``.
     """
-    A, B, C = np.broadcast_arrays(A, B, C)
-    u = np.empty(A.shape + (2, 2), dtype=complex)
     if kind is SymmetryClass.PT:
-        u[..., 0, 0] = A - B
-        u[..., 0, 1] = -1j * C
-        u[..., 1, 0] = -1j * C
-        u[..., 1, 1] = A + B
-    else:
-        u[..., 0, 0] = A + 1j * B
-        u[..., 0, 1] = C
-        u[..., 1, 0] = C
-        u[..., 1, 1] = A - 1j * B
-    return u
+        return stack2x2(A - B, -1j * C, -1j * C, A + B)
+    return stack2x2(A + 1j * B, C, C, A - 1j * B)
 
 
 def propagator_grid(p: HamiltonianParams, times) -> np.ndarray:

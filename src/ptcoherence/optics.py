@@ -34,24 +34,22 @@ Conventions
   element; singular values |sin 2ξi|, |sin 2ξj| ≤ 1.
 * All three broadcast over arrays of angles, returning
   ``angles.shape + (2, 2)``.
-* Setting angles are π-periodic, and are stored reduced mod π.
+* A setting is ``(a1, a2, x1, x2, a3, a4)`` in the element order above,
+  which the symmetry class fixes.  :func:`solve_angles` reduces these
+  π-periodic angles mod π once: each lies in [0, π], π itself included.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import tolerances
-from .evolution import _evolution_times, propagator_grid
+from .evolution import _evolution_times, propagator_grid, stack2x2
 from .hamiltonian import HamiltonianParams, SymmetryClass
 
 __all__ = [
-    "ElementKind",
-    "OpticalElement",
     "OpticalSequence",
     "NoDecompositionError",
     "r_hwp",
@@ -65,70 +63,33 @@ __all__ = [
 ]
 
 
-class ElementKind(enum.Enum):
-    """Optical element families used by the sequences."""
-
-    HWP = "HWP"
-    QWP = "QWP"
-    LOSS = "Loss"
-
-
-#: Element-kind order required for each target family.
-_SHAPES: dict[SymmetryClass, tuple[ElementKind, ...]] = {
-    SymmetryClass.PT: (ElementKind.HWP, ElementKind.QWP, ElementKind.LOSS,
-                       ElementKind.HWP, ElementKind.QWP),
-    SymmetryClass.APT: (ElementKind.QWP, ElementKind.HWP, ElementKind.LOSS,
-                        ElementKind.QWP, ElementKind.HWP),
+#: Element names, leftmost (applied last) first, of each target family.
+_SHAPES: dict[SymmetryClass, tuple[str, ...]] = {
+    SymmetryClass.PT: ("HWP", "QWP", "Loss", "HWP", "QWP"),
+    SymmetryClass.APT: ("QWP", "HWP", "Loss", "QWP", "HWP"),
 }
 
 
 @dataclass(frozen=True)
-class OpticalElement:
-    """One element: a waveplate (one angle) or loss element (two angles).
-
-    Angles are stored reduced modulo π (the Jones matrices of all three
-    element kinds are π-periodic in their setting angles).
-    """
-
-    kind: ElementKind
-    angles: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        expected = 2 if self.kind is ElementKind.LOSS else 1
-        if len(self.angles) != expected:
-            raise ValueError(f"{self.kind.value} takes {expected} angle(s), got {len(self.angles)}")
-        if not all(np.isfinite(a) for a in self.angles):
-            raise ValueError("angles must be finite")
-        object.__setattr__(self, "angles", tuple(float(a) % math.pi for a in self.angles))
-
-    def matrix(self) -> np.ndarray:
-        """Jones matrix of this element."""
-        return _JONES[self.kind](*self.angles)
-
-
-@dataclass(frozen=True)
 class OpticalSequence:
-    """An ordered element list realizing a target propagator at time t.
+    """The six setting angles realizing the propagator of ``params`` at ``t``.
 
-    ``residual`` is the scale-invariant distance achieved between the
-    assembled product and the target (see
-    :func:`scale_invariant_residual`).  The element-kind order must
-    match the five-element shape for ``target_kind``.
+    ``angles`` is ``(a1, a2, x1, x2, a3, a4)`` for the element order of
+    ``params.kind``.  ``residual`` is the scale-invariant distance
+    achieved between the assembled product and the target (see
+    :func:`scale_invariant_residual`).
     """
 
-    elements: tuple[OpticalElement, ...]
-    target_kind: SymmetryClass
+    params: HamiltonianParams
+    angles: tuple[float, ...]
     t: float
     residual: float
 
     def __post_init__(self) -> None:
-        kinds = tuple(e.kind for e in self.elements)
-        if kinds != _SHAPES[self.target_kind]:
-            raise ValueError(
-                f"element order {tuple(k.value for k in kinds)} does not match the "
-                f"{self.target_kind.value} shape "
-                f"{tuple(k.value for k in _SHAPES[self.target_kind])}"
-            )
+        angles = tuple(float(a) for a in self.angles)
+        if len(angles) != 6 or not all(math.isfinite(a) for a in angles):
+            raise ValueError(f"a sequence takes 6 finite angles, got {angles}")
+        object.__setattr__(self, "angles", angles)
         if not (math.isfinite(self.t) and self.t >= 0):
             raise ValueError("t must be finite and nonnegative")
 
@@ -147,21 +108,13 @@ class NoDecompositionError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# element matrices
+# element matrices and assembly
 # ---------------------------------------------------------------------------
-
-def _jones(m00, m01, m10, m11) -> np.ndarray:
-    """Complex ``(..., 2, 2)`` matrices from four broadcastable entries."""
-    m00, m01, m10, m11 = np.broadcast_arrays(m00, m01, m10, m11)
-    out = np.empty(m00.shape + (2, 2), dtype=complex)
-    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = m00, m01, m10, m11
-    return out
-
 
 def r_hwp(theta) -> np.ndarray:
     """Half-wave plate Jones matrix with fast axis at ``theta``."""
     c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
-    return _jones(c, s, s, -c)
+    return stack2x2(c, s, s, -c)
 
 
 def r_qwp(theta) -> np.ndarray:
@@ -169,7 +122,7 @@ def r_qwp(theta) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
     f = np.exp(-1j * math.pi / 4.0)
     off = f * ((1.0 - 1j) * s * c)
-    return _jones(f * (c * c + 1j * s * s), off, off, f * (s * s + 1j * c * c))
+    return stack2x2(f * (c * c + 1j * s * s), off, off, f * (s * s + 1j * c * c))
 
 
 def loss_operator(xi_i, xi_j) -> np.ndarray:
@@ -179,47 +132,17 @@ def loss_operator(xi_i, xi_j) -> np.ndarray:
     transmit the two polarization components with independent
     amplitudes set by intra-path half-wave-plate angles.
     """
-    return _jones(0.0, np.sin(2.0 * xi_i), np.sin(2.0 * xi_j), 0.0)
+    return stack2x2(0.0, np.sin(2.0 * xi_i), np.sin(2.0 * xi_j), 0.0)
 
 
-_JONES = {ElementKind.HWP: r_hwp, ElementKind.QWP: r_qwp, ElementKind.LOSS: loss_operator}
-
-
-# ---------------------------------------------------------------------------
-# sequence construction and assembly
-# ---------------------------------------------------------------------------
-
-def _shape(kind: SymmetryClass, angles: Sequence[float]) -> tuple[OpticalElement, ...]:
-    """The five elements of ``kind``'s shape from ``(a1, a2, x1, x2, a3, a4)``."""
-    a1, a2, x1, x2, a3, a4 = (float(v) for v in angles)
-    k = _SHAPES[kind]
-    return (
-        OpticalElement(k[0], (a1,)),
-        OpticalElement(k[1], (a2,)),
-        OpticalElement(k[2], (x1, x2)),
-        OpticalElement(k[3], (a3,)),
-        OpticalElement(k[4], (a4,)),
-    )
-
-
-def assemble(seq: OpticalSequence | Iterable[OpticalElement]) -> np.ndarray:
-    """Ordered matrix product of a sequence, leftmost element applied last.
-
-    The empty sequence assembles to the identity.
-    """
-    elements = seq.elements if isinstance(seq, OpticalSequence) else tuple(seq)
-    out = np.eye(2, dtype=complex)
-    for el in elements:
-        out = out @ el.matrix()
-    return out
-
-
-def _assemble_angles(kind: SymmetryClass, v: np.ndarray) -> np.ndarray:
-    """:func:`assemble` of ``kind``'s shape for every angle row of ``v`` (..., 6)."""
-    k = _SHAPES[kind]
-    return (_JONES[k[0]](v[..., 0]) @ _JONES[k[1]](v[..., 1])
-            @ loss_operator(v[..., 2], v[..., 3])
-            @ _JONES[k[3]](v[..., 4]) @ _JONES[k[4]](v[..., 5]))
+def assemble(kind: SymmetryClass, angles) -> np.ndarray:
+    """Product of ``kind``'s five elements, leftmost applied last, for
+    every angle row ``(a1, a2, x1, x2, a3, a4)`` of ``angles`` (..., 6);
+    shape ``(..., 2, 2)``."""
+    v = np.asarray(angles, dtype=np.float64)
+    w1, w2, _, w3, w4 = ({"HWP": r_hwp, "QWP": r_qwp}.get(n) for n in _SHAPES[kind])
+    return (w1(v[..., 0]) @ w2(v[..., 1]) @ loss_operator(v[..., 2], v[..., 3])
+            @ w3(v[..., 4]) @ w4(v[..., 5]))
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +235,10 @@ def solve_angles(
     the product is free.  All restarts iterate together until the cap
     of 60 steps, or until the best one reaches rounding level; the
     lowest residual wins, ties going to the lowest restart index, so the
-    outcome is deterministic for a given seed.  The returned residual is
-    :func:`scale_invariant_residual` of the winning sequence.
+    outcome is deterministic for a given seed.  The winning angles are
+    reduced mod π once, so each lies in [0, π] (π itself can occur), and
+    the returned residual is :func:`scale_invariant_residual` of their
+    product.
 
     Raises
     ------
@@ -331,33 +256,34 @@ def solve_angles(
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, math.pi, size=(restarts, 6))
     x, cost = _levenberg_marquardt(
-        lambda v: _orthogonal_part(_assemble_angles(p.kind, v), tau), starts)
-    elements = _shape(p.kind, x[int(np.argmin(cost))])
-    best_res = scale_invariant_residual(target, assemble(elements))
+        lambda v: _orthogonal_part(assemble(p.kind, v), tau), starts)
+    angles = tuple(float(v) % math.pi for v in x[int(np.argmin(cost))])
+    best_res = scale_invariant_residual(target, assemble(p.kind, angles))
     threshold = tolerances.optics_residual
     if best_res > threshold:
         raise NoDecompositionError(
             best_residual=best_res,
-            best_angles=tuple(a for el in elements for a in el.angles),
+            best_angles=angles,
             message=(
                 f"no angle set reached residual {threshold:g} for "
                 f"kind={p.kind.value}, a={p.a}, s={p.s}, t={t}; best residual "
                 f"{best_res:.3e} after {restarts} restarts"
             ),
         )
-    return OpticalSequence(elements=elements, target_kind=p.kind, t=float(t), residual=best_res)
+    return OpticalSequence(params=p, angles=angles, t=float(t), residual=best_res)
 
 
-def verify_state_action(seq: OpticalSequence, p: HamiltonianParams, seed: int = 12345) -> float:
-    """Worst-case state-action deviation between target and sequence.
+def verify_state_action(seq: OpticalSequence, seed: int = 12345) -> float:
+    """Worst-case state-action deviation between ``seq`` and its target.
 
-    Draws ``_N_STATES`` (10) Haar-like random pure states, evolves each with
-    the target propagator and with the assembled sequence, renormalizes
-    both, and compares them modulo global phase.  Returns the maximum
-    deviation ``sqrt(2 - 2 |<u, v>|)`` across the panel.
+    Draws ``_N_STATES`` (10) Haar-like random pure states, evolves each
+    with the propagator of ``seq.params`` and with the assembled
+    sequence, renormalizes both, and compares them modulo global phase.
+    Returns the maximum deviation ``sqrt(2 - 2 |<u, v>|)`` across the
+    panel.
     """
-    target = propagator_grid(p, [seq.t])[0]  # seq.t is validated by OpticalSequence
-    mat = assemble(seq)
+    target = propagator_grid(seq.params, [seq.t])[0]  # seq.t is validated by OpticalSequence
+    mat = assemble(seq.params.kind, seq.angles)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(_N_STATES):
@@ -373,15 +299,18 @@ def verify_state_action(seq: OpticalSequence, p: HamiltonianParams, seed: int = 
     return worst
 
 
-def sequence_to_dict(seq: OpticalSequence, p: HamiltonianParams) -> dict:
+def sequence_to_dict(seq: OpticalSequence) -> dict:
     """JSON-ready description of a solved sequence."""
+    p = seq.params
+    a1, a2, x1, x2, a3, a4 = seq.angles
+    groups = ([a1], [a2], [x1, x2], [a3], [a4])
     return {
         "kind": p.kind.value,
         "s": p.s,
         "a": p.a,
         "t": seq.t,
         "elements": [
-            {"type": el.kind.value, "angles_rad": list(el.angles)} for el in seq.elements
+            {"type": name, "angles_rad": g} for name, g in zip(_SHAPES[p.kind], groups)
         ],
         "residual": seq.residual,
     }

@@ -198,7 +198,7 @@ def test_criterion_6_optical_decomposition(capsys):
         except pc.NoDecompositionError as exc:
             problems.append(f"{kind.value} a={a} t={t:.3f}: residual {exc.best_residual:.2e}")
             continue
-        deviation = pc.verify_state_action(seq, p)
+        deviation = pc.verify_state_action(seq)
         if seq.residual > 1e-6 or deviation > 1e-6:
             problems.append(
                 f"{kind.value} a={a} t={t:.3f}: "

@@ -144,11 +144,15 @@ def test_backflow_report_near_exceptional_point(capsys, kind, a, expected):
     assert (payload["zeros_per_period"], payload["classification"]) == expected
 
 
-@pytest.mark.parametrize("argv", [
-    ("period", "--kind", "apt", "--a", "1.5", "--state", "h-sqrt3v", "--s", "0.01"),
-    ("backflow", "--kind", "pt", "--a", "0.47", "--state", "h-sqrt3v", "--s", "1e6"),
-], ids=["period-small-s", "backflow-large-s"])
-def test_scan_reports_hold_away_from_unit_scale(capsys, argv):
+@pytest.mark.parametrize("argv, expected", [
+    (("period", "--kind", "apt", "--a", "1.5", "--state", "h-sqrt3v", "--s", "0.01"), None),
+    (("backflow", "--kind", "pt", "--a", "0.47", "--state", "h-sqrt3v", "--s", "1e6"),
+     (4, "DoubleTouch")),
+    # the scan still ends within the double range
+    (("period", "--kind", "pt", "--a", "0.47", "--s", "1e-300"), None),
+    (("backflow", "--kind", "pt", "--a", "2", "--s", "1e-300"), (1, "Monotonic")),
+], ids=["period-small-s", "backflow-large-s", "period-tiny-s", "backflow-broken-tiny-s"])
+def test_scan_reports_hold_away_from_unit_scale(capsys, argv, expected):
     code, out = run(capsys, *argv)
     assert code == 0
     payload = json.loads(out)
@@ -156,7 +160,7 @@ def test_scan_reports_hold_away_from_unit_scale(capsys, argv):
         assert payload["period_estimate"] == pytest.approx(
             payload["period_theoretical"], rel=1e-6)
     else:
-        assert (payload["zeros_per_period"], payload["classification"]) == (4, "DoubleTouch")
+        assert (payload["zeros_per_period"], payload["classification"]) == expected
 
 
 def test_angles_report(capsys):
@@ -401,6 +405,26 @@ def test_overflowing_rate_or_phase_exits_2(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
     assert "1.79769e+308" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, bound", [
+    (("period", "--kind", "pt", "--a", "0.47", "--s", "1e-320"), "3.95975e-308"),
+    (("period", "--kind", "pt", "--a", "0.99999999", "--s", "1e-305"), "2.47144e-304"),
+    (("backflow", "--kind", "apt", "--a", "1.00000001", "--s", "1e-305"), "1.23572e-304"),
+    (("backflow", "--kind", "pt", "--a", "2", "--s", "1e-308"), "5.56268e-308"),
+    # s*w underflows to zero: the period itself is inf
+    (("period", "--kind", "pt", "--a", "0.99999", "--s", "1e-322"), "7.81539e-306"),
+], ids=["period-pt", "period-near-ep", "backflow-apt", "backflow-broken", "period-zero-sw"])
+def test_tiny_s_overflowing_the_scan_exits_2(capsys, argv, bound):
+    # the scanned span theta/s is not a finite double: rejected naming s
+    # and its bound, not a window the user never gave
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: s = {argv[-1]} must be at least {bound}")
+    assert "window" not in captured.err
 
 
 @pytest.mark.filterwarnings("error")

@@ -9,10 +9,8 @@ import pytest
 from _oracle import frobenius_dist
 
 from ptcoherence import (
-    ElementKind,
     HamiltonianParams,
     NoDecompositionError,
-    OpticalElement,
     OpticalSequence,
     SymmetryClass,
     assemble,
@@ -25,7 +23,6 @@ from ptcoherence import (
     verify_state_action,
 )
 from ptcoherence.evolution import propagator_grid
-from ptcoherence.optics import _shape
 
 
 def _pt(a: float) -> HamiltonianParams:
@@ -84,56 +81,61 @@ def test_loss_operator_is_contractive():
 
 
 # ---------------------------------------------------------------------------
-# elements and sequences
+# sequences and assembly
 # ---------------------------------------------------------------------------
 
-def test_element_angles_reduced_mod_pi():
-    el = OpticalElement(ElementKind.HWP, (math.pi + 0.3,))
-    assert el.angles[0] == pytest.approx(0.3, abs=1e-12)
-    # reduction preserves the matrix
-    assert frobenius_dist(el.matrix(), r_hwp(math.pi + 0.3)) < 1e-12
+_ANGLES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 
 
-def test_element_angle_count_enforced():
-    with pytest.raises(ValueError):
-        OpticalElement(ElementKind.HWP, (0.1, 0.2))
-    with pytest.raises(ValueError):
-        OpticalElement(ElementKind.LOSS, (0.1,))
+@pytest.mark.parametrize("kind", list(SymmetryClass))
+def test_assemble_is_pi_periodic(kind):
+    v = np.array([0.3, 1.1, 2.9, 0.05, 1.7, 3.0])
+    for shift in range(6):
+        w = v.copy()
+        w[shift] += math.pi
+        assert frobenius_dist(assemble(kind, w), assemble(kind, v)) < 1e-14
 
 
-def test_sequence_shape_enforced():
-    elements = _shape(SymmetryClass.PT, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6))
-    OpticalSequence(elements=elements, target_kind=SymmetryClass.PT, t=1.0, residual=0.0)
-    with pytest.raises(ValueError):
-        OpticalSequence(elements=elements, target_kind=SymmetryClass.APT, t=1.0, residual=0.0)
+@pytest.mark.parametrize("angles", [
+    _ANGLES[:5], _ANGLES + (0.7,), (0.1, 0.2, math.nan, 0.4, 0.5, 0.6),
+    (0.1, 0.2, 0.3, 0.4, 0.5, math.inf),
+], ids=["five", "seven", "nan", "inf"])
+def test_sequence_takes_six_finite_angles(angles):
+    with pytest.raises(ValueError, match="6 finite angles"):
+        OpticalSequence(params=_pt(0.47), angles=angles, t=1.0, residual=0.0)
 
 
 @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
 def test_sequence_time_must_be_finite_and_nonnegative(t):
-    elements = _shape(SymmetryClass.PT, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6))
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        OpticalSequence(elements=elements, target_kind=SymmetryClass.PT, t=t, residual=0.0)
+        OpticalSequence(params=_pt(0.47), angles=_ANGLES, t=t, residual=0.0)
 
 
-def test_assemble_applies_leftmost_last():
-    seq = (
-        OpticalElement(ElementKind.HWP, (0.0,)),
-        OpticalElement(ElementKind.LOSS, (math.pi / 12, math.pi / 4)),
-    )
-    # product in listed order: r_hwp(0) @ loss
-    expected = np.array([[0.0, 0.5], [-1.0, 0.0]], dtype=complex)
-    assert frobenius_dist(assemble(seq), expected) < 1e-15
+@pytest.mark.parametrize("kind, first, second", [
+    (SymmetryClass.PT, r_hwp, r_qwp),
+    (SymmetryClass.APT, r_qwp, r_hwp),
+])
+def test_assemble_applies_leftmost_last(kind, first, second):
+    a1, a2, x1, x2, a3, a4 = _ANGLES
+    expected = (first(a1) @ second(a2) @ loss_operator(x1, x2)
+                @ first(a3) @ second(a4))
+    assert frobenius_dist(assemble(kind, _ANGLES), expected) < 1e-15
 
 
-def test_assemble_empty_is_identity():
-    assert np.allclose(assemble(()), np.eye(2))
+@pytest.mark.parametrize("kind", list(SymmetryClass))
+def test_assemble_broadcasts_over_angle_rows(kind):
+    rows = np.random.default_rng(5).uniform(0.0, math.pi, size=(2, 3, 6))
+    batch = assemble(kind, rows)
+    assert batch.shape == (2, 3, 2, 2)
+    for idx in np.ndindex(rows.shape[:-1]):
+        assert frobenius_dist(batch[idx], assemble(kind, tuple(rows[idx]))) < 1e-15
 
 
 def test_slaved_pt_shape_at_reference_angles():
     # waveplates slaved to theta1 = 0, full-transmission loss: the
     # five-element product collapses to -i times the identity
-    elements = _shape(SymmetryClass.PT, (0.0, 0.0, math.pi / 4, math.pi / 4, math.pi / 4, 0.0))
-    assert frobenius_dist(assemble(elements), -1j * np.eye(2)) < 1e-14
+    angles = (0.0, 0.0, math.pi / 4, math.pi / 4, math.pi / 4, 0.0)
+    assert frobenius_dist(assemble(SymmetryClass.PT, angles), -1j * np.eye(2)) < 1e-14
 
 
 def test_residual_ignores_global_complex_scale():
@@ -158,25 +160,27 @@ def test_residual_ignores_global_complex_scale():
 )
 def test_solve_angles_round_trip(p, t):
     seq = solve_angles(p, t, seed=3)
+    assert seq.params == p
     assert seq.residual <= 1e-6
     target = propagator_grid(p, [t])[0]
-    assert scale_invariant_residual(target, assemble(seq)) <= 1e-6
-    assert verify_state_action(seq, p) <= 1e-6
+    m = assemble(p.kind, seq.angles)
+    assert scale_invariant_residual(target, m) <= 1e-6
+    assert verify_state_action(seq) <= 1e-6
     # physical realizability: the passive sequence never amplifies
-    svals = np.linalg.svd(assemble(seq), compute_uv=False)
+    svals = np.linalg.svd(m, compute_uv=False)
     assert svals.max() <= 1.0 + 1e-9
 
 
 def test_solve_angles_identity_at_zero_time():
     seq = solve_angles(_pt(0.31), 0.0, seed=1)
-    m = assemble(seq)
+    m = assemble(SymmetryClass.PT, seq.angles)
     assert scale_invariant_residual(np.eye(2), m) < 1e-6
 
 
 def test_solve_angles_is_deterministic():
     a = solve_angles(_apt(2.8), 1.4, seed=11)
     b = solve_angles(_apt(2.8), 1.4, seed=11)
-    assert [el.angles for el in a.elements] == [el.angles for el in b.elements]
+    assert a.angles == b.angles
     assert a.residual == b.residual
 
 
@@ -191,7 +195,8 @@ def test_solve_angles_failure_carries_diagnostics(monkeypatch):
 @pytest.mark.parametrize("restarts", [32, 1])
 def test_solve_angles_sweep(restarts):
     # both kinds, both regimes and both sides of the exceptional point,
-    # from t = 0 to deep in the broken regime
+    # from t = 0 to deep in the broken regime; every angle reduced once
+    # into [0, pi] (a tiny negative angle rounds up to pi itself)
     problems = []
     for make in (_pt, _apt):
         for a in (0.3, 0.47, 0.9, 0.999, 1.0, 1.001, 1.5, 2.5):
@@ -202,9 +207,11 @@ def test_solve_angles_sweep(restarts):
                 except NoDecompositionError as exc:
                     problems.append((p, t, exc.best_residual))
                     continue
-                deviation = verify_state_action(seq, p)
+                deviation = verify_state_action(seq)
                 if seq.residual > 1e-6 or deviation > 1e-6:
                     problems.append((p, t, seq.residual, deviation))
+                if not all(0.0 <= v <= math.pi for v in seq.angles):
+                    problems.append((p, t, seq.angles))
     assert not problems
 
 
@@ -227,8 +234,9 @@ def test_solve_angles_input_validation():
 def test_sequence_to_dict_schema():
     p = _apt(1.5)
     seq = solve_angles(p, 0.9, seed=3)
-    d = sequence_to_dict(seq, p)
+    d = sequence_to_dict(seq)
     assert d["kind"] == "apt" and d["a"] == 1.5 and d["t"] == 0.9
     assert [e["type"] for e in d["elements"]] == ["QWP", "HWP", "Loss", "QWP", "HWP"]
-    assert len(d["elements"][2]["angles_rad"]) == 2
+    assert [len(e["angles_rad"]) for e in d["elements"]] == [1, 1, 2, 1, 1]
+    assert [v for e in d["elements"] for v in e["angles_rad"]] == list(seq.angles)
     assert d["residual"] == seq.residual
