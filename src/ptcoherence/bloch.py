@@ -40,6 +40,8 @@ def trajectory_array(
     if ts.size == 0 or np.any(np.diff(ts) < 0):
         raise ValueError("grid must be a nonempty sequence of ascending times")
     v = evolve_pure_grid(st, p, ts)
-    rho01 = v[:, 0] * np.conj(v[:, 1])
+    # np.multiply, not `*`: `*` lets numpy reuse a large conj temporary as
+    # the output, which swaps the operands and so the last bits of a row
+    rho01 = np.multiply(v[:, 0], np.conj(v[:, 1]))
     pops = np.abs(v) ** 2
     return np.column_stack([ts, 2.0 * rho01.real, -2.0 * rho01.imag, pops[:, 0] - pops[:, 1]])

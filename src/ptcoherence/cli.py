@@ -37,22 +37,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .bloch import trajectory_array
-from .coherence import (
-    _scan_window,
-    classify_backflow,
-    coherence_series,
-    find_extrema,
-    l1_coherence,
-    theoretical_period,
-    asymptotic_value,
-)
 from .evolution import PureState, evolve_density, evolve_density_grid
 from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime
-from .optics import (_N_STATES, NoDecompositionError, sequence_to_dict, solve_angles,
-                     verify_state_action)
-from .tomography import bootstrap_errorbar, reconstruct, simulate_counts, trace_distance
-from .twoqubit import TwoQubitState, two_qubit_series
+
+# Each subcommand imports the modules only it runs (coherence, optics,
+# tomography, bloch, twoqubit), so a cold call loads no other.
 
 __all__ = ["RunConfig", "main"]
 
@@ -175,6 +164,10 @@ def _read_config_file(path: str) -> dict:
 
 class _IOFailure(RuntimeError):
     """Config/output I/O problems (exit code 4)."""
+
+
+class _SolverFailure(RuntimeError):
+    """No optical decomposition found (exit code 3)."""
 
 
 def _resolve_state(merged: dict, layer: dict) -> tuple[PureState, str]:
@@ -429,6 +422,8 @@ def _grid(cfg: RunConfig) -> np.ndarray:
 def cmd_trace(cfg: RunConfig) -> str:
     """CSV columns t, C_closed_form, C_matrix_path — the scalar closed
     form and the independent propagator-conjugation route, side by side."""
+    from .coherence import coherence_series
+
     assert cfg.state is not None
     p = cfg.params
     ts = _grid(cfg)
@@ -442,6 +437,8 @@ def cmd_trace(cfg: RunConfig) -> str:
 
 def cmd_period(cfg: RunConfig) -> str:
     """Theoretical oscillation period plus a trace-measured estimate."""
+    from .coherence import _scan_window, find_extrema, theoretical_period
+
     assert cfg.state is not None
     p = cfg.params
     period = theoretical_period(p)
@@ -454,6 +451,8 @@ def cmd_period(cfg: RunConfig) -> str:
 
 def cmd_asymptote(cfg: RunConfig) -> str:
     """Theoretical stable value plus a tail estimate from the trace."""
+    from .coherence import asymptotic_value, find_extrema
+
     assert cfg.state is not None
     p = cfg.params
     scan = find_extrema(cfg.state, p, (cfg.t_min, cfg.t_max))
@@ -468,6 +467,8 @@ def cmd_asymptote(cfg: RunConfig) -> str:
 
 def cmd_backflow(cfg: RunConfig) -> str:
     """Stationary-point count per period and trace classification."""
+    from .coherence import classify_backflow
+
     assert cfg.state is not None
     report = classify_backflow(cfg.state, cfg.params)
     payload = _base_payload(cfg)
@@ -480,7 +481,13 @@ def cmd_backflow(cfg: RunConfig) -> str:
 
 def cmd_angles(cfg: RunConfig) -> str:
     """Inverse design: waveplate/loss angles realizing U(t), verified."""
-    seq = solve_angles(cfg.params, cfg.t, seed=cfg.seed, restarts=cfg.restarts)
+    from .optics import (_N_STATES, NoDecompositionError, sequence_to_dict, solve_angles,
+                         verify_state_action)
+
+    try:
+        seq = solve_angles(cfg.params, cfg.t, seed=cfg.seed, restarts=cfg.restarts)
+    except NoDecompositionError as exc:
+        raise _SolverFailure(str(exc)) from exc
     deviation = verify_state_action(seq, seed=cfg.seed + 1)
     payload = _base_payload(cfg)
     payload.update(sequence_to_dict(seq))
@@ -494,6 +501,9 @@ def cmd_angles(cfg: RunConfig) -> str:
 
 def cmd_tomography(cfg: RunConfig) -> str:
     """Evolve, sample counts, reconstruct, and bootstrap the coherence."""
+    from .coherence import l1_coherence
+    from .tomography import bootstrap_errorbar, reconstruct, simulate_counts, trace_distance
+
     assert cfg.state is not None
     p = cfg.params
     rho_true = evolve_density(cfg.state.density(), p, cfg.t)
@@ -529,6 +539,8 @@ def cmd_tomography(cfg: RunConfig) -> str:
 
 def cmd_bloch(cfg: RunConfig) -> str:
     """CSV Bloch trajectory of the evolved (renormalized) state."""
+    from .bloch import trajectory_array
+
     assert cfg.state is not None
     rows = trajectory_array(cfg.state, cfg.params, _grid(cfg))
     meta = _base_meta(cfg) + _state_meta(cfg)
@@ -537,6 +549,8 @@ def cmd_bloch(cfg: RunConfig) -> str:
 
 def cmd_two_qubit(cfg: RunConfig) -> str:
     """CSV two-qubit coherence traces of the three reference states."""
+    from .twoqubit import TwoQubitState, two_qubit_series
+
     p = cfg.params
     ts = _grid(cfg)
     curves = [
@@ -567,7 +581,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _resolve_config(args)
         text = _COMMANDS[cfg.subcommand](cfg)
         _emit(cfg, text)
-    except NoDecompositionError as exc:
+    except _SolverFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_SOLVER
     except _IOFailure as exc:

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import enum
 import math
-import statistics
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -329,11 +328,14 @@ def _scan(
     entries equals its limit to double precision; roots beyond it are
     dropped.  Times and period are divided by ``s`` on return.
     """
-    t0, t1 = p.s * float(window[0]), p.s * float(window[1])
+    w0, w1 = float(window[0]), float(window[1])
+    t0, t1 = p.s * w0, p.s * w1
+    # name the caller's window in t: s*t can overflow or underflow
+    in_theta = f"window ({w0}, {w1}) is ({t0}, {t1}) in theta = s*t at s = {p.s}"
     if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise ValueError(f"window must be finite, got ({t0}, {t1})")
+        raise ValueError(f"{in_theta}; it must be finite")
     if not (t1 > t0):
-        raise ValueError(f"window must satisfy t1 > t0, got ({t0}, {t1})")
+        raise ValueError(f"{in_theta}; it must satisfy t1 > t0")
 
     unit = replace(p, s=1.0)
     ts = t0 + (t1 - t0) * np.arange(samples) / samples  # half-open grid
@@ -388,6 +390,15 @@ def _scan(
     )
 
 
+def _median(values: list[float]) -> float:
+    """Median with ``statistics.median``'s arithmetic.  Neither that module
+    (it loads ``fractions`` and ``decimal``) nor ``np.median`` (it loads
+    ``numpy.ma``) is imported, which keeps them off every cold scan."""
+    d = sorted(values)
+    n = len(d)
+    return d[n // 2] if n % 2 else (d[n // 2 - 1] + d[n // 2]) / 2
+
+
 def _period_estimate(
     series: Callable[[np.ndarray], np.ndarray],
     extrema: Sequence[Extremum],
@@ -403,9 +414,7 @@ def _period_estimate(
         for stride in (1, 2):
             if len(times) > stride:
                 diffs = times[stride:] - times[:-stride]
-                # statistics.median: np.median loads numpy.ma on first use,
-                # ~16 ms of every cold period/asymptote/backflow call
-                candidates.add(statistics.median(diffs.tolist()))
+                candidates.add(_median(diffs.tolist()))
     fold_ts = t0 + (t1 - t0) * np.arange(256) / 512.0  # first half of the window
     base = series(fold_ts)
     tol = 1e-4 * max(value_range, 1e-6)

@@ -87,3 +87,17 @@ def test_trajectory_grid_validation():
         trajectory_array(st, _pt(0.31), np.array([0.0, -1.0]))
     with pytest.raises(ValueError):
         trajectory_array(st, _pt(0.31), np.array([1.0, 0.5]))
+
+
+@pytest.mark.parametrize("p, label", [
+    (_pt(2.8), "D"), (_pt(0.47), "h-sqrt3v"), (_apt(1.5), "h-sqrt3v"), (_apt(0.47), "D"),
+])
+def test_rows_do_not_depend_on_grid_length(p, label):
+    # a grid of 100000 points (1.6 MB complex arrays) and 31 of its times:
+    # the same time gives the same row, bit for bit
+    st = PureState.preset(label)
+    grid = np.linspace(0.0, 10.0, 100_000)
+    long_rows = trajectory_array(st, p, grid)[::3333]
+    short_rows = trajectory_array(st, p, grid[::3333])
+    assert short_rows.shape == (31, 4)
+    assert np.array_equal(long_rows, short_rows)

@@ -449,6 +449,16 @@ def test_csv_format_rejected_for_reports(capsys):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("error")
+def test_underflowing_window_names_the_callers_window(capsys):
+    # s * t-max underflows to 0: the error names the window the caller gave
+    argv = ["--kind", "pt", "--a", "2", "--s", "1e-320", "--t-max", "1e-10"]
+    assert main(["asymptote", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "1e-10" in err and "1e-320" in err
+    assert main(["trace", *argv, "--points", "3"]) == 0
+
+
 def test_unwritable_output_exits_4(capsys):
     code, _ = run(capsys, "period", "--kind", "pt", "--a", "0.5",
                   "--output", "/nonexistent-dir/x.json")
@@ -459,7 +469,7 @@ def test_solver_failure_exits_3(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise pc.NoDecompositionError(0.5, (0.0,) * 6, "no decomposition found")
 
-    monkeypatch.setattr("ptcoherence.cli.solve_angles", boom)
+    monkeypatch.setattr("ptcoherence.optics.solve_angles", boom)
     code, _ = run(capsys, "angles", "--kind", "pt", "--a", "0.5", "--t", "1")
     assert code == 3
 
@@ -564,3 +574,18 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["schema"] == 1
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (["--a", "-1"], 2, "error: non-Hermiticity degree a must be positive"),
+    (["--a", "0.47", "--output", "/nonexistent-dir/x.json"], 4,
+     "error: cannot write output file '/nonexistent-dir/x.json'"),
+])
+def test_module_entry_point_failures(args, code, message):
+    result = subprocess.run(
+        [sys.executable, "-m", "ptcoherence", "period", "--kind", "pt", *args],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == code
+    assert result.stdout == ""
+    assert result.stderr.startswith(message), result.stderr

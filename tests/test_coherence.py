@@ -7,6 +7,8 @@ the scalar closed forms checked here.
 """
 from __future__ import annotations
 
+import statistics
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ from ptcoherence import (
     two_qubit_series,
     verify_extrema_conditions,
 )
-from ptcoherence.coherence import coherence_slope
+from ptcoherence.coherence import _median, coherence_slope
 from ptcoherence.twoqubit import two_qubit_slope
 
 from conftest import random_states
@@ -228,6 +230,14 @@ def test_find_extrema_window_validation():
     st_ = PureState.preset("D")
     with pytest.raises(ValueError):
         find_extrema(st_, _pt(0.31), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("values", [
+    [3.0, 1.0, 2.0], [0.1, 0.7, 0.2, 0.4], [0.3, 0.3, 0.1, 0.3], [1.0, 1.0],
+    [2.5], [0.1 + 0.2, 0.3, 1e-9, 1e9, 0.3, 0.1 + 0.2],
+])
+def test_median_matches_statistics(values):
+    assert _median(values) == statistics.median(values)
 
 
 def test_find_extrema_plateau_has_no_spurious_points():
