@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .evolution import PureState, evolve_density, evolve_density_grid
-from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime
+from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime, w_squared
 
 # Each subcommand imports the modules only it runs (coherence, optics,
 # tomography, bloch, twoqubit), so a cold call loads no other.
@@ -209,7 +209,7 @@ def _require_resolved_phase(p: HamiltonianParams, key: str, t: float) -> None:
     longer resolves one radian of it.  In the broken regime C saturates
     instead, so every finite phase is accepted."""
     phase_regime = regime(p)
-    w = 1.0 if phase_regime is Regime.EXCEPTIONAL_POINT else math.sqrt(abs(1.0 - p.a ** 2))
+    w = 1.0 if phase_regime is Regime.EXCEPTIONAL_POINT else math.sqrt(abs(w_squared(p.kind, p.a)))
     theta = p.s * abs(t)
     phase = w * theta
     if not (math.isfinite(theta) and math.isfinite(phase)):

@@ -1,13 +1,14 @@
 """l1 coherence: closed forms, periods, asymptotes, extrema, backflow.
 
-For a pure state ``alpha |H> + beta e^{i phi} |V>`` evolved by either
-generator family, write x(t), y(t) for the evolved (unnormalized)
-basis populations.  The l1 coherence of the normalized state is
+For a pure state ``psi = alpha |H> + beta e^{i phi} |V>`` evolved by
+either generator family, the one state evaluator of
+:mod:`~ptcoherence.evolution` gives the unnormalized evolved state
+``v = F psi + G (K psi)``.  With the basis populations x = |v_0|^2 and
+y = |v_1|^2, the l1 coherence of the normalized state is
 
     C(t) = 2 sqrt(x y) / (x + y)
 
-and both x and y are quadratic forms in the propagator scalars
-(A, B, C), so C is invariant under the common rescaling used deep in
+which is invariant under the common rescaling of (F, G) used deep in
 the broken regime.
 
 Key phenomenology exposed here:
@@ -49,8 +50,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .evolution import DensityMatrix, PureState, _evolution_times, _propagator_slope, abc_scaled
-from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime
+from .evolution import (DensityMatrix, PureState, _evolution_times, evolve_product, product_terms,
+                        shifted_generator, shifted_scalars, slope_pairs)
+from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime, w_squared
 
 __all__ = [
     "Classification",
@@ -184,23 +186,13 @@ def coherence_series(st: PureState, p: HamiltonianParams, times: np.ndarray) -> 
     """Closed-form l1 coherence of the evolved state over a time grid.
 
     ``times`` may be any real values; negative entries evaluate the
-    analytic continuation.  Uses the closed-form populations
-    x = |<H|psi(t)>|^2 and y = |<V|psi(t)>|^2 (up to common scale) and
-    ``C = 2 sqrt(x y) / (x + y)``.
+    analytic continuation.  Uses the populations x = |<H|v>|^2 and
+    y = |<V|v>|^2 of the evolved state ``v = F psi + G K psi`` (up to a
+    common scale) and ``C = 2 sqrt(x y) / (x + y)``.
     """
-    A, B, C, _ = abc_scaled(p.kind, p.a, p.s * np.asarray(times, dtype=np.float64))
-    alpha, beta, phi = st.alpha, st.beta, st.phi
-    sphi, cphi, ab = np.sin(phi), np.cos(phi), alpha * beta
-    if p.kind is SymmetryClass.PT:
-        pm, pp = A - B, A + B
-        x = alpha * alpha * pm * pm + C * C * beta * beta + 2.0 * ab * C * pm * sphi
-        y = beta * beta * pp * pp + C * C * alpha * alpha - 2.0 * ab * C * pp * sphi
-    else:
-        r2 = A * A + B * B
-        cross = 2.0 * ab * C * (A * cphi + B * sphi)
-        x = alpha * alpha * r2 + C * C * beta * beta + cross
-        y = beta * beta * r2 + C * C * alpha * alpha + cross
-    x, y = np.maximum(x, 0.0), np.maximum(y, 0.0)
+    F, G = shifted_scalars(p.kind, p.a, p.s * np.asarray(times, dtype=np.float64))
+    v = evolve_product([(F, G)], product_terms([shifted_generator(p.kind, p.a)], st.vector()))
+    x, y = (v.real * v.real + v.imag * v.imag).T
     # 2*sqrt(x)*sqrt(y) instead of sqrt(x*y): the product can overflow
     # at large unscaled hyperbolic arguments even though the ratio is O(1)
     return 2.0 * np.sqrt(x) * np.sqrt(y) / (x + y)
@@ -211,9 +203,9 @@ def coherence_closed_form(st: PureState, p: HamiltonianParams, t: float) -> floa
 
     Agrees with the matrix path (evolve the density matrix, then take
     :func:`l1_coherence`) to 1e-9.  Both routes start from the scaled
-    propagator scalars of :func:`~ptcoherence.evolution.abc_scaled`;
-    from there this one uses the closed-form populations and the other
-    conjugates the density matrix.
+    scalars of :func:`~ptcoherence.evolution.shifted_scalars`; from
+    there this one evolves the state vector and the other conjugates
+    the density matrix.
     """
     return float(coherence_series(st, p, _evolution_times([t]))[0])
 
@@ -224,7 +216,7 @@ def theoretical_period(p: HamiltonianParams) -> float | None:
     regime and at the exceptional point."""
     if regime(p) is not Regime.UNBROKEN:
         return None
-    sw = p.s * math.sqrt(abs(1.0 - p.a * p.a))
+    sw = p.s * math.sqrt(abs(w_squared(p.kind, p.a)))
     return math.pi / sw if sw > 0.0 else math.inf
 
 
@@ -235,7 +227,8 @@ def _scan_window(p: HamiltonianParams, periods: int) -> tuple[float, float]:
     T = theoretical_period(p)
     end = periods * T if T is not None else 10.0 / p.s
     if not math.isfinite(end):
-        theta = periods * math.pi / math.sqrt(abs(1.0 - p.a * p.a)) if T is not None else 10.0
+        w = math.sqrt(abs(w_squared(p.kind, p.a)))
+        theta = periods * math.pi / w if T is not None else 10.0
         raise ValueError(f"s = {p.s} must be at least {theta / np.finfo(np.float64).max:.6g} "
                          f"here: the scan ends at t = {theta:.6g}/s, beyond the double range")
     return 0.0, end
@@ -279,9 +272,9 @@ def find_extrema(
         With extrema sorted by time, plus period and asymptote
         estimates where the window supports them.
     """
-    psi = st.vector()
+    terms = product_terms([shifted_generator(p.kind, p.a)], st.vector())  # fixed for the scan
     return _scan(lambda q, th: coherence_series(st, q, th),
-                 lambda q, th: coherence_slope(q, psi, th), p, window, _SCAN_SAMPLES)
+                 lambda q, th: coherence_slope(q, terms, th), p, window, _SCAN_SAMPLES)
 
 
 def _factor(plus: np.ndarray, minus: np.ndarray, den: np.ndarray):
@@ -290,17 +283,18 @@ def _factor(plus: np.ndarray, minus: np.ndarray, den: np.ndarray):
     return (plus - minus) / den, bound / den
 
 
-def coherence_slope(p: HamiltonianParams, psi: np.ndarray, theta: np.ndarray):
+def coherence_slope(p: HamiltonianParams, terms: dict, theta: np.ndarray):
     """Two factors of dC/dtheta and their rounding bounds, shape ``(2, n)``.
 
-    dC/dtheta = (y - x)(x' y - x y') / (sqrt(x y) (x + y)^2) with
-    v = U psi, x = |v_0|^2, y = |v_1|^2.  The factor (y - x)/(x + y)
-    vanishes at the C = 1 touches, (x' y - x y')/(x + y)^2 at the other
-    extrema (with a sign jump at the corner minima C = 0).
+    dC/dtheta = (y - x)(x' y - x y') / (sqrt(x y) (x + y)^2) with the fixed
+    ``terms`` psi and K psi, v = F psi + G K psi, v' = F' psi + G' K psi,
+    x = |v_0|^2 and y = |v_1|^2.  The factor (y - x)/(x + y) vanishes at the
+    C = 1 touches, (x' y - x y')/(x + y)^2 at the other extrema (with a sign
+    jump at the corner minima C = 0).
     """
-    u, du = _propagator_slope(p, theta)
-    v, dv = (u * psi).sum(axis=2), (du * psi).sum(axis=2)
-    x, y = np.abs(v[:, 0]) ** 2, np.abs(v[:, 1]) ** 2
+    c, dc = slope_pairs(p, theta)
+    v, dv = evolve_product([c], terms), evolve_product([dc], terms)
+    x, y = (v.real * v.real + v.imag * v.imag).T
     dx, dy = 2.0 * (v.conj() * dv).real.T
     f1, b1 = _factor(y, x, x + y)
     f2, b2 = _factor(dx * y, x * dy, (x + y) ** 2)
@@ -345,7 +339,7 @@ def _scan(
     period = warning = None
     cut = math.inf
     if regime(p) is Regime.BROKEN:
-        cut = 26.0 * math.log(2.0) / math.sqrt(abs(1.0 - p.a * p.a))
+        cut = 26.0 * math.log(2.0) / math.sqrt(abs(w_squared(p.kind, p.a)))
     if vmax - vmin > _CONSTANT_RANGE * max(1.0, vmax) and t0 < cut:
         end = min(t1, cut)
         grid = np.append(ts, t1) if end == t1 else np.linspace(t0, end, samples + 1)
@@ -474,7 +468,8 @@ def verify_extrema_conditions(st: PureState, p: HamiltonianParams) -> PredictedE
     alpha, beta, phi = st.alpha, st.beta, st.phi
     sphi = math.sin(phi)
     a, s = p.a, p.s
-    w = math.sqrt(abs(1.0 - a * a))
+    w2 = abs(w_squared(p.kind, a))
+    w = math.sqrt(w2)
     k = alpha * beta * sphi
     inside = (0.0 < alpha < 1.0) and (0.0 < beta < 1.0) and sphi >= -1e-15
     note = None
@@ -485,10 +480,12 @@ def verify_extrema_conditions(st: PureState, p: HamiltonianParams) -> PredictedE
         thetas += _two_theta_roots((alpha**2 - beta**2) * w, a + 2.0 * k)
         # minima: quadratic in u = tan(theta)
         P = 1.0 + 2.0 * k * a
-        c0 = w * w * (2.0 * a * alpha**2 * beta**2 + k)
+        c0 = w2 * (2.0 * a * alpha**2 * beta**2 + k)
         c1 = w * P * (beta**2 - alpha**2)
         c2 = c0 - P * (a + 2.0 * k)
-        if abs(c2) > 1e-13:
+        # a vanishing coefficient is judged against its terms' scale
+        tiny = 1e-13 * max(abs(c0), abs(c1), abs(P * (a + 2.0 * k)))
+        if abs(c2) > tiny:
             disc = c1 * c1 - 4.0 * c0 * c2
             if disc > 0.0:
                 r = math.sqrt(disc)
@@ -504,7 +501,7 @@ def verify_extrema_conditions(st: PureState, p: HamiltonianParams) -> PredictedE
             # leading coefficient vanished: theta = pi/2 is a root, plus
             # the remaining linear root when present
             thetas.append(math.pi / 2.0)
-            if abs(c1) > 1e-13:
+            if abs(c1) > tiny:
                 thetas.append(math.atan(-c0 / c1) % math.pi)
     else:
         if abs(alpha - beta) <= 1e-12:

@@ -1,30 +1,30 @@
 """Closed-form nonunitary propagators and normalized state evolution.
 
-Both generator families admit a propagator ``U(t) = exp(-i H t)`` built
-from three real scalars A, B, C:
+Both generator families are traceless, so with ``theta = s t`` and the
+fixed matrix ``M = -i H / s`` of :func:`~ptcoherence.hamiltonian.generator`
+the propagator is ``U = exp(theta M) = A I + g M``.  ``M^2 = -d I``, and
+``d = w^2`` of :func:`~ptcoherence.hamiltonian.w_squared` (``1 - a^2``
+for PT, ``a^2 - 1`` for APT) sets the time dependence:
 
-    PT:   U = [[A - B, -i C], [-i C, A + B]]
-    APT:  U = [[A + i B, C], [C, A - i B]]
+    d > 0 (unbroken):  A = cos(w theta),  g = sin(w theta) / w,   w = sqrt(d)
+    d < 0 (broken):    A = cosh(w theta), g = sinh(w theta) / w,  w = sqrt(-d)
+    d = 0 (EP):        A = 1,             g = theta
 
-with a single discriminant ``d`` controlling the time dependence
-(``d = 1 - a^2`` for PT, ``d = a^2 - 1`` for APT):
-
-    d > 0 (unbroken):  A = cos(w s t),  g = sin(w s t) / w,   w = sqrt(d)
-    d < 0 (broken):    A = cosh(w s t), g = sinh(w s t) / w,  w = sqrt(-d)
-    d = 0 (EP):        A = 1,           g = s t
-
-and ``B = -a g``, ``C = g`` in all cases.  ``det U = 1`` exactly in
-real arithmetic because the generators are traceless.
+``det U = A^2 + d g^2 = 1`` in real arithmetic.  Every evolved state is
+``F psi + G (K psi)`` (:func:`evolve_product`) for ``U = F I + G K``: in the
+broken regime ``F = exp(-w theta)``, ``G = (1 + w) g`` and the singular
+``K = (M + w I) / (1 + w)`` (:func:`shifted_generator`), else ``(A, g, M)``.
 
 Numerical notes
 ---------------
-* :func:`abc_scaled` is the package's one evaluator of (A, B, C).  It
-  works in ``theta = s t`` (every observable depends on ``s`` and ``t``
-  only through it) and evaluates ``g`` as ``theta * sinc_like(w theta)``
-  with a short series for tiny arguments, so it stays accurate through
-  the exceptional point (the exact branch is used only at ``a == 1.0``,
-  where the generic expression is 0/0): within ~1e-13 relative
-  Frobenius distance of a matrix-exponential oracle.
+* :func:`abc_scaled` is the package's one evaluator of (A, g).  It works
+  in ``theta`` (every observable depends on ``s`` and ``t`` only through
+  it) and evaluates ``g`` as ``theta * sinc_like(w theta)`` with a short
+  series for tiny arguments, so it stays accurate through the EP: within
+  ~1e-13 relative Frobenius distance of a matrix-exponential oracle.
+* The fixed terms (``K psi``) are rounded once from exact sums
+  (:func:`apply_exact`): near the EP they are far below their summands.
+  At large ``a`` no entry of ``U`` is a difference ``A - a g`` of unit terms.
 * In the broken regime the entries grow like ``exp(w theta)``.  States
   are renormalized, so ``U = exp(log_scale) * U_hat`` is used, with
   ``exp(-w |theta|)`` pulled out once ``|w theta|`` exceeds
@@ -40,13 +40,14 @@ All functions are pure; every returned array is freshly allocated.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tolerances
-from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime
+from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, generator, regime, w_squared
 
 __all__ = [
     "PureState",
@@ -194,10 +195,9 @@ class Propagator:
     Attributes
     ----------
     matrix:
-        The 2x2 complex propagator (see module docstring for the
-        kind-dependent arrangement of A, B, C).
+        The 2x2 complex propagator ``A I + g M`` (see the module docstring).
     abc:
-        The real scalars (A, B, C).
+        The real scalars (A, B, C) = (A, -a g, g).
     regime:
         Spectral phase of the generating parameters.
     t:
@@ -221,38 +221,16 @@ _SCALE_SWITCH = 150.0
 _SERIES_SWITCH = 1e-4
 
 
-def matmul2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x @ y`` for (stacks of) 2x2 matrices, broadcasting like ``@``.
-
-    Written out entry by entry: on ``(n, 2, 2)`` stacks numpy's batched
-    matmul is about ten times slower than these elementwise products.
-    """
-    x00, x01, x10, x11 = x[..., 0, 0], x[..., 0, 1], x[..., 1, 0], x[..., 1, 1]
-    y00, y01, y10, y11 = y[..., 0, 0], y[..., 0, 1], y[..., 1, 0], y[..., 1, 1]
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.result_type(x, y))
-    out[..., 0, 0] = x00 * y00 + x01 * y10
-    out[..., 0, 1] = x00 * y01 + x01 * y11
-    out[..., 1, 0] = x10 * y00 + x11 * y10
-    out[..., 1, 1] = x10 * y01 + x11 * y11
-    return out
-
-
-def _discriminant(kind: SymmetryClass, a: float) -> float:
-    """``d`` with (A, C) = (cos, sin / w) of ``w theta``, ``w = sqrt(d)``."""
-    return 1.0 - a * a if kind is SymmetryClass.PT else a * a - 1.0
-
-
 def abc_scaled(kind: SymmetryClass, a: float, theta):
-    """Scaled propagator scalars ``(A, B, C, log_scale)`` at ``theta = s t``.
+    """Scaled propagator scalars ``(A, g, log_scale)`` at ``theta = s t``
+    (any real array or scalar; the outputs are float64 arrays of its shape).
 
-    The true scalars are ``exp(log_scale)`` times the returned (A, B, C);
+    The true scalars are ``exp(log_scale)`` times the returned (A, g);
     ``log_scale`` is zero except where the hyperbolic argument
     ``|w theta|`` (at the EP, ``log |theta|``) exceeds ``_SCALE_SWITCH``.
-    ``theta`` is any real array (or scalar); all four outputs are float64
-    arrays of its shape.
     """
     th = np.asarray(theta, dtype=np.float64)
-    d = _discriminant(kind, a)
+    d = w_squared(kind, a)
     log_scale = np.zeros_like(th)
     if d > 0.0:
         w = np.sqrt(d)
@@ -281,53 +259,95 @@ def abc_scaled(kind: SymmetryClass, a: float, theta):
         f = np.abs(th)
         f = np.where(f > math.exp(_SCALE_SWITCH), f, 1.0)
         A, g, log_scale = 1.0 / f, np.where(f > 1.0, np.sign(th), th), np.log(f)
-    return A, -a * g, g, log_scale
+    return A, g, log_scale
 
 
-def stack2x2(m00, m01, m10, m11) -> np.ndarray:
-    """Complex ``(..., 2, 2)`` matrices from four broadcastable entries."""
-    m00, m01, m10, m11 = np.broadcast_arrays(m00, m01, m10, m11)
-    out = np.empty(m00.shape + (2, 2), dtype=complex)
-    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = m00, m01, m10, m11
-    return out
+def _shift(kind: SymmetryClass, a: float) -> float:
+    """``sigma`` of :func:`shifted_generator`: ``w`` in the broken regime, else 0."""
+    return math.sqrt(max(0.0, -w_squared(kind, a)))
 
 
-def abc_matrices(kind: SymmetryClass, A, B, C) -> np.ndarray:
-    """Propagator matrices from (arrays of) scalars, shape ``A.shape + (2, 2)``.
+def shifted_generator(kind: SymmetryClass, a: float) -> np.ndarray:
+    """``K = (M + sigma I) / (1 + sigma)`` of ``U = F I + G K``.  Broken, ``K_11``
+    (``w - a`` for PT: all cancellation at large ``a``) comes from ``det K = 0``;
+    the divisor keeps products such as ``K ⊗ K`` finite."""
+    sigma = _shift(kind, a)
+    k = (generator(kind, a) + sigma * np.eye(2)) / (1.0 + sigma)
+    if abs(k[1, 1]) < abs(k[0, 0]):
+        k[1, 1] = k[1, 0] * k[0, 1] / k[0, 0]
+    return k
 
-    PT: ``[[A - B, -i C], [-i C, A + B]]``; APT: ``[[A + i B, C], [C, A - i B]]``.
-    """
-    if kind is SymmetryClass.PT:
-        return stack2x2(A - B, -1j * C, -1j * C, A + B)
-    return stack2x2(A + 1j * B, C, C, A - 1j * B)
+
+def shifted_scalars(kind: SymmetryClass, a: float, theta):
+    """``(F, G)`` of ``U = F I + G K``, scaled as in :func:`abc_scaled`."""
+    A, g, log_scale = abc_scaled(kind, a, theta)
+    sigma = _shift(kind, a)
+    if sigma == 0.0:
+        return A, g
+    # F = A - w g = exp(-w theta), formed without that cancellation
+    return np.exp(-sigma * np.asarray(theta, dtype=np.float64) - log_scale), (1.0 + sigma) * g
+
+
+def slope_pairs(p: HamiltonianParams, theta: np.ndarray):
+    """``(F, G)`` and its theta-derivative ``(-d g - sigma A, (1 + sigma) A)``
+    over a grid, all divided by the per-time scale ``|A| + max(1, a) |g|`` so
+    products of several stay finite; no ratio of a state's entries sees it."""
+    F, G = shifted_scalars(p.kind, p.a, theta)
+    sigma = _shift(p.kind, p.a)
+    A, g = F + sigma / (1.0 + sigma) * G, G / (1.0 + sigma)
+    top = np.abs(A) + max(1.0, p.a) * np.abs(g)
+    F, G, A = F / top, G / top, A / top
+    # -d g - sigma A is -w F where shifted (d = -w^2), without its cancellation
+    return (F, G), (-sigma * F if sigma else -w_squared(p.kind, p.a) * G, (1.0 + sigma) * A)
+
+
+def apply_exact(mats, psi) -> tuple:
+    """``(mats[0] ⊗ mats[1] ⊗ ...) psi`` for 2x2 factors given as flat 4-lists,
+    correctly rounded: a double is an integer multiple of 2**-1074, so the sums
+    are exact in integers.  Near the EP, rounding each product would leave
+    ``K psi`` few correct digits."""
+    def ints(x) -> list:  # each entry as integers (re, im) in units of 2**-1074
+        ratios = (map(float.as_integer_ratio, (z.real, z.imag)) for z in map(complex, x))
+        return [[n << (1075 - d.bit_length()) for n, d in pair] for pair in ratios]
+    v = ints(psi)
+    for axis, m in enumerate(mats):
+        m, step, w = ints(m), 2 ** (len(mats) - 1 - axis), []
+        for j in range(len(v)):  # row r of m against the entries j0 and j0 + step
+            r = (j // step) % 2
+            (ar, ai), (br, bi) = m[2 * r], m[2 * r + 1]
+            (xr, xi), (yr, yi) = v[j - r * step], v[j + (1 - r) * step]
+            w.append((ar * xr - ai * xi + br * yr - bi * yi,
+                      ar * xi + ai * xr + br * yi + bi * yr))
+        v = w
+    scale = 1 << (1074 * (len(mats) + 1))
+    return tuple(complex(re / scale, im / scale) for re, im in v)
+
+
+def product_terms(mats, psi) -> dict:
+    """The fixed terms ``(K_1^k_1 ⊗ K_2^k_2 ⊗ ...) psi`` of a state of one
+    or more qubits, keyed by ``k`` in {0, 1}^q, each from :func:`apply_exact`."""
+    eye, flat = (1.0, 0.0, 0.0, 1.0), [np.ravel(m).tolist() for m in mats]
+    key = np.ravel(psi).tolist()
+    return {k: np.array(apply_exact([m if b else eye for m, b in zip(flat, k)], key))
+            for k in itertools.product((0, 1), repeat=len(mats))}
+
+
+def evolve_product(pairs, terms: dict) -> np.ndarray:
+    """The one state evaluator: ``(U_1 ⊗ U_2 ⊗ ...) psi`` over a time grid for
+    ``U_j = F_j I + G_j K_j`` and ``pairs[j] = (F_j, G_j)``, as the sum over k of
+    ``prod_j pairs[j][k_j]`` times the fixed term ``k`` (``F psi + G K psi`` for
+    one qubit); a pair's derivative (:func:`slope_pairs`) gives that factor's slope."""
+    return sum(np.multiply.outer(math.prod(pair[b] for pair, b in zip(pairs, k)), term)
+               for k, term in terms.items())
 
 
 def propagator_grid(p: HamiltonianParams, times) -> np.ndarray:
-    """Scaled propagators ``U_hat(t)`` over a time grid, shape ``(n, 2, 2)``.
-
-    Each matrix equals the true propagator up to a positive per-time
-    factor, so every renormalized quantity built from it is exact.
-    ``times`` may be any real values; negative entries evaluate the
-    analytic continuation.
-    """
-    A, B, C, _ = abc_scaled(p.kind, p.a, p.s * np.asarray(times, dtype=np.float64))
-    return abc_matrices(p.kind, A, B, C)
-
-
-def _propagator_slope(p: HamiltonianParams, theta: np.ndarray):
-    """``(U_hat, dU/dtheta)`` over a 1-D grid in ``theta``, each divided by
-    the largest entry magnitude of ``U_hat``, so products of several stay
-    finite.
-
-    ``dA/dtheta = -d C``, ``dB/dtheta = -a A`` and ``dC/dtheta = A``.  A
-    per-time scale only adds a multiple of ``U`` to the derivative,
-    which no ratio of the state's entries sees.
-    """
-    A, B, C, _ = abc_scaled(p.kind, p.a, theta)
-    u = abc_matrices(p.kind, A, B, C)
-    du = abc_matrices(p.kind, -_discriminant(p.kind, p.a) * C, -p.a * A, A)
-    top = np.abs(u).max(axis=(-2, -1), keepdims=True)
-    return u / top, du / top
+    """Scaled propagators ``U_hat(t) = A I + g M`` over a time grid, shape
+    ``(n, 2, 2)``: the true ones up to a positive per-time factor, which
+    every renormalized quantity cancels.  Negative times evaluate the
+    analytic continuation."""
+    A, g, _ = abc_scaled(p.kind, p.a, p.s * np.asarray(times, dtype=np.float64))
+    return np.multiply.outer(A, np.eye(2)) + np.multiply.outer(g, generator(p.kind, p.a))
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +368,17 @@ def propagator_analytic(p: HamiltonianParams, t: float) -> Propagator:
         If ``t`` is negative or not finite.
     """
     t = float(_evolution_times([t])[0])
-    A, B, C, log_scale = (float(v) for v in abc_scaled(p.kind, p.a, p.s * t))
+    A, g, log_scale = (float(v) for v in abc_scaled(p.kind, p.a, p.s * t))
     scale = math.exp(log_scale) if log_scale < 709.0 else math.inf
-    A, B, C = A * scale, B * scale, C * scale
-    if not (math.isfinite(A) and math.isfinite(B) and math.isfinite(C)):
+    A, g = A * scale, g * scale
+    B = -p.a * g
+    if not (math.isfinite(A) and math.isfinite(B) and math.isfinite(g)):
         raise OverflowError(
             "propagator entries exceed the double-precision range; "
             "use propagator_grid for renormalized workflows"
         )
-    return Propagator(matrix=abc_matrices(p.kind, A, B, C), abc=(A, B, C), regime=regime(p), t=t)
+    return Propagator(matrix=A * np.eye(2) + g * generator(p.kind, p.a), abc=(A, B, g),
+                      regime=regime(p), t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +397,10 @@ def _evolution_times(times) -> np.ndarray:
 
 def evolve_pure_grid(st: PureState, p: HamiltonianParams, times) -> np.ndarray:
     """Normalized evolution ``U(t)|st> / ||U(t)|st>||`` over a time grid:
-    unit-norm rows, shape ``(n, 2)``.  The scaled propagators of
-    :func:`propagator_grid` make arbitrarily deep broken-regime times safe."""
-    v = propagator_grid(p, _evolution_times(times)) @ st.vector()
+    unit-norm rows, shape ``(n, 2)``.  The scaled scalars of
+    :func:`abc_scaled` make arbitrarily deep broken-regime times safe."""
+    F, G = shifted_scalars(p.kind, p.a, p.s * _evolution_times(times))
+    v = evolve_product([(F, G)], product_terms([shifted_generator(p.kind, p.a)], st.vector()))
     norms = np.sqrt((v.real * v.real).sum(axis=1) + (v.imag * v.imag).sum(axis=1))
     if np.any(norms < 1e-300):
         raise DegenerateEvolutionError(
@@ -394,8 +417,11 @@ def evolve_density_grid(rho: DensityMatrix, p: HamiltonianParams, times) -> np.n
     Every evolved matrix passes the same checks as a
     :class:`DensityMatrix`; the first failure raises ``ValueError``.
     """
-    u = propagator_grid(p, _evolution_times(times))
-    out = matmul2(matmul2(u, rho.rho), u.conj().transpose(0, 2, 1))
+    F, G = shifted_scalars(p.kind, p.a, p.s * _evolution_times(times))
+    k = shifted_generator(p.kind, p.a)
+    # vec(U rho U^dag) = (U ⊗ conj U) vec(rho): the two-factor evaluator
+    terms = product_terms([k, k.conj()], rho.rho.ravel())
+    out = evolve_product([(F, G), (F, G)], terms).reshape(-1, 2, 2)
     tr = (out[:, 0, 0] + out[:, 1, 1]).real
     if np.any(tr < 1e-300):
         raise DegenerateEvolutionError(

@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-#: Largest a whose square is finite; the (A, B, C) scalars are built from a^2.
+#: Largest a whose square is finite; w^2 is built from a^2.
 _A_MAX = float(np.sqrt(np.finfo(np.float64).max))
 
 
@@ -98,34 +98,33 @@ class HamiltonianParams:
         return self.a * self.s
 
 
-def build_hamiltonian(p: HamiltonianParams) -> np.ndarray:
-    """Construct the 2x2 generator matrix for ``p``.
+def generator(kind: SymmetryClass, a: float) -> np.ndarray:
+    """``M = -i H / s``, so ``U = exp(s t M) = A I + g M`` (see
+    :mod:`~ptcoherence.evolution`); the one place the per-kind layout is
+    written.  PT: ``[[a, -i], [-i, -a]]``; APT: ``[[-i a, 1], [1, i a]]``."""
+    if kind is SymmetryClass.PT:
+        return np.array([[a, -1j], [-1j, -a]], dtype=complex)
+    return np.array([[-1j * a, 1.0], [1.0, 1j * a]], dtype=complex)
 
-    Returns
-    -------
-    numpy.ndarray
-        PT:  ``[[i*a*s, s], [s, -i*a*s]]``;
-        APT: ``[[a*s, i*s], [i*s, -a*s]]``.  Both are traceless.
-    """
-    s, a = p.s, p.a
-    if p.kind is SymmetryClass.PT:
-        return np.array([[1j * a * s, s], [s, -1j * a * s]], dtype=complex)
-    return np.array([[a * s, 1j * s], [1j * s, -a * s]], dtype=complex)
+
+def w_squared(kind: SymmetryClass, a: float) -> float:
+    """``w^2`` with ``M^2 = -w^2 I``: ``(1 - a)(1 + a)`` for PT and
+    ``(a - 1)(a + 1)`` for APT, positive where unbroken.  The product keeps
+    every digit near ``a = 1``, where the rounding of ``a^2`` would not."""
+    return (1.0 - a) * (1.0 + a) if kind is SymmetryClass.PT else (a - 1.0) * (a + 1.0)
+
+
+def build_hamiltonian(p: HamiltonianParams) -> np.ndarray:
+    """The 2x2 generator ``H = i s M`` (:func:`generator`): PT
+    ``[[i a s, s], [s, -i a s]]``, APT ``[[a s, i s], [i s, -a s]]``."""
+    return 1j * p.s * generator(p.kind, p.a)
 
 
 def eigenvalues(p: HamiltonianParams) -> tuple[complex, complex]:
-    """Closed-form eigenvalue pair of the generator, ``(+, -)`` branch order.
-
-    The pair is ``+/- s*sqrt(1 - a^2)`` for PT and ``+/- s*sqrt(a^2 - 1)``
-    for APT: purely real in the unbroken regime, purely imaginary in the
-    broken regime, and ``(0, 0)`` at the exceptional point.  The positive
-    branch (principal square root) is returned first so downstream
-    consumers see a deterministic order.
-    """
-    if p.kind is SymmetryClass.PT:
-        lam = p.s * np.sqrt(complex(1.0 - p.a * p.a))
-    else:
-        lam = p.s * np.sqrt(complex(p.a * p.a - 1.0))
+    """Closed-form eigenvalue pair ``+/- s sqrt(w^2)`` (:func:`w_squared`),
+    the positive branch (principal square root) first: real in the
+    unbroken regime, imaginary in the broken one, ``(0, 0)`` at the EP."""
+    lam = p.s * np.sqrt(complex(w_squared(p.kind, p.a)))
     return complex(lam), complex(-lam)
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .evolution import _evolution_times, propagator_grid, stack2x2
+from .evolution import _evolution_times, propagator_grid
 from .hamiltonian import HamiltonianParams, SymmetryClass
 
 __all__ = [
@@ -110,6 +110,14 @@ class NoDecompositionError(RuntimeError):
 # ---------------------------------------------------------------------------
 # element matrices and assembly
 # ---------------------------------------------------------------------------
+
+def stack2x2(m00, m01, m10, m11) -> np.ndarray:
+    """Complex ``(..., 2, 2)`` matrices from four broadcastable entries."""
+    m00, m01, m10, m11 = np.broadcast_arrays(m00, m01, m10, m11)
+    out = np.empty(m00.shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = m00, m01, m10, m11
+    return out
+
 
 def r_hwp(theta) -> np.ndarray:
     """Half-wave plate Jones matrix with fast axis at ``theta``."""

@@ -26,12 +26,13 @@ scanned: the scan runs in ``theta = s t`` of a single generator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coherence import _SCAN_SAMPLES, CoherenceTrace, _asymptote_estimate, _scan
-from .evolution import _evolution_times, _propagator_slope, matmul2, propagator_grid
+from .evolution import (_evolution_times, evolve_product, product_terms, shifted_generator,
+                        shifted_scalars, slope_pairs)
 from .hamiltonian import HamiltonianParams
 
 __all__ = [
@@ -84,18 +85,15 @@ class TwoQubitState:
 
 def _joint_vectors(state: TwoQubitState, p: HamiltonianParams, times: np.ndarray,
                    p_second: HamiltonianParams | None = None) -> np.ndarray:
-    """Unnormalized ``(U_A ⊗ U_B) psi`` over a time grid, shape ``(n, 4)``.
-
-    With ``psi`` reshaped to the 2x2 ``Psi`` (row index: first qubit),
-    ``(U_A ⊗ U_B) psi = vec(U_A Psi U_B^T)``; ``p_second`` (default
-    ``p``) gives the second qubit's parameters.  Each factor is a scaled
-    propagator of :func:`~ptcoherence.evolution.propagator_grid`, whose
-    positive per-time scale cancels on renormalization.
-    """
-    u_a = propagator_grid(p, times)
-    u_b = u_a if p_second is None else propagator_grid(p_second, times)
-    psi2 = state.vector.reshape(2, 2)
-    return matmul2(matmul2(u_a, psi2), u_b.transpose(0, 2, 1)).reshape(-1, 4)
+    """Unnormalized ``(U_A ⊗ U_B) psi`` over a time grid, shape ``(n, 4)``;
+    ``p_second`` (default ``p``) selects the second qubit's K and (F, G),
+    whose positive per-time scales cancel on renormalization."""
+    q = p if p_second is None else p_second
+    ts = np.asarray(times, dtype=np.float64)
+    c_a = shifted_scalars(p.kind, p.a, p.s * ts)
+    c_b = c_a if q is p else shifted_scalars(q.kind, q.a, q.s * ts)
+    terms = product_terms([shifted_generator(r.kind, r.a) for r in (p, q)], state.vector)
+    return evolve_product([c_a, c_b], terms)
 
 
 def evolve_two_qubit(state: TwoQubitState, p: HamiltonianParams, t: float,
@@ -111,28 +109,26 @@ def two_qubit_series(state: TwoQubitState, p: HamiltonianParams, times: np.ndarr
 
     ``p_second`` (default ``p``) gives the second qubit's parameters.
     For the pure state ``v`` the off-diagonal magnitudes of ``|v><v|``
-    sum to ``(sum |v_i|)^2 - sum |v_i|^2`` and its trace is
-    ``sum |v_i|^2``.
+    sum to ``2 sum_{i<j} |v_i| |v_j|``, taken as it stands so that a C far
+    below the rounding of the trace ``sum |v_i|^2`` is resolved.
     """
     mags = np.abs(_joint_vectors(state, p, times, p_second))
-    l1 = mags.sum(axis=1)
-    norm2 = (mags * mags).sum(axis=1)
-    return (l1 * l1 - norm2) / norm2
+    i, j = np.triu_indices(4, 1)
+    return 2.0 * (mags[:, i] * mags[:, j]).sum(axis=1) / (mags * mags).sum(axis=1)
 
 
-def two_qubit_slope(p: HamiltonianParams, psi: np.ndarray, theta: np.ndarray):
+def two_qubit_slope(p: HamiltonianParams, terms: dict, theta: np.ndarray):
     """The sign of the two-qubit dC/dtheta and its rounding bound, shape ``(1, n)``.
 
-    With v = vec(U Psi U^T), v' = vec(U' Psi U^T + U Psi U'^T),
-    L = sum |v_i|, N = sum |v_i|^2 and C = L^2 / N - 1, that sign is the
+    With the fixed ``terms`` of K ⊗ K, v = (U ⊗ U) psi,
+    v' = (U' ⊗ U + U ⊗ U') psi (U' = F' I + G' K), L = sum |v_i|,
+    N = sum |v_i|^2 and C = L^2 / N - 1, that sign is the
     sign of L' N - L sum Re(conj(v_i) v_i'), where
     L' = sum Re(conj(v_i) v_i') / |v_i| (terms with v_i = 0 dropped).
     """
-    u, du = _propagator_slope(p, theta)
-    psi2 = np.asarray(psi, dtype=complex).reshape(2, 2)
-    up, ut = matmul2(u, psi2), u.transpose(0, 2, 1)
-    v = matmul2(up, ut).reshape(-1, 4)
-    dv = (matmul2(matmul2(du, psi2), ut) + matmul2(up, du.transpose(0, 2, 1))).reshape(-1, 4)
+    c, dc = slope_pairs(p, theta)
+    v = evolve_product([c, c], terms)
+    dv = evolve_product([dc, c], terms) + evolve_product([c, dc], terms)
     mags, re = np.abs(v), (v.conj() * dv).real
     ratio = np.divide(re, mags, out=np.zeros_like(re), where=mags > 0.0)
     l1, norm2 = mags.sum(axis=1), (mags * mags).sum(axis=1)
@@ -160,16 +156,11 @@ def two_qubit_coherence_trace(state: TwoQubitState, p: HamiltonianParams,
     if ts.size < 2 or np.any(np.diff(ts) <= 0):
         raise ValueError("times must be strictly increasing, with at least two points")
     values = two_qubit_series(state, p, ts)
+    terms = product_terms([shifted_generator(p.kind, p.a)] * 2, state.vector)  # fixed for the scan
     scan = _scan(
         lambda q, grid: two_qubit_series(state, q, grid),
-        lambda q, grid: two_qubit_slope(q, state.vector, grid),
+        lambda q, grid: two_qubit_slope(q, terms, grid),
         p, (float(ts[0]), float(ts[-1])), samples=max(_SCAN_SAMPLES, 4 * ts.size),
     )
-    return CoherenceTrace(
-        times=ts,
-        values=values,
-        extrema=scan.extrema,
-        period_estimate=scan.period_estimate,
-        asymptote_estimate=_asymptote_estimate(p.s * ts, values),
-        warning=scan.warning,
-    )
+    return replace(scan, times=ts, values=values,
+                   asymptote_estimate=_asymptote_estimate(p.s * ts, values))

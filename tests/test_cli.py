@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -442,6 +443,72 @@ def test_asymptote_fit_holds_at_huge_times(capsys):
                     "--t-min", "1e300", "--t-max", "2e300")
     assert code == 0
     assert json.loads(out)["asymptote_estimate"] == pytest.approx(1 / 2.8, abs=1e-9)
+
+
+#: Close to the EP, on its eigenvector (1, -i)/sqrt(2), over a window around
+#: a half period where the propagator contracts that state the most.
+_NEAR_EP = ("--kind", "pt", "--a", "0.99999999", "--alpha", "1", "--beta", "1",
+            "--phi", "4.71238898038469")
+_NEAR_EP_WINDOW = ("--t-min", "11106.207348319087", "--t-max", "11108.207348319087",
+                   "--points", "5")
+
+
+def _near_ep_reference() -> np.ndarray:
+    """Rows (C, x, y, z) of the normalized evolved state over the window, from
+    a 60-digit ``mpmath.expm`` of H = sigma_x + i a sigma_z at the CLI's doubles."""
+    psi = pc.PureState.from_amplitudes(1.0, 1.0, 4.71238898038469).vector()
+    rows = []
+    with mpmath.workdps(60):
+        a = mpmath.mpf(0.99999999)
+        h = mpmath.matrix([[1j * a, 1], [1, -1j * a]])
+        for t in np.linspace(11106.207348319087, 11108.207348319087, 5):
+            u = mpmath.expm(-1j * h * mpmath.mpf(float(t)))
+            v = u * mpmath.matrix([complex(x) for x in psi])
+            v = v / mpmath.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
+            rho01 = v[0] * mpmath.conj(v[1])
+            rows.append([float(2 * abs(rho01)), float(2 * rho01.real), float(-2 * rho01.imag),
+                         float(abs(v[0]) ** 2 - abs(v[1]) ** 2)])
+    return np.array(rows)
+
+
+@pytest.mark.filterwarnings("error")
+def test_near_ep_backflow_is_double_touch(capsys):
+    code, out = run(capsys, "backflow", *_NEAR_EP)
+    assert code == 0
+    assert json.loads(out)["classification"] == "DoubleTouch"
+
+
+@pytest.mark.filterwarnings("error")
+def test_near_ep_trace_matches_reference(capsys):
+    # the matrix path must not report a valid state's evolution as invalid
+    code, out = run(capsys, "trace", *_NEAR_EP, *_NEAR_EP_WINDOW)
+    assert code == 0
+    _, _, rows = parse_csv(out)  # closed form and matrix path against the reference C
+    assert np.max(np.abs(rows[:, 1:] - _near_ep_reference()[:, :1])) <= 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+def test_near_ep_bloch_matches_reference(capsys):
+    code, out = run(capsys, "bloch", *_NEAR_EP, *_NEAR_EP_WINDOW)
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert np.max(np.abs(rows[:, 1:] - _near_ep_reference()[:, 1:])) <= 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+def test_large_gain_plateaus_are_resolved(capsys):
+    # PT broken at a = 1.3e154: the plateaus 1/a and (1 + 1/a)^2 - 1 lie far
+    # below the rounding of unit-size terms, so C must not be formed from them
+    a = "1.3e154"
+    code, out = run(capsys, "trace", "--kind", "pt", "--a", a, "--state", "h-sqrt3v",
+                    "--points", "3")
+    assert code == 0
+    _, _, rows = parse_csv(out)  # t = 5 and 10, both columns
+    assert rows[1:, 1:] == pytest.approx(np.full((2, 2), 1.0 / float(a)), rel=1e-9, abs=0.0)
+    code, out = run(capsys, "two-qubit", "--kind", "pt", "--a", a, "--points", "3")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert rows[1:, 1:] == pytest.approx(np.full((2, 3), 2.0 / float(a)), rel=1e-9, abs=0.0)
 
 
 def test_csv_format_rejected_for_reports(capsys):

@@ -34,6 +34,7 @@ from ptcoherence import (
     verify_extrema_conditions,
 )
 from ptcoherence.coherence import _median, coherence_slope
+from ptcoherence.evolution import product_terms, shifted_generator
 from ptcoherence.twoqubit import two_qubit_slope
 
 from conftest import random_states
@@ -290,7 +291,12 @@ def test_extrema_census_near_exceptional_point(kind, side, count, gap):
     # scanned times agree with the analytic stationary conditions
     p = HamiltonianParams(kind=kind, a=1.0 + side * gap)
     T = theoretical_period(p)
-    for st_ in _census_states():
+    states = _census_states()
+    if kind is SymmetryClass.PT:
+        # the EP eigenvector (1, -i)/sqrt(2): there the minima's quadratic
+        # has the leading coefficient c2 = (1 - a)^3 / 2
+        states.append(PureState.from_amplitudes(1.0, 1.0, 1.5 * np.pi))
+    for st_ in states:
         scan = find_extrema(st_, p, (0.0, T))
         predicted = verify_extrema_conditions(st_, p)
         assert len(scan.extrema) == len(predicted) == count
@@ -306,10 +312,12 @@ def _slope_checked(p, state, theta, h) -> int:
     central difference of the trace wherever that difference is well
     above its own error; return how many points were compared."""
     if isinstance(state, PureState):
-        f, bound = coherence_slope(p, state.vector(), theta)
+        terms = product_terms([shifted_generator(p.kind, p.a)], state.vector())
+        f, bound = coherence_slope(p, terms, theta)
         sign, series = np.sign(f.prod(axis=0)), lambda th: coherence_series(state, p, th)
     else:
-        f, bound = two_qubit_slope(p, state.vector, theta)
+        terms = product_terms([shifted_generator(p.kind, p.a)] * 2, state.vector)
+        f, bound = two_qubit_slope(p, terms, theta)
         sign, series = np.sign(f[0]), lambda th: two_qubit_series(state, p, th)
     assert np.all(np.isfinite(f)) and np.all(np.isfinite(bound))
     diff = {k: (series(theta + k * h) - series(theta - k * h)) / (2 * k * h)

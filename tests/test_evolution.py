@@ -234,7 +234,7 @@ def test_propagator_raw_overflow_raises():
 
 def _scaled(p: HamiltonianParams, t: float) -> tuple[np.ndarray, float]:
     """``propagator_grid`` at one time and the log of its factored-out scale."""
-    return propagator_grid(p, [t])[0], float(abc_scaled(p.kind, p.a, p.s * t)[3])
+    return propagator_grid(p, [t])[0], float(abc_scaled(p.kind, p.a, p.s * t)[2])
 
 
 def test_propagator_grid_survives_deep_broken_times():
