@@ -39,7 +39,6 @@ _EXPORTS = {
         "Extremum",
         "CoherenceTrace",
         "BackflowReport",
-        "PredictedExtrema",
         "l1_coherence",
         "coherence_closed_form",
         "coherence_series",

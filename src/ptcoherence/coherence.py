@@ -17,10 +17,10 @@ Key phenomenology exposed here:
   ``w = sqrt(|1 - a^2|)``;
 * broken regime — C converges to a state-independent stable value
   (``1/a`` for PT, ``1`` for APT);
-* within one unbroken period C has exactly four stationary points for
-  PT (two full returns to C = 1: a double touch) and exactly two for
-  APT (a single backflow), for initial states with
-  ``alpha, beta in (0, 1)`` and ``sin phi >= 0``.
+* count theorem — for every pure initial state, one unbroken period
+  holds exactly four stationary points of C under PT (two full returns
+  to C = 1: a double touch) and two under APT (a single backflow), or
+  none under APT when ``alpha = beta`` (there ``C == 1``).
 
 The stationary points found numerically (dense sampling plus bisection
 on the two exact factors of dC/dt, (y - x) and (x' y - x y')) are
@@ -29,10 +29,13 @@ cross-checkable against the analytic stationary conditions via
 
 * maxima (C = 1 touches, PT):  tan(2 theta) = -(alpha^2-beta^2) w / (a + 2 k)
 * minima (PT): real roots u = tan(theta) of the quadratic
-  ``c0 + c1 u + c2 u^2`` with
-      c0 = w^2 (2 a alpha^2 beta^2 + k)
-      c1 = w (1 + 2 k a) (beta^2 - alpha^2)
-      c2 = c0 - (1 + 2 k a) (a + 2 k)
+  ``c0 + c1 u + c2 u^2`` with, for n = alpha^2 + beta^2 and
+  e = n + 2 k = (alpha + beta sin phi)^2 + (beta cos phi)^2,
+      P  = e - 2 k (1 - a)
+      c0 = w^2 alpha beta (n (1 + sin phi) - (alpha - beta)^2 - 2 alpha beta (1 - a))
+      c1 = w P (beta - alpha)(beta + alpha)
+      c2 = 2 a w^2 (alpha beta cos phi)^2 - (a e + k (1 - a)^2) P
+  (homogeneous in (alpha, beta), with no cancellation near the EP)
 * APT:  tan(2 theta) = -2 alpha beta w cos(phi) / (1 - 2 a alpha beta sin(phi))
 
 where ``theta = w s t`` and ``k = alpha beta sin(phi)``.  These
@@ -59,7 +62,6 @@ __all__ = [
     "Extremum",
     "CoherenceTrace",
     "BackflowReport",
-    "PredictedExtrema",
     "l1_coherence",
     "coherence_closed_form",
     "coherence_series",
@@ -135,28 +137,6 @@ class BackflowReport:
 
     zeros_per_period: int
     classification: Classification
-
-
-@dataclass(frozen=True)
-class PredictedExtrema(Sequence):
-    """Analytically predicted stationary times within one period.
-
-    Behaves as a read-only sequence of times.  ``outside_hypotheses``
-    marks parameter/state combinations not covered by the count
-    theorems (``alpha`` or ``beta`` at the boundary, or
-    ``sin phi < 0``); the returned times are still the true stationary
-    points of the closed form wherever they exist.
-    """
-
-    times: tuple[float, ...]
-    outside_hypotheses: bool = False
-    note: str | None = None
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def __getitem__(self, i):
-        return self.times[i]
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +241,10 @@ def find_extrema(
     changes of the two exact factors of dC/dtheta (see
     :func:`coherence_slope`) refined by bisection, all in
     ``theta = s t``: time tolerance ``1e-8 / s``, and counts do not
-    depend on ``s``.  The left boundary t0 is itself
-    counted as a stationary point when a factor there is within its
-    rounding bound (so a window aligned with a period boundary reports
-    the boundary extremum exactly once).
+    depend on ``s``.  Seam rule: a stationary point within the
+    bisection width of either end of the window is counted once, at t0
+    (so a window of one period, wherever it starts, holds each
+    extremum of the period exactly once).
 
     Returns
     -------
@@ -315,12 +295,15 @@ def _scan(
     sign of the slope, with their rounding bounds; both get ``p`` at
     ``s = 1``.  A factor's sign change between consecutive samples (t1
     included) that clear its bound is bisected on that factor: samples
-    within the bound are skipped, and a stationary t0 contributes the
-    sign just after it.  The slope's change across the final bracket
-    gives the kind.  In the broken regime the slope is sampled only up
-    to ``2 w theta = 52 ln 2``, past which every ratio of propagator
-    entries equals its limit to double precision; roots beyond it are
-    dropped.  Times and period are divided by ``s`` on return.
+    within the bound are skipped.  The seam rule: t0 is stationary when a
+    factor there is within its bound or changes sign across
+    ``t0 -/+ _BISECT_WIDTH`` (it then contributes the sign just after
+    it), and roots within ``_BISECT_WIDTH`` of t1 are dropped.  The
+    slope's change across the final bracket gives the kind.  In the
+    broken regime the slope is sampled only up to ``2 w theta = 52 ln 2``,
+    past which every ratio of propagator entries equals its limit to
+    double precision; roots beyond it are dropped.  Times and period
+    are divided by ``s`` on return.
     """
     w0, w1 = float(window[0]), float(window[1])
     t0, t1 = p.s * w0, p.s * w1
@@ -334,21 +317,21 @@ def _scan(
     unit = replace(p, s=1.0)
     ts = t0 + (t1 - t0) * np.arange(samples) / samples  # half-open grid
     values = series(unit, ts)
-    vmax, vmin = float(values.max()), float(values.min())
     extrema: list[Extremum] = []
     period = warning = None
     cut = math.inf
     if regime(p) is Regime.BROKEN:
         cut = 26.0 * math.log(2.0) / math.sqrt(abs(w_squared(p.kind, p.a)))
-    if vmax - vmin > _CONSTANT_RANGE * max(1.0, vmax) and t0 < cut:
+    if not _flat(values) and t0 < cut:
         end = min(t1, cut)
         grid = np.append(ts, t1) if end == t1 else np.linspace(t0, end, samples + 1)
         f, bound = slope(unit, grid)
         neg, strong = f < 0.0, np.abs(f) > bound
-        at_t0 = not strong[:, 0].all()  # t0 is itself stationary
-        after = np.nextafter(t0 + _BISECT_WIDTH, np.inf)  # its bracket's right end
-        if at_t0:
-            neg[:, 0], strong[:, 0] = slope(unit, np.array([after]))[0][:, 0] < 0.0, True
+        before, after = t0 - _BISECT_WIDTH, np.nextafter(t0 + _BISECT_WIDTH, np.inf)
+        edge = slope(unit, np.array([before, after]))[0] < 0.0
+        at_t0 = not strong[:, 0].all() or bool(np.any(edge[:, 0] != edge[:, 1]))
+        if at_t0:  # t0 is itself stationary: its bracket is (before, after)
+            neg[:, 0], strong[:, 0] = edge[:, 1], True
         # consecutive strong samples: a weak run up to the end (the
         # approach to the broken plateau) brackets nothing
         j, i = np.nonzero(strong)
@@ -363,7 +346,7 @@ def _scan(
             lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
         roots = 0.5 * (lo + hi)
         if at_t0:
-            roots, lo, hi = np.append(t0, roots), np.append(t0, lo), np.append(after, hi)
+            roots, lo, hi = np.append(t0, roots), np.append(before, lo), np.append(after, hi)
         is_max = np.prod(slope(unit, lo)[0], axis=0) > np.prod(slope(unit, hi)[0], axis=0)
         keep = (roots < t1 - _BISECT_WIDTH) & (np.abs(roots) <= cut)
         order = np.flatnonzero(keep)[np.argsort(roots[keep], kind="stable")]
@@ -373,7 +356,8 @@ def _scan(
             extrema.append(Extremum(time=float(r), value=float(val), kind="max" if mx else "min"))
         if i.size and samples < 16 * i.size:
             warning = "window/sampling may be too coarse for the detected oscillation"
-        period = _period_estimate(lambda th: series(unit, th), extrema, t0, t1, vmax - vmin)
+        period = _period_estimate(lambda th: series(unit, th), extrema, t0, t1,
+                                  float(np.ptp(values)))
     return CoherenceTrace(
         times=ts / p.s,
         values=values,
@@ -382,6 +366,13 @@ def _scan(
         asymptote_estimate=_asymptote_estimate(ts, values),
         warning=warning,
     )
+
+
+def _flat(values: np.ndarray) -> bool:
+    """Whether a sampled trace counts as constant: its value range is at
+    most ``_CONSTANT_RANGE`` times max(1, its maximum)."""
+    vmax = float(values.max())
+    return vmax - float(values.min()) <= _CONSTANT_RANGE * max(1.0, vmax)
 
 
 def _median(values: list[float]) -> float:
@@ -448,15 +439,14 @@ def _two_theta_roots(num: float, den: float) -> list[float]:
     return [(base % math.pi), (base + math.pi / 2.0) % math.pi]
 
 
-def verify_extrema_conditions(st: PureState, p: HamiltonianParams) -> PredictedExtrema:
+def verify_extrema_conditions(st: PureState, p: HamiltonianParams) -> tuple[float, ...]:
     """Analytic stationary times of C(t) within one period (unbroken only).
 
     See the module docstring for the conditions.  Times are reported in
-    ``[0, T)`` sorted ascending and match :func:`find_extrema` to
-    ``1e-6 T`` (to ``6e-11 T`` in practice, also within ``1e-6`` of the
-    exceptional point) for states within the theorem hypotheses (``alpha, beta in (0, 1)``,
-    ``sin phi >= 0``).  Outside those hypotheses the conditions are
-    still evaluated where defined and the result is flagged.
+    ``[0, T)`` sorted ascending, with the seam rule of
+    :func:`find_extrema`: a time within ``_BISECT_WIDTH`` of T (in
+    ``theta = s t``) is reported as 0.  They match :func:`find_extrema`
+    to ``1e-9 T``.
 
     Raises
     ------
@@ -466,64 +456,53 @@ def verify_extrema_conditions(st: PureState, p: HamiltonianParams) -> PredictedE
     if regime(p) is not Regime.UNBROKEN:
         raise ValueError("analytic stationary conditions require the unbroken regime")
     alpha, beta, phi = st.alpha, st.beta, st.phi
-    sphi = math.sin(phi)
+    sphi, cphi = math.sin(phi), math.cos(phi)
     a, s = p.a, p.s
     w2 = abs(w_squared(p.kind, a))
     w = math.sqrt(w2)
     k = alpha * beta * sphi
-    inside = (0.0 < alpha < 1.0) and (0.0 < beta < 1.0) and sphi >= -1e-15
-    note = None
 
     thetas: list[float] = []
     if p.kind is SymmetryClass.PT:
         # C = 1 touches (maxima)
         thetas += _two_theta_roots((alpha**2 - beta**2) * w, a + 2.0 * k)
-        # minima: quadratic in u = tan(theta)
-        P = 1.0 + 2.0 * k * a
-        c0 = w2 * (2.0 * a * alpha**2 * beta**2 + k)
-        c1 = w * P * (beta**2 - alpha**2)
-        c2 = c0 - P * (a + 2.0 * k)
+        # minima: quadratic in u = tan(theta), with no difference of terms
+        # of size (1 - a)^2 near the EP
+        n, e = alpha**2 + beta**2, (alpha + beta * sphi) ** 2 + (beta * cphi) ** 2
+        P = e - 2.0 * k * (1.0 - a)
+        c0 = w2 * alpha * beta * (n * (1.0 + sphi) - (alpha - beta) ** 2
+                                  - 2.0 * alpha * beta * (1.0 - a))
+        c1 = w * P * (beta - alpha) * (beta + alpha)
+        lead, rest = 2.0 * a * w2 * (alpha * beta * cphi) ** 2, (a * e + k * (1.0 - a) ** 2) * P
+        c2 = lead - rest
         # a vanishing coefficient is judged against its terms' scale
-        tiny = 1e-13 * max(abs(c0), abs(c1), abs(P * (a + 2.0 * k)))
+        tiny = 1e-13 * max(abs(c0), abs(c1), abs(lead), abs(rest))
         if abs(c2) > tiny:
             disc = c1 * c1 - 4.0 * c0 * c2
             if disc > 0.0:
                 r = math.sqrt(disc)
-                thetas += [
-                    math.atan((-c1 + r) / (2.0 * c2)) % math.pi,
-                    math.atan((-c1 - r) / (2.0 * c2)) % math.pi,
-                ]
-            elif not inside:
-                note = "no real quadratic roots outside the theorem hypotheses"
-            else:
-                note = "quadratic discriminant unexpectedly nonpositive"
+                thetas += [math.atan((-c1 + sr) / (2.0 * c2)) % math.pi for sr in (r, -r)]
         else:
             # leading coefficient vanished: theta = pi/2 is a root, plus
             # the remaining linear root when present
             thetas.append(math.pi / 2.0)
             if abs(c1) > tiny:
                 thetas.append(math.atan(-c0 / c1) % math.pi)
+    elif abs(alpha - beta) <= 1e-12:
+        # x - y = alpha^2 - beta^2 = 0: the coherence is constant, so there
+        # are no isolated stationary points
+        return ()
     else:
-        if abs(alpha - beta) <= 1e-12:
-            # x - y = alpha^2 - beta^2 = 0: the coherence is constant,
-            # so there are no isolated stationary points
-            return PredictedExtrema(times=(), outside_hypotheses=not inside,
-                                    note="constant coherence (alpha = beta)")
-        thetas += _two_theta_roots(
-            2.0 * alpha * beta * w * math.cos(phi),
-            1.0 - 2.0 * a * alpha * beta * sphi,
-        )
+        thetas += _two_theta_roots(2.0 * alpha * beta * w * cphi,
+                                   1.0 - 2.0 * a * alpha * beta * sphi)
 
-    # deduplicate in s t, where the tolerances hold at every energy scale
-    deduped: list[float] = []
-    for u in sorted(th / w for th in thetas):
-        if deduped and u - deduped[-1] <= 1e-9:
-            continue
-        if u >= math.pi / w - 1e-12:
-            continue
-        deduped.append(u)
-    times = tuple(u / s for u in deduped)
-    return PredictedExtrema(times=times, outside_hypotheses=not inside, note=note)
+    # in s t, where the tolerances hold at every energy scale
+    end = math.pi / w - _BISECT_WIDTH
+    times: list[float] = []
+    for u in sorted(0.0 if th / w > end else th / w for th in thetas):
+        if not times or u - times[-1] > 1e-9:
+            times.append(u)
+    return tuple(u / s for u in times)
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +526,7 @@ def classify_backflow(
     ValueError.
     """
     trace = find_extrema(st, p, _scan_window(p, 1))
-    vmax, vmin = float(trace.values.max()), float(trace.values.min())
-    if vmax - vmin <= _CONSTANT_RANGE * max(1.0, vmax):
+    if _flat(trace.values):
         return BackflowReport(zeros_per_period=0, classification=Classification.CONSTANT)
     count = len(trace.extrema)
     if count >= 4:

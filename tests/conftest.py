@@ -8,13 +8,13 @@ import ptcoherence as pc
 
 def random_states(seed: int, n: int, lo: float = 0.05, hi: float = 0.95):
     """Seeded random pure states with alpha, beta in (lo, hi) renormalized
-    and sin(phi) >= 0 (the hypothesis of the stationary-count theorems)."""
+    and phi in [0, 2 pi): the whole state sphere but its poles."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < n:
         alpha = rng.uniform(lo, hi)
         beta = rng.uniform(lo, hi)
-        phi = rng.uniform(0.0, np.pi)  # sin(phi) >= 0
+        phi = rng.uniform(0.0, 2.0 * np.pi)
         out.append(pc.PureState.from_amplitudes(alpha, beta, phi))
     return out
 
