@@ -12,10 +12,10 @@ bloch       CSV Bloch trajectory t, x, y, z
 two-qubit   CSV two-qubit coherence of the three reference states
 
 Determinism: identical invocations (flags + config + seed) produce
-byte-identical output.  No timestamps are emitted, JSON keys are
-sorted, and every float is formatted to 12 significant digits
-(``%.12g``; values round-trip since they are re-parsed as the shortest
-representation at that precision).
+byte-identical output, whatever the number of usable cores.  No
+timestamps are emitted, JSON keys are sorted, and every float is
+formatted to 12 significant digits (``%.12g``; values round-trip since
+they are re-parsed as the shortest representation at that precision).
 
 Config precedence: command-line flags override an optional ``--config``
 file of ``key=value`` lines (``#`` comments allowed), which overrides
@@ -31,6 +31,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import pickle
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -328,6 +330,14 @@ def _json_text(payload: dict) -> str:
     return json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
 
 
+def _csv_rows(rows: np.ndarray) -> str:
+    """The CSV lines of ``(n, k)`` rows in one %-format pass, byte-identical
+    to joining _fmt per value; adding 0.0 turns -0.0 into 0.0 (never print "-0")."""
+    values = (np.asarray(rows, dtype=float) + 0.0).ravel().tolist()
+    row_fmt = ",".join(["%.12g"] * rows.shape[1]) + "\n"
+    return (row_fmt * len(rows)) % tuple(values)
+
+
 def _csv_text(meta: list[tuple[str, object]], columns: Sequence[str],
               rows: np.ndarray) -> str:
     lines = ["# schema: 1"]
@@ -335,35 +345,143 @@ def _csv_text(meta: list[tuple[str, object]], columns: Sequence[str],
         text = _fmt(value) if isinstance(value, float) else str(value)
         lines.append(f"# {key}: {text}")
     lines.append(",".join(columns))
-    # one %-format pass over the whole body, byte-identical to joining
-    # _fmt per value; adding 0.0 turns -0.0 into 0.0 (never print "-0")
-    values = (np.asarray(rows, dtype=float) + 0.0).ravel().tolist()
-    row_fmt = ",".join(["%.12g"] * len(columns)) + "\n"
-    return "\n".join(lines) + "\n" + (row_fmt * len(rows)) % tuple(values)
+    return "\n".join(lines) + "\n" + _csv_rows(rows)
 
 
-def _json_grid_text(meta: list[tuple[str, object]], columns: Sequence[str],
-                    rows: np.ndarray) -> str:
-    payload = {"schema": 1, "columns": list(columns), "rows": []}
-    payload.update(meta)
-    # the rows block in bulk, byte-identical to _json_text on the full
-    # payload: one %.12g pass rounds every value (adding 0.0 drops "-0"),
-    # the parsed-back floats print as json.dumps prints them, and one
-    # %-pass lays them out at indent=2
+def _json_rows(rows: np.ndarray) -> str:
+    """The ``"rows"`` entries of ``(n, k)`` rows as ``_json_text`` lays them out,
+    joined by ",\n": one %.12g pass rounds every value (adding 0.0 drops
+    "-0"), the parsed-back floats print as json.dumps prints them, and one
+    %-pass lays them out at indent=2."""
     values = np.asarray(rows, dtype=float) + 0.0
     rounded = list(map(float, ("%.12g " * values.size % tuple(values.ravel().tolist())).split()))
     if not np.isfinite(values).all():
         rounded = [_JSON_NON_FINITE.get(v, v) for v in map(repr, rounded)]
-    row_fmt = "    [\n" + ",\n".join(["      %s"] * len(columns)) + "\n    ]"
-    block = ",\n".join([row_fmt] * len(rows)) % tuple(rounded)
+    row_fmt = "    [\n" + ",\n".join(["      %s"] * rows.shape[1]) + "\n    ]"
+    return ",\n".join([row_fmt] * len(rows)) % tuple(rounded)
+
+
+def _json_grid_text(meta: list[tuple[str, object]], columns: Sequence[str],
+                    rows: np.ndarray) -> str:
+    """The grid JSON, byte-identical to ``_json_text`` on the full payload."""
+    payload = {"schema": 1, "columns": list(columns), "rows": []}
+    payload.update(meta)
+    block = _json_rows(rows)
     return _json_text(payload).replace('\n  "rows": []', '\n  "rows": [\n' + block + "\n  ]", 1)
 
 
-def _tabular_text(cfg: RunConfig, meta: list[tuple[str, object]],
-                  columns: Sequence[str], rows: np.ndarray) -> str:
-    if cfg.format == "csv":
-        return _csv_text(meta, columns, rows)
-    return _json_grid_text(meta, columns, rows)
+#: Fewest rows that a row range of a grid command is worth.  On a 2-core
+#: x86 host, forking and joining a worker costs 3-5 ms, and a second range
+#: pays for it from 8k-10k rows (medians of 15 in-process runs: +1.6 to
+#: +4.9 ms at 5000 rows, -1 to -8 ms at 10000, -69 to -131 ms at 100000),
+#: so the first split comes at 2 * 5000 rows; the default 401-point grids
+#: never fork.
+_MIN_ROWS = 5000
+
+
+def _range_count(n: int) -> int:
+    """How many row ranges an ``n``-row grid is cut into: one per usable
+    core, each of at least ``_MIN_ROWS`` rows; 1 where the platform cannot
+    fork or report its usable cores."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n // _MIN_ROWS))
+
+
+def _fork_range(ts: np.ndarray, rows_of, body) -> tuple[int, int]:
+    """Fork a worker that sends ``body(rows_of(ts))``, or the pickled error,
+    down a pipe and exits; returns its pid and the pipe's read end.
+
+    The worker runs only numpy elementwise code and %-formatting on the
+    modules its parent loaded, so the fork needs none of the locks a
+    library thread (numpy's BLAS pool) may hold, and it imports nothing.
+    It leaves through ``os._exit``: never back into the caller, and
+    without running the parent's exit handlers or flushing its buffers.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 2
+        try:
+            os.close(read_end)
+            try:
+                data, done = body(rows_of(ts)).encode(), 0
+            except BaseException as exc:
+                data, done = pickle.dumps(exc), 1
+            with open(write_end, "wb") as pipe:
+                pipe.write(data)
+            code = done
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _join_range(pid: int, read_end: int, span: str) -> str:
+    """Read and reap one worker of :func:`_fork_range`: its text, or its
+    error re-raised with the original class and message."""
+    try:
+        with open(read_end, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 0:
+        return data.decode()
+    if code == 1:
+        raise pickle.loads(data)  # written by this module's own worker
+    import signal
+
+    cause = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with {code}"
+    raise RuntimeError(f"the worker for {span} {cause}")
+
+
+def _grid_text(cfg: RunConfig, meta: list[tuple[str, object]], columns: Sequence[str],
+               rows_of) -> str:
+    """The document of a grid command: ``rows_of(ts) -> (len(ts), k)`` rows
+    over the ``linspace`` grid of ``cfg``, in CSV or JSON.
+
+    The grid is cut into contiguous row ranges (:func:`_range_count`).
+    Ranges 1, 2, ... are each evaluated and formatted by a forked worker
+    while this process does range 0; their texts then join in grid order.
+    Each range runs every check of ``rows_of`` in its own process, and the
+    lowest range that fails raises, before anything is written.  Every row
+    is a function of its time alone, so the text is the same bytes for any
+    number of ranges.  Every worker is reaped before this returns or raises.
+    """
+    ts, n = np.linspace(cfg.t_min, cfg.t_max, cfg.points), cfg.points
+    count = _range_count(n)
+    cuts = [n * k // count for k in range(count + 1)]
+    csv = cfg.format == "csv"
+    workers = []
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            pid, read_end = _fork_range(ts[lo:hi], rows_of, _csv_rows if csv else _json_rows)
+            workers.append((pid, read_end, f"rows {lo} to {hi - 1}"))
+        text = (_csv_text if csv else _json_grid_text)(meta, columns, rows_of(ts[:cuts[1]]))
+        rest = []
+        while workers:
+            rest.append(_join_range(*workers.pop(0)))
+    finally:
+        if workers:  # a range failed: stop the ranges after it
+            import signal
+
+            for pid, read_end, _ in workers:
+                os.close(read_end)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    if not rest:
+        return text
+    if csv:
+        return text + "".join(rest)
+    # the later ranges' rows go after range 0's, before the list's "\n  ]":
+    # "rows" is the last list of a grid document, whose keys are sorted
+    head, close, tail = text.rpartition("\n  ]")
+    return head + ",\n" + ",\n".join(rest) + close + tail
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -411,10 +529,6 @@ def _base_payload(cfg: RunConfig) -> dict:
     return payload
 
 
-def _grid(cfg: RunConfig) -> np.ndarray:
-    return np.linspace(cfg.t_min, cfg.t_max, cfg.points)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -424,15 +538,17 @@ def cmd_trace(cfg: RunConfig) -> str:
     form and the independent propagator-conjugation route, side by side."""
     from .coherence import coherence_series
 
-    assert cfg.state is not None
-    p = cfg.params
-    ts = _grid(cfg)
-    closed = coherence_series(cfg.state, p, ts)
-    rhos = evolve_density_grid(cfg.state.density(), p, ts)
-    matrix_path = 2.0 * np.abs(rhos[:, 0, 1])  # l1 coherence of a Hermitian 2x2
-    rows = np.column_stack([ts, closed, matrix_path])
+    st, p = cfg.state, cfg.params
+    assert st is not None
+
+    def rows_of(ts: np.ndarray) -> np.ndarray:
+        closed = coherence_series(st, p, ts)
+        rhos = evolve_density_grid(st.density(), p, ts)
+        matrix_path = 2.0 * np.abs(rhos[:, 0, 1])  # l1 coherence of a Hermitian 2x2
+        return np.column_stack([ts, closed, matrix_path])
+
     meta = _base_meta(cfg) + _state_meta(cfg)
-    return _tabular_text(cfg, meta, ("t", "C_closed_form", "C_matrix_path"), rows)
+    return _grid_text(cfg, meta, ("t", "C_closed_form", "C_matrix_path"), rows_of)
 
 
 def cmd_period(cfg: RunConfig) -> str:
@@ -541,10 +657,10 @@ def cmd_bloch(cfg: RunConfig) -> str:
     """CSV Bloch trajectory of the evolved (renormalized) state."""
     from .bloch import trajectory_array
 
-    assert cfg.state is not None
-    rows = trajectory_array(cfg.state, cfg.params, _grid(cfg))
+    st, p = cfg.state, cfg.params
+    assert st is not None
     meta = _base_meta(cfg) + _state_meta(cfg)
-    return _tabular_text(cfg, meta, ("t", "x", "y", "z"), rows)
+    return _grid_text(cfg, meta, ("t", "x", "y", "z"), lambda ts: trajectory_array(st, p, ts))
 
 
 def cmd_two_qubit(cfg: RunConfig) -> str:
@@ -552,13 +668,12 @@ def cmd_two_qubit(cfg: RunConfig) -> str:
     from .twoqubit import TwoQubitState, two_qubit_series
 
     p = cfg.params
-    ts = _grid(cfg)
-    curves = [
-        two_qubit_series(state, p, ts)
-        for state in (TwoQubitState.psi_1(), TwoQubitState.psi_2(), TwoQubitState.psi_3())
-    ]
-    rows = np.column_stack([ts] + curves)
-    return _tabular_text(cfg, _base_meta(cfg), ("t", "C_psi1", "C_psi2", "C_psi3"), rows)
+    states = (TwoQubitState.psi_1(), TwoQubitState.psi_2(), TwoQubitState.psi_3())
+
+    def rows_of(ts: np.ndarray) -> np.ndarray:
+        return np.column_stack([ts] + [two_qubit_series(state, p, ts) for state in states])
+
+    return _grid_text(cfg, _base_meta(cfg), ("t", "C_psi1", "C_psi2", "C_psi3"), rows_of)
 
 
 _COMMANDS = {

@@ -1,5 +1,11 @@
-"""Shared seeded random-state helpers."""
+"""Shared seeded random-state helpers, and a fresh interpreter for checks
+that the test session's loaded modules would hide."""
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -31,3 +37,11 @@ def random_params(seed: int, n: int, a_lo: float = 0.05, a_hi: float = 3.0):
         )
         for _ in range(n)
     ]
+
+
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter that imports this package's sources."""
+    src = str(Path(pc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)

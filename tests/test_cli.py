@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
+import signal
 import subprocess
 import sys
 
@@ -11,6 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from conftest import run_fresh
 
 import ptcoherence as pc
 from ptcoherence import cli
@@ -539,6 +544,138 @@ def test_solver_failure_exits_3(monkeypatch, capsys):
     monkeypatch.setattr("ptcoherence.optics.solve_angles", boom)
     code, _ = run(capsys, "angles", "--kind", "pt", "--a", "0.5", "--t", "1")
     assert code == 3
+
+
+# ---------------------------------------------------------------------------
+# grid commands in row ranges
+# ---------------------------------------------------------------------------
+
+_GRID_COMMANDS = (
+    ["trace", "--kind", "pt", "--a", "0.47", "--state", "h-sqrt3v"],
+    ["bloch", "--kind", "apt", "--a", "1.5", "--state", "h-sqrt3v"],
+    ["two-qubit", "--kind", "pt", "--a", "2.4"],
+)
+
+#: Grid lengths around the first split, an odd one that cuts into ranges
+#: of unequal length, and the benchmark's large grid.
+_RANGE_SIZES = (2 * cli._MIN_ROWS - 1, 2 * cli._MIN_ROWS, 2 * cli._MIN_ROWS + 1, 12345, 100_000)
+
+_ONE_CORE_SCRIPT = """
+import contextlib, hashlib, io, json, os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from ptcoherence.cli import main
+out = []
+for argv in %r:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    out.append([code, hashlib.md5(buf.getvalue().encode()).hexdigest()])
+print(json.dumps(out))
+"""
+
+
+def _three_cores(monkeypatch) -> None:
+    """Report three usable cores, so that every grid of at least
+    2 * _MIN_ROWS rows forks a worker whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+
+def test_row_ranges_are_byte_identical_to_one_core(monkeypatch, capsys):
+    _three_cores(monkeypatch)
+    argvs = [[*argv, "--points", str(n), "--format", fmt]
+             for argv in _GRID_COMMANDS for n in _RANGE_SIZES for fmt in ("csv", "json")]
+    ranged = []
+    for argv in argvs:
+        code, out = run(capsys, *argv)
+        ranged.append([code, hashlib.md5(out.encode()).hexdigest()])
+    result = run_fresh(_ONE_CORE_SCRIPT % (argvs,))
+    assert result.returncode == 0, result.stderr
+    assert [code for code, _ in ranged] == [0] * len(argvs)
+    assert ranged == json.loads(result.stdout)
+
+
+def _failing_rows(monkeypatch, failures: dict) -> None:
+    """Bloch rows that fail by range, at 3 * _MIN_ROWS rows in 3 ranges:
+    ``failures`` maps a range's first row to an action that raises."""
+    real, grid = pc.bloch.trajectory_array, np.linspace(0.0, 10.0, 3 * cli._MIN_ROWS)
+
+    def rows(st, p, ts):
+        action = failures.get(int(np.searchsorted(grid, ts[0])))
+        if action is not None:
+            action()
+        return real(st, p, ts)
+
+    _three_cores(monkeypatch)
+    monkeypatch.setattr("ptcoherence.bloch.trajectory_array", rows)
+
+
+def _no_worker_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fail(message: str):
+    def action():
+        raise ValueError(message)
+    return action
+
+
+@pytest.mark.parametrize("failing, message", [
+    ((1,), "range 1 fails"),
+    ((1, 2), "range 1 fails"),
+    ((0, 1, 2), "range 0 fails"),
+])
+def test_failing_range_exits_2_with_the_lowest_message(monkeypatch, capsys, failing, message):
+    rows = 3 * cli._MIN_ROWS
+    _failing_rows(monkeypatch, {k * rows // 3: _fail(f"range {k} fails") for k in failing})
+    code = main(["bloch", "--kind", "pt", "--a", "0.47", "--points", str(rows)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    _no_worker_left()
+
+
+def test_killed_worker_is_named_and_nothing_is_written(monkeypatch, capsys):
+    rows, parent = 3 * cli._MIN_ROWS, os.getpid()
+
+    def die():
+        assert os.getpid() != parent, "range 1 ran in the calling process"
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    _failing_rows(monkeypatch, {rows // 3: die})
+    with pytest.raises(RuntimeError, match="SIGKILL"):
+        main(["bloch", "--kind", "pt", "--a", "0.47", "--points", str(rows)])
+    assert capsys.readouterr().out == ""
+    _no_worker_left()
+
+
+@pytest.mark.parametrize("argv", _GRID_COMMANDS)
+def test_small_grids_do_not_fork(monkeypatch, capsys, argv):
+    def no_fork():
+        raise AssertionError("a small grid forked")
+
+    _three_cores(monkeypatch)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run(capsys, *argv)[0] == 0  # the 401-point default
+    assert run(capsys, *argv, "--points", str(2 * cli._MIN_ROWS - 1), "--format", "json")[0] == 0
+
+
+def test_grid_evaluation_imports_nothing():
+    # what a worker runs (rows_of and the %-pass) loads no module: checked
+    # in one process, where the same code runs as range 0
+    result = run_fresh("""
+import sys
+from ptcoherence import bloch, cli, coherence, twoqubit
+for argv in %r:
+    for fmt in ("csv", "json"):
+        cfg = cli._resolve_config(cli._build_parser().parse_args([*argv, "--format", fmt]))
+        before = set(sys.modules)
+        cli._COMMANDS[cfg.subcommand](cfg)
+        print(sorted(set(sys.modules) - before))
+""" % (list(_GRID_COMMANDS),))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n" * 6
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,10 @@ because the test session has every module loaded.
 from __future__ import annotations
 
 import importlib
-import os
 import pkgutil
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
+
+from conftest import run_fresh
 
 import ptcoherence
 
@@ -56,21 +54,14 @@ _LOADS_SCRIPT = textwrap.dedent("""
 """)
 
 
-def _run_fresh(script: str) -> subprocess.CompletedProcess:
-    src = str(Path(ptcoherence.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
-
-
 def test_every_subcommand_runs_without_scipy():
-    result = _run_fresh(_SCRIPT)
+    result = run_fresh(_SCRIPT)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
 
 
 def test_cold_calls_load_only_their_subcommand():
-    result = _run_fresh(_LOADS_SCRIPT)
+    result = run_fresh(_LOADS_SCRIPT)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n[]\n"
 
