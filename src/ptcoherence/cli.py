@@ -20,7 +20,13 @@ they are re-parsed as the shortest representation at that precision).
 Config precedence: command-line flags override an optional ``--config``
 file of ``key=value`` lines (``#`` comments allowed), which overrides
 built-in defaults.  Environment variables are deliberately not
-consulted.
+consulted.  One table, ``_FIELDS``, holds every key: it builds the
+flags, types the config values, and its resolved values are the run.
+
+Documents: every one opens with the run header of ``_meta``; the JSON
+reports nest it through ``_report``.  A grid is formatted range by range
+by one body (``_csv_rows`` or ``_json_rows``), and the joined rows are
+framed once (``_csv_text`` or ``_json_grid_text``).
 
 Exit codes: 0 success; 2 validation error (the message names the
 violated precondition); 3 solver failure (no optical decomposition);
@@ -34,7 +40,6 @@ import math
 import os
 import pickle
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +50,7 @@ from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime, w_squ
 # Each subcommand imports the modules only it runs (coherence, optics,
 # tomography, bloch, twoqubit), so a cold call loads no other.
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 2
@@ -92,32 +97,6 @@ _SUBCOMMANDS = {
     "bloch": ("Bloch trajectory CSV", _COMMON + _STATE + _WINDOW + ("points",)),
     "two-qubit": ("two-qubit coherence CSV", _COMMON + _WINDOW + ("points",)),
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved, validated configuration for one subcommand run."""
-
-    subcommand: str
-    kind: SymmetryClass
-    s: float
-    a: float
-    state: PureState | None
-    state_label: str
-    t_min: float
-    t_max: float
-    points: int
-    t: float
-    seed: int
-    exposure: float
-    resamples: int
-    restarts: int
-    format: str
-    output: str | None
-
-    @property
-    def params(self) -> HamiltonianParams:
-        return HamiltonianParams(kind=self.kind, s=self.s, a=self.a)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +201,11 @@ def _require_resolved_phase(p: HamiltonianParams, key: str, t: float) -> None:
                          "2**52, where a double no longer resolves one radian")
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The resolved, validated run: every ``_FIELDS`` value after the config
+    file and the flags, with ``kind`` a SymmetryClass, ``state`` a PureState
+    (None for a command that takes no state) and ``format`` filled in, plus
+    ``subcommand``, ``state_label`` and the ``params`` they select."""
     sub = args.subcommand
     fields = _SUBCOMMANDS[sub][1]
     merged = {key: default for key, (default, _) in _FIELDS.items()}
@@ -255,7 +238,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"format must be csv or json, got {fmt!r}")
 
     state, state_label = _resolve_state(merged, layer) if "state" in fields else (None, "n/a")
-    t_min, t_max, t_single = float(merged["t_min"]), float(merged["t_max"]), float(merged["t"])
+    t_min, t_max, t = merged["t_min"], merged["t_max"], merged["t"]
     if "t_min" in fields:
         _require_finite(t_min=t_min, t_max=t_max)
         if not (t_max > t_min):
@@ -263,42 +246,24 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if t_min < 0:
             raise ValueError("t-min must be nonnegative")
     if "t" in fields:
-        _require_finite(t=t_single)
-        if t_single < 0:
+        _require_finite(t=t)
+        if t < 0:
             raise ValueError("t must be nonnegative")
-    exposure = float(merged["exposure"])
     if "exposure" in fields:
-        _require_finite(exposure=exposure)
-        if exposure <= 0:
+        _require_finite(exposure=merged["exposure"])
+        if merged["exposure"] <= 0:
             raise ValueError("exposure must be positive")
     for key, least in (("points", 2), ("resamples", 2), ("restarts", 1)):
         if key in fields and merged[key] < least:
             raise ValueError(f"{key} must be >= {least}")
 
-    cfg = RunConfig(
-        subcommand=sub,
-        kind=kind,
-        s=float(merged["s"]),
-        a=float(merged["a"]),
-        state=state,
-        state_label=state_label,
-        t_min=t_min,
-        t_max=t_max,
-        points=int(merged["points"]),
-        t=t_single,
-        seed=int(merged["seed"]),
-        exposure=exposure,
-        resamples=int(merged["resamples"]),
-        restarts=int(merged["restarts"]),
-        format=fmt,
-        output=merged["output"],
-    )
-    p = cfg.params  # validates s > 0, a > 0 at parse time
+    p = HamiltonianParams(kind=kind, s=merged["s"], a=merged["a"])  # checks s > 0, a > 0
     if "t_min" in fields:
         _require_resolved_phase(p, "t-max", t_max)
     if "t" in fields:
-        _require_resolved_phase(p, "t", t_single)
-    return cfg
+        _require_resolved_phase(p, "t", t)
+    merged.update(kind=kind, format=fmt, state=state)
+    return argparse.Namespace(subcommand=sub, state_label=state_label, params=p, **merged)
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +303,15 @@ def _csv_rows(rows: np.ndarray) -> str:
     return (row_fmt * len(rows)) % tuple(values)
 
 
-def _csv_text(meta: list[tuple[str, object]], columns: Sequence[str],
-              rows: np.ndarray) -> str:
+def _csv_text(meta: list[tuple[str, object]], columns: Sequence[str], rows_text: str) -> str:
+    """The CSV document: the ``meta`` comment lines and the column header
+    above ``rows_text``, the lines of :func:`_csv_rows`."""
     lines = ["# schema: 1"]
     for key, value in meta:
         text = _fmt(value) if isinstance(value, float) else str(value)
         lines.append(f"# {key}: {text}")
     lines.append(",".join(columns))
-    return "\n".join(lines) + "\n" + _csv_rows(rows)
+    return "\n".join(lines) + "\n" + rows_text
 
 
 def _json_rows(rows: np.ndarray) -> str:
@@ -362,12 +328,12 @@ def _json_rows(rows: np.ndarray) -> str:
 
 
 def _json_grid_text(meta: list[tuple[str, object]], columns: Sequence[str],
-                    rows: np.ndarray) -> str:
-    """The grid JSON, byte-identical to ``_json_text`` on the full payload."""
+                    rows_text: str) -> str:
+    """The grid JSON around ``rows_text``, the entries of :func:`_json_rows`,
+    byte-identical to ``_json_text`` on the full payload."""
     payload = {"schema": 1, "columns": list(columns), "rows": []}
     payload.update(meta)
-    block = _json_rows(rows)
-    return _json_text(payload).replace('\n  "rows": []', '\n  "rows": [\n' + block + "\n  ]", 1)
+    return _json_text(payload).replace('\n  "rows": []', '\n  "rows": [\n' + rows_text + "\n  ]", 1)
 
 
 #: Fewest rows that a row range of a grid command is worth.  On a 2-core
@@ -440,14 +406,14 @@ def _join_range(pid: int, read_end: int, span: str) -> str:
     raise RuntimeError(f"the worker for {span} {cause}")
 
 
-def _grid_text(cfg: RunConfig, meta: list[tuple[str, object]], columns: Sequence[str],
-               rows_of) -> str:
+def _grid_text(cfg: argparse.Namespace, columns: Sequence[str], rows_of) -> str:
     """The document of a grid command: ``rows_of(ts) -> (len(ts), k)`` rows
     over the ``linspace`` grid of ``cfg``, in CSV or JSON.
 
     The grid is cut into contiguous row ranges (:func:`_range_count`).
     Ranges 1, 2, ... are each evaluated and formatted by a forked worker
-    while this process does range 0; their texts then join in grid order.
+    while this process does range 0 with the same body; their texts then
+    join in grid order, and the document is framed around them once.
     Each range runs every check of ``rows_of`` in its own process, and the
     lowest range that fails raises, before anything is written.  Every row
     is a function of its time alone, so the text is the same bytes for any
@@ -456,16 +422,16 @@ def _grid_text(cfg: RunConfig, meta: list[tuple[str, object]], columns: Sequence
     ts, n = np.linspace(cfg.t_min, cfg.t_max, cfg.points), cfg.points
     count = _range_count(n)
     cuts = [n * k // count for k in range(count + 1)]
-    csv = cfg.format == "csv"
+    body, frame, sep = ((_csv_rows, _csv_text, "") if cfg.format == "csv"
+                        else (_json_rows, _json_grid_text, ",\n"))
     workers = []
     try:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            pid, read_end = _fork_range(ts[lo:hi], rows_of, _csv_rows if csv else _json_rows)
+            pid, read_end = _fork_range(ts[lo:hi], rows_of, body)
             workers.append((pid, read_end, f"rows {lo} to {hi - 1}"))
-        text = (_csv_text if csv else _json_grid_text)(meta, columns, rows_of(ts[:cuts[1]]))
-        rest = []
+        texts = [body(rows_of(ts[:cuts[1]]))]
         while workers:
-            rest.append(_join_range(*workers.pop(0)))
+            texts.append(_join_range(*workers.pop(0)))
     finally:
         if workers:  # a range failed: stop the ranges after it
             import signal
@@ -474,17 +440,10 @@ def _grid_text(cfg: RunConfig, meta: list[tuple[str, object]], columns: Sequence
                 os.close(read_end)
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    if not rest:
-        return text
-    if csv:
-        return text + "".join(rest)
-    # the later ranges' rows go after range 0's, before the list's "\n  ]":
-    # "rows" is the last list of a grid document, whose keys are sorted
-    head, close, tail = text.rpartition("\n  ]")
-    return head + ",\n" + ",\n".join(rest) + close + tail
+    return frame(_meta(cfg), columns, sep.join(texts))
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: argparse.Namespace, text: str) -> None:
     if cfg.output in (None, "-"):
         sys.stdout.write(text)
         return
@@ -495,45 +454,32 @@ def _emit(cfg: RunConfig, text: str) -> None:
         raise _IOFailure(f"cannot write output file {cfg.output!r}: {exc}") from exc
 
 
-def _state_meta(cfg: RunConfig) -> list[tuple[str, object]]:
-    assert cfg.state is not None
-    return [
-        ("state", cfg.state_label),
-        ("alpha", float(cfg.state.alpha)),
-        ("beta", float(cfg.state.beta)),
-        ("phi", float(cfg.state.phi)),
-    ]
-
-
-def _base_meta(cfg: RunConfig) -> list[tuple[str, object]]:
-    return [("command", cfg.subcommand), ("kind", cfg.kind.value),
-            ("s", float(cfg.s)), ("a", float(cfg.a))]
-
-
-def _base_payload(cfg: RunConfig) -> dict:
-    payload = {
-        "schema": 1,
-        "command": cfg.subcommand,
-        "kind": cfg.kind.value,
-        "s": float(cfg.s),
-        "a": float(cfg.a),
-        "regime": regime(cfg.params).value,
-    }
+def _meta(cfg: argparse.Namespace) -> list[tuple[str, object]]:
+    """The run header of every document: the command, the generator and,
+    for a command that takes one, the initial state."""
+    meta = [("command", cfg.subcommand), ("kind", cfg.kind.value), ("s", cfg.s), ("a", cfg.a)]
     if cfg.state is not None:
-        payload["state"] = {
-            "label": cfg.state_label,
-            "alpha": float(cfg.state.alpha),
-            "beta": float(cfg.state.beta),
-            "phi": float(cfg.state.phi),
-        }
-    return payload
+        meta += [("state", cfg.state_label), ("alpha", float(cfg.state.alpha)),
+                 ("beta", float(cfg.state.beta)), ("phi", float(cfg.state.phi))]
+    return meta
+
+
+def _report(cfg: argparse.Namespace, fields: dict) -> str:
+    """A JSON report: the run header of :func:`_meta` (the state nested under
+    ``"state"``, its label as ``"label"``), the regime, then ``fields``."""
+    meta = _meta(cfg)
+    payload = {"schema": 1, **dict(meta[:4]), "regime": regime(cfg.params).value}
+    if cfg.state is not None:  # meta[4:] is the state's label, alpha, beta, phi
+        payload["state"] = {"label": cfg.state_label, **dict(meta[5:])}
+    payload.update(fields)
+    return _json_text(payload)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_trace(cfg: RunConfig) -> str:
+def cmd_trace(cfg: argparse.Namespace) -> str:
     """CSV columns t, C_closed_form, C_matrix_path — the scalar closed
     form and the independent propagator-conjugation route, side by side."""
     from .coherence import coherence_series
@@ -547,11 +493,10 @@ def cmd_trace(cfg: RunConfig) -> str:
         matrix_path = 2.0 * np.abs(rhos[:, 0, 1])  # l1 coherence of a Hermitian 2x2
         return np.column_stack([ts, closed, matrix_path])
 
-    meta = _base_meta(cfg) + _state_meta(cfg)
-    return _grid_text(cfg, meta, ("t", "C_closed_form", "C_matrix_path"), rows_of)
+    return _grid_text(cfg, ("t", "C_closed_form", "C_matrix_path"), rows_of)
 
 
-def cmd_period(cfg: RunConfig) -> str:
+def cmd_period(cfg: argparse.Namespace) -> str:
     """Theoretical oscillation period plus a trace-measured estimate."""
     from .coherence import _scan_window, find_extrema, theoretical_period
 
@@ -560,42 +505,36 @@ def cmd_period(cfg: RunConfig) -> str:
     period = theoretical_period(p)
     estimate = (None if period is None
                 else find_extrema(cfg.state, p, _scan_window(p, 2)).period_estimate)
-    payload = _base_payload(cfg)
-    payload.update({"period_theoretical": period, "period_estimate": estimate})
-    return _json_text(payload)
+    return _report(cfg, {"period_theoretical": period, "period_estimate": estimate})
 
 
-def cmd_asymptote(cfg: RunConfig) -> str:
+def cmd_asymptote(cfg: argparse.Namespace) -> str:
     """Theoretical stable value plus a tail estimate from the trace."""
     from .coherence import asymptotic_value, find_extrema
 
     assert cfg.state is not None
     p = cfg.params
     scan = find_extrema(cfg.state, p, (cfg.t_min, cfg.t_max))
-    payload = _base_payload(cfg)
-    payload.update({
+    return _report(cfg, {
         "asymptote_theoretical": asymptotic_value(p),
         "asymptote_estimate": scan.asymptote_estimate,
-        "window": [float(cfg.t_min), float(cfg.t_max)],
+        "window": [cfg.t_min, cfg.t_max],
     })
-    return _json_text(payload)
 
 
-def cmd_backflow(cfg: RunConfig) -> str:
+def cmd_backflow(cfg: argparse.Namespace) -> str:
     """Stationary-point count per period and trace classification."""
     from .coherence import classify_backflow
 
     assert cfg.state is not None
     report = classify_backflow(cfg.state, cfg.params)
-    payload = _base_payload(cfg)
-    payload.update({
+    return _report(cfg, {
         "zeros_per_period": int(report.zeros_per_period),
         "classification": report.classification.value,
     })
-    return _json_text(payload)
 
 
-def cmd_angles(cfg: RunConfig) -> str:
+def cmd_angles(cfg: argparse.Namespace) -> str:
     """Inverse design: waveplate/loss angles realizing U(t), verified."""
     from .optics import (_N_STATES, NoDecompositionError, sequence_to_dict, solve_angles,
                          verify_state_action)
@@ -605,17 +544,15 @@ def cmd_angles(cfg: RunConfig) -> str:
     except NoDecompositionError as exc:
         raise _SolverFailure(str(exc)) from exc
     deviation = verify_state_action(seq, seed=cfg.seed + 1)
-    payload = _base_payload(cfg)
-    payload.update(sequence_to_dict(seq))
-    payload.update({
+    return _report(cfg, {
+        **sequence_to_dict(seq),
         "seed": cfg.seed,
         "restarts": cfg.restarts,
         "state_action": {"n_states": _N_STATES, "max_deviation": deviation},
     })
-    return _json_text(payload)
 
 
-def cmd_tomography(cfg: RunConfig) -> str:
+def cmd_tomography(cfg: argparse.Namespace) -> str:
     """Evolve, sample counts, reconstruct, and bootstrap the coherence."""
     from .coherence import l1_coherence
     from .tomography import bootstrap_errorbar, reconstruct, simulate_counts, trace_distance
@@ -631,11 +568,10 @@ def cmd_tomography(cfg: RunConfig) -> str:
         return [[[float(m[i, j].real), float(m[i, j].imag)] for j in range(2)]
                 for i in range(2)]
 
-    payload = _base_payload(cfg)
-    payload.update({
-        "t": float(cfg.t),
+    return _report(cfg, {
+        "t": cfg.t,
         "seed": cfg.seed,
-        "exposure": float(cfg.exposure),
+        "exposure": cfg.exposure,
         "resamples": cfg.resamples,
         "counts": {
             "H": float(record.count_h),
@@ -650,20 +586,18 @@ def cmd_tomography(cfg: RunConfig) -> str:
         "coherence_bootstrap": {"mean": boot_mean, "sd": boot_sd},
         "trace_distance": trace_distance(rho_true, rho_hat),
     })
-    return _json_text(payload)
 
 
-def cmd_bloch(cfg: RunConfig) -> str:
+def cmd_bloch(cfg: argparse.Namespace) -> str:
     """CSV Bloch trajectory of the evolved (renormalized) state."""
     from .bloch import trajectory_array
 
     st, p = cfg.state, cfg.params
     assert st is not None
-    meta = _base_meta(cfg) + _state_meta(cfg)
-    return _grid_text(cfg, meta, ("t", "x", "y", "z"), lambda ts: trajectory_array(st, p, ts))
+    return _grid_text(cfg, ("t", "x", "y", "z"), lambda ts: trajectory_array(st, p, ts))
 
 
-def cmd_two_qubit(cfg: RunConfig) -> str:
+def cmd_two_qubit(cfg: argparse.Namespace) -> str:
     """CSV two-qubit coherence traces of the three reference states."""
     from .twoqubit import TwoQubitState, two_qubit_series
 
@@ -673,7 +607,7 @@ def cmd_two_qubit(cfg: RunConfig) -> str:
     def rows_of(ts: np.ndarray) -> np.ndarray:
         return np.column_stack([ts] + [two_qubit_series(state, p, ts) for state in states])
 
-    return _grid_text(cfg, _base_meta(cfg), ("t", "C_psi1", "C_psi2", "C_psi3"), rows_of)
+    return _grid_text(cfg, ("t", "C_psi1", "C_psi2", "C_psi3"), rows_of)
 
 
 _COMMANDS = {

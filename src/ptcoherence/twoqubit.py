@@ -27,13 +27,16 @@ scanned: the scan runs in ``theta = s t`` of a single generator.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .coherence import _SCAN_SAMPLES, CoherenceTrace, _asymptote_estimate, _scan
 from .evolution import (_evolution_times, evolve_product, product_terms, shifted_generator,
                         shifted_scalars, slope_pairs)
 from .hamiltonian import HamiltonianParams
+
+if TYPE_CHECKING:
+    from .coherence import CoherenceTrace
 
 __all__ = [
     "TwoQubitState",
@@ -152,6 +155,8 @@ def two_qubit_coherence_trace(state: TwoQubitState, p: HamiltonianParams,
     :func:`~ptcoherence.coherence.find_extrema`), and the asymptote
     estimate from the tail of the caller's grid, flat per unit theta.
     """
+    from .coherence import _SCAN_SAMPLES, _asymptote_estimate, _scan
+
     ts = _evolution_times(times)
     if ts.size < 2 or np.any(np.diff(ts) <= 0):
         raise ValueError("times must be strictly increasing, with at least two points")

@@ -19,7 +19,8 @@ from conftest import run_fresh
 
 import ptcoherence as pc
 from ptcoherence import cli
-from ptcoherence.cli import _csv_text, _fmt, _json_grid_text, _json_text, main
+from ptcoherence.cli import (_csv_rows, _csv_text, _fmt, _json_grid_text, _json_rows, _json_text,
+                             main)
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -714,12 +715,12 @@ def test_bulk_csv_matches_per_value_format(table):
     meta = [("command", "trace"), ("a", 0.47)]
     per_value = "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
     expected = "# schema: 1\n# command: trace\n# a: 0.47\n" + ",".join(columns) + "\n"
-    assert _csv_text(meta, columns, rows) == expected + per_value
+    assert _csv_text(meta, columns, _csv_rows(rows)) == expected + per_value
 
 
 def test_bulk_csv_covers_every_special_value():
     rows = np.array(_SPECIAL_VALUES, dtype=float).reshape(-1, 1)
-    text = _csv_text([], ["v"], rows)
+    text = _csv_text([], ["v"], _csv_rows(rows))
     assert text == "# schema: 1\nv\n" + "".join(_fmt(v) + "\n" for v in rows[:, 0])
     assert "\n-0\n" not in text and "\n0\n" in text
 
@@ -740,19 +741,25 @@ def test_bulk_json_matches_per_value_format(table):
     columns = [f"c{i}" for i in range(width)]
     rows = np.array(values, dtype=float).reshape(-1, width)
     meta = [("command", "trace"), ("a", 0.47), ("state", "D")]
-    assert _json_grid_text(meta, columns, rows) == _json_per_value(meta, columns, rows)
+    text = _json_grid_text(meta, columns, _json_rows(rows))
+    assert text == _json_per_value(meta, columns, rows)
 
 
 def test_bulk_json_covers_every_special_value():
     rows = np.array(_SPECIAL_VALUES, dtype=float).reshape(-1, 1)
-    text = _json_grid_text([], ["v"], rows)
+    text = _json_grid_text([], ["v"], _json_rows(rows))
     assert text == _json_per_value([], ["v"], rows)
     assert "-0.0" not in text and "      0.0" in text
     assert "NaN" in text and "-Infinity" in text
 
 
-def test_trace_json_is_byte_identical_to_per_value_format(capsys):
-    argv = ["trace", "--kind", "pt", "--a", "0.47", "--state", "h-sqrt3v", "--points", "50"]
+@pytest.mark.parametrize("argv", [
+    ["trace", "--kind", "pt", "--a", "0.47", "--state", "h-sqrt3v"],
+    ["bloch", "--kind", "apt", "--a", "1.5", "--state", "D"],
+    ["two-qubit", "--kind", "pt", "--a", "2.4"],  # a run header with no state
+])
+def test_trace_json_is_byte_identical_to_per_value_format(capsys, argv):
+    argv = [*argv, "--points", "50"]
     _, csv_out = run(capsys, *argv)
     code, out = run(capsys, *argv, "--format", "json")
     assert code == 0

@@ -4,10 +4,11 @@ The runtime needs numpy alone: a fresh interpreter installs a
 ``sys.meta_path`` finder that makes any ``scipy`` import raise
 ImportError, then imports the package and runs all eight subcommands with
 their default options; each must exit 0.  A cold call loads only what its
-subcommand runs: ``import ptcoherence`` loads no submodule, and the scan
+subcommand runs: ``import ptcoherence`` loads no submodule, the scan
 subcommands load neither the optics, tomography, Bloch and two-qubit
-modules nor ``statistics``.  The checks need their own interpreter
-because the test session has every module loaded.
+modules nor ``statistics``, and ``two-qubit`` and ``bloch`` load no
+coherence module.  The checks need their own interpreter because the
+test session has every module loaded.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ _SCRIPT = textwrap.dedent("""
 """)
 
 
+#: Run ``commands`` cold, then print the loaded ``unloaded`` modules.
 _LOADS_SCRIPT = textwrap.dedent("""
     import contextlib, io, sys
 
@@ -46,12 +48,21 @@ _LOADS_SCRIPT = textwrap.dedent("""
     print(sorted(name for name in sys.modules if name.startswith("ptcoherence.")))
 
     from ptcoherence.cli import main
-    for cmd in ("period", "asymptote", "backflow", "trace"):
+    for cmd in %r:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main([cmd, "--kind", "pt", "--a", "0.47"]) == 0, cmd
-    print(sorted({"ptcoherence.optics", "ptcoherence.tomography", "ptcoherence.twoqubit",
-                  "ptcoherence.bloch", "statistics"} & set(sys.modules)))
+    print(sorted(set(%r) & set(sys.modules)))
 """)
+
+#: Each command set and the modules it must not load: the scan commands
+#: load no optics, tomography, two-qubit or Bloch module and no
+#: ``statistics``; the grid commands that run no scan load no coherence.
+_COLD_LOADS = (
+    (("period", "asymptote", "backflow", "trace"),
+     ("ptcoherence.optics", "ptcoherence.tomography", "ptcoherence.twoqubit",
+      "ptcoherence.bloch", "statistics")),
+    (("two-qubit", "bloch"), ("ptcoherence.coherence",)),
+)
 
 
 def test_every_subcommand_runs_without_scipy():
@@ -61,9 +72,10 @@ def test_every_subcommand_runs_without_scipy():
 
 
 def test_cold_calls_load_only_their_subcommand():
-    result = run_fresh(_LOADS_SCRIPT)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n[]\n"
+    for commands, unloaded in _COLD_LOADS:
+        result = run_fresh(_LOADS_SCRIPT % (commands, unloaded))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n[]\n", commands
 
 
 def test_public_names_resolve():
