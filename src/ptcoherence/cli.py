@@ -253,7 +253,7 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
         _require_finite(exposure=merged["exposure"])
         if merged["exposure"] <= 0:
             raise ValueError("exposure must be positive")
-    for key, least in (("points", 2), ("resamples", 2), ("restarts", 1)):
+    for key, least in (("points", 2), ("resamples", 2), ("restarts", 1), ("seed", 0)):
         if key in fields and merged[key] < least:
             raise ValueError(f"{key} must be >= {least}")
 

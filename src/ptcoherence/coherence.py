@@ -1,15 +1,15 @@
 """l1 coherence: closed forms, periods, asymptotes, extrema, backflow.
 
 For a pure state ``psi = alpha |H> + beta e^{i phi} |V>`` evolved by
-either generator family, the one state evaluator of
-:mod:`~ptcoherence.evolution` gives the unnormalized evolved state
-``v = F psi + G (K psi)``.  With the basis populations x = |v_0|^2 and
-y = |v_1|^2, the l1 coherence of the normalized state is
+either generator family, the one pure-state evaluator
+:func:`~ptcoherence.evolution.pure_rows` gives the unnormalized evolved
+state ``v = F psi + G (K psi)``.  With the basis populations x = |v_0|^2
+and y = |v_1|^2, the l1 coherence of the normalized state is
 
-    C(t) = 2 sqrt(x y) / (x + y)
+    C(t) = 2 sqrt(x y) / (x + y) = 2 |v_0| |v_1| / (x + y)
 
-which is invariant under the common rescaling of (F, G) used deep in
-the broken regime.
+(:func:`~ptcoherence.evolution.pure_l1`), invariant under the common
+rescaling of (F, G) used deep in the broken regime.
 
 Key phenomenology exposed here:
 
@@ -53,8 +53,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .evolution import (DensityMatrix, PureState, _evolution_times, evolve_product, product_terms,
-                        shifted_generator, shifted_scalars, slope_pairs)
+from .evolution import (DensityMatrix, PureState, _evolution_times, evolve_product, pure_l1,
+                        pure_rows, pure_terms, shifted_pairs)
 from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime, w_squared
 
 __all__ = [
@@ -166,16 +166,10 @@ def coherence_series(st: PureState, p: HamiltonianParams, times: np.ndarray) -> 
     """Closed-form l1 coherence of the evolved state over a time grid.
 
     ``times`` may be any real values; negative entries evaluate the
-    analytic continuation.  Uses the populations x = |<H|v>|^2 and
-    y = |<V|v>|^2 of the evolved state ``v = F psi + G K psi`` (up to a
-    common scale) and ``C = 2 sqrt(x y) / (x + y)``.
+    analytic continuation.  The evolved state ``v = F psi + G K psi`` (up
+    to a common scale) gives ``C = 2 |v_0| |v_1| / (|v_0|^2 + |v_1|^2)``.
     """
-    F, G = shifted_scalars(p.kind, p.a, p.s * np.asarray(times, dtype=np.float64))
-    v = evolve_product([(F, G)], product_terms([shifted_generator(p.kind, p.a)], st.vector()))
-    x, y = (v.real * v.real + v.imag * v.imag).T
-    # 2*sqrt(x)*sqrt(y) instead of sqrt(x*y): the product can overflow
-    # at large unscaled hyperbolic arguments even though the ratio is O(1)
-    return 2.0 * np.sqrt(x) * np.sqrt(y) / (x + y)
+    return pure_l1(pure_rows([p], st.vector(), times))
 
 
 def coherence_closed_form(st: PureState, p: HamiltonianParams, t: float) -> float:
@@ -183,7 +177,7 @@ def coherence_closed_form(st: PureState, p: HamiltonianParams, t: float) -> floa
 
     Agrees with the matrix path (evolve the density matrix, then take
     :func:`l1_coherence`) to 1e-9.  Both routes start from the scaled
-    scalars of :func:`~ptcoherence.evolution.shifted_scalars`; from
+    scalars of :func:`~ptcoherence.evolution.shifted_pairs`; from
     there this one evolves the state vector and the other conjugates
     the density matrix.
     """
@@ -252,7 +246,7 @@ def find_extrema(
         With extrema sorted by time, plus period and asymptote
         estimates where the window supports them.
     """
-    terms = product_terms([shifted_generator(p.kind, p.a)], st.vector())  # fixed for the scan
+    terms = pure_terms([p], st.vector())  # fixed for the scan
     return _scan(lambda q, th: coherence_series(st, q, th),
                  lambda q, th: coherence_slope(q, terms, th), p, window, _SCAN_SAMPLES)
 
@@ -272,7 +266,7 @@ def coherence_slope(p: HamiltonianParams, terms: dict, theta: np.ndarray):
     C = 1 touches, (x' y - x y')/(x + y)^2 at the other extrema (with a sign
     jump at the corner minima C = 0).
     """
-    c, dc = slope_pairs(p, theta)
+    c, dc = shifted_pairs(p, theta, slope=True)
     v, dv = evolve_product([c], terms), evolve_product([dc], terms)
     x, y = (v.real * v.real + v.imag * v.imag).T
     dx, dy = 2.0 * (v.conj() * dv).real.T

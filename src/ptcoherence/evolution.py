@@ -19,9 +19,12 @@ Numerical notes
 ---------------
 * :func:`abc_scaled` is the package's one evaluator of (A, g).  It works
   in ``theta`` (every observable depends on ``s`` and ``t`` only through
-  it) and evaluates ``g`` as ``theta * sinc_like(w theta)`` with a short
-  series for tiny arguments, so it stays accurate through the EP: within
-  ~1e-13 relative Frobenius distance of a matrix-exponential oracle.
+  it) and evaluates ``g`` as ``theta sin(w theta) / (w theta)`` (sinh when
+  broken), accurate to rounding for every nonzero double ``w theta``, so
+  0 is its only special case.  It stays within ~1e-13 relative Frobenius
+  distance of a matrix-exponential oracle through the EP.
+* :func:`pure_rows` builds every pure product state of one or two qubits;
+  :func:`pure_l1` takes their C from magnitudes, whose squares underflow.
 * The fixed terms (``K psi``) are rounded once from exact sums
   (:func:`apply_exact`): near the EP they are far below their summands.
   At large ``a`` no entry of ``U`` is a difference ``A - a g`` of unit terms.
@@ -217,8 +220,11 @@ class Propagator:
 #: Hyperbolic argument (at the EP, log |theta|) above which the scaled
 #: representation is used (see the module docstring for why 150).
 _SCALE_SWITCH = 150.0
-#: Below this argument the sin(x)/x and sinh(x)/x ratios use series.
-_SERIES_SWITCH = 1e-4
+
+
+def _over_x(f, x: np.ndarray) -> np.ndarray:
+    """``f(x) / x`` for ``f`` in (sin, sinh), 1 at ``x = 0``."""
+    return np.divide(f(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
 def abc_scaled(kind: SymmetryClass, a: float, theta):
@@ -235,25 +241,17 @@ def abc_scaled(kind: SymmetryClass, a: float, theta):
     if d > 0.0:
         w = np.sqrt(d)
         x = w * th
-        A = np.cos(x)
-        tiny = np.abs(x) < _SERIES_SWITCH
-        xs = np.where(tiny, 1.0, x)
-        x2 = np.where(tiny, x, 0.0) ** 2  # only the series needs it: never overflows
-        g = th * np.where(tiny, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, np.sin(xs) / xs)
+        A, g = np.cos(x), th * _over_x(np.sin, x)
     elif d < 0.0:
         w = np.sqrt(-d)
         x = w * th
         xa = np.abs(x)  # cosh even, sinh odd: branch on |x|, restore sign via theta
         big = xa > _SCALE_SWITCH
-        tiny = xa < _SERIES_SWITCH
-        xc = np.where(big, 0.0, x)  # safe argument for cosh/sinh
-        xs = np.where(tiny | big, 1.0, x)  # safe denominator
-        x2 = np.where(tiny, x, 0.0) ** 2  # only the series needs it: never overflows
+        xs = np.where(big, 0.0, x)  # safe argument for cosh/sinh
         q = np.exp(-2.0 * xa)  # underflows harmlessly to 0 for large |x|
         # cosh(x) = e^|x| (1 + e^{-2|x|})/2, sinh(x) = sign(x) e^|x| (1 - e^{-2|x|})/2
-        A = np.where(big, 0.5 * (1.0 + q), np.cosh(xc))
-        sinhc = np.where(tiny, 1.0 + x2 / 6.0 + x2 * x2 / 120.0, np.sinh(xc) / xs)
-        g = np.where(big, np.sign(th) * 0.5 * (1.0 - q) / w, th * sinhc)
+        A = np.where(big, 0.5 * (1.0 + q), np.cosh(xs))
+        g = np.where(big, np.sign(th) * 0.5 * (1.0 - q) / w, th * _over_x(np.sinh, xs))
         log_scale = np.where(big, xa, log_scale)
     else:
         f = np.abs(th)
@@ -278,23 +276,18 @@ def shifted_generator(kind: SymmetryClass, a: float) -> np.ndarray:
     return k
 
 
-def shifted_scalars(kind: SymmetryClass, a: float, theta):
-    """``(F, G)`` of ``U = F I + G K``, scaled as in :func:`abc_scaled`."""
-    A, g, log_scale = abc_scaled(kind, a, theta)
-    sigma = _shift(kind, a)
-    if sigma == 0.0:
-        return A, g
-    # F = A - w g = exp(-w theta), formed without that cancellation
-    return np.exp(-sigma * np.asarray(theta, dtype=np.float64) - log_scale), (1.0 + sigma) * g
-
-
-def slope_pairs(p: HamiltonianParams, theta: np.ndarray):
-    """``(F, G)`` and its theta-derivative ``(-d g - sigma A, (1 + sigma) A)``
-    over a grid, all divided by the per-time scale ``|A| + max(1, a) |g|`` so
-    products of several stay finite; no ratio of a state's entries sees it."""
-    F, G = shifted_scalars(p.kind, p.a, theta)
+def shifted_pairs(p: HamiltonianParams, theta, slope: bool = False):
+    """``(F, G)`` of ``U = F I + G K`` at ``theta``, scaled as in :func:`abc_scaled`.
+    With ``slope``, that pair and its theta-derivative ``(-d g - sigma A,
+    (1 + sigma) A)``, all divided by the per-time scale ``|A| + max(1, a) |g|``
+    so products of several stay finite; no ratio of a state's entries sees it."""
+    A, g, log_scale = abc_scaled(p.kind, p.a, theta)
     sigma = _shift(p.kind, p.a)
-    A, g = F + sigma / (1.0 + sigma) * G, G / (1.0 + sigma)
+    # F = A - w g = exp(-w theta) where shifted, formed without that cancellation
+    F = np.exp(-sigma * np.asarray(theta, dtype=np.float64) - log_scale) if sigma else A
+    G = (1.0 + sigma) * g
+    if not slope:
+        return F, G
     top = np.abs(A) + max(1.0, p.a) * np.abs(g)
     F, G, A = F / top, G / top, A / top
     # -d g - sigma A is -w F where shifted (d = -w^2), without its cancellation
@@ -333,12 +326,35 @@ def product_terms(mats, psi) -> dict:
 
 
 def evolve_product(pairs, terms: dict) -> np.ndarray:
-    """The one state evaluator: ``(U_1 ⊗ U_2 ⊗ ...) psi`` over a time grid for
-    ``U_j = F_j I + G_j K_j`` and ``pairs[j] = (F_j, G_j)``, as the sum over k of
-    ``prod_j pairs[j][k_j]`` times the fixed term ``k`` (``F psi + G K psi`` for
-    one qubit); a pair's derivative (:func:`slope_pairs`) gives that factor's slope."""
+    """``(U_1 ⊗ U_2 ⊗ ...) psi`` over a time grid for ``U_j = F_j I + G_j K_j``
+    and ``pairs[j] = (F_j, G_j)``, as the sum over k of ``prod_j pairs[j][k_j]``
+    times the fixed term ``k`` (``F psi + G K psi`` for one qubit); a pair's
+    derivative (:func:`shifted_pairs`) gives that factor's slope."""
     return sum(np.multiply.outer(math.prod(pair[b] for pair, b in zip(pairs, k)), term)
                for k, term in terms.items())
+
+
+def pure_terms(params, psi) -> dict:
+    """The fixed terms of :func:`pure_rows`, which a scan's exact slopes reuse."""
+    return product_terms([shifted_generator(q.kind, q.a) for q in params], psi)
+
+
+def pure_rows(params, psi, times) -> np.ndarray:
+    """The one pure-state evaluator: unnormalized ``(U_1 ⊗ U_2 ⊗ ...) psi``
+    over a grid of any real times, shape ``(n, 2**len(params))``, qubit ``j``
+    evolving under ``params[j]``.  Each distinct parameter set's (F, G) is
+    formed once, at its own ``s t``; their per-time scales cancel in C."""
+    ts = np.asarray(times, dtype=np.float64)
+    pairs = {q: shifted_pairs(q, q.s * ts) for q in dict.fromkeys(params)}
+    return evolve_product([pairs[q] for q in params], pure_terms(params, psi))
+
+
+def pure_l1(v: np.ndarray) -> np.ndarray:
+    """l1 coherence ``2 sum_{i<j} |v_i| |v_j| / sum |v_i|^2`` of the
+    normalized pure state of each row of ``v``."""
+    mags = np.abs(v)
+    i, j = np.triu_indices(mags.shape[1], 1)
+    return 2.0 * (mags[:, i] * mags[:, j]).sum(axis=1) / (mags * mags).sum(axis=1)
 
 
 def propagator_grid(p: HamiltonianParams, times) -> np.ndarray:
@@ -399,8 +415,7 @@ def evolve_pure_grid(st: PureState, p: HamiltonianParams, times) -> np.ndarray:
     """Normalized evolution ``U(t)|st> / ||U(t)|st>||`` over a time grid:
     unit-norm rows, shape ``(n, 2)``.  The scaled scalars of
     :func:`abc_scaled` make arbitrarily deep broken-regime times safe."""
-    F, G = shifted_scalars(p.kind, p.a, p.s * _evolution_times(times))
-    v = evolve_product([(F, G)], product_terms([shifted_generator(p.kind, p.a)], st.vector()))
+    v = pure_rows([p], st.vector(), _evolution_times(times))
     norms = np.sqrt((v.real * v.real).sum(axis=1) + (v.imag * v.imag).sum(axis=1))
     if np.any(norms < 1e-300):
         raise DegenerateEvolutionError(
@@ -417,7 +432,7 @@ def evolve_density_grid(rho: DensityMatrix, p: HamiltonianParams, times) -> np.n
     Every evolved matrix passes the same checks as a
     :class:`DensityMatrix`; the first failure raises ``ValueError``.
     """
-    F, G = shifted_scalars(p.kind, p.a, p.s * _evolution_times(times))
+    F, G = shifted_pairs(p, p.s * _evolution_times(times))
     k = shifted_generator(p.kind, p.a)
     # vec(U rho U^dag) = (U ⊗ conj U) vec(rho): the two-factor evaluator
     terms = product_terms([k, k.conj()], rho.rho.ravel())

@@ -116,8 +116,9 @@ def simulate_counts(
     """
     if not 0 < exposure < math.inf:
         raise ValueError(f"exposure must be positive and finite, got {exposure}")
+    rng, lam = np.random.default_rng(seed), exposure * ideal_probabilities(rho)
     try:
-        n = np.random.default_rng(seed).poisson(exposure * ideal_probabilities(rho)).astype(float)
+        n = rng.poisson(lam).astype(float)
     except ValueError:
         raise ValueError(f"cannot sample Poisson counts at exposure {exposure:g}") from None
     n = np.minimum(n, float(exposure))

@@ -1,13 +1,16 @@
-"""Two-qubit extension: product evolution U(t) ⊗ U(t) of entangled states.
+"""Two-qubit extension: product evolution U_A(t) ⊗ U_B(t) of entangled states.
 
-Both qubits evolve under the same single-qubit generator (no
-interaction term), so the joint propagator is the Kronecker square of
-the single-qubit propagator and every single-qubit scale factor cancels
-in the trace-normalized density matrix.  The l1 coherence of the
-normalized 4x4 state can reach 3 (e.g. a balanced four-component
-superposition), unlike the single-qubit bound of 1.
+The qubits do not interact, so the joint state is the one pure-state
+evaluator :func:`~ptcoherence.evolution.pure_rows` on two qubits: exact
+because ``H_A ⊗ I`` and ``I ⊗ H_B`` commute, and every single-qubit scale
+factor cancels on renormalization.  Both qubits evolve under ``p`` unless
+``p_second`` gives the second its own parameters; such a pair is not
+scanned for extrema, since the scan runs in ``theta = s t`` of one
+generator.  The l1 coherence of the normalized 4-component state can
+reach 3 (e.g. a balanced four-component superposition), unlike the
+single-qubit bound of 1.
 
-Phenomenology mirrored from the single-qubit case:
+Phenomenology mirrored from the single-qubit case (one ``p`` for both):
 
 * unbroken regime — the two-qubit coherence is periodic with the same
   period ``T = pi / (s sqrt(|1 - a^2|))``;
@@ -17,12 +20,6 @@ Phenomenology mirrored from the single-qubit case:
   dominant eigenvector, giving ``C_AB -> (1 + c)^2 - 1`` for states
   with support on all four basis vectors (``c = 1/a`` for PT,
   ``c = 1`` for APT).
-
-A heterogeneous variant (a different parameter set per qubit) is
-``two_qubit_series(state, p, times, p_second=...)``: the product
-``U_A(t) ⊗ U_B(t)`` of the two closed-form propagators, which is exact
-because ``H_A ⊗ I`` and ``I ⊗ H_B`` commute.  Its extrema are not
-scanned: the scan runs in ``theta = s t`` of a single generator.
 """
 from __future__ import annotations
 
@@ -31,8 +28,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .evolution import (_evolution_times, evolve_product, product_terms, shifted_generator,
-                        shifted_scalars, slope_pairs)
+from .evolution import (_evolution_times, evolve_product, pure_l1, pure_rows, pure_terms,
+                        shifted_pairs)
 from .hamiltonian import HamiltonianParams
 
 if TYPE_CHECKING:
@@ -86,24 +83,11 @@ class TwoQubitState:
         return cls(np.array([1.0, 1.0, 1.0, np.exp(1j * np.pi / 5.0)]))
 
 
-def _joint_vectors(state: TwoQubitState, p: HamiltonianParams, times: np.ndarray,
-                   p_second: HamiltonianParams | None = None) -> np.ndarray:
-    """Unnormalized ``(U_A ⊗ U_B) psi`` over a time grid, shape ``(n, 4)``;
-    ``p_second`` (default ``p``) selects the second qubit's K and (F, G),
-    whose positive per-time scales cancel on renormalization."""
-    q = p if p_second is None else p_second
-    ts = np.asarray(times, dtype=np.float64)
-    c_a = shifted_scalars(p.kind, p.a, p.s * ts)
-    c_b = c_a if q is p else shifted_scalars(q.kind, q.a, q.s * ts)
-    terms = product_terms([shifted_generator(r.kind, r.a) for r in (p, q)], state.vector)
-    return evolve_product([c_a, c_b], terms)
-
-
 def evolve_two_qubit(state: TwoQubitState, p: HamiltonianParams, t: float,
                      p_second: HamiltonianParams | None = None) -> TwoQubitState:
     """Evolved, renormalized two-qubit state at time ``t`` under
     ``U_A(t) ⊗ U_B(t)`` (``p_second`` as in :func:`two_qubit_series`)."""
-    return TwoQubitState(_joint_vectors(state, p, _evolution_times([t]), p_second)[0])
+    return TwoQubitState(pure_rows([p, p_second or p], state.vector, _evolution_times([t]))[0])
 
 
 def two_qubit_series(state: TwoQubitState, p: HamiltonianParams, times: np.ndarray,
@@ -111,13 +95,9 @@ def two_qubit_series(state: TwoQubitState, p: HamiltonianParams, times: np.ndarr
     """Two-qubit l1 coherence of the evolved state over a time grid.
 
     ``p_second`` (default ``p``) gives the second qubit's parameters.
-    For the pure state ``v`` the off-diagonal magnitudes of ``|v><v|``
-    sum to ``2 sum_{i<j} |v_i| |v_j|``, taken as it stands so that a C far
-    below the rounding of the trace ``sum |v_i|^2`` is resolved.
+    C is :func:`~ptcoherence.evolution.pure_l1` of the evolved state.
     """
-    mags = np.abs(_joint_vectors(state, p, times, p_second))
-    i, j = np.triu_indices(4, 1)
-    return 2.0 * (mags[:, i] * mags[:, j]).sum(axis=1) / (mags * mags).sum(axis=1)
+    return pure_l1(pure_rows([p, p_second or p], state.vector, times))
 
 
 def two_qubit_slope(p: HamiltonianParams, terms: dict, theta: np.ndarray):
@@ -129,7 +109,7 @@ def two_qubit_slope(p: HamiltonianParams, terms: dict, theta: np.ndarray):
     sign of L' N - L sum Re(conj(v_i) v_i'), where
     L' = sum Re(conj(v_i) v_i') / |v_i| (terms with v_i = 0 dropped).
     """
-    c, dc = slope_pairs(p, theta)
+    c, dc = shifted_pairs(p, theta, slope=True)
     v = evolve_product([c, c], terms)
     dv = evolve_product([dc, c], terms) + evolve_product([c, dc], terms)
     mags, re = np.abs(v), (v.conj() * dv).real
@@ -161,7 +141,7 @@ def two_qubit_coherence_trace(state: TwoQubitState, p: HamiltonianParams,
     if ts.size < 2 or np.any(np.diff(ts) <= 0):
         raise ValueError("times must be strictly increasing, with at least two points")
     values = two_qubit_series(state, p, ts)
-    terms = product_terms([shifted_generator(p.kind, p.a)] * 2, state.vector)  # fixed for the scan
+    terms = pure_terms([p, p], state.vector)  # fixed for the scan
     scan = _scan(
         lambda q, grid: two_qubit_series(state, q, grid),
         lambda q, grid: two_qubit_slope(q, terms, grid),

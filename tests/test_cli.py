@@ -372,6 +372,30 @@ def test_exposure_beyond_poisson_sampler_exits_2(capsys):
     assert captured.err == "error: cannot sample Poisson counts at exposure 1e+30\n"
 
 
+@pytest.mark.parametrize("command", ["angles", "tomography"])
+def test_negative_seed_exits_2(capsys, command):
+    code = main([command, "--kind", "pt", "--a", "0.47", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "seed" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--kind", "pt", "--a", "0.47", "--s", "1e-200"),
+    ("--kind", "apt", "--a", "0.47", "--s", "1e-200"),
+    ("--kind", "pt", "--a", "0.47", "--s", "1e-160"),
+    ("--kind", "pt", "--a", "0.47", "--alpha", "1", "--beta", "1e-170"),
+], ids=["pt-s-1e-200", "apt-s-1e-200", "pt-s-1e-160", "beta-1e-170"])
+def test_tiny_coherence_closed_form_matches_matrix_path(capsys, argv):
+    # a coherence far below 1e-154 squares into the subnormal range or to 0
+    code, out = run(capsys, "trace", *argv, "--points", "3")
+    assert code == 0
+    rows = parse_csv(out)[2]
+    assert rows.shape == (3, 3) and np.any(rows[:, 2] > 0.0)
+    assert rows[:, 1] == pytest.approx(rows[:, 2], rel=1e-12, abs=0.0)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, field", [
     (("trace", "--kind", "pt", "--a", "0.47", "--t-min", "1e300", "--t-max", "2e300"), "t-max"),

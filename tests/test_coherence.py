@@ -34,7 +34,7 @@ from ptcoherence import (
     verify_extrema_conditions,
 )
 from ptcoherence.coherence import _median, coherence_slope
-from ptcoherence.evolution import product_terms, shifted_generator
+from ptcoherence.evolution import pure_terms
 from ptcoherence.twoqubit import two_qubit_slope
 
 from conftest import random_states
@@ -368,11 +368,11 @@ def _slope_checked(p, state, theta, h) -> int:
     central difference of the trace wherever that difference is well
     above its own error; return how many points were compared."""
     if isinstance(state, PureState):
-        terms = product_terms([shifted_generator(p.kind, p.a)], state.vector())
+        terms = pure_terms([p], state.vector())
         f, bound = coherence_slope(p, terms, theta)
         sign, series = np.sign(f.prod(axis=0)), lambda th: coherence_series(state, p, th)
     else:
-        terms = product_terms([shifted_generator(p.kind, p.a)] * 2, state.vector)
+        terms = pure_terms([p, p], state.vector)
         f, bound = two_qubit_slope(p, terms, theta)
         sign, series = np.sign(f[0]), lambda th: two_qubit_series(state, p, th)
     assert np.all(np.isfinite(f)) and np.all(np.isfinite(bound))

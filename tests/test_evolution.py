@@ -6,6 +6,7 @@ independent of the closed forms under test.
 """
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,6 +269,25 @@ def test_propagator_grid_matches_normalized_oracle():
     u_hat = propagator_grid(p, [t])[0]
     w = _oracle(p, t)
     assert frobenius_dist(u_hat / np.abs(u_hat).max(), w / np.abs(w).max()) < 1e-9
+
+
+@pytest.mark.parametrize("kind, a", [(SymmetryClass.PT, 0.47), (SymmetryClass.APT, 1.5),
+                                     (SymmetryClass.PT, 2.8), (SymmetryClass.APT, 0.47)],
+                         ids=["pt-unbroken", "apt-unbroken", "pt-broken", "apt-broken"])
+def test_abc_scaled_small_arguments_match_mpmath(kind, a):
+    # sin(x)/x and sinh(x)/x keep full precision down to the smallest subnormal x
+    thetas = np.array([sign * th for th in (0.0, 5e-324, 1e-300, 1e-12, 1e-5, 2e-4)
+                       for sign in (1.0, -1.0)])
+    A, g, log_scale = abc_scaled(kind, a, thetas)
+    assert not np.any(log_scale)
+    with mpmath.workdps(40):
+        d = (1 - mpmath.mpf(a) ** 2) * (1 if kind is SymmetryClass.PT else -1)
+        w = mpmath.sqrt(abs(d))
+        cos, sin = (mpmath.cos, mpmath.sin) if d > 0 else (mpmath.cosh, mpmath.sinh)
+        for th, got_a, got_g in zip(thetas, A, g):
+            x = w * mpmath.mpf(float(th))
+            assert got_a == pytest.approx(float(cos(x)), rel=1e-15, abs=0.0), th
+            assert got_g == pytest.approx(float(sin(x) / w), rel=1e-15, abs=0.0), th
 
 
 def test_negative_time_rejected():
