@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tolerances
-
 __all__ = [
     "SymmetryClass",
     "Regime",
@@ -129,24 +127,18 @@ def eigenvalues(p: HamiltonianParams) -> tuple[complex, complex]:
 
 
 def regime(p: HamiltonianParams) -> Regime:
-    """Classify the spectral phase of ``p``.
-
-    The band ``|a - 1| <= tolerances.ep_band`` (1e-9) is the exceptional
-    point.  The degeneracy is mathematically a single point, but
-    floating-point parameter scans need a band; since ``a`` is order
-    unity near the transition, the band is applied to ``|a - 1|``
-    directly.
+    """Classify the spectral phase of ``p`` by the sign of
+    :func:`w_squared`, the rule the evaluator uses.
 
     Returns
     -------
     Regime
-        ``EXCEPTIONAL_POINT`` within the band; otherwise PT is
-        ``UNBROKEN`` for ``a < 1`` and ``BROKEN`` for ``a > 1``, and
-        APT is the mirror image (``UNBROKEN`` for ``a > 1``).
+        ``UNBROKEN`` where ``w^2 > 0``, ``BROKEN`` where ``w^2 < 0`` and
+        ``EXCEPTIONAL_POINT`` where ``w^2 == 0``, which in doubles is
+        ``a == 1.0`` alone: PT is unbroken for ``a < 1`` and APT for
+        ``a > 1``.
     """
-    if abs(p.a - 1.0) <= tolerances.ep_band:
-        return Regime.EXCEPTIONAL_POINT
-    below = p.a < 1.0
-    if p.kind is SymmetryClass.PT:
-        return Regime.UNBROKEN if below else Regime.BROKEN
-    return Regime.BROKEN if below else Regime.UNBROKEN
+    w2 = w_squared(p.kind, p.a)
+    if w2 > 0.0:
+        return Regime.UNBROKEN
+    return Regime.BROKEN if w2 < 0.0 else Regime.EXCEPTIONAL_POINT

@@ -14,5 +14,3 @@ positivity: float = 1e-10
 optics_residual: float = 1e-6
 #: Allowed per-state deviation between target propagator and optical sequence.
 optics_state_action: float = 1e-6
-#: Half-width of the |a - 1| band that `hamiltonian.regime` calls the EP.
-ep_band: float = 1e-9

@@ -161,7 +161,7 @@ def test_criterion_5_propagator_fidelity(capsys):
     for i in range(1000):
         kind = SymmetryClass.PT if rng.integers(2) == 0 else SymmetryClass.APT
         if i % 20 == 0:
-            a = 1.0 + float(rng.uniform(-1e-6, 1e-6))  # exceptional-point band
+            a = 1.0 + float(rng.uniform(-1e-6, 1e-6))  # draws within 1e-6 of a = 1
         else:
             a = 3.0 * (1.0 - float(rng.random()))  # uniform over (0, 3]
         t = float(rng.uniform(0.0, 20.0))

@@ -143,12 +143,34 @@ def test_backflow_report(capsys):
 @pytest.mark.parametrize("kind, a, expected", [
     ("apt", "1.01", (2, "SingleBackflow")),  # a flat maximum C = 0.9999877
     ("pt", "0.9999", (4, "DoubleTouch")),
+    # within 1e-9 of a = 1, still on the unbroken side
+    ("pt", "0.9999999995", (4, "DoubleTouch")),
+    ("apt", "1.0000000005", (2, "SingleBackflow")),
 ])
 def test_backflow_report_near_exceptional_point(capsys, kind, a, expected):
     code, out = run(capsys, "backflow", "--kind", kind, "--a", a, "--state", "h-sqrt3v")
     assert code == 0
     payload = json.loads(out)
     assert (payload["zeros_per_period"], payload["classification"]) == expected
+
+
+@pytest.mark.parametrize("kind, a", [("pt", "0.9999999995"), ("apt", "1.0000000005")])
+def test_period_report_near_exceptional_point(capsys, kind, a):
+    code, out = run(capsys, "period", "--kind", kind, "--a", a, "--state", "h-sqrt3v")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["regime"] == "unbroken"
+    assert np.isfinite(payload["period_theoretical"])
+    assert payload["period_estimate"] == pytest.approx(payload["period_theoretical"], rel=1e-6)
+
+
+def test_asymptote_report_near_exceptional_point(capsys):
+    code, out = run(capsys, "asymptote", "--kind", "pt", "--a", "1.0000000005",
+                    "--state", "h-sqrt3v")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["regime"] == "broken"
+    assert payload["asymptote_theoretical"] == 1 / 1.0000000005
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -397,18 +419,36 @@ def test_tiny_coherence_closed_form_matches_matrix_path(capsys, argv):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("argv, field", [
-    (("trace", "--kind", "pt", "--a", "0.47", "--t-min", "1e300", "--t-max", "2e300"), "t-max"),
-    (("bloch", "--kind", "apt", "--a", "1.5", "--s", "1e10", "--t-max", "1e6"), "t-max"),
-    (("trace", "--kind", "pt", "--a", "1.0", "--t-max", "1e16"), "t-max"),
-    (("tomography", "--kind", "apt", "--a", "1.5", "--t", "1e16"), "t"),
-], ids=["pt-unbroken", "apt-unbroken-large-s", "exceptional-point", "single-time"])
-def test_unresolved_phase_exits_2(capsys, argv, field):
+@pytest.mark.parametrize("argv, field, phase", [
+    (("trace", "--kind", "pt", "--a", "0.47", "--t-min", "1e300", "--t-max", "2e300"), "t-max",
+     "1.76533e+300"),
+    (("bloch", "--kind", "apt", "--a", "1.5", "--s", "1e10", "--t-max", "1e6"), "t-max",
+     "1.11803e+16"),
+    (("trace", "--kind", "pt", "--a", "1.0", "--t-max", "1e16"), "t-max", "1e+16"),
+    (("tomography", "--kind", "apt", "--a", "1.5", "--t", "1e16"), "t", "1.11803e+16"),
+    # w = sqrt(1 - a^2) = 3.16228e-5
+    (("trace", "--kind", "pt", "--a", "0.9999999995", "--t-max", "1e21"), "t-max",
+     "3.16228e+16"),
+], ids=["pt-unbroken", "apt-unbroken-large-s", "exceptional-point", "single-time",
+        "pt-unbroken-near-exceptional-point"])
+def test_unresolved_phase_exits_2(capsys, argv, field, phase):
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {field} = ") and "2**52" in captured.err
+    assert captured.err.startswith(f"error: {field} = ")
+    assert f"phase w*s*|t| = {phase} above 2**52" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_resolved_phase_near_exceptional_point(capsys):
+    # t-max = 1e16 is a phase of w t = 3.2e11 at a = 0.9999999995
+    code, out = run(capsys, "trace", "--kind", "pt", "--a", "0.9999999995",
+                    "--t-max", "1e16", "--points", "3")
+    assert code == 0
+    rows = parse_csv(out)[2]
+    assert rows.shape == (3, 3)
+    assert np.array_equal(rows[:, 1], rows[:, 2])
 
 
 @pytest.mark.filterwarnings("error")

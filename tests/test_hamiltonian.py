@@ -1,6 +1,8 @@
 """Generator construction, spectra, and regime classification."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from ptcoherence import (
     eigenvalues,
     regime,
 )
+from ptcoherence.hamiltonian import w_squared
 
 
 def _pt(a: float, s: float = 1.0) -> HamiltonianParams:
@@ -102,10 +105,17 @@ def test_regime_classification_apt_is_mirrored():
     assert regime(_apt(1.0)) is Regime.EXCEPTIONAL_POINT
 
 
-def test_regime_eps_band():
-    assert regime(_pt(1.0 + 1e-12)) is Regime.EXCEPTIONAL_POINT
-    assert regime(_pt(1.0 - 1e-12)) is Regime.EXCEPTIONAL_POINT
-    assert regime(_pt(1.0 + 1e-6)) is Regime.BROKEN
+@pytest.mark.parametrize("make", [_pt, _apt])
+@pytest.mark.parametrize("a", [math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+                               1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-9, 1.0 + 1e-9])
+def test_regime_is_the_sign_of_w_squared(make, a):
+    # only a == 1.0 is the exceptional point; its neighbouring doubles are not
+    p = make(a)
+    unbroken = (a < 1.0) == (p.kind is SymmetryClass.PT)
+    w2 = w_squared(p.kind, a)
+    assert w2 != 0.0 and (w2 > 0.0) == unbroken
+    assert regime(p) is (Regime.UNBROKEN if unbroken else Regime.BROKEN)
+    assert regime(make(1.0)) is Regime.EXCEPTIONAL_POINT
 
 
 def test_gamma_property():

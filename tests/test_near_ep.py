@@ -31,7 +31,7 @@ from ptcoherence import (
 from conftest import random_states
 
 _DPS = 60
-_GAPS = [1e-2, 1e-4, 1e-6, 1e-7, 1e-8]
+_GAPS = [1e-2, 1e-4, 1e-6, 1e-7, 1e-8, 1e-9]
 #: Phase of the EP eigenvector (1, e^{i phi}) / sqrt(2): (1, -i) for PT, (1, i) for APT.
 _EP_PHASE = {SymmetryClass.PT: 1.5 * math.pi, SymmetryClass.APT: 0.5 * math.pi}
 
