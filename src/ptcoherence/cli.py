@@ -223,7 +223,7 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     if merged["kind"] is None:
         raise ValueError("kind is required (pt or apt)")
     try:
-        kind = SymmetryClass(str(merged["kind"]).lower())
+        kind = SymmetryClass(merged["kind"])
     except ValueError:
         raise ValueError(f"kind must be 'pt' or 'apt', got {merged['kind']!r}") from None
     if merged["a"] is None:
@@ -481,16 +481,17 @@ def _report(cfg: argparse.Namespace, fields: dict) -> str:
 
 def cmd_trace(cfg: argparse.Namespace) -> str:
     """CSV columns t, C_closed_form, C_matrix_path — the scalar closed
-    form and the independent propagator-conjugation route, side by side."""
-    from .coherence import coherence_series
+    form and the independent propagator-conjugation route, side by side:
+    C_matrix_path is :func:`~ptcoherence.coherence.l1_coherence` of the
+    density matrices that :func:`evolve_density_grid` evolves."""
+    from .coherence import coherence_series, l1_coherence
 
     st, p = cfg.state, cfg.params
     assert st is not None
 
     def rows_of(ts: np.ndarray) -> np.ndarray:
         closed = coherence_series(st, p, ts)
-        rhos = evolve_density_grid(st.density(), p, ts)
-        matrix_path = 2.0 * np.abs(rhos[:, 0, 1])  # l1 coherence of a Hermitian 2x2
+        matrix_path = l1_coherence(evolve_density_grid(st.density(), p, ts))
         return np.column_stack([ts, closed, matrix_path])
 
     return _grid_text(cfg, ("t", "C_closed_form", "C_matrix_path"), rows_of)

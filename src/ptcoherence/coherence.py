@@ -53,8 +53,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .evolution import (DensityMatrix, PureState, _evolution_times, evolve_product, pure_l1,
-                        pure_rows, pure_terms, shifted_pairs)
+from .evolution import (PureState, _evolution_times, evolve_product, pure_l1, pure_rows,
+                        pure_terms, shifted_pairs)
 from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime, w_squared
 
 __all__ = [
@@ -143,23 +143,21 @@ class BackflowReport:
 # basic quantities
 # ---------------------------------------------------------------------------
 
-def l1_coherence(rho) -> float:
-    """Sum of the magnitudes of all off-diagonal density-matrix entries.
+def l1_coherence(rho):
+    """l1 coherence ``C = sum_{i != j} |rho_ij|`` of one density matrix or a stack.
 
-    Accepts a :class:`~ptcoherence.evolution.DensityMatrix`, a
-    two-qubit state object exposing ``rho4``, or a raw square array.
-    For a 2x2 matrix this equals ``2 |rho_01|``.
+    ``rho`` is a :class:`~ptcoherence.evolution.DensityMatrix`, a state
+    exposing ``rho4`` (a two-qubit state), or an array of square
+    matrices of shape ``(..., n, n)``.  Only the off-diagonal magnitudes
+    are added, so a small C keeps its digits (for a Hermitian 2x2 matrix
+    it is ``2 |rho_01|``).  Returns a float for one matrix and an array
+    of shape ``(...)`` for a stack.
     """
-    if isinstance(rho, DensityMatrix):
-        arr = rho.rho
-    elif hasattr(rho, "rho4"):
-        arr = rho.rho4
-    else:
-        arr = np.asarray(rho, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    mags = np.abs(arr)
-    return float(mags.sum() - np.trace(mags))
+    arr = np.asarray(getattr(rho, "rho", getattr(rho, "rho4", rho)), dtype=complex)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"expected square matrices (..., n, n), got shape {arr.shape}")
+    c = np.abs(arr[..., ~np.eye(arr.shape[-1], dtype=bool)]).sum(axis=-1)
+    return float(c) if c.ndim == 0 else c
 
 
 def coherence_series(st: PureState, p: HamiltonianParams, times: np.ndarray) -> np.ndarray:

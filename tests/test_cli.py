@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import signal
 import subprocess
@@ -21,6 +22,7 @@ import ptcoherence as pc
 from ptcoherence import cli
 from ptcoherence.cli import (_csv_rows, _csv_text, _fmt, _json_grid_text, _json_rows, _json_text,
                              main)
+from ptcoherence.tomography import _ml_bloch
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -218,6 +220,23 @@ def test_tomography_report(capsys):
     assert payload["trace_distance"] < 0.05
 
 
+def test_tomography_coherences_keep_their_digits(capsys):
+    # at a = 1e8 the true coherence is 1e-8, far below the diagonal's 1
+    code, out = run(capsys, "tomography", "--kind", "pt", "--a", "1e8", "--state", "D",
+                    "--t", "10")
+    assert code == 0
+    payload = json.loads(out)
+    re01, im01 = payload["rho_true"][0][1]
+    assert payload["coherence_true"] == pytest.approx(2.0 * math.hypot(re01, im01), rel=1e-11)
+    assert payload["coherence_true"] == 1e-08
+    # the reconstruction's C is hypot(x, y) of its Bloch vector, as in the bootstrap
+    p = pc.HamiltonianParams(kind=pc.SymmetryClass.PT, s=1.0, a=1e8)
+    rho_true = pc.evolve_density(pc.PureState.preset("D").density(), p, 10.0)
+    record = pc.simulate_counts(rho_true, 30000.0, seed=0)
+    x, y, _ = _ml_bloch(record.as_array()[None, :], record.exposure)[0]
+    assert payload["coherence_reconstructed"] == float(_fmt(math.hypot(x, y)))
+
+
 def test_bloch_csv(capsys):
     code, out = run(capsys, "bloch", "--kind", "apt", "--a", "0.47", "--state", "D",
                     "--t-max", "3", "--points", "7")
@@ -278,6 +297,31 @@ def test_unknown_config_key_is_validation_error(tmp_path, capsys):
     cfg.write_text("kind = pt\na = 0.31\nbogus = 1\n")
     code, _ = run(capsys, "trace", "--config", str(cfg))
     assert code == 2
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("trace", "kind = pt\na = 0.5\npoints\n", "run.cfg:3: expected key=value, got 'points'"),
+    ("trace", "kind = pt\na = 0.5\npoints = many\n", "run.cfg:3: bad value for points: 'many'"),
+    ("period", "kind = xx\na = 0.5\n", "kind must be 'pt' or 'apt', got 'xx'"),
+    ("period", "kind = PT\na = 0.5\n", "kind must be 'pt' or 'apt', got 'PT'"),
+    ("trace", "kind = pt\na = 0.5\nformat = xml\n", "format must be csv or json, got 'xml'"),
+], ids=["no-equals", "bad-points", "unknown-kind", "upper-case-kind", "bad-format"])
+def test_config_error_exits_2_naming_the_field(tmp_path, capsys, command, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code = main([command, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_config_comments_and_blank_lines_are_skipped(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a run of the APT family\n\nkind = apt  # generator family\na = 1.5\n")
+    code, out = run(capsys, "period", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["period_theoretical"] == 2.80992589242
 
 
 def test_missing_config_file_is_io_error(capsys):
@@ -366,6 +410,26 @@ def test_non_finite_input_exits_2(capsys, argv, field):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and f" {field} must be" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("trace", "--kind", "pt", "--a", "0.5", "--t-min", "2", "--t-max", "1"),
+     "t-max must exceed t-min, got (2.0, 1.0)"),
+    (("trace", "--kind", "pt", "--a", "0.5", "--t-min", "-1"), "t-min must be nonnegative"),
+    (("angles", "--kind", "pt", "--a", "0.5", "--t", "-1"), "t must be nonnegative"),
+    (("tomography", "--kind", "pt", "--a", "0.5", "--exposure", "-5"),
+     "exposure must be positive"),
+    (("tomography", "--kind", "pt", "--a", "0.5", "--exposure", "0"),
+     "exposure must be positive"),
+    (("period", "--kind", "pt", "--a", "0.5", "--alpha", "1"), "need both alpha and beta"),
+], ids=["window-reversed", "t_min-negative", "t-negative", "exposure-negative",
+        "exposure-zero", "alpha-without-beta"])
+def test_out_of_range_input_exits_2_naming_the_field(capsys, argv, message):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 @pytest.mark.filterwarnings("error")

@@ -65,6 +65,35 @@ def test_l1_of_raw_array_counts_all_offdiagonals():
     assert l1_coherence(four) == pytest.approx(0.05 * 12, abs=1e-14)
 
 
+def test_l1_adds_only_the_offdiagonal_magnitudes():
+    # the total minus the diagonal would round a 1e-20 coherence to 0
+    assert l1_coherence([[1, 1e-20], [1e-20, 0]]) == 2e-20
+    assert l1_coherence(np.diag([0.3, 0.7])) == 0.0
+
+
+def test_l1_of_a_stack_equals_each_matrix_on_its_own():
+    rng = np.random.default_rng(5)
+    two = np.empty((6, 2, 2), dtype=complex)
+    two[:, 0, 0], two[:, 1, 1] = 1.0, 0.0
+    two[:, 0, 1] = (rng.normal(size=6) + 1j * rng.normal(size=6)) * 10.0 ** -rng.integers(0, 30, 6)
+    two[:, 1, 0] = two[:, 0, 1].conj()
+    four = np.eye(4) + 1e-17 * rng.normal(size=(3, 4, 4))
+    for stack in (two, four, four.reshape(3, 1, 4, 4)):
+        values = l1_coherence(stack)
+        assert values.shape == stack.shape[:-2]
+        for idx in np.ndindex(values.shape):
+            assert values[idx] == l1_coherence(stack[idx])
+    assert l1_coherence(two) == pytest.approx(2.0 * np.abs(two[:, 0, 1]), rel=1e-15)
+    by_entry = sum(abs(four[0, i, j]) for i in range(4) for j in range(4) if i != j)
+    assert l1_coherence(four)[0] == pytest.approx(by_entry, rel=1e-12)
+
+
+def test_l1_rejects_non_square_input():
+    for bad in (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3))):
+        with pytest.raises(ValueError, match="square"):
+            l1_coherence(bad)
+
+
 def test_l1_accepts_two_qubit_state_objects():
     psi = pc.TwoQubitState.psi_3()
     assert l1_coherence(psi) == pytest.approx(3.0, abs=1e-12)

@@ -171,6 +171,30 @@ def test_solve_angles_round_trip(p, t):
     assert svals.max() <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("p", [_pt(0.47), _pt(2.8), _apt(1.5), _apt(0.47)],
+                         ids=["pt-0.47", "pt-2.8", "apt-1.5", "apt-0.47"])
+def test_state_action_of_solved_sequence_keeps_its_digits(p):
+    # sqrt(2 - 2 |<u, v>|) can only print sqrt(k eps) ~ 1.5e-8 near overlap 1
+    assert verify_state_action(solve_angles(p, 1.0, seed=0), seed=1) <= 1e-13
+
+
+def test_state_action_is_the_phase_aligned_distance_over_the_same_panel():
+    p, t, seed = _apt(1.5), 0.9, 7
+    solved = solve_angles(p, t, seed=3)
+    seq = OpticalSequence(p, tuple(a + 1e-3 for a in solved.angles), t, solved.residual)
+    target = propagator_grid(p, [t])[0]
+    mat = assemble(p.kind, seq.angles)
+    rng = np.random.default_rng(seed)
+    expected = 0.0
+    for _ in range(10):  # the panel drawn state by state
+        raw = rng.normal(size=2) + 1j * rng.normal(size=2)
+        u, v = target @ raw, mat @ raw
+        overlap = abs(np.vdot(u / np.linalg.norm(u), v / np.linalg.norm(v)))
+        expected = max(expected, math.sqrt(2.0 - 2.0 * overlap))
+    assert expected > 1e-4
+    assert verify_state_action(seq, seed=seed) == pytest.approx(expected, rel=1e-8)
+
+
 def test_solve_angles_identity_at_zero_time():
     seq = solve_angles(_pt(0.31), 0.0, seed=1)
     m = assemble(SymmetryClass.PT, seq.angles)
