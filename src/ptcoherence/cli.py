@@ -11,6 +11,10 @@ tomography  JSON true vs reconstructed state with bootstrap error bar
 bloch       CSV Bloch trajectory t, x, y, z
 two-qubit   CSV two-qubit coherence of the three reference states
 
+One record per subcommand, in ``_SUBCOMMANDS``, holds its help, its
+fields and its ``cmd_*`` function; the parser, the run and the dispatch
+all read it.
+
 Determinism: identical invocations (flags + config + seed) produce
 byte-identical output, whatever the number of usable cores.  No
 timestamps are emitted, JSON keys are sorted, and every float is
@@ -29,8 +33,8 @@ by one body (``_csv_rows`` or ``_json_rows``), and the joined rows are
 framed once (``_csv_text`` or ``_json_grid_text``).
 
 Exit codes: 0 success; 2 validation error (the message names the
-violated precondition); 3 solver failure (no optical decomposition);
-4 I/O error.
+violated precondition); 3 solver failure (no optical decomposition
+within the ``tolerances.optics_*`` bounds); 4 I/O error.
 """
 from __future__ import annotations
 
@@ -83,22 +87,6 @@ _COMMON = ("kind", "s", "a", "seed", "output", "format")
 _STATE = ("state", "alpha", "beta", "phi")
 _WINDOW = ("t_min", "t_max")
 
-#: Each subcommand's help and the fields it takes, in flag order.  The
-#: commands with a grid length emit CSV by default, the others JSON only;
-#: asymptote's scan has its own fixed sampling, so it takes no points.
-_SUBCOMMANDS = {
-    "trace": ("coherence trace CSV", _COMMON + _STATE + _WINDOW + ("points",)),
-    "period": ("oscillation-period report", _COMMON + _STATE),
-    "asymptote": ("stable-value report", _COMMON + _STATE + _WINDOW),
-    "backflow": ("backflow-count report", _COMMON + _STATE),
-    "angles": ("optical sequence realizing U(t)", _COMMON + ("t", "restarts")),
-    "tomography": ("simulated tomography round trip",
-                   _COMMON + _STATE + ("t", "exposure", "resamples")),
-    "bloch": ("Bloch trajectory CSV", _COMMON + _STATE + _WINDOW + ("points",)),
-    "two-qubit": ("two-qubit coherence CSV", _COMMON + _WINDOW + ("points",)),
-}
-
-
 # ---------------------------------------------------------------------------
 # parsing and config resolution
 # ---------------------------------------------------------------------------
@@ -109,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Coherence dynamics of PT- and anti-PT-symmetric qubits.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, fields) in _SUBCOMMANDS.items():
+    for name, (help_text, fields, _) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="key=value config file (flags override it)")
         for key in fields:
@@ -271,10 +259,7 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
 # ---------------------------------------------------------------------------
 
 def _fmt(v: float) -> str:
-    f = float(v)
-    if f == 0.0:
-        f = 0.0  # never print "-0"
-    return f"{f:.12g}"
+    return f"{float(v) + 0.0:.12g}"  # adding 0.0 turns -0.0 into 0.0: never print "-0"
 
 
 def _round_floats(obj):
@@ -537,6 +522,7 @@ def cmd_backflow(cfg: argparse.Namespace) -> str:
 
 def cmd_angles(cfg: argparse.Namespace) -> str:
     """Inverse design: waveplate/loss angles realizing U(t), verified."""
+    from . import tolerances
     from .optics import (_N_STATES, NoDecompositionError, sequence_to_dict, solve_angles,
                          verify_state_action)
 
@@ -545,6 +531,10 @@ def cmd_angles(cfg: argparse.Namespace) -> str:
     except NoDecompositionError as exc:
         raise _SolverFailure(str(exc)) from exc
     deviation = verify_state_action(seq, seed=cfg.seed + 1)
+    tol = tolerances.optics_state_action
+    if not deviation <= tol:
+        raise _SolverFailure(f"the solved sequence's state-action deviation {deviation:.6g} "
+                             f"exceeds the tolerance {tol:g}")
     return _report(cfg, {
         **sequence_to_dict(seq),
         "seed": cfg.seed,
@@ -611,15 +601,20 @@ def cmd_two_qubit(cfg: argparse.Namespace) -> str:
     return _grid_text(cfg, ("t", "C_psi1", "C_psi2", "C_psi3"), rows_of)
 
 
-_COMMANDS = {
-    "trace": cmd_trace,
-    "period": cmd_period,
-    "asymptote": cmd_asymptote,
-    "backflow": cmd_backflow,
-    "angles": cmd_angles,
-    "tomography": cmd_tomography,
-    "bloch": cmd_bloch,
-    "two-qubit": cmd_two_qubit,
+#: The one record of each subcommand: its help, the fields it takes in
+#: flag order, and its command.  The commands with a grid length emit CSV
+#: by default, the others JSON only; asymptote's scan has its own fixed
+#: sampling, so it takes no points.
+_SUBCOMMANDS = {
+    "trace": ("coherence trace CSV", _COMMON + _STATE + _WINDOW + ("points",), cmd_trace),
+    "period": ("oscillation-period report", _COMMON + _STATE, cmd_period),
+    "asymptote": ("stable-value report", _COMMON + _STATE + _WINDOW, cmd_asymptote),
+    "backflow": ("backflow-count report", _COMMON + _STATE, cmd_backflow),
+    "angles": ("optical sequence realizing U(t)", _COMMON + ("t", "restarts"), cmd_angles),
+    "tomography": ("simulated tomography round trip",
+                   _COMMON + _STATE + ("t", "exposure", "resamples"), cmd_tomography),
+    "bloch": ("Bloch trajectory CSV", _COMMON + _STATE + _WINDOW + ("points",), cmd_bloch),
+    "two-qubit": ("two-qubit coherence CSV", _COMMON + _WINDOW + ("points",), cmd_two_qubit),
 }
 
 
@@ -629,7 +624,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        text = _COMMANDS[cfg.subcommand](cfg)
+        text = _SUBCOMMANDS[cfg.subcommand][2](cfg)
         _emit(cfg, text)
     except _SolverFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

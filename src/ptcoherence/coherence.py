@@ -108,8 +108,8 @@ class CoherenceTrace:
     times, values:
         The sampling grid (sorted, half-open window) and C values.
     extrema:
-        Stationary points sorted by time, located to tolerance 1e-8 in
-        ``theta = s t`` (time tolerance ``1e-8 / s``).
+        Stationary points sorted by time, located to ``_BISECT_WIDTH``
+        (1e-9) in ``theta = s t`` (time tolerance ``_BISECT_WIDTH / s``).
     period_estimate:
         Fundamental period recovered from the extremum spacing and
         validated by folding the trace onto itself; None when the
@@ -232,11 +232,11 @@ def find_extrema(
     Dense sampling of the closed form (``_SCAN_SAMPLES`` points), sign
     changes of the two exact factors of dC/dtheta (see
     :func:`coherence_slope`) refined by bisection, all in
-    ``theta = s t``: time tolerance ``1e-8 / s``, and counts do not
-    depend on ``s``.  Seam rule: a stationary point within the
-    bisection width of either end of the window is counted once, at t0
-    (so a window of one period, wherever it starts, holds each
-    extremum of the period exactly once).
+    ``theta = s t``: time tolerance ``_BISECT_WIDTH / s`` (1e-9 in
+    theta), and counts do not depend on ``s``.  Seam rule: a stationary
+    point within the bisection width of either end of the window is
+    counted once, at t0 (so a window of one period, wherever it starts,
+    holds each extremum of the period exactly once).
 
     Returns
     -------
@@ -290,12 +290,12 @@ def _scan(
     within the bound are skipped.  The seam rule: t0 is stationary when a
     factor there is within its bound or changes sign across
     ``t0 -/+ _BISECT_WIDTH`` (it then contributes the sign just after
-    it), and roots within ``_BISECT_WIDTH`` of t1 are dropped.  The
-    slope's change across the final bracket gives the kind.  In the
-    broken regime the slope is sampled only up to ``2 w theta = 52 ln 2``,
-    past which every ratio of propagator entries equals its limit to
-    double precision; roots beyond it are dropped.  Times and period
-    are divided by ``s`` on return.
+    it); a root within ``_BISECT_WIDTH`` of t1, or of the root before it,
+    is dropped.  The slope's change across the final bracket gives the
+    kind.  In the broken regime the slope is sampled only up to
+    ``2 w theta = 52 ln 2``, past which every ratio of propagator entries
+    equals its limit to double precision; roots beyond it are dropped.
+    Times and period are divided by ``s`` on return.
     """
     w0, w1 = float(window[0]), float(window[1])
     t0, t1 = p.s * w0, p.s * w1
@@ -343,7 +343,7 @@ def _scan(
         keep = (roots < t1 - _BISECT_WIDTH) & (np.abs(roots) <= cut)
         order = np.flatnonzero(keep)[np.argsort(roots[keep], kind="stable")]
         for r, val, mx in zip(roots[order], series(unit, roots[order]), is_max[order]):
-            if extrema and r - extrema[-1].time <= 1e-8:
+            if extrema and r - extrema[-1].time <= _BISECT_WIDTH:
                 continue
             extrema.append(Extremum(time=float(r), value=float(val), kind="max" if mx else "min"))
         if i.size and samples < 16 * i.size:
@@ -492,7 +492,7 @@ def verify_extrema_conditions(st: PureState, p: HamiltonianParams) -> tuple[floa
     end = math.pi / w - _BISECT_WIDTH
     times: list[float] = []
     for u in sorted(0.0 if th / w > end else th / w for th in thetas):
-        if not times or u - times[-1] > 1e-9:
+        if not times or u - times[-1] > _BISECT_WIDTH:
             times.append(u)
     return tuple(u / s for u in times)
 

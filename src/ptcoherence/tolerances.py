@@ -3,7 +3,9 @@
 ``perfbench/checks.py`` reads ``optics_residual`` and ``optics_state_action``
 from this file without importing the package: it looks for annotated
 assignments by name, so those two stay lowercase ``name: float = value``
-lines.  The values suit double-precision 2x2 / 4x4 problems.
+lines.  The values suit double-precision 2x2 / 4x4 problems.  A solved
+optical sequence must meet both: ``solve_angles`` raises above
+``optics_residual``, and ``angles`` exits 3 above ``optics_state_action``.
 """
 
 #: Hermiticity / unit-trace tolerance for density matrices.

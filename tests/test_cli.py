@@ -364,7 +364,6 @@ def test_flag_surface(tmp_path):
         for name, sp in subparsers.choices.items()
     }
     assert accepted == SUBCOMMAND_FLAGS
-    assert cli._COMMANDS.keys() == cli._SUBCOMMANDS.keys()
     # a config file holds the same keys as the long flags
     keys = {flag[2:].replace("-", "_") for flags in SUBCOMMAND_FLAGS.values()
             for flag in flags} - {"config"}
@@ -675,6 +674,16 @@ def test_solver_failure_exits_3(monkeypatch, capsys):
     assert code == 3
 
 
+def test_state_action_above_tolerance_exits_3(monkeypatch, capsys):
+    # a solved sequence whose state action misses tolerances.optics_state_action
+    monkeypatch.setattr("ptcoherence.optics.verify_state_action", lambda seq, seed: 1e-3)
+    code = main(["angles", "--kind", "pt", "--a", "0.47"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "0.001" in captured.err and "1e-06" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # grid commands in row ranges
 # ---------------------------------------------------------------------------
@@ -800,7 +809,7 @@ for argv in %r:
     for fmt in ("csv", "json"):
         cfg = cli._resolve_config(cli._build_parser().parse_args([*argv, "--format", fmt]))
         before = set(sys.modules)
-        cli._COMMANDS[cfg.subcommand](cfg)
+        cli._SUBCOMMANDS[cfg.subcommand][2](cfg)
         print(sorted(set(sys.modules) - before))
 """ % (list(_GRID_COMMANDS),))
     assert result.returncode == 0, result.stderr

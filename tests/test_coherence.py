@@ -33,7 +33,7 @@ from ptcoherence import (
     two_qubit_series,
     verify_extrema_conditions,
 )
-from ptcoherence.coherence import _median, coherence_slope
+from ptcoherence.coherence import _BISECT_WIDTH, _median, _scan, coherence_slope
 from ptcoherence.evolution import pure_terms
 from ptcoherence.twoqubit import two_qubit_slope
 
@@ -277,6 +277,25 @@ def test_find_extrema_plateau_has_no_spurious_points():
     trace = find_extrema(PureState.preset("D"), p, (0.0, 10.0))
     assert len(trace.extrema) <= 2
     assert all(e.time < 3.0 for e in trace.extrema)
+
+
+def _two_root_scan(gap: float) -> list[str]:
+    """Kinds that _scan finds when the two slope factors vanish at 0.3 and
+    0.3 + gap, in one grid cell, with zero rounding bounds."""
+    def slope(q, th):
+        th = np.asarray(th, dtype=float)
+        f = np.stack([0.3 - th, 0.3 + gap - th])
+        return f, np.zeros_like(f)
+
+    trace = _scan(lambda q, th: np.cos(3 * th) + 2, slope, _pt(0.5), (0.0, 1.0), 2048)
+    return [e.kind for e in trace.extrema]
+
+
+def test_scan_keeps_roots_five_bisection_widths_apart():
+    # each root is located to _BISECT_WIDTH, so roots 5 widths apart are
+    # two stationary points, and roots half a width apart are one
+    assert _two_root_scan(5 * _BISECT_WIDTH) == ["max", "min"]
+    assert len(_two_root_scan(0.5 * _BISECT_WIDTH)) == 1
 
 
 @pytest.mark.parametrize("kind, a", [
