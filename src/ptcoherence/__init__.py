@@ -30,7 +30,6 @@ _EXPORTS = {
         "DegenerateEvolutionError",
         "PureState",
         "DensityMatrix",
-        "Propagator",
         "propagator_analytic",
         "evolve_density",
     ),

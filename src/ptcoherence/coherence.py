@@ -118,9 +118,6 @@ class CoherenceTrace:
         Mean of the final 10% of the window when the trace has
         converged there (|slope| below 1e-6 per unit theta); None
         otherwise.
-    warning:
-        Set when the window is too short to resolve the requested
-        structure.
     """
 
     times: np.ndarray = field(repr=False)
@@ -128,7 +125,6 @@ class CoherenceTrace:
     extrema: tuple[Extremum, ...]
     period_estimate: float | None
     asymptote_estimate: float | None
-    warning: str | None = None
 
 
 @dataclass(frozen=True)
@@ -310,7 +306,7 @@ def _scan(
     ts = t0 + (t1 - t0) * np.arange(samples) / samples  # half-open grid
     values = series(unit, ts)
     extrema: list[Extremum] = []
-    period = warning = None
+    period = None
     cut = math.inf
     if regime(p) is Regime.BROKEN:
         cut = 26.0 * math.log(2.0) / math.sqrt(abs(w_squared(p.kind, p.a)))
@@ -346,8 +342,6 @@ def _scan(
             if extrema and r - extrema[-1].time <= _BISECT_WIDTH:
                 continue
             extrema.append(Extremum(time=float(r), value=float(val), kind="max" if mx else "min"))
-        if i.size and samples < 16 * i.size:
-            warning = "window/sampling may be too coarse for the detected oscillation"
         period = _period_estimate(lambda th: series(unit, th), extrema, t0, t1,
                                   float(np.ptp(values)))
     return CoherenceTrace(
@@ -356,7 +350,6 @@ def _scan(
         extrema=tuple(Extremum(e.time / p.s, e.value, e.kind) for e in extrema),
         period_estimate=None if period is None else period / p.s,
         asymptote_estimate=_asymptote_estimate(ts, values),
-        warning=warning,
     )
 
 

@@ -36,6 +36,9 @@ Numerical notes
   products) stay below the overflow threshold (~e^709).  At the EP
   they grow like ``|theta|``, which is pulled out past ``e^150``.  The
   rescaling is exact for the ratios that all observables reduce to.
+* :func:`propagator_scaled` is the one single-time propagator, the pair
+  ``(U_hat, log_scale)``; :func:`propagator_analytic` returns the plain
+  2x2 ``U`` and raises ``OverflowError`` where an entry would overflow.
 * Grid functions work on whole time grids in array operations; none
   loops over time points in Python.
 
@@ -50,12 +53,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tolerances
-from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, generator, regime, w_squared
+from .hamiltonian import HamiltonianParams, SymmetryClass, generator, w_squared
 
 __all__ = [
     "PureState",
     "DensityMatrix",
-    "Propagator",
     "DegenerateEvolutionError",
     "propagator_analytic",
     "evolve_density",
@@ -123,6 +125,11 @@ class PureState:
     @classmethod
     def from_amplitudes(cls, alpha: float, beta: float, phi: float = 0.0) -> "PureState":
         """Build a state from possibly unnormalized nonnegative amplitudes."""
+        for name, value in (("alpha", alpha), ("beta", beta), ("phi", phi)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0 and name != "phi":
+                raise ValueError(f"{name} must be nonnegative, got {value}")
         norm = math.hypot(alpha, beta)
         if norm <= 0:
             raise ValueError("amplitudes must not both vanish")
@@ -189,28 +196,6 @@ class DensityMatrix:
     @classmethod
     def maximally_mixed(cls) -> "DensityMatrix":
         return cls(np.eye(2, dtype=complex) / 2.0)
-
-
-@dataclass(frozen=True)
-class Propagator:
-    """Closed-form propagator with its (A, B, C) decomposition.
-
-    Attributes
-    ----------
-    matrix:
-        The 2x2 complex propagator ``A I + g M`` (see the module docstring).
-    abc:
-        The real scalars (A, B, C) = (A, -a g, g).
-    regime:
-        Spectral phase of the generating parameters.
-    t:
-        Evolution time the propagator corresponds to.
-    """
-
-    matrix: np.ndarray = field(repr=False)
-    abc: tuple[float, float, float]
-    regime: Regime
-    t: float
 
 
 # ---------------------------------------------------------------------------
@@ -357,44 +342,40 @@ def pure_l1(v: np.ndarray) -> np.ndarray:
     return 2.0 * (mags[:, i] * mags[:, j]).sum(axis=1) / (mags * mags).sum(axis=1)
 
 
-def propagator_grid(p: HamiltonianParams, times) -> np.ndarray:
-    """Scaled propagators ``U_hat(t) = A I + g M`` over a time grid, shape
-    ``(n, 2, 2)``: the true ones up to a positive per-time factor, which
-    every renormalized quantity cancels.  Negative times evaluate the
-    analytic continuation."""
-    A, g, _ = abc_scaled(p.kind, p.a, p.s * np.asarray(times, dtype=np.float64))
-    return np.multiply.outer(A, np.eye(2)) + np.multiply.outer(g, generator(p.kind, p.a))
-
-
 # ---------------------------------------------------------------------------
 # the single-time propagator
 # ---------------------------------------------------------------------------
 
-def propagator_analytic(p: HamiltonianParams, t: float) -> Propagator:
-    """Closed-form propagator ``exp(-i H t)`` for parameters ``p``.
+def propagator_scaled(p: HamiltonianParams, t: float) -> tuple[np.ndarray, float]:
+    """The propagator at one time as ``(U_hat, log_scale)``, with
+    ``U(t) = exp(log_scale) U_hat`` and ``U_hat = A I + g M`` from the scaled
+    scalars of :func:`abc_scaled`.  Its entries stay finite at every time;
+    the positive scale cancels in every renormalized quantity.  A negative
+    ``t`` evaluates the analytic continuation."""
+    A, g, log_scale = (float(v) for v in abc_scaled(p.kind, p.a, p.s * t))
+    return A * np.eye(2) + g * generator(p.kind, p.a), log_scale
+
+
+def propagator_analytic(p: HamiltonianParams, t: float) -> np.ndarray:
+    """Closed-form propagator ``exp(-i H t)`` for parameters ``p``, a 2x2
+    complex array.
 
     Raises
     ------
     OverflowError
-        If the raw entries exceed the double-precision range (broken
-        regime with extremely large ``w * s * t``); use
-        :func:`propagator_grid`, whose matrices are exact up to a
-        positive factor, in that situation.
+        If an entry exceeds the double-precision range (broken regime
+        with extremely large ``w * s * t``); the renormalized evolutions
+        (:func:`evolve_pure_grid`, :func:`evolve_density_grid`) stay
+        finite there.
     ValueError
         If ``t`` is negative or not finite.
     """
-    t = float(_evolution_times([t])[0])
-    A, g, log_scale = (float(v) for v in abc_scaled(p.kind, p.a, p.s * t))
+    u_hat, log_scale = propagator_scaled(p, float(_evolution_times([t])[0]))
     scale = math.exp(log_scale) if log_scale < 709.0 else math.inf
-    A, g = A * scale, g * scale
-    B = -p.a * g
-    if not (math.isfinite(A) and math.isfinite(B) and math.isfinite(g)):
-        raise OverflowError(
-            "propagator entries exceed the double-precision range; "
-            "use propagator_grid for renormalized workflows"
-        )
-    return Propagator(matrix=A * np.eye(2) + g * generator(p.kind, p.a), abc=(A, B, g),
-                      regime=regime(p), t=t)
+    # checked before multiplying: an infinite scale times a zero entry is nan
+    if not math.isfinite(scale * float(np.abs(u_hat).max())):
+        raise OverflowError("propagator entries exceed the double-precision range")
+    return u_hat * scale
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .evolution import _evolution_times, propagator_grid
+from .evolution import _evolution_times, propagator_scaled
 from .hamiltonian import HamiltonianParams, SymmetryClass
 
 __all__ = [
@@ -258,8 +258,8 @@ def solve_angles(
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    # scale-invariant fit: the grid's positive per-time factor is irrelevant
-    target = propagator_grid(p, _evolution_times([t]))[0]
+    # scale-invariant fit: the propagator's positive scale is irrelevant
+    target = propagator_scaled(p, float(_evolution_times([t])[0]))[0]
     tau = target.reshape(4) / np.linalg.norm(target)
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, math.pi, size=(restarts, 6))
@@ -293,7 +293,7 @@ def verify_state_action(seq: OpticalSequence, seed: int = 12345) -> float:
     its digits.  Returns the maximum across the panel, inf when an output
     vanishes.
     """
-    target = propagator_grid(seq.params, [seq.t])[0]  # seq.t is validated by OpticalSequence
+    target = propagator_scaled(seq.params, seq.t)[0]  # seq.t is validated by OpticalSequence
     mat = assemble(seq.params.kind, seq.angles)
     raw = np.random.default_rng(seed).normal(size=(_N_STATES, 2, 2))
     states = raw[:, 0] + 1j * raw[:, 1]  # each state's real pair, then its imaginary pair

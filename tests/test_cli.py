@@ -402,7 +402,11 @@ def test_preset_and_amplitudes_together_exit_2(capsys):
     (("trace", "--kind", "pt", "--a", "nan"), "a"),
     (("tomography", "--kind", "pt", "--a", "0.5", "--exposure", "nan"), "exposure"),
     (("tomography", "--kind", "pt", "--a", "0.5", "--exposure", "inf"), "exposure"),
-], ids=["t_min", "t_max", "t", "s", "a", "exposure_nan", "exposure_inf"])
+    (("backflow", "--kind", "pt", "--a", "0.47", "--alpha", "inf", "--beta", "1"), "alpha"),
+    (("backflow", "--kind", "pt", "--a", "0.47", "--alpha", "1", "--beta", "nan"), "beta"),
+    (("backflow", "--kind", "pt", "--a", "0.47", "--alpha", "1", "--beta", "1", "--phi", "nan"),
+     "phi"),
+], ids=["t_min", "t_max", "t", "s", "a", "exposure_nan", "exposure_inf", "alpha", "beta", "phi"])
 def test_non_finite_input_exits_2(capsys, argv, field):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -421,8 +425,10 @@ def test_non_finite_input_exits_2(capsys, argv, field):
     (("tomography", "--kind", "pt", "--a", "0.5", "--exposure", "0"),
      "exposure must be positive"),
     (("period", "--kind", "pt", "--a", "0.5", "--alpha", "1"), "need both alpha and beta"),
+    (("backflow", "--kind", "pt", "--a", "0.47", "--alpha", "-1", "--beta", "1"),
+     "alpha must be nonnegative, got -1.0"),
 ], ids=["window-reversed", "t_min-negative", "t-negative", "exposure-negative",
-        "exposure-zero", "alpha-without-beta"])
+        "exposure-zero", "alpha-without-beta", "alpha-negative"])
 def test_out_of_range_input_exits_2_naming_the_field(capsys, argv, message):
     code = main(list(argv))
     captured = capsys.readouterr()

@@ -19,13 +19,12 @@ from ptcoherence import (
     DensityMatrix,
     HamiltonianParams,
     PureState,
-    Regime,
     SymmetryClass,
     build_hamiltonian,
     evolve_density,
     propagator_analytic,
 )
-from ptcoherence.evolution import abc_scaled, evolve_pure_grid, propagator_grid
+from ptcoherence.evolution import abc_scaled, evolve_pure_grid, propagator_scaled
 
 
 def _pt(a: float, s: float = 1.0) -> HamiltonianParams:
@@ -110,7 +109,7 @@ def test_density_of_pure_state():
 # ---------------------------------------------------------------------------
 
 def test_propagator_pt_unbroken_frozen():
-    u = propagator_analytic(_pt(0.31), 1.0).matrix
+    u = propagator_analytic(_pt(0.31), 1.0)
     expected = np.array(
         [
             [0.8464481203742266, -0.8560139199259117j],
@@ -122,14 +121,13 @@ def test_propagator_pt_unbroken_frozen():
 
 def test_propagator_pt_exceptional_point_frozen():
     # at a=1 the closed form is linear in t: exactly representable
-    u = propagator_analytic(_pt(1.0, s=2.0), 0.75).matrix
+    u = propagator_analytic(_pt(1.0, s=2.0), 0.75)
     expected = np.array([[2.5, -1.5j], [-1.5j, -0.5]])
     assert frobenius_dist(u, expected) < 1e-13
-    assert propagator_analytic(_pt(1.0, s=2.0), 0.75).regime is Regime.EXCEPTIONAL_POINT
 
 
 def test_propagator_apt_broken_frozen():
-    u = propagator_analytic(_apt(2.8), 0.5).matrix
+    u = propagator_analytic(_apt(2.8), 0.5)
     expected = np.array(
         [
             [0.26010084754156426 - 1.0337580327730485j, 0.3691992974189459],
@@ -140,7 +138,7 @@ def test_propagator_apt_broken_frozen():
 
 
 def test_propagator_apt_unbroken_growing_frozen():
-    u = propagator_analytic(_apt(0.47, s=1.3), 2.0).matrix
+    u = propagator_analytic(_apt(0.47, s=1.3), 2.0)
     expected = np.array(
         [
             [5.012268043113757 - 2.6152631369580415j, 5.564389653102216],
@@ -152,20 +150,7 @@ def test_propagator_apt_unbroken_growing_frozen():
 
 def test_propagator_at_zero_time_is_identity():
     for p in (_pt(0.31), _pt(1.0), _pt(2.8), _apt(0.31), _apt(1.0), _apt(2.8)):
-        assert frobenius_dist(propagator_analytic(p, 0.0).matrix, np.eye(2)) < 1e-15
-
-
-def test_propagator_matches_abc_reconstruction():
-    p = _pt(0.8)
-    prop = propagator_analytic(p, 1.3)
-    A, B, C = prop.abc
-    rebuilt = np.array([[A - B, -1j * C], [-1j * C, A + B]])
-    assert frobenius_dist(prop.matrix, rebuilt) < 1e-15
-    q = _apt(1.7)
-    prop = propagator_analytic(q, 0.9)
-    A, B, C = prop.abc
-    rebuilt = np.array([[A + 1j * B, C], [C, A - 1j * B]])
-    assert frobenius_dist(prop.matrix, rebuilt) < 1e-15
+        assert frobenius_dist(propagator_analytic(p, 0.0), np.eye(2)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +166,7 @@ def test_propagator_matches_abc_reconstruction():
 @settings(max_examples=150, deadline=None)
 def test_propagator_matches_oracle(a, s, t, kind):
     p = HamiltonianParams(kind=kind, s=s, a=a)
-    u = propagator_analytic(p, t).matrix
+    u = propagator_analytic(p, t)
     assert _rel_dist(u, _oracle(p, t)) < 1e-8
 
 
@@ -190,7 +175,7 @@ def test_propagator_matches_oracle(a, s, t, kind):
 def test_propagator_matches_oracle_near_coalescence(kind, offset):
     p = HamiltonianParams(kind=kind, s=1.1, a=1.0 + offset)
     for t in (0.3, 2.0, 11.0):
-        u = propagator_analytic(p, t).matrix
+        u = propagator_analytic(p, t)
         assert _rel_dist(u, _oracle(p, t)) < 1e-8
 
 
@@ -204,9 +189,9 @@ def test_propagator_matches_oracle_near_coalescence(kind, offset):
 @settings(max_examples=100, deadline=None)
 def test_propagator_group_property(a, s, t1, t2, kind):
     p = HamiltonianParams(kind=kind, s=s, a=a)
-    u1 = propagator_analytic(p, t1).matrix
-    u2 = propagator_analytic(p, t2).matrix
-    u12 = propagator_analytic(p, t1 + t2).matrix
+    u1 = propagator_analytic(p, t1)
+    u2 = propagator_analytic(p, t2)
+    u12 = propagator_analytic(p, t1 + t2)
     assert _rel_dist(u1 @ u2, u12) < 1e-9
 
 
@@ -224,7 +209,7 @@ def test_propagator_unit_determinant(a, s, t, kind):
     x = s * t * np.sqrt(abs(1.0 - a * a))
     if x > 9.0:
         return
-    det = np.linalg.det(propagator_analytic(p, t).matrix)
+    det = np.linalg.det(propagator_analytic(p, t))
     assert abs(det - 1.0) < 1e-8
 
 
@@ -233,40 +218,35 @@ def test_propagator_raw_overflow_raises():
         propagator_analytic(_pt(3.0), 300.0)
 
 
-def _scaled(p: HamiltonianParams, t: float) -> tuple[np.ndarray, float]:
-    """``propagator_grid`` at one time and the log of its factored-out scale."""
-    return propagator_grid(p, [t])[0], float(abc_scaled(p.kind, p.a, p.s * t)[2])
-
-
-def test_propagator_grid_survives_deep_broken_times():
+def test_propagator_scaled_survives_deep_broken_times():
     p = _pt(3.0)
-    u_hat, log_scale = _scaled(p, 300.0)
+    u_hat, log_scale = propagator_scaled(p, 300.0)
     assert np.all(np.isfinite(u_hat.view(float)))
     assert log_scale > 500.0
     assert 0.25 <= float(np.abs(u_hat).max()) <= 4.0
 
 
-def test_propagator_grid_consistent_with_raw():
+def test_propagator_scaled_consistent_with_raw():
     p = _apt(2.5)
     t = 1.7
-    u_hat, log_scale = _scaled(p, t)
-    assert frobenius_dist(u_hat * np.exp(log_scale), propagator_analytic(p, t).matrix) < 1e-10
+    u_hat, log_scale = propagator_scaled(p, t)
+    assert frobenius_dist(u_hat * np.exp(log_scale), propagator_analytic(p, t)) < 1e-10
 
 
-def test_propagator_grid_consistent_with_raw_past_the_switch():
+def test_propagator_scaled_consistent_with_raw_past_the_switch():
     # broken regime at w s t = 229: above the scale switch, below the raw overflow
     p = _pt(2.5)
-    u_hat, log_scale = _scaled(p, 100.0)
+    u_hat, log_scale = propagator_scaled(p, 100.0)
     assert log_scale > 0.0
-    raw = propagator_analytic(p, 100.0).matrix
+    raw = propagator_analytic(p, 100.0)
     assert frobenius_dist(u_hat * np.exp(log_scale), raw) < 1e-12 * np.linalg.norm(raw)
 
 
-def test_propagator_grid_matches_normalized_oracle():
+def test_propagator_scaled_matches_normalized_oracle():
     # deep in the broken regime compare direction only (scale removed)
     p = _pt(2.9)
     t = 80.0  # x = s t sqrt(a^2-1) ~ 218: oracle still finite, raw huge
-    u_hat = propagator_grid(p, [t])[0]
+    u_hat = propagator_scaled(p, t)[0]
     w = _oracle(p, t)
     assert frobenius_dist(u_hat / np.abs(u_hat).max(), w / np.abs(w).max()) < 1e-9
 

@@ -22,7 +22,7 @@ from ptcoherence import (
     solve_angles,
     verify_state_action,
 )
-from ptcoherence.evolution import propagator_grid
+from ptcoherence.evolution import propagator_scaled
 
 
 def _pt(a: float) -> HamiltonianParams:
@@ -162,7 +162,7 @@ def test_solve_angles_round_trip(p, t):
     seq = solve_angles(p, t, seed=3)
     assert seq.params == p
     assert seq.residual <= 1e-6
-    target = propagator_grid(p, [t])[0]
+    target = propagator_scaled(p, t)[0]
     m = assemble(p.kind, seq.angles)
     assert scale_invariant_residual(target, m) <= 1e-6
     assert verify_state_action(seq) <= 1e-6
@@ -182,7 +182,7 @@ def test_state_action_is_the_phase_aligned_distance_over_the_same_panel():
     p, t, seed = _apt(1.5), 0.9, 7
     solved = solve_angles(p, t, seed=3)
     seq = OpticalSequence(p, tuple(a + 1e-3 for a in solved.angles), t, solved.residual)
-    target = propagator_grid(p, [t])[0]
+    target = propagator_scaled(p, t)[0]
     mat = assemble(p.kind, seq.angles)
     rng = np.random.default_rng(seed)
     expected = 0.0
