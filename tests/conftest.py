@@ -1,5 +1,5 @@
-"""Shared seeded random-state helpers, and a fresh interpreter for checks
-that the test session's loaded modules would hide."""
+"""Shared parameter and seeded random-state helpers, and a fresh interpreter
+for checks that the test session's loaded modules would hide."""
 from __future__ import annotations
 
 import os
@@ -10,6 +10,16 @@ from pathlib import Path
 import numpy as np
 
 import ptcoherence as pc
+
+
+def pt(a: float, s: float = 1.0) -> pc.HamiltonianParams:
+    """PT-symmetric parameters: H = s (sigma_x + i a sigma_z)."""
+    return pc.HamiltonianParams(kind=pc.SymmetryClass.PT, s=s, a=a)
+
+
+def apt(a: float, s: float = 1.0) -> pc.HamiltonianParams:
+    """Anti-PT-symmetric parameters: H = s (i sigma_x + a sigma_z)."""
+    return pc.HamiltonianParams(kind=pc.SymmetryClass.APT, s=s, a=a)
 
 
 def random_states(seed: int, n: int, lo: float = 0.05, hi: float = 0.95):

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from _oracle import frobenius_dist, mat_exp_oracle
-from conftest import random_states
+from conftest import apt, pt, random_states
 
 import ptcoherence as pc
 from ptcoherence import HamiltonianParams, PureState, SymmetryClass, TwoQubitState
@@ -24,14 +24,6 @@ from ptcoherence.cli import main
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-def _pt(a: float, s: float = 1.0) -> HamiltonianParams:
-    return HamiltonianParams(kind=SymmetryClass.PT, s=s, a=a)
-
-
-def _apt(a: float, s: float = 1.0) -> HamiltonianParams:
-    return HamiltonianParams(kind=SymmetryClass.APT, s=s, a=a)
-
 
 def _report(capsys, num: int, name: str, ok: bool, detail: str = "") -> None:
     line = f"ACCEPTANCE {num} ({name}): {'PASS' if ok else 'FAIL'}"
@@ -79,10 +71,10 @@ def test_criterion_2_stable_values(capsys):
     probes: list[tuple[HamiltonianParams, str, float]] = []
     for a, reference in ((1.5, 0.67), (2.8, 0.36)):
         for preset in ("H", "D", "h-sqrt3v"):
-            probes.append((_pt(a), preset, reference))
+            probes.append((pt(a), preset, reference))
     for a in (0.31, 0.47):
         for preset in ("H", "h-sqrt3v"):
-            probes.append((_apt(a), preset, 1.0))
+            probes.append((apt(a), preset, 1.0))
 
     problems = []
     for p, preset, reference in probes:
@@ -139,7 +131,7 @@ def test_criterion_4_balanced_state_invariance(capsys):
     balanced = PureState.preset("D")
     problems = []
     for a in (0.31, 0.47, 1.5, 2.8):
-        p = _apt(a)
+        p = apt(a)
         series = pc.coherence_series(balanced, p, grid)
         flatness = float(np.max(np.abs(series - 1.0)))
         z_max = float(np.max(np.abs(pc.trajectory_array(balanced, p, grid)[:, 3])))
@@ -255,14 +247,14 @@ def test_criterion_8_two_qubit(capsys):
     psi_states = (TwoQubitState.psi_1(), TwoQubitState.psi_2(), TwoQubitState.psi_3())
     problems = []
     fixtures = []
-    for p in (_pt(1.8), _apt(0.8)):
+    for p in (pt(1.8), apt(0.8)):
         tail = np.array([40.0])
         values = [float(pc.two_qubit_series(psi, p, tail)[0]) for psi in psi_states]
         spread = max(values) - min(values)
         if spread > 1e-3:
             problems.append(f"{p.kind.value} a={p.a}: spread {spread:.2e}")
         fixtures.append(f"{p.kind.value} a={p.a} limit {np.mean(values):.4f}")
-    for p in (_pt(0.47), _apt(1.5)):
+    for p in (pt(0.47), apt(1.5)):
         period = pc.theoretical_period(p)
         ts = np.array([0.3, 1.1, 2.6])
         for idx, psi in enumerate(psi_states, start=1):

@@ -1,13 +1,12 @@
-"""Batched grid paths against independent per-point references.
+"""Batched grid paths against the independent per-point reference.
 
 The matrix path (``evolve_density_grid``), the state rows
 (``evolve_pure_grid``), the Bloch rows (``trajectory_array``) and
 ``two_qubit_series`` evaluate whole grids in array operations.  Here
-every row is compared with the eigendecomposition propagator
-``eigen_propagator``, and rows with ``s t <= 10`` also with the dense
-``mat_exp_oracle``, on grids whose phases ``w s t`` cross the
-propagator core's scale switch (150) and reach deep into the broken
-regime.
+every row is compared with ``_oracle.reference_matrix``, the
+high-precision ``mpmath.expm`` propagator divided by its largest entry,
+on grids whose phases ``w s t`` cross the propagator core's scale switch
+(150) and reach deep into the broken regime.
 """
 from __future__ import annotations
 
@@ -16,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracle import eigen_propagator, mat_exp_oracle
+from _oracle import reference_matrix
 
 import ptcoherence as pc
 from ptcoherence.bloch import trajectory_array
@@ -47,15 +46,6 @@ def _times(p: pc.HamiltonianParams) -> np.ndarray:
     return np.array(PHASES) / _rate(p)
 
 
-def _references(p: pc.HamiltonianParams, t: float) -> list[np.ndarray]:
-    """The eigen propagator, plus the dense oracle where it stays finite."""
-    h = pc.build_hamiltonian(p)
-    refs = [eigen_propagator(h, t)]
-    if t * p.s <= 10.0:
-        refs.append(mat_exp_oracle(-1j * h, t))
-    return refs
-
-
 STATE = pc.PureState.from_amplitudes(0.6, 0.8, 0.7)
 
 
@@ -68,9 +58,9 @@ def test_density_grid_matches_per_point(p):
     # the closed form agrees with the matrix path past the scale switch
     assert np.max(np.abs(pc.coherence_series(STATE, p, ts) - 2.0 * np.abs(grid[:, 0, 1]))) < 1e-12
     for t, rho in zip(ts, grid):
-        for u in _references(p, float(t)):
-            sig = u @ rho0.rho @ u.conj().T
-            assert np.max(np.abs(rho - sig / np.trace(sig).real)) < 1e-12
+        u = reference_matrix(p, float(t))
+        sig = u @ rho0.rho @ u.conj().T
+        assert np.max(np.abs(rho - sig / np.trace(sig).real)) < 1e-12
 
 
 @pytest.mark.parametrize("p", list(_panel()), ids=str)
@@ -81,13 +71,12 @@ def test_bloch_rows_match_per_point(p):
     assert np.array_equal(rows[:, 0], ts)
     vecs = evolve_pure_grid(STATE, p, ts)
     for t, v, row in zip(ts, vecs, rows):
-        for u in _references(p, float(t)):
-            w = u @ STATE.vector()
-            w = w / np.linalg.norm(w)
-            assert np.max(np.abs(v - w)) < 1e-12
-            r01 = w[0] * np.conj(w[1])
-            xyz = (2.0 * r01.real, -2.0 * r01.imag, abs(w[0]) ** 2 - abs(w[1]) ** 2)
-            assert np.max(np.abs(row[1:] - xyz)) < 1e-12
+        w = reference_matrix(p, float(t)) @ STATE.vector()
+        w = w / np.linalg.norm(w)
+        assert np.max(np.abs(v - w)) < 1e-12
+        r01 = w[0] * np.conj(w[1])
+        xyz = (2.0 * r01.real, -2.0 * r01.imag, abs(w[0]) ** 2 - abs(w[1]) ** 2)
+        assert np.max(np.abs(row[1:] - xyz)) < 1e-12
 
 
 TWO_QUBIT_STATES = (
@@ -104,9 +93,9 @@ def test_two_qubit_series_matches_per_point(p):
     for state in TWO_QUBIT_STATES:
         series = pc.two_qubit_series(state, p, ts)
         for t, value in zip(ts, series):
-            for u in _references(p, float(t)):
-                v = np.kron(u, u) @ state.vector
-                assert abs(value - pc.l1_coherence(pc.TwoQubitState(v))) < 1e-12
+            u = reference_matrix(p, float(t))
+            v = np.kron(u, u) @ state.vector
+            assert abs(value - pc.l1_coherence(pc.TwoQubitState(v))) < 1e-12
 
 
 #: Qubit pairs (first, second) of the heterogeneous two-qubit grid: both
@@ -124,14 +113,13 @@ HETEROGENEOUS_PAIRS = (
 @pytest.mark.parametrize("p_a, p_b", HETEROGENEOUS_PAIRS, ids=str)
 def test_heterogeneous_two_qubit_series_matches_per_point(p_a, p_b):
     # the slower qubit reaches phase w s t = 420: U_A ⊗ U_B of the two
-    # per-qubit eigen propagators, against the grid's one body
+    # per-qubit reference propagators, against the grid's one body
     ts = np.array(PHASES) / min(_rate(p_a), _rate(p_b))
     for state in TWO_QUBIT_STATES:
         series = pc.two_qubit_series(state, p_a, ts, p_second=p_b)
         for t, value in zip(ts, series):
-            u_a = eigen_propagator(pc.build_hamiltonian(p_a), float(t))
-            u_b = eigen_propagator(pc.build_hamiltonian(p_b), float(t))
-            v = np.kron(u_a, u_b) @ state.vector
+            u = np.kron(reference_matrix(p_a, float(t)), reference_matrix(p_b, float(t)))
+            v = u @ state.vector
             assert abs(value - pc.l1_coherence(pc.TwoQubitState(v))) < 1e-12
 
 

@@ -8,26 +8,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import apt, pt
+
 from ptcoherence import (
-    HamiltonianParams,
     PureState,
-    SymmetryClass,
     l1_coherence,
     trajectory_array,
 )
 
 
-def _pt(a: float) -> HamiltonianParams:
-    return HamiltonianParams(kind=SymmetryClass.PT, s=1.0, a=a)
-
-
-def _apt(a: float) -> HamiltonianParams:
-    return HamiltonianParams(kind=SymmetryClass.APT, s=1.0, a=a)
-
-
 def _xyz(st: PureState) -> tuple[float, float, float]:
     """The Bloch vector of ``st`` itself: the row at t = 0."""
-    return tuple(trajectory_array(st, _pt(0.31), [0.0])[0, 1:])
+    return tuple(trajectory_array(st, pt(0.31), [0.0])[0, 1:])
 
 
 def _radii(rows: np.ndarray) -> np.ndarray:
@@ -58,7 +50,7 @@ def test_coherence_is_transverse_radius():
 
 
 def test_trajectory_frozen_point():
-    rows = trajectory_array(PureState.preset("D"), _pt(0.31), np.array([0.0, 0.8]))
+    rows = trajectory_array(PureState.preset("D"), pt(0.31), np.array([0.0, 0.8]))
     t, x, y, z = rows[1]
     assert t == 0.8
     assert x == pytest.approx(0.908228907592013, abs=1e-12)
@@ -68,29 +60,29 @@ def test_trajectory_frozen_point():
 
 def test_trajectory_stays_on_sphere():
     grid = np.linspace(0.0, 6.0, 40)
-    for p in (_pt(0.31), _pt(1.5), _apt(0.47), _apt(2.8)):
+    for p in (pt(0.31), pt(1.5), apt(0.47), apt(2.8)):
         rows = trajectory_array(PureState(0.6, 0.8, 0.7), p, grid)
         assert _radii(rows) == pytest.approx(np.ones(grid.size), abs=1e-12)
 
 
 def test_trajectory_apt_conserves_z_for_balanced_state():
     grid = np.linspace(0.0, 10.0, 64)
-    rows = trajectory_array(PureState.preset("D"), _apt(1.5), grid)
+    rows = trajectory_array(PureState.preset("D"), apt(1.5), grid)
     assert np.max(np.abs(rows[:, 3])) < 1e-9
 
 
 def test_trajectory_grid_validation():
     st = PureState.preset("D")
     with pytest.raises(ValueError):
-        trajectory_array(st, _pt(0.31), np.array([]))
+        trajectory_array(st, pt(0.31), np.array([]))
     with pytest.raises(ValueError):
-        trajectory_array(st, _pt(0.31), np.array([0.0, -1.0]))
+        trajectory_array(st, pt(0.31), np.array([0.0, -1.0]))
     with pytest.raises(ValueError):
-        trajectory_array(st, _pt(0.31), np.array([1.0, 0.5]))
+        trajectory_array(st, pt(0.31), np.array([1.0, 0.5]))
 
 
 @pytest.mark.parametrize("p, label", [
-    (_pt(2.8), "D"), (_pt(0.47), "h-sqrt3v"), (_apt(1.5), "h-sqrt3v"), (_apt(0.47), "D"),
+    (pt(2.8), "D"), (pt(0.47), "h-sqrt3v"), (apt(1.5), "h-sqrt3v"), (apt(0.47), "D"),
 ])
 def test_rows_do_not_depend_on_grid_length(p, label):
     # a grid of 100000 points (1.6 MB complex arrays) and 31 of its times:

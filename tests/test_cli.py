@@ -10,12 +10,12 @@ import signal
 import subprocess
 import sys
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _oracle import reference_rows
 from conftest import run_fresh
 
 import ptcoherence as pc
@@ -594,20 +594,10 @@ _NEAR_EP_WINDOW = ("--t-min", "11106.207348319087", "--t-max", "11108.2073483190
 
 def _near_ep_reference() -> np.ndarray:
     """Rows (C, x, y, z) of the normalized evolved state over the window, from
-    a 60-digit ``mpmath.expm`` of H = sigma_x + i a sigma_z at the CLI's doubles."""
+    the high-precision reference at the CLI's doubles."""
+    p = pc.HamiltonianParams(kind=pc.SymmetryClass.PT, a=0.99999999)
     psi = pc.PureState.from_amplitudes(1.0, 1.0, 4.71238898038469).vector()
-    rows = []
-    with mpmath.workdps(60):
-        a = mpmath.mpf(0.99999999)
-        h = mpmath.matrix([[1j * a, 1], [1, -1j * a]])
-        for t in np.linspace(11106.207348319087, 11108.207348319087, 5):
-            u = mpmath.expm(-1j * h * mpmath.mpf(float(t)))
-            v = u * mpmath.matrix([complex(x) for x in psi])
-            v = v / mpmath.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
-            rho01 = v[0] * mpmath.conj(v[1])
-            rows.append([float(2 * abs(rho01)), float(2 * rho01.real), float(-2 * rho01.imag),
-                         float(abs(v[0]) ** 2 - abs(v[1]) ** 2)])
-    return np.array(rows)
+    return reference_rows(p, psi, np.linspace(11106.207348319087, 11108.207348319087, 5))
 
 
 @pytest.mark.filterwarnings("error")

@@ -37,15 +37,7 @@ from ptcoherence.coherence import _BISECT_WIDTH, _median, _scan, coherence_slope
 from ptcoherence.evolution import pure_terms
 from ptcoherence.twoqubit import two_qubit_slope
 
-from conftest import random_states
-
-
-def _pt(a: float, s: float = 1.0) -> HamiltonianParams:
-    return HamiltonianParams(kind=SymmetryClass.PT, s=s, a=a)
-
-
-def _apt(a: float, s: float = 1.0) -> HamiltonianParams:
-    return HamiltonianParams(kind=SymmetryClass.APT, s=s, a=a)
+from conftest import apt, pt, random_states
 
 
 # ---------------------------------------------------------------------------
@@ -104,22 +96,22 @@ def test_l1_accepts_two_qubit_state_objects():
 # ---------------------------------------------------------------------------
 
 def test_closed_form_pt_unbroken_frozen():
-    value = coherence_closed_form(PureState.preset("D"), _pt(0.5), 0.7)
+    value = coherence_closed_form(PureState.preset("D"), pt(0.5), 0.7)
     assert value == pytest.approx(0.8957893730879257, abs=1e-12)
 
 
 def test_closed_form_pt_broken_frozen():
-    value = coherence_closed_form(PureState(0.6, 0.8, 0.5), _pt(2.0), 1.3)
+    value = coherence_closed_form(PureState(0.6, 0.8, 0.5), pt(2.0), 1.3)
     assert value == pytest.approx(0.4838916935853138, abs=1e-12)
 
 
 def test_closed_form_apt_unbroken_frozen():
-    value = coherence_closed_form(PureState.preset("h-sqrt3v"), _apt(1.5), 0.9)
+    value = coherence_closed_form(PureState.preset("h-sqrt3v"), apt(1.5), 0.9)
     assert value == pytest.approx(0.9844047152118356, abs=1e-12)
 
 
 def test_closed_form_apt_broken_conserved_frozen():
-    value = coherence_closed_form(PureState.preset("D"), _apt(0.47), 3.0)
+    value = coherence_closed_form(PureState.preset("D"), apt(0.47), 3.0)
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -143,14 +135,14 @@ def test_closed_form_matches_matrix_route(a, t, alpha, beta, phi, kind):
 
 def test_series_accepts_negative_probe_times():
     # negative times evaluate the analytic continuation of the closed form
-    values = coherence_series(PureState.preset("D"), _pt(0.5), np.array([-1e-6, 0.0, 1e-6]))
+    values = coherence_series(PureState.preset("D"), pt(0.5), np.array([-1e-6, 0.0, 1e-6]))
     assert np.all(np.isfinite(values))
     assert values[1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_closed_form_rejects_negative_time():
     with pytest.raises(ValueError):
-        coherence_closed_form(PureState.preset("D"), _pt(0.5), -0.1)
+        coherence_closed_form(PureState.preset("D"), pt(0.5), -0.1)
 
 
 @pytest.mark.filterwarnings("error")
@@ -158,7 +150,7 @@ def test_closed_form_rejects_negative_time():
 def test_closed_form_rejects_non_finite_time(t):
     # rejected before any arithmetic: no RuntimeWarning, no nan result
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        coherence_closed_form(PureState.preset("D"), _pt(0.5), t)
+        coherence_closed_form(PureState.preset("D"), pt(0.5), t)
 
 
 # ---------------------------------------------------------------------------
@@ -166,38 +158,38 @@ def test_closed_form_rejects_non_finite_time(t):
 # ---------------------------------------------------------------------------
 
 def test_theoretical_periods_unbroken():
-    assert theoretical_period(_pt(0.31)) == pytest.approx(3.3043776763158683, abs=1e-12)
-    assert theoretical_period(_pt(0.47)) == pytest.approx(3.559207193728368, abs=1e-12)
-    assert theoretical_period(_apt(1.5)) == pytest.approx(2.8099258924162904, abs=1e-12)
-    assert theoretical_period(_apt(2.8)) == pytest.approx(1.2012179735761133, abs=1e-12)
+    assert theoretical_period(pt(0.31)) == pytest.approx(3.3043776763158683, abs=1e-12)
+    assert theoretical_period(pt(0.47)) == pytest.approx(3.559207193728368, abs=1e-12)
+    assert theoretical_period(apt(1.5)) == pytest.approx(2.8099258924162904, abs=1e-12)
+    assert theoretical_period(apt(2.8)) == pytest.approx(1.2012179735761133, abs=1e-12)
 
 
 def test_theoretical_period_scales_inversely_with_s():
-    assert theoretical_period(_pt(0.31, s=2.0)) == pytest.approx(
-        theoretical_period(_pt(0.31)) / 2.0, abs=1e-12
+    assert theoretical_period(pt(0.31, s=2.0)) == pytest.approx(
+        theoretical_period(pt(0.31)) / 2.0, abs=1e-12
     )
 
 
 def test_theoretical_period_none_when_aperiodic():
-    assert theoretical_period(_pt(1.5)) is None
-    assert theoretical_period(_apt(0.47)) is None
-    assert theoretical_period(_pt(1.0)) is None
-    assert theoretical_period(_apt(1.0)) is None
+    assert theoretical_period(pt(1.5)) is None
+    assert theoretical_period(apt(0.47)) is None
+    assert theoretical_period(pt(1.0)) is None
+    assert theoretical_period(apt(1.0)) is None
 
 
 def test_asymptotic_values():
-    assert asymptotic_value(_pt(1.5)) == pytest.approx(1 / 1.5, abs=1e-14)
-    assert asymptotic_value(_pt(2.8)) == pytest.approx(1 / 2.8, abs=1e-14)
-    assert asymptotic_value(_apt(0.31)) == 1.0
-    assert asymptotic_value(_apt(0.47)) == 1.0
-    assert asymptotic_value(_pt(0.31)) is None
-    assert asymptotic_value(_apt(1.5)) is None
-    assert asymptotic_value(_pt(1.0)) is None  # undefined at coalescence
-    assert asymptotic_value(_apt(1.0)) is None
+    assert asymptotic_value(pt(1.5)) == pytest.approx(1 / 1.5, abs=1e-14)
+    assert asymptotic_value(pt(2.8)) == pytest.approx(1 / 2.8, abs=1e-14)
+    assert asymptotic_value(apt(0.31)) == 1.0
+    assert asymptotic_value(apt(0.47)) == 1.0
+    assert asymptotic_value(pt(0.31)) is None
+    assert asymptotic_value(apt(1.5)) is None
+    assert asymptotic_value(pt(1.0)) is None  # undefined at coalescence
+    assert asymptotic_value(apt(1.0)) is None
 
 
 def test_broken_trace_approaches_stable_value():
-    for p, sv in ((_pt(1.5), 1 / 1.5), (_pt(2.8), 1 / 2.8), (_apt(0.31), 1.0)):
+    for p, sv in ((pt(1.5), 1 / 1.5), (pt(2.8), 1 / 2.8), (apt(0.31), 1.0)):
         for st_ in (PureState.preset("H"), PureState.preset("D"), PureState(0.6, 0.8, 1.1)):
             assert coherence_closed_form(st_, p, 25.0) == pytest.approx(sv, abs=1e-9)
 
@@ -207,7 +199,7 @@ def test_broken_trace_approaches_stable_value():
 # ---------------------------------------------------------------------------
 
 def test_find_extrema_counts_one_period_pt():
-    p = _pt(0.31)
+    p = pt(0.31)
     T = theoretical_period(p)
     trace = find_extrema(PureState.preset("D"), p, (0.0, T))
     assert len(trace.extrema) == 4
@@ -220,7 +212,7 @@ def test_find_extrema_counts_one_period_pt():
 
 
 def test_find_extrema_counts_one_period_apt():
-    p = _apt(1.5)
+    p = apt(1.5)
     T = theoretical_period(p)
     trace = find_extrema(PureState.preset("h-sqrt3v"), p, (0.0, T))
     assert len(trace.extrema) == 2
@@ -228,7 +220,7 @@ def test_find_extrema_counts_one_period_apt():
 
 def test_find_extrema_boundary_counted_once():
     # window starts exactly at a stationary point: report it exactly once
-    p = _pt(0.31)
+    p = pt(0.31)
     T = theoretical_period(p)
     trace = find_extrema(PureState.preset("D"), p, (0.0, 2 * T))
     times = [e.time for e in trace.extrema]
@@ -238,19 +230,19 @@ def test_find_extrema_boundary_counted_once():
 
 
 def test_find_extrema_period_estimate():
-    p = _pt(0.47)
+    p = pt(0.47)
     trace = find_extrema(PureState(0.6, 0.8, 0.9), p, (0.0, 2 * theoretical_period(p)))
     assert trace.period_estimate == pytest.approx(theoretical_period(p), abs=1e-6)
 
 
 def test_find_extrema_asymptote_estimate_broken():
-    p = _apt(0.47)
+    p = apt(0.47)
     trace = find_extrema(PureState(0.6, 0.8, 0.9), p, (0.0, 12.0))
     assert trace.asymptote_estimate == pytest.approx(1.0, abs=1e-6)
 
 
 def test_find_extrema_constant_trace():
-    trace = find_extrema(PureState.preset("D"), _apt(2.8), (0.0, 5.0))
+    trace = find_extrema(PureState.preset("D"), apt(2.8), (0.0, 5.0))
     assert trace.extrema == ()
     assert trace.period_estimate is None
     assert trace.asymptote_estimate == pytest.approx(1.0, abs=1e-12)
@@ -259,7 +251,7 @@ def test_find_extrema_constant_trace():
 def test_find_extrema_window_validation():
     st_ = PureState.preset("D")
     with pytest.raises(ValueError):
-        find_extrema(st_, _pt(0.31), (1.0, 1.0))
+        find_extrema(st_, pt(0.31), (1.0, 1.0))
 
 
 @pytest.mark.parametrize("values", [
@@ -273,7 +265,7 @@ def test_median_matches_statistics(values):
 def test_find_extrema_plateau_has_no_spurious_points():
     # deep broken regime: the settled tail is rounding-noise flat and
     # must not contribute fake stationary points
-    p = _pt(2.8)
+    p = pt(2.8)
     trace = find_extrema(PureState.preset("D"), p, (0.0, 10.0))
     assert len(trace.extrema) <= 2
     assert all(e.time < 3.0 for e in trace.extrema)
@@ -287,7 +279,7 @@ def _two_root_scan(gap: float) -> list[str]:
         f = np.stack([0.3 - th, 0.3 + gap - th])
         return f, np.zeros_like(f)
 
-    trace = _scan(lambda q, th: np.cos(3 * th) + 2, slope, _pt(0.5), (0.0, 1.0), 2048)
+    trace = _scan(lambda q, th: np.cos(3 * th) + 2, slope, pt(0.5), (0.0, 1.0), 2048)
     return [e.kind for e in trace.extrema]
 
 
@@ -474,7 +466,7 @@ def test_slope_across_the_scale_switch(kind, a, state):
 
 @pytest.mark.parametrize("a", [0.31, 0.47, 0.8])
 def test_predicted_extrema_match_scan_pt(a):
-    p = _pt(a)
+    p = pt(a)
     T = theoretical_period(p)
     for st_ in random_states(seed=101 + int(100 * a), n=6):
         predicted = verify_extrema_conditions(st_, p)
@@ -486,7 +478,7 @@ def test_predicted_extrema_match_scan_pt(a):
 
 @pytest.mark.parametrize("a", [1.5, 2.8])
 def test_predicted_extrema_match_scan_apt(a):
-    p = _apt(a)
+    p = apt(a)
     T = theoretical_period(p)
     for st_ in random_states(seed=211 + int(10 * a), n=6):
         predicted = verify_extrema_conditions(st_, p)
@@ -498,9 +490,9 @@ def test_predicted_extrema_match_scan_apt(a):
 
 def test_predicted_extrema_rejects_aperiodic_regimes():
     with pytest.raises(ValueError):
-        verify_extrema_conditions(PureState.preset("D"), _pt(1.5))
+        verify_extrema_conditions(PureState.preset("D"), pt(1.5))
     with pytest.raises(ValueError):
-        verify_extrema_conditions(PureState.preset("D"), _pt(1.0))
+        verify_extrema_conditions(PureState.preset("D"), pt(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -508,32 +500,32 @@ def test_predicted_extrema_rejects_aperiodic_regimes():
 # ---------------------------------------------------------------------------
 
 def test_classify_pt_unbroken_double_touch():
-    report = classify_backflow(PureState.preset("h-sqrt3v"), _pt(0.47))
+    report = classify_backflow(PureState.preset("h-sqrt3v"), pt(0.47))
     assert report.classification is Classification.DOUBLE_TOUCH
     assert report.zeros_per_period == 4
 
 
 def test_classify_apt_unbroken_single_backflow():
-    report = classify_backflow(PureState.preset("h-sqrt3v"), _apt(1.5))
+    report = classify_backflow(PureState.preset("h-sqrt3v"), apt(1.5))
     assert report.classification is Classification.SINGLE_BACKFLOW
     assert report.zeros_per_period == 2
 
 
 def test_classify_apt_balanced_state_constant():
-    report = classify_backflow(PureState.preset("D"), _apt(0.31))
+    report = classify_backflow(PureState.preset("D"), apt(0.31))
     assert report.classification is Classification.CONSTANT
     assert report.zeros_per_period == 0
 
 
 def test_classify_broken_monotonic_rise():
-    report = classify_backflow(PureState.preset("H"), _pt(2.8))
+    report = classify_backflow(PureState.preset("H"), pt(2.8))
     assert report.classification is Classification.MONOTONIC
 
 
 def test_classify_broken_single_undershoot():
     # broken-regime decay from a bright state overshoots the stable
     # value once and recovers: a genuine (non-periodic) backflow
-    report = classify_backflow(PureState.preset("D"), _pt(1.5))
+    report = classify_backflow(PureState.preset("D"), pt(1.5))
     assert report.classification is Classification.SINGLE_BACKFLOW
 
 

@@ -6,15 +6,14 @@ independent of the closed forms under test.
 """
 from __future__ import annotations
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracle import frobenius_dist, mat_exp_oracle
+from _oracle import frobenius_dist, mat_exp_oracle, reference_propagator
+from conftest import apt, pt
 
-import ptcoherence as pc
 from ptcoherence import (
     DensityMatrix,
     HamiltonianParams,
@@ -25,14 +24,6 @@ from ptcoherence import (
     propagator_analytic,
 )
 from ptcoherence.evolution import abc_scaled, evolve_pure_grid, propagator_scaled
-
-
-def _pt(a: float, s: float = 1.0) -> HamiltonianParams:
-    return HamiltonianParams(kind=SymmetryClass.PT, s=s, a=a)
-
-
-def _apt(a: float, s: float = 1.0) -> HamiltonianParams:
-    return HamiltonianParams(kind=SymmetryClass.APT, s=s, a=a)
 
 
 def _oracle(p: HamiltonianParams, t: float) -> np.ndarray:
@@ -109,7 +100,7 @@ def test_density_of_pure_state():
 # ---------------------------------------------------------------------------
 
 def test_propagator_pt_unbroken_frozen():
-    u = propagator_analytic(_pt(0.31), 1.0)
+    u = propagator_analytic(pt(0.31), 1.0)
     expected = np.array(
         [
             [0.8464481203742266, -0.8560139199259117j],
@@ -121,13 +112,13 @@ def test_propagator_pt_unbroken_frozen():
 
 def test_propagator_pt_exceptional_point_frozen():
     # at a=1 the closed form is linear in t: exactly representable
-    u = propagator_analytic(_pt(1.0, s=2.0), 0.75)
+    u = propagator_analytic(pt(1.0, s=2.0), 0.75)
     expected = np.array([[2.5, -1.5j], [-1.5j, -0.5]])
     assert frobenius_dist(u, expected) < 1e-13
 
 
 def test_propagator_apt_broken_frozen():
-    u = propagator_analytic(_apt(2.8), 0.5)
+    u = propagator_analytic(apt(2.8), 0.5)
     expected = np.array(
         [
             [0.26010084754156426 - 1.0337580327730485j, 0.3691992974189459],
@@ -138,7 +129,7 @@ def test_propagator_apt_broken_frozen():
 
 
 def test_propagator_apt_unbroken_growing_frozen():
-    u = propagator_analytic(_apt(0.47, s=1.3), 2.0)
+    u = propagator_analytic(apt(0.47, s=1.3), 2.0)
     expected = np.array(
         [
             [5.012268043113757 - 2.6152631369580415j, 5.564389653102216],
@@ -149,7 +140,7 @@ def test_propagator_apt_unbroken_growing_frozen():
 
 
 def test_propagator_at_zero_time_is_identity():
-    for p in (_pt(0.31), _pt(1.0), _pt(2.8), _apt(0.31), _apt(1.0), _apt(2.8)):
+    for p in (pt(0.31), pt(1.0), pt(2.8), apt(0.31), apt(1.0), apt(2.8)):
         assert frobenius_dist(propagator_analytic(p, 0.0), np.eye(2)) < 1e-15
 
 
@@ -215,11 +206,11 @@ def test_propagator_unit_determinant(a, s, t, kind):
 
 def test_propagator_raw_overflow_raises():
     with pytest.raises(OverflowError):
-        propagator_analytic(_pt(3.0), 300.0)
+        propagator_analytic(pt(3.0), 300.0)
 
 
 def test_propagator_scaled_survives_deep_broken_times():
-    p = _pt(3.0)
+    p = pt(3.0)
     u_hat, log_scale = propagator_scaled(p, 300.0)
     assert np.all(np.isfinite(u_hat.view(float)))
     assert log_scale > 500.0
@@ -227,7 +218,7 @@ def test_propagator_scaled_survives_deep_broken_times():
 
 
 def test_propagator_scaled_consistent_with_raw():
-    p = _apt(2.5)
+    p = apt(2.5)
     t = 1.7
     u_hat, log_scale = propagator_scaled(p, t)
     assert frobenius_dist(u_hat * np.exp(log_scale), propagator_analytic(p, t)) < 1e-10
@@ -235,7 +226,7 @@ def test_propagator_scaled_consistent_with_raw():
 
 def test_propagator_scaled_consistent_with_raw_past_the_switch():
     # broken regime at w s t = 229: above the scale switch, below the raw overflow
-    p = _pt(2.5)
+    p = pt(2.5)
     u_hat, log_scale = propagator_scaled(p, 100.0)
     assert log_scale > 0.0
     raw = propagator_analytic(p, 100.0)
@@ -244,7 +235,7 @@ def test_propagator_scaled_consistent_with_raw_past_the_switch():
 
 def test_propagator_scaled_matches_normalized_oracle():
     # deep in the broken regime compare direction only (scale removed)
-    p = _pt(2.9)
+    p = pt(2.9)
     t = 80.0  # x = s t sqrt(a^2-1) ~ 218: oracle still finite, raw huge
     u_hat = propagator_scaled(p, t)[0]
     w = _oracle(p, t)
@@ -255,24 +246,23 @@ def test_propagator_scaled_matches_normalized_oracle():
                                      (SymmetryClass.PT, 2.8), (SymmetryClass.APT, 0.47)],
                          ids=["pt-unbroken", "apt-unbroken", "pt-broken", "apt-broken"])
 def test_abc_scaled_small_arguments_match_mpmath(kind, a):
-    # sin(x)/x and sinh(x)/x keep full precision down to the smallest subnormal x
+    # sin(x)/x and sinh(x)/x keep full precision down to the smallest subnormal x:
+    # A = tr U / 2 and g = U_01 / M_01 of the high-precision reference
     thetas = np.array([sign * th for th in (0.0, 5e-324, 1e-300, 1e-12, 1e-5, 2e-4)
                        for sign in (1.0, -1.0)])
     A, g, log_scale = abc_scaled(kind, a, thetas)
     assert not np.any(log_scale)
-    with mpmath.workdps(40):
-        d = (1 - mpmath.mpf(a) ** 2) * (1 if kind is SymmetryClass.PT else -1)
-        w = mpmath.sqrt(abs(d))
-        cos, sin = (mpmath.cos, mpmath.sin) if d > 0 else (mpmath.cosh, mpmath.sinh)
-        for th, got_a, got_g in zip(thetas, A, g):
-            x = w * mpmath.mpf(float(th))
-            assert got_a == pytest.approx(float(cos(x)), rel=1e-15, abs=0.0), th
-            assert got_g == pytest.approx(float(sin(x) / w), rel=1e-15, abs=0.0), th
+    p = HamiltonianParams(kind=kind, a=a)
+    m01 = -1j if kind is SymmetryClass.PT else 1.0  # M = -i H / s from its definition
+    for th, got_a, got_g in zip(thetas, A, g):
+        u = reference_propagator(p, float(th))  # A I + g M
+        assert got_a == pytest.approx(complex((u[0, 0] + u[1, 1]) / 2).real, rel=1e-15, abs=0.0), th
+        assert got_g == pytest.approx(complex(u[0, 1] / m01).real, rel=1e-15, abs=0.0), th
 
 
 def test_negative_time_rejected():
     with pytest.raises(ValueError):
-        propagator_analytic(_pt(0.62), -1.1)
+        propagator_analytic(pt(0.62), -1.1)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +284,7 @@ def test_evolve_pure_grid_matches_oracle_direction(kind, a):
 
 
 def test_evolve_density_consistent_with_pure_route():
-    p = _apt(1.5)
+    p = apt(1.5)
     st_ = PureState.preset("h-sqrt3v")
     ts = (0.4, 1.9)
     for t, v in zip(ts, evolve_pure_grid(st_, p, ts)):
@@ -303,7 +293,7 @@ def test_evolve_density_consistent_with_pure_route():
 
 
 def test_evolve_density_keeps_unit_trace_and_hermiticity():
-    p = _pt(2.2)
+    p = pt(2.2)
     rho = DensityMatrix.maximally_mixed()
     out = evolve_density(rho, p, 5.0).rho
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
@@ -312,4 +302,4 @@ def test_evolve_density_keeps_unit_trace_and_hermiticity():
 
 def test_evolve_rejects_bad_time():
     with pytest.raises(ValueError):
-        propagator_analytic(_pt(0.5), np.nan)
+        propagator_analytic(pt(0.5), np.nan)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import apt, pt
+
 from ptcoherence import (
     HamiltonianParams,
     PureState,
@@ -21,34 +23,26 @@ from ptcoherence import (
 from ptcoherence.hamiltonian import w_squared
 
 
-def _pt(a: float, s: float = 1.0) -> HamiltonianParams:
-    return HamiltonianParams(kind=SymmetryClass.PT, s=s, a=a)
-
-
-def _apt(a: float, s: float = 1.0) -> HamiltonianParams:
-    return HamiltonianParams(kind=SymmetryClass.APT, s=s, a=a)
-
-
 def test_pt_matrix_layout():
-    h = build_hamiltonian(_pt(0.31, s=2.0))
+    h = build_hamiltonian(pt(0.31, s=2.0))
     assert np.allclose(h, [[0.62j, 2.0], [2.0, -0.62j]], atol=1e-15)
 
 
 def test_apt_matrix_layout():
-    h = build_hamiltonian(_apt(2.8, s=0.5))
+    h = build_hamiltonian(apt(2.8, s=0.5))
     assert np.allclose(h, [[1.4, 0.5j], [0.5j, -1.4]], atol=1e-15)
 
 
 def test_pt_matrix_is_traceless_and_pt_type():
     # diagonal purely imaginary (balanced gain/loss), coupling real
-    h = build_hamiltonian(_pt(0.7))
+    h = build_hamiltonian(pt(0.7))
     assert h[0, 0] == -h[1, 1]
     assert h[0, 0].real == 0.0
     assert h[0, 1].imag == 0.0
 
 
 def test_eigenvalues_unbroken_pt_real():
-    lam_plus, lam_minus = eigenvalues(_pt(0.47))
+    lam_plus, lam_minus = eigenvalues(pt(0.47))
     # frozen from the dense eigensolver
     assert lam_plus == pytest.approx(0.8826664149042944, abs=1e-12)
     assert lam_minus == pytest.approx(-0.8826664149042944, abs=1e-12)
@@ -56,21 +50,21 @@ def test_eigenvalues_unbroken_pt_real():
 
 
 def test_eigenvalues_broken_pt_imaginary():
-    lam_plus, lam_minus = eigenvalues(_pt(1.5))
+    lam_plus, lam_minus = eigenvalues(pt(1.5))
     assert lam_plus == pytest.approx(1.1180339887498949j, abs=1e-12)
     assert lam_minus == pytest.approx(-1.1180339887498949j, abs=1e-12)
 
 
 def test_eigenvalues_apt_mirror():
     # APT: real for a > 1, imaginary for a < 1
-    lam_plus, _ = eigenvalues(_apt(1.5))
+    lam_plus, _ = eigenvalues(apt(1.5))
     assert lam_plus == pytest.approx(1.1180339887498949, abs=1e-12)
-    lam_plus, _ = eigenvalues(_apt(0.47))
+    lam_plus, _ = eigenvalues(apt(0.47))
     assert lam_plus == pytest.approx(0.8826664149042944j, abs=1e-12)
 
 
 def test_eigenvalues_vanish_at_coalescence():
-    for p in (_pt(1.0), _apt(1.0)):
+    for p in (pt(1.0), apt(1.0)):
         lam_plus, lam_minus = eigenvalues(p)
         assert lam_plus == 0 and lam_minus == 0
 
@@ -94,18 +88,18 @@ def test_eigenvalues_match_dense_solver(a, s, kind):
 
 
 def test_regime_classification_pt():
-    assert regime(_pt(0.31)) is Regime.UNBROKEN
-    assert regime(_pt(1.5)) is Regime.BROKEN
-    assert regime(_pt(1.0)) is Regime.EXCEPTIONAL_POINT
+    assert regime(pt(0.31)) is Regime.UNBROKEN
+    assert regime(pt(1.5)) is Regime.BROKEN
+    assert regime(pt(1.0)) is Regime.EXCEPTIONAL_POINT
 
 
 def test_regime_classification_apt_is_mirrored():
-    assert regime(_apt(0.31)) is Regime.BROKEN
-    assert regime(_apt(1.5)) is Regime.UNBROKEN
-    assert regime(_apt(1.0)) is Regime.EXCEPTIONAL_POINT
+    assert regime(apt(0.31)) is Regime.BROKEN
+    assert regime(apt(1.5)) is Regime.UNBROKEN
+    assert regime(apt(1.0)) is Regime.EXCEPTIONAL_POINT
 
 
-@pytest.mark.parametrize("make", [_pt, _apt])
+@pytest.mark.parametrize("make", [pt, apt])
 @pytest.mark.parametrize("a", [math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
                                1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-9, 1.0 + 1e-9])
 def test_regime_is_the_sign_of_w_squared(make, a):
@@ -119,17 +113,17 @@ def test_regime_is_the_sign_of_w_squared(make, a):
 
 
 def test_gamma_property():
-    assert _pt(0.31, s=2.0).gamma == pytest.approx(0.62)
+    assert pt(0.31, s=2.0).gamma == pytest.approx(0.62)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
 def test_invalid_a_rejected(bad):
     with pytest.raises(ValueError):
-        _pt(bad)
+        pt(bad)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("make", [_pt, _apt])
+@pytest.mark.parametrize("make", [pt, apt])
 def test_a_square_must_be_finite(make):
     # the (A, B, C) scalars are built from a^2, which overflows above sqrt(max float)
     with pytest.raises(ValueError, match=r"at most 1\.34078e\+154"):
@@ -140,7 +134,7 @@ def test_a_square_must_be_finite(make):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("make", [_pt, _apt])
+@pytest.mark.parametrize("make", [pt, apt])
 def test_gain_loss_rate_must_be_finite(make):
     # gamma = a s overflows although a^2 and s are finite; accepted
     # parameters keep w s <= max(1, a) s and the generator finite
@@ -154,4 +148,4 @@ def test_gain_loss_rate_must_be_finite(make):
 @pytest.mark.parametrize("bad", [0.0, -0.5, np.nan])
 def test_invalid_s_rejected(bad):
     with pytest.raises(ValueError):
-        _pt(0.5, s=bad)
+        pt(0.5, s=bad)

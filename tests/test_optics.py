@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from _oracle import frobenius_dist
+from conftest import apt, pt
 
 from ptcoherence import (
-    HamiltonianParams,
     NoDecompositionError,
     OpticalSequence,
     SymmetryClass,
@@ -23,14 +23,6 @@ from ptcoherence import (
     verify_state_action,
 )
 from ptcoherence.evolution import propagator_scaled
-
-
-def _pt(a: float) -> HamiltonianParams:
-    return HamiltonianParams(kind=SymmetryClass.PT, s=1.0, a=a)
-
-
-def _apt(a: float) -> HamiltonianParams:
-    return HamiltonianParams(kind=SymmetryClass.APT, s=1.0, a=a)
 
 
 # ---------------------------------------------------------------------------
@@ -102,13 +94,13 @@ def test_assemble_is_pi_periodic(kind):
 ], ids=["five", "seven", "nan", "inf"])
 def test_sequence_takes_six_finite_angles(angles):
     with pytest.raises(ValueError, match="6 finite angles"):
-        OpticalSequence(params=_pt(0.47), angles=angles, t=1.0, residual=0.0)
+        OpticalSequence(params=pt(0.47), angles=angles, t=1.0, residual=0.0)
 
 
 @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
 def test_sequence_time_must_be_finite_and_nonnegative(t):
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        OpticalSequence(params=_pt(0.47), angles=_ANGLES, t=t, residual=0.0)
+        OpticalSequence(params=pt(0.47), angles=_ANGLES, t=t, residual=0.0)
 
 
 @pytest.mark.parametrize("kind, first, second", [
@@ -151,11 +143,11 @@ def test_residual_ignores_global_complex_scale():
 @pytest.mark.parametrize(
     "p,t",
     [
-        (_pt(0.47), 1.2),
-        (_pt(1.0), 0.5),
-        (_pt(2.0), 2.0),
-        (_apt(0.5), 1.0),
-        (_apt(1.5), 0.9),
+        (pt(0.47), 1.2),
+        (pt(1.0), 0.5),
+        (pt(2.0), 2.0),
+        (apt(0.5), 1.0),
+        (apt(1.5), 0.9),
     ],
 )
 def test_solve_angles_round_trip(p, t):
@@ -171,7 +163,7 @@ def test_solve_angles_round_trip(p, t):
     assert svals.max() <= 1.0 + 1e-9
 
 
-@pytest.mark.parametrize("p", [_pt(0.47), _pt(2.8), _apt(1.5), _apt(0.47)],
+@pytest.mark.parametrize("p", [pt(0.47), pt(2.8), apt(1.5), apt(0.47)],
                          ids=["pt-0.47", "pt-2.8", "apt-1.5", "apt-0.47"])
 def test_state_action_of_solved_sequence_keeps_its_digits(p):
     # sqrt(2 - 2 |<u, v>|) can only print sqrt(k eps) ~ 1.5e-8 near overlap 1
@@ -179,7 +171,7 @@ def test_state_action_of_solved_sequence_keeps_its_digits(p):
 
 
 def test_state_action_is_the_phase_aligned_distance_over_the_same_panel():
-    p, t, seed = _apt(1.5), 0.9, 7
+    p, t, seed = apt(1.5), 0.9, 7
     solved = solve_angles(p, t, seed=3)
     seq = OpticalSequence(p, tuple(a + 1e-3 for a in solved.angles), t, solved.residual)
     target = propagator_scaled(p, t)[0]
@@ -196,14 +188,14 @@ def test_state_action_is_the_phase_aligned_distance_over_the_same_panel():
 
 
 def test_solve_angles_identity_at_zero_time():
-    seq = solve_angles(_pt(0.31), 0.0, seed=1)
+    seq = solve_angles(pt(0.31), 0.0, seed=1)
     m = assemble(SymmetryClass.PT, seq.angles)
     assert scale_invariant_residual(np.eye(2), m) < 1e-6
 
 
 def test_solve_angles_is_deterministic():
-    a = solve_angles(_apt(2.8), 1.4, seed=11)
-    b = solve_angles(_apt(2.8), 1.4, seed=11)
+    a = solve_angles(apt(2.8), 1.4, seed=11)
+    b = solve_angles(apt(2.8), 1.4, seed=11)
     assert a.angles == b.angles
     assert a.residual == b.residual
 
@@ -211,7 +203,7 @@ def test_solve_angles_is_deterministic():
 def test_solve_angles_failure_carries_diagnostics(monkeypatch):
     monkeypatch.setattr("ptcoherence.tolerances.optics_residual", 0.0)
     with pytest.raises(NoDecompositionError) as err:
-        solve_angles(_pt(0.47), 1.2, seed=3, restarts=2)
+        solve_angles(pt(0.47), 1.2, seed=3, restarts=2)
     assert err.value.best_residual > 0.0
     assert len(err.value.best_angles) == 6
 
@@ -222,7 +214,7 @@ def test_solve_angles_sweep(restarts):
     # from t = 0 to deep in the broken regime; every angle reduced once
     # into [0, pi] (a tiny negative angle rounds up to pi itself)
     problems = []
-    for make in (_pt, _apt):
+    for make in (pt, apt):
         for a in (0.3, 0.47, 0.9, 0.999, 1.0, 1.001, 1.5, 2.5):
             for t in (0.0, 0.5, 1.2, 5.0, 40.0):
                 p = make(a)
@@ -250,13 +242,13 @@ def test_jones_matrices_broadcast_over_angle_arrays():
 
 def test_solve_angles_input_validation():
     with pytest.raises(ValueError):
-        solve_angles(_pt(0.47), -1.0)
+        solve_angles(pt(0.47), -1.0)
     with pytest.raises(ValueError):
-        solve_angles(_pt(0.47), 1.0, restarts=0)
+        solve_angles(pt(0.47), 1.0, restarts=0)
 
 
 def test_sequence_to_dict_schema():
-    p = _apt(1.5)
+    p = apt(1.5)
     seq = solve_angles(p, 0.9, seed=3)
     d = sequence_to_dict(seq)
     assert d["kind"] == "apt" and d["a"] == 1.5 and d["t"] == 0.9

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from _oracle import mat_exp_oracle
+from conftest import apt, pt
 
 from ptcoherence import (
     HamiltonianParams,
-    SymmetryClass,
     TwoQubitState,
     build_hamiltonian,
     evolve_two_qubit,
@@ -22,14 +22,6 @@ from ptcoherence import (
     two_qubit_coherence_trace,
     two_qubit_series,
 )
-
-
-def _pt(a: float, s: float = 1.0) -> HamiltonianParams:
-    return HamiltonianParams(kind=SymmetryClass.PT, s=s, a=a)
-
-
-def _apt(a: float, s: float = 1.0) -> HamiltonianParams:
-    return HamiltonianParams(kind=SymmetryClass.APT, s=s, a=a)
 
 
 def _oracle4(p: HamiltonianParams, t: float, q: HamiltonianParams | None = None) -> np.ndarray:
@@ -77,15 +69,15 @@ def _same_ray(v: np.ndarray, w: np.ndarray) -> float:
     return abs(abs(np.vdot(w / np.linalg.norm(w), v)) - 1.0)
 
 
-@pytest.mark.parametrize("p,t", [(_pt(0.8), 0.6), (_pt(1.0), 1.0), (_apt(1.8), 0.45)])
+@pytest.mark.parametrize("p,t", [(pt(0.8), 0.6), (pt(1.0), 1.0), (apt(1.8), 0.45)])
 def test_joint_evolution_matches_oracle(p, t):
     for psi in (TwoQubitState.psi_1(), TwoQubitState.psi_2(), TwoQubitState.psi_3()):
         v = evolve_two_qubit(psi, p, t).vector
         assert _same_ray(v, _oracle4(p, t) @ psi.vector) < 1e-10
 
 
-@pytest.mark.parametrize("p_a,p_b", [(_pt(0.6), _pt(1.4)), (_apt(1.8), _pt(0.47)),
-                                     (_apt(0.5), _apt(1.0, s=1.3))])
+@pytest.mark.parametrize("p_a,p_b", [(pt(0.6), pt(1.4)), (apt(1.8), pt(0.47)),
+                                     (apt(0.5), apt(1.0, s=1.3))])
 def test_heterogeneous_evolution_factorizes(p_a, p_b):
     # different parameters per qubit: the grid body's U_A ⊗ U_B vs the
     # dense exponential of H_A ⊗ I + I ⊗ H_B
@@ -96,7 +88,7 @@ def test_heterogeneous_evolution_factorizes(p_a, p_b):
 
 
 def test_evolution_matches_oracle_ray():
-    p = _apt(1.8)
+    p = apt(1.8)
     psi = TwoQubitState.psi_3()
     for t in (0.0, 0.45, 1.7):
         v = evolve_two_qubit(psi, p, t).vector
@@ -107,13 +99,13 @@ def test_evolution_matches_oracle_ray():
 
 def test_evolution_deep_broken_time_is_safe():
     # the scaled route survives times where raw entries would overflow
-    v = evolve_two_qubit(TwoQubitState.psi_1(), _pt(3.0), 400.0).vector
+    v = evolve_two_qubit(TwoQubitState.psi_1(), pt(3.0), 400.0).vector
     assert np.all(np.isfinite(v.view(float)))
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("p", [_pt(1.0), _apt(1.0)], ids=["pt", "apt"])
+@pytest.mark.parametrize("p", [pt(1.0), apt(1.0)], ids=["pt", "apt"])
 def test_exceptional_point_at_huge_times_is_safe(p):
     # at the EP the entries grow like s t; squared two-qubit magnitudes
     # hold fourth powers, which overflowed from s t ~ 1e77
@@ -128,7 +120,7 @@ def test_exceptional_point_at_huge_times_is_safe(p):
         assert abs(abs(np.vdot(ray / np.linalg.norm(ray), v)) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("p_a,p_b", [(_pt(3.0), _pt(1.5)), (_apt(0.2), _apt(0.6))],
+@pytest.mark.parametrize("p_a,p_b", [(pt(3.0), pt(1.5)), (apt(0.2), apt(0.6))],
                          ids=["pt", "apt"])
 def test_heterogeneous_evolution_deep_broken_time_is_safe(p_a, p_b):
     # w s t ~ 400 for the slower qubit: the dense exponential of the joint
@@ -151,18 +143,18 @@ def test_heterogeneous_evolution_deep_broken_time_is_safe(p_a, p_b):
 # ---------------------------------------------------------------------------
 
 def test_series_frozen_value_pt():
-    values = two_qubit_series(TwoQubitState.psi_1(), _pt(0.8), np.array([0.0, 0.6]))
+    values = two_qubit_series(TwoQubitState.psi_1(), pt(0.8), np.array([0.0, 0.6]))
     assert values[0] == pytest.approx(2.0, abs=1e-12)
     assert values[1] == pytest.approx(2.2525379976695623, abs=1e-10)
 
 
 def test_series_frozen_value_apt():
-    values = two_qubit_series(TwoQubitState.psi_3(), _apt(1.8), np.array([0.45]))
+    values = two_qubit_series(TwoQubitState.psi_3(), apt(1.8), np.array([0.45]))
     assert values[0] == pytest.approx(2.987235861069427, abs=1e-10)
 
 
 def test_series_matches_evolution_route():
-    p = _pt(0.8)
+    p = pt(0.8)
     psi = TwoQubitState.psi_1()
     ts = np.linspace(0.0, 4.0, 9)
     series = two_qubit_series(psi, p, ts)
@@ -173,7 +165,7 @@ def test_series_matches_evolution_route():
 def test_broken_regime_state_independent_limit():
     # long-time limit equals (1 + c)^2 - 1 with c the single-qubit
     # stable value, for every reference state
-    for p, c in ((_pt(1.8), 1 / 1.8), (_apt(0.8), 1.0)):
+    for p, c in ((pt(1.8), 1 / 1.8), (apt(0.8), 1.0)):
         limit = (1.0 + c) ** 2 - 1.0
         for psi in (TwoQubitState.psi_1(), TwoQubitState.psi_2(), TwoQubitState.psi_3()):
             tail = two_qubit_series(psi, p, np.array([40.0]))[0]
@@ -181,7 +173,7 @@ def test_broken_regime_state_independent_limit():
 
 
 def test_unbroken_traces_are_periodic():
-    for p in (_pt(0.8), _apt(1.8)):
+    for p in (pt(0.8), apt(1.8)):
         T = theoretical_period(p)
         ts = np.linspace(0.0, T, 40)
         for psi in (TwoQubitState.psi_1(), TwoQubitState.psi_2(), TwoQubitState.psi_3()):
@@ -191,7 +183,7 @@ def test_unbroken_traces_are_periodic():
 
 
 def test_trace_object_fields():
-    p = _apt(1.8)
+    p = apt(1.8)
     T = theoretical_period(p)
     ts = np.linspace(0.0, 2 * T, 257)
     trace = two_qubit_coherence_trace(TwoQubitState.psi_3(), p, ts)
@@ -201,7 +193,7 @@ def test_trace_object_fields():
     assert len(trace.extrema) >= 2
 
 
-@pytest.mark.parametrize("p", [_pt(0.47), _apt(1.5), _pt(2.8), _apt(0.47)],
+@pytest.mark.parametrize("p", [pt(0.47), apt(1.5), pt(2.8), apt(0.47)],
                          ids=["pt-unbroken", "apt-unbroken", "pt-broken", "apt-broken"])
 def test_trace_extremum_kinds_alternate(p):
     # maxima and minima of a smooth trace alternate, also for a boundary
@@ -214,7 +206,7 @@ def test_trace_extremum_kinds_alternate(p):
 
 
 def test_trace_grid_validation():
-    p = _pt(0.8)
+    p = pt(0.8)
     psi = TwoQubitState.psi_1()
     with pytest.raises(ValueError):
         two_qubit_coherence_trace(psi, p, np.array([0.0]))
@@ -229,10 +221,10 @@ def test_trace_grid_validation():
 def test_trace_rejects_non_finite_time(t):
     # rejected before any arithmetic: no RuntimeWarning first
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        two_qubit_coherence_trace(TwoQubitState.psi_1(), _pt(0.8), np.array([0.0, 1.0, t]))
+        two_qubit_coherence_trace(TwoQubitState.psi_1(), pt(0.8), np.array([0.0, 1.0, t]))
 
 
 def test_coherence_can_exceed_single_qubit_bound():
     # the four-component balanced state reaches C = 3 in the broken limit
-    tail = two_qubit_series(TwoQubitState.psi_2(), _apt(0.8), np.array([30.0]))[0]
+    tail = two_qubit_series(TwoQubitState.psi_2(), apt(0.8), np.array([30.0]))[0]
     assert tail > 2.5
