@@ -9,6 +9,8 @@ noisy-tomography reconstruction, and the two-qubit product extension.
 Public names load lazily (PEP 562): ``import ptcoherence`` imports no
 submodule, and the first access to a name imports the module that
 defines it, so a CLI call loads only what its subcommand runs.
+``_EXPORTS`` is the one list of public names: each submodule's
+``__all__`` is its entry, so a name is added or removed in one place.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-#: Each submodule and the public names it defines, in ``__all__`` order.
+#: Each submodule and the public names it defines, which are its ``__all__``.
 _EXPORTS = {
     "hamiltonian": (
         "SymmetryClass",

@@ -18,10 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .evolution import PureState, _evolution_times, evolve_pure_grid
 from .hamiltonian import HamiltonianParams
 
-__all__ = ["trajectory_array"]
+__all__ = list(_EXPORTS["bloch"])
 
 
 def trajectory_array(

@@ -53,24 +53,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .evolution import (PureState, _evolution_times, evolve_product, pure_l1, pure_rows,
                         pure_terms, shifted_pairs)
 from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime, w_squared
 
-__all__ = [
-    "Classification",
-    "Extremum",
-    "CoherenceTrace",
-    "BackflowReport",
-    "l1_coherence",
-    "coherence_closed_form",
-    "coherence_series",
-    "theoretical_period",
-    "asymptotic_value",
-    "find_extrema",
-    "verify_extrema_conditions",
-    "classify_backflow",
-]
+__all__ = list(_EXPORTS["coherence"])
 
 #: Bisection stops when the bracket is narrower than this.
 _BISECT_WIDTH = 1e-9

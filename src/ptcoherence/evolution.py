@@ -52,18 +52,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tolerances
+from . import _EXPORTS, tolerances
 from .hamiltonian import HamiltonianParams, SymmetryClass, generator, w_squared
 
-__all__ = [
-    "PureState",
-    "DensityMatrix",
-    "DegenerateEvolutionError",
-    "propagator_analytic",
-    "evolve_density",
-    "evolve_pure_grid",
-    "evolve_density_grid",
-]
+__all__ = list(_EXPORTS["evolution"])
 
 class DegenerateEvolutionError(RuntimeError):
     """Raised when an evolved state's norm underflows to (near) zero.

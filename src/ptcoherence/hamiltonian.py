@@ -27,14 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SymmetryClass",
-    "Regime",
-    "HamiltonianParams",
-    "build_hamiltonian",
-    "eigenvalues",
-    "regime",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["hamiltonian"])
 
 
 #: Largest a whose square is finite; w^2 is built from a^2.

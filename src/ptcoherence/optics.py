@@ -45,22 +45,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tolerances
+from . import _EXPORTS, tolerances
 from .evolution import _evolution_times, propagator_scaled
 from .hamiltonian import HamiltonianParams, SymmetryClass
 
-__all__ = [
-    "OpticalSequence",
-    "NoDecompositionError",
-    "r_hwp",
-    "r_qwp",
-    "loss_operator",
-    "assemble",
-    "scale_invariant_residual",
-    "solve_angles",
-    "verify_state_action",
-    "sequence_to_dict",
-]
+__all__ = list(_EXPORTS["optics"])
 
 
 #: Element names, leftmost (applied last) first, of each target family.

@@ -26,18 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .evolution import DensityMatrix
 
-__all__ = [
-    "CountRecord",
-    "InsufficientDataError",
-    "ideal_probabilities",
-    "exact_count_record",
-    "simulate_counts",
-    "reconstruct",
-    "bootstrap_errorbar",
-    "trace_distance",
-]
+__all__ = list(_EXPORTS["tomography"])
 
 #: Iteration cap of the Newton and bisection loops (both end far sooner).
 _MAX_STEPS = 200

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _EXPORTS
 from .evolution import (_evolution_times, evolve_product, pure_l1, pure_rows, pure_terms,
                         shifted_pairs)
 from .hamiltonian import HamiltonianParams
@@ -35,12 +36,7 @@ from .hamiltonian import HamiltonianParams
 if TYPE_CHECKING:
     from .coherence import CoherenceTrace
 
-__all__ = [
-    "TwoQubitState",
-    "evolve_two_qubit",
-    "two_qubit_series",
-    "two_qubit_coherence_trace",
-]
+__all__ = list(_EXPORTS["twoqubit"])
 
 
 @dataclass(frozen=True)

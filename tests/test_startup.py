@@ -6,9 +6,11 @@ ImportError, then imports the package and runs all eight subcommands with
 their default options; each must exit 0.  A cold call loads only what its
 subcommand runs: ``import ptcoherence`` loads no submodule, the scan
 subcommands load neither the optics, tomography, Bloch and two-qubit
-modules nor ``statistics``, and ``two-qubit`` and ``bloch`` load no
-coherence module.  The checks need their own interpreter because the
-test session has every module loaded.
+modules nor ``statistics``, ``two-qubit`` and ``bloch`` load no
+coherence module, and ``angles`` and ``tomography`` load only their own
+chain.  The checks need their own interpreter because the test session
+has every module loaded.  ``_EXPORTS`` is the one list of public names:
+each table module's ``__all__`` is its entry.
 """
 from __future__ import annotations
 
@@ -56,12 +58,20 @@ _LOADS_SCRIPT = textwrap.dedent("""
 
 #: Each command set and the modules it must not load: the scan commands
 #: load no optics, tomography, two-qubit or Bloch module and no
-#: ``statistics``; the grid commands that run no scan load no coherence.
+#: ``statistics``; the grid commands that run no scan load no coherence;
+#: ``angles`` loads no coherence, tomography, two-qubit or Bloch module,
+#: and ``tomography`` no optics, two-qubit or Bloch module, and neither
+#: loads ``statistics``.
 _COLD_LOADS = (
     (("period", "asymptote", "backflow", "trace"),
      ("ptcoherence.optics", "ptcoherence.tomography", "ptcoherence.twoqubit",
       "ptcoherence.bloch", "statistics")),
     (("two-qubit", "bloch"), ("ptcoherence.coherence",)),
+    (("angles",),
+     ("ptcoherence.coherence", "ptcoherence.tomography", "ptcoherence.twoqubit",
+      "ptcoherence.bloch", "statistics")),
+    (("tomography",),
+     ("ptcoherence.optics", "ptcoherence.twoqubit", "ptcoherence.bloch", "statistics")),
 )
 
 
@@ -86,3 +96,10 @@ def test_public_names_resolve():
     for module in modules:
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names missing attributes: {missing}"
+    # the table is the one list: each module's __all__ is its entry, and
+    # the package exports the table's names in order
+    table = ptcoherence._EXPORTS
+    for name, names in table.items():
+        module = importlib.import_module(f"ptcoherence.{name}")
+        assert module.__all__ == list(names), name
+    assert ptcoherence.__all__ == ["__version__", *(n for names in table.values() for n in names)]
