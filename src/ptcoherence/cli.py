@@ -33,8 +33,9 @@ by one body (``_csv_rows`` or ``_json_rows``), and the joined rows are
 framed once (``_csv_text`` or ``_json_grid_text``).
 
 Exit codes: 0 success; 2 validation error (the message names the
-violated precondition); 3 solver failure (no optical decomposition
-within the ``tolerances.optics_*`` bounds); 4 I/O error.
+violated precondition, or the sizes a run found no memory for); 3 solver
+failure (no optical decomposition within the ``tolerances.optics_*``
+bounds); 4 I/O error, stdout included.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .evolution import PureState, evolve_density, evolve_density_grid
-from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime, w_squared
+from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, frequency, regime
 
 # Each subcommand imports the modules only it runs (coherence, optics,
 # tomography, bloch, twoqubit), so a cold call loads no other.
@@ -133,10 +134,12 @@ def _read_config_file(path: str) -> dict:
 
 class _IOFailure(RuntimeError):
     """Config/output I/O problems (exit code 4)."""
+    code = _EXIT_IO
 
 
 class _SolverFailure(RuntimeError):
     """No optical decomposition found (exit code 3)."""
+    code = _EXIT_SOLVER
 
 
 def _resolve_state(merged: dict, layer: dict) -> tuple[PureState, str]:
@@ -178,7 +181,7 @@ def _require_resolved_phase(p: HamiltonianParams, key: str, t: float) -> None:
     longer resolves one radian of it.  In the broken regime C saturates
     instead, so every finite phase is accepted."""
     phase_regime = regime(p)
-    w = 1.0 if phase_regime is Regime.EXCEPTIONAL_POINT else math.sqrt(abs(w_squared(p.kind, p.a)))
+    w = 1.0 if phase_regime is Regime.EXCEPTIONAL_POINT else frequency(p.kind, p.a)
     theta = p.s * abs(t)
     phase = w * theta
     if not (math.isfinite(theta) and math.isfinite(phase)):
@@ -430,7 +433,13 @@ def _grid_text(cfg: argparse.Namespace, columns: Sequence[str], rows_of) -> str:
 
 def _emit(cfg: argparse.Namespace, text: str) -> None:
     if cfg.output in (None, "-"):
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:  # what stdout still holds goes nowhere, so exit flushes cleanly
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            raise _IOFailure(f"cannot write to stdout: {exc}") from exc
         return
     try:
         with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -620,22 +629,21 @@ _SUBCOMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, cfg = _build_parser().parse_args(argv), None
     try:
         cfg = _resolve_config(args)
-        text = _SUBCOMMANDS[cfg.subcommand][2](cfg)
-        _emit(cfg, text)
-    except _SolverFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_SOLVER
-    except _IOFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_VALIDATION
-    return _EXIT_OK
+        _emit(cfg, _SUBCOMMANDS[cfg.subcommand][2](cfg))
+    except MemoryError:  # name the sizes the run asked for
+        fields = _SUBCOMMANDS[args.subcommand][1] if cfg is not None else ()
+        sizes = "".join(f", {key} = {getattr(cfg, key)}"
+                        for key in ("points", "restarts", "resamples") if key in fields)
+        message, code = f"not enough memory for {args.subcommand}{sizes}", _EXIT_VALIDATION
+    except (_SolverFailure, _IOFailure, ValueError) as exc:
+        message, code = exc, getattr(exc, "code", _EXIT_VALIDATION)
+    else:
+        return _EXIT_OK
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

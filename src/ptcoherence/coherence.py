@@ -56,7 +56,8 @@ import numpy as np
 from . import _EXPORTS
 from .evolution import (PureState, _evolution_times, evolve_product, pure_l1, pure_rows,
                         pure_terms, shifted_pairs)
-from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, regime, w_squared
+from .hamiltonian import (HamiltonianParams, Regime, SymmetryClass, frequency, regime,
+                          w_squared)
 
 __all__ = list(_EXPORTS["coherence"])
 
@@ -172,7 +173,7 @@ def theoretical_period(p: HamiltonianParams) -> float | None:
     regime and at the exceptional point."""
     if regime(p) is not Regime.UNBROKEN:
         return None
-    sw = p.s * math.sqrt(abs(w_squared(p.kind, p.a)))
+    sw = p.s * frequency(p.kind, p.a)
     return math.pi / sw if sw > 0.0 else math.inf
 
 
@@ -183,8 +184,7 @@ def _scan_window(p: HamiltonianParams, periods: int) -> tuple[float, float]:
     T = theoretical_period(p)
     end = periods * T if T is not None else 10.0 / p.s
     if not math.isfinite(end):
-        w = math.sqrt(abs(w_squared(p.kind, p.a)))
-        theta = periods * math.pi / w if T is not None else 10.0
+        theta = periods * math.pi / frequency(p.kind, p.a) if T is not None else 10.0
         raise ValueError(f"s = {p.s} must be at least {theta / np.finfo(np.float64).max:.6g} "
                          f"here: the scan ends at t = {theta:.6g}/s, beyond the double range")
     return 0.0, end
@@ -297,7 +297,7 @@ def _scan(
     period = None
     cut = math.inf
     if regime(p) is Regime.BROKEN:
-        cut = 26.0 * math.log(2.0) / math.sqrt(abs(w_squared(p.kind, p.a)))
+        cut = 26.0 * math.log(2.0) / frequency(p.kind, p.a)
     if not _flat(values) and t0 < cut:
         end = min(t1, cut)
         grid = np.append(ts, t1) if end == t1 else np.linspace(t0, end, samples + 1)
@@ -431,8 +431,7 @@ def verify_extrema_conditions(st: PureState, p: HamiltonianParams) -> tuple[floa
     alpha, beta, phi = st.alpha, st.beta, st.phi
     sphi, cphi = math.sin(phi), math.cos(phi)
     a, s = p.a, p.s
-    w2 = abs(w_squared(p.kind, a))
-    w = math.sqrt(w2)
+    w2, w = abs(w_squared(p.kind, a)), frequency(p.kind, a)
     k = alpha * beta * sphi
 
     thetas: list[float] = []

@@ -107,6 +107,11 @@ def w_squared(kind: SymmetryClass, a: float) -> float:
     return (1.0 - a) * (1.0 + a) if kind is SymmetryClass.PT else (a - 1.0) * (a + 1.0)
 
 
+def frequency(kind: SymmetryClass, a: float) -> float:
+    """``w = sqrt(|w^2|)`` of :func:`w_squared`, in units of ``s``."""
+    return math.sqrt(abs(w_squared(kind, a)))
+
+
 def build_hamiltonian(p: HamiltonianParams) -> np.ndarray:
     """The 2x2 generator ``H = i s M`` (:func:`generator`): PT
     ``[[i a s, s], [s, -i a s]]``, APT ``[[a s, i s], [i s, -a s]]``."""

@@ -8,19 +8,17 @@ polarization-dependent loss element:
     PT target:   HWP(a1) · QWP(a2) · L(x1, x2) · HWP(a3) · QWP(a4)
     APT target:  QWP(a1) · HWP(a2) · L(x1, x2) · QWP(a3) · HWP(a4)
 
-(leftmost factor applied last).  All six angles are free and found by a
+(leftmost factor applied last).  The six angles are fitted by a
 Levenberg–Marquardt least-squares solve of a scale-invariant residual,
 run on all seeded restarts at once.
 
-Why six free angles: the loss element contributes the two singular
-values, and each waveplate pair contributes the unitary factor on its
-side.  Tying angles together (e.g. forcing both loss angles equal, or
-slaving waveplate angles to each other) leaves the family unable to
-match the targets' polar structure for generic times — the broken- and
-unbroken-regime propagators need two *different* singular values and
-side unitaries outside any single-parameter slice — so the solver
-treats the setting angles as fully free and determines them numerically
-for each requested time, exactly as an inverse ("reversal") design.
+The target fixes only five combinations of them: the residual ignores a
+global scale, so only the loss ratio |sin 2x1| : |sin 2x2| is fixed.  At
+PT a = 0.47, 1.0, 2.8 and APT a = 0.47, 1.5 (ROADMAP.md item 3) the 8x6
+Jacobian has rank 5 at the converged restarts (smallest singular value
+8e-12 to 1.2e-10, the next 0.42-0.82), its null vector in (x1, x2)
+alone.  The printed loss angles are one point on a curve of exact
+solutions, picked by rounding-level cost differences among the restarts.
 
 Conventions
 -----------

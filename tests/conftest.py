@@ -49,9 +49,10 @@ def random_params(seed: int, n: int, a_lo: float = 0.05, a_hi: float = 3.0):
     ]
 
 
-def run_fresh(script: str) -> subprocess.CompletedProcess:
-    """Run ``script`` in a new interpreter that imports this package's sources."""
+def run_fresh(script: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter, started with the interpreter
+    options ``flags``, that imports this package's sources."""
     src = str(Path(pc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", script], env=env,
+    return subprocess.run([sys.executable, *flags, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)

@@ -19,7 +19,7 @@ from _oracle import reference_rows
 from conftest import run_fresh
 
 import ptcoherence as pc
-from ptcoherence import cli
+from ptcoherence import bloch, cli
 from ptcoherence.cli import (_csv_rows, _csv_text, _fmt, _json_grid_text, _json_rows, _json_text,
                              main)
 from ptcoherence.tomography import _ml_bloch
@@ -355,7 +355,7 @@ SUBCOMMAND_FLAGS = {
 }
 
 
-def test_flag_surface(tmp_path):
+def test_flag_surface(tmp_path, capsys):
     parser = cli._build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     accepted = {
@@ -371,6 +371,12 @@ def test_flag_surface(tmp_path):
     cfg = tmp_path / "all.cfg"
     cfg.write_text("".join(f"{key} = 1\n" for key in sorted(keys)))
     assert cli._read_config_file(str(cfg)).keys() == keys
+    # every help text builds: the program's and each subcommand's
+    for argv in (["--help"], *([name, "--help"] for name in SUBCOMMAND_FLAGS)):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0, argv
+        assert capsys.readouterr().out.startswith("usage: ptcoherence"), argv
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +419,7 @@ def test_non_finite_input_exits_2(capsys, argv, field):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and f" {field} must be" in captured.err
+    assert "finite" in captured.err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -731,7 +738,7 @@ def test_row_ranges_are_byte_identical_to_one_core(monkeypatch, capsys):
 def _failing_rows(monkeypatch, failures: dict) -> None:
     """Bloch rows that fail by range, at 3 * _MIN_ROWS rows in 3 ranges:
     ``failures`` maps a range's first row to an action that raises."""
-    real, grid = pc.bloch.trajectory_array, np.linspace(0.0, 10.0, 3 * cli._MIN_ROWS)
+    real, grid = bloch.trajectory_array, np.linspace(0.0, 10.0, 3 * cli._MIN_ROWS)
 
     def rows(st, p, ts):
         action = failures.get(int(np.searchsorted(grid, ts[0])))
@@ -784,6 +791,21 @@ def test_killed_worker_is_named_and_nothing_is_written(monkeypatch, capsys):
     _no_worker_left()
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError()
+
+
+def test_failed_allocation_in_a_range_exits_2(monkeypatch, capsys):
+    rows = 3 * cli._MIN_ROWS
+    _failing_rows(monkeypatch, {rows // 3: _out_of_memory})
+    code = main(["bloch", "--kind", "pt", "--a", "0.47", "--points", str(rows)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: not enough memory for bloch, points = {rows}\n"
+    _no_worker_left()
+
+
 @pytest.mark.parametrize("argv", _GRID_COMMANDS)
 def test_small_grids_do_not_fork(monkeypatch, capsys, argv):
     def no_fork():
@@ -810,6 +832,30 @@ for argv in %r:
 """ % (list(_GRID_COMMANDS),))
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n" * 6
+
+
+_DEV_MODE_SCRIPT = """
+import os
+os.sched_getaffinity = lambda pid: {0, 1}
+from ptcoherence import cli
+assert cli._range_count(%d) == 2
+for argv in %r:
+    assert cli.main(argv) == 0, argv
+    assert cli.main([*argv, "--output", %r]) == 0, argv
+"""
+
+
+def test_row_ranges_leak_no_pipe_or_file(tmp_path):
+    # development mode reports an unclosed pipe or file as a ResourceWarning,
+    # which -W error prints to stderr as an ignored exception
+    n = 2 * cli._MIN_ROWS + 1
+    argvs = [[*argv, "--points", str(n), "--format", fmt]
+             for argv in _GRID_COMMANDS for fmt in ("csv", "json")]
+    result = run_fresh(_DEV_MODE_SCRIPT % (n, argvs, str(tmp_path / "grid")),
+                       "-X", "dev", "-W", "error")
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert result.stdout.count("# schema: 1") == result.stdout.count('"schema": 1') == 3
 
 
 # ---------------------------------------------------------------------------
@@ -918,6 +964,41 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["schema"] == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv, buffered", [
+    (["period", "--kind", "pt", "--a", "0.47"], True),  # fails in the flush at exit
+    (["period", "--kind", "pt", "--a", "0.47"], False),
+    (["trace", "--kind", "pt", "--a", "0.47", "--points", "20000"], True),
+], ids=["report-buffered", "report-unbuffered", "grid-buffered"])
+def test_full_stdout_exits_4(argv, buffered):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        result = subprocess.run([sys.executable, "-m", "ptcoherence", *argv], stdout=full,
+                                stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert result.returncode == 4
+    assert result.stderr.startswith("error: cannot write to stdout: ")
+    assert result.stderr.count("\n") == 1, result.stderr
+
+
+@pytest.mark.parametrize("argv, target, message", [
+    (["trace", "--points", "2000000000"], "numpy.linspace", "trace, points = 2000000000"),
+    (["angles", "--restarts", "7"], "ptcoherence.optics.solve_angles", "angles, restarts = 7"),
+    (["tomography", "--resamples", "50"], "ptcoherence.tomography.bootstrap_errorbar",
+     "tomography, resamples = 50"),
+    (["period"], "ptcoherence.coherence.find_extrema", "period"),
+], ids=["points", "restarts", "resamples", "no-size"])
+def test_failed_allocation_exits_2_naming_the_sizes(monkeypatch, capsys, argv, target, message):
+    # no test allocates the array: the allocation is made to fail
+    monkeypatch.setattr(target, _out_of_memory)
+    code = main([argv[0], "--kind", "pt", "--a", "0.47", *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: not enough memory for {message}\n"
 
 
 @pytest.mark.parametrize("args, code, message", [

@@ -1,6 +1,10 @@
 """The test oracles: SciPy's matrix exponential, the Frobenius distance and
-the high-precision reference propagator, each checked against the others."""
+the high-precision reference propagator, each checked against the others,
+and the rule that no other test module imports SciPy or mpmath."""
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,3 +80,20 @@ def test_reference_matrix_at_the_exceptional_point_is_linear(make):
     for t in (0.5, 3.0, 1e3):
         expected = _normalized(np.eye(2) - 1j * build_hamiltonian(p) * t)
         assert np.max(np.abs(reference_matrix(p, t) - expected)) <= 1e-15
+
+
+def test_only_the_oracle_imports_mpmath_or_scipy():
+    # one high-precision reference: every test reaches SciPy and mpmath
+    # through tests/_oracle.py, at module level or inside a function
+    importers = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] in ("mpmath", "scipy") for name in names):
+                importers.append(path.name)
+    assert sorted(set(importers)) == ["_oracle.py"]

@@ -212,7 +212,8 @@ def test_solve_angles_failure_carries_diagnostics(monkeypatch):
 def test_solve_angles_sweep(restarts):
     # both kinds, both regimes and both sides of the exceptional point,
     # from t = 0 to deep in the broken regime; every angle reduced once
-    # into [0, pi] (a tiny negative angle rounds up to pi itself)
+    # into [0, pi] (a tiny negative angle rounds up to pi itself), six of
+    # them, and the sequence carries the generator's kind
     problems = []
     for make in (pt, apt):
         for a in (0.3, 0.47, 0.9, 0.999, 1.0, 1.001, 1.5, 2.5):
@@ -226,6 +227,8 @@ def test_solve_angles_sweep(restarts):
                 deviation = verify_state_action(seq)
                 if seq.residual > 1e-6 or deviation > 1e-6:
                     problems.append((p, t, seq.residual, deviation))
+                if len(seq.angles) != 6 or sequence_to_dict(seq)["kind"] != p.kind.value:
+                    problems.append((p, t, sequence_to_dict(seq)))
                 if not all(0.0 <= v <= math.pi for v in seq.angles):
                     problems.append((p, t, seq.angles))
     assert not problems

@@ -1,10 +1,12 @@
 """What a cold start loads.
 
 The runtime needs numpy alone: a fresh interpreter installs a
-``sys.meta_path`` finder that makes any ``scipy`` import raise
-ImportError, then imports the package and runs all eight subcommands with
-their default options; each must exit 0.  A cold call loads only what its
-subcommand runs: ``import ptcoherence`` loads no submodule, the scan
+``sys.meta_path`` finder that makes any ``scipy``, ``mpmath`` or
+``hypothesis`` import raise ImportError, makes a RuntimeWarning an error,
+then imports the package and runs all eight subcommands at the
+benchmark's four parameter points, at state H and at each point's state;
+each must exit 0.  A cold call loads only what its subcommand runs:
+``import ptcoherence`` loads no submodule, the scan
 subcommands load neither the optics, tomography, Bloch and two-qubit
 modules nor ``statistics``, ``two-qubit`` and ``bloch`` load no
 coherence module, and ``angles`` and ``tomography`` load only their own
@@ -22,24 +24,34 @@ from conftest import run_fresh
 
 import ptcoherence
 
-_SCRIPT = textwrap.dedent("""
-    import contextlib, io, sys
+#: The benchmark's four parameter points, each with its state: both kinds,
+#: both regimes.
+_POINTS = (("pt", 0.47, "h-sqrt3v"), ("pt", 2.8, "D"), ("apt", 1.5, "h-sqrt3v"),
+           ("apt", 0.47, "D"))
 
-    class NoScipy:
+_SCRIPT = textwrap.dedent("""
+    import contextlib, io, sys, warnings
+
+    class Blocked:
         def find_spec(self, name, path=None, target=None):
-            if name == "scipy" or name.startswith("scipy."):
+            if name.partition(".")[0] in ("scipy", "mpmath", "hypothesis"):
                 raise ImportError(f"{name} is blocked")
             return None
 
-    sys.meta_path.insert(0, NoScipy())
+    sys.meta_path.insert(0, Blocked())
+    warnings.simplefilter("error", RuntimeWarning)
 
     from ptcoherence.cli import main
-    for cmd in ("trace", "period", "asymptote", "backflow", "angles", "tomography",
-                "bloch", "two-qubit"):
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main([cmd, "--kind", "pt", "--a", "0.47"]) == 0, cmd
+    for kind, a, state in %r:
+        for cmd in ("trace", "period", "asymptote", "backflow", "angles", "tomography",
+                    "bloch", "two-qubit"):
+            argv = [cmd, "--kind", kind, "--a", repr(a)]
+            # at the default state H and, where the command takes one, at the point's
+            for states in ([], ["--state", state]) if cmd not in ("angles", "two-qubit") else ([],):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv + states) == 0, argv + states
     print("ok")
-""")
+""" % (_POINTS,))
 
 
 #: Run ``commands`` cold, then print the loaded ``unloaded`` modules.
