@@ -57,7 +57,6 @@ _EXPORTS = {
         "r_qwp",
         "loss_operator",
         "assemble",
-        "scale_invariant_residual",
         "solve_angles",
         "verify_state_action",
         "sequence_to_dict",

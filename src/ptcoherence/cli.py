@@ -78,7 +78,8 @@ _FIELDS = {
     "t_min": (0.0, dict(type=float, help="grid start (default 0)")),
     "t_max": (10.0, dict(type=float, help="grid end (default 10)")),
     "t": (1.0, dict(type=float, help="evolution time (default 1)")),
-    "restarts": (32, dict(type=int, help="solver restarts (default 32)")),
+    "restarts": (32, dict(type=int,
+                          help="start points, each tried in all four loss gauges (default 32)")),
     "exposure": (30000.0, dict(type=float, help="trials per basis (default 30000)")),
     "resamples": (100, dict(type=int, help="bootstrap resamples (default 100)")),
     "points": (401, dict(type=int, help="grid length (default 401)")),

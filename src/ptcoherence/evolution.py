@@ -37,8 +37,8 @@ Numerical notes
   they grow like ``|theta|``, which is pulled out past ``e^150``.  The
   rescaling is exact for the ratios that all observables reduce to.
 * :func:`propagator_scaled` is the one single-time propagator, the pair
-  ``(U_hat, log_scale)``; :func:`propagator_analytic` returns the plain
-  2x2 ``U`` and raises ``OverflowError`` where an entry would overflow.
+  ``(F I + G K, log_scale)``; :func:`propagator_analytic` returns the
+  plain 2x2 ``U`` and raises ``OverflowError`` where an entry would overflow.
 * Grid functions work on whole time grids in array operations; none
   loops over time points in Python.
 
@@ -340,12 +340,13 @@ def pure_l1(v: np.ndarray) -> np.ndarray:
 
 def propagator_scaled(p: HamiltonianParams, t: float) -> tuple[np.ndarray, float]:
     """The propagator at one time as ``(U_hat, log_scale)``, with
-    ``U(t) = exp(log_scale) U_hat`` and ``U_hat = A I + g M`` from the scaled
-    scalars of :func:`abc_scaled`.  Its entries stay finite at every time;
-    the positive scale cancels in every renormalized quantity.  A negative
-    ``t`` evaluates the analytic continuation."""
-    A, g, log_scale = (float(v) for v in abc_scaled(p.kind, p.a, p.s * t))
-    return A * np.eye(2) + g * generator(p.kind, p.a), log_scale
+    ``U(t) = exp(log_scale) U_hat`` and ``U_hat = F I + G K`` from
+    :func:`shifted_pairs` and :func:`shifted_generator`.  Its entries stay
+    finite at every time; the positive scale cancels in every renormalized
+    quantity.  A negative ``t`` evaluates the analytic continuation."""
+    F, G = (float(v) for v in shifted_pairs(p, p.s * t))
+    log_scale = float(abc_scaled(p.kind, p.a, p.s * t)[2])
+    return F * np.eye(2) + G * shifted_generator(p.kind, p.a), log_scale
 
 
 def propagator_analytic(p: HamiltonianParams, t: float) -> np.ndarray:

@@ -8,17 +8,15 @@ polarization-dependent loss element:
     PT target:   HWP(a1) · QWP(a2) · L(x1, x2) · HWP(a3) · QWP(a4)
     APT target:  QWP(a1) · HWP(a2) · L(x1, x2) · QWP(a3) · HWP(a4)
 
-(leftmost factor applied last).  The six angles are fitted by a
-Levenberg–Marquardt least-squares solve of a scale-invariant residual,
-run on all seeded restarts at once.
-
-The target fixes only five combinations of them: the residual ignores a
-global scale, so only the loss ratio |sin 2x1| : |sin 2x2| is fixed.  At
-PT a = 0.47, 1.0, 2.8 and APT a = 0.47, 1.5 (ROADMAP.md item 3) the 8x6
-Jacobian has rank 5 at the converged restarts (smallest singular value
-8e-12 to 1.2e-10, the next 0.42-0.82), its null vector in (x1, x2)
-alone.  The printed loss angles are one point on a curve of exact
-solutions, picked by rounding-level cost differences among the restarts.
+(leftmost factor applied last).  Up to scale the target fixes only the
+ratio σ_min/σ_max of the loss element's transmissions, so the loss is the
+brightest such element, transmissions 1 (x = π/4) and σ_min/σ_max (x = ½
+asin of it), in four gauges: the path of the larger one and their relative
+sign (a negative one is π − x).  In each gauge the wave-plate angles are
+isolated solutions of a least-squares fit.  The printed one is picked by a
+fixed rule, never by cost: HWP angles mod π/2 and QWP angles mod π (a sign
+of the product), a value within ``_SEAM`` (1e-9) of the top read as 0, then
+the lexicographically first setting, ties within ``_SEAM`` passed on.
 
 Conventions
 -----------
@@ -33,8 +31,8 @@ Conventions
 * All three broadcast over arrays of angles, returning
   ``angles.shape + (2, 2)``.
 * A setting is ``(a1, a2, x1, x2, a3, a4)`` in the element order above,
-  which the symmetry class fixes.  :func:`solve_angles` reduces these
-  π-periodic angles mod π once: each lies in [0, π], π itself included.
+  which the symmetry class fixes.  :func:`solve_angles` prints HWP angles
+  in [0, π/2), QWP angles in [0, π) and loss angles in [0, π/4] ∪ [3π/4, π].
 """
 from __future__ import annotations
 
@@ -62,9 +60,9 @@ class OpticalSequence:
     """The six setting angles realizing the propagator of ``params`` at ``t``.
 
     ``angles`` is ``(a1, a2, x1, x2, a3, a4)`` for the element order of
-    ``params.kind``.  ``residual`` is the scale-invariant distance
-    achieved between the assembled product and the target (see
-    :func:`scale_invariant_residual`).
+    ``params.kind``.  ``residual`` is the norm of the part of the
+    normalized product orthogonal to the normalized target: zero iff
+    the product is proportional to the target.
     """
 
     params: HamiltonianParams
@@ -153,27 +151,10 @@ _LM_DAMPING = 1e-3
 _LM_FLOOR = 1e-30
 #: Random pure states in the `verify_state_action` panel.
 _N_STATES = 10
-
-
-def _largest_entry_normalized(m: np.ndarray) -> np.ndarray:
-    n = float(np.abs(m).max())
-    if n < 1e-300:
-        raise ValueError("cannot normalize a (numerically) zero matrix")
-    return m / n
-
-
-def scale_invariant_residual(target: np.ndarray, assembled: np.ndarray) -> float:
-    """Residual between two matrices modulo a global complex scale.
-
-    Both matrices are normalized by their largest-magnitude entry, then
-    the assembled side is fit to the target with the closed-form
-    least-squares complex scalar; the returned value is the remaining
-    Frobenius distance.  Zero iff the matrices are proportional.
-    """
-    th = _largest_entry_normalized(np.asarray(target, dtype=complex))
-    ah = _largest_entry_normalized(np.asarray(assembled, dtype=complex))
-    lam = np.vdot(ah, th) / np.vdot(ah, ah).real
-    return float(np.linalg.norm(th - lam * ah))
+#: Columns of a setting row that hold wave-plate angles: the fitted ones.
+_PLATES = [0, 1, 4, 5]
+#: Width of a tie in the branch rule, and of the seam at the top of a range.
+_SEAM = 1e-9
 
 
 def _orthogonal_part(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -188,21 +169,22 @@ def _orthogonal_part(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
 
 def _levenberg_marquardt(residual, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Gauss-Newton on every row of ``x`` (n, k) at once.
-
-    ``residual`` maps angle arrays (..., k) to residual vectors (..., m).
-    The Jacobian is a forward difference; each row's damping grows ×4 on
-    a rejected step and shrinks ÷3 on an accepted one.  Returns the final
-    rows and their squared residual norms.
-    """
-    eye = np.eye(x.shape[-1])
+    """Damped Gauss-Newton on the ``_PLATES`` columns of every row of ``x``
+    (n, 6) at once, for ``residual`` mapping rows (..., 6) to vectors
+    (..., m).  The Jacobian is a forward difference; each row's damping
+    grows ×4 on a rejected step and shrinks ÷3 on an accepted one.
+    Returns the final rows and their squared residual norms."""
+    # one row per fitted column; a step is scattered by a product with it, as
+    # a 2-D ``@`` would load BLAS's float kernels (0.13 MiB of peak RSS)
+    step = np.eye(x.shape[-1])[_PLATES]
+    eye = np.eye(len(_PLATES))
     r = residual(x)
     cost = np.einsum("...i,...i", r, r)
     damping = np.full(len(x), _LM_DAMPING)
     for _ in range(_LM_ITERATIONS):
-        jac_t = (residual(x[:, None, :] + _LM_STEP * eye) - r[:, None, :]) / _LM_STEP
+        jac_t = (residual(x[:, None, :] + _LM_STEP * step) - r[:, None, :]) / _LM_STEP
         normal = jac_t @ jac_t.transpose(0, 2, 1) + damping[:, None, None] * eye
-        x_try = x - np.linalg.solve(normal, jac_t @ r[..., None])[..., 0]
+        x_try = x - (np.linalg.solve(normal, jac_t @ r[..., None]) * step).sum(axis=1)
         r_try = residual(x_try)
         cost_try = np.einsum("...i,...i", r_try, r_try)
         better = cost_try < cost
@@ -215,56 +197,61 @@ def _levenberg_marquardt(residual, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return x, cost
 
 
-def solve_angles(
-    p: HamiltonianParams,
-    t: float,
-    seed: int = 0,
-    restarts: int = 32,
-) -> OpticalSequence:
+def _reduced(kind: SymmetryClass, rows: np.ndarray) -> np.ndarray:
+    """``rows`` (n, 6), HWP angles mod π/2 and QWP mod π, within ``_SEAM`` of the top as 0."""
+    top = np.array([math.pi / 2 if n == "HWP" else math.pi for n in _SHAPES[kind] if n != "Loss"])
+    out, plates = rows.copy(), rows[:, _PLATES] % top
+    out[:, _PLATES] = np.where(top - plates <= _SEAM, 0.0, plates)
+    return out
+
+
+def solve_angles(p: HamiltonianParams, t: float, seed: int = 0,
+                 restarts: int = 32) -> OpticalSequence:
     """Find setting angles whose assembled sequence realizes ``U(t)``.
 
-    One Levenberg-Marquardt solve, batched over ``restarts`` start
-    points drawn uniformly from [0, π)^6 by a generator seeded with
-    ``seed``.  Its residual is the part of the normalized product
-    orthogonal to the normalized target, so any global complex scale of
-    the product is free.  All restarts iterate together until the cap
-    of 60 steps, or until the best one reaches rounding level; the
-    lowest residual wins, ties going to the lowest restart index, so the
-    outcome is deterministic for a given seed.  The winning angles are
-    reduced mod π once, so each lies in [0, π] (π itself can occur), and
-    the returned residual is :func:`scale_invariant_residual` of their
-    product.
+    One Levenberg-Marquardt solve of :func:`_orthogonal_part` fits the
+    wave-plate angles of ``restarts`` start points drawn from [0, π)^4 (seeded
+    by ``seed``) in all four loss gauges, for up to 60 steps or until the best
+    row reaches rounding level.  The first converged row by the branch rule
+    (module docstring) is polished and reduced again; its residual is returned.
 
     Raises
     ------
     NoDecompositionError
-        If no restart reaches ``tolerances.optics_residual``; carries
-        the best residual and angles found.
+        If no row reaches ``tolerances.optics_residual``; carries the
+        best residual and angles found.
     ValueError
         If ``t`` is negative or not finite, or ``restarts < 1``.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    # scale-invariant fit: the propagator's positive scale is irrelevant
     target = propagator_scaled(p, float(_evolution_times([t])[0]))[0]
     tau = target.reshape(4) / np.linalg.norm(target)
-    rng = np.random.default_rng(seed)
-    starts = rng.uniform(0.0, math.pi, size=(restarts, 6))
-    x, cost = _levenberg_marquardt(
-        lambda v: _orthogonal_part(assemble(p.kind, v), tau), starts)
-    angles = tuple(float(v) % math.pi for v in x[int(np.argmin(cost))])
-    best_res = scale_invariant_residual(target, assemble(p.kind, angles))
+
+    def residual(v):
+        return _orthogonal_part(assemble(p.kind, v), tau)
+    rows = np.zeros((restarts, 4, 6))  # each start point in each gauge
+    rows[..., _PLATES] = np.random.default_rng(seed).uniform(0.0, math.pi, (restarts, 1, 4))
+    # σ_min/σ_max = |det T| / σ_max², σ_max² the top eigenvalue of h = T^H T: no cancellation
+    (t00, t01), (t10, t11) = target.tolist()
+    h00, h11 = abs(t00) ** 2 + abs(t10) ** 2, abs(t01) ** 2 + abs(t11) ** 2
+    h01 = abs(t00.conjugate() * t01 + t10.conjugate() * t11)
+    top = (h00 + h11) / 2 + math.hypot((h00 - h11) / 2, h01)
+    dim, q = 0.5 * math.asin(min(1.0, abs(t00 * t11 - t01 * t10) / top)), math.pi / 4
+    rows[..., 2:4] = [[q, dim], [q, math.pi - dim], [dim, q], [math.pi - dim, q]]  # brightest loss
+    x, cost = _levenberg_marquardt(residual, rows.reshape(-1, 6))
     threshold = tolerances.optics_residual
+    # the converged rows, or else the best one, which fails below
+    pool = _reduced(p.kind, x[cost <= max(threshold * threshold, cost.min())])
+    keep = np.arange(len(pool))
+    for column in pool.T:  # lexicographic, ties within _SEAM passed on
+        keep = keep[column[keep] <= column[keep].min() + _SEAM]
+    angles = _reduced(p.kind, _levenberg_marquardt(residual, pool[keep[:1]])[0])[0]
+    best_res = float(np.linalg.norm(residual(angles)))
     if best_res > threshold:
-        raise NoDecompositionError(
-            best_residual=best_res,
-            best_angles=angles,
-            message=(
-                f"no angle set reached residual {threshold:g} for "
-                f"kind={p.kind.value}, a={p.a}, s={p.s}, t={t}; best residual "
-                f"{best_res:.3e} after {restarts} restarts"
-            ),
-        )
+        raise NoDecompositionError(best_res, tuple(angles.tolist()), (
+            f"no angle set reached residual {threshold:g} for kind={p.kind.value}, a={p.a}, "
+            f"s={p.s}, t={t}; best residual {best_res:.3e} after {restarts} restarts"))
     return OpticalSequence(params=p, angles=angles, t=float(t), residual=best_res)
 
 

@@ -12,7 +12,8 @@ optical sequence must meet both: ``solve_angles`` raises above
 density: float = 1e-10
 #: Density-matrix eigenvalues must be >= -positivity.
 positivity: float = 1e-10
-#: Scale-invariant residual below which an optical decomposition succeeds.
+#: Fit residual of ``solve_angles`` (the normalized product's part orthogonal
+#: to the normalized target) below which an optical decomposition succeeds.
 optics_residual: float = 1e-6
 #: Allowed per-state deviation between target propagator and optical sequence.
 optics_state_action: float = 1e-6

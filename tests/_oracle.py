@@ -1,5 +1,5 @@
 """Independent ground truth for the tests: SciPy's matrix exponential in
-doubles, one high-precision reference propagator, and a Frobenius distance.
+doubles, one high-precision reference propagator, and two matrix distances.
 
 :func:`mat_exp_oracle` (``scipy.linalg.expm``, scaling and squaring with
 Pade approximants) is the fast double-precision oracle; it overflows past
@@ -69,6 +69,19 @@ def frobenius_dist(a: np.ndarray, b: np.ndarray) -> float:
     if am.shape != bm.shape:
         raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
     return float(np.linalg.norm(am - bm))
+
+
+def scale_invariant_residual(target: np.ndarray, assembled: np.ndarray) -> float:
+    """Frobenius distance between two matrices modulo a global complex scale.
+
+    Both are divided by their largest-magnitude entry, then the assembled
+    side is fit to the target by the closed-form least-squares complex
+    scalar.  Zero iff the matrices are proportional.
+    """
+    th, ah = (np.asarray(m, dtype=complex) for m in (target, assembled))
+    th, ah = th / np.abs(th).max(), ah / np.abs(ah).max()
+    lam = np.vdot(ah, th) / np.vdot(ah, ah).real
+    return frobenius_dist(th, lam * ah)
 
 
 def _digits(a: float) -> int:

@@ -242,6 +242,16 @@ def test_propagator_scaled_matches_normalized_oracle():
     assert frobenius_dist(u_hat / np.abs(u_hat).max(), w / np.abs(w).max()) < 1e-9
 
 
+@pytest.mark.parametrize("a, t", [(3.0, 2.0), (1e3, 0.05), (1e8, 1e-7)])
+def test_propagator_entries_match_reference_at_large_a(a, t):
+    # PT broken at large a: U_11 is about 1/(4 a^2) of U_00, so an entry
+    # formed as A - a g of two unit-size terms would lose its digits
+    p = pt(a)
+    u = propagator_analytic(p, t)
+    ref = np.array(reference_propagator(p, t).tolist(), dtype=complex)
+    assert np.max(np.abs(u - ref) / np.abs(ref)) <= 1e-14
+
+
 @pytest.mark.parametrize("kind, a", [(SymmetryClass.PT, 0.47), (SymmetryClass.APT, 1.5),
                                      (SymmetryClass.PT, 2.8), (SymmetryClass.APT, 0.47)],
                          ids=["pt-unbroken", "apt-unbroken", "pt-broken", "apt-broken"])

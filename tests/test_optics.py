@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracle import frobenius_dist
+from _oracle import frobenius_dist, reference_matrix, scale_invariant_residual
 from conftest import apt, pt
 
 from ptcoherence import (
@@ -17,12 +17,12 @@ from ptcoherence import (
     loss_operator,
     r_hwp,
     r_qwp,
-    scale_invariant_residual,
     sequence_to_dict,
     solve_angles,
     verify_state_action,
 )
 from ptcoherence.evolution import propagator_scaled
+from ptcoherence.optics import _orthogonal_part
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +232,77 @@ def test_solve_angles_sweep(restarts):
                 if not all(0.0 <= v <= math.pi for v in seq.angles):
                     problems.append((p, t, seq.angles))
     assert not problems
+
+
+#: Both kinds, both regimes, the EP and its neighbours, t = 0 and a target
+#: almost of rank one (t = 40): (kind, a, t) of the stability panel.
+_STABILITY_CASES = [
+    (pt, 0.47, 1.0), (pt, 2.8, 1.0), (apt, 0.47, 1.3), (pt, 2.5, 40.0),
+    (apt, 1.5, 1.0), (pt, 0.999999, 3.0), (pt, 1.0, 1.0), (apt, 1.0, 1.2),
+    (pt, 0.47, 1.2), (apt, 1.5, 0.8), (apt, 2.5, 40.0), (pt, 1.5, 1.2),
+    (apt, 0.47, 1.0), (pt, 0.47, 0.0), (apt, 2.8, 1.4), (pt, 1.001, 5.0),
+]
+
+
+def _ulps(x: float, k: int) -> float:
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@pytest.mark.parametrize("make, a, t", _STABILITY_CASES,
+                         ids=[f"{m.__name__}-{a}-t{t}" for m, a, t in _STABILITY_CASES])
+def test_printed_angles_are_fixed_by_the_target(make, a, t):
+    # the branch rule picks the same setting under a last-bit change of the
+    # input, so every printed angle is a function of the target
+    base = solve_angles(make(a), t).angles
+    moved = []
+    for k in (1, -1, 5, -5):
+        for p, tt in ((make(_ulps(a, k)), t), (make(a), _ulps(t, k))):
+            if tt < 0.0:
+                continue
+            worst = max(abs(u - v) for u, v in zip(solve_angles(p, tt).angles, base))
+            if worst > 1e-9:
+                moved.append((p.a, tt, worst))
+    assert not moved
+
+
+def test_loss_element_is_the_brightest_realization():
+    # over the sweep's grid: one path transmits fully, the other the
+    # target's singular-value ratio (restarts do not enter the loss angles)
+    problems = []
+    for make in (pt, apt):
+        for a in (0.3, 0.47, 0.9, 0.999, 1.0, 1.001, 1.5, 2.5):
+            for t in (0.0, 0.5, 1.2, 5.0, 40.0):
+                p = make(a)
+                x1, x2 = solve_angles(p, t, restarts=1).angles[2:4]
+                low, high = sorted(abs(math.sin(2.0 * x)) for x in (x1, x2))
+                svals = np.linalg.svd(reference_matrix(p, t), compute_uv=False)
+                if abs(high - 1.0) > 1e-12 or abs(low - svals[1] / svals[0]) > 1e-12:
+                    problems.append((p, t, low, high))
+    assert not problems
+
+
+@pytest.mark.parametrize("make, a, t", [
+    (pt, 0.47, 1.0), (pt, 2.8, 1.0), (apt, 0.47, 1.3), (pt, 2.5, 40.0),
+    (apt, 1.5, 1.0), (pt, 0.999999, 3.0),
+])
+def test_fitted_angles_have_a_full_rank_jacobian(make, a, t):
+    # the 8x4 Jacobian of the residual in the wave-plate angles at the
+    # solution: no direction of exact solutions is left free
+    p = make(a)
+    seq = solve_angles(p, t)
+    target = propagator_scaled(p, t)[0].reshape(4)
+    tau = target / np.linalg.norm(target)
+    h = 1e-6
+    jac = []
+    for col in (0, 1, 4, 5):  # a1, a2, a3, a4
+        step = np.zeros(6)
+        step[col] = h
+        hi, lo = (_orthogonal_part(assemble(p.kind, np.add(seq.angles, d)), tau)
+                  for d in (step, -step))
+        jac.append((hi - lo) / (2.0 * h))
+    assert np.linalg.svd(np.array(jac).T, compute_uv=False).min() >= 0.1
 
 
 def test_jones_matrices_broadcast_over_angle_arrays():
