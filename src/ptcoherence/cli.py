@@ -23,9 +23,11 @@ they are re-parsed as the shortest representation at that precision).
 
 Config precedence: command-line flags override an optional ``--config``
 file of ``key=value`` lines (``#`` comments allowed), which overrides
-built-in defaults.  Environment variables are deliberately not
-consulted.  One table, ``_FIELDS``, holds every key: it builds the
-flags, types the config values, and its resolved values are the run.
+built-in defaults.  The initial state comes from the flags if they set
+any of state, alpha, beta and phi, else from the file (``_resolve_state``).
+Environment variables are deliberately not consulted.  One table,
+``_FIELDS``, holds every key: it builds the flags, types the config
+values, and its resolved values are the run.
 
 Documents: every one opens with the run header of ``_meta``; the JSON
 reports nest it through ``_report``.  A grid is formatted range by range
@@ -143,29 +145,24 @@ class _SolverFailure(RuntimeError):
     code = _EXIT_SOLVER
 
 
-def _resolve_state(merged: dict, layer: dict) -> tuple[PureState, str]:
-    """Pick preset vs explicit amplitudes by which layer set what.
-
-    ``layer`` maps field -> 0 (default), 1 (config), 2 (flag).  The
-    more explicit group wins; a tie with both groups set is ambiguous.
-    """
-    preset_rank = layer.get("state", 0) if merged.get("state") is not None else -1
-    amp_fields = [f for f in ("alpha", "beta", "phi") if merged.get(f) is not None]
-    amp_rank = max((layer.get(f, 0) for f in amp_fields), default=-1)
-    if preset_rank < 0 and amp_rank < 0:
+def _resolve_state(merged: dict, source: dict) -> tuple[PureState, str]:
+    """The initial state that ``source`` picks: the most explicit of (flags,
+    config file) that sets any ``_STATE`` key, or ``{}`` (then H).  In it a
+    preset together with any amplitude is ambiguous, else a preset wins,
+    else the amplitudes come from ``merged``, so a flag --phi combines with
+    alpha and beta from the file."""
+    if not source:
         return PureState.preset("H"), "H"
-    if preset_rank >= 0 and amp_rank >= 0 and preset_rank == amp_rank:
-        raise ValueError(
-            "give either a preset --state or explicit --alpha/--beta/--phi, not both"
-        )
-    if preset_rank > amp_rank:
+    if "state" in source:
+        if source.keys() & {"alpha", "beta", "phi"}:
+            raise ValueError(
+                "give either a preset --state or explicit --alpha/--beta/--phi, not both"
+            )
         name = str(merged["state"])
         return PureState.preset(name), name
-    if merged.get("alpha") is None or merged.get("beta") is None:
+    if merged["alpha"] is None or merged["beta"] is None:
         raise ValueError("explicit initial states need both alpha and beta")
-    st = PureState.from_amplitudes(
-        float(merged["alpha"]), float(merged["beta"]), float(merged.get("phi") or 0.0)
-    )
+    st = PureState.from_amplitudes(merged["alpha"], merged["beta"], merged["phi"] or 0.0)
     return st, "custom"
 
 
@@ -200,17 +197,9 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     ``subcommand``, ``state_label`` and the ``params`` they select."""
     sub = args.subcommand
     fields = _SUBCOMMANDS[sub][1]
-    merged = {key: default for key, (default, _) in _FIELDS.items()}
-    layer = {k: 0 for k in merged}
-    if args.config:
-        for key, value in _read_config_file(args.config).items():
-            merged[key] = value
-            layer[key] = 1
-    for key in fields:
-        value = getattr(args, key)
-        if value is not None:
-            merged[key] = value
-            layer[key] = 2
+    config = _read_config_file(args.config) if args.config else {}
+    flags = {key: getattr(args, key) for key in fields if getattr(args, key) is not None}
+    merged = {**{key: default for key, (default, _) in _FIELDS.items()}, **config, **flags}
 
     if merged["kind"] is None:
         raise ValueError("kind is required (pt or apt)")
@@ -229,7 +218,8 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
 
-    state, state_label = _resolve_state(merged, layer) if "state" in fields else (None, "n/a")
+    source = next((src for src in (flags, config) if src.keys() & _STATE), {})
+    state, state_label = _resolve_state(merged, source) if "state" in fields else (None, "n/a")
     t_min, t_max, t = merged["t_min"], merged["t_max"], merged["t"]
     if "t_min" in fields:
         _require_finite(t_min=t_min, t_max=t_max)

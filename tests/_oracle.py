@@ -53,7 +53,8 @@ def mat_exp_oracle(m: np.ndarray, t: float = 1.0) -> np.ndarray:
     tf = float(t)
     if not np.isfinite(tf):
         raise ValueError("t must be finite")
-    result = expm(arr * tf)
+    with np.errstate(over="ignore"):  # an overflow raises below, as OverflowError
+        result = expm(arr * tf)
     if not np.all(np.isfinite(result.view(float))):
         raise OverflowError(
             "matrix exponential overflowed the double-precision range; "

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -290,6 +291,47 @@ def test_flag_amplitudes_override_config_preset(tmp_path, capsys):
     meta, _, _ = parse_csv(out)
     assert meta["state"] == "custom"
     assert meta["alpha"] == "0.6"
+
+
+def test_most_explicit_state_source_decides(tmp_path, capsys):
+    """Every pair of subsets of {state, alpha, beta, phi}, one in a config
+    file and one in flags: the flags decide if they set any state key, else
+    the file, else the state is H.  In that source a preset with any
+    amplitude exits 2, a preset alone wins, and amplitudes are read from the
+    merged values, flags over file."""
+    from_file = {"state": "D", "alpha": "0.6", "beta": "0.8", "phi": "0.5"}
+    from_flags = {"state": "h-sqrt3v", "alpha": "0.8", "beta": "0.3", "phi": "1.5"}
+    subsets = [keys for n in range(5) for keys in itertools.combinations(cli._STATE, n)]
+    cfg = tmp_path / "run.cfg"
+    for file_keys, flag_keys in itertools.product(subsets, subsets):
+        cfg.write_text("".join(f"{k} = {from_file[k]}\n" for k in file_keys))
+        argv = ["bloch", "--config", str(cfg), "--kind", "pt", "--a", "0.5", "--points", "2"]
+        argv += [arg for k in flag_keys for arg in ("--" + k, from_flags[k])]
+        code = main(argv)
+        captured = capsys.readouterr()
+        case = f"file {file_keys}, flags {flag_keys}"
+        source = flag_keys or file_keys
+        merged = {**{k: from_file[k] for k in file_keys}, **{k: from_flags[k] for k in flag_keys}}
+        if "state" in source and len(source) > 1:
+            error = "give either a preset --state or explicit --alpha/--beta/--phi, not both"
+        elif source and "state" not in source and not {"alpha", "beta"} <= merged.keys():
+            error = "explicit initial states need both alpha and beta"
+        else:
+            error = None
+        if error is not None:
+            assert (code, captured.out, captured.err) == (2, "", f"error: {error}\n"), case
+            continue
+        if "state" in source:
+            label, state = merged["state"], pc.PureState.preset(merged["state"])
+        elif source:
+            label, state = "custom", pc.PureState.from_amplitudes(
+                float(merged["alpha"]), float(merged["beta"]), float(merged.get("phi", 0.0)))
+        else:
+            label, state = "H", pc.PureState.preset("H")
+        assert (code, captured.err) == (0, ""), case
+        meta, _, _ = parse_csv(captured.out)
+        assert [meta[k] for k in cli._STATE] == [
+            label, _fmt(state.alpha), _fmt(state.beta), _fmt(state.phi)], case
 
 
 def test_unknown_config_key_is_validation_error(tmp_path, capsys):
