@@ -70,9 +70,9 @@ _FIELDS = {
     "kind": (None, dict(choices=["pt", "apt"], help="generator family")),
     "s": (1.0, dict(type=float, help="coupling scale s > 0 (default 1)")),
     "a": (None, dict(type=float, help="detuning ratio a > 0")),
-    "seed": (0, dict(type=int, help="RNG seed (default 0)")),
+    "seed": (0, dict(type=int, help="RNG seed of the random starts or samples (default 0)")),
     "output": (None, dict(help="output path (default: stdout)")),
-    "format": (None, dict(choices=["csv", "json"], help="output format")),
+    "format": ("csv", dict(choices=["csv", "json"], help="grid format (default csv)")),
     "state": (None, dict(help="preset initial state: H, D, or h-sqrt3v")),
     "alpha": (None, dict(type=float, help="|H> amplitude (with --beta)")),
     "beta": (None, dict(type=float, help="|V> amplitude (with --alpha)")),
@@ -87,7 +87,7 @@ _FIELDS = {
     "points": (401, dict(type=int, help="grid length (default 401)")),
 }
 
-_COMMON = ("kind", "s", "a", "seed", "output", "format")
+_COMMON = ("kind", "s", "a", "output")
 _STATE = ("state", "alpha", "beta", "phi")
 _WINDOW = ("t_min", "t_max")
 
@@ -192,9 +192,9 @@ def _require_resolved_phase(p: HamiltonianParams, key: str, t: float) -> None:
 
 def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     """The resolved, validated run: every ``_FIELDS`` value after the config
-    file and the flags, with ``kind`` a SymmetryClass, ``state`` a PureState
-    (None for a command that takes no state) and ``format`` filled in, plus
-    ``subcommand``, ``state_label`` and the ``params`` they select."""
+    file and the flags (checked only where the subcommand takes it), with
+    ``kind`` a SymmetryClass, ``state`` a PureState (None for a command that
+    takes no state), plus ``subcommand``, ``state_label`` and ``params``."""
     sub = args.subcommand
     fields = _SUBCOMMANDS[sub][1]
     config = _read_config_file(args.config) if args.config else {}
@@ -210,13 +210,8 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     if merged["a"] is None:
         raise ValueError("a is required (detuning ratio, a > 0)")
 
-    fmt = merged["format"]
-    if fmt is None:
-        fmt = "csv" if "points" in fields else "json"
-    if "points" not in fields and fmt != "json":
-        raise ValueError(f"subcommand {sub!r} emits JSON only")
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
+    if "format" in fields and merged["format"] not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {merged['format']!r}")
 
     source = next((src for src in (flags, config) if src.keys() & _STATE), {})
     state, state_label = _resolve_state(merged, source) if "state" in fields else (None, "n/a")
@@ -244,7 +239,7 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
         _require_resolved_phase(p, "t-max", t_max)
     if "t" in fields:
         _require_resolved_phase(p, "t", t)
-    merged.update(kind=kind, format=fmt, state=state)
+    merged.update(kind=kind, state=state)
     return argparse.Namespace(subcommand=sub, state_label=state_label, params=p, **merged)
 
 
@@ -602,19 +597,23 @@ def cmd_two_qubit(cfg: argparse.Namespace) -> str:
 
 
 #: The one record of each subcommand: its help, the fields it takes in
-#: flag order, and its command.  The commands with a grid length emit CSV
-#: by default, the others JSON only; asymptote's scan has its own fixed
-#: sampling, so it takes no points.
+#: flag order, and its command.  Each field changes the output: only the
+#: grid commands take a format (CSV by default), only the stochastic ones a
+#: seed, and asymptote's scan has its own sampling, so it takes no points.
 _SUBCOMMANDS = {
-    "trace": ("coherence trace CSV", _COMMON + _STATE + _WINDOW + ("points",), cmd_trace),
+    "trace": ("coherence trace CSV", _COMMON + _STATE + _WINDOW + ("points", "format"),
+              cmd_trace),
     "period": ("oscillation-period report", _COMMON + _STATE, cmd_period),
     "asymptote": ("stable-value report", _COMMON + _STATE + _WINDOW, cmd_asymptote),
     "backflow": ("backflow-count report", _COMMON + _STATE, cmd_backflow),
-    "angles": ("optical sequence realizing U(t)", _COMMON + ("t", "restarts"), cmd_angles),
+    "angles": ("optical sequence realizing U(t)", _COMMON + ("t", "restarts", "seed"),
+               cmd_angles),
     "tomography": ("simulated tomography round trip",
-                   _COMMON + _STATE + ("t", "exposure", "resamples"), cmd_tomography),
-    "bloch": ("Bloch trajectory CSV", _COMMON + _STATE + _WINDOW + ("points",), cmd_bloch),
-    "two-qubit": ("two-qubit coherence CSV", _COMMON + _WINDOW + ("points",), cmd_two_qubit),
+                   _COMMON + _STATE + ("t", "exposure", "resamples", "seed"), cmd_tomography),
+    "bloch": ("Bloch trajectory CSV", _COMMON + _STATE + _WINDOW + ("points", "format"),
+              cmd_bloch),
+    "two-qubit": ("two-qubit coherence CSV", _COMMON + _WINDOW + ("points", "format"),
+                  cmd_two_qubit),
 }
 
 
@@ -635,7 +634,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _EXIT_OK
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

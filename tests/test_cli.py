@@ -118,22 +118,6 @@ def test_asymptote_report(capsys):
     assert payload["asymptote_estimate"] == pytest.approx(1 / 2.8, abs=1e-3)
 
 
-def test_asymptote_has_no_points_flag(tmp_path, capsys):
-    # the asymptote scan samples its window at a fixed density, so a
-    # grid length would do nothing: the flag is refused, and a config
-    # file's points key is ignored like any other irrelevant key
-    with pytest.raises(SystemExit) as exc:
-        main(["asymptote", "--kind", "pt", "--a", "2.8", "--points", "5"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    _, default = run(capsys, "asymptote", "--kind", "pt", "--a", "2.8")
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("points = 1\n")
-    code, out = run(capsys, "asymptote", "--config", str(cfg), "--kind", "pt", "--a", "2.8")
-    assert code == 0
-    assert out == default
-
-
 def test_backflow_report(capsys):
     code, out = run(capsys, "backflow", "--kind", "pt", "--a", "0.47",
                     "--state", "h-sqrt3v")
@@ -378,22 +362,21 @@ def test_missing_config_file_is_io_error(capsys):
 
 #: The long flags each subcommand accepts, in --help order.
 SUBCOMMAND_FLAGS = {
-    "trace": ["--config", "--kind", "--s", "--a", "--seed", "--output", "--format",
-              "--state", "--alpha", "--beta", "--phi", "--t-min", "--t-max", "--points"],
-    "period": ["--config", "--kind", "--s", "--a", "--seed", "--output", "--format",
-               "--state", "--alpha", "--beta", "--phi"],
-    "asymptote": ["--config", "--kind", "--s", "--a", "--seed", "--output", "--format",
-                  "--state", "--alpha", "--beta", "--phi", "--t-min", "--t-max"],
-    "backflow": ["--config", "--kind", "--s", "--a", "--seed", "--output", "--format",
-                 "--state", "--alpha", "--beta", "--phi"],
-    "angles": ["--config", "--kind", "--s", "--a", "--seed", "--output", "--format",
-               "--t", "--restarts"],
-    "tomography": ["--config", "--kind", "--s", "--a", "--seed", "--output", "--format",
-                   "--state", "--alpha", "--beta", "--phi", "--t", "--exposure", "--resamples"],
-    "bloch": ["--config", "--kind", "--s", "--a", "--seed", "--output", "--format",
-              "--state", "--alpha", "--beta", "--phi", "--t-min", "--t-max", "--points"],
-    "two-qubit": ["--config", "--kind", "--s", "--a", "--seed", "--output", "--format",
-                  "--t-min", "--t-max", "--points"],
+    "trace": ["--config", "--kind", "--s", "--a", "--output", "--state", "--alpha", "--beta",
+              "--phi", "--t-min", "--t-max", "--points", "--format"],
+    "period": ["--config", "--kind", "--s", "--a", "--output", "--state", "--alpha", "--beta",
+               "--phi"],
+    "asymptote": ["--config", "--kind", "--s", "--a", "--output", "--state", "--alpha",
+                  "--beta", "--phi", "--t-min", "--t-max"],
+    "backflow": ["--config", "--kind", "--s", "--a", "--output", "--state", "--alpha",
+                 "--beta", "--phi"],
+    "angles": ["--config", "--kind", "--s", "--a", "--output", "--t", "--restarts", "--seed"],
+    "tomography": ["--config", "--kind", "--s", "--a", "--output", "--state", "--alpha",
+                   "--beta", "--phi", "--t", "--exposure", "--resamples", "--seed"],
+    "bloch": ["--config", "--kind", "--s", "--a", "--output", "--state", "--alpha", "--beta",
+              "--phi", "--t-min", "--t-max", "--points", "--format"],
+    "two-qubit": ["--config", "--kind", "--s", "--a", "--output", "--t-min", "--t-max",
+                  "--points", "--format"],
 }
 
 
@@ -419,6 +402,70 @@ def test_flag_surface(tmp_path, capsys):
             main(argv)
         assert exit_.value.code == 0, argv
         assert capsys.readouterr().out.startswith("usage: ptcoherence"), argv
+
+
+#: A cheap base run of every subcommand: the sizes it takes, kept small.
+_CHEAP = {"points": "3", "restarts": "2", "resamples": "4", "exposure": "300"}
+#: A valid value of every field other than its base value; an amplitude
+#: comes with the others it needs (_WITH), so the state stays valid.
+_OTHER = {"kind": "apt", "s": "2", "a": "0.5", "state": "D", "alpha": "0.6", "beta": "0.5",
+          "phi": "1", "t_min": "1", "t_max": "5", "t": "0.5", "points": "4",
+          "format": "json", "restarts": "3", "exposure": "400", "resamples": "5", "seed": "1"}
+_WITH = {"alpha": ["--beta", "0.8"], "beta": ["--alpha", "1"],
+         "phi": ["--alpha", "0.6", "--beta", "0.8"]}
+
+
+def _fields(name: str) -> list[str]:
+    """The config keys of the flags that SUBCOMMAND_FLAGS pins for ``name``."""
+    return [flag[2:].replace("-", "_") for flag in SUBCOMMAND_FLAGS[name] if flag != "--config"]
+
+
+def _base_argv(name: str) -> list[str]:
+    fields = cli._SUBCOMMANDS[name][1]
+    return [name, "--kind", "pt", "--a", "0.47",
+            *(arg for key in fields if key in _CHEAP for arg in ("--" + key, _CHEAP[key]))]
+
+
+def _flag(key: str, value: str) -> list[str]:
+    return ["--" + key.replace("_", "-"), value]
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMAND_FLAGS))
+def test_every_flag_changes_the_output(tmp_path, capsys, name):
+    # a flag that changes nothing is surface without function: each field a
+    # subcommand takes, set to another valid value, gives other output
+    base = _base_argv(name)
+    code, base_out = run(capsys, *base)
+    assert code == 0, base
+    outs = {"base": base_out}
+    for key in cli._SUBCOMMANDS[name][1]:
+        if key == "output":
+            path = tmp_path / "out"
+            assert run(capsys, *base, "--output", str(path)) == (0, "")
+            assert path.read_bytes() == base_out.encode()
+            continue
+        argv = [*base, *_WITH.get(key, []), *_flag(key, _OTHER[key])]
+        code, outs[key] = run(capsys, *argv)
+        assert code == 0, argv
+    repeated = [key for key, out in outs.items() if list(outs.values()).count(out) > 1]
+    assert not repeated, f"{name}: these runs print the same output: {repeated}"
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMAND_FLAGS))
+def test_keys_a_subcommand_does_not_take_are_refused(tmp_path, capsys, name):
+    # a key outside the subcommand's fields is refused as a flag (argparse
+    # exits 2 before the run, printing nothing on stdout) and ignored in a
+    # config file: e.g. period --format csv, trace --seed 1, asymptote --points
+    base = _base_argv(name)
+    _, base_out = run(capsys, *base)
+    cfg = tmp_path / "run.cfg"
+    for key in sorted(cli._FIELDS.keys() - set(_fields(name))):
+        with pytest.raises(SystemExit) as exc:
+            main([*base, *_flag(key, _OTHER[key])])
+        assert exc.value.code == 2, key
+        assert capsys.readouterr().out == "", key
+        cfg.write_text(f"{key} = {_OTHER[key]}\n")
+        assert run(capsys, *base, "--config", str(cfg)) == (0, base_out), key
 
 
 # ---------------------------------------------------------------------------
@@ -687,11 +734,6 @@ def test_large_gain_plateaus_are_resolved(capsys):
     assert code == 0
     _, _, rows = parse_csv(out)
     assert rows[1:, 1:] == pytest.approx(np.full((2, 3), 2.0 / float(a)), rel=1e-9, abs=0.0)
-
-
-def test_csv_format_rejected_for_reports(capsys):
-    code, _ = run(capsys, "period", "--kind", "pt", "--a", "0.5", "--format", "csv")
-    assert code == 2
 
 
 @pytest.mark.filterwarnings("error")
