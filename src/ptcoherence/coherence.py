@@ -49,7 +49,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -63,11 +63,15 @@ __all__ = list(_EXPORTS["coherence"])
 
 #: Bisection stops when the bracket is narrower than this.
 _BISECT_WIDTH = 1e-9
-#: Value range below which a trace counts as constant.
-_CONSTANT_RANGE = 1e-10
-#: Samples per :func:`find_extrema` window; the two-qubit scan takes at
-#: least as many.
+#: Value range, in units of max(1, the largest value), below which a
+#: trace counts as constant: the rounding level of C.
+_CONSTANT_RANGE = 64.0 * np.finfo(np.float64).eps
+#: Samples per scan, over the window or its first ``_SCAN_PERIODS`` periods.
 _SCAN_SAMPLES = 2048
+#: Unbroken periods sampled at most; the rest of a window is tiled.
+_SCAN_PERIODS = 4
+#: Extrema a window may hold; a longer window raises ValueError.
+_MAX_EXTREMA = 10**6
 
 
 class Classification(enum.Enum):
@@ -95,7 +99,9 @@ class CoherenceTrace:
     Attributes
     ----------
     times, values:
-        The sampling grid (sorted, half-open window) and C values.
+        The sampling grid (sorted, half-open: the window, or its first
+        ``_SCAN_PERIODS`` periods when a longer unbroken window is tiled)
+        and C values.
     extrema:
         Stationary points sorted by time, located to ``_BISECT_WIDTH``
         (1e-9) in ``theta = s t`` (time tolerance ``_BISECT_WIDTH / s``).
@@ -104,9 +110,9 @@ class CoherenceTrace:
         validated by folding the trace onto itself; None when the
         window contains too few repetitions.
     asymptote_estimate:
-        Mean of the final 10% of the window when the trace has
-        converged there (|slope| below 1e-6 per unit theta); None
-        otherwise.
+        Mean of the final 10% of the sampling grid when the trace has
+        converged there (|slope| below 1e-6 per unit theta), and, for a
+        tiled window, is flat; None otherwise.
     """
 
     times: np.ndarray = field(repr=False)
@@ -213,14 +219,18 @@ def find_extrema(
 ) -> CoherenceTrace:
     """Locate stationary points of C(t) on the half-open window [t0, t1).
 
-    Dense sampling of the closed form (``_SCAN_SAMPLES`` points), sign
-    changes of the two exact factors of dC/dtheta (see
-    :func:`coherence_slope`) refined by bisection, all in
-    ``theta = s t``: time tolerance ``_BISECT_WIDTH / s`` (1e-9 in
-    theta), and counts do not depend on ``s``.  Seam rule: a stationary
-    point within the bisection width of either end of the window is
-    counted once, at t0 (so a window of one period, wherever it starts,
-    holds each extremum of the period exactly once).
+    Sign changes of the two exact factors of dC/dtheta (see
+    :func:`coherence_slope`) between ``_SCAN_SAMPLES`` samples of the
+    closed form, refined by bisection, all in ``theta = s t``: time
+    tolerance ``_BISECT_WIDTH / s`` (1e-9 in theta), and counts do not
+    depend on ``s``.  In the unbroken regime a window longer than
+    ``_SCAN_PERIODS`` periods is sampled over its first ``_SCAN_PERIODS``
+    periods, and its later extrema are the first period's shifted by
+    whole periods (C has period T exactly); more than ``_MAX_EXTREMA``
+    extrema raise ValueError.  Seam rule: a stationary point within the
+    bisection width of either end of the window is counted once, at t0
+    (so a window of one period, wherever it starts, holds each extremum
+    of the period exactly once).
 
     Returns
     -------
@@ -230,7 +240,7 @@ def find_extrema(
     """
     terms = pure_terms([p], st.vector())  # fixed for the scan
     return _scan(lambda q, th: coherence_series(st, q, th),
-                 lambda q, th: coherence_slope(q, terms, th), p, window, _SCAN_SAMPLES)
+                 lambda q, th: coherence_slope(q, terms, th), p, window)
 
 
 def _factor(plus: np.ndarray, minus: np.ndarray, den: np.ndarray):
@@ -262,24 +272,30 @@ def _scan(
     slope: Callable[[HamiltonianParams, np.ndarray], tuple[np.ndarray, np.ndarray]],
     p: HamiltonianParams,
     window: tuple[float, float],
-    samples: int,
 ) -> CoherenceTrace:
     """Stationary points of a trace on the half-open window, in ``theta = s t``.
 
     ``series(q, theta)`` is the trace and ``slope(q, theta)`` gives
     ``(f, bound)`` of shape ``(k, n)``: factors whose product has the
     sign of the slope, with their rounding bounds; both get ``p`` at
-    ``s = 1``.  A factor's sign change between consecutive samples (t1
-    included) that clear its bound is bisected on that factor: samples
-    within the bound are skipped.  The seam rule: t0 is stationary when a
-    factor there is within its bound or changes sign across
-    ``t0 -/+ _BISECT_WIDTH`` (it then contributes the sign just after
-    it); a root within ``_BISECT_WIDTH`` of t1, or of the root before it,
-    is dropped.  The slope's change across the final bracket gives the
-    kind.  In the broken regime the slope is sampled only up to
-    ``2 w theta = 52 ln 2``, past which every ratio of propagator entries
-    equals its limit to double precision; roots beyond it are dropped.
-    Times and period are divided by ``s`` on return.
+    ``s = 1``.  ``_SCAN_SAMPLES`` samples span the window, or its first
+    ``_SCAN_PERIODS`` periods P = pi / w when a longer unbroken window is
+    tiled: its later extrema are the first period's shifted by multiples
+    of P, since U(theta + P) = -U(theta).  A factor's sign change between
+    consecutive samples (the span's end included) that clear its bound
+    is bisected on that factor: samples within the bound are skipped.  The seam rule: t0 is stationary when a factor there is
+    within its bound or changes sign across ``t0 -/+ _BISECT_WIDTH`` (it
+    then contributes the sign just after it); a root within
+    ``_BISECT_WIDTH`` of t1 is dropped.  The slope's change across a
+    root's bracket gives its kind.  Roots within ``_BISECT_WIDTH`` of the
+    first of their run are merged and judged across the union of their
+    brackets: one extremum where the slope changes sign there, none (a
+    stationary inflection) where it does not.  In the broken regime the
+    slope is sampled only up to ``2 w theta = 52 ln 2``, past which every
+    ratio of propagator entries equals its limit to double precision;
+    roots beyond it are dropped.  More than ``_MAX_EXTREMA`` extrema raise
+    ValueError, and a tiled trace has an asymptote only when flat.  Times
+    and period are divided by ``s`` on return.
     """
     w0, w1 = float(window[0]), float(window[1])
     t0, t1 = p.s * w0, p.s * w1
@@ -291,16 +307,21 @@ def _scan(
         raise ValueError(f"{in_theta}; it must satisfy t1 > t0")
 
     unit = replace(p, s=1.0)
-    ts = t0 + (t1 - t0) * np.arange(samples) / samples  # half-open grid
-    values = series(unit, ts)
-    extrema: list[Extremum] = []
-    period = None
-    cut = math.inf
-    if regime(p) is Regime.BROKEN:
+    period, cut = math.inf, math.inf
+    if regime(p) is Regime.UNBROKEN:
+        period = math.pi / frequency(p.kind, p.a)
+    elif regime(p) is Regime.BROKEN:
         cut = 26.0 * math.log(2.0) / frequency(p.kind, p.a)
-    if not _flat(values) and t0 < cut:
-        end = min(t1, cut)
-        grid = np.append(ts, t1) if end == t1 else np.linspace(t0, end, samples + 1)
+    tiled = t1 - t0 > _SCAN_PERIODS * period
+    stop = t0 + _SCAN_PERIODS * period if tiled else t1  # end of the sampled span
+    ts = t0 + (stop - t0) * np.arange(_SCAN_SAMPLES) / _SCAN_SAMPLES  # half-open grid
+    values = series(unit, ts)
+    flat = _flat(values)
+    roots, peaks, is_max = np.empty(0), np.empty(0), np.empty(0, dtype=bool)
+    estimate = None
+    if not flat and t0 < cut:
+        end = min(stop, cut)
+        grid = np.append(ts, stop) if end == stop else np.linspace(t0, end, _SCAN_SAMPLES + 1)
         f, bound = slope(unit, grid)
         neg, strong = f < 0.0, np.abs(f) > bound
         before, after = t0 - _BISECT_WIDTH, np.nextafter(t0 + _BISECT_WIDTH, np.inf)
@@ -320,24 +341,44 @@ def _scan(
             mid = 0.5 * (lo + hi)
             same = (slope(unit, mid)[0][j, np.arange(j.size)] < 0.0) == neg_lo
             lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-        roots = 0.5 * (lo + hi)
+        found = 0.5 * (lo + hi)
         if at_t0:
-            roots, lo, hi = np.append(t0, roots), np.append(before, lo), np.append(after, hi)
-        is_max = np.prod(slope(unit, lo)[0], axis=0) > np.prod(slope(unit, hi)[0], axis=0)
-        keep = (roots < t1 - _BISECT_WIDTH) & (np.abs(roots) <= cut)
-        order = np.flatnonzero(keep)[np.argsort(roots[keep], kind="stable")]
-        for r, val, mx in zip(roots[order], series(unit, roots[order]), is_max[order]):
-            if extrema and r - extrema[-1].time <= _BISECT_WIDTH:
-                continue
-            extrema.append(Extremum(time=float(r), value=float(val), kind="max" if mx else "min"))
-        period = _period_estimate(lambda th: series(unit, th), extrema, t0, t1,
-                                  float(np.ptp(values)))
+            found, lo, hi = np.append(t0, found), np.append(before, lo), np.append(after, hi)
+        keep = (found < stop - _BISECT_WIDTH) & (np.abs(found) <= cut)
+        order = np.flatnonzero(keep)[np.argsort(found[keep], kind="stable")]
+        runs: list[list[int]] = []  # roots within _BISECT_WIDTH of their run's first
+        for n in order:
+            if runs and found[n] - found[runs[-1][0]] <= _BISECT_WIDTH:
+                runs[-1].append(n)
+            else:
+                runs.append([n])
+        ends = np.array([[lo[run].min(), hi[run].max()] for run in runs]).reshape(-1, 2)
+        sign = np.prod(slope(unit, ends.ravel())[0], axis=0).reshape(-1, 2)
+        # a merged run across which the slope keeps its sign is an inflection
+        single = np.array([len(run) == 1 for run in runs], dtype=bool)
+        turn = single | (np.sign(sign[:, 0]) != np.sign(sign[:, 1]))
+        roots = found[[run[0] for run in runs]][turn]
+        peaks, is_max = series(unit, roots), (sign[:, 0] > sign[:, 1])[turn]
+        estimate = _period_estimate(lambda th: series(unit, th), roots, is_max, t0, stop,
+                                    float(np.ptp(values)))
+        if tiled:  # the first period's extrema, shifted by whole periods
+            first = roots < t0 + period - _BISECT_WIDTH
+            copies = np.ceil((t1 - _BISECT_WIDTH - roots[first]) / period)
+            if copies.sum() > _MAX_EXTREMA:
+                raise ValueError(f"window ({w0}, {w1}) holds {int(copies.sum())} extrema, "
+                                 f"more than {_MAX_EXTREMA}")
+            reps = int(copies.max(initial=0.0))
+            roots = (roots[first] + period * np.arange(reps)[:, None]).ravel()
+            keep = roots < t1 - _BISECT_WIDTH
+            roots = roots[keep]
+            peaks, is_max = np.tile(peaks[first], reps)[keep], np.tile(is_max[first], reps)[keep]
     return CoherenceTrace(
         times=ts / p.s,
         values=values,
-        extrema=tuple(Extremum(e.time / p.s, e.value, e.kind) for e in extrema),
-        period_estimate=None if period is None else period / p.s,
-        asymptote_estimate=_asymptote_estimate(ts, values),
+        extrema=tuple(Extremum(r, v, "max" if mx else "min")
+                      for r, v, mx in zip((roots / p.s).tolist(), peaks.tolist(), is_max.tolist())),
+        period_estimate=None if estimate is None else estimate / p.s,
+        asymptote_estimate=None if tiled and not flat else _asymptote_estimate(ts, values),
     )
 
 
@@ -359,7 +400,8 @@ def _median(values: list[float]) -> float:
 
 def _period_estimate(
     series: Callable[[np.ndarray], np.ndarray],
-    extrema: Sequence[Extremum],
+    times: np.ndarray,
+    is_max: np.ndarray,
     t0: float,
     t1: float,
     value_range: float,
@@ -367,11 +409,11 @@ def _period_estimate(
     """Smallest extremum-spacing candidate under which the trace folds
     onto itself."""
     candidates: set[float] = set()
-    for kind in ("max", "min"):
-        times = np.array([e.time for e in extrema if e.kind == kind])
+    for kind in (True, False):
+        same = times[is_max == kind]
         for stride in (1, 2):
-            if len(times) > stride:
-                diffs = times[stride:] - times[:-stride]
+            if len(same) > stride:
+                diffs = same[stride:] - same[:-stride]
                 candidates.add(_median(diffs.tolist()))
     fold_ts = t0 + (t1 - t0) * np.arange(256) / 512.0  # first half of the window
     base = series(fold_ts)
@@ -492,8 +534,9 @@ def classify_backflow(
     double touch: both maxima return to the C = 1 level within the
     full-touch threshold) or 2 (APT, single backflow).  In the broken
     regime and at the exceptional point a window of ``10/s`` is used
-    and the trace is typically monotonic.  A flat trace (value range
-    below 1e-10) classifies as constant with zero stationary points.
+    and the trace is typically monotonic.  A flat trace (value range at
+    C's rounding level, ``_CONSTANT_RANGE``) classifies as constant with
+    zero stationary points.
     An ``s`` so small that the window's end overflows a double raises
     ValueError.
     """

@@ -120,28 +120,27 @@ def two_qubit_slope(p: HamiltonianParams, terms: dict, theta: np.ndarray):
 def two_qubit_coherence_trace(state: TwoQubitState, p: HamiltonianParams,
                               times: np.ndarray) -> CoherenceTrace:
     """Coherence trace C_AB(t) on the caller's grid, with extrema located
-    by an independent dense scan of the window.  Both qubits evolve
-    under ``p``, since the scan runs in ``theta = s t`` of one generator.
+    by an independent scan of the window.  Both qubits evolve under
+    ``p``, since the scan runs in ``theta = s t`` of one generator.
 
     ``times`` must be finite, nonnegative, strictly increasing, and hold
     at least two points.
     The returned trace carries the caller's grid in ``times``/``values``;
-    extremum times/values and the period estimate come from the scan
-    (bisection on the exact slope in ``theta = s t``, as in
-    :func:`~ptcoherence.coherence.find_extrema`), and the asymptote
-    estimate from the tail of the caller's grid, flat per unit theta.
+    extremum times/values and the period and asymptote estimates come
+    from the scan, which samples as
+    :func:`~ptcoherence.coherence.find_extrema` does, whatever the
+    caller's grid (bisection on the exact slope in ``theta = s t``; an
+    unbroken window longer than ``_SCAN_PERIODS`` periods is tiled).
     """
-    from .coherence import _SCAN_SAMPLES, _asymptote_estimate, _scan
+    from .coherence import _scan
 
     ts = _evolution_times(times)
     if ts.size < 2 or np.any(np.diff(ts) <= 0):
         raise ValueError("times must be strictly increasing, with at least two points")
-    values = two_qubit_series(state, p, ts)
     terms = pure_terms([p, p], state.vector)  # fixed for the scan
     scan = _scan(
         lambda q, grid: two_qubit_series(state, q, grid),
         lambda q, grid: two_qubit_slope(q, terms, grid),
-        p, (float(ts[0]), float(ts[-1])), samples=max(_SCAN_SAMPLES, 4 * ts.size),
+        p, (float(ts[0]), float(ts[-1])),
     )
-    return replace(scan, times=ts, values=values,
-                   asymptote_estimate=_asymptote_estimate(p.s * ts, values))
+    return replace(scan, times=ts, values=two_qubit_series(state, p, ts))

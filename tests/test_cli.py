@@ -118,6 +118,25 @@ def test_asymptote_report(capsys):
     assert payload["asymptote_estimate"] == pytest.approx(1 / 2.8, abs=1e-3)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    # 8e-7 short of 2048 T, and 2048 T, where every sample of a uniform
+    # 2048-point grid falls on one phase
+    ("--kind", "pt", "--a", "0.47", "--state", "h-sqrt3v", "--t-max", "7289.25633195570"),
+    ("--kind", "pt", "--a", "0.47", "--state", "h-sqrt3v", "--t-max", "7289.256332755697"),
+    ("--kind", "apt", "--a", "1.5", "--t-max", "5754.728227668563"),
+    ("--kind", "pt", "--a", "0.47", "--t-max", "1e5"),
+    # 1e15 periods hold more extrema than a scan may report
+    ("--kind", "pt", "--a", "0.47", "--t-max", "1e15"),
+], ids=["pt-short-of-2048T", "pt-2048T", "apt-2048T", "pt-1e5", "pt-1e15"])
+def test_asymptote_of_an_oscillating_trace_is_null(capsys, argv):
+    code, out = run(capsys, "asymptote", *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["asymptote_estimate"] is None
+    assert payload["window"] == [0.0, pytest.approx(float(argv[-1]), rel=1e-11)]
+
+
 def test_backflow_report(capsys):
     code, out = run(capsys, "backflow", "--kind", "pt", "--a", "0.47",
                     "--state", "h-sqrt3v")
@@ -136,6 +155,20 @@ def test_backflow_report(capsys):
 ])
 def test_backflow_report_near_exceptional_point(capsys, kind, a, expected):
     code, out = run(capsys, "backflow", "--kind", kind, "--a", a, "--state", "h-sqrt3v")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["zeros_per_period"], payload["classification"]) == expected
+
+
+@pytest.mark.parametrize("kind, a, state, expected", [
+    *(("pt", a, state, (4, "DoubleTouch"))
+      for a in ("1e-3", "1e-4", "1e-5", "1e-6") for state in ("H", "D", "h-sqrt3v")),
+    ("apt", "1.5", "D", (0, "Constant")),  # C == 1 up to rounding
+])
+def test_backflow_report_is_constant_only_at_rounding_level(capsys, kind, a, state, expected):
+    # D's PT trace spans 5e-11 at a = 1e-5 and 5e-13 at 1e-6: small, but
+    # far above C's rounding, so it is not constant
+    code, out = run(capsys, "backflow", "--kind", kind, "--a", a, "--state", state)
     assert code == 0
     payload = json.loads(out)
     assert (payload["zeros_per_period"], payload["classification"]) == expected

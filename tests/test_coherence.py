@@ -7,6 +7,7 @@ the scalar closed forms checked here.
 """
 from __future__ import annotations
 
+import itertools
 import statistics
 
 import numpy as np
@@ -279,15 +280,22 @@ def _two_root_scan(gap: float) -> list[str]:
         f = np.stack([0.3 - th, 0.3 + gap - th])
         return f, np.zeros_like(f)
 
-    trace = _scan(lambda q, th: np.cos(3 * th) + 2, slope, pt(0.5), (0.0, 1.0), 2048)
+    trace = _scan(lambda q, th: np.cos(3 * th) + 2, slope, pt(0.5), (0.0, 1.0))
     return [e.kind for e in trace.extrema]
 
 
 def test_scan_keeps_roots_five_bisection_widths_apart():
     # each root is located to _BISECT_WIDTH, so roots 5 widths apart are
-    # two stationary points, and roots half a width apart are one
+    # two stationary points
     assert _two_root_scan(5 * _BISECT_WIDTH) == ["max", "min"]
-    assert len(_two_root_scan(0.5 * _BISECT_WIDTH)) == 1
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.25, 0.5, 0.75, 0.99])
+def test_scan_drops_merged_roots_of_an_inflection(gap):
+    # roots closer than _BISECT_WIDTH merge into one candidate; the slope
+    # (0.3 - theta)(0.3 + gap - theta) keeps its sign across the pair, so
+    # it is a stationary inflection, whatever bracket each root lands in
+    assert _two_root_scan(gap * _BISECT_WIDTH) == []
 
 
 @pytest.mark.parametrize("kind, a", [
@@ -333,29 +341,41 @@ def _census_states() -> dict[str, PureState]:
     return states
 
 
-#: Census entries that miscount, by (kind, gap): state -> its windows
-#: ("classify" or "0" at t0 = 0, "extremum", "offset").  At PT 1 - a <= 1e-6 a
-#: min-max-min cluster can be narrower than one scan cell.  At APT
+#: Census entries that miscount or mislabel, by (kind, gap): state -> its
+#: windows ("classify", or "0" at t0 = 0, "extremum", "offset", each also
+#: over 10 periods as "0x10", ...).  At PT 1 - a <= 1e-6 a min-max-min
+#: cluster can be narrower than one scan cell; a 10-period window samples
+#: its first 4 periods with the cells of one, so it misses more.  At APT
 #: a - 1 = 1e-8 the rounding of x' and y' hides the sign of x' y - x y'
 #: over ~2e-8 in theta around a maximum, wider than the seam width, so a
-#: window starting on the analytic maximum counts it at both ends.
+#: window starting on the analytic maximum counts it at both ends.  A
+#: window starting on a C = 1 touch near the PT EP labels it "min".
 _CENSUS_KNOWN_MISSES = {
     ("pt", 1e-6): {
-        "b/a=0.3 phi=3pi/2": "offset", "b/a=1 phi=pi/2": "offset",
-        "b/a=1 phi=3pi/2": "extremum offset", "b/a=1.3 phi=3pi/2": "classify",
-        "seed#5": "0", "seed#21": "0", "seed#42": "0",
+        # every named state but phi = pi at b/a <= 1, then the entries below
+        **dict.fromkeys((name for name in _census_states() if not name.startswith("seed#")
+                         and name not in ("b/a=0.3 phi=pi", "b/a=0.9 phi=pi", "b/a=1 phi=pi")),
+                        "offsetx10"),
+        "b/a=0.3 phi=3pi/2": "offset offsetx10", "b/a=1 phi=pi/2": "offset offsetx10",
+        "b/a=1 phi=3pi/2": "extremum extremumx10 offset offsetx10",
+        "b/a=1.3 phi=3pi/2": "classify offsetx10",
+        **{f"seed#{i}": "0x10" for i in (1, 2, 8, 22, 23, 30, 41, 45, 49)},
+        **{f"seed#{i}": "0 0x10" for i in (5, 21, 42)},
     },
     ("pt", 1e-8): {
-        "H": "offset", "V": "offset", "(0.6, 0.8, 4.0)": "offset",
-        **{f"b/a={r} phi={q}": "offset" for r in ("0.3", "0.9", "1.3", "5")
-           for q in ("0", "pi/2", "pi")},
-        "b/a=1 phi=pi/2": "offset", "b/a=1 phi=3pi/2": "offset",
-        "b/a=0.3 phi=3pi/2": "classify extremum offset", "b/a=0.9 phi=3pi/2": "classify",
-        "b/a=1.3 phi=3pi/2": "classify extremum", "b/a=5 phi=3pi/2": "classify offset",
-        **{f"seed#{i}": "0" for i in (1, 2, 5, 8, 21, 22, 23, 30, 41, 42, 45, 49)},
+        **dict.fromkeys(["H", "(0.6, 0.8, 4.0)", "b/a=1 phi=pi/2", "b/a=1 phi=3pi/2"]
+                        + [f"b/a={r} phi={q}" for r in ("0.3", "0.9", "1.3", "5")
+                           for q in ("0", "pi/2", "pi")],
+                        "offset offsetx10"),
+        "V": "extremum extremumx10 offset offsetx10", "b/a=1 phi=pi": "offsetx10",
+        "b/a=0.3 phi=3pi/2": "classify extremum extremumx10 offset offsetx10",
+        "b/a=0.9 phi=3pi/2": "classify",
+        "b/a=1.3 phi=3pi/2": "classify extremum extremumx10 offsetx10",
+        "b/a=5 phi=3pi/2": "classify offset offsetx10",
+        **{f"seed#{i}": "0 0x10" for i in (1, 2, 5, 8, 21, 22, 23, 30, 41, 42, 45, 49)},
     },
-    ("apt", 1e-8): {"(0.6, 0.8, 4.0)": "extremum", "b/a=0.9 phi=pi": "extremum",
-                    "b/a=5 phi=pi": "extremum"},
+    ("apt", 1e-8): dict.fromkeys(["(0.6, 0.8, 4.0)", "b/a=0.9 phi=pi", "b/a=5 phi=pi"],
+                                 "extremum extremumx10"),
 }
 
 
@@ -366,9 +386,10 @@ _CENSUS_KNOWN_MISSES = {
 def test_extrema_census_near_exceptional_point(kind, side, count, gap):
     # the count theorem on the whole state sphere, at every distance from
     # the EP: 4 stationary points per period for PT, 2 for APT (none when
-    # alpha = beta, where C == 1), in one-period windows starting at 0, on
-    # an analytic extremum and at a seeded offset; the scanned times equal
-    # the analytic ones on the circle of one period
+    # alpha = beta, where C == 1), with alternating kinds, in windows of one
+    # and of ten periods starting at 0, on an analytic extremum and at a
+    # seeded offset; the scanned times equal the analytic ones on the
+    # circle of one period, and each analytic time is scanned
     p = HamiltonianParams(kind=kind, a=1.0 + side * gap)
     T = theoretical_period(p)
     rng = np.random.default_rng([int(side > 0), round(-10 * np.log10(gap))])
@@ -387,16 +408,54 @@ def test_extrema_census_near_exceptional_point(kind, side, count, gap):
                 misses.add((name, "classify"))
             windows = {"extremum": predicted[-1]} if predicted else {}
             windows["offset"] = float(rng.uniform(0.0, T))
-        for label, t0 in windows.items():
-            scanned = np.array([e.time for e in find_extrema(st_, p, (t0, t0 + T)).extrema])
-            if len(scanned) != expected:
-                misses.add((name, label))
+        for (label, t0), periods in itertools.product(windows.items(), (1, 10)):
+            extrema = find_extrema(st_, p, (t0, t0 + periods * T)).extrema
+            scanned = np.array([e.time for e in extrema])
+            alternate = all(e.kind != e_next.kind for e, e_next in zip(extrema, extrema[1:]))
+            if len(scanned) != periods * expected or not alternate:
+                misses.add((name, label if periods == 1 else f"{label}x{periods}"))
                 continue
-            for t in predicted:  # circular distance to the nearest scanned time
-                assert np.abs((scanned - t + 0.5 * T) % T - 0.5 * T).min() <= 1e-9 * T, (
-                    name, label, t, scanned)
+            if expected:  # circular distances between scanned and analytic times
+                gaps = np.abs((scanned[:, None] - np.array(predicted) + 0.5 * T) % T - 0.5 * T)
+                assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= 1e-9 * T, (
+                    name, label, periods, scanned)
     known = _CENSUS_KNOWN_MISSES.get((kind.value, gap), {})
     assert misses == {(name, label) for name, labels in known.items() for label in labels.split()}
+
+
+@pytest.mark.parametrize("kind, a, count", [
+    (SymmetryClass.PT, 0.47, 4), (SymmetryClass.APT, 1.5, 2),
+], ids=["pt", "apt"])
+def test_long_windows_hold_every_period(kind, a, count):
+    # a window of n periods holds n times the extrema of one, with
+    # alternating kinds, at the analytic times of every period: no window
+    # length aliases the scan (2048 periods put every sample of a uniform
+    # 2048-point grid at one phase).  Every census state gets 1 and 10
+    # periods, a seeded draw of 12 of them 1000 to 3000, and 2 of those 10^5.
+    p = HamiltonianParams(kind=kind, a=a)
+    T = theoretical_period(p)
+    states = _census_states()
+    drawn = np.random.default_rng(32).choice(sorted(states), size=12, replace=False).tolist()
+    for name, st_ in states.items():
+        expected = 0 if kind is SymmetryClass.APT and abs(st_.alpha - st_.beta) <= 1e-12 else count
+        predicted = np.array(verify_extrema_conditions(st_, p))
+        assert predicted.size == expected, name
+        lengths = (1, 10) + ((1000, 2048, 3000) if name in drawn else ())
+        for n in lengths + ((10**5,) if name in drawn[:2] else ()):
+            extrema = find_extrema(st_, p, (0.0, n * T)).extrema
+            assert len(extrema) == n * expected, (name, n)
+            kinds = [e.kind for e in extrema]
+            assert all(k != k_next for k, k_next in zip(kinds, kinds[1:])), (name, n)
+            tiled = (predicted + T * np.arange(n)[:, None]).ravel()
+            scanned = np.array([e.time for e in extrema])
+            assert np.abs(scanned - tiled).max(initial=0.0) <= 1e-8 * T, (name, n)
+
+
+def test_extrema_past_the_cap_raise():
+    p = pt(0.47)
+    T = theoretical_period(p)
+    with pytest.raises(ValueError, match=r"holds 4000000 extrema, more than 1000000"):
+        find_extrema(PureState.preset("h-sqrt3v"), p, (0.0, 10**6 * T))
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,24 @@ def test_trace_extremum_kinds_alternate(p):
             assert all(k != k_next for k, k_next in zip(kinds, kinds[1:]))
 
 
+@pytest.mark.parametrize("points", [401, 40001])
+def test_trace_extrema_do_not_depend_on_the_caller_grid(points):
+    # the scan samples the window whatever the caller's grid: 4 extrema
+    # per period of psi_3 at PT 0.47, the last period's those of the first
+    # shifted by (n - 1) T
+    p = pt(0.47)
+    T = theoretical_period(p)
+    for n in (10, 1000, 2048):
+        trace = two_qubit_coherence_trace(TwoQubitState.psi_3(), p,
+                                          np.linspace(0.0, n * T, points))
+        assert trace.times.shape == trace.values.shape == (points,)
+        assert len(trace.extrema) == 4 * n
+        first = trace.extrema[:4]
+        assert [e.time for e in trace.extrema[-4:]] == pytest.approx(
+            [e.time + (n - 1) * T for e in first], abs=1e-9 * n * T)
+        assert [e.kind for e in trace.extrema] == [e.kind for e in first] * n
+
+
 def test_trace_grid_validation():
     p = pt(0.8)
     psi = TwoQubitState.psi_1()
