@@ -491,14 +491,15 @@ def cmd_period(cfg: argparse.Namespace) -> str:
 
 def cmd_asymptote(cfg: argparse.Namespace) -> str:
     """Theoretical stable value plus a tail estimate from the trace."""
-    from .coherence import _SCAN_PERIODS, asymptotic_value, find_extrema, theoretical_period
+    from .coherence import asymptotic_value, find_extrema, theoretical_period
 
     assert cfg.state is not None
     p = cfg.params
-    # an unbroken trace repeats after one period: a window of any length
-    # has the asymptote of its first _SCAN_PERIODS periods
+    # find_extrema estimates a long unbroken window from its first periods
+    # alone; cutting the window at 100 periods changes no estimate and
+    # keeps its tiled extrema far below find_extrema's cap
     period = theoretical_period(p)
-    t_end = cfg.t_max if period is None else min(cfg.t_max, cfg.t_min + _SCAN_PERIODS * period)
+    t_end = cfg.t_max if period is None else min(cfg.t_max, cfg.t_min + 100 * period)
     scan = find_extrema(cfg.state, p, (cfg.t_min, t_end))
     return _report(cfg, {
         "asymptote_theoretical": asymptotic_value(p),

@@ -66,7 +66,8 @@ _BISECT_WIDTH = 1e-9
 #: Value range, in units of max(1, the largest value), below which a
 #: trace counts as constant: the rounding level of C.
 _CONSTANT_RANGE = 64.0 * np.finfo(np.float64).eps
-#: Samples per scan, over the window or its first ``_SCAN_PERIODS`` periods.
+#: Samples per scan over the window, or per period of a tiled window's
+#: first ``_SCAN_PERIODS`` periods.
 _SCAN_SAMPLES = 2048
 #: Unbroken periods sampled at most; the rest of a window is tiled.
 _SCAN_PERIODS = 4
@@ -111,8 +112,8 @@ class CoherenceTrace:
         window contains too few repetitions.
     asymptote_estimate:
         Mean of the final 10% of the sampling grid when the trace has
-        converged there (|slope| below 1e-6 per unit theta), and, for a
-        tiled window, is flat; None otherwise.
+        converged there (|slope| below 1e-6 per unit theta); None
+        otherwise.
     """
 
     times: np.ndarray = field(repr=False)
@@ -225,9 +226,10 @@ def find_extrema(
     tolerance ``_BISECT_WIDTH / s`` (1e-9 in theta), and counts do not
     depend on ``s``.  In the unbroken regime a window longer than
     ``_SCAN_PERIODS`` periods is sampled over its first ``_SCAN_PERIODS``
-    periods, and its later extrema are the first period's shifted by
-    whole periods (C has period T exactly); more than ``_MAX_EXTREMA``
-    extrema raise ValueError.  Seam rule: a stationary point within the
+    periods only, ``_SCAN_SAMPLES`` per period: its later extrema are the
+    first period's shifted by whole periods (C has period T exactly), and
+    its period and asymptote estimates are those of the sampled span.
+    More than ``_MAX_EXTREMA`` extrema raise ValueError.  Seam rule: a stationary point within the
     bisection width of either end of the window is counted once, at t0
     (so a window of one period, wherever it starts, holds each extremum
     of the period exactly once).
@@ -278,12 +280,14 @@ def _scan(
     ``series(q, theta)`` is the trace and ``slope(q, theta)`` gives
     ``(f, bound)`` of shape ``(k, n)``: factors whose product has the
     sign of the slope, with their rounding bounds; both get ``p`` at
-    ``s = 1``.  ``_SCAN_SAMPLES`` samples span the window, or its first
-    ``_SCAN_PERIODS`` periods P = pi / w when a longer unbroken window is
-    tiled: its later extrema are the first period's shifted by multiples
-    of P, since U(theta + P) = -U(theta).  A factor's sign change between
-    consecutive samples (the span's end included) that clear its bound
-    is bisected on that factor: samples within the bound are skipped.  The seam rule: t0 is stationary when a factor there is
+    ``s = 1``.  ``_SCAN_SAMPLES`` samples span the window; a longer
+    unbroken window than ``_SCAN_PERIODS`` periods P = pi / w is tiled:
+    its first ``_SCAN_PERIODS`` periods get ``_SCAN_SAMPLES`` samples per
+    period, and its later extrema are the first period's shifted by
+    multiples of P, since U(theta + P) = -U(theta).  A factor's sign
+    change between consecutive samples (the span's end included) that
+    clear its bound is bisected on that factor: samples within the bound
+    are skipped.  The seam rule: t0 is stationary when a factor there is
     within its bound or changes sign across ``t0 -/+ _BISECT_WIDTH`` (it
     then contributes the sign just after it); a root within
     ``_BISECT_WIDTH`` of t1 is dropped.  The slope's change across a
@@ -294,8 +298,8 @@ def _scan(
     slope is sampled only up to ``2 w theta = 52 ln 2``, past which every
     ratio of propagator entries equals its limit to double precision;
     roots beyond it are dropped.  More than ``_MAX_EXTREMA`` extrema raise
-    ValueError, and a tiled trace has an asymptote only when flat.  Times
-    and period are divided by ``s`` on return.
+    ValueError.  The period and asymptote estimates come from the
+    sampled span.  Times and period are divided by ``s`` on return.
     """
     w0, w1 = float(window[0]), float(window[1])
     t0, t1 = p.s * w0, p.s * w1
@@ -314,14 +318,15 @@ def _scan(
         cut = 26.0 * math.log(2.0) / frequency(p.kind, p.a)
     tiled = t1 - t0 > _SCAN_PERIODS * period
     stop = t0 + _SCAN_PERIODS * period if tiled else t1  # end of the sampled span
-    ts = t0 + (stop - t0) * np.arange(_SCAN_SAMPLES) / _SCAN_SAMPLES  # half-open grid
+    n = _SCAN_PERIODS * _SCAN_SAMPLES if tiled else _SCAN_SAMPLES
+    ts = t0 + (stop - t0) * np.arange(n) / n  # half-open grid
     values = series(unit, ts)
     flat = _flat(values)
     roots, peaks, is_max = np.empty(0), np.empty(0), np.empty(0, dtype=bool)
     estimate = None
     if not flat and t0 < cut:
         end = min(stop, cut)
-        grid = np.append(ts, stop) if end == stop else np.linspace(t0, end, _SCAN_SAMPLES + 1)
+        grid = np.append(ts, stop) if end == stop else np.linspace(t0, end, n + 1)
         f, bound = slope(unit, grid)
         neg, strong = f < 0.0, np.abs(f) > bound
         before, after = t0 - _BISECT_WIDTH, np.nextafter(t0 + _BISECT_WIDTH, np.inf)
@@ -378,7 +383,7 @@ def _scan(
         extrema=tuple(Extremum(r, v, "max" if mx else "min")
                       for r, v, mx in zip((roots / p.s).tolist(), peaks.tolist(), is_max.tolist())),
         period_estimate=None if estimate is None else estimate / p.s,
-        asymptote_estimate=None if tiled and not flat else _asymptote_estimate(ts, values),
+        asymptote_estimate=_asymptote_estimate(ts, values),
     )
 
 

@@ -137,6 +137,27 @@ def test_asymptote_of_an_oscillating_trace_is_null(capsys, argv):
     assert payload["window"] == [0.0, pytest.approx(float(argv[-1]), rel=1e-11)]
 
 
+@pytest.mark.parametrize("kind, a, state, oscillates", [
+    ("pt", 1e-5, "D", False),  # C spans 5e-11: converged on any tail
+    ("pt", 0.47, "h-sqrt3v", True),
+    ("apt", 1.5, "h-sqrt3v", True),
+])
+@pytest.mark.parametrize("s, t_min", [(1.0, 0.0), (2.5, 5.0), (0.3, 7.0)])
+@pytest.mark.parametrize("periods", [3.9, 4.0, 4.1, 150.0, 1e4])
+def test_asymptote_is_find_extrema_over_the_window(capsys, kind, a, state, oscillates,
+                                                   s, t_min, periods):
+    # asymptote prints find_extrema's estimate over the window it names,
+    # at any start and scale: cutting a long window does not move it
+    p = pc.HamiltonianParams(kind=pc.SymmetryClass(kind), s=s, a=a)
+    t_max = t_min + periods * pc.theoretical_period(p)
+    code, out = run(capsys, "asymptote", "--kind", kind, "--a", repr(a), "--s", repr(s),
+                    "--state", state, "--t-min", repr(t_min), "--t-max", repr(t_max))
+    assert code == 0
+    estimate = pc.find_extrema(pc.PureState.preset(state), p, (t_min, t_max)).asymptote_estimate
+    assert (estimate is None) == oscillates
+    assert json.loads(out)["asymptote_estimate"] == (None if oscillates else float(_fmt(estimate)))
+
+
 def test_backflow_report(capsys):
     code, out = run(capsys, "backflow", "--kind", "pt", "--a", "0.47",
                     "--state", "h-sqrt3v")
