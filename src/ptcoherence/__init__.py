@@ -32,6 +32,7 @@ _EXPORTS = {
         "DegenerateEvolutionError",
         "PureState",
         "DensityMatrix",
+        "l1_coherence",
         "propagator_analytic",
         "evolve_density",
     ),
@@ -40,7 +41,6 @@ _EXPORTS = {
         "Extremum",
         "CoherenceTrace",
         "BackflowReport",
-        "l1_coherence",
         "coherence_closed_form",
         "coherence_series",
         "theoretical_period",

@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evolution import PureState, evolve_density, evolve_density_grid
+from .evolution import PureState, evolve_density, evolve_density_grid, l1_coherence
 from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, frequency, regime
 
 # Each subcommand imports the modules only it runs (coherence, optics,
@@ -462,9 +462,9 @@ def _report(cfg: argparse.Namespace, fields: dict) -> str:
 def cmd_trace(cfg: argparse.Namespace) -> str:
     """CSV columns t, C_closed_form, C_matrix_path — the scalar closed
     form and the independent propagator-conjugation route, side by side:
-    C_matrix_path is :func:`~ptcoherence.coherence.l1_coherence` of the
+    C_matrix_path is :func:`~ptcoherence.evolution.l1_coherence` of the
     density matrices that :func:`evolve_density_grid` evolves."""
-    from .coherence import coherence_series, l1_coherence
+    from .coherence import coherence_series
 
     st, p = cfg.state, cfg.params
     assert st is not None
@@ -545,7 +545,6 @@ def cmd_angles(cfg: argparse.Namespace) -> str:
 
 def cmd_tomography(cfg: argparse.Namespace) -> str:
     """Evolve, sample counts, reconstruct, and bootstrap the coherence."""
-    from .coherence import l1_coherence
     from .tomography import bootstrap_errorbar, reconstruct, simulate_counts, trace_distance
 
     assert cfg.state is not None

@@ -135,23 +135,6 @@ class BackflowReport:
 # basic quantities
 # ---------------------------------------------------------------------------
 
-def l1_coherence(rho):
-    """l1 coherence ``C = sum_{i != j} |rho_ij|`` of one density matrix or a stack.
-
-    ``rho`` is a :class:`~ptcoherence.evolution.DensityMatrix`, a state
-    exposing ``rho4`` (a two-qubit state), or an array of square
-    matrices of shape ``(..., n, n)``.  Only the off-diagonal magnitudes
-    are added, so a small C keeps its digits (for a Hermitian 2x2 matrix
-    it is ``2 |rho_01|``).  Returns a float for one matrix and an array
-    of shape ``(...)`` for a stack.
-    """
-    arr = np.asarray(getattr(rho, "rho", getattr(rho, "rho4", rho)), dtype=complex)
-    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-        raise ValueError(f"expected square matrices (..., n, n), got shape {arr.shape}")
-    c = np.abs(arr[..., ~np.eye(arr.shape[-1], dtype=bool)]).sum(axis=-1)
-    return float(c) if c.ndim == 0 else c
-
-
 def coherence_series(st: PureState, p: HamiltonianParams, times: np.ndarray) -> np.ndarray:
     """Closed-form l1 coherence of the evolved state over a time grid.
 
@@ -166,10 +149,10 @@ def coherence_closed_form(st: PureState, p: HamiltonianParams, t: float) -> floa
     """Closed-form l1 coherence at a single finite time ``t >= 0``.
 
     Agrees with the matrix path (evolve the density matrix, then take
-    :func:`l1_coherence`) to 1e-9.  Both routes start from the scaled
-    scalars of :func:`~ptcoherence.evolution.shifted_pairs`; from
-    there this one evolves the state vector and the other conjugates
-    the density matrix.
+    :func:`~ptcoherence.evolution.l1_coherence`) to 1e-9.  Both routes
+    start from the scaled scalars of
+    :func:`~ptcoherence.evolution.shifted_pairs`; from there this one
+    evolves the state vector and the other conjugates the density matrix.
     """
     return float(coherence_series(st, p, _evolution_times([t]))[0])
 
@@ -229,10 +212,10 @@ def find_extrema(
     periods only, ``_SCAN_SAMPLES`` per period: its later extrema are the
     first period's shifted by whole periods (C has period T exactly), and
     its period and asymptote estimates are those of the sampled span.
-    More than ``_MAX_EXTREMA`` extrema raise ValueError.  Seam rule: a stationary point within the
-    bisection width of either end of the window is counted once, at t0
-    (so a window of one period, wherever it starts, holds each extremum
-    of the period exactly once).
+    More than ``_MAX_EXTREMA`` extrema raise ValueError.  Seam rule: a
+    stationary point within the bisection width of either end of the
+    window is counted once, at t0 (so a window of one period, wherever it
+    starts, holds each extremum of the period exactly once).
 
     Returns
     -------
@@ -318,15 +301,14 @@ def _scan(
         cut = 26.0 * math.log(2.0) / frequency(p.kind, p.a)
     tiled = t1 - t0 > _SCAN_PERIODS * period
     stop = t0 + _SCAN_PERIODS * period if tiled else t1  # end of the sampled span
-    n = _SCAN_PERIODS * _SCAN_SAMPLES if tiled else _SCAN_SAMPLES
-    ts = t0 + (stop - t0) * np.arange(n) / n  # half-open grid
+    samples = _SCAN_PERIODS * _SCAN_SAMPLES if tiled else _SCAN_SAMPLES
+    ts = t0 + (stop - t0) * np.arange(samples) / samples  # half-open grid
     values = series(unit, ts)
-    flat = _flat(values)
     roots, peaks, is_max = np.empty(0), np.empty(0), np.empty(0, dtype=bool)
     estimate = None
-    if not flat and t0 < cut:
+    if not _flat(values) and t0 < cut:
         end = min(stop, cut)
-        grid = np.append(ts, stop) if end == stop else np.linspace(t0, end, n + 1)
+        grid = np.append(ts, stop) if end == stop else np.linspace(t0, end, samples + 1)
         f, bound = slope(unit, grid)
         neg, strong = f < 0.0, np.abs(f) > bound
         before, after = t0 - _BISECT_WIDTH, np.nextafter(t0 + _BISECT_WIDTH, np.inf)
@@ -351,19 +333,17 @@ def _scan(
             found, lo, hi = np.append(t0, found), np.append(before, lo), np.append(after, hi)
         keep = (found < stop - _BISECT_WIDTH) & (np.abs(found) <= cut)
         order = np.flatnonzero(keep)[np.argsort(found[keep], kind="stable")]
-        runs: list[list[int]] = []  # roots within _BISECT_WIDTH of their run's first
-        for n in order:
-            if runs and found[n] - found[runs[-1][0]] <= _BISECT_WIDTH:
-                runs[-1].append(n)
-            else:
-                runs.append([n])
-        ends = np.array([[lo[run].min(), hi[run].max()] for run in runs]).reshape(-1, 2)
-        sign = np.prod(slope(unit, ends.ravel())[0], axis=0).reshape(-1, 2)
+        found, lo, hi = found[order], lo[order], hi[order]
+        runs = [0] if found.size else []  # roots within _BISECT_WIDTH of their run's first
+        for n in range(1, found.size):
+            if found[n] - found[runs[-1]] > _BISECT_WIDTH:
+                runs.append(n)
+        ends = np.append(np.minimum.reduceat(lo, runs), np.maximum.reduceat(hi, runs))
+        sign = np.prod(slope(unit, ends)[0], axis=0).reshape(2, -1)
         # a merged run across which the slope keeps its sign is an inflection
-        single = np.array([len(run) == 1 for run in runs], dtype=bool)
-        turn = single | (np.sign(sign[:, 0]) != np.sign(sign[:, 1]))
-        roots = found[[run[0] for run in runs]][turn]
-        peaks, is_max = series(unit, roots), (sign[:, 0] > sign[:, 1])[turn]
+        turn = (np.diff(runs, append=found.size) == 1) | (np.sign(sign[0]) != np.sign(sign[1]))
+        roots = found[runs][turn]
+        peaks, is_max = series(unit, roots), (sign[0] > sign[1])[turn]
         estimate = _period_estimate(lambda th: series(unit, th), roots, is_max, t0, stop,
                                     float(np.ptp(values)))
         if tiled:  # the first period's extrema, shifted by whole periods
@@ -375,8 +355,8 @@ def _scan(
             reps = int(copies.max(initial=0.0))
             roots = (roots[first] + period * np.arange(reps)[:, None]).ravel()
             keep = roots < t1 - _BISECT_WIDTH
-            roots = roots[keep]
-            peaks, is_max = np.tile(peaks[first], reps)[keep], np.tile(is_max[first], reps)[keep]
+            roots, peaks, is_max = (roots[keep], np.tile(peaks[first], reps)[keep],
+                                    np.tile(is_max[first], reps)[keep])
     return CoherenceTrace(
         times=ts / p.s,
         values=values,

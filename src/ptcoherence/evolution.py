@@ -25,6 +25,7 @@ Numerical notes
   distance of a matrix-exponential oracle through the EP.
 * :func:`pure_rows` builds every pure product state of one or two qubits;
   :func:`pure_l1` takes their C from magnitudes, whose squares underflow.
+  :func:`l1_coherence` is the one C of a density matrix.
 * The fixed terms (``K psi``) are rounded once from exact sums
   (:func:`apply_exact`): near the EP they are far below their summands.
   At large ``a`` no entry of ``U`` is a difference ``A - a g`` of unit terms.
@@ -332,6 +333,23 @@ def pure_l1(v: np.ndarray) -> np.ndarray:
     mags = np.abs(v)
     i, j = np.triu_indices(mags.shape[1], 1)
     return 2.0 * (mags[:, i] * mags[:, j]).sum(axis=1) / (mags * mags).sum(axis=1)
+
+
+def l1_coherence(rho):
+    """l1 coherence ``C = sum_{i != j} |rho_ij|`` of one density matrix or a stack.
+
+    ``rho`` is a :class:`DensityMatrix`, a state
+    exposing ``rho4`` (a two-qubit state), or an array of square
+    matrices of shape ``(..., n, n)``.  Only the off-diagonal magnitudes
+    are added, so a small C keeps its digits (for a Hermitian 2x2 matrix
+    it is ``2 |rho_01|``).  Returns a float for one matrix and an array
+    of shape ``(...)`` for a stack.
+    """
+    arr = np.asarray(getattr(rho, "rho", getattr(rho, "rho4", rho)), dtype=complex)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"expected square matrices (..., n, n), got shape {arr.shape}")
+    c = np.abs(arr[..., ~np.eye(arr.shape[-1], dtype=bool)]).sum(axis=-1)
+    return float(c) if c.ndim == 0 else c
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,8 @@ _COLD_LOADS = (
      ("ptcoherence.coherence", "ptcoherence.tomography", "ptcoherence.twoqubit",
       "ptcoherence.bloch", "statistics")),
     (("tomography",),
-     ("ptcoherence.optics", "ptcoherence.twoqubit", "ptcoherence.bloch", "statistics")),
+     ("ptcoherence.coherence", "ptcoherence.optics", "ptcoherence.twoqubit",
+      "ptcoherence.bloch", "statistics")),
 )
 
 
