@@ -419,14 +419,20 @@ def _asymptote_estimate(ts: np.ndarray, values: np.ndarray) -> float | None:
     tt, vv = ts[tail], values[tail]
     if len(tt) < 2 or tt[-1] == tt[0]:
         return None
-    # fit on u = (t - centre) / half in [-1, 1]: raw times near 1e300
-    # overflow polyfit's column scaling
-    half = 0.5 * (float(tt[-1]) - float(tt[0]))
-    centre = float(tt[0]) + half
-    slope = float(np.polyfit((tt - centre) / half, vv, 1)[0]) / half
-    if abs(slope) >= 1e-6:
+    if abs(_tail_slope(tt, vv)) >= 1e-6:
         return None
     return float(np.mean(vv))
+
+
+def _tail_slope(tt: np.ndarray, vv: np.ndarray) -> float:
+    """Least-squares slope of ``vv`` over ``tt`` in closed form, fitted on
+    u = (t - centre) / half in [-1, 1], so that times near 1e300 overflow
+    no sum of squares."""
+    half = 0.5 * (float(tt[-1]) - float(tt[0]))
+    centre = float(tt[0]) + half
+    u = (tt - centre) / half
+    u = u - np.mean(u)
+    return float(np.sum(u * (vv - np.mean(vv))) / np.sum(u * u)) / half
 
 
 # ---------------------------------------------------------------------------

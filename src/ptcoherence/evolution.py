@@ -42,6 +42,10 @@ Numerical notes
   plain 2x2 ``U`` and raises ``OverflowError`` where an entry would overflow.
 * Grid functions work on whole time grids in array operations; none
   loops over time points in Python.
+* No function of the package calls BLAS or LAPACK: the products, norms,
+  solves and fits on 2x2 and 4x4 stacks are closed-form elementwise numpy,
+  which is faster at that size, and BLAS's first use would add about
+  1 MiB to a cold command's peak RSS.
 
 All functions are pure; every returned array is freshly allocated.
 """

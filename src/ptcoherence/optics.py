@@ -134,8 +134,12 @@ def assemble(kind: SymmetryClass, angles) -> np.ndarray:
     shape ``(..., 2, 2)``."""
     v = np.asarray(angles, dtype=np.float64)
     w1, w2, _, w3, w4 = ({"HWP": r_hwp, "QWP": r_qwp}.get(n) for n in _SHAPES[kind])
-    return (w1(v[..., 0]) @ w2(v[..., 1]) @ loss_operator(v[..., 2], v[..., 3])
-            @ w3(v[..., 4]) @ w4(v[..., 5]))
+    out = w1(v[..., 0])
+    for factor in (w2(v[..., 1]), loss_operator(v[..., 2], v[..., 3]), w3(v[..., 4]),
+                   w4(v[..., 5])):
+        # the 2x2 product as two outer products: elementwise, no BLAS
+        out = out[..., :, :1] * factor[..., :1, :] + out[..., :, 1:] * factor[..., 1:, :]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -157,34 +161,56 @@ _PLATES = [0, 1, 4, 5]
 _SEAM = 1e-9
 
 
+def _norm(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """Euclidean norms along the last axis: numpy's own expression for a
+    norm with an axis, bit for bit, which calls no BLAS."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1, keepdims=keepdims))
+
+
+def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solutions x of a·x = b for stacks of symmetric positive definite
+    matrices ``a`` (n, k, k) and vectors ``b`` (n, k): Gaussian elimination
+    without pivoting, stable on such matrices, then back substitution."""
+    a, b = a.copy(), b.copy()
+    k = b.shape[-1]
+    for i in range(k - 1):
+        f = a[:, i + 1:, i] / a[:, i, i, None]
+        a[:, i + 1:, i:] -= f[..., None] * a[:, None, i, i:]
+        b[:, i + 1:] -= f * b[:, i, None]
+    x = np.empty_like(b)
+    for i in reversed(range(k)):
+        x[:, i] = (b[:, i] - np.sum(a[:, i, i + 1:] * x[:, i + 1:], axis=-1)) / a[:, i, i]
+    return x
+
+
 def _orthogonal_part(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Component of vec(m)/|m| orthogonal to the unit 4-vector ``tau``, as
     8 reals per matrix; zero iff ``m`` is proportional to the target.  A
     (numerically) zero matrix gets all-ones, far from any solution."""
     vec = m.reshape(m.shape[:-2] + (4,))
-    norm = np.linalg.norm(vec, axis=-1, keepdims=True)
+    norm = _norm(vec, keepdims=True)
     u = vec / np.where(norm > 1e-300, norm, 1.0)
-    r = u - tau * (u @ tau.conj())[..., None]
+    r = u - tau * np.sum(u * tau.conj(), axis=-1, keepdims=True)
     return np.where(norm > 1e-300, np.concatenate([r.real, r.imag], axis=-1), 1.0)
 
 
 def _levenberg_marquardt(residual, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Damped Gauss-Newton on the ``_PLATES`` columns of every row of ``x``
     (n, 6) at once, for ``residual`` mapping rows (..., 6) to vectors
-    (..., m).  The Jacobian is a forward difference; each row's damping
+    (..., m).  The Jacobian is a forward difference, and each step solves the
+    damped normal equations by :func:`_solve_spd`; each row's damping
     grows ×4 on a rejected step and shrinks ÷3 on an accepted one.
     Returns the final rows and their squared residual norms."""
-    # one row per fitted column; a step is scattered by a product with it, as
-    # a 2-D ``@`` would load BLAS's float kernels (0.13 MiB of peak RSS)
-    step = np.eye(x.shape[-1])[_PLATES]
+    step = np.eye(x.shape[-1])[_PLATES]  # one row per fitted column
     eye = np.eye(len(_PLATES))
     r = residual(x)
     cost = np.einsum("...i,...i", r, r)
     damping = np.full(len(x), _LM_DAMPING)
     for _ in range(_LM_ITERATIONS):
         jac_t = (residual(x[:, None, :] + _LM_STEP * step) - r[:, None, :]) / _LM_STEP
-        normal = jac_t @ jac_t.transpose(0, 2, 1) + damping[:, None, None] * eye
-        x_try = x - (np.linalg.solve(normal, jac_t @ r[..., None]) * step).sum(axis=1)
+        normal = np.sum(jac_t[:, :, None] * jac_t[:, None], axis=-1) + damping[:, None, None] * eye
+        x_try = x.copy()
+        x_try[:, _PLATES] -= _solve_spd(normal, np.sum(jac_t * r[:, None], axis=-1))
         r_try = residual(x_try)
         cost_try = np.einsum("...i,...i", r_try, r_try)
         better = cost_try < cost
@@ -226,7 +252,7 @@ def solve_angles(p: HamiltonianParams, t: float, seed: int = 0,
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     target = propagator_scaled(p, float(_evolution_times([t])[0]))[0]
-    tau = target.reshape(4) / np.linalg.norm(target)
+    tau = target.reshape(4) / _norm(target.reshape(4))
 
     def residual(v):
         return _orthogonal_part(assemble(p.kind, v), tau)
@@ -247,7 +273,7 @@ def solve_angles(p: HamiltonianParams, t: float, seed: int = 0,
     for column in pool.T:  # lexicographic, ties within _SEAM passed on
         keep = keep[column[keep] <= column[keep].min() + _SEAM]
     angles = _reduced(p.kind, _levenberg_marquardt(residual, pool[keep[:1]])[0])[0]
-    best_res = float(np.linalg.norm(residual(angles)))
+    best_res = float(_norm(residual(angles)))
     if best_res > threshold:
         raise NoDecompositionError(best_res, tuple(angles.tolist()), (
             f"no angle set reached residual {threshold:g} for kind={p.kind.value}, a={p.a}, "
@@ -271,14 +297,14 @@ def verify_state_action(seq: OpticalSequence, seed: int = 12345) -> float:
     mat = assemble(seq.params.kind, seq.angles)
     raw = np.random.default_rng(seed).normal(size=(_N_STATES, 2, 2))
     states = raw[:, 0] + 1j * raw[:, 1]  # each state's real pair, then its imaginary pair
-    u, v = states @ target.T, states @ mat.T
-    nu, nv = (np.linalg.norm(x, axis=1, keepdims=True) for x in (u, v))
+    u, v = (np.sum(states[:, None, :] * m, axis=-1) for m in (target, mat))
+    nu, nv = (_norm(x, keepdims=True) for x in (u, v))
     if min(nu.min(), nv.min()) < 1e-300:
         return math.inf
     u, v = u / nu, v / nv
     overlap = np.sum(v.conj() * u, axis=1, keepdims=True)
     phase = np.divide(overlap, np.abs(overlap), out=np.ones_like(overlap), where=overlap != 0)
-    return float(np.linalg.norm(u - phase * v, axis=1).max())
+    return float(_norm(u - phase * v).max())
 
 
 def sequence_to_dict(seq: OpticalSequence) -> dict:

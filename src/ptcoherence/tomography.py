@@ -220,7 +220,13 @@ def bootstrap_errorbar(
 def trace_distance(
     rho_1: DensityMatrix | np.ndarray, rho_2: DensityMatrix | np.ndarray
 ) -> float:
-    """Trace distance ``0.5 * ||rho_1 - rho_2||_1`` between two states."""
-    diff = _rho_array(rho_1) - _rho_array(rho_2)
-    eigs = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
-    return float(0.5 * np.sum(np.abs(eigs)))
+    """Trace distance ``0.5 * ||rho_1 - rho_2||_1`` between two states.
+
+    The Hermitian part of the difference has eigenvalues ``m ± r``, with
+    ``m`` the mean of its diagonal and ``r = hypot(half their difference,
+    |off-diagonal|)``, so the distance ``(|m + r| + |m - r|) / 2`` is
+    ``max(|m|, r)``, in closed form.
+    """
+    (d00, d01), (d10, d11) = (_rho_array(rho_1) - _rho_array(rho_2)).tolist()
+    m, half_gap = 0.5 * (d00.real + d11.real), 0.5 * (d00.real - d11.real)
+    return max(abs(m), math.hypot(half_gap, abs(0.5 * (d01 + d10.conjugate()))))

@@ -23,6 +23,7 @@ Phenomenology mirrored from the single-qubit case (one ``p`` for both):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -51,8 +52,12 @@ class TwoQubitState:
             raise ValueError(f"expected 4 components, got shape {np.shape(self.vector)}")
         if not np.all(np.isfinite(v.view(float))):
             raise ValueError("state components must be finite")
-        n = float(np.linalg.norm(v))
-        if n < 1e-12:
+        # scaled by the power of two at the largest magnitude, exactly, so no
+        # square overflows or underflows (the exponent's clamp keeps the scale finite)
+        e = max(math.frexp(float(np.abs(v).max()))[1], -1000)
+        v = v * math.ldexp(1.0, -e)
+        n = math.sqrt(float(np.sum(v.real * v.real) + np.sum(v.imag * v.imag)))
+        if n < math.ldexp(1e-12, -e):
             raise ValueError("state vector cannot be (numerically) zero")
         v = v / n
         v.setflags(write=False)

@@ -34,7 +34,7 @@ from ptcoherence import (
     two_qubit_series,
     verify_extrema_conditions,
 )
-from ptcoherence.coherence import _BISECT_WIDTH, _median, _scan, coherence_slope
+from ptcoherence.coherence import _BISECT_WIDTH, _median, _scan, _tail_slope, coherence_slope
 from ptcoherence.evolution import pure_terms
 from ptcoherence.twoqubit import two_qubit_slope
 
@@ -634,3 +634,16 @@ def test_predicted_extrema_do_not_depend_on_energy_scale(kind, a, s):
     ref = verify_extrema_conditions(st_, HamiltonianParams(kind=kind, a=a))
     got = verify_extrema_conditions(st_, HamiltonianParams(kind=kind, s=s, a=a))
     assert [t * s for t in got] == pytest.approx(list(ref), rel=1e-12)
+
+
+@pytest.mark.parametrize("start, span", [(0.0, 1.0), (9.0, 1.0), (1e300, 1e300), (1e-300, 1e-300)])
+def test_tail_slope_matches_polyfit(start, span):
+    # the closed-form least-squares slope against numpy's fit on the same
+    # u in [-1, 1]; raw times near 1e300 would overflow a fit's column sums
+    rng = np.random.default_rng(4)
+    tt = start + span * np.sort(rng.uniform(0.0, 1.0, 41))
+    half = 0.5 * (tt[-1] - tt[0])
+    u = (tt - (tt[0] + half)) / half
+    for vv in (0.3 + 1e-3 * u + 1e-5 * rng.normal(size=41), np.full(41, 0.7), 0.2 + 0.1 * u ** 2):
+        expected = np.polyfit(u, vv, 1)[0] / half
+        assert _tail_slope(tt, vv) == pytest.approx(expected, rel=1e-12, abs=1e-15 / half)

@@ -22,7 +22,7 @@ from ptcoherence import (
     verify_state_action,
 )
 from ptcoherence.evolution import propagator_scaled
-from ptcoherence.optics import _orthogonal_part
+from ptcoherence.optics import _norm, _orthogonal_part, _solve_spd
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +121,16 @@ def test_assemble_broadcasts_over_angle_rows(kind):
     assert batch.shape == (2, 3, 2, 2)
     for idx in np.ndindex(rows.shape[:-1]):
         assert frobenius_dist(batch[idx], assemble(kind, tuple(rows[idx]))) < 1e-15
+
+
+@pytest.mark.parametrize("kind", list(SymmetryClass))
+def test_assemble_matches_the_matrix_product(kind):
+    # the elementwise products against numpy's ``@`` chain on a stack
+    rows = np.random.default_rng(11).uniform(0.0, math.pi, size=(64, 6))
+    first, second = (r_hwp, r_qwp) if kind is SymmetryClass.PT else (r_qwp, r_hwp)
+    a1, a2, x1, x2, a3, a4 = rows.T
+    expected = (first(a1) @ second(a2) @ loss_operator(x1, x2) @ first(a3) @ second(a4))
+    assert np.abs(assemble(kind, rows) - expected).max() < 1e-15
 
 
 def test_slaved_pt_shape_at_reference_angles():
@@ -330,3 +340,26 @@ def test_sequence_to_dict_schema():
     assert [len(e["angles_rad"]) for e in d["elements"]] == [1, 1, 2, 1, 1]
     assert [v for e in d["elements"] for v in e["angles_rad"]] == list(seq.angles)
     assert d["residual"] == seq.residual
+
+
+def test_norm_is_numpys_norm_bit_for_bit():
+    rng = np.random.default_rng(2)
+    real, imag = rng.normal(size=(2, 5, 3, 4))
+    for x in (rng.normal(size=(7, 8)), real + 1j * imag):
+        assert np.array_equal(_norm(x), np.linalg.norm(x, axis=-1))
+        assert np.array_equal(_norm(x, keepdims=True), np.linalg.norm(x, axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("damping", [1e-3, 1.0, 1e3, 1e12, 1e24, 1e33])
+def test_damped_normal_solve_matches_numpy(damping):
+    # the Levenberg-Marquardt system J J^T + lambda I over the damping
+    # range a run can reach (x4 per rejected step from 1e-3), at full
+    # rank and at rank 2
+    rng = np.random.default_rng(3)
+    jac = rng.normal(size=(50, 4, 8))
+    jac[25:, 2:] = rng.normal(size=(25, 2, 2)) @ jac[25:, :2]  # rows 2, 3 in the span of 0, 1
+    normal = jac @ jac.transpose(0, 2, 1) + damping * np.eye(4)
+    rhs = rng.normal(size=(50, 4))
+    got, expected = _solve_spd(normal, rhs), np.linalg.solve(normal, rhs[..., None])[..., 0]
+    error = np.linalg.norm(got - expected, axis=-1) / np.linalg.norm(expected, axis=-1)
+    assert error.max() < 1e-9

@@ -12,13 +12,16 @@ modules nor ``statistics``, ``two-qubit`` and ``bloch`` load no
 coherence module, and ``angles`` and ``tomography`` load only their own
 chain.  The checks need their own interpreter because the test session
 has every module loaded.  ``_EXPORTS`` is the one list of public names:
-each table module's ``__all__`` is its entry.
+each table module's ``__all__`` is its entry.  No package source calls
+BLAS or LAPACK, whose first use costs about 1 MiB of peak RSS.
 """
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 import textwrap
+from pathlib import Path
 
 from conftest import run_fresh
 
@@ -116,3 +119,33 @@ def test_public_names_resolve():
         module = importlib.import_module(f"ptcoherence.{name}")
         assert module.__all__ == list(names), name
     assert ptcoherence.__all__ == ["__version__", *(n for names in table.values() for n in names)]
+
+
+#: Names that reach BLAS or LAPACK: numpy's ``linalg`` and the products
+#: and fits built on them.  ``einsum`` stays allowed: its default path
+#: calls no BLAS.
+_BLAS_NAMES = {"linalg", "dot", "vdot", "inner", "tensordot", "matmul", "polyfit"}
+
+
+def _referenced_names(node: ast.AST) -> list[str]:
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return node.name.split(".")
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")
+    return []
+
+
+def test_package_calls_no_blas():
+    # every kernel of the package is elementwise on 2x2 and 4x4 stacks:
+    # no ``@`` operator and no name that reaches BLAS or LAPACK
+    found = []
+    for path in sorted(Path(ptcoherence.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            names = _BLAS_NAMES.intersection(_referenced_names(node))
+            if isinstance(getattr(node, "op", None), ast.MatMult) or names:
+                found.append(f"{path.name}:{node.lineno} {sorted(names) or '@'}")
+    assert not found

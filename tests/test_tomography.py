@@ -300,3 +300,29 @@ def test_trace_distance_basics():
     assert trace_distance(h, DensityMatrix.maximally_mixed()) == pytest.approx(0.5, abs=1e-14)
     d = PureState.preset("D").density()
     assert trace_distance(h, d) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+
+
+def _eigen_trace_distance(rho_1: np.ndarray, rho_2: np.ndarray) -> float:
+    diff = rho_1 - rho_2
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).sum())
+
+
+def test_trace_distance_matches_eigenvalues():
+    rng = np.random.default_rng(8)
+    states = []
+    for _ in range(40):  # full-rank and pure states
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        g[:, 1] *= rng.integers(0, 2)
+        rho = g @ g.conj().T
+        states.append(rho / np.trace(rho).real)
+    for rho_1, rho_2 in zip(states[::2], states[1::2]):
+        assert trace_distance(rho_1, rho_2) == pytest.approx(
+            _eigen_trace_distance(rho_1, rho_2), rel=1e-13, abs=1e-16)
+    # identical, orthogonal and 1e-12-apart states
+    rho = _rho(0.6, 0.8, 0.3).rho
+    assert trace_distance(rho, rho) == 0.0
+    assert trace_distance(_rho(0.6, 0.8, 0.3), _rho(0.8, 0.6, 0.3 + math.pi)) == pytest.approx(
+        1.0, abs=1e-15)
+    near = _rho(0.6, 0.8, 0.3 + 1e-12).rho
+    assert trace_distance(rho, near) == pytest.approx(_eigen_trace_distance(rho, near), rel=1e-9)
+    assert trace_distance(rho, near) == pytest.approx(0.48e-12, rel=1e-3)

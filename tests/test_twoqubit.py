@@ -6,6 +6,8 @@ independent of the Kronecker closed form under test.
 """
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,23 @@ def test_state_normalization_and_validation():
         TwoQubitState(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         TwoQubitState(np.zeros(4))
+
+
+def test_state_normalization_at_extreme_magnitudes():
+    # the norm is taken after an exact power-of-two scaling: no square
+    # overflows at 1e200, and no warning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e200, 1.7e308, 1e-6):
+            v = TwoQubitState(np.array([scale, 0.0, 0.0, scale])).vector
+            assert np.abs(v - np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)).max() < 2e-16
+    # a norm below 1e-12 is (numerically) zero, also when split over components
+    for vector in ([0.99e-12, 0, 0, 0], [6e-13, 6e-13, 0, 0], [5e-324, 0, 0, 0]):
+        with pytest.raises(ValueError, match="numerically"):
+            TwoQubitState(np.array(vector, dtype=float))
+    for vector in ([1.01e-12, 0, 0, 0], [8e-13, 8e-13, 0, 0]):
+        assert np.linalg.norm(TwoQubitState(np.array(vector, dtype=float)).vector) == \
+            pytest.approx(1.0, abs=1e-15)
 
 
 def test_initial_coherences():
