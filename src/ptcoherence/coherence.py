@@ -95,25 +95,20 @@ class Extremum:
 
 @dataclass(frozen=True)
 class CoherenceTrace:
-    """Sampled coherence series with detected structure.
+    """What an extrema scan (:func:`_scan`) of a window returns.
 
     Attributes
     ----------
     times, values:
-        The sampling grid (sorted, half-open: the window, or its first
-        ``_SCAN_PERIODS`` periods when a longer unbroken window is tiled)
-        and C values.
+        The span the scan sampled, half-open, and C there.
     extrema:
-        Stationary points sorted by time, located to ``_BISECT_WIDTH``
-        (1e-9) in ``theta = s t`` (time tolerance ``_BISECT_WIDTH / s``).
+        Stationary points in the window, sorted by time, located to 1e-9
+        in ``theta = s t``, or to 1e-9 of the phase ``w theta`` where
+        ``w > 1``.
     period_estimate:
-        Fundamental period recovered from the extremum spacing and
-        validated by folding the trace onto itself; None when the
-        window contains too few repetitions.
+        Fundamental period recovered from the sampled span, or None.
     asymptote_estimate:
-        Mean of the final 10% of the sampling grid when the trace has
-        converged there (|slope| below 1e-6 per unit theta); None
-        otherwise.
+        Converged value at the end of the sampled span, or None.
     """
 
     times: np.ndarray = field(repr=False)
@@ -201,27 +196,11 @@ def find_extrema(
     p: HamiltonianParams,
     window: tuple[float, float],
 ) -> CoherenceTrace:
-    """Locate stationary points of C(t) on the half-open window [t0, t1).
-
-    Sign changes of the two exact factors of dC/dtheta (see
-    :func:`coherence_slope`) between ``_SCAN_SAMPLES`` samples of the
-    closed form, refined by bisection, all in ``theta = s t``: time
-    tolerance ``_BISECT_WIDTH / s`` (1e-9 in theta), and counts do not
-    depend on ``s``.  In the unbroken regime a window longer than
-    ``_SCAN_PERIODS`` periods is sampled over its first ``_SCAN_PERIODS``
-    periods only, ``_SCAN_SAMPLES`` per period: its later extrema are the
-    first period's shifted by whole periods (C has period T exactly), and
-    its period and asymptote estimates are those of the sampled span.
-    More than ``_MAX_EXTREMA`` extrema raise ValueError.  Seam rule: a
-    stationary point within the bisection width of either end of the
-    window is counted once, at t0 (so a window of one period, wherever it
-    starts, holds each extremum of the period exactly once).
-
-    Returns
-    -------
-    CoherenceTrace
-        With extrema sorted by time, plus period and asymptote
-        estimates where the window supports them.
+    """Stationary points of C(t) on the half-open window ``(t0, t1)``:
+    :func:`_scan`'s :class:`CoherenceTrace`, the sampled span with its
+    extrema, located to 1e-9 in ``theta = s t`` or of the phase ``w theta``
+    where ``w > 1``, and estimates (the window's rules and errors are
+    ``_scan``'s).
     """
     terms = pure_terms([p], st.vector())  # fixed for the scan
     return _scan(lambda q, th: coherence_series(st, q, th),
@@ -260,29 +239,45 @@ def _scan(
 ) -> CoherenceTrace:
     """Stationary points of a trace on the half-open window, in ``theta = s t``.
 
-    ``series(q, theta)`` is the trace and ``slope(q, theta)`` gives
-    ``(f, bound)`` of shape ``(k, n)``: factors whose product has the
-    sign of the slope, with their rounding bounds; both get ``p`` at
-    ``s = 1``.  ``_SCAN_SAMPLES`` samples span the window; a longer
-    unbroken window than ``_SCAN_PERIODS`` periods P = pi / w is tiled:
-    its first ``_SCAN_PERIODS`` periods get ``_SCAN_SAMPLES`` samples per
-    period, and its later extrema are the first period's shifted by
-    multiples of P, since U(theta + P) = -U(theta).  A factor's sign
-    change between consecutive samples (the span's end included) that
-    clear its bound is bisected on that factor: samples within the bound
-    are skipped.  The seam rule: t0 is stationary when a factor there is
-    within its bound or changes sign across ``t0 -/+ _BISECT_WIDTH`` (it
-    then contributes the sign just after it); a root within
-    ``_BISECT_WIDTH`` of t1 is dropped.  The slope's change across a
-    root's bracket gives its kind.  Roots within ``_BISECT_WIDTH`` of the
-    first of their run are merged and judged across the union of their
-    brackets: one extremum where the slope changes sign there, none (a
-    stationary inflection) where it does not.  In the broken regime the
-    slope is sampled only up to ``2 w theta = 52 ln 2``, past which every
-    ratio of propagator entries equals its limit to double precision;
-    roots beyond it are dropped.  More than ``_MAX_EXTREMA`` extrema raise
-    ValueError.  The period and asymptote estimates come from the
-    sampled span.  Times and period are divided by ``s`` on return.
+    The one extrema scan behind :func:`find_extrema` and
+    :func:`~ptcoherence.twoqubit.two_qubit_coherence_trace`; its rules are
+    stated here only.  ``series(q, theta)`` is the trace and
+    ``slope(q, theta)`` gives ``(f, bound)`` of shape ``(k, n)``: factors
+    whose product has the sign of the slope, with their rounding bounds;
+    both get ``p`` at ``s = 1``, so counts do not depend on ``s``.  The
+    window must be finite in ``theta`` with t1 > t0, else ValueError; a
+    negative t0 scans the analytic continuation.
+
+    ``_SCAN_SAMPLES`` samples span the window.  A longer unbroken window
+    than ``_SCAN_PERIODS`` periods P = pi / w is tiled: its first
+    ``_SCAN_PERIODS`` periods get ``_SCAN_SAMPLES`` samples per period,
+    and its later extrema are the first period's shifted by multiples of
+    P, since U(theta + P) = -U(theta).  The returned ``times``/``values``
+    are the sampled span, and both estimates come from it.  Every width
+    below is :func:`_width`: ``_BISECT_WIDTH`` in theta, or that share of
+    the phase w theta where w > 1.  A factor's sign change between
+    consecutive samples (the span's end included) that clear its bound is
+    bisected on that factor to the width: samples within the bound are
+    skipped.  The seam rule: t0 is stationary when a factor there is
+    within its bound or changes sign across t0 -/+ the width (it then
+    contributes the sign just after it); a root within the width of t1
+    is dropped, so a window of one period, wherever it starts, holds each
+    extremum of the period once.  The slope's change across a root's
+    bracket gives its kind.  Roots within the width of the first of their
+    run are merged and judged across the union of their brackets: one
+    extremum where the slope changes sign there, none (a stationary
+    inflection) where it does not.  In the broken regime the slope is
+    sampled only up to ``2 w theta = 52 ln 2``, past which every ratio of
+    propagator entries equals its limit to double precision; roots beyond
+    it are dropped.  More than ``_MAX_EXTREMA`` extrema raise ValueError.
+
+    The period estimate is the smallest extremum spacing under which the
+    span folds onto itself.  The asymptote estimate is the mean of the
+    span's last 10%: in the unbroken regime only where the span is flat
+    (:func:`_flat`), since a periodic trace converges nowhere else; in
+    the broken regime and at the EP where the least-squares slope of that
+    tail is below 1e-6 per unit theta.  Times and period are divided by
+    ``s`` on return.
     """
     w0, w1 = float(window[0]), float(window[1])
     t0, t1 = p.s * w0, p.s * w1
@@ -294,24 +289,27 @@ def _scan(
         raise ValueError(f"{in_theta}; it must satisfy t1 > t0")
 
     unit = replace(p, s=1.0)
+    w = frequency(p.kind, p.a)
+    width, periodic = _width(w), regime(p) is Regime.UNBROKEN
     period, cut = math.inf, math.inf
-    if regime(p) is Regime.UNBROKEN:
-        period = math.pi / frequency(p.kind, p.a)
+    if periodic:
+        period = math.pi / w
     elif regime(p) is Regime.BROKEN:
-        cut = 26.0 * math.log(2.0) / frequency(p.kind, p.a)
+        cut = 26.0 * math.log(2.0) / w
     tiled = t1 - t0 > _SCAN_PERIODS * period
     stop = t0 + _SCAN_PERIODS * period if tiled else t1  # end of the sampled span
     samples = _SCAN_PERIODS * _SCAN_SAMPLES if tiled else _SCAN_SAMPLES
     ts = t0 + (stop - t0) * np.arange(samples) / samples  # half-open grid
     values = series(unit, ts)
+    flat = _flat(values)
     roots, peaks, is_max = np.empty(0), np.empty(0), np.empty(0, dtype=bool)
     estimate = None
-    if not _flat(values) and t0 < cut:
+    if not flat and t0 < cut:
         end = min(stop, cut)
         grid = np.append(ts, stop) if end == stop else np.linspace(t0, end, samples + 1)
         f, bound = slope(unit, grid)
         neg, strong = f < 0.0, np.abs(f) > bound
-        before, after = t0 - _BISECT_WIDTH, np.nextafter(t0 + _BISECT_WIDTH, np.inf)
+        before, after = t0 - width, np.nextafter(t0 + width, np.inf)
         edge = slope(unit, np.array([before, after]))[0] < 0.0
         at_t0 = not strong[:, 0].all() or bool(np.any(edge[:, 0] != edge[:, 1]))
         if at_t0:  # t0 is itself stationary: its bracket is (before, after)
@@ -323,7 +321,7 @@ def _scan(
         j, i, k = j[:-1][flip], i[:-1][flip], i[1:][flip]
         lo, hi, neg_lo = grid[i], grid[k], neg[j, i]
         for _ in range(100):
-            if np.all(hi - lo <= _BISECT_WIDTH):
+            if np.all(hi - lo <= width):
                 break
             mid = 0.5 * (lo + hi)
             same = (slope(unit, mid)[0][j, np.arange(j.size)] < 0.0) == neg_lo
@@ -331,12 +329,12 @@ def _scan(
         found = 0.5 * (lo + hi)
         if at_t0:
             found, lo, hi = np.append(t0, found), np.append(before, lo), np.append(after, hi)
-        keep = (found < stop - _BISECT_WIDTH) & (np.abs(found) <= cut)
+        keep = (found < stop - width) & (np.abs(found) <= cut)
         order = np.flatnonzero(keep)[np.argsort(found[keep], kind="stable")]
         found, lo, hi = found[order], lo[order], hi[order]
-        runs = [0] if found.size else []  # roots within _BISECT_WIDTH of their run's first
+        runs = [0] if found.size else []  # roots within the width of their run's first
         for n in range(1, found.size):
-            if found[n] - found[runs[-1]] > _BISECT_WIDTH:
+            if found[n] - found[runs[-1]] > width:
                 runs.append(n)
         ends = np.append(np.minimum.reduceat(lo, runs), np.maximum.reduceat(hi, runs))
         sign = np.prod(slope(unit, ends)[0], axis=0).reshape(2, -1)
@@ -347,14 +345,14 @@ def _scan(
         estimate = _period_estimate(lambda th: series(unit, th), roots, is_max, t0, stop,
                                     float(np.ptp(values)))
         if tiled:  # the first period's extrema, shifted by whole periods
-            first = roots < t0 + period - _BISECT_WIDTH
-            copies = np.ceil((t1 - _BISECT_WIDTH - roots[first]) / period)
+            first = roots < t0 + period - width
+            copies = np.ceil((t1 - width - roots[first]) / period)
             if copies.sum() > _MAX_EXTREMA:
                 raise ValueError(f"window ({w0}, {w1}) holds {int(copies.sum())} extrema, "
                                  f"more than {_MAX_EXTREMA}")
             reps = int(copies.max(initial=0.0))
             roots = (roots[first] + period * np.arange(reps)[:, None]).ravel()
-            keep = roots < t1 - _BISECT_WIDTH
+            keep = roots < t1 - width
             roots, peaks, is_max = (roots[keep], np.tile(peaks[first], reps)[keep],
                                     np.tile(is_max[first], reps)[keep])
     return CoherenceTrace(
@@ -363,8 +361,15 @@ def _scan(
         extrema=tuple(Extremum(r, v, "max" if mx else "min")
                       for r, v, mx in zip((roots / p.s).tolist(), peaks.tolist(), is_max.tolist())),
         period_estimate=None if estimate is None else estimate / p.s,
-        asymptote_estimate=_asymptote_estimate(ts, values),
+        asymptote_estimate=_asymptote_estimate(ts, values, periodic, flat),
     )
+
+
+def _width(w: float) -> float:
+    """The scan's width in ``theta = s t`` at frequency ``w``: ``_BISECT_WIDTH``,
+    or that share of the phase ``w theta`` where ``w > 1``, so that a fast
+    period is resolved as finely as a slow one."""
+    return _BISECT_WIDTH / max(1.0, w)
 
 
 def _flat(values: np.ndarray) -> bool:
@@ -412,16 +417,14 @@ def _period_estimate(
     return None
 
 
-def _asymptote_estimate(ts: np.ndarray, values: np.ndarray) -> float | None:
-    """Mean of the final 10% of the window, when flat there."""
-    n = len(ts)
-    tail = slice(max(0, n - max(2, n // 10)), n)
+def _asymptote_estimate(ts: np.ndarray, values: np.ndarray, periodic: bool,
+                        flat: bool) -> float | None:
+    """Mean of the span's last 10% where converged: a periodic trace only
+    when it is flat, any other when its tail slope is below 1e-6."""
+    tail = slice(len(ts) - max(2, len(ts) // 10), None)
     tt, vv = ts[tail], values[tail]
-    if len(tt) < 2 or tt[-1] == tt[0]:
-        return None
-    if abs(_tail_slope(tt, vv)) >= 1e-6:
-        return None
-    return float(np.mean(vv))
+    converged = flat if periodic else tt[-1] > tt[0] and abs(_tail_slope(tt, vv)) < 1e-6
+    return float(np.mean(vv)) if converged else None
 
 
 def _tail_slope(tt: np.ndarray, vv: np.ndarray) -> float:
@@ -449,10 +452,11 @@ def verify_extrema_conditions(st: PureState, p: HamiltonianParams) -> tuple[floa
     """Analytic stationary times of C(t) within one period (unbroken only).
 
     See the module docstring for the conditions.  Times are reported in
-    ``[0, T)`` sorted ascending, with the seam rule of
-    :func:`find_extrema`: a time within ``_BISECT_WIDTH`` of T (in
-    ``theta = s t``) is reported as 0.  They match :func:`find_extrema`
-    to ``1e-9 T``.
+    ``[0, T)`` sorted ascending, with the seam rule and width of
+    :func:`_scan`: a time within the width of T is reported as 0, and
+    times within the width of each other once.  They match
+    :func:`find_extrema` to ``1e-9 T`` up to ``w = 1e6``, and to ``1e-6 T``
+    up to ``w = 1e10`` for states far enough from balance.
 
     Raises
     ------
@@ -502,10 +506,11 @@ def verify_extrema_conditions(st: PureState, p: HamiltonianParams) -> tuple[floa
                                    1.0 - 2.0 * a * alpha * beta * sphi)
 
     # in s t, where the tolerances hold at every energy scale
-    end = math.pi / w - _BISECT_WIDTH
+    width = _width(w)
+    end = math.pi / w - width
     times: list[float] = []
     for u in sorted(0.0 if th / w > end else th / w for th in thetas):
-        if not times or u - times[-1] > _BISECT_WIDTH:
+        if not times or u - times[-1] > width:
             times.append(u)
     return tuple(u / s for u in times)
 

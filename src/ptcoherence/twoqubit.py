@@ -24,7 +24,7 @@ Phenomenology mirrored from the single-qubit case (one ``p`` for both):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -123,29 +123,15 @@ def two_qubit_slope(p: HamiltonianParams, terms: dict, theta: np.ndarray):
 
 
 def two_qubit_coherence_trace(state: TwoQubitState, p: HamiltonianParams,
-                              times: np.ndarray) -> CoherenceTrace:
-    """Coherence trace C_AB(t) on the caller's grid, with extrema located
-    by an independent scan of the window.  Both qubits evolve under
-    ``p``, since the scan runs in ``theta = s t`` of one generator.
-
-    ``times`` must be finite, nonnegative, strictly increasing, and hold
-    at least two points.
-    The returned trace carries the caller's grid in ``times``/``values``;
-    extremum times/values and the period and asymptote estimates come
-    from the scan, which samples as
-    :func:`~ptcoherence.coherence.find_extrema` does, whatever the
-    caller's grid (bisection on the exact slope in ``theta = s t``; an
-    unbroken window longer than ``_SCAN_PERIODS`` periods is tiled).
+                              window: tuple[float, float]) -> CoherenceTrace:
+    """Coherence trace C_AB(t) on the half-open window ``(t0, t1)``, as
+    :func:`~ptcoherence.coherence.find_extrema` gives it for one qubit:
+    the scan's sampled span, extrema and estimates, from the same window
+    rules and errors.  Both qubits evolve under ``p``, since the scan runs
+    in ``theta = s t`` of one generator.
     """
     from .coherence import _scan
 
-    ts = _evolution_times(times)
-    if ts.size < 2 or np.any(np.diff(ts) <= 0):
-        raise ValueError("times must be strictly increasing, with at least two points")
     terms = pure_terms([p, p], state.vector)  # fixed for the scan
-    scan = _scan(
-        lambda q, grid: two_qubit_series(state, q, grid),
-        lambda q, grid: two_qubit_slope(q, terms, grid),
-        p, (float(ts[0]), float(ts[-1])),
-    )
-    return replace(scan, times=ts, values=two_qubit_series(state, p, ts))
+    return _scan(lambda q, grid: two_qubit_series(state, q, grid),
+                 lambda q, grid: two_qubit_slope(q, terms, grid), p, window)

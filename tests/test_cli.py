@@ -128,7 +128,11 @@ def test_asymptote_report(capsys):
     ("--kind", "pt", "--a", "0.47", "--t-max", "1e5"),
     # 1e15 periods hold more extrema than a scan may report
     ("--kind", "pt", "--a", "0.47", "--t-max", "1e15"),
-], ids=["pt-short-of-2048T", "pt-2048T", "apt-2048T", "pt-1e5", "pt-1e15"])
+    # C spans 5e-7 here: a tail slope below 1e-6 does not make it converge
+    ("--kind", "pt", "--a", "1e-3", "--state", "D", "--t-max", "10"),
+    ("--kind", "pt", "--a", "1e-3", "--state", "D", "--t-max", "100"),
+], ids=["pt-short-of-2048T", "pt-2048T", "apt-2048T", "pt-1e5", "pt-1e15", "pt-slow-D-10",
+        "pt-slow-D-100"])
 def test_asymptote_of_an_oscillating_trace_is_null(capsys, argv):
     code, out = run(capsys, "asymptote", *argv)
     assert code == 0
@@ -138,7 +142,7 @@ def test_asymptote_of_an_oscillating_trace_is_null(capsys, argv):
 
 
 @pytest.mark.parametrize("kind, a, state, oscillates", [
-    ("pt", 1e-5, "D", False),  # C spans 5e-11: converged on any tail
+    ("pt", 1e-5, "D", True),  # C spans 5e-11, but it is periodic: no asymptote
     ("pt", 0.47, "h-sqrt3v", True),
     ("apt", 1.5, "h-sqrt3v", True),
 ])
@@ -165,6 +169,23 @@ def test_backflow_report(capsys):
     payload = json.loads(out)
     assert payload["zeros_per_period"] == 4
     assert payload["classification"] == "DoubleTouch"
+
+
+@pytest.mark.parametrize("a, state", [("1e9", "h-sqrt3v"), ("1e10", "H")])
+def test_backflow_report_at_large_detuning(capsys, a, state):
+    # a period of pi / a in theta still holds one backflow: the scan's
+    # width is a share of the phase, not of theta
+    code, out = run(capsys, "backflow", "--kind", "apt", "--a", a, "--state", state)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["zeros_per_period"], payload["classification"]) == (2, "SingleBackflow")
+
+
+def test_period_report_at_large_detuning(capsys):
+    code, out = run(capsys, "period", "--kind", "apt", "--a", "1e9", "--state", "h-sqrt3v")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["period_estimate"] == pytest.approx(payload["period_theoretical"], rel=1e-6)
 
 
 @pytest.mark.parametrize("kind, a, expected", [

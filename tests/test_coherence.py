@@ -7,8 +7,10 @@ the scalar closed forms checked here.
 """
 from __future__ import annotations
 
+import ast
 import itertools
 import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from ptcoherence import (
     two_qubit_series,
     verify_extrema_conditions,
 )
+from ptcoherence import coherence
 from ptcoherence.coherence import _BISECT_WIDTH, _median, _scan, _tail_slope, coherence_slope
 from ptcoherence.evolution import pure_terms
 from ptcoherence.twoqubit import two_qubit_slope
@@ -448,6 +451,87 @@ def test_long_windows_hold_every_period(kind, a, count):
             assert np.abs(scanned - tiled).max(initial=0.0) <= 1e-8 * T, (name, n)
 
 
+#: Large-a census entries off their mark, by a: state -> "classify" (count
+#: or shape) or "times" (scanned times past the bound, or a wrong count).
+#: Near balance C spans little (seed#5 and seed#7: 1.6e-13 and 1.2e-13 at
+#: a = 1e10), and the slope factors' rounding moves the located times by
+#: up to 4e-6 T; at a = 1e12 the span is at C's rounding level (1.9e-15
+#: and 1.3e-15), so the trace classifies as constant.
+_LARGE_A_KNOWN_MISSES = {
+    1e10: {"seed#5": "times", "seed#7": "times"},
+    1e12: {"seed#5": "classify", "seed#7": "classify"},
+}
+
+
+@pytest.mark.parametrize("a", [1e3, 1e6, 1e9, 1e10, 1e12])
+def test_extrema_census_at_large_detuning(a):
+    # a period is pi / a in theta, and it holds one backflow for every
+    # state off the balanced one: the scan's width is a share of the phase
+    # a theta, so the scanned times match the analytic ones to 1e-9 T up
+    # to a = 1e6 and to 1e-6 T up to 1e10
+    p = apt(a)
+    T = theoretical_period(p)
+    tol = 1e-9 if a <= 1e6 else 1e-6 if a <= 1e10 else None
+    states = {"H": PureState.preset("H"), "V": PureState.from_amplitudes(0.0, 1.0, 0.0),
+              "h-sqrt3v": PureState.preset("h-sqrt3v")}
+    states.update((f"seed#{i}", st_) for i, st_ in enumerate(random_states(seed=12, n=12)))
+    misses = set()
+    for name, st_ in states.items():
+        predicted = np.array(verify_extrema_conditions(st_, p))
+        assert predicted.size == 2, name
+        report = classify_backflow(st_, p)
+        if (report.zeros_per_period, report.classification) != (2, Classification.SINGLE_BACKFLOW):
+            misses.add((name, "classify"))
+        if tol is None:
+            continue
+        scanned = np.array([e.time for e in find_extrema(st_, p, (0.0, T)).extrema])
+        gaps = np.abs((scanned[:, None] - predicted + 0.5 * T) % T - 0.5 * T)
+        if scanned.size != 2 or max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) > tol * T:
+            misses.add((name, "times"))
+    known = _LARGE_A_KNOWN_MISSES.get(a, {})
+    assert misses == {(name, label) for name, label in known.items()}
+
+
+def test_both_scan_entries_share_one_window_contract():
+    # find_extrema and two_qubit_coherence_trace reject the same windows
+    # with the same text, and return the span the scan sampled: the window,
+    # or the first four periods of a tiled one
+    p = pt(0.47)
+    T = theoretical_period(p)
+    one, two = PureState.preset("h-sqrt3v"), TwoQubitState.psi_3()
+    scans = [
+        (lambda window: find_extrema(one, p, window), lambda th: coherence_series(one, p, th)),
+        (lambda window: two_qubit_coherence_trace(two, p, window),
+         lambda th: two_qubit_series(two, p, th)),
+    ]
+    for window in ((1.0, 0.5), (1.0, 1.0), (0.0, np.inf), (np.nan, 1.0)):
+        messages = set()
+        for scan, _ in scans:
+            with pytest.raises(ValueError) as err:
+                scan(window)
+            messages.add(str(err.value))
+        assert len(messages) == 1, messages
+    for periods, samples in ((1, 2048), (10, 8192)):
+        for scan, series in scans:
+            trace = scan((0.0, periods * T))
+            assert trace.times.shape == (samples,)
+            assert trace.times[0] == 0.0 and trace.times[-1] < min(periods, 4) * T
+            assert np.array_equal(trace.values, series(trace.times))
+
+
+def test_scan_widths_read_the_width_helper():
+    # every bisection, seam, merge and tiling width is _width's share of the
+    # phase: the absolute _BISECT_WIDTH is read by _width alone
+    tree = ast.parse(Path(coherence.__file__).read_text(encoding="utf-8"))
+    reads = {}
+    for node in tree.body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and sub.id == "_BISECT_WIDTH" \
+                    and isinstance(sub.ctx, ast.Load):
+                reads.setdefault(getattr(node, "name", "<module>"), []).append(sub.lineno)
+    assert list(reads) == ["_width"], reads
+
+
 def test_extrema_past_the_cap_raise():
     p = pt(0.47)
     T = theoretical_period(p)
@@ -598,7 +682,7 @@ def _scan_summary(kind: SymmetryClass, a: float, state: str, s: float) -> tuple:
     unit = T if T is not None else 1.0 / s
     window = (0.0, 2.0 * T) if T is not None else (0.0, 10.0 / s)
     period = find_extrema(st_, p, window).period_estimate
-    two = two_qubit_coherence_trace(TwoQubitState.psi_3(), p, np.linspace(*window, 401))
+    two = two_qubit_coherence_trace(TwoQubitState.psi_3(), p, window)
     return (
         classify_backflow(st_, p).zeros_per_period,
         None if period is None else period / unit,

@@ -204,9 +204,8 @@ def test_unbroken_traces_are_periodic():
 def test_trace_object_fields():
     p = apt(1.8)
     T = theoretical_period(p)
-    ts = np.linspace(0.0, 2 * T, 257)
-    trace = two_qubit_coherence_trace(TwoQubitState.psi_3(), p, ts)
-    assert trace.times.shape == (257,)
+    trace = two_qubit_coherence_trace(TwoQubitState.psi_3(), p, (0.0, 2 * T))
+    assert trace.times.shape == trace.values.shape == (2048,)
     assert trace.values[0] == pytest.approx(3.0, abs=1e-12)
     assert trace.period_estimate == pytest.approx(T, abs=1e-6)
     assert len(trace.extrema) >= 2
@@ -219,22 +218,20 @@ def test_trace_extremum_kinds_alternate(p):
     # extremum at t = 0 and on windows much longer than a period
     for psi in (TwoQubitState.psi_1(), TwoQubitState.psi_2(), TwoQubitState.psi_3()):
         for window in (10.0, 1e3):
-            trace = two_qubit_coherence_trace(psi, p, np.linspace(0.0, window, 401))
+            trace = two_qubit_coherence_trace(psi, p, (0.0, window))
             kinds = [e.kind for e in trace.extrema]
             assert all(k != k_next for k, k_next in zip(kinds, kinds[1:]))
 
 
-@pytest.mark.parametrize("points", [401, 40001])
-def test_trace_extrema_do_not_depend_on_the_caller_grid(points):
-    # the scan samples the window whatever the caller's grid: 4 extrema
-    # per period of psi_3 at PT 0.47, the last period's those of the first
-    # shifted by (n - 1) T
+def test_trace_extrema_repeat_by_the_period():
+    # 4 extrema per period of psi_3 at PT 0.47, the last period's those of
+    # the first shifted by (n - 1) T; a tiled window returns its first four
+    # sampled periods
     p = pt(0.47)
     T = theoretical_period(p)
     for n in (10, 1000, 2048):
-        trace = two_qubit_coherence_trace(TwoQubitState.psi_3(), p,
-                                          np.linspace(0.0, n * T, points))
-        assert trace.times.shape == trace.values.shape == (points,)
+        trace = two_qubit_coherence_trace(TwoQubitState.psi_3(), p, (0.0, n * T))
+        assert trace.times.shape == trace.values.shape == (4 * 2048,)
         assert len(trace.extrema) == 4 * n
         first = trace.extrema[:4]
         assert [e.time for e in trace.extrema[-4:]] == pytest.approx(
@@ -242,23 +239,23 @@ def test_trace_extrema_do_not_depend_on_the_caller_grid(points):
         assert [e.kind for e in trace.extrema] == [e.kind for e in first] * n
 
 
-def test_trace_grid_validation():
+def test_trace_window_validation():
     p = pt(0.8)
     psi = TwoQubitState.psi_1()
-    with pytest.raises(ValueError):
-        two_qubit_coherence_trace(psi, p, np.array([0.0]))
-    with pytest.raises(ValueError):
-        two_qubit_coherence_trace(psi, p, np.array([1.0, 0.5]))
-    with pytest.raises(ValueError):
-        two_qubit_coherence_trace(psi, p, np.array([-1.0, 0.5]))
+    for window in ((0.0, 0.0), (1.0, 0.5)):
+        with pytest.raises(ValueError, match="must satisfy t1 > t0"):
+            two_qubit_coherence_trace(psi, p, window)
+    # a negative start scans the analytic continuation, as find_extrema does
+    trace = two_qubit_coherence_trace(psi, p, (-1.0, 0.5))
+    assert trace.times[0] == -1.0 and trace.times[-1] < 0.5
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("t", [np.nan, np.inf])
 def test_trace_rejects_non_finite_time(t):
     # rejected before any arithmetic: no RuntimeWarning first
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        two_qubit_coherence_trace(TwoQubitState.psi_1(), pt(0.8), np.array([0.0, 1.0, t]))
+    with pytest.raises(ValueError, match="must be finite"):
+        two_qubit_coherence_trace(TwoQubitState.psi_1(), pt(0.8), (0.0, t))
 
 
 def test_coherence_can_exceed_single_qubit_bound():
