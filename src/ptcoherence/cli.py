@@ -32,7 +32,10 @@ values, and its resolved values are the run.
 Documents: every one opens with the run header of ``_meta``; the JSON
 reports nest it through ``_report``.  A grid is formatted range by range
 by one body (``_csv_rows`` or ``_json_rows``), and the joined rows are
-framed once (``_csv_text`` or ``_json_grid_text``).
+framed once (``_csv_text`` or ``_json_grid_text``).  Forked workers
+format ranges 1, 2, ... and send back only text; the calling process
+runs every range that no worker delivered, so its errors, and only its,
+reach the exit codes below.
 
 Exit codes: 0 success; 2 validation error (the message names the
 violated precondition, or the sizes a run found no memory for); 3 solver
@@ -45,7 +48,6 @@ import argparse
 import json
 import math
 import os
-import pickle
 import sys
 from typing import Sequence
 
@@ -329,8 +331,9 @@ def _range_count(n: int) -> int:
 
 
 def _fork_range(ts: np.ndarray, rows_of, body) -> tuple[int, int]:
-    """Fork a worker that sends ``body(rows_of(ts))``, or the pickled error,
-    down a pipe and exits; returns its pid and the pipe's read end.
+    """Fork a worker that writes ``body(rows_of(ts))`` down a pipe and
+    exits 0, or exits 1 if anything fails; returns its pid and the pipe's
+    read end.  A refused pipe or fork raises ``OSError``.
 
     The worker runs only numpy elementwise code and %-formatting on the
     modules its parent loaded, so the fork needs none of the locks a
@@ -346,38 +349,28 @@ def _fork_range(ts: np.ndarray, rows_of, body) -> tuple[int, int]:
         os.close(write_end)
         raise
     if pid == 0:
-        code = 2
+        code = 1
         try:
             os.close(read_end)
-            try:
-                data, done = body(rows_of(ts)).encode(), 0
-            except BaseException as exc:
-                data, done = pickle.dumps(exc), 1
+            data = body(rows_of(ts)).encode()
             with open(write_end, "wb") as pipe:
                 pipe.write(data)
-            code = done
+            code = 0
         finally:
             os._exit(code)
     os.close(write_end)
     return pid, read_end
 
 
-def _join_range(pid: int, read_end: int, span: str) -> str:
-    """Read and reap one worker of :func:`_fork_range`: its text, or its
-    error re-raised with the original class and message."""
+def _join_range(pid: int, read_end: int) -> str | None:
+    """Read and reap one worker of :func:`_fork_range`: its text if it
+    exited 0, else None (it failed or was killed)."""
     try:
         with open(read_end, "rb") as pipe:
             data = pipe.read()
     finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code == 0:
-        return data.decode()
-    if code == 1:
-        raise pickle.loads(data)  # written by this module's own worker
-    import signal
-
-    cause = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with {code}"
-    raise RuntimeError(f"the worker for {span} {cause}")
+        status = os.waitpid(pid, 0)[1]
+    return data.decode() if os.waitstatus_to_exitcode(status) == 0 else None
 
 
 def _grid_text(cfg: argparse.Namespace, columns: Sequence[str], rows_of) -> str:
@@ -386,34 +379,33 @@ def _grid_text(cfg: argparse.Namespace, columns: Sequence[str], rows_of) -> str:
 
     The grid is cut into contiguous row ranges (:func:`_range_count`).
     Ranges 1, 2, ... are each evaluated and formatted by a forked worker
-    while this process does range 0 with the same body; their texts then
-    join in grid order, and the document is framed around them once.
-    Each range runs every check of ``rows_of`` in its own process, and the
-    lowest range that fails raises, before anything is written.  Every row
-    is a function of its time alone, so the text is the same bytes for any
-    number of ranges.  Every worker is reaped before this returns or raises.
+    while this process does range 0 with the same body; every worker is
+    then read and reaped, whatever range 0 did.  This process runs again,
+    in grid order, each range that no worker delivered (the fork was
+    refused, or the worker failed or was killed), and the texts join in
+    grid order; the document is framed around them once.  Every row is a
+    function of its time alone, so the text is the same bytes for any
+    number of ranges, and a failure that is not the worker's own raises
+    here, from the lowest failing range, before anything is written.
     """
     ts, n = np.linspace(cfg.t_min, cfg.t_max, cfg.points), cfg.points
     count = _range_count(n)
     cuts = [n * k // count for k in range(count + 1)]
+    ranges = [ts[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     body, frame, sep = ((_csv_rows, _csv_text, "") if cfg.format == "csv"
                         else (_json_rows, _json_grid_text, ",\n"))
     workers = []
     try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            pid, read_end = _fork_range(ts[lo:hi], rows_of, body)
-            workers.append((pid, read_end, f"rows {lo} to {hi - 1}"))
-        texts = [body(rows_of(ts[:cuts[1]]))]
-        while workers:
-            texts.append(_join_range(*workers.pop(0)))
+        for part in ranges[1:]:
+            try:
+                workers.append(_fork_range(part, rows_of, body))
+            except OSError:  # no pipe or no process: the range runs below
+                workers.append(None)
+        first = body(rows_of(ranges[0]))
     finally:
-        if workers:  # a range failed: stop the ranges after it
-            import signal
-
-            for pid, read_end, _ in workers:
-                os.close(read_end)
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        delivered = [worker and _join_range(*worker) for worker in workers]
+    # each range that no worker delivered runs here, and its error raises
+    texts = [first] + [text or body(rows_of(part)) for text, part in zip(delivered, ranges[1:])]
     return frame(_meta(cfg), columns, sep.join(texts))
 
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -84,8 +84,7 @@ class Classification(enum.Enum):
     MONOTONIC = "Monotonic"
 
 
-@dataclass(frozen=True)
-class Extremum:
+class Extremum(NamedTuple):
     """A located stationary point of the coherence trace."""
 
     time: float
@@ -118,8 +117,7 @@ class CoherenceTrace:
     asymptote_estimate: float | None
 
 
-@dataclass(frozen=True)
-class BackflowReport:
+class BackflowReport(NamedTuple):
     """Stationary-point count per period and the implied trace shape."""
 
     zeros_per_period: int

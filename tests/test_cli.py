@@ -936,16 +936,69 @@ def test_failing_range_exits_2_with_the_lowest_message(monkeypatch, capsys, fail
     _no_worker_left()
 
 
-def test_killed_worker_is_named_and_nothing_is_written(monkeypatch, capsys):
+def _one_core_md5(monkeypatch, capsys, argv) -> str:
+    """The md5 of ``argv``'s stdout when the host reports one usable core."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    code, out = run(capsys, *argv)
+    assert code == 0
+    return hashlib.md5(out.encode()).hexdigest()
+
+
+def test_killed_worker_range_runs_in_process(monkeypatch, capsys):
     rows, parent = 3 * cli._MIN_ROWS, os.getpid()
 
-    def die():
-        assert os.getpid() != parent, "range 1 ran in the calling process"
-        os.kill(os.getpid(), signal.SIGKILL)
+    def die_in_a_worker():
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
 
-    _failing_rows(monkeypatch, {rows // 3: die})
-    with pytest.raises(RuntimeError, match="SIGKILL"):
+    _failing_rows(monkeypatch, {rows // 3: die_in_a_worker})
+    argv = ["bloch", "--kind", "pt", "--a", "0.47", "--points", str(rows)]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    _no_worker_left()
+    assert hashlib.md5(out.encode()).hexdigest() == _one_core_md5(monkeypatch, capsys, argv)
+
+
+@pytest.mark.parametrize("refused", [{1, 2}, {2}], ids=["every", "second"])
+def test_refused_fork_runs_the_range_in_process(monkeypatch, capsys, refused):
+    real, calls = os.fork, []
+
+    def fork():
+        calls.append(None)
+        if len(calls) in refused:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real()
+
+    _three_cores(monkeypatch)
+    monkeypatch.setattr(os, "fork", fork)
+    argv = ["two-qubit", "--kind", "pt", "--a", "0.47", "--points", str(3 * cli._MIN_ROWS),
+            "--format", "json"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 2
+    _no_worker_left()
+    assert hashlib.md5(out.encode()).hexdigest() == _one_core_md5(monkeypatch, capsys, argv)
+
+
+class _DetailedError(Exception):
+    """An error whose ``__init__`` takes more than its message, as
+    ``optics.NoDecompositionError`` does: ``pickle`` cannot rebuild it."""
+
+    def __init__(self, detail: float, message: str):
+        super().__init__(message)
+        self.detail = detail
+
+
+def test_error_of_a_range_raises_with_its_own_class(monkeypatch, capsys):
+    rows = 3 * cli._MIN_ROWS
+
+    def fail():
+        raise _DetailedError(0.5, "range 1 fails")
+
+    _failing_rows(monkeypatch, {rows // 3: fail})
+    with pytest.raises(_DetailedError, match="range 1 fails") as info:
         main(["bloch", "--kind", "pt", "--a", "0.47", "--points", str(rows)])
+    assert info.value.detail == 0.5
     assert capsys.readouterr().out == ""
     _no_worker_left()
 

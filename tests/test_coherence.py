@@ -215,6 +215,19 @@ def test_find_extrema_counts_one_period_pt():
             assert e.value == pytest.approx(1.0, abs=1e-6)
 
 
+def test_scan_records_are_immutable_with_named_fields():
+    trace = find_extrema(PureState.preset("D"), pt(0.31), (0.0, 1.0))
+    report = classify_backflow(PureState.preset("D"), pt(0.31))
+    assert repr(trace.extrema[0]).startswith("Extremum(time=")
+    assert repr(report) == ("BackflowReport(zeros_per_period=4, "
+                            "classification=<Classification.DOUBLE_TOUCH: 'DoubleTouch'>)")
+    # the arrays stay out of the trace's repr
+    assert repr(trace).startswith("CoherenceTrace(extrema=(Extremum(time=")
+    for record, name in ((trace.extrema[0], "kind"), (report, "classification"), (trace, "times")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
 def test_find_extrema_counts_one_period_apt():
     p = apt(1.5)
     T = theoretical_period(p)
