@@ -72,7 +72,7 @@ _FIELDS = {
     "kind": (None, dict(choices=["pt", "apt"], help="generator family")),
     "s": (1.0, dict(type=float, help="coupling scale s > 0 (default 1)")),
     "a": (None, dict(type=float, help="detuning ratio a > 0")),
-    "seed": (0, dict(type=int, help="RNG seed of the random starts or samples (default 0)")),
+    "seed": (0, dict(type=int, help="RNG seed of the check states or samples (default 0)")),
     "output": (None, dict(help="output path (default: stdout)")),
     "format": ("csv", dict(choices=["csv", "json"], help="grid format (default csv)")),
     "state": (None, dict(help="preset initial state: H, D, or h-sqrt3v")),
@@ -82,8 +82,6 @@ _FIELDS = {
     "t_min": (0.0, dict(type=float, help="grid start (default 0)")),
     "t_max": (10.0, dict(type=float, help="grid end (default 10)")),
     "t": (1.0, dict(type=float, help="evolution time (default 1)")),
-    "restarts": (32, dict(type=int,
-                          help="start points, each tried in all four loss gauges (default 32)")),
     "exposure": (30000.0, dict(type=float, help="trials per basis (default 30000)")),
     "resamples": (100, dict(type=int, help="bootstrap resamples (default 100)")),
     "points": (401, dict(type=int, help="grid length (default 401)")),
@@ -232,7 +230,7 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
         _require_finite(exposure=merged["exposure"])
         if merged["exposure"] <= 0:
             raise ValueError("exposure must be positive")
-    for key, least in (("points", 2), ("resamples", 2), ("restarts", 1), ("seed", 0)):
+    for key, least in (("points", 2), ("resamples", 2), ("seed", 0)):
         if key in fields and merged[key] < least:
             raise ValueError(f"{key} must be >= {least}")
 
@@ -519,10 +517,10 @@ def cmd_angles(cfg: argparse.Namespace) -> str:
                          verify_state_action)
 
     try:
-        seq = solve_angles(cfg.params, cfg.t, seed=cfg.seed, restarts=cfg.restarts)
+        seq = solve_angles(cfg.params, cfg.t)
     except NoDecompositionError as exc:
         raise _SolverFailure(str(exc)) from exc
-    deviation = verify_state_action(seq, seed=cfg.seed + 1)
+    deviation = verify_state_action(seq, seed=cfg.seed)
     tol = tolerances.optics_state_action
     if not deviation <= tol:
         raise _SolverFailure(f"the solved sequence's state-action deviation {deviation:.6g} "
@@ -530,7 +528,6 @@ def cmd_angles(cfg: argparse.Namespace) -> str:
     return _report(cfg, {
         **sequence_to_dict(seq),
         "seed": cfg.seed,
-        "restarts": cfg.restarts,
         "state_action": {"n_states": _N_STATES, "max_deviation": deviation},
     })
 
@@ -602,8 +599,7 @@ _SUBCOMMANDS = {
     "period": ("oscillation-period report", _COMMON + _STATE, cmd_period),
     "asymptote": ("stable-value report", _COMMON + _STATE + _WINDOW, cmd_asymptote),
     "backflow": ("backflow-count report", _COMMON + _STATE, cmd_backflow),
-    "angles": ("optical sequence realizing U(t)", _COMMON + ("t", "restarts", "seed"),
-               cmd_angles),
+    "angles": ("optical sequence realizing U(t)", _COMMON + ("t", "seed"), cmd_angles),
     "tomography": ("simulated tomography round trip",
                    _COMMON + _STATE + ("t", "exposure", "resamples", "seed"), cmd_tomography),
     "bloch": ("Bloch trajectory CSV", _COMMON + _STATE + _WINDOW + ("points", "format"),
@@ -622,7 +618,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MemoryError:  # name the sizes the run asked for
         fields = _SUBCOMMANDS[args.subcommand][1] if cfg is not None else ()
         sizes = "".join(f", {key} = {getattr(cfg, key)}"
-                        for key in ("points", "restarts", "resamples") if key in fields)
+                        for key in ("points", "resamples") if key in fields)
         message, code = f"not enough memory for {args.subcommand}{sizes}", _EXIT_VALIDATION
     except (_SolverFailure, _IOFailure, ValueError) as exc:
         message, code = exc, getattr(exc, "code", _EXIT_VALIDATION)

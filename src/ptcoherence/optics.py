@@ -13,10 +13,11 @@ ratio σ_min/σ_max of the loss element's transmissions, so the loss is the
 brightest such element, transmissions 1 (x = π/4) and σ_min/σ_max (x = ½
 asin of it), in four gauges: the path of the larger one and their relative
 sign (a negative one is π − x).  In each gauge the wave-plate angles are
-isolated solutions of a least-squares fit.  The printed one is picked by a
-fixed rule, never by cost: HWP angles mod π/2 and QWP angles mod π (a sign
-of the product), a value within ``_SEAM`` (1e-9) of the top read as 0, then
-the lexicographically first setting, ties within ``_SEAM`` passed on.
+isolated solutions of a least-squares fit from fixed start points.  The
+printed one is picked by a fixed rule, never by cost: HWP angles mod π/2 and
+QWP angles mod π (a sign of the product), a value within ``_TIE`` (1e-6) of
+0 or of the top read as 0, then the lexicographically first fitted setting,
+ties within ``_TIE`` passed on; it is polished and read again with ``_SEAM``.
 
 Conventions
 -----------
@@ -80,10 +81,8 @@ class OpticalSequence:
 
 
 class NoDecompositionError(RuntimeError):
-    """Raised when the multi-start budget cannot reach the residual target.
-
-    Carries the best residual and angle vector found, for diagnostics
-    and for callers that want to retry with a larger budget.
+    """Raised when no fit from the fixed start points reaches the residual
+    target.  Carries the best residual and angle vector found, for diagnostics.
     """
 
     def __init__(self, best_residual: float, best_angles: tuple[float, ...], message: str):
@@ -157,8 +156,12 @@ _LM_FLOOR = 1e-30
 _N_STATES = 10
 #: Columns of a setting row that hold wave-plate angles: the fitted ones.
 _PLATES = [0, 1, 4, 5]
-#: Width of a tie in the branch rule, and of the seam at the top of a range.
+#: Tie and seam widths: ``_TIE`` among the fitted rows, above their angle
+#: noise of about 1e-7, and ``_SEAM`` for the one polished row.
+_TIE = 1e-6
 _SEAM = 1e-9
+#: The fixed start points of the fit, an exact rank-1 lattice in [0, π)⁴.
+_STARTS = math.pi / 32 * (np.arange(32)[:, None] * [1, 5, 9, 13] % 32 + 0.5)
 
 
 def _norm(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
@@ -223,23 +226,23 @@ def _levenberg_marquardt(residual, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return x, cost
 
 
-def _reduced(kind: SymmetryClass, rows: np.ndarray) -> np.ndarray:
-    """``rows`` (n, 6), HWP angles mod π/2 and QWP mod π, within ``_SEAM`` of the top as 0."""
+def _reduced(kind: SymmetryClass, rows: np.ndarray, seam: float) -> np.ndarray:
+    """``rows`` (n, 6), HWP angles mod π/2 and QWP mod π, within ``seam`` of 0 or the top as 0."""
     top = np.array([math.pi / 2 if n == "HWP" else math.pi for n in _SHAPES[kind] if n != "Loss"])
     out, plates = rows.copy(), rows[:, _PLATES] % top
-    out[:, _PLATES] = np.where(top - plates <= _SEAM, 0.0, plates)
+    out[:, _PLATES] = np.where(np.minimum(plates, top - plates) <= seam, 0.0, plates)
     return out
 
 
-def solve_angles(p: HamiltonianParams, t: float, seed: int = 0,
-                 restarts: int = 32) -> OpticalSequence:
+def solve_angles(p: HamiltonianParams, t: float) -> OpticalSequence:
     """Find setting angles whose assembled sequence realizes ``U(t)``.
 
     One Levenberg-Marquardt solve of :func:`_orthogonal_part` fits the
-    wave-plate angles of ``restarts`` start points drawn from [0, π)^4 (seeded
-    by ``seed``) in all four loss gauges, for up to 60 steps or until the best
-    row reaches rounding level.  The first converged row by the branch rule
-    (module docstring) is polished and reduced again; its residual is returned.
+    wave-plate angles from the 32 fixed ``_STARTS`` in all four loss gauges,
+    for up to 60 steps or until the best row reaches rounding level; no random
+    number is drawn.  The first converged row by the branch rule (module
+    docstring, ties within 1e-6) is polished and reduced again; its residual
+    is returned.
 
     Raises
     ------
@@ -247,17 +250,15 @@ def solve_angles(p: HamiltonianParams, t: float, seed: int = 0,
         If no row reaches ``tolerances.optics_residual``; carries the
         best residual and angles found.
     ValueError
-        If ``t`` is negative or not finite, or ``restarts < 1``.
+        If ``t`` is negative or not finite.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     target = propagator_scaled(p, float(_evolution_times([t])[0]))[0]
     tau = target.reshape(4) / _norm(target.reshape(4))
 
     def residual(v):
         return _orthogonal_part(assemble(p.kind, v), tau)
-    rows = np.zeros((restarts, 4, 6))  # each start point in each gauge
-    rows[..., _PLATES] = np.random.default_rng(seed).uniform(0.0, math.pi, (restarts, 1, 4))
+    rows = np.zeros((len(_STARTS), 4, 6))  # each start point in each gauge
+    rows[..., _PLATES] = _STARTS[:, None]
     # σ_min/σ_max = |det T| / σ_max², σ_max² the top eigenvalue of h = T^H T: no cancellation
     (t00, t01), (t10, t11) = target.tolist()
     h00, h11 = abs(t00) ** 2 + abs(t10) ** 2, abs(t01) ** 2 + abs(t11) ** 2
@@ -268,16 +269,16 @@ def solve_angles(p: HamiltonianParams, t: float, seed: int = 0,
     x, cost = _levenberg_marquardt(residual, rows.reshape(-1, 6))
     threshold = tolerances.optics_residual
     # the converged rows, or else the best one, which fails below
-    pool = _reduced(p.kind, x[cost <= max(threshold * threshold, cost.min())])
+    pool = _reduced(p.kind, x[cost <= max(threshold * threshold, cost.min())], _TIE)
     keep = np.arange(len(pool))
-    for column in pool.T:  # lexicographic, ties within _SEAM passed on
-        keep = keep[column[keep] <= column[keep].min() + _SEAM]
-    angles = _reduced(p.kind, _levenberg_marquardt(residual, pool[keep[:1]])[0])[0]
+    for column in pool.T:  # lexicographic, ties within _TIE passed on
+        keep = keep[column[keep] <= column[keep].min() + _TIE]
+    angles = _reduced(p.kind, _levenberg_marquardt(residual, pool[keep[:1]])[0], _SEAM)[0]
     best_res = float(_norm(residual(angles)))
     if best_res > threshold:
         raise NoDecompositionError(best_res, tuple(angles.tolist()), (
             f"no angle set reached residual {threshold:g} for kind={p.kind.value}, a={p.a}, "
-            f"s={p.s}, t={t}; best residual {best_res:.3e} after {restarts} restarts"))
+            f"s={p.s}, t={t}; best residual {best_res:.3e}"))
     return OpticalSequence(params=p, angles=angles, t=float(t), residual=best_res)
 
 

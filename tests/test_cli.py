@@ -263,6 +263,22 @@ def test_angles_report(capsys):
     assert payload["state_action"]["max_deviation"] <= 1e-6
 
 
+def test_angles_print_the_same_setting_at_every_seed(capsys):
+    # the seed draws only the state-action panel: the printed setting and
+    # its residual are a function of the target, at each perfbench point
+    changed = []
+    for kind, a in (("pt", "0.47"), ("pt", "2.8"), ("apt", "1.5"), ("apt", "0.47")):
+        printed = []
+        for seed in ("0", "7", "424242"):
+            code, out = run(capsys, "angles", "--kind", kind, "--a", a, "--seed", seed)
+            assert code == 0
+            payload = json.loads(out)
+            printed.append((payload["elements"], payload["residual"]))
+        if any(other != printed[0] for other in printed[1:]):
+            changed.append((kind, a, printed))
+    assert not changed
+
+
 def test_tomography_report(capsys):
     code, out = run(capsys, "tomography", "--kind", "apt", "--a", "1.5",
                     "--state", "D", "--t", "0.8", "--exposure", "2000",
@@ -406,7 +422,9 @@ def test_unknown_config_key_is_validation_error(tmp_path, capsys):
     ("period", "kind = xx\na = 0.5\n", "kind must be 'pt' or 'apt', got 'xx'"),
     ("period", "kind = PT\na = 0.5\n", "kind must be 'pt' or 'apt', got 'PT'"),
     ("trace", "kind = pt\na = 0.5\nformat = xml\n", "format must be csv or json, got 'xml'"),
-], ids=["no-equals", "bad-points", "unknown-kind", "upper-case-kind", "bad-format"])
+    ("angles", "kind = pt\na = 0.5\nrestarts = 32\n", "run.cfg:3: unknown config key 'restarts'"),
+], ids=["no-equals", "bad-points", "unknown-kind", "upper-case-kind", "bad-format",
+        "removed-restarts"])
 def test_config_error_exits_2_naming_the_field(tmp_path, capsys, command, text, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -445,7 +463,7 @@ SUBCOMMAND_FLAGS = {
                   "--beta", "--phi", "--t-min", "--t-max"],
     "backflow": ["--config", "--kind", "--s", "--a", "--output", "--state", "--alpha",
                  "--beta", "--phi"],
-    "angles": ["--config", "--kind", "--s", "--a", "--output", "--t", "--restarts", "--seed"],
+    "angles": ["--config", "--kind", "--s", "--a", "--output", "--t", "--seed"],
     "tomography": ["--config", "--kind", "--s", "--a", "--output", "--state", "--alpha",
                    "--beta", "--phi", "--t", "--exposure", "--resamples", "--seed"],
     "bloch": ["--config", "--kind", "--s", "--a", "--output", "--state", "--alpha", "--beta",
@@ -480,12 +498,12 @@ def test_flag_surface(tmp_path, capsys):
 
 
 #: A cheap base run of every subcommand: the sizes it takes, kept small.
-_CHEAP = {"points": "3", "restarts": "2", "resamples": "4", "exposure": "300"}
+_CHEAP = {"points": "3", "resamples": "4", "exposure": "300"}
 #: A valid value of every field other than its base value; an amplitude
 #: comes with the others it needs (_WITH), so the state stays valid.
 _OTHER = {"kind": "apt", "s": "2", "a": "0.5", "state": "D", "alpha": "0.6", "beta": "0.5",
           "phi": "1", "t_min": "1", "t_max": "5", "t": "0.5", "points": "4",
-          "format": "json", "restarts": "3", "exposure": "400", "resamples": "5", "seed": "1"}
+          "format": "json", "exposure": "400", "resamples": "5", "seed": "1"}
 _WITH = {"alpha": ["--beta", "0.8"], "beta": ["--alpha", "1"],
          "phi": ["--alpha", "0.6", "--beta", "0.8"]}
 
@@ -1198,11 +1216,11 @@ def test_full_stdout_exits_4(argv, buffered):
 
 @pytest.mark.parametrize("argv, target, message", [
     (["trace", "--points", "2000000000"], "numpy.linspace", "trace, points = 2000000000"),
-    (["angles", "--restarts", "7"], "ptcoherence.optics.solve_angles", "angles, restarts = 7"),
+    (["angles", "--seed", "7"], "ptcoherence.optics.solve_angles", "angles"),
     (["tomography", "--resamples", "50"], "ptcoherence.tomography.bootstrap_errorbar",
      "tomography, resamples = 50"),
     (["period"], "ptcoherence.coherence.find_extrema", "period"),
-], ids=["points", "restarts", "resamples", "no-size"])
+], ids=["points", "angles-no-size", "resamples", "no-size"])
 def test_failed_allocation_exits_2_naming_the_sizes(monkeypatch, capsys, argv, target, message):
     # no test allocates the array: the allocation is made to fail
     monkeypatch.setattr(target, _out_of_memory)

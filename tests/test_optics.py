@@ -22,7 +22,7 @@ from ptcoherence import (
     verify_state_action,
 )
 from ptcoherence.evolution import propagator_scaled
-from ptcoherence.optics import _norm, _orthogonal_part, _solve_spd
+from ptcoherence.optics import _STARTS, _norm, _orthogonal_part, _solve_spd
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def test_residual_ignores_global_complex_scale():
     ],
 )
 def test_solve_angles_round_trip(p, t):
-    seq = solve_angles(p, t, seed=3)
+    seq = solve_angles(p, t)
     assert seq.params == p
     assert seq.residual <= 1e-6
     target = propagator_scaled(p, t)[0]
@@ -177,12 +177,12 @@ def test_solve_angles_round_trip(p, t):
                          ids=["pt-0.47", "pt-2.8", "apt-1.5", "apt-0.47"])
 def test_state_action_of_solved_sequence_keeps_its_digits(p):
     # sqrt(2 - 2 |<u, v>|) can only print sqrt(k eps) ~ 1.5e-8 near overlap 1
-    assert verify_state_action(solve_angles(p, 1.0, seed=0), seed=1) <= 1e-13
+    assert verify_state_action(solve_angles(p, 1.0), seed=1) <= 1e-13
 
 
 def test_state_action_is_the_phase_aligned_distance_over_the_same_panel():
     p, t, seed = apt(1.5), 0.9, 7
-    solved = solve_angles(p, t, seed=3)
+    solved = solve_angles(p, t)
     seq = OpticalSequence(p, tuple(a + 1e-3 for a in solved.angles), t, solved.residual)
     target = propagator_scaled(p, t)[0]
     mat = assemble(p.kind, seq.angles)
@@ -198,14 +198,14 @@ def test_state_action_is_the_phase_aligned_distance_over_the_same_panel():
 
 
 def test_solve_angles_identity_at_zero_time():
-    seq = solve_angles(pt(0.31), 0.0, seed=1)
+    seq = solve_angles(pt(0.31), 0.0)
     m = assemble(SymmetryClass.PT, seq.angles)
     assert scale_invariant_residual(np.eye(2), m) < 1e-6
 
 
 def test_solve_angles_is_deterministic():
-    a = solve_angles(apt(2.8), 1.4, seed=11)
-    b = solve_angles(apt(2.8), 1.4, seed=11)
+    a = solve_angles(apt(2.8), 1.4)
+    b = solve_angles(apt(2.8), 1.4)
     assert a.angles == b.angles
     assert a.residual == b.residual
 
@@ -213,35 +213,68 @@ def test_solve_angles_is_deterministic():
 def test_solve_angles_failure_carries_diagnostics(monkeypatch):
     monkeypatch.setattr("ptcoherence.tolerances.optics_residual", 0.0)
     with pytest.raises(NoDecompositionError) as err:
-        solve_angles(pt(0.47), 1.2, seed=3, restarts=2)
+        solve_angles(pt(0.47), 1.2)
     assert err.value.best_residual > 0.0
     assert len(err.value.best_angles) == 6
 
 
-@pytest.mark.parametrize("restarts", [32, 1])
-def test_solve_angles_sweep(restarts):
-    # both kinds, both regimes and both sides of the exceptional point,
-    # from t = 0 to deep in the broken regime; every angle reduced once
-    # into [0, pi] (a tiny negative angle rounds up to pi itself), six of
-    # them, and the sequence carries the generator's kind
+#: Both kinds, both regimes and both sides of the exceptional point, from
+#: t = 0 to deep in the broken regime: (params, t) of the sweep.
+_SWEEP = [(make(a), t) for make in (pt, apt) for a in (0.3, 0.47, 0.9, 0.999, 1.0, 1.001, 1.5, 2.5)
+          for t in (0.0, 0.5, 1.2, 5.0, 40.0)]
+
+
+def test_solve_angles_sweep():
+    # every angle reduced once into [0, pi] (a tiny negative angle rounds up
+    # to pi itself), six of them, and the sequence carries the generator's
+    # kind; the loss element is the brightest realization: one path
+    # transmits fully, the other the target's singular-value ratio
     problems = []
-    for make in (pt, apt):
-        for a in (0.3, 0.47, 0.9, 0.999, 1.0, 1.001, 1.5, 2.5):
-            for t in (0.0, 0.5, 1.2, 5.0, 40.0):
-                p = make(a)
-                try:
-                    seq = solve_angles(p, t, restarts=restarts)
-                except NoDecompositionError as exc:
-                    problems.append((p, t, exc.best_residual))
-                    continue
-                deviation = verify_state_action(seq)
-                if seq.residual > 1e-6 or deviation > 1e-6:
-                    problems.append((p, t, seq.residual, deviation))
-                if len(seq.angles) != 6 or sequence_to_dict(seq)["kind"] != p.kind.value:
-                    problems.append((p, t, sequence_to_dict(seq)))
-                if not all(0.0 <= v <= math.pi for v in seq.angles):
-                    problems.append((p, t, seq.angles))
+    for p, t in _SWEEP:
+        try:
+            seq = solve_angles(p, t)
+        except NoDecompositionError as exc:
+            problems.append((p, t, exc.best_residual))
+            continue
+        deviation = verify_state_action(seq)
+        if seq.residual > 1e-6 or deviation > 1e-6:
+            problems.append((p, t, seq.residual, deviation))
+        if len(seq.angles) != 6 or sequence_to_dict(seq)["kind"] != p.kind.value:
+            problems.append((p, t, sequence_to_dict(seq)))
+        if not all(0.0 <= v <= math.pi for v in seq.angles):
+            problems.append((p, t, seq.angles))
+        low, high = sorted(abs(math.sin(2.0 * x)) for x in seq.angles[2:4])
+        svals = np.linalg.svd(reference_matrix(p, t), compute_uv=False)
+        if abs(high - 1.0) > 1e-12 or abs(low - svals[1] / svals[0]) > 1e-12:
+            problems.append((p, t, low, high))
     assert not problems
+
+
+def test_start_points_are_pinned():
+    # the lattice built from Python floats and three rows written out: every
+    # numpy version fits from the same starts
+    lattice = [[math.pi / 32 * ((k * g) % 32 + 0.5) for g in (1, 5, 9, 13)] for k in range(32)]
+    assert _STARTS.shape == (32, 4) and _STARTS.tolist() == lattice
+    assert _STARTS[0].tolist() == [0.04908738521234052] * 4
+    assert _STARTS[1].tolist() == [0.14726215563702155, 0.5399612373357456, 0.9326603190344698,
+                                   1.325359400733194]
+    assert _STARTS[31].tolist() == [3.0925052683774528, 2.6998061866787286, 2.3071071049800045,
+                                    1.9144080232812801]
+
+
+def test_printed_angles_do_not_depend_on_the_start_order(monkeypatch):
+    # the branch rule reads the fitted rows as a set: reversed, rotated and
+    # strided orders of the start points print the same setting
+    targets = [(p, t) for p, t in _SWEEP if t > 0.0]
+    base = [solve_angles(p, t).angles for p, t in targets]
+    moved = []
+    for order in (np.arange(32)[::-1], np.roll(np.arange(32), 13), 7 * np.arange(32) % 32):
+        monkeypatch.setattr("ptcoherence.optics._STARTS", _STARTS[order])
+        for (p, t), angles in zip(targets, base):
+            worst = max(abs(u - v) for u, v in zip(solve_angles(p, t).angles, angles))
+            if worst > 1e-9:
+                moved.append((p, t, order[:3], worst))
+    assert not moved
 
 
 #: Both kinds, both regimes, the EP and its neighbours, t = 0 and a target
@@ -275,22 +308,6 @@ def test_printed_angles_are_fixed_by_the_target(make, a, t):
             if worst > 1e-9:
                 moved.append((p.a, tt, worst))
     assert not moved
-
-
-def test_loss_element_is_the_brightest_realization():
-    # over the sweep's grid: one path transmits fully, the other the
-    # target's singular-value ratio (restarts do not enter the loss angles)
-    problems = []
-    for make in (pt, apt):
-        for a in (0.3, 0.47, 0.9, 0.999, 1.0, 1.001, 1.5, 2.5):
-            for t in (0.0, 0.5, 1.2, 5.0, 40.0):
-                p = make(a)
-                x1, x2 = solve_angles(p, t, restarts=1).angles[2:4]
-                low, high = sorted(abs(math.sin(2.0 * x)) for x in (x1, x2))
-                svals = np.linalg.svd(reference_matrix(p, t), compute_uv=False)
-                if abs(high - 1.0) > 1e-12 or abs(low - svals[1] / svals[0]) > 1e-12:
-                    problems.append((p, t, low, high))
-    assert not problems
 
 
 @pytest.mark.parametrize("make, a, t", [
@@ -327,13 +344,11 @@ def test_jones_matrices_broadcast_over_angle_arrays():
 def test_solve_angles_input_validation():
     with pytest.raises(ValueError):
         solve_angles(pt(0.47), -1.0)
-    with pytest.raises(ValueError):
-        solve_angles(pt(0.47), 1.0, restarts=0)
 
 
 def test_sequence_to_dict_schema():
     p = apt(1.5)
-    seq = solve_angles(p, 0.9, seed=3)
+    seq = solve_angles(p, 0.9)
     d = sequence_to_dict(seq)
     assert d["kind"] == "apt" and d["a"] == 1.5 and d["t"] == 0.9
     assert [e["type"] for e in d["elements"]] == ["QWP", "HWP", "Loss", "QWP", "HWP"]
