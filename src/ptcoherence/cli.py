@@ -173,19 +173,17 @@ def _require_finite(**values: float) -> None:
 
 
 def _require_resolved_phase(p: HamiltonianParams, key: str, t: float) -> None:
-    """C depends on ``t`` through the phase ``w s |t|`` (``s |t|`` at the EP),
-    which must be a finite double in every regime, as must ``s |t|``.  Outside
-    the broken regime C oscillates with that phase; past 2**52 a double no
-    longer resolves one radian of it.  In the broken regime C saturates
-    instead, so every finite phase is accepted."""
-    phase_regime = regime(p)
-    w = 1.0 if phase_regime is Regime.EXCEPTIONAL_POINT else frequency(p.kind, p.a)
+    """C depends on ``t`` through ``s |t|`` and the phase ``w s |t|`` (0 at
+    the EP), which must both be finite doubles.  In the unbroken regime C
+    oscillates with that phase; past 2**52 a double no longer resolves one
+    radian of it.  Elsewhere, the EP included, C saturates instead, so every
+    finite phase is accepted."""
     theta = p.s * abs(t)
-    phase = w * theta
+    phase = frequency(p.kind, p.a) * theta
     if not (math.isfinite(theta) and math.isfinite(phase)):
         raise ValueError(f"{key} = {t} gives s*|t| = {theta:.6g} and phase w*s*|t| = "
                          f"{phase:.6g}; both must be at most {sys.float_info.max:.6g}")
-    if phase_regime is not Regime.BROKEN and phase > 2.0 ** 52:
+    if regime(p) is Regime.UNBROKEN and phase > 2.0 ** 52:
         raise ValueError(f"{key} = {t} gives phase w*s*|t| = {phase:.6g} above "
                          "2**52, where a double no longer resolves one radian")
 

@@ -15,8 +15,9 @@ Key phenomenology exposed here:
 
 * unbroken regime — C is periodic with period ``T = pi / (s w)``,
   ``w = sqrt(|1 - a^2|)``;
-* broken regime — C converges to a state-independent stable value
-  (``1/a`` for PT, ``1`` for APT);
+* outside the unbroken regime — C converges to a state-independent stable
+  value (``1/a`` for PT, ``1`` for APT), so to 1 at the exceptional point,
+  where ``U = I + theta M`` carries every state onto the one eigenvector;
 * count theorem — for every pure initial state, one unbroken period
   holds exactly four stationary points of C under PT (two full returns
   to C = 1: a double touch) and two under APT (a single backflow), or
@@ -105,7 +106,7 @@ class CoherenceTrace:
         in ``theta = s t``, or to 1e-9 of the phase ``w theta`` where
         ``w > 1``.
     period_estimate:
-        Fundamental period recovered from the sampled span, or None.
+        Fundamental period recovered from an unbroken span, or None.
     asymptote_estimate:
         Converged value at the end of the sampled span, or None.
     """
@@ -174,13 +175,13 @@ def _scan_window(p: HamiltonianParams, periods: int) -> tuple[float, float]:
 
 
 def asymptotic_value(p: HamiltonianParams) -> float | None:
-    """Long-time stable coherence value in the broken regime.
+    """Long-time stable coherence value outside the unbroken regime.
 
-    ``1/a`` for PT, ``1`` for APT, independent of the initial state;
-    None in the unbroken regime and at the exceptional point (where no
-    closed-form limit is exposed — sample the trace instead).
+    ``1/a`` for PT, ``1`` for APT, independent of the initial state, so 1
+    at the exceptional point; None in the unbroken regime, where C
+    oscillates.
     """
-    if regime(p) is not Regime.BROKEN:
+    if regime(p) is Regime.UNBROKEN:
         return None
     return 1.0 / p.a if p.kind is SymmetryClass.PT else 1.0
 
@@ -269,13 +270,13 @@ def _scan(
     propagator entries equals its limit to double precision; roots beyond
     it are dropped.  More than ``_MAX_EXTREMA`` extrema raise ValueError.
 
-    The period estimate is the smallest extremum spacing under which the
-    span folds onto itself.  The asymptote estimate is the mean of the
-    span's last 10%: in the unbroken regime only where the span is flat
-    (:func:`_flat`), since a periodic trace converges nowhere else; in
-    the broken regime and at the EP where the least-squares slope of that
-    tail is below 1e-6 per unit theta.  Times and period are divided by
-    ``s`` on return.
+    The period estimate, in the unbroken regime only, is the smallest
+    extremum spacing under which the span folds onto itself.  The
+    asymptote estimate is the mean of the span's last 10%: in the
+    unbroken regime only where the span is flat (:func:`_flat`), since a
+    periodic trace converges nowhere else; in the broken regime and at
+    the EP where the least-squares slope of that tail is below 1e-6 per
+    unit theta.  Times and period are divided by ``s`` on return.
     """
     w0, w1 = float(window[0]), float(window[1])
     t0, t1 = p.s * w0, p.s * w1
@@ -297,7 +298,7 @@ def _scan(
     tiled = t1 - t0 > _SCAN_PERIODS * period
     stop = t0 + _SCAN_PERIODS * period if tiled else t1  # end of the sampled span
     samples = _SCAN_PERIODS * _SCAN_SAMPLES if tiled else _SCAN_SAMPLES
-    ts = t0 + (stop - t0) * np.arange(samples) / samples  # half-open grid
+    ts = t0 + (stop - t0) * (np.arange(samples) / samples)  # half-open; k/n exact, n = 2^m
     values = series(unit, ts)
     flat = _flat(values)
     roots, peaks, is_max = np.empty(0), np.empty(0), np.empty(0, dtype=bool)
@@ -340,8 +341,9 @@ def _scan(
         turn = (np.diff(runs, append=found.size) == 1) | (np.sign(sign[0]) != np.sign(sign[1]))
         roots = found[runs][turn]
         peaks, is_max = series(unit, roots), (sign[0] > sign[1])[turn]
-        estimate = _period_estimate(lambda th: series(unit, th), roots, is_max, t0, stop,
-                                    float(np.ptp(values)))
+        if periodic:
+            estimate = _period_estimate(lambda th: series(unit, th), roots, is_max, t0, stop,
+                                        float(np.ptp(values)))
         if tiled:  # the first period's extrema, shifted by whole periods
             first = roots < t0 + period - width
             copies = np.ceil((t1 - width - roots[first]) / period)

@@ -62,11 +62,11 @@ from .hamiltonian import HamiltonianParams, SymmetryClass, generator, w_squared
 
 __all__ = list(_EXPORTS["evolution"])
 
-class DegenerateEvolutionError(RuntimeError):
-    """Raised when an evolved state's norm underflows to (near) zero.
-
-    The closed-form propagators are invertible, so this signals an
-    internal inconsistency rather than a physical phenomenon.
+class DegenerateEvolutionError(ValueError):
+    """Raised when an evolved state's norm or density trace falls below
+    1e-300: its rounded fixed terms (:func:`apply_exact`) have underflowed,
+    as for ``|V>`` under PT at ``a`` near 1e150, where the trace is about
+    ``1 / (4 a^2)``.  A domain error, so the CLI exits 2.
     """
 
 
@@ -230,10 +230,9 @@ def abc_scaled(kind: SymmetryClass, a: float, theta):
         xa = np.abs(x)  # cosh even, sinh odd: branch on |x|, restore sign via theta
         big = xa > _SCALE_SWITCH
         xs = np.where(big, 0.0, x)  # safe argument for cosh/sinh
-        q = np.exp(-2.0 * xa)  # underflows harmlessly to 0 for large |x|
-        # cosh(x) = e^|x| (1 + e^{-2|x|})/2, sinh(x) = sign(x) e^|x| (1 - e^{-2|x|})/2
-        A = np.where(big, 0.5 * (1.0 + q), np.cosh(xs))
-        g = np.where(big, np.sign(th) * 0.5 * (1.0 - q) / w, th * _over_x(np.sinh, xs))
+        # cosh(x) = e^|x| (1 + e^{-2|x|})/2: past the switch 1 + e^{-2|x|} rounds to 1
+        A = np.where(big, 0.5, np.cosh(xs))
+        g = np.where(big, np.sign(th) * 0.5 / w, th * _over_x(np.sinh, xs))
         log_scale = np.where(big, xa, log_scale)
     else:
         f = np.abs(th)
@@ -265,8 +264,8 @@ def shifted_pairs(p: HamiltonianParams, theta, slope: bool = False):
     so products of several stay finite; no ratio of a state's entries sees it."""
     A, g, log_scale = abc_scaled(p.kind, p.a, theta)
     sigma = _shift(p.kind, p.a)
-    # F = A - w g = exp(-w theta) where shifted, formed without that cancellation
-    F = np.exp(-sigma * np.asarray(theta, dtype=np.float64) - log_scale) if sigma else A
+    # F = A - w g = exp(-w theta) where shifted, without that cancellation; exp(-1e3) is 0
+    F = np.exp(np.maximum(-sigma * np.asarray(theta, float), -1e3) - log_scale) if sigma else A
     G = (1.0 + sigma) * g
     if not slope:
         return F, G
@@ -333,8 +332,11 @@ def pure_rows(params, psi, times) -> np.ndarray:
 
 def pure_l1(v: np.ndarray) -> np.ndarray:
     """l1 coherence ``2 sum_{i<j} |v_i| |v_j| / sum |v_i|^2`` of the
-    normalized pure state of each row of ``v``."""
+    normalized pure state of each row of ``v``, each row first scaled exactly
+    by the power of two at its largest magnitude, so that no product
+    underflows (for ``|V>`` under PT it is about ``a^-3``)."""
     mags = np.abs(v)
+    mags = np.ldexp(mags, -np.frexp(mags.max(axis=1))[1][:, None])
     i, j = np.triu_indices(mags.shape[1], 1)
     return 2.0 * (mags[:, i] * mags[:, j]).sum(axis=1) / (mags * mags).sum(axis=1)
 
@@ -414,10 +416,8 @@ def evolve_pure_grid(st: PureState, p: HamiltonianParams, times) -> np.ndarray:
     v = pure_rows([p], st.vector(), _evolution_times(times))
     norms = np.sqrt((v.real * v.real).sum(axis=1) + (v.imag * v.imag).sum(axis=1))
     if np.any(norms < 1e-300):
-        raise DegenerateEvolutionError(
-            "evolved state norm underflowed; the closed-form propagator "
-            "should be invertible, so this indicates an internal bug"
-        )
+        raise DegenerateEvolutionError("evolved state norm is below 1e-300: the state's "
+                                       "fixed terms underflow in double precision")
     return v / norms[:, np.newaxis]
 
 
@@ -435,9 +435,8 @@ def evolve_density_grid(rho: DensityMatrix, p: HamiltonianParams, times) -> np.n
     out = evolve_product([(F, G), (F, G)], terms).reshape(-1, 2, 2)
     tr = (out[:, 0, 0] + out[:, 1, 1]).real
     if np.any(tr < 1e-300):
-        raise DegenerateEvolutionError(
-            "evolved density matrix trace underflowed; this indicates an internal bug"
-        )
+        raise DegenerateEvolutionError("evolved density matrix trace is below 1e-300: the "
+                                       "state's fixed terms underflow in double precision")
     out /= tr[:, np.newaxis, np.newaxis]
     out = (out + out.conj().transpose(0, 2, 1)) / 2.0  # remove Hermiticity drift
     _check_densities(out)

@@ -173,16 +173,21 @@ def _norm(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
 def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solutions x of a·x = b for stacks of symmetric positive definite
     matrices ``a`` (n, k, k) and vectors ``b`` (n, k): Gaussian elimination
-    without pivoting, stable on such matrices, then back substitution."""
+    without pivoting, stable on such matrices, then back substitution.  A
+    matrix singular to rounding (a zero pivot) gets ``x = 0``: no step."""
     a, b = a.copy(), b.copy()
     k = b.shape[-1]
-    for i in range(k - 1):
+    singular = np.zeros(len(b), dtype=bool)
+    for i in range(k):
+        singular |= a[:, i, i] == 0.0
+        a[singular, i, i] = 1.0  # any nonzero pivot: these rows are zeroed below
         f = a[:, i + 1:, i] / a[:, i, i, None]
         a[:, i + 1:, i:] -= f[..., None] * a[:, None, i, i:]
         b[:, i + 1:] -= f * b[:, i, None]
     x = np.empty_like(b)
     for i in reversed(range(k)):
         x[:, i] = (b[:, i] - np.sum(a[:, i, i + 1:] * x[:, i + 1:], axis=-1)) / a[:, i, i]
+    x[singular] = 0.0
     return x
 
 

@@ -14,12 +14,12 @@ Phenomenology mirrored from the single-qubit case (one ``p`` for both):
 
 * unbroken regime — the two-qubit coherence is periodic with the same
   period ``T = pi / (s sqrt(|1 - a^2|))``;
-* broken regime — it converges to a stable value independent of the
-  initial state's coefficients, fixed entirely by the single-qubit
-  stable value ``c``:  every qubit's conditional states align with the
-  dominant eigenvector, giving ``C_AB -> (1 + c)^2 - 1`` for states
-  with support on all four basis vectors (``c = 1/a`` for PT,
-  ``c = 1`` for APT).
+* outside the unbroken regime — it converges to a stable value
+  independent of the initial state's coefficients, fixed entirely by the
+  single-qubit stable value ``c``:  every qubit's conditional states align
+  with the dominant eigenvector, giving ``C_AB -> (1 + c)^2 - 1`` for
+  states with support on all four basis vectors (``c = 1/a`` for PT,
+  ``c = 1`` for APT, so 3 at the exceptional point).
 """
 from __future__ import annotations
 

@@ -682,12 +682,11 @@ def test_tiny_coherence_closed_form_matches_matrix_path(capsys, argv):
      "1.76533e+300"),
     (("bloch", "--kind", "apt", "--a", "1.5", "--s", "1e10", "--t-max", "1e6"), "t-max",
      "1.11803e+16"),
-    (("trace", "--kind", "pt", "--a", "1.0", "--t-max", "1e16"), "t-max", "1e+16"),
     (("tomography", "--kind", "apt", "--a", "1.5", "--t", "1e16"), "t", "1.11803e+16"),
     # w = sqrt(1 - a^2) = 3.16228e-5
     (("trace", "--kind", "pt", "--a", "0.9999999995", "--t-max", "1e21"), "t-max",
      "3.16228e+16"),
-], ids=["pt-unbroken", "apt-unbroken-large-s", "exceptional-point", "single-time",
+], ids=["pt-unbroken", "apt-unbroken-large-s", "single-time",
         "pt-unbroken-near-exceptional-point"])
 def test_unresolved_phase_exits_2(capsys, argv, field, phase):
     code = main(list(argv))
@@ -696,6 +695,20 @@ def test_unresolved_phase_exits_2(capsys, argv, field, phase):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {field} = ")
     assert f"phase w*s*|t| = {phase} above 2**52" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["pt", "apt"])
+@pytest.mark.parametrize("t_max", ["1e16", "1e300"])
+def test_exceptional_point_saturates_at_every_finite_time(capsys, kind, t_max):
+    # U = I + theta M carries every state onto the one eigenvector: C -> 1,
+    # as on the broken side, so no phase is too large to resolve
+    code, out = run(capsys, "trace", "--kind", kind, "--a", "1", "--state", "D",
+                    "--t-max", t_max, "--points", "3")
+    assert code == 0
+    rows = parse_csv(out)[2]
+    assert np.array_equal(rows[:, 1], rows[:, 2])
+    assert rows[1:, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.filterwarnings("error")
@@ -771,6 +784,50 @@ def test_asymptote_fit_holds_at_huge_times(capsys):
                     "--t-min", "1e300", "--t-max", "2e300")
     assert code == 0
     assert json.loads(out)["asymptote_estimate"] == pytest.approx(1 / 2.8, abs=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["trace", "tomography"])
+@pytest.mark.parametrize("a", ["1e150", "1.3e154"])
+def test_underflowing_density_path_exits_2(capsys, command, a):
+    # |V> under PT: the evolved density matrix's trace, about 1/(4 a^2), is
+    # below the 1e-300 guard
+    code = main([command, "--kind", "pt", "--a", a, "--alpha", "1e-300", "--beta", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: evolved density matrix trace is below 1e-300")
+    assert captured.err.count("\n") == 1
+
+
+def _domain_commands():
+    """Every subcommand over both kinds, a around the EP and at its extremes,
+    and (s, t) at a phase near the double max, at t = 1e16 and at a tiny
+    s*t; plus |V> at PT's largest gains, where its C is about 1/a."""
+    for kind, a, (s, t) in itertools.product(
+            ("pt", "apt"), ("1e-8", "0.99999999", "1", "1.00000001", "2", "1e154"),
+            (("1e8", "1e300"), ("1", "1e16"), ("1e-8", "1e-300"))):
+        base = ("--kind", kind, "--a", a, "--s", s)
+        for command in ("trace", "bloch", "two-qubit"):
+            yield (command, *base, "--t-max", t, "--points", "3")
+        yield ("asymptote", *base, "--t-max", t)
+        yield ("period", *base)
+        yield ("backflow", *base)
+        yield ("angles", *base, "--t", t)
+        yield ("tomography", *base, "--t", t, "--exposure", "1000", "--resamples", "2")
+    for a in ("1e110", "1.3e154"):
+        base = ("--kind", "pt", "--a", a, "--alpha", "0", "--beta", "1")
+        yield from (("trace", *base, "--points", "3"), ("bloch", *base, "--points", "3"),
+                    ("asymptote", *base), ("backflow", *base),
+                    ("tomography", *base, "--exposure", "1000", "--resamples", "2"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_accepted_domain_runs_without_warnings(capsys):
+    # a RuntimeWarning raises here, and so does any uncaught error
+    for argv in _domain_commands():
+        assert main(list(argv)) in (0, 2, 3), argv
+        capsys.readouterr()
 
 
 #: Close to the EP, on its eigenvector (1, -i)/sqrt(2), over a window around

@@ -41,6 +41,7 @@ from ptcoherence.coherence import _BISECT_WIDTH, _median, _scan, _tail_slope, co
 from ptcoherence.evolution import pure_terms
 from ptcoherence.twoqubit import two_qubit_slope
 
+from _oracle import reference_rows
 from conftest import apt, pt, random_states
 
 
@@ -188,8 +189,18 @@ def test_asymptotic_values():
     assert asymptotic_value(apt(0.47)) == 1.0
     assert asymptotic_value(pt(0.31)) is None
     assert asymptotic_value(apt(1.5)) is None
-    assert asymptotic_value(pt(1.0)) is None  # undefined at coalescence
-    assert asymptotic_value(apt(1.0)) is None
+    # at the EP U = I + theta M carries every state onto the one eigenvector
+    assert asymptotic_value(pt(1.0)) == 1.0
+    assert asymptotic_value(apt(1.0)) == 1.0
+
+
+@pytest.mark.parametrize("kind", list(SymmetryClass))
+def test_exceptional_point_reaches_its_stable_value(kind):
+    p = HamiltonianParams(kind=kind, a=1.0)
+    states = [PureState.preset(n) for n in ("H", "D", "h-sqrt3v")] + random_states(seed=37, n=7)
+    for st_ in states:
+        c = reference_rows(p, st_.vector(), [1e8])[0, 0]
+        assert abs(c - asymptotic_value(p)) <= 1e-12
 
 
 def test_broken_trace_approaches_stable_value():
@@ -250,6 +261,21 @@ def test_find_extrema_period_estimate():
     p = pt(0.47)
     trace = find_extrema(PureState(0.6, 0.8, 0.9), p, (0.0, 2 * theoretical_period(p)))
     assert trace.period_estimate == pytest.approx(theoretical_period(p), abs=1e-6)
+
+
+def test_period_estimate_only_in_the_unbroken_regime(monkeypatch):
+    calls = []
+    estimate = coherence._period_estimate
+    monkeypatch.setattr(coherence, "_period_estimate",
+                        lambda *args: calls.append(args) or estimate(*args))
+    states = [PureState.preset("H"), PureState(0.6, 0.8, 0.9)] + random_states(seed=11, n=4)
+    for p in (pt(1.0), apt(1.0), pt(1.5), pt(1e6), apt(0.47)):
+        for st_, window in itertools.product(states, [(0.0, 1.0), (0.0, 10.0), (2.0, 50.0)]):
+            assert find_extrema(st_, p, window).period_estimate is None
+    assert calls == []  # a saturating span has no period to look for
+    p = pt(0.47)
+    trace = find_extrema(PureState(0.6, 0.8, 0.9), p, (0.0, 2 * theoretical_period(p)))
+    assert len(calls) == 1 and trace.period_estimate is not None
 
 
 def test_find_extrema_asymptote_estimate_broken():
