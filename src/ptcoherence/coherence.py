@@ -55,8 +55,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _EXPORTS
-from .evolution import (PureState, _evolution_times, evolve_product, pure_l1, pure_rows,
-                        pure_terms, shifted_pairs)
+from .evolution import (_ROUNDING, PureState, _evolution_times, evolve_product, pure_l1,
+                        pure_rows, pure_terms, shifted_pairs)
 from .hamiltonian import (HamiltonianParams, Regime, SymmetryClass, frequency, regime,
                           w_squared)
 
@@ -64,9 +64,6 @@ __all__ = list(_EXPORTS["coherence"])
 
 #: Bisection stops when the bracket is narrower than this.
 _BISECT_WIDTH = 1e-9
-#: Value range, in units of max(1, the largest value), below which a
-#: trace counts as constant: the rounding level of C.
-_CONSTANT_RANGE = 64.0 * np.finfo(np.float64).eps
 #: Samples per scan over the window, or per period of a tiled window's
 #: first ``_SCAN_PERIODS`` periods.
 _SCAN_SAMPLES = 2048
@@ -106,7 +103,9 @@ class CoherenceTrace:
         in ``theta = s t``, or to 1e-9 of the phase ``w theta`` where
         ``w > 1``.
     period_estimate:
-        Fundamental period recovered from an unbroken span, or None.
+        Period read from the extremum times of an unbroken span: the
+        larger of the maxima's and the minima's spacings, if it is a whole
+        multiple of both to the root error; else None.
     asymptote_estimate:
         Converged value at the end of the sampled span, or None.
     """
@@ -208,7 +207,7 @@ def find_extrema(
 
 def _factor(plus: np.ndarray, minus: np.ndarray, den: np.ndarray):
     """``(plus - minus) / den`` and its rounding bound."""
-    bound = 64.0 * np.finfo(np.float64).eps * (np.abs(plus) + np.abs(minus))
+    bound = _ROUNDING * (np.abs(plus) + np.abs(minus))
     return (plus - minus) / den, bound / den
 
 
@@ -270,13 +269,16 @@ def _scan(
     propagator entries equals its limit to double precision; roots beyond
     it are dropped.  More than ``_MAX_EXTREMA`` extrema raise ValueError.
 
-    The period estimate, in the unbroken regime only, is the smallest
-    extremum spacing under which the span folds onto itself.  The
-    asymptote estimate is the mean of the span's last 10%: in the
-    unbroken regime only where the span is flat (:func:`_flat`), since a
-    periodic trace converges nowhere else; in the broken regime and at
-    the EP where the least-squares slope of that tail is below 1e-6 per
-    unit theta.  Times and period are divided by ``s`` on return.
+    The period estimate, in the unbroken regime only, reads the span's
+    extremum times and evaluates no trace (:func:`_period_estimate`):
+    each kind's spacing at the smallest stride whose differences agree
+    to the root error, twice the width plus a few roundings, and the
+    larger spacing if it is a whole multiple of both.  The asymptote
+    estimate is the mean of the span's last 10%: in the unbroken regime
+    only where the span is flat (:func:`_flat`), since a periodic trace
+    converges nowhere else; in the broken regime and at the EP where the
+    least-squares slope of that tail is below 1e-6 per unit theta.  Times
+    and period are divided by ``s`` on return.
     """
     w0, w1 = float(window[0]), float(window[1])
     t0, t1 = p.s * w0, p.s * w1
@@ -342,8 +344,7 @@ def _scan(
         roots = found[runs][turn]
         peaks, is_max = series(unit, roots), (sign[0] > sign[1])[turn]
         if periodic:
-            estimate = _period_estimate(lambda th: series(unit, th), roots, is_max, t0, stop,
-                                        float(np.ptp(values)))
+            estimate = _period_estimate(roots, is_max, width)
         if tiled:  # the first period's extrema, shifted by whole periods
             first = roots < t0 + period - width
             copies = np.ceil((t1 - width - roots[first]) / period)
@@ -374,9 +375,10 @@ def _width(w: float) -> float:
 
 def _flat(values: np.ndarray) -> bool:
     """Whether a sampled trace counts as constant: its value range is at
-    most ``_CONSTANT_RANGE`` times max(1, its maximum)."""
+    most C's rounding level (``evolution._ROUNDING``) times max(1, its
+    maximum)."""
     vmax = float(values.max())
-    return vmax - float(values.min()) <= _CONSTANT_RANGE * max(1.0, vmax)
+    return vmax - float(values.min()) <= _ROUNDING * max(1.0, vmax)
 
 
 def _median(values: list[float]) -> float:
@@ -388,33 +390,29 @@ def _median(values: list[float]) -> float:
     return d[n // 2] if n % 2 else (d[n // 2 - 1] + d[n // 2]) / 2
 
 
-def _period_estimate(
-    series: Callable[[np.ndarray], np.ndarray],
-    times: np.ndarray,
-    is_max: np.ndarray,
-    t0: float,
-    t1: float,
-    value_range: float,
-) -> float | None:
-    """Smallest extremum-spacing candidate under which the trace folds
-    onto itself."""
-    candidates: set[float] = set()
+def _period_estimate(times: np.ndarray, is_max: np.ndarray, width: float) -> float | None:
+    """The largest of the maxima's and the minima's spacings if it is a
+    whole multiple n of each to n + 1 root errors and 1e-10 of itself (near
+    the EP a flat extremum is located less well than the width), else None.
+    A kind's spacing is the median of its differences at the first stride
+    where two or more agree to the root error, twice ``width`` plus a few
+    roundings of the largest time; a kind with two extrema takes its one
+    difference, and one with fewer has none."""
+    error = 2.0 * width + 8.0 * float(np.spacing(np.abs(times).max(initial=0.0)))
+    spacings = []
     for kind in (True, False):
         same = times[is_max == kind]
-        for stride in (1, 2):
-            if len(same) > stride:
-                diffs = same[stride:] - same[:-stride]
-                candidates.add(_median(diffs.tolist()))
-    fold_ts = t0 + (t1 - t0) * np.arange(256) / 512.0  # first half of the window
-    base = series(fold_ts)
-    tol = 1e-4 * max(value_range, 1e-6)
-    for cand in sorted(candidates):
-        if cand <= 0 or t0 + cand >= t1:
-            continue
-        shifted = series(fold_ts + cand)
-        if float(np.max(np.abs(shifted - base))) <= tol:
-            return cand
-    return None
+        for stride in range(1, max(2, same.size - 1)):
+            diffs = same[stride:] - same[:-stride]
+            if diffs.size and float(np.ptp(diffs)) <= error:
+                spacings.append(_median(diffs.tolist()))
+                break
+        else:
+            return None
+    top = max(spacings)  # every spacing is positive: the times are sorted and distinct
+    whole = [abs(top - round(top / d) * d) <= (round(top / d) + 1) * error + 1e-10 * top
+             for d in spacings]
+    return top if all(whole) else None
 
 
 def _asymptote_estimate(ts: np.ndarray, values: np.ndarray, periodic: bool,
@@ -531,8 +529,8 @@ def classify_backflow(
     full-touch threshold) or 2 (APT, single backflow).  In the broken
     regime and at the exceptional point a window of ``10/s`` is used
     and the trace is typically monotonic.  A flat trace (value range at
-    C's rounding level, ``_CONSTANT_RANGE``) classifies as constant with
-    zero stationary points.
+    C's rounding level, :func:`_flat`) classifies as constant with zero
+    stationary points.
     An ``s`` so small that the window's end overflows a double raises
     ValueError.
     """

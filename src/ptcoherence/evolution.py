@@ -202,6 +202,9 @@ class DensityMatrix:
 #: Hyperbolic argument (at the EP, log |theta|) above which the scaled
 #: representation is used (see the module docstring for why 150).
 _SCALE_SWITCH = 150.0
+#: Relative rounding level of C and of a sum of a few products of its
+#: terms: the flatness level of a trace and the bound of a slope factor.
+_ROUNDING = 64.0 * np.finfo(np.float64).eps
 
 
 def _over_x(f, x: np.ndarray) -> np.ndarray:
@@ -382,8 +385,8 @@ def propagator_analytic(p: HamiltonianParams, t: float) -> np.ndarray:
     OverflowError
         If an entry exceeds the double-precision range (broken regime
         with extremely large ``w * s * t``); the renormalized evolutions
-        (:func:`evolve_pure_grid`, :func:`evolve_density_grid`) stay
-        finite there.
+        (:func:`pure_rows`, :func:`evolve_density_grid`) stay finite
+        there.
     ValueError
         If ``t`` is negative or not finite.
     """
@@ -407,18 +410,6 @@ def _evolution_times(times) -> np.ndarray:
     if not np.all(np.isfinite(ts) & (ts >= 0)):
         raise ValueError("evolution time must be finite and nonnegative")
     return ts
-
-
-def evolve_pure_grid(st: PureState, p: HamiltonianParams, times) -> np.ndarray:
-    """Normalized evolution ``U(t)|st> / ||U(t)|st>||`` over a time grid:
-    unit-norm rows, shape ``(n, 2)``.  The scaled scalars of
-    :func:`abc_scaled` make arbitrarily deep broken-regime times safe."""
-    v = pure_rows([p], st.vector(), _evolution_times(times))
-    norms = np.sqrt((v.real * v.real).sum(axis=1) + (v.imag * v.imag).sum(axis=1))
-    if np.any(norms < 1e-300):
-        raise DegenerateEvolutionError("evolved state norm is below 1e-300: the state's "
-                                       "fixed terms underflow in double precision")
-    return v / norms[:, np.newaxis]
 
 
 def evolve_density_grid(rho: DensityMatrix, p: HamiltonianParams, times) -> np.ndarray:

@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _EXPORTS
-from .evolution import (_evolution_times, evolve_product, pure_l1, pure_rows, pure_terms,
-                        shifted_pairs)
+from .evolution import (_ROUNDING, _evolution_times, evolve_product, pure_l1, pure_rows,
+                        pure_terms, shifted_pairs)
 from .hamiltonian import HamiltonianParams
 
 if TYPE_CHECKING:
@@ -119,7 +119,7 @@ def two_qubit_slope(p: HamiltonianParams, terms: dict, theta: np.ndarray):
     f = ratio.sum(axis=1) * norm2 - l1 * re.sum(axis=1)
     # both sums can cancel (at t = 0 for psi_2 and psi_3): bound by their terms
     scale = np.abs(ratio).sum(axis=1) * norm2 + l1 * np.abs(re).sum(axis=1)
-    return f[None], 64.0 * np.finfo(np.float64).eps * scale[None]
+    return f[None], _ROUNDING * scale[None]
 
 
 def two_qubit_coherence_trace(state: TwoQubitState, p: HamiltonianParams,

@@ -1,7 +1,7 @@
 """Batched grid paths against the independent per-point reference.
 
 The matrix path (``evolve_density_grid``), the state rows
-(``evolve_pure_grid``), the Bloch rows (``trajectory_array``) and
+(``pure_rows``), the Bloch rows (``trajectory_array``) and
 ``two_qubit_series`` evaluate whole grids in array operations.  Here
 every row is compared with ``_oracle.reference_matrix``, the
 high-precision ``mpmath.expm`` propagator divided by its largest entry,
@@ -19,7 +19,7 @@ from _oracle import reference_matrix
 
 import ptcoherence as pc
 from ptcoherence.bloch import trajectory_array
-from ptcoherence.evolution import _check_densities, evolve_density_grid, evolve_pure_grid
+from ptcoherence.evolution import _check_densities, evolve_density_grid, pure_rows
 
 KINDS = (pc.SymmetryClass.PT, pc.SymmetryClass.APT)
 #: Unbroken, EP, and broken detuning ratios (PT is broken above 1, APT below).
@@ -69,11 +69,10 @@ def test_bloch_rows_match_per_point(p):
     rows = trajectory_array(STATE, p, ts)
     assert rows.shape == (ts.size, 4)
     assert np.array_equal(rows[:, 0], ts)
-    vecs = evolve_pure_grid(STATE, p, ts)
-    for t, v, row in zip(ts, vecs, rows):
+    for t, v, row in zip(ts, pure_rows([p], STATE.vector(), ts), rows):
         w = reference_matrix(p, float(t)) @ STATE.vector()
         w = w / np.linalg.norm(w)
-        assert np.max(np.abs(v - w)) < 1e-12
+        assert np.max(np.abs(v / np.linalg.norm(v) - w)) < 1e-12
         r01 = w[0] * np.conj(w[1])
         xyz = (2.0 * r01.real, -2.0 * r01.imag, abs(w[0]) ** 2 - abs(w[1]) ** 2)
         assert np.max(np.abs(row[1:] - xyz)) < 1e-12
@@ -144,7 +143,7 @@ def test_grid_evolution_rejects_bad_times():
         with pytest.raises(ValueError):
             evolve_density_grid(STATE.density(), p, bad)
         with pytest.raises(ValueError):
-            evolve_pure_grid(STATE, p, bad)
+            trajectory_array(STATE, p, bad)
 
 
 # ---------------------------------------------------------------------------

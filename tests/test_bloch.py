@@ -11,6 +11,7 @@ import pytest
 from conftest import apt, pt
 
 from ptcoherence import (
+    DegenerateEvolutionError,
     PureState,
     l1_coherence,
     trajectory_array,
@@ -79,6 +80,14 @@ def test_trajectory_grid_validation():
         trajectory_array(st, pt(0.31), np.array([0.0, -1.0]))
     with pytest.raises(ValueError):
         trajectory_array(st, pt(0.31), np.array([1.0, 0.5]))
+
+
+def test_trajectory_rejects_an_underflowed_state(monkeypatch):
+    # rows whose norm is below 1e-300 have lost their direction
+    monkeypatch.setattr("ptcoherence.bloch.pure_rows",
+                        lambda params, psi, times: np.full((len(times), 2), 1e-301 + 0j))
+    with pytest.raises(DegenerateEvolutionError, match="norm is below 1e-300"):
+        trajectory_array(PureState.preset("D"), pt(0.31), [0.0, 1.0])
 
 
 @pytest.mark.parametrize("p, label", [

@@ -216,6 +216,16 @@ def test_backflow_report_is_constant_only_at_rounding_level(capsys, kind, a, sta
     assert (payload["zeros_per_period"], payload["classification"]) == expected
 
 
+@pytest.mark.parametrize("a, state", [("3e-5", "H"), ("1e-4", "h-sqrt3v"), ("1e-3", "D")])
+def test_period_report_near_hermitian_limit_is_not_half(capsys, a, state):
+    # C(theta + T/2) -> C(theta) as a -> 0: only the minima's alternating
+    # spacings tell T from T/2
+    code, out = run(capsys, "period", "--kind", "pt", "--a", a, "--state", state)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["period_estimate"] == pytest.approx(payload["period_theoretical"], rel=1e-9)
+
+
 @pytest.mark.parametrize("kind, a", [("pt", "0.9999999995"), ("apt", "1.0000000005")])
 def test_period_report_near_exceptional_point(capsys, kind, a):
     code, out = run(capsys, "period", "--kind", kind, "--a", a, "--state", "h-sqrt3v")

@@ -57,19 +57,13 @@ _A = st.one_of(
 _S = _powers_of_ten(-200.0, 100.0)
 
 #: Examples that break a relation, and which: (kind, a, s, s2) -> labels.
-#: Within 1e-13 of the EP the scan's flat extrema move with the theta
-#: grid, so s times the period estimate changes with s: by 3e-13 relative
-#: at APT a - 1 = 5.2e-14, and 4.4e-16 (APT) or 1.1e-16 (PT) from the EP
-#: it is null at one s and not at the other.  On the broken side, 1e-10
-#: from the EP, the EP eigenvector's small Bloch component (z for PT, x
-#: for APT, about 2 |a - 1| / w) is off by 3e-12: K psi, of size w, is
-#: summed exactly from K's rounded unit-size entries.  At a phase of 2**52
-#: one ulp of it is 1 rad, and C dips to 0.999998 within the backward
-#: interval: the first-order bound does not cover the rounded phase.
+#: On the broken side, 1e-10 from the EP, the EP eigenvector's small
+#: Bloch component (z for PT, x for APT, about 2 |a - 1| / w) is off by
+#: 3e-12: K psi, of size w, is summed exactly from K's rounded unit-size
+#: entries.  At a phase of 2**52 one ulp of it is 1 rad, and C dips to
+#: 0.999998 within the backward interval: the first-order bound does not
+#: cover the rounded phase.
 _KNOWN_VIOLATIONS = {
-    ("apt", 1.000000000000052, 2.1611475347649846e-114, 3.4473401779359466e-188): {"period"},
-    ("apt", 1.0000000000000004, 5.16442255510998e-69, 1.5397499331681232e+24): {"period"},
-    ("pt", 0.9999999999999999, 5.040975621177571e-09, 52807824592.28094): {"period"},
     ("pt", 1.0000000001, 1.0, 1e-3): {"z"},
     ("apt", 0.9999999999, 1.0, 1e-3): {"x"},
     ("apt", 1.0000066705903203, 7.513005753938019e-39, 1.0795530294000307e-65):
