@@ -103,9 +103,10 @@ class CoherenceTrace:
         in ``theta = s t``, or to 1e-9 of the phase ``w theta`` where
         ``w > 1``.
     period_estimate:
-        Period read from the extremum times of an unbroken span: the
-        larger of the maxima's and the minima's spacings, if it is a whole
-        multiple of both to the root error; else None.
+        Period read from the extremum times of an unbroken span: each
+        extremum paired with its copy one period on, the larger of the
+        maxima's and the minima's spacings if the two agree to the root
+        error; else None.
     asymptote_estimate:
         Converged value at the end of the sampled span, or None.
     """
@@ -271,14 +272,17 @@ def _scan(
 
     The period estimate, in the unbroken regime only, reads the span's
     extremum times and evaluates no trace (:func:`_period_estimate`):
-    each kind's spacing at the smallest stride whose differences agree
-    to the root error, twice the width plus a few roundings, and the
-    larger spacing if it is a whole multiple of both.  The asymptote
-    estimate is the mean of the span's last 10%: in the unbroken regime
-    only where the span is flat (:func:`_flat`), since a periodic trace
-    converges nowhere else; in the broken regime and at the EP where the
-    least-squares slope of that tail is below 1e-6 per unit theta.  Times
-    and period are divided by ``s`` on return.
+    each extremum of the first period P, the ones tiling shifts, is
+    paired with its copy one period on; a kind's spacing is the mean of
+    its differences if they agree to the root error, twice the width
+    plus a few roundings, and the estimate is the larger spacing if the
+    two kinds' agree.  The asymptote estimate is the mean of the span's
+    last 10%: in the unbroken regime only where the span is flat
+    (:func:`_flat`: its range at C's rounding level relative to its
+    maximum), since a periodic trace converges nowhere else; in the
+    broken regime and at the EP where the least-squares slope of that
+    tail is below 1e-6 per unit theta.  Times and period are divided by
+    ``s`` on return.
     """
     w0, w1 = float(window[0]), float(window[1])
     t0, t1 = p.s * w0, p.s * w1
@@ -343,10 +347,10 @@ def _scan(
         turn = (np.diff(runs, append=found.size) == 1) | (np.sign(sign[0]) != np.sign(sign[1]))
         roots = found[runs][turn]
         peaks, is_max = series(unit, roots), (sign[0] > sign[1])[turn]
+        first = roots < t0 + period - width  # the first period's extrema
         if periodic:
-            estimate = _period_estimate(roots, is_max, width)
+            estimate = _period_estimate(roots, is_max, first, width)
         if tiled:  # the first period's extrema, shifted by whole periods
-            first = roots < t0 + period - width
             copies = np.ceil((t1 - width - roots[first]) / period)
             if copies.sum() > _MAX_EXTREMA:
                 raise ValueError(f"window ({w0}, {w1}) holds {int(copies.sum())} extrema, "
@@ -375,44 +379,32 @@ def _width(w: float) -> float:
 
 def _flat(values: np.ndarray) -> bool:
     """Whether a sampled trace counts as constant: its value range is at
-    most C's rounding level (``evolution._ROUNDING``) times max(1, its
-    maximum)."""
+    most C's rounding level (``evolution._ROUNDING``) relative to its
+    maximum, so a trace that only rises from 0 to 1e-14 is not flat."""
     vmax = float(values.max())
-    return vmax - float(values.min()) <= _ROUNDING * max(1.0, vmax)
+    return vmax - float(values.min()) <= _ROUNDING * vmax
 
 
-def _median(values: list[float]) -> float:
-    """Median with ``statistics.median``'s arithmetic.  Neither that module
-    (it loads ``fractions`` and ``decimal``) nor ``np.median`` (it loads
-    ``numpy.ma``) is imported, which keeps them off every cold scan."""
-    d = sorted(values)
-    n = len(d)
-    return d[n // 2] if n % 2 else (d[n // 2 - 1] + d[n // 2]) / 2
-
-
-def _period_estimate(times: np.ndarray, is_max: np.ndarray, width: float) -> float | None:
-    """The largest of the maxima's and the minima's spacings if it is a
-    whole multiple n of each to n + 1 root errors and 1e-10 of itself (near
-    the EP a flat extremum is located less well than the width), else None.
-    A kind's spacing is the median of its differences at the first stride
-    where two or more agree to the root error, twice ``width`` plus a few
-    roundings of the largest time; a kind with two extrema takes its one
-    difference, and one with fewer has none."""
+def _period_estimate(times: np.ndarray, is_max: np.ndarray, first: np.ndarray,
+                     width: float) -> float | None:
+    """The larger of the maxima's and the minima's spacings if the two agree
+    to twice the root error and 1e-10 of it (near the EP a flat extremum is
+    located less well than the width), else None.  A kind's spacing pairs
+    each of its extrema with its copy one period on: with n of them in the
+    ``first`` period, the mean of its differences at stride n.  It is None
+    where n is 0, where no extremum has a copy, or where the differences
+    spread by more than the root error, twice ``width`` plus a few
+    roundings of the largest time."""
     error = 2.0 * width + 8.0 * float(np.spacing(np.abs(times).max(initial=0.0)))
     spacings = []
-    for kind in (True, False):
-        same = times[is_max == kind]
-        for stride in range(1, max(2, same.size - 1)):
-            diffs = same[stride:] - same[:-stride]
-            if diffs.size and float(np.ptp(diffs)) <= error:
-                spacings.append(_median(diffs.tolist()))
-                break
-        else:
+    for kind in (is_max, ~is_max):
+        same, n = times[kind], int(np.count_nonzero(first[kind]))
+        diffs = same[n:] - same[:same.size - n]
+        if n == 0 or diffs.size == 0 or float(np.ptp(diffs)) > error:
             return None
-    top = max(spacings)  # every spacing is positive: the times are sorted and distinct
-    whole = [abs(top - round(top / d) * d) <= (round(top / d) + 1) * error + 1e-10 * top
-             for d in spacings]
-    return top if all(whole) else None
+        spacings.append(float(np.mean(diffs)))
+    low, top = sorted(spacings)
+    return top if top - low <= 2.0 * error + 1e-10 * top else None
 
 
 def _asymptote_estimate(ts: np.ndarray, values: np.ndarray, periodic: bool,

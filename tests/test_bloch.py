@@ -80,6 +80,8 @@ def test_trajectory_grid_validation():
         trajectory_array(st, pt(0.31), np.array([0.0, -1.0]))
     with pytest.raises(ValueError):
         trajectory_array(st, pt(0.31), np.array([1.0, 0.5]))
+    with pytest.raises(ValueError, match="1-D grid"):
+        trajectory_array(st, pt(0.31), np.array([[0.0, 0.5]]))
 
 
 def test_trajectory_rejects_an_underflowed_state(monkeypatch):

@@ -206,6 +206,9 @@ def test_backflow_report_near_exceptional_point(capsys, kind, a, expected):
     *(("pt", a, state, (4, "DoubleTouch"))
       for a in ("1e-3", "1e-4", "1e-5", "1e-6") for state in ("H", "D", "h-sqrt3v")),
     ("apt", "1.5", "D", (0, "Constant")),  # C == 1 up to rounding
+    # C rises from 0 to 1/a: tiny, but far above its own rounding
+    ("pt", "1e14", "H", (1, "Monotonic")),
+    ("pt", "1e100", "H", (1, "Monotonic")),
 ])
 def test_backflow_report_is_constant_only_at_rounding_level(capsys, kind, a, state, expected):
     # D's PT trace spans 5e-11 at a = 1e-5 and 5e-13 at 1e-6: small, but
@@ -216,10 +219,12 @@ def test_backflow_report_is_constant_only_at_rounding_level(capsys, kind, a, sta
     assert (payload["zeros_per_period"], payload["classification"]) == expected
 
 
-@pytest.mark.parametrize("a, state", [("3e-5", "H"), ("1e-4", "h-sqrt3v"), ("1e-3", "D")])
+@pytest.mark.parametrize("a, state", [("3e-5", "H"), ("1e-4", "h-sqrt3v"), ("1e-3", "D"),
+                                      ("1e-5", "D"), ("1e-6", "D")])
 def test_period_report_near_hermitian_limit_is_not_half(capsys, a, state):
-    # C(theta + T/2) -> C(theta) as a -> 0: only the minima's alternating
-    # spacings tell T from T/2
+    # C(theta + T/2) -> C(theta) as a -> 0, and D's minima alternate their
+    # spacings by about a^2 T, under the root error at a = 1e-5: the
+    # estimate pairs each extremum with its copy a whole period on
     code, out = run(capsys, "period", "--kind", "pt", "--a", a, "--state", state)
     assert code == 0
     payload = json.loads(out)

@@ -74,6 +74,10 @@ def test_pure_state_validation():
         PureState(0.9, 0.9)  # not normalized
     with pytest.raises(ValueError):
         PureState(-0.6, 0.8)  # negative amplitude
+    with pytest.raises(ValueError, match="must be finite"):
+        PureState(np.nan, 0.8)
+    with pytest.raises(ValueError, match="must not both vanish"):
+        PureState.from_amplitudes(0.0, 0.0)
     assert PureState(0.6, 0.8, -1.0).phi == pytest.approx(2 * np.pi - 1.0)
 
 
@@ -84,6 +88,8 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[0.9, 0.0], [0.0, 0.9]]))  # trace != 1
     with pytest.raises(ValueError):
         DensityMatrix(np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
+    with pytest.raises(ValueError, match="must be 2x2"):
+        DensityMatrix(np.eye(3) / 3.0)
     mm = DensityMatrix.maximally_mixed()
     assert np.allclose(mm.rho, np.eye(2) / 2)
 

@@ -145,6 +145,11 @@ def test_gain_loss_rate_must_be_finite(make):
     assert np.all(np.isfinite(build_hamiltonian(p)))
 
 
+def test_kind_must_be_a_symmetry_class():
+    with pytest.raises(ValueError, match="SymmetryClass member"):
+        HamiltonianParams(kind="pt", a=0.5)
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.5, np.nan])
 def test_invalid_s_rejected(bad):
     with pytest.raises(ValueError):

@@ -180,6 +180,13 @@ def test_state_action_of_solved_sequence_keeps_its_digits(p):
     assert verify_state_action(solve_angles(p, 1.0), seed=1) <= 1e-13
 
 
+def test_state_action_is_inf_when_the_sequence_blocks_every_state():
+    # x1 = x2 = 0 closes both interferometer paths: every output vanishes
+    seq = OpticalSequence(params=pt(0.47), angles=(0.1, 0.2, 0.0, 0.0, 0.3, 0.4), t=1.0,
+                          residual=0.0)
+    assert verify_state_action(seq) == math.inf
+
+
 def test_state_action_is_the_phase_aligned_distance_over_the_same_panel():
     p, t, seed = apt(1.5), 0.9, 7
     solved = solve_angles(p, t)

@@ -119,6 +119,8 @@ def test_count_record_validation():
         CountRecord(11.0, 0.0, 0.0, 0.0, exposure=10.0)
     with pytest.raises(ValueError):
         CountRecord(1.0, 1.0, 1.0, 1.0, exposure=0.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        CountRecord(1.0, np.nan, 1.0, 1.0, exposure=10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +288,9 @@ def test_bootstrap_validation():
     rec = exact_count_record(_rho(0.6, 0.8, 0.0), exposure=100.0)
     with pytest.raises(ValueError):
         bootstrap_errorbar(rec, resamples=1)
+    # no H/V events to resample: every resample is dropped
+    with pytest.raises(InsufficientDataError, match="too few viable"):
+        bootstrap_errorbar(CountRecord(0.0, 0.0, 5.0, 5.0, exposure=10.0), resamples=10)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +305,8 @@ def test_trace_distance_basics():
     assert trace_distance(h, DensityMatrix.maximally_mixed()) == pytest.approx(0.5, abs=1e-14)
     d = PureState.preset("D").density()
     assert trace_distance(h, d) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+    with pytest.raises(ValueError, match="2x2"):
+        trace_distance(np.eye(3) / 3.0, np.eye(3) / 3.0)
 
 
 def _eigen_trace_distance(rho_1: np.ndarray, rho_2: np.ndarray) -> float:

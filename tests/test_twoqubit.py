@@ -54,6 +54,8 @@ def test_state_normalization_and_validation():
         TwoQubitState(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         TwoQubitState(np.zeros(4))
+    with pytest.raises(ValueError, match="must be finite"):
+        TwoQubitState(np.array([np.nan, 0.0, 0.0, 1.0]))
 
 
 def test_state_normalization_at_extreme_magnitudes():
