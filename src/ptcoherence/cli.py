@@ -22,12 +22,13 @@ formatted to 12 significant digits (``%.12g``; values round-trip since
 they are re-parsed as the shortest representation at that precision).
 
 Config precedence: command-line flags override an optional ``--config``
-file of ``key=value`` lines (``#`` comments allowed), which overrides
-built-in defaults.  The initial state comes from the flags if they set
-any of state, alpha, beta and phi, else from the file (``_resolve_state``).
-Environment variables are deliberately not consulted.  One table,
-``_FIELDS``, holds every key: it builds the flags, types the config
-values, and its resolved values are the run.
+file of ``key=value`` lines (``#`` opens a comment at a line's start or
+after whitespace), which overrides built-in defaults.  The initial state
+comes from the flags if they set any of state, alpha, beta and phi, else
+from the file (``_resolve_state``).  Environment variables are
+deliberately not consulted.  One table, ``_FIELDS``, holds every key: it
+builds the flags, types and bounds flag and config values alike, and its
+resolved values are the run.
 
 Documents: every one opens with the run header of ``_meta``; the JSON
 reports nest it through ``_report``.  A grid is formatted range by range
@@ -48,6 +49,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from typing import Sequence
 
@@ -66,25 +68,29 @@ _EXIT_VALIDATION = 2
 _EXIT_SOLVER = 3
 _EXIT_IO = 4
 
-#: Every config key: its default and its flag's ``add_argument`` keywords.
-#: The flag's ``type`` (str when absent) also parses config-file values.
+#: Every config key: its default, its flag's ``add_argument`` keywords and,
+#: where the CLI bounds it, its domain ``(least, strict)``: a finite value
+#: at least ``least``, and above it if ``strict``.  The flag's ``type`` (str
+#: when absent) also parses config-file values, and its ``choices`` bound
+#: them too.
 _FIELDS = {
-    "kind": (None, dict(choices=["pt", "apt"], help="generator family")),
-    "s": (1.0, dict(type=float, help="coupling scale s > 0 (default 1)")),
-    "a": (None, dict(type=float, help="detuning ratio a > 0")),
-    "seed": (0, dict(type=int, help="RNG seed of the check states or samples (default 0)")),
-    "output": (None, dict(help="output path (default: stdout)")),
-    "format": ("csv", dict(choices=["csv", "json"], help="grid format (default csv)")),
-    "state": (None, dict(help="preset initial state: H, D, or h-sqrt3v")),
-    "alpha": (None, dict(type=float, help="|H> amplitude (with --beta)")),
-    "beta": (None, dict(type=float, help="|V> amplitude (with --alpha)")),
-    "phi": (None, dict(type=float, help="relative phase in radians")),
-    "t_min": (0.0, dict(type=float, help="grid start (default 0)")),
-    "t_max": (10.0, dict(type=float, help="grid end (default 10)")),
-    "t": (1.0, dict(type=float, help="evolution time (default 1)")),
-    "exposure": (30000.0, dict(type=float, help="trials per basis (default 30000)")),
-    "resamples": (100, dict(type=int, help="bootstrap resamples (default 100)")),
-    "points": (401, dict(type=int, help="grid length (default 401)")),
+    "kind": (None, dict(choices=["pt", "apt"], help="generator family"), None),
+    "s": (1.0, dict(type=float, help="coupling scale s > 0 (default 1)"), None),
+    "a": (None, dict(type=float, help="detuning ratio a > 0"), None),
+    "seed": (0, dict(type=int, help="RNG seed of the check states or samples (default 0)"),
+             (0, False)),
+    "output": (None, dict(help="output path (default: stdout)"), None),
+    "format": ("csv", dict(choices=["csv", "json"], help="grid format (default csv)"), None),
+    "state": (None, dict(help="preset initial state: H, D, or h-sqrt3v"), None),
+    "alpha": (None, dict(type=float, help="|H> amplitude (with --beta)"), None),
+    "beta": (None, dict(type=float, help="|V> amplitude (with --alpha)"), None),
+    "phi": (None, dict(type=float, help="relative phase in radians"), None),
+    "t_min": (0.0, dict(type=float, help="grid start (default 0)"), (0, False)),
+    "t_max": (10.0, dict(type=float, help="grid end (default 10)"), (-math.inf, False)),
+    "t": (1.0, dict(type=float, help="evolution time (default 1)"), (0, False)),
+    "exposure": (30000.0, dict(type=float, help="trials per basis (default 30000)"), (0, True)),
+    "resamples": (100, dict(type=int, help="bootstrap resamples (default 100)"), (2, False)),
+    "points": (401, dict(type=int, help="grid length (default 401)"), (2, False)),
 }
 
 _COMMON = ("kind", "s", "a", "output")
@@ -112,13 +118,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_config_file(path: str) -> dict:
     """Parse a key=value config file; unknown keys are validation errors."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise _IOFailure(f"cannot read config file {path!r}: {exc}") from exc
     out: dict = {}
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -166,12 +172,6 @@ def _resolve_state(merged: dict, source: dict) -> tuple[PureState, str]:
     return st, "custom"
 
 
-def _require_finite(**values: float) -> None:
-    for key, value in values.items():
-        if not np.isfinite(value):
-            raise ValueError(f"{key.replace('_', '-')} must be finite, got {value}")
-
-
 def _require_resolved_phase(p: HamiltonianParams, key: str, t: float) -> None:
     """C depends on ``t`` through ``s |t|`` and the phase ``w s |t|`` (0 at
     the EP), which must both be finite doubles.  In the unbroken regime C
@@ -197,41 +197,32 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     fields = _SUBCOMMANDS[sub][1]
     config = _read_config_file(args.config) if args.config else {}
     flags = {key: getattr(args, key) for key in fields if getattr(args, key) is not None}
-    merged = {**{key: default for key, (default, _) in _FIELDS.items()}, **config, **flags}
+    merged = {**{key: entry[0] for key, entry in _FIELDS.items()}, **config, **flags}
 
     if merged["kind"] is None:
         raise ValueError("kind is required (pt or apt)")
-    try:
-        kind = SymmetryClass(merged["kind"])
-    except ValueError:
-        raise ValueError(f"kind must be 'pt' or 'apt', got {merged['kind']!r}") from None
     if merged["a"] is None:
         raise ValueError("a is required (detuning ratio, a > 0)")
-
-    if "format" in fields and merged["format"] not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {merged['format']!r}")
+    for key in fields:  # each bound in _FIELDS: a flag's choices, or a key's domain
+        _, spec, domain = _FIELDS[key]
+        value, name, choices = merged[key], key.replace("_", "-"), spec.get("choices")
+        if choices and value not in choices:
+            raise ValueError(f"{name} must be {' or '.join(map(repr, choices))}, got {value!r}")
+        if domain is None:
+            continue
+        least, strict = domain
+        if not -math.inf < value < math.inf:  # unlike math.isfinite, takes any int
+            raise ValueError(f"{name} must be finite, got {value}")
+        if value < least or (strict and value == least):
+            raise ValueError(f"{name} must be {'>' if strict else '>='} {least}, got {value}")
 
     source = next((src for src in (flags, config) if src.keys() & _STATE), {})
     state, state_label = _resolve_state(merged, source) if "state" in fields else (None, "n/a")
     t_min, t_max, t = merged["t_min"], merged["t_max"], merged["t"]
-    if "t_min" in fields:
-        _require_finite(t_min=t_min, t_max=t_max)
-        if not (t_max > t_min):
-            raise ValueError(f"t-max must exceed t-min, got ({t_min}, {t_max})")
-        if t_min < 0:
-            raise ValueError("t-min must be nonnegative")
-    if "t" in fields:
-        _require_finite(t=t)
-        if t < 0:
-            raise ValueError("t must be nonnegative")
-    if "exposure" in fields:
-        _require_finite(exposure=merged["exposure"])
-        if merged["exposure"] <= 0:
-            raise ValueError("exposure must be positive")
-    for key, least in (("points", 2), ("resamples", 2), ("seed", 0)):
-        if key in fields and merged[key] < least:
-            raise ValueError(f"{key} must be >= {least}")
+    if "t_min" in fields and not t_max > t_min:
+        raise ValueError(f"t-max must exceed t-min, got ({t_min}, {t_max})")
 
+    kind = SymmetryClass(merged["kind"])
     p = HamiltonianParams(kind=kind, s=merged["s"], a=merged["a"])  # checks s > 0, a > 0
     if "t_min" in fields:
         _require_resolved_phase(p, "t-max", t_max)
@@ -542,20 +533,14 @@ def cmd_tomography(cfg: argparse.Namespace) -> str:
     boot_mean, boot_sd = bootstrap_errorbar(record, resamples=cfg.resamples, seed=cfg.seed)
 
     def rho_entries(m: np.ndarray) -> list:
-        return [[[float(m[i, j].real), float(m[i, j].imag)] for j in range(2)]
-                for i in range(2)]
+        return np.stack([m.real, m.imag], axis=-1).tolist()
 
     return _report(cfg, {
         "t": cfg.t,
         "seed": cfg.seed,
         "exposure": cfg.exposure,
         "resamples": cfg.resamples,
-        "counts": {
-            "H": float(record.count_h),
-            "V": float(record.count_v),
-            "R": float(record.count_r),
-            "D": float(record.count_d),
-        },
+        "counts": dict(zip("HVRD", record.as_array().tolist())),
         "rho_true": rho_entries(rho_true.rho),
         "rho_reconstructed": rho_entries(rho_hat.rho),
         "coherence_true": l1_coherence(rho_true),

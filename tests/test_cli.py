@@ -436,7 +436,7 @@ def test_unknown_config_key_is_validation_error(tmp_path, capsys):
     ("trace", "kind = pt\na = 0.5\npoints = many\n", "run.cfg:3: bad value for points: 'many'"),
     ("period", "kind = xx\na = 0.5\n", "kind must be 'pt' or 'apt', got 'xx'"),
     ("period", "kind = PT\na = 0.5\n", "kind must be 'pt' or 'apt', got 'PT'"),
-    ("trace", "kind = pt\na = 0.5\nformat = xml\n", "format must be csv or json, got 'xml'"),
+    ("trace", "kind = pt\na = 0.5\nformat = xml\n", "format must be 'csv' or 'json', got 'xml'"),
     ("angles", "kind = pt\na = 0.5\nrestarts = 32\n", "run.cfg:3: unknown config key 'restarts'"),
 ], ids=["no-equals", "bad-points", "unknown-kind", "upper-case-kind", "bad-format",
         "removed-restarts"])
@@ -456,6 +456,22 @@ def test_config_comments_and_blank_lines_are_skipped(tmp_path, capsys):
     code, out = run(capsys, "period", "--config", str(cfg))
     assert code == 0
     assert json.loads(out)["period_theoretical"] == 2.80992589242
+
+
+def test_config_file_with_byte_order_mark_runs(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\ufeffkind = apt\na = 1.5\n", encoding="utf-8")
+    assert run(capsys, "period", "--config", str(cfg)) == run(
+        capsys, "period", "--kind", "apt", "--a", "1.5")
+
+
+def test_hash_inside_a_config_value_is_kept(tmp_path, capsys):
+    # '#' opens a comment only at the start of a line or after whitespace
+    out = tmp_path / "out#1.json"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"kind = apt\na = 1.5\noutput = {out}  # a comment\n")
+    assert run(capsys, "period", "--config", str(cfg)) == (0, "")
+    assert out.read_text() == run(capsys, "period", "--kind", "apt", "--a", "1.5")[1]
 
 
 def test_missing_config_file_is_io_error(capsys):
@@ -596,49 +612,66 @@ def test_preset_and_amplitudes_together_exit_2(capsys):
     assert code == 2
 
 
+def _main_from(source: str, tmp_path, argv) -> int:
+    """``main`` on ``argv``, a subcommand and its flag-value pairs, with the
+    pairs given as flags or, for ``source == "config"``, as config lines."""
+    if source == "flag":
+        return main(list(argv))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{flag[2:]} = {value}\n" for flag, value in zip(argv[1::2], argv[2::2])))
+    return main([argv[0], "--config", str(cfg)])
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("argv, field", [
-    (("trace", "--kind", "pt", "--a", "0.5", "--t-min", "nan"), "t-min"),
-    (("trace", "--kind", "pt", "--a", "0.5", "--t-max", "inf"), "t-max"),
-    (("angles", "--kind", "pt", "--a", "0.5", "--t", "inf"), "t"),
-    (("trace", "--kind", "pt", "--a", "0.5", "--s", "inf"), "s"),
-    (("trace", "--kind", "pt", "--a", "nan"), "a"),
-    (("tomography", "--kind", "pt", "--a", "0.5", "--exposure", "nan"), "exposure"),
-    (("tomography", "--kind", "pt", "--a", "0.5", "--exposure", "inf"), "exposure"),
-    (("backflow", "--kind", "pt", "--a", "0.47", "--alpha", "inf", "--beta", "1"), "alpha"),
-    (("backflow", "--kind", "pt", "--a", "0.47", "--alpha", "1", "--beta", "nan"), "beta"),
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("argv, message", [
+    (("trace", "--kind", "pt", "--a", "0.5", "--t-min", "nan"), "t-min must be finite, got nan"),
+    (("trace", "--kind", "pt", "--a", "0.5", "--t-max", "inf"), "t-max must be finite, got inf"),
+    (("angles", "--kind", "pt", "--a", "0.5", "--t", "inf"), "t must be finite, got inf"),
+    (("trace", "--kind", "pt", "--a", "0.5", "--s", "inf"),
+     "energy scale s must be positive and finite, got inf"),
+    (("trace", "--kind", "pt", "--a", "nan"),
+     "non-Hermiticity degree a must be positive and finite, got nan"),
+    (("tomography", "--kind", "pt", "--a", "0.5", "--exposure", "nan"),
+     "exposure must be finite, got nan"),
+    (("tomography", "--kind", "pt", "--a", "0.5", "--exposure", "inf"),
+     "exposure must be finite, got inf"),
+    (("backflow", "--kind", "pt", "--a", "0.47", "--alpha", "inf", "--beta", "1"),
+     "alpha must be finite, got inf"),
+    (("backflow", "--kind", "pt", "--a", "0.47", "--alpha", "1", "--beta", "nan"),
+     "beta must be finite, got nan"),
     (("backflow", "--kind", "pt", "--a", "0.47", "--alpha", "1", "--beta", "1", "--phi", "nan"),
-     "phi"),
+     "phi must be finite, got nan"),
 ], ids=["t_min", "t_max", "t", "s", "a", "exposure_nan", "exposure_inf", "alpha", "beta", "phi"])
-def test_non_finite_input_exits_2(capsys, argv, field):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and f" {field} must be" in captured.err
-    assert "finite" in captured.err
+def test_non_finite_input_exits_2(tmp_path, capsys, source, argv, message):
+    code = _main_from(source, tmp_path, argv)
+    assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("argv, message", [
     (("trace", "--kind", "pt", "--a", "0.5", "--t-min", "2", "--t-max", "1"),
      "t-max must exceed t-min, got (2.0, 1.0)"),
-    (("trace", "--kind", "pt", "--a", "0.5", "--t-min", "-1"), "t-min must be nonnegative"),
-    (("angles", "--kind", "pt", "--a", "0.5", "--t", "-1"), "t must be nonnegative"),
+    (("trace", "--kind", "pt", "--a", "0.5", "--t-min", "-1"), "t-min must be >= 0, got -1.0"),
+    (("angles", "--kind", "pt", "--a", "0.5", "--t", "-1"), "t must be >= 0, got -1.0"),
     (("tomography", "--kind", "pt", "--a", "0.5", "--exposure", "-5"),
-     "exposure must be positive"),
+     "exposure must be > 0, got -5.0"),
     (("tomography", "--kind", "pt", "--a", "0.5", "--exposure", "0"),
-     "exposure must be positive"),
-    (("period", "--kind", "pt", "--a", "0.5", "--alpha", "1"), "need both alpha and beta"),
+     "exposure must be > 0, got 0.0"),
+    (("trace", "--kind", "pt", "--a", "0.5", "--points", "1"), "points must be >= 2, got 1"),
+    (("tomography", "--kind", "pt", "--a", "0.5", "--resamples", "1"),
+     "resamples must be >= 2, got 1"),
+    (("angles", "--kind", "pt", "--a", "0.5", "--seed", "-1"), "seed must be >= 0, got -1"),
+    (("period", "--kind", "pt", "--a", "0.5", "--alpha", "1"),
+     "explicit initial states need both alpha and beta"),
     (("backflow", "--kind", "pt", "--a", "0.47", "--alpha", "-1", "--beta", "1"),
      "alpha must be nonnegative, got -1.0"),
 ], ids=["window-reversed", "t_min-negative", "t-negative", "exposure-negative",
-        "exposure-zero", "alpha-without-beta", "alpha-negative"])
-def test_out_of_range_input_exits_2_naming_the_field(capsys, argv, message):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and message in captured.err
+        "exposure-zero", "points-one", "resamples-one", "seed-negative", "alpha-without-beta",
+        "alpha-negative"])
+def test_out_of_range_input_exits_2_naming_the_field(tmp_path, capsys, source, argv, message):
+    code = _main_from(source, tmp_path, argv)
+    assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.filterwarnings("error")
