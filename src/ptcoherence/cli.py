@@ -594,6 +594,13 @@ _SUBCOMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
+    # argparse takes a value such as -1e-3 or -inf for an option: join each
+    # numeric flag and a following "-" token, as --flag=value
+    argv = list(sys.argv[1:] if argv is None else argv)
+    numeric = {"--" + key.replace("_", "-") for key, entry in _FIELDS.items() if "type" in entry[1]}
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in numeric and argv[i][:1] == "-" and argv[i][:2] != "--":
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args, cfg = _build_parser().parse_args(argv), None
     try:
         cfg = _resolve_config(args)

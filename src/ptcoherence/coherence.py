@@ -99,14 +99,14 @@ class CoherenceTrace:
     times, values:
         The span the scan sampled, half-open, and C there.
     extrema:
-        Stationary points in the window, sorted by time, located to 1e-9
-        in ``theta = s t``, or to 1e-9 of the phase ``w theta`` where
-        ``w > 1``.
+        Stationary points in the window, sorted by time, each within its
+        error interval: 1e-9 in ``theta = s t`` (of the phase ``w theta``
+        where ``w > 1``), wider where a slope factor is within its bound.
     period_estimate:
         Period read from the extremum times of an unbroken span: each
         extremum paired with its copy one period on, the larger of the
-        maxima's and the minima's spacings if the two agree to the root
-        error; else None.
+        maxima's and the minima's spacings that lies within every paired
+        difference's summed error intervals; else None.
     asymptote_estimate:
         Converged value at the end of the sampled span, or None.
     """
@@ -197,19 +197,11 @@ def find_extrema(
 ) -> CoherenceTrace:
     """Stationary points of C(t) on the half-open window ``(t0, t1)``:
     :func:`_scan`'s :class:`CoherenceTrace`, the sampled span with its
-    extrema, located to 1e-9 in ``theta = s t`` or of the phase ``w theta``
-    where ``w > 1``, and estimates (the window's rules and errors are
-    ``_scan``'s).
+    extrema and estimates (the window's rules and errors are ``_scan``'s).
     """
     terms = pure_terms([p], st.vector())  # fixed for the scan
     return _scan(lambda q, th: coherence_series(st, q, th),
                  lambda q, th: coherence_slope(q, terms, th), p, window)
-
-
-def _factor(plus: np.ndarray, minus: np.ndarray, den: np.ndarray):
-    """``(plus - minus) / den`` and its rounding bound."""
-    bound = _ROUNDING * (np.abs(plus) + np.abs(minus))
-    return (plus - minus) / den, bound / den
 
 
 def coherence_slope(p: HamiltonianParams, terms: dict, theta: np.ndarray):
@@ -219,15 +211,17 @@ def coherence_slope(p: HamiltonianParams, terms: dict, theta: np.ndarray):
     ``terms`` psi and K psi, v = F psi + G K psi, v' = F' psi + G' K psi,
     x = |v_0|^2 and y = |v_1|^2.  The factor (y - x)/(x + y) vanishes at the
     C = 1 touches, (x' y - x y')/(x + y)^2 at the other extrema (with a sign
-    jump at the corner minima C = 0).
+    jump at the corner minima C = 0).  Each bound is ``_ROUNDING`` times the
+    magnitudes of its factor's terms, those of x' and y' included.
     """
     c, dc = shifted_pairs(p, theta, slope=True)
     v, dv = evolve_product([c], terms), evolve_product([dc], terms)
     x, y = (v.real * v.real + v.imag * v.imag).T
     dx, dy = 2.0 * (v.conj() * dv).real.T
-    f1, b1 = _factor(y, x, x + y)
-    f2, b2 = _factor(dx * y, x * dy, (x + y) ** 2)
-    return np.stack([f1, f2]), np.stack([b1, b2])
+    mx, my = 2.0 * (np.abs(v.real * dv.real) + np.abs(v.imag * dv.imag)).T
+    size = np.stack([x + y, mx * y + x * my])  # the magnitudes of each factor's terms
+    den = np.stack([x + y, (x + y) ** 2])
+    return np.stack([y - x, dx * y - x * dy]) / den, _ROUNDING * size / den
 
 
 def _scan(
@@ -254,32 +248,35 @@ def _scan(
     P, since U(theta + P) = -U(theta).  The returned ``times``/``values``
     are the sampled span, and both estimates come from it.  Every width
     below is :func:`_width`: ``_BISECT_WIDTH`` in theta, or that share of
-    the phase w theta where w > 1.  A factor's sign change between
-    consecutive samples (the span's end included) that clear its bound is
-    bisected on that factor to the width: samples within the bound are
-    skipped.  The seam rule: t0 is stationary when a factor there is
-    within its bound or changes sign across t0 -/+ the width (it then
-    contributes the sign just after it); a root within the width of t1
-    is dropped, so a window of one period, wherever it starts, holds each
-    extremum of the period once.  The slope's change across a root's
-    bracket gives its kind.  Roots within the width of the first of their
-    run are merged and judged across the union of their brackets: one
-    extremum where the slope changes sign there, none (a stationary
-    inflection) where it does not.  In the broken regime the slope is
+    the phase w theta where w > 1.
+
+    One error model judges the roots.  A factor is strong where it clears
+    its bound, and a trace is constant, with no extrema, where no sample
+    has every factor strong.  The slope is sampled at the span's samples
+    and end, a cell before t0, a width either side of t0 and a width
+    before the end.  A factor's sign change between consecutive strong
+    samples is bisected on that factor to the width; the root's error
+    interval runs out to the nearest strong sample or midpoint each side,
+    and is at least the width.  Roots whose intervals overlap are one
+    candidate, judged across its strong ends: an extremum where the slope
+    changes sign there, else a stationary inflection; a lone root is an
+    extremum.  The seam, t0, is a root with an interval of one width: a
+    candidate holding it is the extremum at t0, one wholly before it is
+    dropped, and so is one whose interval reaches half a width before the
+    end, so a window of one period, wherever it starts, holds each
+    extremum of the period once.  In the broken regime the slope is
     sampled only up to ``2 w theta = 52 ln 2``, past which every ratio of
     propagator entries equals its limit to double precision; roots beyond
     it are dropped.  More than ``_MAX_EXTREMA`` extrema raise ValueError.
 
     The period estimate, in the unbroken regime only, reads the span's
-    extremum times and evaluates no trace (:func:`_period_estimate`):
-    each extremum of the first period P, the ones tiling shifts, is
-    paired with its copy one period on; a kind's spacing is the mean of
-    its differences if they agree to the root error, twice the width
-    plus a few roundings, and the estimate is the larger spacing if the
-    two kinds' agree.  The asymptote estimate is the mean of the span's
-    last 10%: in the unbroken regime only where the span is flat
-    (:func:`_flat`: its range at C's rounding level relative to its
-    maximum), since a periodic trace converges nowhere else; in the
+    extremum times and their error intervals and evaluates no trace
+    (:func:`_period_estimate`): each extremum of the first period P (its
+    interval ends half a width before t0 + P), the ones tiling shifts, is
+    paired with its copy one period on.  The asymptote estimate is the
+    mean of the span's last 10%: in the unbroken regime only where the
+    span is flat (:func:`_flat`: its range at C's rounding level relative
+    to its maximum), since a periodic trace converges nowhere else; in the
     broken regime and at the EP where the least-squares slope of that
     tail is below 1e-6 per unit theta.  Times and period are divided by
     ``s`` on return.
@@ -296,6 +293,7 @@ def _scan(
     unit = replace(p, s=1.0)
     w = frequency(p.kind, p.a)
     width, periodic = _width(w), regime(p) is Regime.UNBROKEN
+    half = 0.5 * width
     period, cut = math.inf, math.inf
     if periodic:
         period = math.pi / w
@@ -306,67 +304,71 @@ def _scan(
     samples = _SCAN_PERIODS * _SCAN_SAMPLES if tiled else _SCAN_SAMPLES
     ts = t0 + (stop - t0) * (np.arange(samples) / samples)  # half-open; k/n exact, n = 2^m
     values = series(unit, ts)
-    flat = _flat(values)
     roots, peaks, is_max = np.empty(0), np.empty(0), np.empty(0, dtype=bool)
     estimate = None
-    if not flat and t0 < cut:
+    if t0 < cut:
         end = min(stop, cut)
         grid = np.append(ts, stop) if end == stop else np.linspace(t0, end, samples + 1)
+        grid = np.sort(np.append([2.0 * t0 - grid[1], t0 - width, t0 + width, end - width], grid))
         f, bound = slope(unit, grid)
         neg, strong = f < 0.0, np.abs(f) > bound
-        before, after = t0 - width, np.nextafter(t0 + width, np.inf)
-        edge = slope(unit, np.array([before, after]))[0] < 0.0
-        at_t0 = not strong[:, 0].all() or bool(np.any(edge[:, 0] != edge[:, 1]))
-        if at_t0:  # t0 is itself stationary: its bracket is (before, after)
-            neg[:, 0], strong[:, 0] = edge[:, 1], True
+        strong &= strong.all(axis=0).any()  # a constant trace brackets nothing
         # consecutive strong samples: a weak run up to the end (the
-        # approach to the broken plateau) brackets nothing
+        # approach to the broken plateau) brackets nothing either
         j, i = np.nonzero(strong)
         flip = (j[1:] == j[:-1]) & (neg[j[1:], i[1:]] != neg[j[:-1], i[:-1]])
         j, i, k = j[:-1][flip], i[:-1][flip], i[1:][flip]
         lo, hi, neg_lo = grid[i], grid[k], neg[j, i]
+        left, right, cols = lo, hi, np.arange(j.size)  # the strong ends
         for _ in range(100):
-            if np.all(hi - lo <= width):
+            wide = hi - lo > width
+            if not wide.any():
                 break
             mid = 0.5 * (lo + hi)
-            same = (slope(unit, mid)[0][j, np.arange(j.size)] < 0.0) == neg_lo
-            lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-        found = 0.5 * (lo + hi)
-        if at_t0:
-            found, lo, hi = np.append(t0, found), np.append(before, lo), np.append(after, hi)
-        keep = (found < stop - width) & (np.abs(found) <= cut)
-        order = np.flatnonzero(keep)[np.argsort(found[keep], kind="stable")]
-        found, lo, hi = found[order], lo[order], hi[order]
-        runs = [0] if found.size else []  # roots within the width of their run's first
-        for n in range(1, found.size):
-            if found[n] - found[runs[-1]] > width:
-                runs.append(n)
-        ends = np.append(np.minimum.reduceat(lo, runs), np.maximum.reduceat(hi, runs))
-        sign = np.prod(slope(unit, ends)[0], axis=0).reshape(2, -1)
-        # a merged run across which the slope keeps its sign is an inflection
-        turn = (np.diff(runs, append=found.size) == 1) | (np.sign(sign[0]) != np.sign(sign[1]))
-        roots = found[runs][turn]
-        peaks, is_max = series(unit, roots), (sign[0] > sign[1])[turn]
-        first = roots < t0 + period - width  # the first period's extrema
+            fm, bm = (x[j, cols] for x in slope(unit, mid))
+            same, clear = (fm < 0.0) == neg_lo, wide & (np.abs(fm) > bm)
+            lo, hi = np.where(wide & same, mid, lo), np.where(wide & ~same, mid, hi)
+            left, right = np.where(same & clear, mid, left), np.where(~same & clear, mid, right)
+        # error intervals; the seam's strong ends are reversed, so that only
+        # the roots merged into it judge its kind
+        found = np.append(t0, 0.5 * (lo + hi))
+        ends = np.array([np.append(t0 + half, left), np.append(t0 - half, right)])
+        span = np.array([np.minimum(ends[0], found - half), np.maximum(ends[1], found + half)])
+        order = np.argsort(span[0], kind="stable")
+        found, ends, span = found[order], ends[:, order], span[:, order]
+        # roots whose intervals overlap are one candidate, at t0 if it holds the seam
+        starts = np.flatnonzero(np.append(True, span[0, 1:] > np.maximum.accumulate(span[1])[:-1]))
+        lo, hi = span[0, starts], np.maximum.reduceat(span[1], starts)
+        at_t0 = (lo <= t0) & (t0 <= hi)
+        real = np.diff(starts, append=found.size) - at_t0
+        times = np.where(at_t0, t0, found[starts])
+        sides = np.append(np.minimum.reduceat(ends[0], starts), np.maximum.reduceat(ends[1], starts))
+        sign = np.prod(slope(unit, sides)[0], axis=0).reshape(2, -1)
+        # a candidate across whose strong ends the slope keeps its sign is an inflection
+        turn = (real == 1) | ((real > 1) & (np.sign(sign[0]) != np.sign(sign[1])))
+        keep = turn & (times >= t0) & (hi < stop - half) & (np.abs(times) <= cut)
+        roots, spans, reach = times[keep], (hi - lo)[keep], hi[keep]
+        peaks, is_max = series(unit, roots), (sign[0] > sign[1])[keep]
+        first = reach < t0 + period - half  # the first period's extrema
         if periodic:
-            estimate = _period_estimate(roots, is_max, first, width)
+            estimate = _period_estimate(roots, is_max, first, spans)
         if tiled:  # the first period's extrema, shifted by whole periods
-            copies = np.ceil((t1 - width - roots[first]) / period)
+            copies = np.ceil((t1 - half - reach[first]) / period)
             if copies.sum() > _MAX_EXTREMA:
                 raise ValueError(f"window ({w0}, {w1}) holds {int(copies.sum())} extrema, "
                                  f"more than {_MAX_EXTREMA}")
-            reps = int(copies.max(initial=0.0))
-            roots = (roots[first] + period * np.arange(reps)[:, None]).ravel()
-            keep = roots < t1 - width
-            roots, peaks, is_max = (roots[keep], np.tile(peaks[first], reps)[keep],
-                                    np.tile(is_max[first], reps)[keep])
+            shift = period * np.arange(int(copies.max(initial=0.0)))[:, None]
+            keep = (reach[first] + shift).ravel() < t1 - half
+            roots = (roots[first] + shift).ravel()[keep]
+            peaks, is_max = (np.tile(peaks[first], shift.size)[keep],
+                             np.tile(is_max[first], shift.size)[keep])
     return CoherenceTrace(
         times=ts / p.s,
         values=values,
         extrema=tuple(Extremum(r, v, "max" if mx else "min")
                       for r, v, mx in zip((roots / p.s).tolist(), peaks.tolist(), is_max.tolist())),
         period_estimate=None if estimate is None else estimate / p.s,
-        asymptote_estimate=_asymptote_estimate(ts, values, periodic, flat),
+        asymptote_estimate=_asymptote_estimate(ts, values, periodic),
     )
 
 
@@ -386,34 +388,31 @@ def _flat(values: np.ndarray) -> bool:
 
 
 def _period_estimate(times: np.ndarray, is_max: np.ndarray, first: np.ndarray,
-                     width: float) -> float | None:
-    """The larger of the maxima's and the minima's spacings if the two agree
-    to twice the root error and 1e-10 of it (near the EP a flat extremum is
-    located less well than the width), else None.  A kind's spacing pairs
-    each of its extrema with its copy one period on: with n of them in the
-    ``first`` period, the mean of its differences at stride n.  It is None
-    where n is 0, where no extremum has a copy, or where the differences
-    spread by more than the root error, twice ``width`` plus a few
-    roundings of the largest time."""
-    error = 2.0 * width + 8.0 * float(np.spacing(np.abs(times).max(initial=0.0)))
-    spacings = []
+                     spans: np.ndarray) -> float | None:
+    """The larger of the maxima's and the minima's spacings that lies within
+    the error of every paired difference, else None.  A kind pairs each of
+    its extrema with its copy one period on: with n of them in the ``first``
+    period, its differences at stride n, each known to the sum of its pair's
+    error intervals ``spans``; its spacing is their mean.  None also where
+    n is 0 or where no extremum has a copy."""
+    pairs = []
     for kind in (is_max, ~is_max):
-        same, n = times[kind], int(np.count_nonzero(first[kind]))
-        diffs = same[n:] - same[:same.size - n]
-        if n == 0 or diffs.size == 0 or float(np.ptp(diffs)) > error:
+        same, span, n = times[kind], spans[kind], int(np.count_nonzero(first[kind]))
+        if n == 0 or same.size == n:
             return None
-        spacings.append(float(np.mean(diffs)))
-    low, top = sorted(spacings)
-    return top if top - low <= 2.0 * error + 1e-10 * top else None
+        pairs.append((same[n:] - same[:-n], span[n:] + span[:-n]))
+    diffs, error = map(np.concatenate, zip(*pairs))
+    within = [m for m in (float(np.mean(d)) for d, _ in pairs)
+              if np.max(diffs - error) <= m <= np.min(diffs + error)]
+    return max(within, default=None)
 
 
-def _asymptote_estimate(ts: np.ndarray, values: np.ndarray, periodic: bool,
-                        flat: bool) -> float | None:
+def _asymptote_estimate(ts: np.ndarray, values: np.ndarray, periodic: bool) -> float | None:
     """Mean of the span's last 10% where converged: a periodic trace only
     when it is flat, any other when its tail slope is below 1e-6."""
     tail = slice(len(ts) - max(2, len(ts) // 10), None)
     tt, vv = ts[tail], values[tail]
-    converged = flat if periodic else tt[-1] > tt[0] and abs(_tail_slope(tt, vv)) < 1e-6
+    converged = _flat(values) if periodic else tt[-1] > tt[0] and abs(_tail_slope(tt, vv)) < 1e-6
     return float(np.mean(vv)) if converged else None
 
 
@@ -520,14 +519,14 @@ def classify_backflow(
     double touch: both maxima return to the C = 1 level within the
     full-touch threshold) or 2 (APT, single backflow).  In the broken
     regime and at the exceptional point a window of ``10/s`` is used
-    and the trace is typically monotonic.  A flat trace (value range at
-    C's rounding level, :func:`_flat`) classifies as constant with zero
-    stationary points.
+    and the trace is typically monotonic.  A trace without stationary
+    points whose value range is at C's rounding level (:func:`_flat`)
+    classifies as constant.
     An ``s`` so small that the window's end overflows a double raises
     ValueError.
     """
     trace = find_extrema(st, p, _scan_window(p, 1))
-    if _flat(trace.values):
+    if not trace.extrema and _flat(trace.values):
         return BackflowReport(zeros_per_period=0, classification=Classification.CONSTANT)
     count = len(trace.extrema)
     if count >= 4:

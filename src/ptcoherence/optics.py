@@ -18,6 +18,9 @@ printed one is picked by a fixed rule, never by cost: HWP angles mod π/2 and
 QWP angles mod π (a sign of the product), a value within ``_TIE`` (1e-6) of
 0 or of the top read as 0, then the lexicographically first fitted setting,
 ties within ``_TIE`` passed on; it is polished and read again with ``_SEAM``.
+It is the first among the branches the fixed starts reach, not among all
+exact settings: at APT a = 1.5, t = 1 an exact setting that precedes it,
+(π/4, 0.6984, …), is reached from no start.
 
 Conventions
 -----------
@@ -246,8 +249,9 @@ def solve_angles(p: HamiltonianParams, t: float) -> OpticalSequence:
     wave-plate angles from the 32 fixed ``_STARTS`` in all four loss gauges,
     for up to 60 steps or until the best row reaches rounding level; no random
     number is drawn.  The first converged row by the branch rule (module
-    docstring, ties within 1e-6) is polished and reduced again; its residual
-    is returned.
+    docstring, ties within 1e-6), first among the branches these starts
+    reach rather than among all exact settings, is polished and reduced
+    again; its residual is returned.
 
     Raises
     ------

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -623,7 +625,6 @@ def _main_from(source: str, tmp_path, argv) -> int:
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("argv, message", [
     (("trace", "--kind", "pt", "--a", "0.5", "--t-min", "nan"), "t-min must be finite, got nan"),
     (("trace", "--kind", "pt", "--a", "0.5", "--t-max", "inf"), "t-max must be finite, got inf"),
@@ -643,35 +644,100 @@ def _main_from(source: str, tmp_path, argv) -> int:
     (("backflow", "--kind", "pt", "--a", "0.47", "--alpha", "1", "--beta", "1", "--phi", "nan"),
      "phi must be finite, got nan"),
 ], ids=["t_min", "t_max", "t", "s", "a", "exposure_nan", "exposure_inf", "alpha", "beta", "phi"])
-def test_non_finite_input_exits_2(tmp_path, capsys, source, argv, message):
-    code = _main_from(source, tmp_path, argv)
+def test_non_finite_input_exits_2(capsys, argv, message):
+    code = main(list(argv))
     assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("argv, message", [
-    (("trace", "--kind", "pt", "--a", "0.5", "--t-min", "2", "--t-max", "1"),
-     "t-max must exceed t-min, got (2.0, 1.0)"),
-    (("trace", "--kind", "pt", "--a", "0.5", "--t-min", "-1"), "t-min must be >= 0, got -1.0"),
-    (("angles", "--kind", "pt", "--a", "0.5", "--t", "-1"), "t must be >= 0, got -1.0"),
-    (("tomography", "--kind", "pt", "--a", "0.5", "--exposure", "-5"),
-     "exposure must be > 0, got -5.0"),
-    (("tomography", "--kind", "pt", "--a", "0.5", "--exposure", "0"),
-     "exposure must be > 0, got 0.0"),
-    (("trace", "--kind", "pt", "--a", "0.5", "--points", "1"), "points must be >= 2, got 1"),
-    (("tomography", "--kind", "pt", "--a", "0.5", "--resamples", "1"),
-     "resamples must be >= 2, got 1"),
-    (("angles", "--kind", "pt", "--a", "0.5", "--seed", "-1"), "seed must be >= 0, got -1"),
-    (("period", "--kind", "pt", "--a", "0.5", "--alpha", "1"),
-     "explicit initial states need both alpha and beta"),
-    (("backflow", "--kind", "pt", "--a", "0.47", "--alpha", "-1", "--beta", "1"),
-     "alpha must be nonnegative, got -1.0"),
-], ids=["window-reversed", "t_min-negative", "t-negative", "exposure-negative",
-        "exposure-zero", "points-one", "resamples-one", "seed-negative", "alpha-without-beta",
-        "alpha-negative"])
+# a single numeric field's value reads alike from a config line: the
+# property below holds that for every field, so only the relations
+# between fields take both sources here
+@pytest.mark.parametrize("source, argv, message", [
+    pytest.param(source, argv, message, id=f"{name}-{source}")
+    for name, argv, message in [
+        ("window-reversed", ("trace", "--kind", "pt", "--a", "0.5", "--t-min", "2", "--t-max", "1"),
+         "t-max must exceed t-min, got (2.0, 1.0)"),
+        ("alpha-without-beta", ("period", "--kind", "pt", "--a", "0.5", "--alpha", "1"),
+         "explicit initial states need both alpha and beta"),
+    ] for source in ("flag", "config")
+] + [
+    pytest.param("flag", argv, message, id=name) for name, argv, message in [
+        ("t_min-negative", ("trace", "--kind", "pt", "--a", "0.5", "--t-min", "-1"),
+         "t-min must be >= 0, got -1.0"),
+        ("t-negative", ("angles", "--kind", "pt", "--a", "0.5", "--t", "-1"),
+         "t must be >= 0, got -1.0"),
+        ("exposure-negative", ("tomography", "--kind", "pt", "--a", "0.5", "--exposure", "-5"),
+         "exposure must be > 0, got -5.0"),
+        ("exposure-zero", ("tomography", "--kind", "pt", "--a", "0.5", "--exposure", "0"),
+         "exposure must be > 0, got 0.0"),
+        ("points-one", ("trace", "--kind", "pt", "--a", "0.5", "--points", "1"),
+         "points must be >= 2, got 1"),
+        ("resamples-one", ("tomography", "--kind", "pt", "--a", "0.5", "--resamples", "1"),
+         "resamples must be >= 2, got 1"),
+        ("seed-negative", ("angles", "--kind", "pt", "--a", "0.5", "--seed", "-1"),
+         "seed must be >= 0, got -1"),
+        ("alpha-negative", ("backflow", "--kind", "pt", "--a", "0.47", "--alpha", "-1",
+                            "--beta", "1"), "alpha must be nonnegative, got -1.0"),
+    ]
+])
 def test_out_of_range_input_exits_2_naming_the_field(tmp_path, capsys, source, argv, message):
     code = _main_from(source, tmp_path, argv)
     assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+
+
+#: A run for each numeric field: the subcommand with the flags it needs, and
+#: the state keys that go with the field, since a state is read whole from
+#: the flags or from the config file.
+_NUMERIC_RUNS = {
+    "s": (("period", "--kind", "pt", "--a", "0.5"), {}),
+    "a": (("period", "--kind", "pt"), {}),
+    "alpha": (("period", "--kind", "pt", "--a", "0.5"), {"beta": "0.8"}),
+    "beta": (("period", "--kind", "pt", "--a", "0.5"), {"alpha": "0.6"}),
+    "phi": (("period", "--kind", "pt", "--a", "0.5"), {"alpha": "0.6", "beta": "0.8"}),
+    "t_min": (("asymptote", "--kind", "pt", "--a", "0.5", "--state", "D", "--t-max", "2"), {}),
+    "t_max": (("asymptote", "--kind", "pt", "--a", "0.5", "--state", "D"), {}),
+    "t": (("angles", "--kind", "pt", "--a", "0.5"), {}),
+    "seed": (("angles", "--kind", "pt", "--a", "0.5"), {}),
+    "exposure": (("tomography", "--kind", "pt", "--a", "0.5", "--state", "D",
+                  "--resamples", "2"), {}),
+    "resamples": (("tomography", "--kind", "pt", "--a", "0.5", "--state", "D"), {}),
+    "points": (("trace", "--kind", "pt", "--a", "0.5", "--state", "D"), {}),
+}
+
+
+def _outcome(argv) -> tuple[int, str, str]:
+    """``main``'s exit code, stdout and stderr, argparse's own errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_numeric_runs_cover_every_numeric_field():
+    assert set(_NUMERIC_RUNS) == {key for key, entry in cli._FIELDS.items() if "type" in entry[1]}
+
+
+@pytest.mark.parametrize("key", sorted(_NUMERIC_RUNS))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_numeric_flag_reads_every_value_a_config_line_reads(tmp_path_factory, key, data):
+    # --k v, --k=v and a config line give the same exit, stdout and stderr
+    # for values in and out of the field's domain, non-finite ones
+    # included: a value such as -1e-05 or -inf is the flag's, not an option
+    base, state = _NUMERIC_RUNS[key]
+    numbers = st.integers(-3, 5) if cli._FIELDS[key][1]["type"] is int else (
+        st.floats() | st.floats(-3.0, 3.0))
+    value = repr(data.draw(numbers))
+    pairs = {key: value, **state}
+    flags = [token for k, v in pairs.items() for token in ("--" + k.replace("_", "-"), v)]
+    config = tmp_path_factory.getbasetemp() / f"{key}.cfg"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
+    outcome = _outcome([*base, *flags])
+    assert _outcome([*base, f"{flags[0]}={value}", *flags[2:]]) == outcome
+    assert _outcome([*base, "--config", str(config)]) == outcome
 
 
 @pytest.mark.filterwarnings("error")
