@@ -102,6 +102,10 @@ class CoherenceTrace:
         Stationary points in the window, sorted by time, each within its
         error interval: 1e-9 in ``theta = s t`` (of the phase ``w theta``
         where ``w > 1``), wider where a slope factor is within its bound.
+    constant:
+        Whether the trace is constant: no slope sample has every factor
+        clear of its bound, or no slope is sampled (a broken window past
+        the cut).  A constant trace has no extrema.
     period_estimate:
         Period read from the extremum times of an unbroken span: each
         extremum paired with its copy one period on, the larger of the
@@ -114,6 +118,7 @@ class CoherenceTrace:
     times: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     extrema: tuple[Extremum, ...]
+    constant: bool
     period_estimate: float | None
     asymptote_estimate: float | None
 
@@ -275,9 +280,8 @@ def _scan(
     interval ends half a width before t0 + P), the ones tiling shifts, is
     paired with its copy one period on.  The asymptote estimate is the
     mean of the span's last 10%: in the unbroken regime only where the
-    span is flat (:func:`_flat`: its range at C's rounding level relative
-    to its maximum), since a periodic trace converges nowhere else; in the
-    broken regime and at the EP where the least-squares slope of that
+    trace is constant, since a periodic trace converges nowhere else; in
+    the broken regime and at the EP where the least-squares slope of that
     tail is below 1e-6 per unit theta.  Times and period are divided by
     ``s`` on return.
     """
@@ -305,14 +309,15 @@ def _scan(
     ts = t0 + (stop - t0) * (np.arange(samples) / samples)  # half-open; k/n exact, n = 2^m
     values = series(unit, ts)
     roots, peaks, is_max = np.empty(0), np.empty(0), np.empty(0, dtype=bool)
-    estimate = None
+    estimate, constant = None, True  # no slope is sampled past the cut
     if t0 < cut:
         end = min(stop, cut)
         grid = np.append(ts, stop) if end == stop else np.linspace(t0, end, samples + 1)
         grid = np.sort(np.append([2.0 * t0 - grid[1], t0 - width, t0 + width, end - width], grid))
         f, bound = slope(unit, grid)
         neg, strong = f < 0.0, np.abs(f) > bound
-        strong &= strong.all(axis=0).any()  # a constant trace brackets nothing
+        constant = not strong.all(axis=0).any()
+        strong &= not constant  # a constant trace brackets nothing
         # consecutive strong samples: a weak run up to the end (the
         # approach to the broken plateau) brackets nothing either
         j, i = np.nonzero(strong)
@@ -367,8 +372,9 @@ def _scan(
         values=values,
         extrema=tuple(Extremum(r, v, "max" if mx else "min")
                       for r, v, mx in zip((roots / p.s).tolist(), peaks.tolist(), is_max.tolist())),
+        constant=constant,
         period_estimate=None if estimate is None else estimate / p.s,
-        asymptote_estimate=_asymptote_estimate(ts, values, periodic),
+        asymptote_estimate=_asymptote_estimate(ts, values, periodic, constant),
     )
 
 
@@ -377,14 +383,6 @@ def _width(w: float) -> float:
     or that share of the phase ``w theta`` where ``w > 1``, so that a fast
     period is resolved as finely as a slow one."""
     return _BISECT_WIDTH / max(1.0, w)
-
-
-def _flat(values: np.ndarray) -> bool:
-    """Whether a sampled trace counts as constant: its value range is at
-    most C's rounding level (``evolution._ROUNDING``) relative to its
-    maximum, so a trace that only rises from 0 to 1e-14 is not flat."""
-    vmax = float(values.max())
-    return vmax - float(values.min()) <= _ROUNDING * vmax
 
 
 def _period_estimate(times: np.ndarray, is_max: np.ndarray, first: np.ndarray,
@@ -407,12 +405,13 @@ def _period_estimate(times: np.ndarray, is_max: np.ndarray, first: np.ndarray,
     return max(within, default=None)
 
 
-def _asymptote_estimate(ts: np.ndarray, values: np.ndarray, periodic: bool) -> float | None:
+def _asymptote_estimate(ts: np.ndarray, values: np.ndarray, periodic: bool,
+                        constant: bool) -> float | None:
     """Mean of the span's last 10% where converged: a periodic trace only
-    when it is flat, any other when its tail slope is below 1e-6."""
+    when it is ``constant``, any other when its tail slope is below 1e-6."""
     tail = slice(len(ts) - max(2, len(ts) // 10), None)
     tt, vv = ts[tail], values[tail]
-    converged = _flat(values) if periodic else tt[-1] > tt[0] and abs(_tail_slope(tt, vv)) < 1e-6
+    converged = constant if periodic else tt[-1] > tt[0] and abs(_tail_slope(tt, vv)) < 1e-6
     return float(np.mean(vv)) if converged else None
 
 
@@ -520,13 +519,13 @@ def classify_backflow(
     full-touch threshold) or 2 (APT, single backflow).  In the broken
     regime and at the exceptional point a window of ``10/s`` is used
     and the trace is typically monotonic.  A trace without stationary
-    points whose value range is at C's rounding level (:func:`_flat`)
+    points that the scan finds constant (``CoherenceTrace.constant``)
     classifies as constant.
     An ``s`` so small that the window's end overflows a double raises
     ValueError.
     """
     trace = find_extrema(st, p, _scan_window(p, 1))
-    if not trace.extrema and _flat(trace.values):
+    if not trace.extrema and trace.constant:
         return BackflowReport(zeros_per_period=0, classification=Classification.CONSTANT)
     count = len(trace.extrema)
     if count >= 4:

@@ -202,8 +202,8 @@ class DensityMatrix:
 #: Hyperbolic argument (at the EP, log |theta|) above which the scaled
 #: representation is used (see the module docstring for why 150).
 _SCALE_SWITCH = 150.0
-#: Relative rounding level of C and of a sum of a few products of its
-#: terms: the flatness level of a trace and the bound of a slope factor.
+#: Relative rounding level of a sum of a few products of C's terms: the
+#: bound of a slope factor.
 _ROUNDING = 64.0 * np.finfo(np.float64).eps
 
 

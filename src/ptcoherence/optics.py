@@ -41,6 +41,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,19 +295,29 @@ def solve_angles(p: HamiltonianParams, t: float) -> OpticalSequence:
 def verify_state_action(seq: OpticalSequence, seed: int = 12345) -> float:
     """Worst-case state-action deviation between ``seq`` and its target.
 
-    Draws ``_N_STATES`` (10) Haar-like random pure states, evolves each
-    with the propagator of ``seq.params`` (u) and with the assembled
-    sequence (v), and renormalizes both.  The deviation of a state is
+    Draws ``_N_STATES`` (10) Haar-random pure states from Python's own
+    ``random.Random(seed)``, whose ``random()`` stream Python keeps the
+    same across versions, so the check loads no ``numpy.random`` (which
+    numpy 2 imports on first use; numpy 1.x imports it with numpy): each
+    amplitude is a complex normal from two uniforms by Box-Muller, a
+    radius and then a phase.  ``seed`` is a non-negative int; a negative
+    one raises ValueError, since ``random.Random`` would read it as its
+    absolute value.  It evolves each state with the propagator
+    of ``seq.params`` (u) and with the assembled sequence (v), and
+    renormalizes both.  The deviation of a state is
     the distance at the nearest global phase, ``min_phi ||u - e^{i phi} v||``,
     which equals ``sqrt(2 - 2 |<u, v>|)``; it is computed as that norm,
     with v turned by the phase of ``<v, u>``, so a deviation near 0 keeps
     its digits.  Returns the maximum across the panel, inf when an output
     vanishes.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     target = propagator_scaled(seq.params, seq.t)[0]  # seq.t is validated by OpticalSequence
     mat = assemble(seq.params.kind, seq.angles)
-    raw = np.random.default_rng(seed).normal(size=(_N_STATES, 2, 2))
-    states = raw[:, 0] + 1j * raw[:, 1]  # each state's real pair, then its imaginary pair
+    rng = random.Random(seed)
+    uniform = np.array([rng.random() for _ in range(4 * _N_STATES)]).reshape(_N_STATES, 2, 2)
+    states = np.sqrt(-2.0 * np.log1p(-uniform[..., 0])) * np.exp(2j * np.pi * uniform[..., 1])
     u, v = (np.sum(states[:, None, :] * m, axis=-1) for m in (target, mat))
     nu, nv = (_norm(x, keepdims=True) for x in (u, v))
     if min(nu.min(), nv.min()) < 1e-300:

@@ -211,14 +211,28 @@ def test_backflow_report_near_exceptional_point(capsys, kind, a, expected):
     # C rises from 0 to 1/a: tiny, but far above its own rounding
     ("pt", "1e14", "H", (1, "Monotonic")),
     ("pt", "1e100", "H", (1, "Monotonic")),
+    # D's PT trace spans less than C's rounding here, yet its slope is
+    # strong: it oscillates, so it is neither constant nor converged
+    *(("pt", a, "D", (4, "DoubleTouch")) for a in ("1e-7", "1e-8", "1e-9", "1e-10")),
+    ("pt", "0.47", "h-sqrt3v", (4, "DoubleTouch")),
+    ("apt", "1.5", "H", (2, "SingleBackflow")),
+    ("apt", "2.8", "D", (0, "Constant")),
+    ("apt", "1e10", "D", (0, "Constant")),
 ])
 def test_backflow_report_is_constant_only_at_rounding_level(capsys, kind, a, state, expected):
     # D's PT trace spans 5e-11 at a = 1e-5 and 5e-13 at 1e-6: small, but
     # far above C's rounding, so it is not constant
-    code, out = run(capsys, "backflow", "--kind", kind, "--a", a, "--state", state)
-    assert code == 0
-    payload = json.loads(out)
-    assert (payload["zeros_per_period"], payload["classification"]) == expected
+    reports = []
+    for cmd in ("backflow", "asymptote"):
+        code, out = run(capsys, cmd, "--kind", kind, "--a", a, "--state", state)
+        assert code == 0
+        reports.append(json.loads(out))
+    backflow, asymptote = reports
+    assert (backflow["zeros_per_period"], backflow["classification"]) == expected
+    # one constancy rule: an unbroken trace converges exactly where it is constant
+    if asymptote["regime"] == "unbroken":
+        constant = expected[1] == "Constant"
+        assert (asymptote["asymptote_estimate"] is not None) == constant
 
 
 @pytest.mark.parametrize("a, state", [("3e-5", "H"), ("1e-4", "h-sqrt3v"), ("1e-3", "D"),

@@ -324,11 +324,21 @@ def test_period_estimate_near_exceptional_point_is_period_or_none(kind):
 def test_find_extrema_asymptote_estimate_broken():
     p = apt(0.47)
     trace = find_extrema(PureState(0.6, 0.8, 0.9), p, (0.0, 12.0))
+    assert not trace.constant
     assert trace.asymptote_estimate == pytest.approx(1.0, abs=1e-6)
+
+
+def test_find_extrema_past_the_broken_cut_is_constant():
+    # no slope is sampled past 2 w theta = 52 ln 2, where C equals its limit
+    trace = find_extrema(PureState.preset("h-sqrt3v"), pt(2.8), (100.0, 110.0))
+    assert trace.constant
+    assert trace.extrema == ()
+    assert trace.asymptote_estimate == pytest.approx(1 / 2.8, rel=1e-12)
 
 
 def test_find_extrema_constant_trace():
     trace = find_extrema(PureState.preset("D"), apt(2.8), (0.0, 5.0))
+    assert trace.constant
     assert trace.extrema == ()
     assert trace.period_estimate is None
     assert trace.asymptote_estimate == pytest.approx(1.0, abs=1e-12)

@@ -1,7 +1,9 @@
 """Jones-matrix conventions, sequence assembly, and inverse design."""
 from __future__ import annotations
 
+import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -193,15 +195,24 @@ def test_state_action_is_the_phase_aligned_distance_over_the_same_panel():
     seq = OpticalSequence(p, tuple(a + 1e-3 for a in solved.angles), t, solved.residual)
     target = propagator_scaled(p, t)[0]
     mat = assemble(p.kind, seq.angles)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     expected = 0.0
     for _ in range(10):  # the panel drawn state by state
-        raw = rng.normal(size=2) + 1j * rng.normal(size=2)
+        raw = np.empty(2, dtype=complex)
+        for k in range(2):  # each amplitude by Box-Muller: a radius, then a phase
+            radius = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+            raw[k] = radius * cmath.exp(2j * math.pi * rng.random())
         u, v = target @ raw, mat @ raw
         overlap = abs(np.vdot(u / np.linalg.norm(u), v / np.linalg.norm(v)))
         expected = max(expected, math.sqrt(2.0 - 2.0 * overlap))
     assert expected > 1e-4
     assert verify_state_action(seq, seed=seed) == pytest.approx(expected, rel=1e-8)
+
+
+def test_state_action_rejects_a_negative_seed():
+    # random.Random would draw seed -1's panel from seed 1's stream
+    with pytest.raises(ValueError, match="non-negative"):
+        verify_state_action(solve_angles(pt(0.47), 1.0), seed=-1)
 
 
 def test_solve_angles_identity_at_zero_time():

@@ -9,9 +9,14 @@ each must exit 0.  A cold call loads only what its subcommand runs:
 ``import ptcoherence`` loads no submodule, the scan
 subcommands load neither the optics, tomography, Bloch and two-qubit
 modules nor ``statistics``, ``two-qubit`` and ``bloch`` load no
-coherence module, and ``angles`` and ``tomography`` load only their own
-chain.  The checks need their own interpreter because the test session
-has every module loaded.  ``_EXPORTS`` is the one list of public names:
+coherence module, ``angles`` and ``tomography`` load only their own
+chain, and only ``tomography`` loads ``numpy.random`` (with ``secrets``
+and OpenSSL's ``_hashlib`` under it, about 6 MiB of peak RSS): the
+``angles`` check panel comes from Python's own generator.  On numpy 1.x,
+whose ``import numpy`` loads ``numpy.random`` itself, every command has
+it, and what bare numpy loads is left out of the check.  The checks
+need their own interpreter because the test session has every module
+loaded.  ``_EXPORTS`` is the one list of public names:
 each table module's ``__all__`` is its entry.  No package source calls
 BLAS or LAPACK, whose first use costs about 1 MiB of peak RSS.
 """
@@ -57,34 +62,44 @@ _SCRIPT = textwrap.dedent("""
 """ % (_POINTS,))
 
 
-#: Run ``commands`` cold, then print the loaded ``unloaded`` modules.
+#: Run ``commands`` cold, then print the ``unloaded`` modules they
+#: loaded.  What a bare ``import numpy`` loads is not the commands' doing:
+#: numpy 1.x imports ``numpy.random`` (and with it ``secrets``) eagerly,
+#: numpy 2 only on first use.
 _LOADS_SCRIPT = textwrap.dedent("""
     import contextlib, io, sys
 
     import ptcoherence
     print(sorted(name for name in sys.modules if name.startswith("ptcoherence.")))
 
+    import numpy
+    unloaded = set(%r) - set(sys.modules)
     from ptcoherence.cli import main
     for cmd in %r:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main([cmd, "--kind", "pt", "--a", "0.47"]) == 0, cmd
-    print(sorted(set(%r) & set(sys.modules)))
+    print(sorted(unloaded & set(sys.modules)))
 """)
+
+#: Numpy's generator and what it loads (``secrets``, then OpenSSL's
+#: ``_hashlib``): only ``tomography`` draws from it.
+_NUMPY_RANDOM = ("numpy.random", "secrets")
 
 #: Each command set and the modules it must not load: the scan commands
 #: load no optics, tomography, two-qubit or Bloch module and no
 #: ``statistics``; the grid commands that run no scan load no coherence;
 #: ``angles`` loads no coherence, tomography, two-qubit or Bloch module,
 #: and ``tomography`` no optics, two-qubit or Bloch module, and neither
-#: loads ``statistics``.
+#: loads ``statistics``; no command but ``tomography`` loads
+#: ``_NUMPY_RANDOM``.
 _COLD_LOADS = (
     (("period", "asymptote", "backflow", "trace"),
      ("ptcoherence.optics", "ptcoherence.tomography", "ptcoherence.twoqubit",
-      "ptcoherence.bloch", "statistics")),
-    (("two-qubit", "bloch"), ("ptcoherence.coherence",)),
+      "ptcoherence.bloch", "statistics", *_NUMPY_RANDOM)),
+    (("two-qubit", "bloch"), ("ptcoherence.coherence", *_NUMPY_RANDOM)),
     (("angles",),
      ("ptcoherence.coherence", "ptcoherence.tomography", "ptcoherence.twoqubit",
-      "ptcoherence.bloch", "statistics")),
+      "ptcoherence.bloch", "statistics", *_NUMPY_RANDOM)),
     (("tomography",),
      ("ptcoherence.coherence", "ptcoherence.optics", "ptcoherence.twoqubit",
       "ptcoherence.bloch", "statistics")),
@@ -99,7 +114,7 @@ def test_every_subcommand_runs_without_scipy():
 
 def test_cold_calls_load_only_their_subcommand():
     for commands, unloaded in _COLD_LOADS:
-        result = run_fresh(_LOADS_SCRIPT % (commands, unloaded))
+        result = run_fresh(_LOADS_SCRIPT % (unloaded, commands))
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n[]\n", commands
 
