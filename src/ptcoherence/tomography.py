@@ -18,9 +18,16 @@ optimizer (Hradil, PRA 55, R1561 (1997); Smolin, Gambetta & Smith, PRL
 Counts are stored as floats so that exact probability records — the
 infinite-exposure limit — flow through the same code paths as sampled
 integer counts.
+
+Counts and resamples are numpy's stream, redone bit for bit on Python ints and
+``math`` so that no command loads ``numpy.random``: ``SeedSequence``, PCG64
+XSL-RR (O'Neill, HMC-CS-2014-0905) and ``random_poisson`` (Hörmann's PTRS at
+means >= 10, Insurance: Math. Econ. 12, 39 (1993); multiplication below).  Seed
+``s`` draws as ``default_rng(s)``, resample ``i`` as ``SeedSequence(s).spawn(n)[i]``.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +40,15 @@ __all__ = list(_EXPORTS["tomography"])
 
 #: Iteration cap of the Newton and bisection loops (both end far sooner).
 _MAX_STEPS = 200
+
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+#: numpy's largest Poisson mean: int64's max less ten of its square roots.
+_POISSON_LAM_MAX = float(2**63 - 1) - math.sqrt(2**63 - 1) * 10
+#: numpy's ``random_loggam`` series coefficients, in Horner order.
+_LOGGAM_A = (-1.39243221690590e+00, 1.796443723688307e-01, -2.955065359477124e-02,
+             6.410256410256410e-03, -1.917526917526918e-03, 8.417508417508418e-04,
+             -5.952380952380952e-04, 7.936507936507937e-04, -2.777777777777778e-03,
+             8.333333333333333e-02)
 
 
 class InsufficientDataError(ValueError):
@@ -74,6 +90,89 @@ class CountRecord:
 # forward model
 # ---------------------------------------------------------------------------
 
+def _hashmix(const: int, mult: int):
+    """SeedSequence's hash, its running constant stepped by ``mult``, mod 2**32."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value, const = value ^ const, const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _doubles(seed: int, child: int | None = None):
+    """The doubles of ``default_rng(seed)``, or of child ``child`` of
+    ``SeedSequence(seed).spawn(n)``: SeedSequence's words seed PCG64 XSL-RR,
+    and each 64-bit output gives its top 53 bits over 2**53."""
+    def uint32s(n: int) -> list[int]:
+        return [n >> shift & _M32 for shift in range(0, max(n.bit_length(), 1), 32)]
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    words, hashmix = uint32s(seed), _hashmix(0x43B0D7E5, 0x931E8875)
+    if child is not None:  # a short seed is padded to the pool's 4 words before a spawn key
+        words += [0] * (4 - len(words)) + uint32s(child)
+    # the pool's 4 words, then the words past them, hashed only as each is mixed in
+    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]] + words[4:]
+    for src, dst in [*itertools.permutations(range(4), 2),
+                     *itertools.product(range(4, len(pool)), range(4))]:
+        r = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src])) & _M32
+        pool[dst] = r ^ r >> 16
+    w = list(map(_hashmix(0x8B51F9DD, 0x58F38DED), pool[:4] * 2))  # 8 uint32 = 4 uint64 words
+    initstate, initseq = (w[i + 2] | w[i + 3] << 32 | w[i] << 64 | w[i + 1] << 96 for i in (0, 4))
+    mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, (initseq << 1 | 1) & _M128
+    state = (initstate + inc) * mult + inc
+
+    def next_double() -> float:
+        nonlocal state
+        state = (state * mult + inc) & _M128
+        rot, x = state >> 122, (state >> 64 ^ state) & _M64
+        return (((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2.0**-53
+    return next_double
+
+
+def _loggam(x: float) -> float:
+    """numpy's ``random_loggam``: Stirling's series at ``x + n >= 7``, recurred down."""
+    if x == 1.0 or x == 2.0:
+        return 0.0
+    n = int(7 - x) if x < 7.0 else 0
+    x0, gl0 = x + n, 0.0
+    x2 = (1.0 / x0) * (1.0 / x0)
+    for coef in _LOGGAM_A:
+        gl0 = gl0 * x2 + coef
+    gl = gl0 / x0 + 0.5 * 1.8378770664093453 + (x0 - 0.5) * math.log(x0) - x0
+    for j in range(1, n + 1):
+        gl -= math.log(x0 - j)
+    return gl
+
+
+def _poisson(lam: float, rand) -> int:
+    """numpy's ``random_poisson`` on the doubles ``rand()``, after its guard on
+    ``lam``: PTRS at ``lam >= 10``, else multiplication.  Where Python raises
+    and C does not, C's result is kept: ``log(0)`` is -inf, and a ``us`` of 0
+    or a ``k`` beyond int64 (negative after the cast on x86-64) is rejected."""
+    if not 0.0 <= lam <= _POISSON_LAM_MAX:
+        raise ValueError(f"Poisson mean {lam} is not in [0, {_POISSON_LAM_MAX}]")
+    if lam < 10:
+        enlam, k, prod = math.exp(-lam), 0, rand() if lam else 0.0  # no draw at lam = 0
+        while prod > enlam:
+            k, prod = k + 1, prod * rand()
+        return k
+    loglam, b = math.log(lam), 0.931 + 2.53 * math.sqrt(lam)
+    a, vr = -0.059 + 0.02483 * b, 0.9277 - 3.6224 / (b - 2)
+    log_invalpha = math.log(1.1239 + 1.1328 / (b - 3.4))
+    while True:
+        u, v = rand() - 0.5, rand()
+        us = 0.5 - abs(u)
+        k = math.floor((2 * a / us + b) * u + lam + 0.43) if us else -1
+        if us >= 0.07 and v <= vr:
+            return k
+        if k < 0 or k >= 2**63 or (us < 0.013 and v > us):
+            continue
+        if ((math.log(v) if v else -math.inf) + log_invalpha - math.log(a / (us * us) + b)
+                <= -lam + k * loglam - _loggam(float(k + 1))):
+            return k
+
+
 def _rho_array(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     arr = rho.rho if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if arr.shape != (2, 2):
@@ -104,16 +203,16 @@ def simulate_counts(
     Each basis observes ``Poisson(exposure * p_b)`` events, clipped at
     the exposure so a record never reports more successes than trials
     (the unclipped Poisson tail slightly exceeds the exposure when
-    ``p_b`` is near 1).
+    ``p_b`` is near 1).  ``seed`` is a non-negative int; a negative one
+    raises ValueError.
     """
     if not 0 < exposure < math.inf:
         raise ValueError(f"exposure must be positive and finite, got {exposure}")
-    rng, lam = np.random.default_rng(seed), exposure * ideal_probabilities(rho)
+    rand, lam = _doubles(seed), exposure * ideal_probabilities(rho)
     try:
-        n = rng.poisson(lam).astype(float)
+        n = np.minimum([_poisson(v, rand) for v in lam.tolist()], float(exposure))
     except ValueError:
         raise ValueError(f"cannot sample Poisson counts at exposure {exposure:g}") from None
-    n = np.minimum(n, float(exposure))
     return CountRecord(n[0], n[1], n[2], n[3], exposure=float(exposure))
 
 
@@ -199,17 +298,17 @@ def bootstrap_errorbar(
     """Bootstrap mean and standard deviation of the reconstructed coherence.
 
     Each resample draws fresh Poisson counts around the observed record
-    (independent child streams spawned from ``seed``, clipped at the
-    exposure).  Resamples without H/V events are dropped; the rest are
+    (resample ``i`` from child stream ``i`` of ``seed``, clipped at the
+    exposure); ``seed`` is a non-negative int, and a negative one raises
+    ValueError.  Resamples without H/V events are dropped; the rest are
     reconstructed in one pass, each giving ``C = 2 |rho_01| = hypot(x, y)``.
     The sample standard deviation uses ``ddof=1``.
     """
     if resamples < 2:
         raise ValueError("resamples must be >= 2")
-    observed = record.as_array()
-    draws = np.array([np.random.default_rng(child).poisson(observed)
-                      for child in np.random.SeedSequence(seed).spawn(resamples)])
-    draws = np.minimum(draws.astype(float), record.exposure)
+    observed = record.as_array().tolist()
+    draws = np.minimum([[_poisson(v, rand) for v in observed]
+                        for rand in (_doubles(seed, i) for i in range(resamples))], record.exposure)
     draws = draws[draws[:, 0] + draws[:, 1] > 0]
     if len(draws) < 2:
         raise InsufficientDataError("too few viable bootstrap resamples")

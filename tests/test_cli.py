@@ -327,6 +327,30 @@ def test_tomography_report(capsys):
     assert payload["trace_distance"] < 0.05
 
 
+#: Printed H, V, R, D counts at the benchmark's four points, recorded from
+#: numpy's Generator: the package's own stream must keep drawing them.
+_PINNED_COUNTS = {
+    ("pt", "0.47", "h-sqrt3v"): {0: (23682, 6174, 17417, 27110), 7: (23677, 6447, 17208, 27214),
+                                 424242: (23610, 6328, 17368, 26844)},
+    ("pt", "2.8", "D"): {0: (29096, 891, 20450, 15178), 7: (29090, 998, 20223, 15255),
+                         424242: (29017, 951, 20397, 14979)},
+    ("apt", "1.5", "h-sqrt3v"): {0: (12461, 17243, 255, 15889), 7: (12457, 17696, 240, 15992),
+                                 424242: (12409, 17500, 260, 15708)},
+    ("apt", "0.47", "D"): {0: (15048, 14686, 9084, 28794), 7: (15044, 15104, 8932, 28901),
+                           424242: (14991, 14923, 9048, 28520)},
+}
+
+
+@pytest.mark.parametrize("point", _PINNED_COUNTS, ids="-".join)
+def test_tomography_counts_are_pinned(capsys, point):
+    kind, a, state = point
+    for seed, counts in _PINNED_COUNTS[point].items():
+        code, out = run(capsys, "tomography", "--kind", kind, "--a", a, "--state", state,
+                        "--seed", str(seed), "--resamples", "2")
+        assert code == 0
+        assert json.loads(out)["counts"] == dict(zip("HVRD", map(float, counts))), seed
+
+
 def test_tomography_coherences_keep_their_digits(capsys):
     # at a = 1e8 the true coherence is 1e-8, far below the diagonal's 1
     code, out = run(capsys, "tomography", "--kind", "pt", "--a", "1e8", "--state", "D",

@@ -10,13 +10,14 @@ each must exit 0.  A cold call loads only what its subcommand runs:
 subcommands load neither the optics, tomography, Bloch and two-qubit
 modules nor ``statistics``, ``two-qubit`` and ``bloch`` load no
 coherence module, ``angles`` and ``tomography`` load only their own
-chain, and only ``tomography`` loads ``numpy.random`` (with ``secrets``
+chain, and no command loads ``numpy.random`` (with ``secrets``, ``hmac``
 and OpenSSL's ``_hashlib`` under it, about 6 MiB of peak RSS): the
-``angles`` check panel comes from Python's own generator.  On numpy 1.x,
-whose ``import numpy`` loads ``numpy.random`` itself, every command has
-it, and what bare numpy loads is left out of the check.  The checks
-need their own interpreter because the test session has every module
-loaded.  ``_EXPORTS`` is the one list of public names:
+``angles`` check panel comes from Python's own generator, and the
+``tomography`` counts from the package's own copy of numpy's stream.  On
+numpy 1.x, whose ``import numpy`` loads ``numpy.random`` itself, every
+command has it, and what bare numpy loads is left out of the check.  The
+checks need their own interpreter because the test session has every
+module loaded.  ``_EXPORTS`` is the one list of public names:
 each table module's ``__all__`` is its entry.  No package source calls
 BLAS or LAPACK, whose first use costs about 1 MiB of peak RSS.
 """
@@ -81,17 +82,16 @@ _LOADS_SCRIPT = textwrap.dedent("""
     print(sorted(unloaded & set(sys.modules)))
 """)
 
-#: Numpy's generator and what it loads (``secrets``, then OpenSSL's
-#: ``_hashlib``): only ``tomography`` draws from it.
-_NUMPY_RANDOM = ("numpy.random", "secrets")
+#: Numpy's generator and what it loads (``secrets``, ``hmac`` and OpenSSL's
+#: ``_hashlib``): no command loads it.
+_NUMPY_RANDOM = ("numpy.random", "secrets", "hmac", "_hashlib")
 
 #: Each command set and the modules it must not load: the scan commands
 #: load no optics, tomography, two-qubit or Bloch module and no
 #: ``statistics``; the grid commands that run no scan load no coherence;
 #: ``angles`` loads no coherence, tomography, two-qubit or Bloch module,
 #: and ``tomography`` no optics, two-qubit or Bloch module, and neither
-#: loads ``statistics``; no command but ``tomography`` loads
-#: ``_NUMPY_RANDOM``.
+#: loads ``statistics``; no command loads ``_NUMPY_RANDOM``.
 _COLD_LOADS = (
     (("period", "asymptote", "backflow", "trace"),
      ("ptcoherence.optics", "ptcoherence.tomography", "ptcoherence.twoqubit",
@@ -102,7 +102,7 @@ _COLD_LOADS = (
       "ptcoherence.bloch", "statistics", *_NUMPY_RANDOM)),
     (("tomography",),
      ("ptcoherence.coherence", "ptcoherence.optics", "ptcoherence.twoqubit",
-      "ptcoherence.bloch", "statistics")),
+      "ptcoherence.bloch", "statistics", *_NUMPY_RANDOM)),
 )
 
 

@@ -6,10 +6,12 @@ constructed projectors, independent of the module's Bloch shortcuts.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
 
+from ptcoherence import tomography
 from ptcoherence import (
     CountRecord,
     DensityMatrix,
@@ -110,6 +112,26 @@ def test_simulate_counts_clips_at_exposure_for_saturated_basis():
 def test_simulate_counts_rejects_unusable_exposure(exposure, message):
     with pytest.raises(ValueError, match=message):
         simulate_counts(PureState.preset("H").density(), exposure=exposure)
+
+
+def test_simulate_counts_are_numpys_draws():
+    # numpy's Generator is the oracle: the same draws, clipped at the exposure
+    rho = _rho(0.6, 0.8, 0.5)
+    for seed in (0, 7, 424242, 2**40, 2**70 + 3):
+        for exposure in (3.0, 200.0, 30000.0):
+            lam = exposure * ideal_probabilities(rho)
+            expected = np.minimum(np.random.default_rng(seed).poisson(lam), exposure)
+            record = simulate_counts(rho, exposure, seed=seed)
+            assert record.as_array().tolist() == expected.tolist(), (seed, exposure)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: simulate_counts(_rho(0.6, 0.8, 0.5), exposure=100.0, seed=-1),
+    lambda: bootstrap_errorbar(CountRecord(60.0, 40.0, 50.0, 70.0, exposure=100.0), seed=-1),
+], ids=["simulate_counts", "bootstrap_errorbar"])
+def test_negative_seed_is_rejected(call):
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        call()
 
 
 def test_count_record_validation():
@@ -291,6 +313,83 @@ def test_bootstrap_validation():
     # no H/V events to resample: every resample is dropped
     with pytest.raises(InsufficientDataError, match="too few viable"):
         bootstrap_errorbar(CountRecord(0.0, 0.0, 5.0, 5.0, exposure=10.0), resamples=10)
+
+
+# ---------------------------------------------------------------------------
+# the sampling stream: numpy's, bit for bit
+# ---------------------------------------------------------------------------
+
+#: Seeds of one to five 32-bit words, at the word boundaries, and seeded
+#: 63-bit values.
+_STREAM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 17,
+                 *(random.Random(2024).getrandbits(63) for _ in range(4)))
+
+
+def _draws(lams, seed: int, child: int | None = None) -> list[int]:
+    rand = tomography._doubles(seed, child)
+    return [tomography._poisson(lam, rand) for lam in lams]
+
+
+def _raw_doubles(bit_generator, n: int) -> list[float]:
+    return [(int(x) >> 11) * 2.0**-53 for x in bit_generator.random_raw(n)]
+
+
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+def test_stream_is_numpys_pcg64(seed):
+    # the doubles of default_rng(seed) and of each of SeedSequence(seed).spawn(8)
+    rand = tomography._doubles(seed)
+    assert [rand() for _ in range(40)] == _raw_doubles(np.random.PCG64(seed), 40)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(8)):
+        rand = tomography._doubles(seed, i)
+        assert [rand() for _ in range(40)] == _raw_doubles(np.random.PCG64(child), 40), i
+
+
+def _stream_means(rng: random.Random) -> list[float]:
+    """Means on both sides of the method switch at 10, and far up to the bound."""
+    return [0.0, 1e-300, 0.3, 2.5, 9.999999999999998, 10.0, *(rng.uniform(0, 10) for _ in range(8)),
+            *(rng.uniform(10, 60) for _ in range(8)), 3e4, 1e9, tomography._POISSON_LAM_MAX]
+
+
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+def test_poisson_draws_are_numpys(seed):
+    lams = _stream_means(random.Random(seed))
+    assert _draws(lams, seed) == np.random.default_rng(seed).poisson(lams).tolist()
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(8)):
+        assert _draws(lams, seed, i) == np.random.default_rng(child).poisson(lams).tolist(), i
+
+
+def test_poisson_draws_reach_the_log_gamma_test(monkeypatch):
+    # at small means PTRS's quick test passes less often: 10^4 means in
+    # [10, 60] reach its log-gamma comparison thousands of times
+    calls = []
+    loggam = tomography._loggam
+    monkeypatch.setattr(tomography, "_loggam", lambda x: calls.append(x) or loggam(x))
+    rng = random.Random(11)
+    lams = [rng.uniform(10, 60) for _ in range(10_000)]
+    assert _draws(lams, 11) == np.random.default_rng(11).poisson(lams).tolist()
+    assert len(calls) > 1000
+
+
+def test_ptrs_keeps_c_results_where_python_raises():
+    # numpy's C code on pairs (u + 1/2, v) that the stream almost never
+    # draws: u = -1/2 gives us = 0, rejected; us = 2**-53 puts k beyond
+    # int64, rejected (log v = log 0 = -inf would accept it); the third
+    # pair passes the quick test at k = floor(lam + 0.43)
+    doubles = iter([0.0, 0.5, 1.0 - 2.0**-53, 0.0, 0.5, 0.5])
+    lam = tomography._POISSON_LAM_MAX
+    assert tomography._poisson(lam, doubles.__next__) == int(lam)
+    # us = 0.05 and v = 0: log(0) = -inf accepts k in the log-gamma test
+    assert tomography._poisson(10.0, iter([0.95, 0.0]).__next__) == 17
+
+
+@pytest.mark.parametrize("lam", [
+    math.nextafter(tomography._POISSON_LAM_MAX, math.inf), math.inf, -1e-300, -1.0, math.nan,
+], ids=["one-ulp-above-bound", "inf", "tiny-negative", "negative", "nan"])
+def test_poisson_guard_is_numpys(lam):
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).poisson(lam)
+    with pytest.raises(ValueError):
+        _draws([lam], 0)
 
 
 # ---------------------------------------------------------------------------
