@@ -90,44 +90,76 @@ class CountRecord:
 # forward model
 # ---------------------------------------------------------------------------
 
-def _hashmix(const: int, mult: int):
-    """SeedSequence's hash, its running constant stepped by ``mult``, mod 2**32."""
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value, const = value ^ const, const * mult & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-    return hashmix
+def _uint32s(n: int) -> list[int]:
+    """The 32-bit words of ``n``, least significant first (one word for 0)."""
+    return [n >> shift & _M32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hash(value: int, const: int, mult: int = 0x931E8875) -> tuple[int, int]:
+    """SeedSequence's hash of ``value`` and its running constant ``const``
+    stepped by ``mult``, mod 2**32."""
+    value, const = value ^ const, const * mult & _M32
+    value = value * const & _M32
+    return value ^ value >> 16, const
+
+
+def _mix(pool: list[int], pairs, const: int) -> int:
+    """Mix the hash of ``pool[src]`` into ``pool[dst]`` in place for each
+    ``(src, dst)`` of ``pairs``, as SeedSequence mixes its entropy words;
+    return the running hash constant ``const`` stepped past them."""
+    for src, dst in pairs:
+        value, const = _hash(pool[src], const)
+        r = (0xCA01F9DD * pool[dst] - 0x4973F715 * value) & _M32
+        pool[dst] = r ^ r >> 16
+    return const
+
+
+def _streams(seed: int):
+    """``streams(key)`` gives the doubles of child ``key`` of
+    ``SeedSequence(seed).spawn(n)``, or of ``default_rng(seed)`` for None.
+
+    The seed's words, padded to the pool's 4, are mixed into the pool once
+    here: SeedSequence pads a short seed before a spawn key, and without one
+    its pool runs the hash out over zeros alike.  Each stream then mixes in
+    only its key's words.  SeedSequence's words seed PCG64 XSL-RR, and each
+    64-bit output gives its top 53 bits over 2**53.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    words, pool, const = _uint32s(seed), [], 0x43B0D7E5
+    for word in (words + [0, 0, 0])[:4]:
+        value, const = _hash(word, const)
+        pool.append(value)
+    pool += words[4:]  # the words past the pool, hashed only as each is mixed in
+    const = _mix(pool, [*itertools.permutations(range(4), 2),
+                        *itertools.product(range(4, len(pool)), range(4))], const)
+    del pool[4:]
+
+    def stream(key: int | None = None):
+        mixed = pool + ([] if key is None else _uint32s(key))
+        _mix(mixed, itertools.product(range(4, len(mixed)), range(4)), const)
+        w, c = [], 0x8B51F9DD
+        for value in mixed[:4] * 2:  # 8 uint32 = 4 uint64 words
+            value, c = _hash(value, c, 0x58F38DED)
+            w.append(value)
+        initstate, initseq = (w[i + 2] | w[i + 3] << 32 | w[i] << 64 | w[i + 1] << 96
+                              for i in (0, 4))
+        mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, (initseq << 1 | 1) & _M128
+        state = (initstate + inc) * mult + inc
+
+        def next_double() -> float:
+            nonlocal state
+            state = (state * mult + inc) & _M128
+            rot, x = state >> 122, (state >> 64 ^ state) & _M64
+            return (((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2.0**-53
+        return next_double
+    return stream
 
 
 def _doubles(seed: int, child: int | None = None):
     """The doubles of ``default_rng(seed)``, or of child ``child`` of
-    ``SeedSequence(seed).spawn(n)``: SeedSequence's words seed PCG64 XSL-RR,
-    and each 64-bit output gives its top 53 bits over 2**53."""
-    def uint32s(n: int) -> list[int]:
-        return [n >> shift & _M32 for shift in range(0, max(n.bit_length(), 1), 32)]
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    words, hashmix = uint32s(seed), _hashmix(0x43B0D7E5, 0x931E8875)
-    if child is not None:  # a short seed is padded to the pool's 4 words before a spawn key
-        words += [0] * (4 - len(words)) + uint32s(child)
-    # the pool's 4 words, then the words past them, hashed only as each is mixed in
-    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]] + words[4:]
-    for src, dst in [*itertools.permutations(range(4), 2),
-                     *itertools.product(range(4, len(pool)), range(4))]:
-        r = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src])) & _M32
-        pool[dst] = r ^ r >> 16
-    w = list(map(_hashmix(0x8B51F9DD, 0x58F38DED), pool[:4] * 2))  # 8 uint32 = 4 uint64 words
-    initstate, initseq = (w[i + 2] | w[i + 3] << 32 | w[i] << 64 | w[i + 1] << 96 for i in (0, 4))
-    mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, (initseq << 1 | 1) & _M128
-    state = (initstate + inc) * mult + inc
-
-    def next_double() -> float:
-        nonlocal state
-        state = (state * mult + inc) & _M128
-        rot, x = state >> 122, (state >> 64 ^ state) & _M64
-        return (((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2.0**-53
-    return next_double
+    ``SeedSequence(seed).spawn(n)``: one stream of :func:`_streams`."""
+    return _streams(seed)(child)
 
 
 def _loggam(x: float) -> float:
@@ -307,8 +339,9 @@ def bootstrap_errorbar(
     if resamples < 2:
         raise ValueError("resamples must be >= 2")
     observed = record.as_array().tolist()
+    streams = _streams(seed)
     draws = np.minimum([[_poisson(v, rand) for v in observed]
-                        for rand in (_doubles(seed, i) for i in range(resamples))], record.exposure)
+                        for rand in map(streams, range(resamples))], record.exposure)
     draws = draws[draws[:, 0] + draws[:, 1] > 0]
     if len(draws) < 2:
         raise InsufficientDataError("too few viable bootstrap resamples")

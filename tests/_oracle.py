@@ -1,18 +1,18 @@
-"""Independent ground truth for the tests: SciPy's matrix exponential in
-doubles, one high-precision reference propagator, and two matrix distances.
+"""Independent ground truth for the tests: one high-precision reference
+propagator, of one qubit and of two, and two matrix distances.
 
-:func:`mat_exp_oracle` (``scipy.linalg.expm``, scaling and squaring with
-Pade approximants) is the fast double-precision oracle; it overflows past
-a phase of about 700.  :func:`reference_propagator` is the one
-high-precision reference: ``mpmath.expm`` of ``-i H t``, with ``H`` built
-from its definition, s (sigma_x + i a sigma_z) for PT and
+:func:`reference_propagator` is ``mpmath.expm`` of ``-i H t``, with ``H``
+built from its definition, s (sigma_x + i a sigma_z) for PT and
 s (i sigma_x + a sigma_z) for APT, from the same doubles the package
 receives, so a comparison measures the package's arithmetic alone.  It
 shares no code with the package's closed form ``U = A I + g M``, and its
 exponent does not overflow.  It works at 60 digits, and at
 ``60 + 2 ceil(log10 a)`` for ``a > 1``: deep in the broken regime the small
-eigenvector component is about 1/(2a) of the large one.  SciPy and mpmath
-are test dependencies only, and no other test module imports either.
+eigenvector component is about 1/(2a) of the large one.
+:func:`joint_reference_matrix` is ``mpmath.expm`` of the joint two-qubit
+generator ``H_A ⊗ I + I ⊗ H_B``, built entry by entry, so it shares no code
+with the Kronecker product of closed forms under test.  mpmath is a test
+dependency only, and no other test module imports it.
 """
 from __future__ import annotations
 
@@ -21,46 +21,8 @@ import math
 
 import mpmath
 import numpy as np
-from scipy.linalg import expm
 
 from ptcoherence import HamiltonianParams, SymmetryClass
-
-
-def _as_complex_square(m: np.ndarray, name: str) -> np.ndarray:
-    """Validate and convert ``m`` to a finite complex square array."""
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
-def mat_exp_oracle(m: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """``exp(m * t)`` by ``scipy.linalg.expm``.
-
-    For a Hamiltonian ``H``, pass ``m = -1j * H`` to obtain ``exp(-i H t)``.
-
-    Raises
-    ------
-    OverflowError
-        If the exponential exceeds the double-precision range.
-    ValueError
-        If ``m`` is not square or contains non-finite entries, or if
-        ``t`` is not finite.
-    """
-    arr = _as_complex_square(m, "m")
-    tf = float(t)
-    if not np.isfinite(tf):
-        raise ValueError("t must be finite")
-    with np.errstate(over="ignore"):  # an overflow raises below, as OverflowError
-        result = expm(arr * tf)
-    if not np.all(np.isfinite(result.view(float))):
-        raise OverflowError(
-            "matrix exponential overflowed the double-precision range; "
-            "reduce |t| or the generator norm"
-        )
-    return result
 
 
 def frobenius_dist(a: np.ndarray, b: np.ndarray) -> float:
@@ -90,6 +52,21 @@ def _digits(a: float) -> int:
     return 60 + 2 * max(0, math.ceil(math.log10(a)))
 
 
+def _hamiltonian(p: HamiltonianParams) -> mpmath.matrix:
+    """``H`` of ``p`` from its definition; call within a ``workdps``."""
+    s, a = mpmath.mpf(p.s), mpmath.mpf(p.a)
+    sx, sz = mpmath.matrix([[0, 1], [1, 0]]), mpmath.matrix([[1, 0], [0, -1]])
+    return s * (sx + 1j * a * sz) if p.kind is SymmetryClass.PT else s * (1j * sx + a * sz)
+
+
+def _normalized(u: mpmath.matrix) -> np.ndarray:
+    """``u`` as complex doubles, divided by the magnitude of its largest
+    entry; call within a ``workdps``."""
+    rows = u.tolist()
+    big = max(abs(x) for row in rows for x in row)
+    return np.array([[complex(x / big) for x in row] for row in rows])
+
+
 @functools.lru_cache(maxsize=None)
 def reference_propagator(p: HamiltonianParams, t) -> mpmath.matrix:
     """``exp(-i H t)`` by ``mpmath.expm`` at :func:`_digits` of ``p.a``.
@@ -98,19 +75,28 @@ def reference_propagator(p: HamiltonianParams, t) -> mpmath.matrix:
     below one ulp of ``t``).  The cached matrix must not be modified.
     """
     with mpmath.workdps(_digits(p.a)):
-        s, a = mpmath.mpf(p.s), mpmath.mpf(p.a)
-        sx, sz = mpmath.matrix([[0, 1], [1, 0]]), mpmath.matrix([[1, 0], [0, -1]])
-        h = s * (sx + 1j * a * sz) if p.kind is SymmetryClass.PT else s * (1j * sx + a * sz)
-        return mpmath.expm(-1j * h * mpmath.mpf(t))
+        return mpmath.expm(-1j * _hamiltonian(p) * mpmath.mpf(t))
 
 
 def reference_matrix(p: HamiltonianParams, t) -> np.ndarray:
     """:func:`reference_propagator` as complex doubles, divided by the
     magnitude of its largest entry: finite at every phase."""
-    u = reference_propagator(p, t).tolist()
     with mpmath.workdps(_digits(p.a)):
-        big = max(abs(x) for row in u for x in row)
-        return np.array([[complex(x / big) for x in row] for row in u])
+        return _normalized(reference_propagator(p, t))
+
+
+def joint_reference_matrix(p: HamiltonianParams, t: float,
+                           q: HamiltonianParams | None = None) -> np.ndarray:
+    """``exp(-i (H_A ⊗ I + I ⊗ H_B) t)`` for ``H_A`` of ``p`` and ``H_B`` of
+    ``q`` (default ``p``), by ``mpmath.expm`` at the larger :func:`_digits`,
+    as :func:`reference_matrix` gives it."""
+    q = p if q is None else q
+    with mpmath.workdps(_digits(max(p.a, q.a))):
+        h_a, h_b = _hamiltonian(p), _hamiltonian(q)
+        h = mpmath.matrix(4, 4)
+        for i, j, k, l in np.ndindex(2, 2, 2, 2):  # row 2i + k, column 2j + l
+            h[2 * i + k, 2 * j + l] = h_a[i, j] * (k == l) + (i == j) * h_b[k, l]
+        return _normalized(mpmath.expm(-1j * h * mpmath.mpf(t)))
 
 
 def _l1(v: list) -> mpmath.mpf:

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from _oracle import frobenius_dist, mat_exp_oracle
+from _oracle import frobenius_dist, reference_propagator
 from conftest import apt, pt, random_states
 
 import ptcoherence as pc
@@ -143,7 +143,7 @@ def test_criterion_4_balanced_state_invariance(capsys):
 
 
 # ---------------------------------------------------------------------------
-# criterion 5 — propagator fidelity against the dense-exponential oracle
+# criterion 5 — propagator fidelity against the high-precision reference
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_propagator_fidelity(capsys):
@@ -159,7 +159,7 @@ def test_criterion_5_propagator_fidelity(capsys):
         t = float(rng.uniform(0.0, 20.0))
         p = HamiltonianParams(kind=kind, s=1.0, a=a)
         u = pc.propagator_analytic(p, t)
-        reference = mat_exp_oracle(-1j * pc.build_hamiltonian(p), t)
+        reference = np.array(reference_propagator(p, t).tolist(), dtype=complex)
         scale = max(1.0, float(np.linalg.norm(reference)))
         worst = max(worst, frobenius_dist(u, reference) / scale)
     elapsed = time.perf_counter() - start

@@ -1,8 +1,10 @@
-"""Closed-form propagators vs the dense matrix exponential, and state flows.
+"""Closed-form propagators vs the high-precision reference, and state flows.
 
-The frozen matrices below were computed with the dense matrix
-exponential of the explicitly constructed generators (scipy's expm),
-independent of the closed forms under test.
+The reference is ``_oracle.reference_propagator``: ``mpmath.expm`` of the
+generator built from its definition, independent of the closed forms under
+test.  The frozen matrices below came from a dense double-precision matrix
+exponential of the same generators; each test also holds the reference to
+its literal within the test's tolerance.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracle import frobenius_dist, mat_exp_oracle, reference_propagator
+from _oracle import frobenius_dist, reference_matrix, reference_propagator
 from conftest import apt, pt
 
 from ptcoherence import (
@@ -19,7 +21,6 @@ from ptcoherence import (
     HamiltonianParams,
     PureState,
     SymmetryClass,
-    build_hamiltonian,
     evolve_density,
     propagator_analytic,
 )
@@ -27,7 +28,8 @@ from ptcoherence.evolution import abc_scaled, propagator_scaled, pure_rows
 
 
 def _oracle(p: HamiltonianParams, t: float) -> np.ndarray:
-    return mat_exp_oracle(-1j * build_hamiltonian(p), t)
+    """:func:`reference_propagator` as complex doubles."""
+    return np.array(reference_propagator(p, t).tolist(), dtype=complex)
 
 
 def _rel_dist(u: np.ndarray, v: np.ndarray) -> float:
@@ -106,43 +108,47 @@ def test_density_of_pure_state():
 # ---------------------------------------------------------------------------
 
 def test_propagator_pt_unbroken_frozen():
-    u = propagator_analytic(pt(0.31), 1.0)
+    p, t = pt(0.31), 1.0
     expected = np.array(
         [
             [0.8464481203742266, -0.8560139199259117j],
             [-0.8560139199259117j, 0.3157194900201612],
         ]
     )
-    assert frobenius_dist(u, expected) < 1e-12
+    for u in (propagator_analytic(p, t), _oracle(p, t)):
+        assert frobenius_dist(u, expected) < 1e-12
 
 
 def test_propagator_pt_exceptional_point_frozen():
     # at a=1 the closed form is linear in t: exactly representable
-    u = propagator_analytic(pt(1.0, s=2.0), 0.75)
+    p, t = pt(1.0, s=2.0), 0.75
     expected = np.array([[2.5, -1.5j], [-1.5j, -0.5]])
-    assert frobenius_dist(u, expected) < 1e-13
+    for u in (propagator_analytic(p, t), _oracle(p, t)):
+        assert frobenius_dist(u, expected) < 1e-13
 
 
 def test_propagator_apt_broken_frozen():
-    u = propagator_analytic(apt(2.8), 0.5)
+    p, t = apt(2.8), 0.5
     expected = np.array(
         [
             [0.26010084754156426 - 1.0337580327730485j, 0.3691992974189459],
             [0.3691992974189459, 0.26010084754156426 + 1.0337580327730485j],
         ]
     )
-    assert frobenius_dist(u, expected) < 1e-12
+    for u in (propagator_analytic(p, t), _oracle(p, t)):
+        assert frobenius_dist(u, expected) < 1e-12
 
 
 def test_propagator_apt_unbroken_growing_frozen():
-    u = propagator_analytic(apt(0.47, s=1.3), 2.0)
+    p, t = apt(0.47, s=1.3), 2.0
     expected = np.array(
         [
             [5.012268043113757 - 2.6152631369580415j, 5.564389653102216],
             [5.564389653102216, 5.012268043113757 + 2.6152631369580415j],
         ]
     )
-    assert frobenius_dist(u, expected) < 1e-10
+    for u in (propagator_analytic(p, t), _oracle(p, t)):
+        assert frobenius_dist(u, expected) < 1e-10
 
 
 def test_propagator_at_zero_time_is_identity():
@@ -151,7 +157,7 @@ def test_propagator_at_zero_time_is_identity():
 
 
 # ---------------------------------------------------------------------------
-# oracle equivalence and algebraic properties
+# reference equivalence and algebraic properties
 # ---------------------------------------------------------------------------
 
 @given(
@@ -242,10 +248,9 @@ def test_propagator_scaled_consistent_with_raw_past_the_switch():
 def test_propagator_scaled_matches_normalized_oracle():
     # deep in the broken regime compare direction only (scale removed)
     p = pt(2.9)
-    t = 80.0  # x = s t sqrt(a^2-1) ~ 218: oracle still finite, raw huge
+    t = 80.0  # x = s t sqrt(a^2-1) ~ 218: raw entries near e^218
     u_hat = propagator_scaled(p, t)[0]
-    w = _oracle(p, t)
-    assert frobenius_dist(u_hat / np.abs(u_hat).max(), w / np.abs(w).max()) < 1e-9
+    assert frobenius_dist(u_hat / np.abs(u_hat).max(), reference_matrix(p, t)) < 1e-9
 
 
 @pytest.mark.parametrize("a, t", [(3.0, 2.0), (1e3, 0.05), (1e8, 1e-7)])
@@ -254,7 +259,7 @@ def test_propagator_entries_match_reference_at_large_a(a, t):
     # formed as A - a g of two unit-size terms would lose its digits
     p = pt(a)
     u = propagator_analytic(p, t)
-    ref = np.array(reference_propagator(p, t).tolist(), dtype=complex)
+    ref = _oracle(p, t)
     assert np.max(np.abs(u - ref) / np.abs(ref)) <= 1e-14
 
 

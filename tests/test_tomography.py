@@ -336,10 +336,12 @@ def _raw_doubles(bit_generator, n: int) -> list[float]:
 
 @pytest.mark.parametrize("seed", _STREAM_SEEDS)
 def test_stream_is_numpys_pcg64(seed):
-    # the doubles of default_rng(seed) and of each of SeedSequence(seed).spawn(8)
+    # the doubles of default_rng(seed), of each of SeedSequence(seed).spawn(8)
+    # and of a spawn key of two words, mixed into the pool cached past the seed
     rand = tomography._doubles(seed)
     assert [rand() for _ in range(40)] == _raw_doubles(np.random.PCG64(seed), 40)
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(8)):
+    children = enumerate(np.random.SeedSequence(seed).spawn(8))
+    for i, child in [*children, (2**32 + 3, np.random.SeedSequence(seed, spawn_key=(2**32 + 3,)))]:
         rand = tomography._doubles(seed, i)
         assert [rand() for _ in range(40)] == _raw_doubles(np.random.PCG64(child), 40), i
 

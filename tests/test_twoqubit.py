@@ -1,8 +1,10 @@
 """Two-qubit product evolution and coherence traces.
 
-Frozen values were computed with the dense matrix exponential of the
-joint generator H ⊗ I + I ⊗ H acting on the explicit 4-vectors,
-independent of the Kronecker closed form under test.
+Evolved states are held to ``_oracle.joint_reference_matrix``, mpmath's
+matrix exponential of the joint generator H_A ⊗ I + I ⊗ H_B built from its
+definition, independent of the Kronecker closed form under test.  The
+frozen C values came from a dense double-precision exponential of the same
+generator acting on the explicit 4-vectors.
 """
 from __future__ import annotations
 
@@ -11,11 +13,10 @@ import warnings
 import numpy as np
 import pytest
 
-from _oracle import mat_exp_oracle
+from _oracle import joint_reference_matrix
 from conftest import apt, pt
 
 from ptcoherence import (
-    HamiltonianParams,
     TwoQubitState,
     build_hamiltonian,
     evolve_two_qubit,
@@ -24,12 +25,6 @@ from ptcoherence import (
     two_qubit_coherence_trace,
     two_qubit_series,
 )
-
-
-def _oracle4(p: HamiltonianParams, t: float, q: HamiltonianParams | None = None) -> np.ndarray:
-    h4 = np.kron(build_hamiltonian(p), np.eye(2)) + np.kron(
-        np.eye(2), build_hamiltonian(p if q is None else q))
-    return mat_exp_oracle(-1j * h4, t)
 
 
 # ---------------------------------------------------------------------------
@@ -92,20 +87,22 @@ def _same_ray(v: np.ndarray, w: np.ndarray) -> float:
 
 @pytest.mark.parametrize("p,t", [(pt(0.8), 0.6), (pt(1.0), 1.0), (apt(1.8), 0.45)])
 def test_joint_evolution_matches_oracle(p, t):
+    u = joint_reference_matrix(p, t)
     for psi in (TwoQubitState.psi_1(), TwoQubitState.psi_2(), TwoQubitState.psi_3()):
         v = evolve_two_qubit(psi, p, t).vector
-        assert _same_ray(v, _oracle4(p, t) @ psi.vector) < 1e-10
+        assert _same_ray(v, u @ psi.vector) < 1e-10
 
 
 @pytest.mark.parametrize("p_a,p_b", [(pt(0.6), pt(1.4)), (apt(1.8), pt(0.47)),
                                      (apt(0.5), apt(1.0, s=1.3))])
 def test_heterogeneous_evolution_factorizes(p_a, p_b):
     # different parameters per qubit: the grid body's U_A ⊗ U_B vs the
-    # dense exponential of H_A ⊗ I + I ⊗ H_B
+    # exponential of H_A ⊗ I + I ⊗ H_B
     t = 0.8
+    u = joint_reference_matrix(p_a, t, p_b)
     for psi in (TwoQubitState.psi_1(), TwoQubitState.psi_2(), TwoQubitState.psi_3()):
         v = evolve_two_qubit(psi, p_a, t, p_second=p_b).vector
-        assert _same_ray(v, _oracle4(p_a, t, p_b) @ psi.vector) < 1e-10
+        assert _same_ray(v, u @ psi.vector) < 1e-10
 
 
 def test_evolution_matches_oracle_ray():
@@ -113,7 +110,7 @@ def test_evolution_matches_oracle_ray():
     psi = TwoQubitState.psi_3()
     for t in (0.0, 0.45, 1.7):
         v = evolve_two_qubit(psi, p, t).vector
-        w = _oracle4(p, t) @ psi.vector
+        w = joint_reference_matrix(p, t) @ psi.vector
         w = w / np.linalg.norm(w)
         assert abs(abs(np.vdot(w, v)) - 1.0) < 1e-10
 
