@@ -73,9 +73,7 @@ _EXPORTS = {
     ),
     "twoqubit": (
         "TwoQubitState",
-        "evolve_two_qubit",
         "two_qubit_series",
-        "two_qubit_coherence_trace",
     ),
 }
 

@@ -42,7 +42,7 @@ def trajectory_array(
     ts = _evolution_times(grid)
     if ts.size == 0 or np.any(np.diff(ts) < 0):
         raise ValueError("grid must be a nonempty sequence of ascending times")
-    v = pure_rows([p], st.vector(), ts)
+    v = pure_rows(p, st.vector(), ts)
     norms = np.sqrt((v.real * v.real).sum(axis=1) + (v.imag * v.imag).sum(axis=1))
     if np.any(norms < 1e-300):
         raise DegenerateEvolutionError("evolved state norm is below 1e-300: the state's "

@@ -55,8 +55,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _EXPORTS
-from .evolution import (_ROUNDING, PureState, _evolution_times, evolve_product, pure_l1,
-                        pure_rows, pure_terms, shifted_pairs)
+from .evolution import (PureState, _evolution_times, evolve_product, pure_l1, pure_rows,
+                        pure_terms, shifted_pairs)
 from .hamiltonian import (HamiltonianParams, Regime, SymmetryClass, frequency, regime,
                           w_squared)
 
@@ -141,7 +141,7 @@ def coherence_series(st: PureState, p: HamiltonianParams, times: np.ndarray) -> 
     analytic continuation.  The evolved state ``v = F psi + G K psi`` (up
     to a common scale) gives ``C = 2 |v_0| |v_1| / (|v_0|^2 + |v_1|^2)``.
     """
-    return pure_l1(pure_rows([p], st.vector(), times))
+    return pure_l1(pure_rows(p, st.vector(), times))
 
 
 def coherence_closed_form(st: PureState, p: HamiltonianParams, t: float) -> float:
@@ -204,9 +204,14 @@ def find_extrema(
     :func:`_scan`'s :class:`CoherenceTrace`, the sampled span with its
     extrema and estimates (the window's rules and errors are ``_scan``'s).
     """
-    terms = pure_terms([p], st.vector())  # fixed for the scan
+    terms = pure_terms(p, st.vector())  # fixed for the scan
     return _scan(lambda q, th: coherence_series(st, q, th),
                  lambda q, th: coherence_slope(q, terms, th), p, window)
+
+
+#: Relative rounding level of a sum of a few products of C's terms: the
+#: bound of a slope factor.
+_ROUNDING = 64.0 * np.finfo(np.float64).eps
 
 
 def coherence_slope(p: HamiltonianParams, terms: dict, theta: np.ndarray):
@@ -237,8 +242,7 @@ def _scan(
 ) -> CoherenceTrace:
     """Stationary points of a trace on the half-open window, in ``theta = s t``.
 
-    The one extrema scan behind :func:`find_extrema` and
-    :func:`~ptcoherence.twoqubit.two_qubit_coherence_trace`; its rules are
+    The one extrema scan, behind :func:`find_extrema`; its rules are
     stated here only.  ``series(q, theta)`` is the trace and
     ``slope(q, theta)`` gives ``(f, bound)`` of shape ``(k, n)``: factors
     whose product has the sign of the slope, with their rounding bounds;

@@ -25,7 +25,8 @@ Numerical notes
   distance from the tests' 60-digit ``mpmath.expm`` reference was at most
   9.3e-15 over 4000 seeded draws with a in (0, 3], s t in [0, 20] and a
   quarter within 1e-2 to 1e-12 of the EP (at most 4e-16 there).
-* :func:`pure_rows` builds every pure product state of one or two qubits;
+* :func:`pure_rows` builds every pure state, of one qubit or of two under
+  one generator;
   :func:`pure_l1` takes their C from magnitudes, whose squares underflow.
   :func:`l1_coherence` is the one C of a density matrix.
 * The fixed terms (``K psi``) are rounded once from exact sums
@@ -204,9 +205,6 @@ class DensityMatrix:
 #: Hyperbolic argument (at the EP, log |theta|) above which the scaled
 #: representation is used (see the module docstring for why 150).
 _SCALE_SWITCH = 150.0
-#: Relative rounding level of a sum of a few products of C's terms: the
-#: bound of a slope factor.
-_ROUNDING = 64.0 * np.finfo(np.float64).eps
 
 
 def _over_x(f, x: np.ndarray) -> np.ndarray:
@@ -320,19 +318,21 @@ def evolve_product(pairs, terms: dict) -> np.ndarray:
                for k, term in terms.items())
 
 
-def pure_terms(params, psi) -> dict:
-    """The fixed terms of :func:`pure_rows`, which a scan's exact slopes reuse."""
-    return product_terms([shifted_generator(q.kind, q.a) for q in params], psi)
+def pure_terms(p: HamiltonianParams, psi) -> dict:
+    """The fixed terms of :func:`pure_rows`, which the scan's exact slopes reuse:
+    one factor ``K`` per qubit, the count read from ``len(psi)`` (2 or 4)."""
+    k = shifted_generator(p.kind, p.a)
+    return product_terms([k] * (len(psi).bit_length() - 1), psi)
 
 
-def pure_rows(params, psi, times) -> np.ndarray:
-    """The one pure-state evaluator: unnormalized ``(U_1 ⊗ U_2 ⊗ ...) psi``
-    over a grid of any real times, shape ``(n, 2**len(params))``, qubit ``j``
-    evolving under ``params[j]``.  Each distinct parameter set's (F, G) is
-    formed once, at its own ``s t``; their per-time scales cancel in C."""
-    ts = np.asarray(times, dtype=np.float64)
-    pairs = {q: shifted_pairs(q, q.s * ts) for q in dict.fromkeys(params)}
-    return evolve_product([pairs[q] for q in params], pure_terms(params, psi))
+def pure_rows(p: HamiltonianParams, psi, times) -> np.ndarray:
+    """The one pure-state evaluator: unnormalized ``U psi`` (or ``(U ⊗ U) psi``
+    for four amplitudes) over a grid of any real times, shape
+    ``(n, len(psi))``, every qubit under ``p``.  The (F, G) of ``U`` are
+    formed once, at ``s t``; their per-time scale cancels in C."""
+    pair = shifted_pairs(p, p.s * np.asarray(times, dtype=np.float64))
+    terms = pure_terms(p, psi)
+    return evolve_product([pair] * (len(psi).bit_length() - 1), terms)
 
 
 def pure_l1(v: np.ndarray) -> np.ndarray:
@@ -349,14 +349,13 @@ def pure_l1(v: np.ndarray) -> np.ndarray:
 def l1_coherence(rho):
     """l1 coherence ``C = sum_{i != j} |rho_ij|`` of one density matrix or a stack.
 
-    ``rho`` is a :class:`DensityMatrix`, a state
-    exposing ``rho4`` (a two-qubit state), or an array of square
-    matrices of shape ``(..., n, n)``.  Only the off-diagonal magnitudes
+    ``rho`` is a :class:`DensityMatrix` or an array of square matrices of
+    shape ``(..., n, n)``.  Only the off-diagonal magnitudes
     are added, so a small C keeps its digits (for a Hermitian 2x2 matrix
     it is ``2 |rho_01|``).  Returns a float for one matrix and an array
     of shape ``(...)`` for a stack.
     """
-    arr = np.asarray(getattr(rho, "rho", getattr(rho, "rho4", rho)), dtype=complex)
+    arr = np.asarray(getattr(rho, "rho", rho), dtype=complex)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"expected square matrices (..., n, n), got shape {arr.shape}")
     c = np.abs(arr[..., ~np.eye(arr.shape[-1], dtype=bool)]).sum(axis=-1)

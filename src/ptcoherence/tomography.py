@@ -156,12 +156,6 @@ def _streams(seed: int):
     return stream
 
 
-def _doubles(seed: int, child: int | None = None):
-    """The doubles of ``default_rng(seed)``, or of child ``child`` of
-    ``SeedSequence(seed).spawn(n)``: one stream of :func:`_streams`."""
-    return _streams(seed)(child)
-
-
 def _loggam(x: float) -> float:
     """numpy's ``random_loggam``: Stirling's series at ``x + n >= 7``, recurred down."""
     if x == 1.0 or x == 2.0:
@@ -240,7 +234,7 @@ def simulate_counts(
     """
     if not 0 < exposure < math.inf:
         raise ValueError(f"exposure must be positive and finite, got {exposure}")
-    rand, lam = _doubles(seed), exposure * ideal_probabilities(rho)
+    rand, lam = _streams(seed)(), exposure * ideal_probabilities(rho)
     try:
         n = np.minimum([_poisson(v, rand) for v in lam.tolist()], float(exposure))
     except ValueError:

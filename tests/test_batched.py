@@ -69,7 +69,7 @@ def test_bloch_rows_match_per_point(p):
     rows = trajectory_array(STATE, p, ts)
     assert rows.shape == (ts.size, 4)
     assert np.array_equal(rows[:, 0], ts)
-    for t, v, row in zip(ts, pure_rows([p], STATE.vector(), ts), rows):
+    for t, v, row in zip(ts, pure_rows(p, STATE.vector(), ts), rows):
         w = reference_matrix(p, float(t)) @ STATE.vector()
         w = w / np.linalg.norm(w)
         assert np.max(np.abs(v / np.linalg.norm(v) - w)) < 1e-12
@@ -94,47 +94,8 @@ def test_two_qubit_series_matches_per_point(p):
         for t, value in zip(ts, series):
             u = reference_matrix(p, float(t))
             v = np.kron(u, u) @ state.vector
-            assert abs(value - pc.l1_coherence(pc.TwoQubitState(v))) < 1e-12
-
-
-#: Qubit pairs (first, second) of the heterogeneous two-qubit grid: both
-#: regimes on either side, an exceptional point, and unequal scales.
-HETEROGENEOUS_PAIRS = (
-    (pc.HamiltonianParams(kind=pc.SymmetryClass.PT, s=1.0, a=0.6),
-     pc.HamiltonianParams(kind=pc.SymmetryClass.PT, s=1.0, a=1.4)),
-    (pc.HamiltonianParams(kind=pc.SymmetryClass.APT, s=1.0, a=1.8),
-     pc.HamiltonianParams(kind=pc.SymmetryClass.PT, s=1.0, a=0.47)),
-    (pc.HamiltonianParams(kind=pc.SymmetryClass.APT, s=1.0, a=0.5),
-     pc.HamiltonianParams(kind=pc.SymmetryClass.APT, s=1.3, a=1.0)),
-)
-
-
-@pytest.mark.parametrize("p_a, p_b", HETEROGENEOUS_PAIRS, ids=str)
-def test_heterogeneous_two_qubit_series_matches_per_point(p_a, p_b):
-    # the slower qubit reaches phase w s t = 420: U_A ⊗ U_B of the two
-    # per-qubit reference propagators, against the grid's one body
-    ts = np.array(PHASES) / min(_rate(p_a), _rate(p_b))
-    for state in TWO_QUBIT_STATES:
-        series = pc.two_qubit_series(state, p_a, ts, p_second=p_b)
-        for t, value in zip(ts, series):
-            u = np.kron(reference_matrix(p_a, float(t)), reference_matrix(p_b, float(t)))
-            v = u @ state.vector
-            assert abs(value - pc.l1_coherence(pc.TwoQubitState(v))) < 1e-12
-
-
-@pytest.mark.parametrize("p_a, p_b, plateau", [
-    (pc.HamiltonianParams(kind=pc.SymmetryClass.PT, s=1.0, a=3.0),
-     pc.HamiltonianParams(kind=pc.SymmetryClass.PT, s=1.0, a=1.5), (4 / 3) * (5 / 3) - 1.0),
-    (pc.HamiltonianParams(kind=pc.SymmetryClass.APT, s=1.0, a=0.2),
-     pc.HamiltonianParams(kind=pc.SymmetryClass.APT, s=1.0, a=0.6), 3.0),
-], ids=["pt", "apt"])
-def test_heterogeneous_broken_series_reaches_product_plateau(p_a, p_b, plateau):
-    # both qubits broken: each aligns with its dominant eigenvector, so
-    # C_AB -> (1 + c_A)(1 + c_B) - 1 with c = 1/a (PT) or 1 (APT)
-    ts = np.array([0.0, 1.0, 400.0, 1e4, 1e8]) / min(_rate(p_a), _rate(p_b))
-    values = pc.two_qubit_series(pc.TwoQubitState.psi_3(), p_a, ts, p_second=p_b)
-    assert values[0] == pytest.approx(3.0, abs=1e-12)
-    assert values[2:] == pytest.approx(plateau, abs=1e-12)
+            v = v / np.linalg.norm(v)
+            assert abs(value - pc.l1_coherence(np.outer(v, v.conj()))) < 1e-12
 
 
 def test_grid_evolution_rejects_bad_times():

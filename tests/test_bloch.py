@@ -87,7 +87,7 @@ def test_trajectory_grid_validation():
 def test_trajectory_rejects_an_underflowed_state(monkeypatch):
     # rows whose norm is below 1e-300 have lost their direction
     monkeypatch.setattr("ptcoherence.bloch.pure_rows",
-                        lambda params, psi, times: np.full((len(times), 2), 1e-301 + 0j))
+                        lambda p, psi, times: np.full((len(times), 2), 1e-301 + 0j))
     with pytest.raises(DegenerateEvolutionError, match="norm is below 1e-300"):
         trajectory_array(PureState.preset("D"), pt(0.31), [0.0, 1.0])
 

@@ -22,7 +22,6 @@ from ptcoherence import (
     HamiltonianParams,
     PureState,
     SymmetryClass,
-    TwoQubitState,
     asymptotic_value,
     classify_backflow,
     coherence_closed_form,
@@ -31,14 +30,11 @@ from ptcoherence import (
     find_extrema,
     l1_coherence,
     theoretical_period,
-    two_qubit_coherence_trace,
-    two_qubit_series,
     verify_extrema_conditions,
 )
 from ptcoherence import coherence
 from ptcoherence.coherence import _BISECT_WIDTH, _scan, _tail_slope, coherence_slope
 from ptcoherence.evolution import pure_terms
-from ptcoherence.twoqubit import two_qubit_slope
 
 from _oracle import reference_rows
 from conftest import apt, pt, random_states
@@ -88,11 +84,6 @@ def test_l1_rejects_non_square_input():
     for bad in (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3))):
         with pytest.raises(ValueError, match="square"):
             l1_coherence(bad)
-
-
-def test_l1_accepts_two_qubit_state_objects():
-    psi = pc.TwoQubitState.psi_3()
-    assert l1_coherence(psi) == pytest.approx(3.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -622,31 +613,21 @@ def test_extrema_census_at_large_detuning(a):
     assert misses == {(name, label) for name, label in known.items()}
 
 
-def test_both_scan_entries_share_one_window_contract():
-    # find_extrema and two_qubit_coherence_trace reject the same windows
-    # with the same text, and return the span the scan sampled: the window,
-    # or the first four periods of a tiled one
+def test_scan_window_contract():
+    # find_extrema rejects an empty, reversed or non-finite window, naming
+    # it in theta, and returns the span the scan sampled: the window, or
+    # the first four periods of a tiled one
     p = pt(0.47)
     T = theoretical_period(p)
-    one, two = PureState.preset("h-sqrt3v"), TwoQubitState.psi_3()
-    scans = [
-        (lambda window: find_extrema(one, p, window), lambda th: coherence_series(one, p, th)),
-        (lambda window: two_qubit_coherence_trace(two, p, window),
-         lambda th: two_qubit_series(two, p, th)),
-    ]
+    one = PureState.preset("h-sqrt3v")
     for window in ((1.0, 0.5), (1.0, 1.0), (0.0, np.inf), (np.nan, 1.0)):
-        messages = set()
-        for scan, _ in scans:
-            with pytest.raises(ValueError) as err:
-                scan(window)
-            messages.add(str(err.value))
-        assert len(messages) == 1, messages
+        with pytest.raises(ValueError, match=r"in theta = s\*t at s = 1\.0; it must"):
+            find_extrema(one, p, window)
     for periods, samples in ((1, 2048), (10, 8192)):
-        for scan, series in scans:
-            trace = scan((0.0, periods * T))
-            assert trace.times.shape == (samples,)
-            assert trace.times[0] == 0.0 and trace.times[-1] < min(periods, 4) * T
-            assert np.array_equal(trace.values, series(trace.times))
+        trace = find_extrema(one, p, (0.0, periods * T))
+        assert trace.times.shape == (samples,)
+        assert trace.times[0] == 0.0 and trace.times[-1] < min(periods, 4) * T
+        assert np.array_equal(trace.values, coherence_series(one, p, trace.times))
 
 
 def test_scan_widths_read_the_width_helper():
@@ -677,14 +658,8 @@ def _slope_checked(p, state, theta, h) -> int:
     """Assert that the exact slope is finite and has the sign of the
     central difference of the trace wherever that difference is well
     above its own error; return how many points were compared."""
-    if isinstance(state, PureState):
-        terms = pure_terms([p], state.vector())
-        f, bound = coherence_slope(p, terms, theta)
-        sign, series = np.sign(f.prod(axis=0)), lambda th: coherence_series(state, p, th)
-    else:
-        terms = pure_terms([p, p], state.vector)
-        f, bound = two_qubit_slope(p, terms, theta)
-        sign, series = np.sign(f[0]), lambda th: two_qubit_series(state, p, th)
+    f, bound = coherence_slope(p, pure_terms(p, state.vector()), theta)
+    sign, series = np.sign(f.prod(axis=0)), lambda th: coherence_series(state, p, th)
     assert np.all(np.isfinite(f)) and np.all(np.isfinite(bound))
     diff = {k: (series(theta + k * h) - series(theta - k * h)) / (2 * k * h)
             for k in (0.5, 1.0, 2.0)}
@@ -699,9 +674,8 @@ _SLOPE_CASES = [(SymmetryClass.PT, 0.47), (SymmetryClass.APT, 1.5),  # unbroken
                 (SymmetryClass.PT, 2.8), (SymmetryClass.APT, 0.47),  # broken
                 (SymmetryClass.PT, 1.0 - 1e-4), (SymmetryClass.APT, 1.0 + 1e-4)]
 _SLOPE_STATES = pytest.mark.parametrize(
-    "state", [PureState(0.6, 0.8, 0.5), PureState.preset("h-sqrt3v"),
-              TwoQubitState.psi_1(), TwoQubitState.psi_3()],
-    ids=["q1", "h-sqrt3v", "psi1", "psi3"])
+    "state", [PureState(0.6, 0.8, 0.5), PureState.preset("h-sqrt3v")],
+    ids=["q1", "h-sqrt3v"])
 
 
 @_SLOPE_STATES
@@ -804,20 +778,17 @@ def test_classify_broken_single_undershoot():
 # ---------------------------------------------------------------------------
 
 def _scan_summary(kind: SymmetryClass, a: float, state: str, s: float) -> tuple:
-    """Counts and periods (in units of T, or of 1/s when broken) of the
-    single-qubit scans and the two-qubit psi_3 trace at energy scale s."""
+    """Stationary points per period and the period estimate (in units of
+    T, or of 1/s when broken) at energy scale s."""
     p = HamiltonianParams(kind=kind, s=s, a=a)
     st_ = PureState.preset(state)
     T = theoretical_period(p)
     unit = T if T is not None else 1.0 / s
     window = (0.0, 2.0 * T) if T is not None else (0.0, 10.0 / s)
     period = find_extrema(st_, p, window).period_estimate
-    two = two_qubit_coherence_trace(TwoQubitState.psi_3(), p, window)
     return (
         classify_backflow(st_, p).zeros_per_period,
         None if period is None else period / unit,
-        len(two.extrema),
-        None if two.period_estimate is None else two.period_estimate / unit,
     )
 
 
@@ -829,15 +800,13 @@ def _scan_summary(kind: SymmetryClass, a: float, state: str, s: float) -> tuple:
 ], ids=["pt-unbroken", "apt-unbroken", "pt-broken"])
 def test_scans_do_not_depend_on_energy_scale(kind, a, state, s):
     # every observable depends on s and t only through theta = s t
-    zeros, period, two_count, two_period = _scan_summary(kind, a, state, s)
-    ref_zeros, ref_period, ref_two_count, ref_two_period = _scan_summary(kind, a, state, 1.0)
+    zeros, period = _scan_summary(kind, a, state, s)
+    ref_zeros, ref_period = _scan_summary(kind, a, state, 1.0)
     assert zeros == ref_zeros
-    assert two_count == ref_two_count
-    for got, ref in ((period, ref_period), (two_period, ref_two_period)):
-        if ref is None:
-            assert got is None
-        else:
-            assert got == pytest.approx(ref, rel=1e-6)
+    if ref_period is None:
+        assert period is None
+    else:
+        assert period == pytest.approx(ref_period, rel=1e-6)
 
 
 @pytest.mark.parametrize("s", [1e-4, 1e10])

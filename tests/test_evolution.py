@@ -296,7 +296,7 @@ def test_pure_rows_match_oracle_direction(kind, a):
     p = HamiltonianParams(kind=kind, s=1.0, a=a)
     st_ = PureState(0.6, 0.8, 0.5)
     ts = (0.0, 0.7, 2.3)
-    for t, v in zip(ts, pure_rows([p], st_.vector(), ts)):
+    for t, v in zip(ts, pure_rows(p, st_.vector(), ts)):
         v = v / np.linalg.norm(v)
         w = _oracle(p, t) @ st_.vector()
         w = w / np.linalg.norm(w)
@@ -308,7 +308,7 @@ def test_evolve_density_consistent_with_pure_route():
     p = apt(1.5)
     st_ = PureState.preset("h-sqrt3v")
     ts = (0.4, 1.9)
-    for t, v in zip(ts, pure_rows([p], st_.vector(), ts)):
+    for t, v in zip(ts, pure_rows(p, st_.vector(), ts)):
         rho = evolve_density(st_.density(), p, t).rho
         assert frobenius_dist(rho, np.outer(v, v.conj()) / np.vdot(v, v).real) < 1e-12
 

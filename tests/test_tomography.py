@@ -326,7 +326,7 @@ _STREAM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 17,
 
 
 def _draws(lams, seed: int, child: int | None = None) -> list[int]:
-    rand = tomography._doubles(seed, child)
+    rand = tomography._streams(seed)(child)
     return [tomography._poisson(lam, rand) for lam in lams]
 
 
@@ -338,11 +338,12 @@ def _raw_doubles(bit_generator, n: int) -> list[float]:
 def test_stream_is_numpys_pcg64(seed):
     # the doubles of default_rng(seed), of each of SeedSequence(seed).spawn(8)
     # and of a spawn key of two words, mixed into the pool cached past the seed
-    rand = tomography._doubles(seed)
+    streams = tomography._streams(seed)
+    rand = streams()
     assert [rand() for _ in range(40)] == _raw_doubles(np.random.PCG64(seed), 40)
     children = enumerate(np.random.SeedSequence(seed).spawn(8))
     for i, child in [*children, (2**32 + 3, np.random.SeedSequence(seed, spawn_key=(2**32 + 3,)))]:
-        rand = tomography._doubles(seed, i)
+        rand = streams(i)
         assert [rand() for _ in range(40)] == _raw_doubles(np.random.PCG64(child), 40), i
 
 
