@@ -98,6 +98,33 @@ def test_two_qubit_series_matches_per_point(p):
             assert abs(value - pc.l1_coherence(np.outer(v, v.conj()))) < 1e-12
 
 
+@pytest.mark.parametrize("p", list(_panel()), ids=str)
+def test_two_qubit_rows_match_per_point(p):
+    # the four-amplitude rows themselves, not only their C, against
+    # U ⊗ U of the reference propagator
+    ts = _times(p)
+    for state in TWO_QUBIT_STATES:
+        for t, v in zip(ts, pure_rows(p, state.vector, ts)):
+            u = reference_matrix(p, float(t))
+            w = np.kron(u, u) @ state.vector
+            w = w / np.linalg.norm(w)
+            assert abs(abs(np.vdot(w, v / np.linalg.norm(v))) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("p, plateau", [
+    (pc.HamiltonianParams(kind=pc.SymmetryClass.PT, s=1.0, a=3.0), (4 / 3) ** 2 - 1.0),
+    (pc.HamiltonianParams(kind=pc.SymmetryClass.APT, s=1.0, a=0.2), 3.0),
+], ids=["pt", "apt"])
+def test_broken_two_qubit_series_reaches_product_plateau(p, plateau):
+    # both qubits align with the dominant eigenvector, so
+    # C_AB -> (1 + c)^2 - 1 with c = 1/a (PT) or 1 (APT), to double
+    # precision from w s t = 400 on
+    ts = np.array([0.0, 1.0, 400.0, 1e4, 1e8]) / _rate(p)
+    values = pc.two_qubit_series(pc.TwoQubitState.psi_3(), p, ts)
+    assert values[0] == pytest.approx(3.0, abs=1e-12)
+    assert values[2:] == pytest.approx(plateau, abs=1e-12)
+
+
 def test_grid_evolution_rejects_bad_times():
     p = pc.HamiltonianParams(kind=pc.SymmetryClass.PT, s=1.0, a=0.5)
     for bad in ([0.0, -1.0], [0.0, np.inf], [np.nan]):

@@ -341,6 +341,45 @@ def test_find_extrema_window_validation():
         find_extrema(st_, pt(0.31), (1.0, 1.0))
 
 
+def test_find_extrema_scans_a_negative_start():
+    # a negative start scans the analytic continuation, as coherence_series
+    # evaluates it
+    st_ = PureState.preset("h-sqrt3v")
+    trace = find_extrema(st_, pt(0.8), (-1.0, 0.5))
+    assert trace.times[0] == -1.0 and trace.times[-1] < 0.5
+    assert np.array_equal(trace.values, coherence_series(st_, pt(0.8), trace.times))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_find_extrema_rejects_non_finite_window(t):
+    # rejected before any arithmetic: no RuntimeWarning first
+    with pytest.raises(ValueError, match="must be finite"):
+        find_extrema(PureState.preset("D"), pt(0.8), (0.0, t))
+
+
+@pytest.mark.parametrize("p", [pt(0.47), apt(1.5), pt(2.8), apt(0.47)],
+                         ids=["pt-unbroken", "apt-unbroken", "pt-broken", "apt-broken"])
+def test_find_extrema_kinds_alternate(p):
+    # maxima and minima of a smooth trace alternate, also for a boundary
+    # extremum at t = 0 and on windows much longer than a period; a broken
+    # trace approaches its limit monotonically after its last extremum,
+    # which so lies above the limit if a maximum and below it if a minimum
+    count = 0
+    for st_ in (PureState.preset("D"), PureState.preset("h-sqrt3v"),
+                PureState.from_amplitudes(0.3, 1.0, 2.2)):
+        for window in (10.0, 1e3):
+            trace = find_extrema(st_, p, (0.0, window))
+            kinds = [e.kind for e in trace.extrema]
+            assert all(k != k_next for k, k_next in zip(kinds, kinds[1:])), (st_, window)
+            if kinds and theoretical_period(p) is None:
+                last = trace.extrema[-1]
+                side = 1.0 if last.kind == "max" else -1.0
+                assert side * (last.value - asymptotic_value(p)) > 0, (st_, window)
+            count += len(kinds)
+    assert count >= 2  # no regime passes vacuously
+
+
 def test_find_extrema_plateau_has_no_spurious_points():
     # deep broken regime: the settled tail is rounding-noise flat and
     # must not contribute fake stationary points
@@ -674,8 +713,9 @@ _SLOPE_CASES = [(SymmetryClass.PT, 0.47), (SymmetryClass.APT, 1.5),  # unbroken
                 (SymmetryClass.PT, 2.8), (SymmetryClass.APT, 0.47),  # broken
                 (SymmetryClass.PT, 1.0 - 1e-4), (SymmetryClass.APT, 1.0 + 1e-4)]
 _SLOPE_STATES = pytest.mark.parametrize(
-    "state", [PureState(0.6, 0.8, 0.5), PureState.preset("h-sqrt3v")],
-    ids=["q1", "h-sqrt3v"])
+    "state", [PureState(0.6, 0.8, 0.5), PureState.preset("h-sqrt3v"),
+              PureState.from_amplitudes(0.3, 1.0, 2.2), PureState.from_amplitudes(1.0, 0.45, -1.1)],
+    ids=["q1", "h-sqrt3v", "v-heavy", "h-heavy"])
 
 
 @_SLOPE_STATES

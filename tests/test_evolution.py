@@ -22,9 +22,10 @@ from ptcoherence import (
     PureState,
     SymmetryClass,
     evolve_density,
+    l1_coherence,
     propagator_analytic,
 )
-from ptcoherence.evolution import abc_scaled, propagator_scaled, pure_rows
+from ptcoherence.evolution import abc_scaled, propagator_scaled, pure_l1, pure_rows
 
 
 def _oracle(p: HamiltonianParams, t: float) -> np.ndarray:
@@ -302,6 +303,20 @@ def test_pure_rows_match_oracle_direction(kind, a):
         w = w / np.linalg.norm(w)
         phase = np.vdot(w, v)
         assert abs(abs(phase) - 1.0) < 1e-10  # same ray
+
+
+def test_pure_l1_matches_the_density_route():
+    # rows of two and four amplitudes scaled by exact powers of two, to
+    # magnitudes whose products and squares would underflow or overflow
+    # unscaled; the reference is the density matrix of the unscaled row
+    rng = np.random.default_rng(11)
+    scales = 2.0 ** np.array([0, -560, -1000, 500, 1000, -1020])
+    for n in (2, 4):
+        v = rng.normal(size=(scales.size, n)) + 1j * rng.normal(size=(scales.size, n))
+        v[1, 0] = 0.0
+        unit = v / np.linalg.norm(v, axis=1, keepdims=True)
+        density = l1_coherence(np.einsum("ni,nj->nij", unit, unit.conj()))
+        assert np.max(np.abs(pure_l1(v * scales[:, None]) - density)) < 1e-14
 
 
 def test_evolve_density_consistent_with_pure_route():

@@ -117,6 +117,30 @@ def test_evolution_deep_broken_time_is_safe():
     assert _same_ray(v, joint_reference_matrix(p, 400.0) @ psi.vector) < 1e-10
 
 
+@pytest.mark.parametrize("p", [pt(0.6), apt(1.8), apt(1.0, s=1.3)], ids=str)
+def test_rows_of_a_product_state_factorize(p):
+    # four amplitudes a ⊗ b evolve to (U a) ⊗ (U b): the two-amplitude rows'
+    # Kronecker product, at times on both sides of the scale switch
+    a, b = np.array([0.6, 0.8j]), np.array([1.0, np.exp(0.7j)]) / np.sqrt(2.0)
+    ts = np.array([0.0, 0.45, 3.1, 170.0]) / (p.s * np.sqrt(abs(1.0 - p.a**2)) or p.s)
+    rows = pure_rows(p, np.kron(a, b), ts)
+    for v, va, vb in zip(rows, pure_rows(p, a, ts), pure_rows(p, b, ts)):
+        assert _same_ray(v, np.kron(va, vb)) < 1e-12
+
+
+@pytest.mark.parametrize("p", [pt(3.0), apt(0.2)], ids=["pt", "apt"])
+def test_deep_broken_rows_land_on_the_dominant_pair(p):
+    # w s t = 400: the dense exponential of the joint generator overflows,
+    # while the scale cancels on renormalization and the state lands on
+    # the dominant eigenvector of each qubit
+    w = np.sqrt(abs(1.0 - p.a**2)) * p.s
+    v = _evolved(TwoQubitState.psi_3(), p, 400.0 / w)
+    assert np.all(np.isfinite(v.view(float)))
+    vals, vecs = np.linalg.eig(build_hamiltonian(p))
+    dominant = vecs[:, np.argmax(vals.imag)]
+    assert _same_ray(v, np.kron(dominant, dominant)) < 1e-9
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("p", [pt(1.0), apt(1.0)], ids=["pt", "apt"])
 def test_exceptional_point_at_huge_times_is_safe(p):
