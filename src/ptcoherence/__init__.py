@@ -25,7 +25,6 @@ _EXPORTS = {
         "Regime",
         "HamiltonianParams",
         "build_hamiltonian",
-        "eigenvalues",
         "regime",
     ),
     "evolution": (
@@ -33,7 +32,7 @@ _EXPORTS = {
         "PureState",
         "DensityMatrix",
         "l1_coherence",
-        "propagator_analytic",
+        "propagator_scaled",
         "evolve_density",
     ),
     "coherence": (
@@ -41,7 +40,6 @@ _EXPORTS = {
         "Extremum",
         "CoherenceTrace",
         "BackflowReport",
-        "coherence_closed_form",
         "coherence_series",
         "theoretical_period",
         "asymptotic_value",

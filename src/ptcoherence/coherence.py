@@ -55,8 +55,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _EXPORTS
-from .evolution import (PureState, _evolution_times, evolve_product, pure_l1, pure_rows,
-                        pure_terms, shifted_pairs)
+from .evolution import (PureState, evolve_product, pure_l1, pure_rows, pure_terms,
+                        shifted_pairs)
 from .hamiltonian import (HamiltonianParams, Regime, SymmetryClass, frequency, regime,
                           w_squared)
 
@@ -137,23 +137,12 @@ class BackflowReport(NamedTuple):
 def coherence_series(st: PureState, p: HamiltonianParams, times: np.ndarray) -> np.ndarray:
     """Closed-form l1 coherence of the evolved state over a time grid.
 
-    ``times`` may be any real values; negative entries evaluate the
-    analytic continuation.  The evolved state ``v = F psi + G K psi`` (up
-    to a common scale) gives ``C = 2 |v_0| |v_1| / (|v_0|^2 + |v_1|^2)``.
+    ``times`` may be any finite real values (another raises ValueError);
+    negative entries evaluate the analytic continuation.  The evolved state
+    ``v = F psi + G K psi`` (up to a common scale) gives
+    ``C = 2 |v_0| |v_1| / (|v_0|^2 + |v_1|^2)``.
     """
     return pure_l1(pure_rows(p, st.vector(), times))
-
-
-def coherence_closed_form(st: PureState, p: HamiltonianParams, t: float) -> float:
-    """Closed-form l1 coherence at a single finite time ``t >= 0``.
-
-    Agrees with the matrix path (evolve the density matrix, then take
-    :func:`~ptcoherence.evolution.l1_coherence`) to 1e-9.  Both routes
-    start from the scaled scalars of
-    :func:`~ptcoherence.evolution.shifted_pairs`; from there this one
-    evolves the state vector and the other conjugates the density matrix.
-    """
-    return float(coherence_series(st, p, _evolution_times([t]))[0])
 
 
 def theoretical_period(p: HamiltonianParams) -> float | None:

@@ -32,17 +32,17 @@ Numerical notes
 * The fixed terms (``K psi``) are rounded once from exact sums
   (:func:`apply_exact`): near the EP they are far below their summands.
   At large ``a`` no entry of ``U`` is a difference ``A - a g`` of unit terms.
-* In the broken regime the entries grow like ``exp(w theta)``.  States
-  are renormalized, so ``U = exp(log_scale) * U_hat`` is used, with
-  ``exp(-w |theta|)`` pulled out once ``|w theta|`` exceeds
-  ``_SCALE_SWITCH = 150``: there even fourth powers of an unscaled
-  entry (e^600 ~ 4e260, as in squared magnitudes of two-qubit
-  products) stay below the overflow threshold (~e^709).  At the EP
-  they grow like ``|theta|``, which is pulled out past ``e^150``.  The
-  rescaling is exact for the ratios that all observables reduce to.
-* :func:`propagator_scaled` is the one single-time propagator, the pair
-  ``(F I + G K, log_scale)``; :func:`propagator_analytic` returns the
-  plain 2x2 ``U`` and raises ``OverflowError`` where an entry would overflow.
+* In the broken regime the entries grow like ``exp(w theta)``.  Every
+  observable is read from renormalized states, so the package knows ``U``
+  only up to a positive factor: ``exp(-w |theta|)`` is pulled out once
+  ``|w theta|`` exceeds ``_SCALE_SWITCH = 150``, where even fourth powers
+  of an unscaled entry (e^600 ~ 4e260, as in squared magnitudes of
+  two-qubit products) stay below the overflow threshold (~e^709).  At
+  the EP they grow like ``|theta|``, which is pulled out past ``e^150``.
+  The rescaling is exact for the ratios that all observables reduce to.
+* :func:`propagator_scaled` is the one single-time propagator,
+  ``F I + G K``: ``U`` itself wherever ``|w theta| <= 150`` (at the EP,
+  ``|theta| <= e^150``), ``U`` up to a positive factor beyond.
 * Grid functions work on whole time grids in array operations; none
   loops over time points in Python.
 * No function of the package calls BLAS or LAPACK: the products, norms,
@@ -193,10 +193,6 @@ class DensityMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "rho", arr)
 
-    @classmethod
-    def maximally_mixed(cls) -> "DensityMatrix":
-        return cls(np.eye(2, dtype=complex) / 2.0)
-
 
 # ---------------------------------------------------------------------------
 # the propagator core
@@ -327,10 +323,14 @@ def pure_terms(p: HamiltonianParams, psi) -> dict:
 
 def pure_rows(p: HamiltonianParams, psi, times) -> np.ndarray:
     """The one pure-state evaluator: unnormalized ``U psi`` (or ``(U ⊗ U) psi``
-    for four amplitudes) over a grid of any real times, shape
+    for four amplitudes) over a grid of real times, shape
     ``(n, len(psi))``, every qubit under ``p``.  The (F, G) of ``U`` are
-    formed once, at ``s t``; their per-time scale cancels in C."""
-    pair = shifted_pairs(p, p.s * np.asarray(times, dtype=np.float64))
+    formed once, at ``s t``; their per-time scale cancels in C.  A time that
+    is not finite raises ``ValueError``."""
+    ts = np.asarray(times, dtype=np.float64)
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("evolution time must be finite")
+    pair = shifted_pairs(p, p.s * ts)
     terms = pure_terms(p, psi)
     return evolve_product([pair] * (len(psi).bit_length() - 1), terms)
 
@@ -366,37 +366,16 @@ def l1_coherence(rho):
 # the single-time propagator
 # ---------------------------------------------------------------------------
 
-def propagator_scaled(p: HamiltonianParams, t: float) -> tuple[np.ndarray, float]:
-    """The propagator at one time as ``(U_hat, log_scale)``, with
-    ``U(t) = exp(log_scale) U_hat`` and ``U_hat = F I + G K`` from
-    :func:`shifted_pairs` and :func:`shifted_generator`.  Its entries stay
-    finite at every time; the positive scale cancels in every renormalized
-    quantity.  A negative ``t`` evaluates the analytic continuation."""
+def propagator_scaled(p: HamiltonianParams, t: float) -> np.ndarray:
+    """The propagator at one time, ``F I + G K`` from :func:`shifted_pairs`
+    and :func:`shifted_generator`: ``U(t)`` itself wherever the hyperbolic
+    argument ``|w s t|`` (at the EP, ``log |s t|``) is at most
+    ``_SCALE_SWITCH`` = 150, and ``U(t)`` up to a positive factor beyond, so
+    its entries stay finite at every time; the factor cancels in every
+    renormalized quantity.  A negative ``t`` evaluates the analytic
+    continuation."""
     F, G = (float(v) for v in shifted_pairs(p, p.s * t))
-    log_scale = float(abc_scaled(p.kind, p.a, p.s * t)[2])
-    return F * np.eye(2) + G * shifted_generator(p.kind, p.a), log_scale
-
-
-def propagator_analytic(p: HamiltonianParams, t: float) -> np.ndarray:
-    """Closed-form propagator ``exp(-i H t)`` for parameters ``p``, a 2x2
-    complex array.
-
-    Raises
-    ------
-    OverflowError
-        If an entry exceeds the double-precision range (broken regime
-        with extremely large ``w * s * t``); the renormalized evolutions
-        (:func:`pure_rows`, :func:`evolve_density_grid`) stay finite
-        there.
-    ValueError
-        If ``t`` is negative or not finite.
-    """
-    u_hat, log_scale = propagator_scaled(p, float(_evolution_times([t])[0]))
-    scale = math.exp(log_scale) if log_scale < 709.0 else math.inf
-    # checked before multiplying: an infinite scale times a zero entry is nan
-    if not math.isfinite(scale * float(np.abs(u_hat).max())):
-        raise OverflowError("propagator entries exceed the double-precision range")
-    return u_hat * scale
+    return F * np.eye(2) + G * shifted_generator(p.kind, p.a)
 
 
 # ---------------------------------------------------------------------------

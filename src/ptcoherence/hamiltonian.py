@@ -85,11 +85,6 @@ class HamiltonianParams:
             raise ValueError(f"gain/loss rate a*s must be at most {sys.float_info.max:.6g}, "
                              f"got a={self.a}, s={self.s}")
 
-    @property
-    def gamma(self) -> float:
-        """Gain/loss rate ``gamma = a * s``."""
-        return self.a * self.s
-
 
 def generator(kind: SymmetryClass, a: float) -> np.ndarray:
     """``M = -i H / s``, so ``U = exp(s t M) = A I + g M`` (see
@@ -116,14 +111,6 @@ def build_hamiltonian(p: HamiltonianParams) -> np.ndarray:
     """The 2x2 generator ``H = i s M`` (:func:`generator`): PT
     ``[[i a s, s], [s, -i a s]]``, APT ``[[a s, i s], [i s, -a s]]``."""
     return 1j * p.s * generator(p.kind, p.a)
-
-
-def eigenvalues(p: HamiltonianParams) -> tuple[complex, complex]:
-    """Closed-form eigenvalue pair ``+/- s sqrt(w^2)`` (:func:`w_squared`),
-    the positive branch (principal square root) first: real in the
-    unbroken regime, imaginary in the broken one, ``(0, 0)`` at the EP."""
-    lam = p.s * np.sqrt(complex(w_squared(p.kind, p.a)))
-    return complex(lam), complex(-lam)
 
 
 def regime(p: HamiltonianParams) -> Regime:

@@ -262,7 +262,7 @@ def solve_angles(p: HamiltonianParams, t: float) -> OpticalSequence:
     ValueError
         If ``t`` is negative or not finite.
     """
-    target = propagator_scaled(p, float(_evolution_times([t])[0]))[0]
+    target = propagator_scaled(p, float(_evolution_times([t])[0]))
     tau = target.reshape(4) / _norm(target.reshape(4))
 
     def residual(v):
@@ -292,7 +292,7 @@ def solve_angles(p: HamiltonianParams, t: float) -> OpticalSequence:
     return OpticalSequence(params=p, angles=angles, t=float(t), residual=best_res)
 
 
-def verify_state_action(seq: OpticalSequence, seed: int = 12345) -> float:
+def verify_state_action(seq: OpticalSequence, seed: int = 0) -> float:
     """Worst-case state-action deviation between ``seq`` and its target.
 
     Draws ``_N_STATES`` (10) Haar-random pure states from Python's own
@@ -313,7 +313,7 @@ def verify_state_action(seq: OpticalSequence, seed: int = 12345) -> float:
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    target = propagator_scaled(seq.params, seq.t)[0]  # seq.t is validated by OpticalSequence
+    target = propagator_scaled(seq.params, seq.t)  # seq.t is validated by OpticalSequence
     mat = assemble(seq.params.kind, seq.angles)
     rng = random.Random(seed)
     uniform = np.array([rng.random() for _ in range(4 * _N_STATES)]).reshape(_N_STATES, 2, 2)

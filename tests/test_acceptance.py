@@ -158,7 +158,7 @@ def test_criterion_5_propagator_fidelity(capsys):
             a = 3.0 * (1.0 - float(rng.random()))  # uniform over (0, 3]
         t = float(rng.uniform(0.0, 20.0))
         p = HamiltonianParams(kind=kind, s=1.0, a=a)
-        u = pc.propagator_analytic(p, t)
+        u = pc.propagator_scaled(p, t)
         reference = np.array(reference_propagator(p, t).tolist(), dtype=complex)
         scale = max(1.0, float(np.linalg.norm(reference)))
         worst = max(worst, frobenius_dist(u, reference) / scale)

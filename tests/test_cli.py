@@ -292,6 +292,10 @@ def test_angles_report(capsys):
     assert payload["residual"] <= 1e-6
     assert [e["type"] for e in payload["elements"]] == ["HWP", "QWP", "Loss", "HWP", "QWP"]
     assert payload["state_action"]["max_deviation"] <= 1e-6
+    # the command's default seed draws the library's default panel, printed to 12 digits
+    p = pc.HamiltonianParams(kind=pc.SymmetryClass.PT, a=0.47)
+    expected = pc.verify_state_action(pc.solve_angles(p, 1.2))
+    assert payload["state_action"]["max_deviation"] == float(_fmt(expected))
 
 
 def test_angles_print_the_same_setting_at_every_seed(capsys):

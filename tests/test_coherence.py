@@ -24,7 +24,6 @@ from ptcoherence import (
     SymmetryClass,
     asymptotic_value,
     classify_backflow,
-    coherence_closed_form,
     coherence_series,
     evolve_density,
     find_extrema,
@@ -91,22 +90,22 @@ def test_l1_rejects_non_square_input():
 # ---------------------------------------------------------------------------
 
 def test_closed_form_pt_unbroken_frozen():
-    value = coherence_closed_form(PureState.preset("D"), pt(0.5), 0.7)
+    value = coherence_series(PureState.preset("D"), pt(0.5), [0.7])[0]
     assert value == pytest.approx(0.8957893730879257, abs=1e-12)
 
 
 def test_closed_form_pt_broken_frozen():
-    value = coherence_closed_form(PureState(0.6, 0.8, 0.5), pt(2.0), 1.3)
+    value = coherence_series(PureState(0.6, 0.8, 0.5), pt(2.0), [1.3])[0]
     assert value == pytest.approx(0.4838916935853138, abs=1e-12)
 
 
 def test_closed_form_apt_unbroken_frozen():
-    value = coherence_closed_form(PureState.preset("h-sqrt3v"), apt(1.5), 0.9)
+    value = coherence_series(PureState.preset("h-sqrt3v"), apt(1.5), [0.9])[0]
     assert value == pytest.approx(0.9844047152118356, abs=1e-12)
 
 
 def test_closed_form_apt_broken_conserved_frozen():
-    value = coherence_closed_form(PureState.preset("D"), apt(0.47), 3.0)
+    value = coherence_series(PureState.preset("D"), apt(0.47), [3.0])[0]
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -123,7 +122,7 @@ def test_closed_form_matches_matrix_route(a, t, alpha, beta, phi, kind):
     """Dual route: scalar closed form vs propagator conjugation."""
     p = HamiltonianParams(kind=kind, s=1.0, a=a)
     st_ = PureState.from_amplitudes(alpha, beta, phi)
-    scalar = coherence_closed_form(st_, p, t)
+    scalar = coherence_series(st_, p, [t])[0]
     matrix = l1_coherence(evolve_density(st_.density(), p, t))
     assert scalar == pytest.approx(matrix, abs=1e-9)
 
@@ -135,17 +134,16 @@ def test_series_accepts_negative_probe_times():
     assert values[1] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_closed_form_rejects_negative_time():
-    with pytest.raises(ValueError):
-        coherence_closed_form(PureState.preset("D"), pt(0.5), -0.1)
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("t", [np.nan, np.inf])
 def test_closed_form_rejects_non_finite_time(t):
-    # rejected before any arithmetic: no RuntimeWarning, no nan result
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        coherence_closed_form(PureState.preset("D"), pt(0.5), t)
+    # rejected before any arithmetic, by the one pure-state evaluator that both
+    # series share: no RuntimeWarning, no nan result
+    times = np.array([0.0, t])
+    with pytest.raises(ValueError, match="evolution time must be finite"):
+        coherence_series(PureState.preset("D"), pt(0.5), times)
+    with pytest.raises(ValueError, match="evolution time must be finite"):
+        pc.two_qubit_series(pc.TwoQubitState.psi_3(), apt(1.5), times)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +194,7 @@ def test_exceptional_point_reaches_its_stable_value(kind):
 def test_broken_trace_approaches_stable_value():
     for p, sv in ((pt(1.5), 1 / 1.5), (pt(2.8), 1 / 2.8), (apt(0.31), 1.0)):
         for st_ in (PureState.preset("H"), PureState.preset("D"), PureState(0.6, 0.8, 1.1)):
-            assert coherence_closed_form(st_, p, 25.0) == pytest.approx(sv, abs=1e-9)
+            assert coherence_series(st_, p, [25.0])[0] == pytest.approx(sv, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

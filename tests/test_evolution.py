@@ -23,9 +23,9 @@ from ptcoherence import (
     SymmetryClass,
     evolve_density,
     l1_coherence,
-    propagator_analytic,
+    propagator_scaled,
 )
-from ptcoherence.evolution import abc_scaled, propagator_scaled, pure_l1, pure_rows
+from ptcoherence.evolution import abc_scaled, pure_l1, pure_rows
 
 
 def _oracle(p: HamiltonianParams, t: float) -> np.ndarray:
@@ -93,7 +93,7 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
     with pytest.raises(ValueError, match="must be 2x2"):
         DensityMatrix(np.eye(3) / 3.0)
-    mm = DensityMatrix.maximally_mixed()
+    mm = DensityMatrix(np.eye(2) / 2)
     assert np.allclose(mm.rho, np.eye(2) / 2)
 
 
@@ -116,7 +116,7 @@ def test_propagator_pt_unbroken_frozen():
             [-0.8560139199259117j, 0.3157194900201612],
         ]
     )
-    for u in (propagator_analytic(p, t), _oracle(p, t)):
+    for u in (propagator_scaled(p, t), _oracle(p, t)):
         assert frobenius_dist(u, expected) < 1e-12
 
 
@@ -124,7 +124,7 @@ def test_propagator_pt_exceptional_point_frozen():
     # at a=1 the closed form is linear in t: exactly representable
     p, t = pt(1.0, s=2.0), 0.75
     expected = np.array([[2.5, -1.5j], [-1.5j, -0.5]])
-    for u in (propagator_analytic(p, t), _oracle(p, t)):
+    for u in (propagator_scaled(p, t), _oracle(p, t)):
         assert frobenius_dist(u, expected) < 1e-13
 
 
@@ -136,7 +136,7 @@ def test_propagator_apt_broken_frozen():
             [0.3691992974189459, 0.26010084754156426 + 1.0337580327730485j],
         ]
     )
-    for u in (propagator_analytic(p, t), _oracle(p, t)):
+    for u in (propagator_scaled(p, t), _oracle(p, t)):
         assert frobenius_dist(u, expected) < 1e-12
 
 
@@ -148,13 +148,13 @@ def test_propagator_apt_unbroken_growing_frozen():
             [5.564389653102216, 5.012268043113757 + 2.6152631369580415j],
         ]
     )
-    for u in (propagator_analytic(p, t), _oracle(p, t)):
+    for u in (propagator_scaled(p, t), _oracle(p, t)):
         assert frobenius_dist(u, expected) < 1e-10
 
 
 def test_propagator_at_zero_time_is_identity():
     for p in (pt(0.31), pt(1.0), pt(2.8), apt(0.31), apt(1.0), apt(2.8)):
-        assert frobenius_dist(propagator_analytic(p, 0.0), np.eye(2)) < 1e-15
+        assert frobenius_dist(propagator_scaled(p, 0.0), np.eye(2)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ def test_propagator_at_zero_time_is_identity():
 @settings(max_examples=150, deadline=None)
 def test_propagator_matches_oracle(a, s, t, kind):
     p = HamiltonianParams(kind=kind, s=s, a=a)
-    u = propagator_analytic(p, t)
+    u = propagator_scaled(p, t)
     assert _rel_dist(u, _oracle(p, t)) < 1e-8
 
 
@@ -179,7 +179,7 @@ def test_propagator_matches_oracle(a, s, t, kind):
 def test_propagator_matches_oracle_near_coalescence(kind, offset):
     p = HamiltonianParams(kind=kind, s=1.1, a=1.0 + offset)
     for t in (0.3, 2.0, 11.0):
-        u = propagator_analytic(p, t)
+        u = propagator_scaled(p, t)
         assert _rel_dist(u, _oracle(p, t)) < 1e-8
 
 
@@ -193,9 +193,9 @@ def test_propagator_matches_oracle_near_coalescence(kind, offset):
 @settings(max_examples=100, deadline=None)
 def test_propagator_group_property(a, s, t1, t2, kind):
     p = HamiltonianParams(kind=kind, s=s, a=a)
-    u1 = propagator_analytic(p, t1)
-    u2 = propagator_analytic(p, t2)
-    u12 = propagator_analytic(p, t1 + t2)
+    u1 = propagator_scaled(p, t1)
+    u2 = propagator_scaled(p, t2)
+    u12 = propagator_scaled(p, t1 + t2)
     assert _rel_dist(u1 @ u2, u12) < 1e-9
 
 
@@ -213,45 +213,25 @@ def test_propagator_unit_determinant(a, s, t, kind):
     x = s * t * np.sqrt(abs(1.0 - a * a))
     if x > 9.0:
         return
-    det = np.linalg.det(propagator_analytic(p, t))
+    det = np.linalg.det(propagator_scaled(p, t))
     assert abs(det - 1.0) < 1e-8
 
 
-def test_propagator_raw_overflow_raises():
-    with pytest.raises(OverflowError):
-        propagator_analytic(pt(3.0), 300.0)
-
-
 def test_propagator_scaled_survives_deep_broken_times():
-    p = pt(3.0)
-    u_hat, log_scale = propagator_scaled(p, 300.0)
+    # w s t ~ 849: U's entries would be near e^849, past the double range
+    u_hat = propagator_scaled(pt(3.0), 300.0)
     assert np.all(np.isfinite(u_hat.view(float)))
-    assert log_scale > 500.0
     assert 0.25 <= float(np.abs(u_hat).max()) <= 4.0
 
 
-def test_propagator_scaled_consistent_with_raw():
-    p = apt(2.5)
-    t = 1.7
-    u_hat, log_scale = propagator_scaled(p, t)
-    assert frobenius_dist(u_hat * np.exp(log_scale), propagator_analytic(p, t)) < 1e-10
-
-
-def test_propagator_scaled_consistent_with_raw_past_the_switch():
-    # broken regime at w s t = 229: above the scale switch, below the raw overflow
-    p = pt(2.5)
-    u_hat, log_scale = propagator_scaled(p, 100.0)
-    assert log_scale > 0.0
-    raw = propagator_analytic(p, 100.0)
-    assert frobenius_dist(u_hat * np.exp(log_scale), raw) < 1e-12 * np.linalg.norm(raw)
-
-
 def test_propagator_scaled_matches_normalized_oracle():
-    # deep in the broken regime compare direction only (scale removed)
-    p = pt(2.9)
-    t = 80.0  # x = s t sqrt(a^2-1) ~ 218: raw entries near e^218
-    u_hat = propagator_scaled(p, t)[0]
-    assert frobenius_dist(u_hat / np.abs(u_hat).max(), reference_matrix(p, t)) < 1e-9
+    # compare direction only (scale removed): PT 2.9 at x = s t sqrt(a^2-1) ~ 218,
+    # raw entries near e^218; APT 2.9 at the same phase; both kinds at the EP,
+    # where s t = 1e70 is past e^150; APT 1.5 at a phase of about 1118
+    for p, t in ((pt(2.9), 80.0), (apt(2.9), 80.0), (pt(1.0), 1e70), (apt(1.0), 1e70),
+                 (apt(1.5), 1e3)):
+        u_hat = propagator_scaled(p, t)
+        assert frobenius_dist(u_hat / np.abs(u_hat).max(), reference_matrix(p, t)) < 1e-9, (p, t)
 
 
 @pytest.mark.parametrize("a, t", [(3.0, 2.0), (1e3, 0.05), (1e8, 1e-7)])
@@ -259,7 +239,7 @@ def test_propagator_entries_match_reference_at_large_a(a, t):
     # PT broken at large a: U_11 is about 1/(4 a^2) of U_00, so an entry
     # formed as A - a g of two unit-size terms would lose its digits
     p = pt(a)
-    u = propagator_analytic(p, t)
+    u = propagator_scaled(p, t)
     ref = _oracle(p, t)
     assert np.max(np.abs(u - ref) / np.abs(ref)) <= 1e-14
 
@@ -280,11 +260,6 @@ def test_abc_scaled_small_arguments_match_mpmath(kind, a):
         u = reference_propagator(p, float(th))  # A I + g M
         assert got_a == pytest.approx(complex((u[0, 0] + u[1, 1]) / 2).real, rel=1e-15, abs=0.0), th
         assert got_g == pytest.approx(complex(u[0, 1] / m01).real, rel=1e-15, abs=0.0), th
-
-
-def test_negative_time_rejected():
-    with pytest.raises(ValueError):
-        propagator_analytic(pt(0.62), -1.1)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +305,7 @@ def test_evolve_density_consistent_with_pure_route():
 
 def test_evolve_density_keeps_unit_trace_and_hermiticity():
     p = pt(2.2)
-    rho = DensityMatrix.maximally_mixed()
+    rho = DensityMatrix(np.eye(2) / 2)
     out = evolve_density(rho, p, 5.0).rho
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
     assert frobenius_dist(out, out.conj().T) < 1e-14
@@ -338,4 +313,4 @@ def test_evolve_density_keeps_unit_trace_and_hermiticity():
 
 def test_evolve_rejects_bad_time():
     with pytest.raises(ValueError):
-        propagator_analytic(pt(0.5), np.nan)
+        evolve_density(PureState.preset("D").density(), pt(0.5), np.nan)

@@ -17,10 +17,9 @@ from ptcoherence import (
     SymmetryClass,
     build_hamiltonian,
     coherence_series,
-    eigenvalues,
     regime,
 )
-from ptcoherence.hamiltonian import w_squared
+from ptcoherence.hamiltonian import frequency, w_squared
 
 
 def test_pt_matrix_layout():
@@ -41,32 +40,42 @@ def test_pt_matrix_is_traceless_and_pt_type():
     assert h[0, 1].imag == 0.0
 
 
+def _pair_error(p: HamiltonianParams) -> float:
+    """Distance of the dense eigenvalues of H from the closed-form pair
+    ``+/- s sqrt(w^2)`` (:func:`w_squared`), matched as an unordered pair."""
+    lam = p.s * np.sqrt(complex(w_squared(p.kind, p.a)))
+    dense = np.linalg.eigvals(build_hamiltonian(p))
+    return min(abs(lam - dense[0]) + abs(lam + dense[1]), abs(lam - dense[1]) + abs(lam + dense[0]))
+
+
 def test_eigenvalues_unbroken_pt_real():
-    lam_plus, lam_minus = eigenvalues(pt(0.47))
-    # frozen from the dense eigensolver
-    assert lam_plus == pytest.approx(0.8826664149042944, abs=1e-12)
-    assert lam_minus == pytest.approx(-0.8826664149042944, abs=1e-12)
-    assert abs(lam_plus.imag) < 1e-15
+    # real pair +/- s w, w frozen from the dense eigensolver
+    p = pt(0.47)
+    assert w_squared(p.kind, p.a) > 0.0
+    assert frequency(p.kind, p.a) == pytest.approx(0.8826664149042944, abs=1e-12)
+    assert _pair_error(p) < 1e-12
 
 
 def test_eigenvalues_broken_pt_imaginary():
-    lam_plus, lam_minus = eigenvalues(pt(1.5))
-    assert lam_plus == pytest.approx(1.1180339887498949j, abs=1e-12)
-    assert lam_minus == pytest.approx(-1.1180339887498949j, abs=1e-12)
+    p = pt(1.5)
+    assert w_squared(p.kind, p.a) < 0.0
+    assert frequency(p.kind, p.a) == pytest.approx(1.1180339887498949, abs=1e-12)
+    assert _pair_error(p) < 1e-12
 
 
 def test_eigenvalues_apt_mirror():
     # APT: real for a > 1, imaginary for a < 1
-    lam_plus, _ = eigenvalues(apt(1.5))
-    assert lam_plus == pytest.approx(1.1180339887498949, abs=1e-12)
-    lam_plus, _ = eigenvalues(apt(0.47))
-    assert lam_plus == pytest.approx(0.8826664149042944j, abs=1e-12)
+    assert w_squared(SymmetryClass.APT, 1.5) > 0.0
+    assert frequency(SymmetryClass.APT, 1.5) == pytest.approx(1.1180339887498949, abs=1e-12)
+    assert w_squared(SymmetryClass.APT, 0.47) < 0.0
+    assert frequency(SymmetryClass.APT, 0.47) == pytest.approx(0.8826664149042944, abs=1e-12)
+    assert _pair_error(apt(1.5)) < 1e-12 and _pair_error(apt(0.47)) < 1e-12
 
 
 def test_eigenvalues_vanish_at_coalescence():
     for p in (pt(1.0), apt(1.0)):
-        lam_plus, lam_minus = eigenvalues(p)
-        assert lam_plus == 0 and lam_minus == 0
+        assert w_squared(p.kind, p.a) == 0.0 and frequency(p.kind, p.a) == 0.0
+        assert _pair_error(p) < 1e-12
 
 
 @given(
@@ -77,14 +86,9 @@ def test_eigenvalues_vanish_at_coalescence():
 @settings(max_examples=60, deadline=None)
 def test_eigenvalues_match_dense_solver(a, s, kind):
     p = HamiltonianParams(kind=kind, s=s, a=a)
-    ours = eigenvalues(p)
-    dense = np.linalg.eigvals(build_hamiltonian(p))
-    # match as an unordered pair (dense solver order is arbitrary)
-    direct = abs(ours[0] - dense[0]) + abs(ours[1] - dense[1])
-    swapped = abs(ours[0] - dense[1]) + abs(ours[1] - dense[0])
-    assert min(direct, swapped) < 1e-10 * max(1.0, s)
+    assert _pair_error(p) < 1e-10 * max(1.0, s)
     # traceless pair
-    assert abs(ours[0] + ours[1]) < 1e-12 * max(1.0, s)
+    assert abs(np.linalg.eigvals(build_hamiltonian(p)).sum()) < 1e-12 * max(1.0, s)
 
 
 def test_regime_classification_pt():
@@ -110,10 +114,6 @@ def test_regime_is_the_sign_of_w_squared(make, a):
     assert w2 != 0.0 and (w2 > 0.0) == unbroken
     assert regime(p) is (Regime.UNBROKEN if unbroken else Regime.BROKEN)
     assert regime(make(1.0)) is Regime.EXCEPTIONAL_POINT
-
-
-def test_gamma_property():
-    assert pt(0.31, s=2.0).gamma == pytest.approx(0.62)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])

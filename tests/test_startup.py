@@ -5,7 +5,8 @@ The runtime needs numpy alone: a fresh interpreter installs a
 ``hypothesis`` import raise ImportError, makes a RuntimeWarning an error,
 then imports the package and runs all eight subcommands at the
 benchmark's four parameter points, at state H and at each point's state;
-each must exit 0.  A cold call loads only what its subcommand runs:
+each must exit 0.  The README's Quick start runs there too.  A cold call
+loads only what its subcommand runs:
 ``import ptcoherence`` loads no submodule, the scan
 subcommands load neither the optics, tomography, Bloch and two-qubit
 modules nor ``statistics``, ``two-qubit`` and ``bloch`` load no
@@ -26,6 +27,7 @@ from __future__ import annotations
 import ast
 import importlib
 import pkgutil
+import re
 import textwrap
 from pathlib import Path
 
@@ -38,8 +40,10 @@ import ptcoherence
 _POINTS = (("pt", 0.47, "h-sqrt3v"), ("pt", 2.8, "D"), ("apt", 1.5, "h-sqrt3v"),
            ("apt", 0.47, "D"))
 
-_SCRIPT = textwrap.dedent("""
-    import contextlib, io, sys, warnings
+#: The start of a check on numpy alone: any ``scipy``, ``mpmath`` or
+#: ``hypothesis`` import raises ImportError, and a RuntimeWarning is an error.
+_NUMPY_ONLY = textwrap.dedent("""
+    import sys, warnings
 
     class Blocked:
         def find_spec(self, name, path=None, target=None):
@@ -49,6 +53,10 @@ _SCRIPT = textwrap.dedent("""
 
     sys.meta_path.insert(0, Blocked())
     warnings.simplefilter("error", RuntimeWarning)
+""")
+
+_SCRIPT = _NUMPY_ONLY + textwrap.dedent("""
+    import contextlib, io
 
     from ptcoherence.cli import main
     for kind, a, state in %r:
@@ -110,6 +118,16 @@ def test_every_subcommand_runs_without_scipy():
     result = run_fresh(_SCRIPT)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
+
+
+def test_readme_quick_start_runs_without_scipy():
+    # the README's ```python blocks, in order in one interpreter, as a reader
+    # runs them: a public name that the docs use cannot go unnoticed
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 2
+    result = run_fresh(_NUMPY_ONLY + "".join(blocks))
+    assert result.returncode == 0, result.stderr
 
 
 def test_cold_calls_load_only_their_subcommand():

@@ -404,7 +404,7 @@ def test_trace_distance_basics():
     v = PureState(0.0, 1.0).density()
     assert trace_distance(h, h) == 0.0
     assert trace_distance(h, v) == pytest.approx(1.0, abs=1e-14)
-    assert trace_distance(h, DensityMatrix.maximally_mixed()) == pytest.approx(0.5, abs=1e-14)
+    assert trace_distance(h, DensityMatrix(np.eye(2) / 2)) == pytest.approx(0.5, abs=1e-14)
     d = PureState.preset("D").density()
     assert trace_distance(h, d) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     with pytest.raises(ValueError, match="2x2"):
