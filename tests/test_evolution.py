@@ -25,7 +25,7 @@ from ptcoherence import (
     l1_coherence,
     propagator_scaled,
 )
-from ptcoherence.evolution import abc_scaled, pure_l1, pure_rows
+from ptcoherence.evolution import abc_scaled, evolve_density_grid, pure_l1, pure_rows
 
 
 def _oracle(p: HamiltonianParams, t: float) -> np.ndarray:
@@ -234,6 +234,35 @@ def test_propagator_scaled_matches_normalized_oracle():
         assert frobenius_dist(u_hat / np.abs(u_hat).max(), reference_matrix(p, t)) < 1e-9, (p, t)
 
 
+@pytest.mark.parametrize("p, t", [(pt(2.5), 65.0), (apt(0.5), 170.0), (pt(1.0), 1e64)],
+                         ids=["pt-broken", "apt-broken", "pt-ep"])
+def test_propagator_scaled_is_u_just_below_the_switch(p, t):
+    # |w s t| ~ 149 and 147, and log(s t) ~ 147 at the EP: still U(t) itself,
+    # entries near e^148, with no factor removed
+    assert _rel_dist(propagator_scaled(p, t), _oracle(p, t)) < 1e-12
+
+
+@pytest.mark.parametrize("p, t", [(pt(2.5), 100.0), (apt(0.31), 200.0), (apt(1.0), 1e70)],
+                         ids=["pt-broken", "apt-broken", "apt-ep"])
+def test_propagator_scaled_past_the_switch_is_a_positive_multiple_of_u(p, t):
+    # |w s t| ~ 229 and 190, and log(s t) ~ 161 at the EP: U(t) is still a
+    # finite double here, so the removed factor can be read off directly
+    u_hat, u = propagator_scaled(p, t), _oracle(p, t)
+    c = np.vdot(u_hat, u) / np.vdot(u_hat, u_hat).real
+    assert c.real > 1.0 and abs(c.imag) <= 1e-12 * c.real
+    assert frobenius_dist(c.real * u_hat, u) <= 1e-12 * np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("p", [pt(0.47), pt(2.8), apt(1.5), apt(0.47)],
+                         ids=["pt-unbroken", "pt-broken", "apt-unbroken", "apt-broken"])
+def test_propagator_scaled_at_negative_time_is_the_inverse(p):
+    # a negative time evaluates the analytic continuation U(-t) = U(t)^-1
+    t = 1.3
+    back = propagator_scaled(p, -t)
+    assert _rel_dist(back, _oracle(p, -t)) < 1e-12
+    assert frobenius_dist(back @ propagator_scaled(p, t), np.eye(2)) < 1e-12
+
+
 @pytest.mark.parametrize("a, t", [(3.0, 2.0), (1e3, 0.05), (1e8, 1e-7)])
 def test_propagator_entries_match_reference_at_large_a(a, t):
     # PT broken at large a: U_11 is about 1/(4 a^2) of U_00, so an entry
@@ -314,3 +343,12 @@ def test_evolve_density_keeps_unit_trace_and_hermiticity():
 def test_evolve_rejects_bad_time():
     with pytest.raises(ValueError):
         evolve_density(PureState.preset("D").density(), pt(0.5), np.nan)
+
+
+def test_evolve_rejects_negative_time():
+    # the density path runs forward in time only, unlike the pure-state series
+    rho = PureState.preset("D").density()
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        evolve_density(rho, pt(0.5), -0.1)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        evolve_density_grid(rho, apt(1.5), [0.0, 0.4, -0.1])
