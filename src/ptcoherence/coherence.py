@@ -137,10 +137,10 @@ class BackflowReport(NamedTuple):
 def coherence_series(st: PureState, p: HamiltonianParams, times: np.ndarray) -> np.ndarray:
     """Closed-form l1 coherence of the evolved state over a time grid.
 
-    ``times`` may be any finite real values (another raises ValueError);
-    negative entries evaluate the analytic continuation.  The evolved state
-    ``v = F psi + G K psi`` (up to a common scale) gives
-    ``C = 2 |v_0| |v_1| / (|v_0|^2 + |v_1|^2)``.
+    ``times`` may be any real values whose ``s t`` and ``w s t`` are finite
+    doubles (another raises ValueError); negative entries evaluate the
+    analytic continuation.  The evolved state ``v = F psi + G K psi`` (up to
+    a common scale) gives ``C = 2 |v_0| |v_1| / (|v_0|^2 + |v_1|^2)``.
     """
     return pure_l1(pure_rows(p, st.vector(), times))
 
@@ -214,7 +214,7 @@ def coherence_slope(p: HamiltonianParams, terms: dict, theta: np.ndarray):
     magnitudes of its factor's terms, those of x' and y' included.
     """
     c, dc = shifted_pairs(p, theta, slope=True)
-    v, dv = evolve_product([c], terms), evolve_product([dc], terms)
+    v, dv = evolve_product(c, terms), evolve_product(dc, terms)
     x, y = (v.real * v.real + v.imag * v.imag).T
     dx, dy = 2.0 * (v.conj() * dv).real.T
     mx, my = 2.0 * (np.abs(v.real * dv.real) + np.abs(v.imag * dv.imag)).T

@@ -17,14 +17,16 @@ broken regime ``F = exp(-w theta)``, ``G = (1 + w) g`` and the singular
 
 Numerical notes
 ---------------
-* :func:`abc_scaled` is the package's one evaluator of (A, g).  It works
-  in ``theta`` (every observable depends on ``s`` and ``t`` only through
-  it) and evaluates ``g`` as ``theta sin(w theta) / (w theta)`` (sinh when
-  broken), accurate to rounding for every nonzero double ``w theta``, so
-  0 is its only special case.  Its propagator's relative Frobenius
-  distance from the tests' 60-digit ``mpmath.expm`` reference was at most
-  9.3e-15 over 4000 seeded draws with a in (0, 3], s t in [0, 20] and a
-  quarter within 1e-2 to 1e-12 of the EP (at most 4e-16 there).
+* :func:`shifted_pairs` is the one seam from times to the propagator: it
+  alone forms ``theta = s t`` (every observable depends on ``s`` and ``t``
+  only through it), rejects a ``theta`` or ``w theta`` that is not a finite
+  double, and evaluates (A, g) and from them (F, G).  It takes ``g`` as
+  ``theta sin(w theta) / (w theta)`` (sinh when broken), accurate to
+  rounding for every nonzero double ``w theta``, so 0 is its only special
+  case.  Its propagator's relative Frobenius distance from the tests'
+  60-digit ``mpmath.expm`` reference was at most 9.3e-15 over 4000 seeded
+  draws with a in (0, 3], s t in [0, 20] and a quarter within 1e-2 to
+  1e-12 of the EP (at most 4e-16 there).
 * :func:`pure_rows` builds every pure state, of one qubit or of two under
   one generator;
   :func:`pure_l1` takes their C from magnitudes, whose squares underflow.
@@ -208,38 +210,6 @@ def _over_x(f, x: np.ndarray) -> np.ndarray:
     return np.divide(f(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
-def abc_scaled(kind: SymmetryClass, a: float, theta):
-    """Scaled propagator scalars ``(A, g, log_scale)`` at ``theta = s t``
-    (any real array or scalar; the outputs are float64 arrays of its shape).
-
-    The true scalars are ``exp(log_scale)`` times the returned (A, g);
-    ``log_scale`` is zero except where the hyperbolic argument
-    ``|w theta|`` (at the EP, ``log |theta|``) exceeds ``_SCALE_SWITCH``.
-    """
-    th = np.asarray(theta, dtype=np.float64)
-    d = w_squared(kind, a)
-    log_scale = np.zeros_like(th)
-    if d > 0.0:
-        w = np.sqrt(d)
-        x = w * th
-        A, g = np.cos(x), th * _over_x(np.sin, x)
-    elif d < 0.0:
-        w = np.sqrt(-d)
-        x = w * th
-        xa = np.abs(x)  # cosh even, sinh odd: branch on |x|, restore sign via theta
-        big = xa > _SCALE_SWITCH
-        xs = np.where(big, 0.0, x)  # safe argument for cosh/sinh
-        # cosh(x) = e^|x| (1 + e^{-2|x|})/2: past the switch 1 + e^{-2|x|} rounds to 1
-        A = np.where(big, 0.5, np.cosh(xs))
-        g = np.where(big, np.sign(th) * 0.5 / w, th * _over_x(np.sinh, xs))
-        log_scale = np.where(big, xa, log_scale)
-    else:
-        f = np.abs(th)
-        f = np.where(f > math.exp(_SCALE_SWITCH), f, 1.0)
-        A, g, log_scale = 1.0 / f, np.where(f > 1.0, np.sign(th), th), np.log(f)
-    return A, g, log_scale
-
-
 def _shift(kind: SymmetryClass, a: float) -> float:
     """``sigma`` of :func:`shifted_generator`: ``w`` in the broken regime, else 0."""
     return math.sqrt(max(0.0, -w_squared(kind, a)))
@@ -256,22 +226,45 @@ def shifted_generator(kind: SymmetryClass, a: float) -> np.ndarray:
     return k
 
 
-def shifted_pairs(p: HamiltonianParams, theta, slope: bool = False):
-    """``(F, G)`` of ``U = F I + G K`` at ``theta``, scaled as in :func:`abc_scaled`.
-    With ``slope``, that pair and its theta-derivative ``(-d g - sigma A,
-    (1 + sigma) A)``, all divided by the per-time scale ``|A| + max(1, a) |g|``
-    so products of several stay finite; no ratio of a state's entries sees it."""
-    A, g, log_scale = abc_scaled(p.kind, p.a, theta)
-    sigma = _shift(p.kind, p.a)
-    # F = A - w g = exp(-w theta) where shifted, without that cancellation; exp(-1e3) is 0
-    F = np.exp(np.maximum(-sigma * np.asarray(theta, float), -1e3) - log_scale) if sigma else A
+def shifted_pairs(p: HamiltonianParams, times, slope: bool = False):
+    """``(F, G)`` of ``U = F I + G K`` at real ``times`` (any shape; float64
+    arrays of that shape): the one place ``theta = s t`` is formed.  A time
+    whose ``theta`` or ``w theta`` is not a finite double raises ``ValueError``,
+    with no numpy warning before it.  Past ``_SCALE_SWITCH`` the pair is scaled by
+    ``exp(-|w theta|)`` (at the EP by ``1 / |theta|``).  With ``slope``, that
+    pair and its theta-derivative ``(-d g - sigma A, (1 + sigma) A)``, all
+    divided by the per-time scale ``|A| + max(1, a) |g|`` so products of
+    several stay finite; no ratio of a state's entries sees it."""
+    d, sigma = w_squared(p.kind, p.a), _shift(p.kind, p.a)
+    w = math.sqrt(abs(d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        th = p.s * np.asarray(times, dtype=np.float64)
+        x = w * th
+    if not np.all(np.isfinite(x)):  # nan or inf wherever theta is, at w = 0 too
+        raise ValueError("evolution time must be finite, and so must s*t and w*s*t")
+    if d > 0.0:
+        A = F = np.cos(x)
+        g = th * _over_x(np.sin, x)
+    elif d < 0.0:
+        big = np.abs(x) > _SCALE_SWITCH  # cosh even, sinh odd: sign restored via theta
+        xs = np.where(big, 0.0, x)  # safe argument for cosh/sinh
+        # cosh(x) = e^|x| (1 + e^{-2|x|})/2: past the switch 1 + e^{-2|x|} rounds to 1
+        A = np.where(big, 0.5, np.cosh(xs))
+        g = np.where(big, np.sign(th) * 0.5 / w, th * _over_x(np.sinh, xs))
+        # F = A - w g = exp(-w theta), scaled alike, without that cancellation; exp(-1e3) is 0
+        F = np.exp(np.maximum(-x, -1e3) - np.where(big, np.abs(x), 0.0))
+    else:
+        f = np.abs(th)
+        f = np.where(f > math.exp(_SCALE_SWITCH), f, 1.0)
+        A = F = 1.0 / f
+        g = np.where(f > 1.0, np.sign(th), th)
     G = (1.0 + sigma) * g
     if not slope:
         return F, G
     top = np.abs(A) + max(1.0, p.a) * np.abs(g)
     F, G, A = F / top, G / top, A / top
     # -d g - sigma A is -w F where shifted (d = -w^2), without its cancellation
-    return (F, G), (-sigma * F if sigma else -w_squared(p.kind, p.a) * G, (1.0 + sigma) * A)
+    return (F, G), (-sigma * F if sigma else -d * G, (1.0 + sigma) * A)
 
 
 def apply_exact(mats, psi) -> tuple:
@@ -305,12 +298,12 @@ def product_terms(mats, psi) -> dict:
             for k in itertools.product((0, 1), repeat=len(mats))}
 
 
-def evolve_product(pairs, terms: dict) -> np.ndarray:
-    """``(U_1 ⊗ U_2 ⊗ ...) psi`` over a time grid for ``U_j = F_j I + G_j K_j``
-    and ``pairs[j] = (F_j, G_j)``, as the sum over k of ``prod_j pairs[j][k_j]``
-    times the fixed term ``k`` (``F psi + G K psi`` for one qubit); a pair's
-    derivative (:func:`shifted_pairs`) gives that factor's slope."""
-    return sum(np.multiply.outer(math.prod(pair[b] for pair, b in zip(pairs, k)), term)
+def evolve_product(pair, terms: dict) -> np.ndarray:
+    """``(U ⊗ U ⊗ ...) psi`` over a time grid for ``U = F I + G K``, every factor
+    under the one ``pair = (F, G)`` of :func:`shifted_pairs` (finite ``theta``
+    and ``w theta`` only), as the sum over k of ``prod_j pair[k_j]`` times the
+    fixed term ``k`` (``F psi + G K psi`` for one qubit), or its slope."""
+    return sum(np.multiply.outer(math.prod(pair[b] for b in k), term)
                for k, term in terms.items())
 
 
@@ -325,14 +318,10 @@ def pure_rows(p: HamiltonianParams, psi, times) -> np.ndarray:
     """The one pure-state evaluator: unnormalized ``U psi`` (or ``(U ⊗ U) psi``
     for four amplitudes) over a grid of real times, shape
     ``(n, len(psi))``, every qubit under ``p``.  The (F, G) of ``U`` are
-    formed once, at ``s t``; their per-time scale cancels in C.  A time that
-    is not finite raises ``ValueError``."""
-    ts = np.asarray(times, dtype=np.float64)
-    if not np.all(np.isfinite(ts)):
-        raise ValueError("evolution time must be finite")
-    pair = shifted_pairs(p, p.s * ts)
-    terms = pure_terms(p, psi)
-    return evolve_product([pair] * (len(psi).bit_length() - 1), terms)
+    formed once, by :func:`shifted_pairs`; their per-time scale cancels in C.
+    A time whose ``s t`` or ``w s t`` is not a finite double raises
+    ``ValueError``; a negative one evaluates the analytic continuation."""
+    return evolve_product(shifted_pairs(p, times), pure_terms(p, psi))
 
 
 def pure_l1(v: np.ndarray) -> np.ndarray:
@@ -374,7 +363,7 @@ def propagator_scaled(p: HamiltonianParams, t: float) -> np.ndarray:
     its entries stay finite at every time; the factor cancels in every
     renormalized quantity.  A negative ``t`` evaluates the analytic
     continuation."""
-    F, G = (float(v) for v in shifted_pairs(p, p.s * t))
+    F, G = (float(v) for v in shifted_pairs(p, t))
     return F * np.eye(2) + G * shifted_generator(p.kind, p.a)
 
 
@@ -399,11 +388,11 @@ def evolve_density_grid(rho: DensityMatrix, p: HamiltonianParams, times) -> np.n
     Every evolved matrix passes the same checks as a
     :class:`DensityMatrix`; the first failure raises ``ValueError``.
     """
-    F, G = shifted_pairs(p, p.s * _evolution_times(times))
+    pair = shifted_pairs(p, _evolution_times(times))
     k = shifted_generator(p.kind, p.a)
-    # vec(U rho U^dag) = (U ⊗ conj U) vec(rho): the two-factor evaluator
+    # vec(U rho U^dag) = (U ⊗ conj U) vec(rho), and conj U = F I + G conj K
     terms = product_terms([k, k.conj()], rho.rho.ravel())
-    out = evolve_product([(F, G), (F, G)], terms).reshape(-1, 2, 2)
+    out = evolve_product(pair, terms).reshape(-1, 2, 2)
     tr = (out[:, 0, 0] + out[:, 1, 1]).real
     if np.any(tr < 1e-300):
         raise DegenerateEvolutionError("evolved density matrix trace is below 1e-300: the "

@@ -41,6 +41,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -300,17 +301,18 @@ def verify_state_action(seq: OpticalSequence, seed: int = 0) -> float:
     same across versions, so the check loads no ``numpy.random`` (which
     numpy 2 imports on first use; numpy 1.x imports it with numpy): each
     amplitude is a complex normal from two uniforms by Box-Muller, a
-    radius and then a phase.  ``seed`` is a non-negative int; a negative
-    one raises ValueError, since ``random.Random`` would read it as its
-    absolute value.  It evolves each state with the propagator
-    of ``seq.params`` (u) and with the assembled sequence (v), and
-    renormalizes both.  The deviation of a state is
-    the distance at the nearest global phase, ``min_phi ||u - e^{i phi} v||``,
-    which equals ``sqrt(2 - 2 |<u, v>|)``; it is computed as that norm,
-    with v turned by the phase of ``<v, u>``, so a deviation near 0 keeps
-    its digits.  Returns the maximum across the panel, inf when an output
-    vanishes.
+    radius and then a phase.  ``seed`` is a non-negative integer (a float,
+    which ``random.Random`` would hash, raises TypeError; a negative one
+    ValueError, since ``random.Random`` would read it as its absolute
+    value).  It evolves each state with the propagator of ``seq.params`` (u)
+    and with the assembled sequence (v), and renormalizes both.  The
+    deviation of a state is the distance at the nearest global phase,
+    ``min_phi ||u - e^{i phi} v||``, which equals ``sqrt(2 - 2 |<u, v>|)``;
+    it is computed as that norm, with v turned by the phase of ``<v, u>``,
+    so a deviation near 0 keeps its digits.  Returns the maximum across the
+    panel, inf when an output vanishes.
     """
+    seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     target = propagator_scaled(seq.params, seq.t)  # seq.t is validated by OpticalSequence

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +125,7 @@ def _streams(seed: int):
     only its key's words.  SeedSequence's words seed PCG64 XSL-RR, and each
     64-bit output gives its top 53 bits over 2**53.
     """
+    seed = operator.index(seed)  # numpy integers as the int they hold; a float raises TypeError
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     words, pool, const = _uint32s(seed), [], 0x43B0D7E5

@@ -76,5 +76,6 @@ def two_qubit_series(state: TwoQubitState, p: HamiltonianParams,
                      times: np.ndarray) -> np.ndarray:
     """Two-qubit l1 coherence of the evolved state over a time grid, both
     qubits under ``p``: :func:`~ptcoherence.evolution.pure_l1` of the
-    evolved state."""
+    evolved state.  A time whose ``s t`` or ``w s t`` is not a finite double
+    raises ValueError; negative times evaluate the analytic continuation."""
     return pure_l1(pure_rows(p, state.vector, times))

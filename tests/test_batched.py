@@ -24,8 +24,8 @@ from ptcoherence.evolution import _check_densities, evolve_density_grid, pure_ro
 KINDS = (pc.SymmetryClass.PT, pc.SymmetryClass.APT)
 #: Unbroken, EP, and broken detuning ratios (PT is broken above 1, APT below).
 A_PANEL = (0.47, 1.0, 1.5, 2.8)
-#: Phases w s t: the series switch, ordinary values, both sides of the
-#: scale switch, and deep in the broken regime.
+#: Phases w s t: zero and a small argument of sin(x)/x, ordinary values,
+#: both sides of the scale switch at 150, and deep past it, to 420.
 PHASES = (0.0, 3e-5, 0.4, 2.0, 7.7, 149.5, 150.5, 170.0, 250.0, 299.5, 300.5, 420.0)
 S = 1.3
 

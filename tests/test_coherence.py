@@ -134,16 +134,30 @@ def test_series_accepts_negative_probe_times():
     assert values[1] == pytest.approx(1.0, abs=1e-12)
 
 
+#: Times whose phase is not a finite double, with the parameters they meet.
+_NON_FINITE_PHASES = {
+    "nan": [(pt(0.5), np.nan), (apt(1.5), np.nan)],
+    "inf": [(pt(0.5), np.inf), (apt(1.5), np.inf)],
+    "theta-overflow": [(pt(0.5, s=1e300), 1e10)],  # s t overflows
+    "phase-overflow": [(apt(1e150), 1e200)],  # s t is finite, w s t overflows
+}
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("t", [np.nan, np.inf])
-def test_closed_form_rejects_non_finite_time(t):
-    # rejected before any arithmetic, by the one pure-state evaluator that both
-    # series share: no RuntimeWarning, no nan result
-    times = np.array([0.0, t])
-    with pytest.raises(ValueError, match="evolution time must be finite"):
-        coherence_series(PureState.preset("D"), pt(0.5), times)
-    with pytest.raises(ValueError, match="evolution time must be finite"):
-        pc.two_qubit_series(pc.TwoQubitState.psi_3(), apt(1.5), times)
+@pytest.mark.parametrize("case", list(_NON_FINITE_PHASES))
+def test_closed_form_rejects_non_finite_time(case):
+    # rejected where the phase is formed, by the one seam from times
+    # to the propagator that every evaluator shares: no RuntimeWarning, no nan
+    state, rho = PureState.preset("D"), PureState.preset("D").density()
+    for p, t in _NON_FINITE_PHASES[case]:
+        times = np.array([0.0, t])
+        for call in (lambda: coherence_series(state, p, times),
+                     lambda: pc.two_qubit_series(pc.TwoQubitState.psi_3(), p, times),
+                     lambda: pc.trajectory_array(state, p, times),
+                     lambda: pc.propagator_scaled(p, t),
+                     lambda: evolve_density(rho, p, t)):
+            with pytest.raises(ValueError, match="evolution time must be finite"):
+                call()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ its literal within the test's tolerance.
 """
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,9 @@ from ptcoherence import (
     l1_coherence,
     propagator_scaled,
 )
-from ptcoherence.evolution import abc_scaled, evolve_density_grid, pure_l1, pure_rows
+from ptcoherence import evolution
+from ptcoherence.evolution import evolve_density_grid, pure_l1, pure_rows, shifted_pairs
+from ptcoherence.hamiltonian import Regime, frequency, regime
 
 
 def _oracle(p: HamiltonianParams, t: float) -> np.ndarray:
@@ -276,19 +281,37 @@ def test_propagator_entries_match_reference_at_large_a(a, t):
 @pytest.mark.parametrize("kind, a", [(SymmetryClass.PT, 0.47), (SymmetryClass.APT, 1.5),
                                      (SymmetryClass.PT, 2.8), (SymmetryClass.APT, 0.47)],
                          ids=["pt-unbroken", "apt-unbroken", "pt-broken", "apt-broken"])
-def test_abc_scaled_small_arguments_match_mpmath(kind, a):
+def test_shifted_pairs_small_arguments_match_mpmath(kind, a):
     # sin(x)/x and sinh(x)/x keep full precision down to the smallest subnormal x:
-    # A = tr U / 2 and g = U_01 / M_01 of the high-precision reference
+    # A = tr U / 2 and g = U_01 / M_01 of the high-precision reference give
+    # (F, G) = (A, g) where unbroken, (A - w g, (1 + w) g) where broken
     thetas = np.array([sign * th for th in (0.0, 5e-324, 1e-300, 1e-12, 1e-5, 2e-4)
                        for sign in (1.0, -1.0)])
-    A, g, log_scale = abc_scaled(kind, a, thetas)
-    assert not np.any(log_scale)
-    p = HamiltonianParams(kind=kind, a=a)
+    p = HamiltonianParams(kind=kind, a=a)  # s = 1: the times are theta
+    F, G = shifted_pairs(p, thetas)
+    sigma = frequency(kind, a) if regime(p) is Regime.BROKEN else 0.0
     m01 = -1j if kind is SymmetryClass.PT else 1.0  # M = -i H / s from its definition
-    for th, got_a, got_g in zip(thetas, A, g):
+    for th, got_f, got_g in zip(thetas, F, G):
         u = reference_propagator(p, float(th))  # A I + g M
-        assert got_a == pytest.approx(complex((u[0, 0] + u[1, 1]) / 2).real, rel=1e-15, abs=0.0), th
-        assert got_g == pytest.approx(complex(u[0, 1] / m01).real, rel=1e-15, abs=0.0), th
+        ref_a = complex((u[0, 0] + u[1, 1]) / 2).real
+        ref_g = complex(u[0, 1] / m01).real
+        assert got_f == pytest.approx(ref_a - sigma * ref_g, rel=1e-15, abs=0.0), th
+        assert got_g == pytest.approx((1.0 + sigma) * ref_g, rel=1e-15, abs=0.0), th
+
+
+def test_only_shifted_pairs_reads_the_energy_scale():
+    # theta = s t is formed in one place: the attribute .s is read inside
+    # shifted_pairs alone, and abc_scaled, folded into it, is not defined
+    tree = ast.parse(Path(evolution.__file__).read_text(encoding="utf-8"))
+    reads = {}
+    for node in tree.body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and sub.attr == "s" \
+                    and isinstance(sub.ctx, ast.Load):
+                reads.setdefault(getattr(node, "name", "<module>"), []).append(sub.lineno)
+    assert list(reads) == ["shifted_pairs"], reads
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "abc_scaled" not in defined
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,18 @@ def test_state_action_rejects_a_negative_seed():
         verify_state_action(solve_angles(pt(0.47), 1.0), seed=-1)
 
 
+def test_state_action_reads_the_seed_as_an_integer():
+    # a numpy integer draws the panel of the int it holds; a float, which
+    # random.Random would hash, is refused
+    p, t = apt(1.5), 0.9
+    solved = solve_angles(p, t)
+    seq = OpticalSequence(p, tuple(a + 1e-3 for a in solved.angles), t, solved.residual)
+    assert verify_state_action(seq, seed=np.int64(7)) == verify_state_action(seq, seed=7)
+    assert verify_state_action(seq, seed=7) != verify_state_action(seq, seed=8)
+    with pytest.raises(TypeError):
+        verify_state_action(seq, seed=7.0)
+
+
 def test_solve_angles_identity_at_zero_time():
     seq = solve_angles(pt(0.31), 0.0)
     m = assemble(SymmetryClass.PT, seq.angles)

@@ -134,6 +134,19 @@ def test_negative_seed_is_rejected(call):
         call()
 
 
+def test_seed_is_read_as_an_integer():
+    # a numpy integer draws as the int it holds, as default_rng reads it;
+    # a float seed raises TypeError
+    rho, record = _rho(0.6, 0.8, 0.5), CountRecord(60.0, 40.0, 50.0, 70.0, exposure=100.0)
+    assert simulate_counts(rho, 5000, seed=np.int64(7)) == simulate_counts(rho, 5000, seed=7)
+    assert bootstrap_errorbar(record, resamples=20, seed=np.int64(7)) \
+        == bootstrap_errorbar(record, resamples=20, seed=7)
+    for call in (lambda: simulate_counts(rho, 5000, seed=7.0),
+                 lambda: bootstrap_errorbar(record, resamples=20, seed=7.0)):
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_count_record_validation():
     with pytest.raises(ValueError):
         CountRecord(-1.0, 0.0, 0.0, 0.0, exposure=10.0)
