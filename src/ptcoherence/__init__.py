@@ -32,6 +32,7 @@ _EXPORTS = {
         "PureState",
         "DensityMatrix",
         "l1_coherence",
+        "coherence_series",
         "propagator_scaled",
         "evolve_density",
     ),
@@ -40,7 +41,6 @@ _EXPORTS = {
         "Extremum",
         "CoherenceTrace",
         "BackflowReport",
-        "coherence_series",
         "theoretical_period",
         "asymptotic_value",
         "find_extrema",

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _EXPORTS
-from .evolution import DegenerateEvolutionError, PureState, _evolution_times, pure_rows
+from .evolution import PureState, _evolution_times, pure_rows
 from .hamiltonian import HamiltonianParams
 
 __all__ = list(_EXPORTS["bloch"])
@@ -33,20 +33,16 @@ def trajectory_array(
     """Bloch trajectory of the normalized evolved pure state as an
     ``(n, 4)`` array of rows ``(t, x, y, z)``.
 
-    ``grid`` holds the times: nonempty, finite, nonnegative and sorted
-    ascending.  The whole grid is evolved in one batch by
+    ``grid`` is a 1-D sequence of finite, nonnegative times, in any order
+    and possibly empty (the density path's rule); each row depends on its
+    own time alone.  The whole grid is evolved in one batch by
     :func:`~ptcoherence.evolution.pure_rows` and each row normalized, so
     the radius is 1 to within numerical tolerance at any depth of the
     broken regime.
     """
     ts = _evolution_times(grid)
-    if ts.size == 0 or np.any(np.diff(ts) < 0):
-        raise ValueError("grid must be a nonempty sequence of ascending times")
     v = pure_rows(p, st.vector(), ts)
     norms = np.sqrt((v.real * v.real).sum(axis=1) + (v.imag * v.imag).sum(axis=1))
-    if np.any(norms < 1e-300):
-        raise DegenerateEvolutionError("evolved state norm is below 1e-300: the state's "
-                                       "fixed terms underflow in double precision")
     v = v / norms[:, np.newaxis]
     # np.multiply, not `*`: `*` lets numpy reuse a large conj temporary as
     # the output, which swaps the operands and so the last bits of a row

@@ -55,7 +55,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .evolution import PureState, evolve_density, evolve_density_grid, l1_coherence
+from .evolution import (PureState, coherence_series, evolve_density, evolve_density_grid,
+                        l1_coherence)
 from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, frequency, regime
 
 # Each subcommand imports the modules only it runs (coherence, optics,
@@ -443,8 +444,6 @@ def cmd_trace(cfg: argparse.Namespace) -> str:
     form and the independent propagator-conjugation route, side by side:
     C_matrix_path is :func:`~ptcoherence.evolution.l1_coherence` of the
     density matrices that :func:`evolve_density_grid` evolves."""
-    from .coherence import coherence_series
-
     st, p = cfg.state, cfg.params
     assert st is not None
 

@@ -1,4 +1,4 @@
-"""l1 coherence: closed forms, periods, asymptotes, extrema, backflow.
+"""l1 coherence: periods, asymptotes, extrema, backflow.
 
 For a pure state ``psi = alpha |H> + beta e^{i phi} |V>`` evolved by
 either generator family, the one pure-state evaluator
@@ -8,8 +8,8 @@ and y = |v_1|^2, the l1 coherence of the normalized state is
 
     C(t) = 2 sqrt(x y) / (x + y) = 2 |v_0| |v_1| / (x + y)
 
-(:func:`~ptcoherence.evolution.pure_l1`), invariant under the common
-rescaling of (F, G) used deep in the broken regime.
+(:func:`~ptcoherence.evolution.coherence_series`), invariant under the
+common rescaling of (F, G) used deep in the broken regime.
 
 Key phenomenology exposed here:
 
@@ -55,8 +55,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _EXPORTS
-from .evolution import (PureState, evolve_product, pure_l1, pure_rows, pure_terms,
-                        shifted_pairs)
+from .evolution import PureState, coherence_series, evolve_product, pure_terms, shifted_pairs
 from .hamiltonian import (HamiltonianParams, Regime, SymmetryClass, frequency, regime,
                           w_squared)
 
@@ -133,17 +132,6 @@ class BackflowReport(NamedTuple):
 # ---------------------------------------------------------------------------
 # basic quantities
 # ---------------------------------------------------------------------------
-
-def coherence_series(st: PureState, p: HamiltonianParams, times: np.ndarray) -> np.ndarray:
-    """Closed-form l1 coherence of the evolved state over a time grid.
-
-    ``times`` may be any real values whose ``s t`` and ``w s t`` are finite
-    doubles (another raises ValueError); negative entries evaluate the
-    analytic continuation.  The evolved state ``v = F psi + G K psi`` (up to
-    a common scale) gives ``C = 2 |v_0| |v_1| / (|v_0|^2 + |v_1|^2)``.
-    """
-    return pure_l1(pure_rows(p, st.vector(), times))
-
 
 def theoretical_period(p: HamiltonianParams) -> float | None:
     """Oscillation period ``pi / (s sqrt(|1 - a^2|))`` in the unbroken

@@ -68,10 +68,10 @@ from .hamiltonian import HamiltonianParams, SymmetryClass, generator, w_squared
 __all__ = list(_EXPORTS["evolution"])
 
 class DegenerateEvolutionError(ValueError):
-    """Raised when an evolved state's norm or density trace falls below
-    1e-300: its rounded fixed terms (:func:`apply_exact`) have underflowed,
-    as for ``|V>`` under PT at ``a`` near 1e150, where the trace is about
-    ``1 / (4 a^2)``.  A domain error, so the CLI exits 2.
+    """Raised by :func:`evolve_density_grid` when an evolved density trace
+    falls below 1e-300: its rounded fixed terms (:func:`apply_exact`) have
+    underflowed, as for ``|V>`` under PT at ``a`` near 1e150, where the trace
+    is about ``1 / (4 a^2)``.  A domain error, so the CLI exits 2.
     """
 
 
@@ -326,13 +326,26 @@ def pure_rows(p: HamiltonianParams, psi, times) -> np.ndarray:
 
 def pure_l1(v: np.ndarray) -> np.ndarray:
     """l1 coherence ``2 sum_{i<j} |v_i| |v_j| / sum |v_i|^2`` of the
-    normalized pure state of each row of ``v``, each row first scaled exactly
-    by the power of two at its largest magnitude, so that no product
-    underflows (for ``|V>`` under PT it is about ``a^-3``)."""
+    normalized pure state of each row of ``v``, each row first scaled by the
+    power of two that puts its largest magnitude in [1, 2), so that no product
+    underflows (for ``|V>`` under PT it is about ``a^-3``) and no subnormal
+    entry of a row led by about 1 is halved to 0."""
     mags = np.abs(v)
-    mags = np.ldexp(mags, -np.frexp(mags.max(axis=1))[1][:, None])
+    mags = np.ldexp(mags, 1 - np.frexp(mags.max(axis=1))[1][:, None])
     i, j = np.triu_indices(mags.shape[1], 1)
     return 2.0 * (mags[:, i] * mags[:, j]).sum(axis=1) / (mags * mags).sum(axis=1)
+
+
+def coherence_series(st: PureState, p: HamiltonianParams, times: np.ndarray) -> np.ndarray:
+    """Closed-form l1 coherence of the evolved state over a time grid:
+    :func:`pure_l1` of :func:`pure_rows`.
+
+    ``times`` may be any real values whose ``s t`` and ``w s t`` are finite
+    doubles (another raises ValueError); negative entries evaluate the
+    analytic continuation.  The evolved state ``v = F psi + G K psi`` (up to
+    a common scale) gives ``C = 2 |v_0| |v_1| / (|v_0|^2 + |v_1|^2)``.
+    """
+    return pure_l1(pure_rows(p, st.vector(), times))
 
 
 def l1_coherence(rho):

@@ -11,7 +11,6 @@ import pytest
 from conftest import apt, pt
 
 from ptcoherence import (
-    DegenerateEvolutionError,
     PureState,
     l1_coherence,
     trajectory_array,
@@ -73,23 +72,24 @@ def test_trajectory_apt_conserves_z_for_balanced_state():
 
 
 def test_trajectory_grid_validation():
+    # the density path's rule: a 1-D grid of finite, nonnegative times
     st = PureState.preset("D")
-    with pytest.raises(ValueError):
-        trajectory_array(st, pt(0.31), np.array([]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
         trajectory_array(st, pt(0.31), np.array([0.0, -1.0]))
-    with pytest.raises(ValueError):
-        trajectory_array(st, pt(0.31), np.array([1.0, 0.5]))
     with pytest.raises(ValueError, match="1-D grid"):
         trajectory_array(st, pt(0.31), np.array([[0.0, 0.5]]))
 
 
-def test_trajectory_rejects_an_underflowed_state(monkeypatch):
-    # rows whose norm is below 1e-300 have lost their direction
-    monkeypatch.setattr("ptcoherence.bloch.pure_rows",
-                        lambda p, psi, times: np.full((len(times), 2), 1e-301 + 0j))
-    with pytest.raises(DegenerateEvolutionError, match="norm is below 1e-300"):
-        trajectory_array(PureState.preset("D"), pt(0.31), [0.0, 1.0])
+@pytest.mark.parametrize("p", [pt(0.47), pt(2.8), apt(1.5), apt(0.47)])
+def test_trajectory_rows_follow_their_times(p):
+    # each row depends on its own time alone: a shuffled grid gives the
+    # shuffled rows, bit for bit, and an empty grid no rows
+    st = PureState.preset("h-sqrt3v")
+    grid = np.linspace(0.0, 10.0, 257)
+    order = np.random.default_rng(3).permutation(grid.size)
+    assert np.array_equal(trajectory_array(st, p, grid[order]),
+                          trajectory_array(st, p, grid)[order])
+    assert trajectory_array(st, p, []).shape == (0, 4)
 
 
 @pytest.mark.parametrize("p, label", [

@@ -822,7 +822,9 @@ def test_negative_seed_exits_2(capsys, command):
     ("--kind", "apt", "--a", "0.47", "--s", "1e-200"),
     ("--kind", "pt", "--a", "0.47", "--s", "1e-160"),
     ("--kind", "pt", "--a", "0.47", "--alpha", "1", "--beta", "1e-170"),
-], ids=["pt-s-1e-200", "apt-s-1e-200", "pt-s-1e-160", "beta-1e-170"])
+    # C = 2t: the last row's state is led by 1 with a subnormal second entry
+    ("--kind", "pt", "--a", "0.47", "--t-max", "5e-324"),
+], ids=["pt-s-1e-200", "apt-s-1e-200", "pt-s-1e-160", "beta-1e-170", "t-max-5e-324"])
 def test_tiny_coherence_closed_form_matches_matrix_path(capsys, argv):
     # a coherence far below 1e-154 squares into the subnormal range or to 0
     code, out = run(capsys, "trace", *argv, "--points", "3")

@@ -8,13 +8,14 @@ benchmark's four parameter points, at state H and at each point's state;
 each must exit 0.  The README's Quick start runs there too.  A cold call
 loads only what its subcommand runs:
 ``import ptcoherence`` loads no submodule, the scan
-subcommands load neither the optics, tomography, Bloch and two-qubit
-modules nor ``statistics``, ``two-qubit`` and ``bloch`` load no
-coherence module, ``angles`` and ``tomography`` load only their own
-chain, and no command loads ``numpy.random`` (with ``secrets``, ``hmac``
-and OpenSSL's ``_hashlib`` under it, about 6 MiB of peak RSS): the
-``angles`` check panel comes from Python's own generator, and the
-``tomography`` counts from the package's own copy of numpy's stream.  On
+subcommands and ``trace`` load neither the optics, tomography, Bloch and
+two-qubit modules nor ``statistics``, the grid commands (``trace``,
+``two-qubit``, ``bloch``) load no coherence module, ``angles`` and
+``tomography`` load only their own chain, and no command loads
+``numpy.random`` (with ``secrets``, ``hmac`` and OpenSSL's ``_hashlib``
+under it, about 6 MiB of peak RSS): the ``angles`` check panel comes
+from Python's own generator, and the ``tomography`` counts from the
+package's own copy of numpy's stream.  On
 numpy 1.x, whose ``import numpy`` loads ``numpy.random`` itself, every
 command has it, and what bare numpy loads is left out of the check.  The
 checks need their own interpreter because the test session has every
@@ -95,15 +96,18 @@ _LOADS_SCRIPT = textwrap.dedent("""
 _NUMPY_RANDOM = ("numpy.random", "secrets", "hmac", "_hashlib")
 
 #: Each command set and the modules it must not load: the scan commands
-#: load no optics, tomography, two-qubit or Bloch module and no
-#: ``statistics``; the grid commands that run no scan load no coherence;
+#: and ``trace`` load no optics, tomography, two-qubit or Bloch module and
+#: no ``statistics``; the grid commands run no scan and load no coherence;
 #: ``angles`` loads no coherence, tomography, two-qubit or Bloch module,
 #: and ``tomography`` no optics, two-qubit or Bloch module, and neither
 #: loads ``statistics``; no command loads ``_NUMPY_RANDOM``.
 _COLD_LOADS = (
-    (("period", "asymptote", "backflow", "trace"),
+    (("period", "asymptote", "backflow"),
      ("ptcoherence.optics", "ptcoherence.tomography", "ptcoherence.twoqubit",
       "ptcoherence.bloch", "statistics", *_NUMPY_RANDOM)),
+    (("trace",),
+     ("ptcoherence.coherence", "ptcoherence.optics", "ptcoherence.tomography",
+      "ptcoherence.twoqubit", "ptcoherence.bloch", "statistics", *_NUMPY_RANDOM)),
     (("two-qubit", "bloch"), ("ptcoherence.coherence", *_NUMPY_RANDOM)),
     (("angles",),
      ("ptcoherence.coherence", "ptcoherence.tomography", "ptcoherence.twoqubit",
