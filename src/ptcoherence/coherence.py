@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -95,8 +95,6 @@ class CoherenceTrace:
 
     Attributes
     ----------
-    times, values:
-        The span the scan sampled, half-open, and C there.
     extrema:
         Stationary points in the window, sorted by time, each within its
         error interval: 1e-9 in ``theta = s t`` (of the phase ``w theta``
@@ -111,11 +109,10 @@ class CoherenceTrace:
         maxima's and the minima's spacings that lies within every paired
         difference's summed error intervals; else None.
     asymptote_estimate:
-        Converged value at the end of the sampled span, or None.
+        Mean of C over the tail of the sampled span where it has
+        converged (:func:`_asymptote_estimate`), else None.
     """
 
-    times: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
     extrema: tuple[Extremum, ...]
     constant: bool
     period_estimate: float | None
@@ -178,8 +175,8 @@ def find_extrema(
     window: tuple[float, float],
 ) -> CoherenceTrace:
     """Stationary points of C(t) on the half-open window ``(t0, t1)``:
-    :func:`_scan`'s :class:`CoherenceTrace`, the sampled span with its
-    extrema and estimates (the window's rules and errors are ``_scan``'s).
+    :func:`_scan`'s :class:`CoherenceTrace`, the extrema with the period and
+    asymptote estimates (the window's rules and errors are ``_scan``'s).
     """
     terms = pure_terms(p, st.vector())  # fixed for the scan
     return _scan(lambda q, th: coherence_series(st, q, th),
@@ -231,10 +228,10 @@ def _scan(
     than ``_SCAN_PERIODS`` periods P = pi / w is tiled: its first
     ``_SCAN_PERIODS`` periods get ``_SCAN_SAMPLES`` samples per period,
     and its later extrema are the first period's shifted by multiples of
-    P, since U(theta + P) = -U(theta).  The returned ``times``/``values``
-    are the sampled span, and both estimates come from it.  Every width
-    below is :func:`_width`: ``_BISECT_WIDTH`` in theta, or that share of
-    the phase w theta where w > 1.
+    P, since U(theta + P) = -U(theta).  The trace is evaluated only at
+    the extrema and, for the asymptote estimate, on the span's tail.
+    Every width below is :func:`_width`: ``_BISECT_WIDTH`` in theta, or
+    that share of the phase w theta where w > 1.
 
     One error model judges the roots.  A factor is strong where it clears
     its bound, and a trace is constant, with no extrema, where no sample
@@ -259,12 +256,9 @@ def _scan(
     extremum times and their error intervals and evaluates no trace
     (:func:`_period_estimate`): each extremum of the first period P (its
     interval ends half a width before t0 + P), the ones tiling shifts, is
-    paired with its copy one period on.  The asymptote estimate is the
-    mean of the span's last 10%: in the unbroken regime only where the
-    trace is constant, since a periodic trace converges nowhere else; in
-    the broken regime and at the EP where the least-squares slope of that
-    tail is below 1e-6 per unit theta.  Times and period are divided by
-    ``s`` on return.
+    paired with its copy one period on.  The asymptote estimate is
+    :func:`_asymptote_estimate`'s, on the span's uniform samples.  Times
+    and period are divided by ``s`` on return.
     """
     w0, w1 = float(window[0]), float(window[1])
     t0, t1 = p.s * w0, p.s * w1
@@ -288,7 +282,6 @@ def _scan(
     stop = t0 + _SCAN_PERIODS * period if tiled else t1  # end of the sampled span
     samples = _SCAN_PERIODS * _SCAN_SAMPLES if tiled else _SCAN_SAMPLES
     ts = t0 + (stop - t0) * (np.arange(samples) / samples)  # half-open; k/n exact, n = 2^m
-    values = series(unit, ts)
     roots, peaks, is_max = np.empty(0), np.empty(0), np.empty(0, dtype=bool)
     estimate, constant = None, True  # no slope is sampled past the cut
     if t0 < cut:
@@ -349,13 +342,12 @@ def _scan(
             peaks, is_max = (np.tile(peaks[first], shift.size)[keep],
                              np.tile(is_max[first], shift.size)[keep])
     return CoherenceTrace(
-        times=ts / p.s,
-        values=values,
         extrema=tuple(Extremum(r, v, "max" if mx else "min")
                       for r, v, mx in zip((roots / p.s).tolist(), peaks.tolist(), is_max.tolist())),
         constant=constant,
         period_estimate=None if estimate is None else estimate / p.s,
-        asymptote_estimate=_asymptote_estimate(ts, values, periodic, constant),
+        asymptote_estimate=_asymptote_estimate(lambda th: series(unit, th), t0, stop, samples,
+                                               periodic, constant),
     )
 
 
@@ -386,13 +378,18 @@ def _period_estimate(times: np.ndarray, is_max: np.ndarray, first: np.ndarray,
     return max(within, default=None)
 
 
-def _asymptote_estimate(ts: np.ndarray, values: np.ndarray, periodic: bool,
-                        constant: bool) -> float | None:
-    """Mean of the span's last 10% where converged: a periodic trace only
-    when it is ``constant``, any other when its tail slope is below 1e-6."""
-    tail = slice(len(ts) - max(2, len(ts) // 10), None)
-    tt, vv = ts[tail], values[tail]
-    converged = constant if periodic else tt[-1] > tt[0] and abs(_tail_slope(tt, vv)) < 1e-6
+def _asymptote_estimate(series: Callable[[np.ndarray], np.ndarray], t0: float, stop: float,
+                        n: int, periodic: bool, constant: bool) -> float | None:
+    """Mean of ``series`` over the last ``max(2, n // 10)`` points of the
+    uniform half-open grid of ``n`` samples on ``(t0, stop)``, where
+    converged: a periodic trace only when it is ``constant`` (a periodic
+    trace converges nowhere else, and none is evaluated), any other when
+    the least-squares slope of that tail is below 1e-6 per unit theta."""
+    if periodic and not constant:
+        return None
+    tt = t0 + (stop - t0) * (np.arange(n - max(2, n // 10), n) / n)
+    vv = series(tt)
+    converged = periodic or tt[-1] > tt[0] and abs(_tail_slope(tt, vv)) < 1e-6
     return float(np.mean(vv)) if converged else None
 
 

@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _EXPORTS, tolerances
-from .hamiltonian import HamiltonianParams, SymmetryClass, generator, w_squared
+from .hamiltonian import HamiltonianParams, SymmetryClass, frequency, generator, w_squared
 
 __all__ = list(_EXPORTS["evolution"])
 
@@ -210,16 +210,12 @@ def _over_x(f, x: np.ndarray) -> np.ndarray:
     return np.divide(f(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
-def _shift(kind: SymmetryClass, a: float) -> float:
-    """``sigma`` of :func:`shifted_generator`: ``w`` in the broken regime, else 0."""
-    return math.sqrt(max(0.0, -w_squared(kind, a)))
-
-
 def shifted_generator(kind: SymmetryClass, a: float) -> np.ndarray:
-    """``K = (M + sigma I) / (1 + sigma)`` of ``U = F I + G K``.  Broken, ``K_11``
-    (``w - a`` for PT: all cancellation at large ``a``) comes from ``det K = 0``;
-    the divisor keeps products such as ``K ⊗ K`` finite."""
-    sigma = _shift(kind, a)
+    """``K = (M + sigma I) / (1 + sigma)`` of ``U = F I + G K``, with ``sigma = w``
+    in the broken regime, else 0.  Broken, ``K_11`` (``w - a`` for PT: all
+    cancellation at large ``a``) comes from ``det K = 0``; the divisor keeps
+    products such as ``K ⊗ K`` finite."""
+    sigma = frequency(kind, a) if w_squared(kind, a) < 0.0 else 0.0
     k = (generator(kind, a) + sigma * np.eye(2)) / (1.0 + sigma)
     if abs(k[1, 1]) < abs(k[0, 0]):
         k[1, 1] = k[1, 0] * k[0, 1] / k[0, 0]
@@ -235,8 +231,9 @@ def shifted_pairs(p: HamiltonianParams, times, slope: bool = False):
     pair and its theta-derivative ``(-d g - sigma A, (1 + sigma) A)``, all
     divided by the per-time scale ``|A| + max(1, a) |g|`` so products of
     several stay finite; no ratio of a state's entries sees it."""
-    d, sigma = w_squared(p.kind, p.a), _shift(p.kind, p.a)
+    d = w_squared(p.kind, p.a)
     w = math.sqrt(abs(d))
+    sigma = w if d < 0.0 else 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         th = p.s * np.asarray(times, dtype=np.float64)
         x = w * th

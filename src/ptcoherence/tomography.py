@@ -201,31 +201,22 @@ def _poisson(lam: float, rand) -> int:
             return k
 
 
-def _rho_array(rho: DensityMatrix | np.ndarray) -> np.ndarray:
-    arr = rho.rho if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if arr.shape != (2, 2):
-        raise ValueError("expected a 2x2 density matrix")
-    return arr
-
-
-def ideal_probabilities(rho: DensityMatrix | np.ndarray) -> np.ndarray:
+def ideal_probabilities(rho: DensityMatrix) -> np.ndarray:
     """Exact outcome probabilities ``tr(rho P_b)`` in H, V, R, D order:
     ``rho00``, ``rho11``, ``tr/2 + Im rho01`` and ``tr/2 + Re rho01``."""
-    arr = _rho_array(rho)
+    arr = rho.rho
     p_h, p_v, rho01 = arr[0, 0].real, arr[1, 1].real, arr[0, 1]
     half = 0.5 * (p_h + p_v)
     return np.clip([p_h, p_v, half + rho01.imag, half + rho01.real], 0.0, 1.0)
 
 
-def exact_count_record(rho: DensityMatrix | np.ndarray, exposure: float = 1.0) -> CountRecord:
+def exact_count_record(rho: DensityMatrix, exposure: float = 1.0) -> CountRecord:
     """Infinite-statistics record: ``exposure * p_b`` without sampling."""
     n = exposure * ideal_probabilities(rho)
     return CountRecord(n[0], n[1], n[2], n[3], exposure=float(exposure))
 
 
-def simulate_counts(
-    rho: DensityMatrix | np.ndarray, exposure: float, seed: int = 0
-) -> CountRecord:
+def simulate_counts(rho: DensityMatrix, exposure: float, seed: int = 0) -> CountRecord:
     """Poisson-sampled counts, one independent draw per basis.
 
     Each basis observes ``Poisson(exposure * p_b)`` events, clipped at
@@ -345,9 +336,7 @@ def bootstrap_errorbar(
     return float(np.mean(values)), float(np.std(values, ddof=1))
 
 
-def trace_distance(
-    rho_1: DensityMatrix | np.ndarray, rho_2: DensityMatrix | np.ndarray
-) -> float:
+def trace_distance(rho_1: DensityMatrix, rho_2: DensityMatrix) -> float:
     """Trace distance ``0.5 * ||rho_1 - rho_2||_1`` between two states.
 
     The Hermitian part of the difference has eigenvalues ``m ± r``, with
@@ -355,6 +344,6 @@ def trace_distance(
     |off-diagonal|)``, so the distance ``(|m + r| + |m - r|) / 2`` is
     ``max(|m|, r)``, in closed form.
     """
-    (d00, d01), (d10, d11) = (_rho_array(rho_1) - _rho_array(rho_2)).tolist()
+    (d00, d01), (d10, d11) = (rho_1.rho - rho_2.rho).tolist()
     m, half_gap = 0.5 * (d00.real + d11.real), 0.5 * (d00.real - d11.real)
     return max(abs(m), math.hypot(half_gap, abs(0.5 * (d01 + d10.conjugate()))))

@@ -354,12 +354,16 @@ def test_find_extrema_window_validation():
 
 
 def test_find_extrema_scans_a_negative_start():
-    # a negative start scans the analytic continuation, as coherence_series
-    # evaluates it
-    st_ = PureState.preset("h-sqrt3v")
-    trace = find_extrema(st_, pt(0.8), (-1.0, 0.5))
-    assert trace.times[0] == -1.0 and trace.times[-1] < 0.5
-    assert np.array_equal(trace.values, coherence_series(st_, pt(0.8), trace.times))
+    # a negative start scans the analytic continuation: the window holds
+    # the analytic extrema of one period, those past 0.5 shifted by -T
+    st_, p = PureState.preset("h-sqrt3v"), pt(0.8)
+    T = theoretical_period(p)
+    predicted = np.array(verify_extrema_conditions(st_, p))
+    predicted = np.where(predicted < 0.5, predicted, predicted - T)
+    expected = np.sort(predicted[predicted >= -1.0])
+    scanned = np.array([e.time for e in find_extrema(st_, p, (-1.0, 0.5)).extrema])
+    assert expected.size == 2 and scanned.shape == expected.shape
+    assert np.max(np.abs(scanned - expected)) <= 1e-9 * T
 
 
 @pytest.mark.filterwarnings("error")
@@ -666,19 +670,39 @@ def test_extrema_census_at_large_detuning(a):
 
 def test_scan_window_contract():
     # find_extrema rejects an empty, reversed or non-finite window, naming
-    # it in theta, and returns the span the scan sampled: the window, or
-    # the first four periods of a tiled one
+    # it in theta; the asymptote estimate is the mean of C over the last
+    # tenth of the sampled span's uniform grid: the window, or the first
+    # four periods of a tiled one, at 2048 samples a period
     p = pt(0.47)
-    T = theoretical_period(p)
     one = PureState.preset("h-sqrt3v")
     for window in ((1.0, 0.5), (1.0, 1.0), (0.0, np.inf), (np.nan, 1.0)):
         with pytest.raises(ValueError, match=r"in theta = s\*t at s = 1\.0; it must"):
             find_extrema(one, p, window)
-    for periods, samples in ((1, 2048), (10, 8192)):
-        trace = find_extrema(one, p, (0.0, periods * T))
-        assert trace.times.shape == (samples,)
-        assert trace.times[0] == 0.0 and trace.times[-1] < min(periods, 4) * T
-        assert np.array_equal(trace.values, coherence_series(one, p, trace.times))
+    D, T = PureState.preset("D"), theoretical_period(apt(1.5))
+    for q, window, stop, n in ((apt(1.5), (0.0, T), T, 2048),
+                               (apt(1.5), (0.0, 10 * T), 4 * T, 8192),
+                               (pt(2.8), (0.0, 10.0), 10.0, 2048),
+                               (pt(1.0), (0.0, 1e4), 1e4, 2048)):
+        tail = stop * (np.arange(n - n // 10, n) / n)
+        estimate = find_extrema(D, q, window).asymptote_estimate
+        assert estimate == float(np.mean(coherence_series(D, q, tail))), (q, window)
+
+
+def test_scan_evaluates_the_trace_at_its_extrema_and_tail_only(monkeypatch):
+    # an unbroken trace that is not constant converges nowhere, so only its
+    # extrema are evaluated; a broken one adds its asymptote's tail
+    sizes = []
+
+    def counting(st_, p, times):
+        sizes.append(np.size(times))
+        return coherence_series(st_, p, times)
+
+    monkeypatch.setattr(coherence, "coherence_series", counting)
+    report = classify_backflow(PureState.preset("h-sqrt3v"), pt(0.47))
+    assert report.zeros_per_period == 4 and sizes == [4]
+    sizes.clear()
+    trace = find_extrema(PureState.preset("D"), pt(2.8), (0.0, 10.0))
+    assert trace.asymptote_estimate is not None and sizes == [len(trace.extrema), 2048 // 10]
 
 
 def test_scan_widths_read_the_width_helper():

@@ -421,11 +421,11 @@ def test_trace_distance_basics():
     d = PureState.preset("D").density()
     assert trace_distance(h, d) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     with pytest.raises(ValueError, match="2x2"):
-        trace_distance(np.eye(3) / 3.0, np.eye(3) / 3.0)
+        trace_distance(h, DensityMatrix(np.eye(3) / 3.0))
 
 
-def _eigen_trace_distance(rho_1: np.ndarray, rho_2: np.ndarray) -> float:
-    diff = rho_1 - rho_2
+def _eigen_trace_distance(rho_1: DensityMatrix, rho_2: DensityMatrix) -> float:
+    diff = rho_1.rho - rho_2.rho
     return 0.5 * float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).sum())
 
 
@@ -436,15 +436,15 @@ def test_trace_distance_matches_eigenvalues():
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         g[:, 1] *= rng.integers(0, 2)
         rho = g @ g.conj().T
-        states.append(rho / np.trace(rho).real)
+        states.append(DensityMatrix(rho / np.trace(rho).real))
     for rho_1, rho_2 in zip(states[::2], states[1::2]):
         assert trace_distance(rho_1, rho_2) == pytest.approx(
             _eigen_trace_distance(rho_1, rho_2), rel=1e-13, abs=1e-16)
     # identical, orthogonal and 1e-12-apart states
-    rho = _rho(0.6, 0.8, 0.3).rho
+    rho = _rho(0.6, 0.8, 0.3)
     assert trace_distance(rho, rho) == 0.0
     assert trace_distance(_rho(0.6, 0.8, 0.3), _rho(0.8, 0.6, 0.3 + math.pi)) == pytest.approx(
         1.0, abs=1e-15)
-    near = _rho(0.6, 0.8, 0.3 + 1e-12).rho
+    near = _rho(0.6, 0.8, 0.3 + 1e-12)
     assert trace_distance(rho, near) == pytest.approx(_eigen_trace_distance(rho, near), rel=1e-9)
     assert trace_distance(rho, near) == pytest.approx(0.48e-12, rel=1e-3)
