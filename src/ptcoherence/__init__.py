@@ -33,6 +33,7 @@ _EXPORTS = {
         "DensityMatrix",
         "l1_coherence",
         "coherence_series",
+        "trajectory_array",
         "propagator_scaled",
         "evolve_density",
     ),
@@ -47,7 +48,6 @@ _EXPORTS = {
         "verify_extrema_conditions",
         "classify_backflow",
     ),
-    "bloch": ("trajectory_array",),
     "optics": (
         "OpticalSequence",
         "NoDecompositionError",

@@ -56,11 +56,11 @@ from typing import Sequence
 import numpy as np
 
 from .evolution import (PureState, coherence_series, evolve_density, evolve_density_grid,
-                        l1_coherence)
+                        l1_coherence, trajectory_array)
 from .hamiltonian import HamiltonianParams, Regime, SymmetryClass, frequency, regime
 
 # Each subcommand imports the modules only it runs (coherence, optics,
-# tomography, bloch, twoqubit), so a cold call loads no other.
+# tomography, twoqubit), so a cold call loads no other.
 
 __all__ = ["main"]
 
@@ -280,12 +280,11 @@ def _csv_text(meta: list[tuple[str, object]], columns: Sequence[str], rows_text:
 
 def _json_rows(rows: np.ndarray) -> str:
     """The ``"rows"`` entries of ``(n, k)`` rows as ``_json_text`` lays them out,
-    joined by ",\n": one %.12g pass rounds every value (adding 0.0 drops
-    "-0"), the parsed-back floats print as json.dumps prints them, and one
-    %-pass lays them out at indent=2."""
-    values = np.asarray(rows, dtype=float) + 0.0
-    rounded = list(map(float, ("%.12g " * values.size % tuple(values.ravel().tolist())).split()))
-    if not np.isfinite(values).all():
+    joined by ",\n": the tokens of :func:`_csv_rows`, the one %.12g pass, are
+    parsed back and print as json.dumps prints them, and one %-pass lays them
+    out at indent=2."""
+    rounded = list(map(float, _csv_rows(rows).replace(",", "\n").split()))
+    if not np.isfinite(rows).all():
         rounded = [_JSON_NON_FINITE.get(v, v) for v in map(repr, rounded)]
     row_fmt = "    [\n" + ",\n".join(["      %s"] * rows.shape[1]) + "\n    ]"
     return ",\n".join([row_fmt] * len(rows)) % tuple(rounded)
@@ -551,8 +550,6 @@ def cmd_tomography(cfg: argparse.Namespace) -> str:
 
 def cmd_bloch(cfg: argparse.Namespace) -> str:
     """CSV Bloch trajectory of the evolved (renormalized) state."""
-    from .bloch import trajectory_array
-
     st, p = cfg.state, cfg.params
     assert st is not None
     return _grid_text(cfg, ("t", "x", "y", "z"), lambda ts: trajectory_array(st, p, ts))

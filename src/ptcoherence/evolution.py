@@ -29,7 +29,8 @@ Numerical notes
   1e-12 of the EP (at most 4e-16 there).
 * :func:`pure_rows` builds every pure state, of one qubit or of two under
   one generator;
-  :func:`pure_l1` takes their C from magnitudes, whose squares underflow.
+  :func:`pure_l1` takes their C from magnitudes, whose squares underflow,
+  and :func:`trajectory_array` their Bloch rows.
   :func:`l1_coherence` is the one C of a density matrix.
 * The fixed terms (``K psi``) are rounded once from exact sums
   (:func:`apply_exact`): near the EP they are far below their summands.
@@ -343,6 +344,34 @@ def coherence_series(st: PureState, p: HamiltonianParams, times: np.ndarray) -> 
     a common scale) gives ``C = 2 |v_0| |v_1| / (|v_0|^2 + |v_1|^2)``.
     """
     return pure_l1(pure_rows(p, st.vector(), times))
+
+
+def trajectory_array(st: PureState, p: HamiltonianParams, grid) -> np.ndarray:
+    """Bloch trajectory of the normalized evolved pure state as an
+    ``(n, 4)`` array of rows ``(t, x, y, z)``, in the package's one Bloch
+    convention (shared with the tomography module's Stokes parameters):
+
+        x = 2 Re rho_01,   y = -2 Im rho_01,   z = rho_00 - rho_11
+
+    so |H> sits at the north pole (0, 0, 1), (|H>+|V>)/sqrt(2) at
+    (1, 0, 0) and (|H>-i|V>)/sqrt(2) at (0, -1, 0), and C is the
+    equatorial radius ``sqrt(x^2 + y^2)``.
+
+    ``grid`` is a 1-D sequence of finite, nonnegative times, in any order
+    and possibly empty (the density path's rule); each row depends on its
+    own time alone.  The whole grid is evolved in one batch by
+    :func:`pure_rows` and each row normalized, so the radius is 1 to
+    within numerical tolerance at any depth of the broken regime.
+    """
+    ts = _evolution_times(grid)
+    v = pure_rows(p, st.vector(), ts)
+    norms = np.sqrt((v.real * v.real).sum(axis=1) + (v.imag * v.imag).sum(axis=1))
+    v = v / norms[:, np.newaxis]
+    # np.multiply, not `*`: `*` lets numpy reuse a large conj temporary as
+    # the output, which swaps the operands and so the last bits of a row
+    rho01 = np.multiply(v[:, 0], np.conj(v[:, 1]))
+    pops = np.abs(v) ** 2
+    return np.column_stack([ts, 2.0 * rho01.real, -2.0 * rho01.imag, pops[:, 0] - pops[:, 1]])
 
 
 def l1_coherence(rho):

@@ -8,8 +8,9 @@ family {H, V, R, D}:
     |R> = (|H> - i|V>)/sqrt(2)  p_R = (1 - y) / 2
     |D> = (|H> + |V>)/sqrt(2)   p_D = (1 + x) / 2
 
-with (x, y, z) the Bloch components used throughout the package
-(``x = 2 Re rho01``, ``y = -2 Im rho01``, ``z = rho00 - rho11``).
+with (x, y, z) the package's one Bloch convention, that of
+:func:`~ptcoherence.evolution.trajectory_array` (``x = 2 Re rho01``,
+``y = -2 Im rho01``, ``z = rho00 - rho11``).
 Reconstruction is the Poisson maximum-likelihood estimate over the Bloch
 ball, solved from its optimality (KKT) conditions without a general
 optimizer (Hradil, PRA 55, R1561 (1997); Smolin, Gambetta & Smith, PRL

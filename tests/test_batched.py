@@ -18,8 +18,8 @@ import pytest
 from _oracle import reference_matrix
 
 import ptcoherence as pc
-from ptcoherence.bloch import trajectory_array
-from ptcoherence.evolution import _check_densities, evolve_density_grid, pure_rows
+from ptcoherence.evolution import (_check_densities, evolve_density_grid, pure_rows,
+                                  trajectory_array)
 
 KINDS = (pc.SymmetryClass.PT, pc.SymmetryClass.APT)
 #: Unbroken, EP, and broken detuning ratios (PT is broken above 1, APT below).

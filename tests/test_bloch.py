@@ -1,7 +1,7 @@
 """Bloch-vector mapping and renormalized trajectories.
 
 The frozen trajectory point was computed by dense-exponential evolution
-plus the (x, y, z) definition, independent of this module.
+plus the (x, y, z) definition, independent of the package.
 """
 from __future__ import annotations
 

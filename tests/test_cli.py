@@ -22,7 +22,7 @@ from _oracle import reference_rows
 from conftest import run_fresh
 
 import ptcoherence as pc
-from ptcoherence import bloch, cli
+from ptcoherence import cli
 from ptcoherence.cli import (_csv_rows, _csv_text, _fmt, _json_grid_text, _json_rows, _json_text,
                              main)
 from ptcoherence.tomography import _ml_bloch
@@ -1130,7 +1130,7 @@ def test_row_ranges_are_byte_identical_to_one_core(monkeypatch, capsys):
 def _failing_rows(monkeypatch, failures: dict) -> None:
     """Bloch rows that fail by range, at 3 * _MIN_ROWS rows in 3 ranges:
     ``failures`` maps a range's first row to an action that raises."""
-    real, grid = bloch.trajectory_array, np.linspace(0.0, 10.0, 3 * cli._MIN_ROWS)
+    real, grid = cli.trajectory_array, np.linspace(0.0, 10.0, 3 * cli._MIN_ROWS)
 
     def rows(st, p, ts):
         action = failures.get(int(np.searchsorted(grid, ts[0])))
@@ -1139,7 +1139,7 @@ def _failing_rows(monkeypatch, failures: dict) -> None:
         return real(st, p, ts)
 
     _three_cores(monkeypatch)
-    monkeypatch.setattr("ptcoherence.bloch.trajectory_array", rows)
+    monkeypatch.setattr("ptcoherence.cli.trajectory_array", rows)
 
 
 def _no_worker_left() -> None:
@@ -1267,7 +1267,7 @@ def test_grid_evaluation_imports_nothing():
     # in one process, where the same code runs as range 0
     result = run_fresh("""
 import sys
-from ptcoherence import bloch, cli, coherence, twoqubit
+from ptcoherence import cli, coherence, twoqubit
 for argv in %r:
     for fmt in ("csv", "json"):
         cfg = cli._resolve_config(cli._build_parser().parse_args([*argv, "--format", fmt]))

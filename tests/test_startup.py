@@ -8,7 +8,7 @@ benchmark's four parameter points, at state H and at each point's state;
 each must exit 0.  The README's Quick start runs there too.  A cold call
 loads only what its subcommand runs:
 ``import ptcoherence`` loads no submodule, the scan
-subcommands and ``trace`` load neither the optics, tomography, Bloch and
+subcommands and ``trace`` load neither the optics, tomography and
 two-qubit modules nor ``statistics``, the grid commands (``trace``,
 ``two-qubit``, ``bloch``) load no coherence module, ``angles`` and
 ``tomography`` load only their own chain, and no command loads
@@ -96,25 +96,25 @@ _LOADS_SCRIPT = textwrap.dedent("""
 _NUMPY_RANDOM = ("numpy.random", "secrets", "hmac", "_hashlib")
 
 #: Each command set and the modules it must not load: the scan commands
-#: and ``trace`` load no optics, tomography, two-qubit or Bloch module and
-#: no ``statistics``; the grid commands run no scan and load no coherence;
-#: ``angles`` loads no coherence, tomography, two-qubit or Bloch module,
-#: and ``tomography`` no optics, two-qubit or Bloch module, and neither
-#: loads ``statistics``; no command loads ``_NUMPY_RANDOM``.
+#: and ``trace`` load no optics, tomography or two-qubit module and no
+#: ``statistics``; the grid commands run no scan and load no coherence;
+#: ``angles`` loads no coherence, tomography or two-qubit module, and
+#: ``tomography`` no optics or two-qubit module, and neither loads
+#: ``statistics``; no command loads ``_NUMPY_RANDOM``.
 _COLD_LOADS = (
     (("period", "asymptote", "backflow"),
      ("ptcoherence.optics", "ptcoherence.tomography", "ptcoherence.twoqubit",
-      "ptcoherence.bloch", "statistics", *_NUMPY_RANDOM)),
+      "statistics", *_NUMPY_RANDOM)),
     (("trace",),
      ("ptcoherence.coherence", "ptcoherence.optics", "ptcoherence.tomography",
-      "ptcoherence.twoqubit", "ptcoherence.bloch", "statistics", *_NUMPY_RANDOM)),
+      "ptcoherence.twoqubit", "statistics", *_NUMPY_RANDOM)),
     (("two-qubit", "bloch"), ("ptcoherence.coherence", *_NUMPY_RANDOM)),
     (("angles",),
      ("ptcoherence.coherence", "ptcoherence.tomography", "ptcoherence.twoqubit",
-      "ptcoherence.bloch", "statistics", *_NUMPY_RANDOM)),
+      "statistics", *_NUMPY_RANDOM)),
     (("tomography",),
      ("ptcoherence.coherence", "ptcoherence.optics", "ptcoherence.twoqubit",
-      "ptcoherence.bloch", "statistics", *_NUMPY_RANDOM)),
+      "statistics", *_NUMPY_RANDOM)),
 )
 
 
@@ -145,7 +145,7 @@ def test_public_names_resolve():
     modules = [ptcoherence] + [
         importlib.import_module(f"ptcoherence.{info.name}")
         for info in pkgutil.iter_modules(ptcoherence.__path__) if not info.name.startswith("_")]
-    assert len(modules) == 10  # the package and its nine public modules
+    assert len(modules) == 9  # the package and its eight public modules
     for module in modules:
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names missing attributes: {missing}"
@@ -156,6 +156,16 @@ def test_public_names_resolve():
         module = importlib.import_module(f"ptcoherence.{name}")
         assert module.__all__ == list(names), name
     assert ptcoherence.__all__ == ["__version__", *(n for names in table.values() for n in names)]
+
+
+def test_dir_lists_every_public_name():
+    # dir() lists the lazy names too, resolved or not, in sorted order
+    listed = dir(ptcoherence)
+    assert listed == sorted(listed)
+    assert {"__version__", *ptcoherence._MODULE_OF} <= set(listed)
+    assert "trajectory_array" in listed
+    evolution = importlib.import_module("ptcoherence.evolution")
+    assert ptcoherence.trajectory_array is evolution.trajectory_array
 
 
 #: Names that reach BLAS or LAPACK: numpy's ``linalg`` and the products
